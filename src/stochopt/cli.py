@@ -26,12 +26,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +51,9 @@ from .effort import (
     EffortUndefinedError,
     EnsembleStats,
     computational_effort,
+    effort_steps,
     runtime_projection,
+    success_steps,
 )
 from .hopfield import TankParams, hopfield_solve
 from .local_search import hill_climb_first_accept, hill_climb_steepest, random_search
@@ -67,16 +70,6 @@ from .tabu import TabuConfig, tabu_search
 
 OUTPUT_DIR_ENV = "STOCHOPT_OUTPUT_DIR"
 SCHEMA_VERSION = 1
-ALGORITHMS = (
-    "random",
-    "hillclimb",
-    "steepest",
-    "sa",
-    "tabu",
-    "hopfield",
-    "pso",
-    "aco",
-)
 ORACLE_TSP_LIMIT = 10
 ORACLE_PACKING_LIMIT = 12
 
@@ -231,6 +224,29 @@ def _anchor_instance(desc, base: Path):
     return desc
 
 
+def _check_keys(what: str, given, accepted) -> None:
+    """Reject any key of `given` outside `accepted`, naming it."""
+    stray = sorted(set(given) - set(accepted))
+    if stray:
+        raise ValidationError(f"unknown {what}: {stray}; accepted: {sorted(accepted)}")
+
+
+# inline instance descriptor: kind -> the keys it takes besides "kind"
+INSTANCE_KEYS = {"tsp": ("path",), "binpacking": ("path",), "cube": (),
+                 "continuous": ("objective", "dim", "bounds", "neighbor_radius")}
+
+
+def _descriptor_kind(desc) -> str:
+    """The kind of an inline instance descriptor, after checking its keys."""
+    if not isinstance(desc, dict) or "kind" not in desc:
+        raise ValidationError("instance must be a path or a dict with a 'kind' field")
+    kind = desc["kind"]
+    if kind not in INSTANCE_KEYS:
+        raise ValidationError(f"unknown instance kind {kind!r}")
+    _check_keys(f"{kind} instance keys", set(desc) - {"kind"}, INSTANCE_KEYS[kind])
+    return kind
+
+
 def load_instance(desc):
     """Build a problem from a path string or an inline descriptor dict."""
     if isinstance(desc, str):
@@ -242,9 +258,7 @@ def load_instance(desc):
         raise ValidationError(
             f"cannot infer instance kind from suffix {suffix!r}; use an inline descriptor"
         )
-    if not isinstance(desc, dict) or "kind" not in desc:
-        raise ValidationError("instance must be a path or a dict with a 'kind' field")
-    kind = desc["kind"]
+    kind = _descriptor_kind(desc)
     if kind == "tsp":
         return parse_tsp_file(desc["path"])
     if kind == "binpacking":
@@ -256,12 +270,42 @@ def load_instance(desc):
             bounds=tuple(desc["bounds"]) if "bounds" in desc else None,
             neighbor_radius=desc.get("neighbor_radius"),
         )
-    if kind == "cube":
-        return cube_fixture()
-    raise ValidationError(f"unknown instance kind {kind!r}")
+    return cube_fixture()
 
 
 # ----------------------------------------------------------- experiments
+
+
+@dataclass(frozen=True)
+class _Algorithm:
+    entry: str  # entry point's name in this module, looked up when an experiment runs
+    config: type | None = None  # dataclass built from the block's settings
+    keyword: str | None = None  # the entry point's parameter that takes it
+    keys: tuple = ()  # block keys, as a config spells them
+    start: bool = False  # whether the entry point takes a start solution
+
+
+# algorithm name -> how its config block reaches the entry point; each
+# default lives in the config dataclass or the entry point's signature
+ALGORITHMS = {
+    "random": _Algorithm("random_search"),
+    "hillclimb": _Algorithm("hill_climb_first_accept", keys=("random_walk",), start=True),
+    "steepest": _Algorithm("hill_climb_steepest", keys=("restart_on_optimum",), start=True),
+    "sa": _Algorithm("simulated_annealing", CoolingSchedule, "schedule", (
+        "kind", "t0", "lambda", "decrement", "steps_per_temp", "max_temperature_steps",
+        "rescaled", "alpha"), start=True),
+    "tabu": _Algorithm("tabu_search", TabuConfig, "cfg", (
+        "tenure", "aspiration", "intensification_weight", "diversification_weight"), start=True),
+    "hopfield": _Algorithm("_hopfield_solve", TankParams, "p",
+                           ("A", "B", "C", "D", "max_steps", "restarts")),
+    "pso": _Algorithm("pso_run", SwarmConfig, "cfg",
+                      ("size", "p_increment", "g_increment", "vmax", "inertia")),
+    "aco": _Algorithm("aco_run", AcoConfig, "cfg",
+                      ("ants", "w_tau", "w_eta", "rho", "local_deposit", "q", "tau0", "rule")),
+}
+# block key -> the parameter it sets, where the two are spelled differently
+ALIASES = {"lambda": "rate", "steps_per_temp": "steps_per_temperature",
+           "A": "a", "B": "b", "C": "c", "D": "d"}
 
 
 @dataclass(frozen=True)
@@ -270,7 +314,8 @@ class ExperimentConfig:
 
     `params` holds one block per algorithm family (key = algorithm name)
     so a config can carry, say, both `sa` and `tabu` blocks while only
-    the active one is read.  Replica i runs with seed `seed + i`.
+    the active one is read.  Unknown keys anywhere, and a `start` the
+    algorithm cannot take, are refused.  Replica i runs with seed `seed + i`.
     """
 
     instance: object
@@ -288,10 +333,23 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValidationError(
-                f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}"
+                f"unknown algorithm {self.algorithm!r}; choose from {tuple(ALGORITHMS)}"
             )
         if self.replicas < 1:
             raise ValidationError("need at least one replica")
+        for name, block in self.params.items():
+            if name not in ALGORITHMS:
+                raise ValidationError(
+                    f"params block {name!r} names no algorithm; choose from {tuple(ALGORITHMS)}"
+                )
+            if not isinstance(block, dict):
+                raise ValidationError(f"the {name!r} block must be an object")
+            _check_keys(f"{name} keys", block, ALGORITHMS[name].keys)
+        if self.start is not None and not ALGORITHMS[self.algorithm].start:
+            raise ValidationError(f"{self.algorithm} takes no 'start'")
+        success_threshold(self.success)
+        if not isinstance(self.instance, str):
+            _descriptor_kind(self.instance)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -299,6 +357,9 @@ class ExperimentConfig:
             raise ValidationError("config needs 'instance' and 'algorithm' fields")
         budget_raw = raw.get("budget", 1000)
         if isinstance(budget_raw, dict):
+            _check_keys("budget keys", budget_raw, ("max_evaluations", "target_fitness"))
+            if "max_evaluations" not in budget_raw:
+                raise ValidationError("budget needs 'max_evaluations'")
             budget = Budget(
                 max_evaluations=int(budget_raw["max_evaluations"]),
                 target_fitness=budget_raw.get("target_fitness"),
@@ -311,22 +372,7 @@ class ExperimentConfig:
                 max_evaluations=budget.max_evaluations,
                 target_fitness=success_threshold(success),
             )
-        known = {
-            "instance",
-            "algorithm",
-            "replicas",
-            "seed",
-            "budget",
-            "params",
-            "success",
-            "start",
-            "label",
-            "output_csv",
-            "output_json",
-        }
-        stray = set(raw) - known - set(ALGORITHMS)
-        if stray:
-            raise ValidationError(f"unknown config fields: {sorted(stray)}")
+        _check_keys("config fields", set(raw) - set(ALGORITHMS), [f.name for f in fields(cls)])
         params = dict(raw.get("params", {}))
         for name in ALGORITHMS:  # allow algorithm blocks at the top level too
             if name in raw:
@@ -351,10 +397,10 @@ class ExperimentConfig:
             raw = json.load(fh)
         cfg = cls.from_dict(raw)
         if cfg.label == "experiment":
-            cfg = dataclass_replace(cfg, label=Path(path).stem)
+            cfg = replace(cfg, label=Path(path).stem)
         instance = _anchor_instance(cfg.instance, Path(path).parent)
         if instance is not cfg.instance:
-            cfg = dataclass_replace(cfg, instance=instance)
+            cfg = replace(cfg, instance=instance)
         return cfg
 
     def echo(self) -> dict:
@@ -374,16 +420,12 @@ class ExperimentConfig:
         }
 
 
-def dataclass_replace(cfg: ExperimentConfig, **kw) -> ExperimentConfig:
-    from dataclasses import replace
-
-    return replace(cfg, **kw)
-
-
 def success_threshold(success: dict | None) -> float | None:
     """Cost level counting as success: optimum plus declared slack."""
     if not success:
         return None
+    _check_keys("success keys", success,
+                ("threshold", "optimum", "relative", "absolute", "confidence"))
     if "threshold" in success:
         return float(success["threshold"])
     if "optimum" not in success:
@@ -394,83 +436,35 @@ def success_threshold(success: dict | None) -> float | None:
     return opt + abs(opt) * rel + absolute
 
 
-def _run_one(cfg: ExperimentConfig, problem, seed: int):
-    block = dict(cfg.params.get(cfg.algorithm, {}))
-    algorithm = cfg.algorithm
-    budget = cfg.budget
-    start = cfg.start
-    if algorithm == "random":
-        return random_search(problem, budget, seed)
-    if algorithm == "hillclimb":
-        return hill_climb_first_accept(
-            problem, budget, seed, start=start,
-            random_walk=bool(block.get("random_walk", False)),
-        )
-    if algorithm == "steepest":
-        return hill_climb_steepest(
-            problem, budget, seed, start=start,
-            restart_on_optimum=bool(block.get("restart_on_optimum", False)),
-        )
-    if algorithm == "sa":
-        schedule = CoolingSchedule(
-            kind=block.get("kind", "geometric"),
-            t0=block.get("t0"),
-            rate=float(block.get("lambda", 0.95)),
-            decrement=float(block.get("decrement", 0.0)),
-            steps_per_temperature=int(block.get("steps_per_temp", 100)),
-            max_temperature_steps=block.get("max_temperature_steps"),
-        )
-        return simulated_annealing(
-            problem, budget, seed, schedule=schedule, start=start,
-            rescaled=bool(block.get("rescaled", False)),
-            alpha=float(block.get("alpha", 1.0)),
-        )
-    if algorithm == "tabu":
-        aspiration = block.get("aspiration", "best_so_far")
-        if isinstance(aspiration, bool):
-            aspiration = "best_so_far" if aspiration else "off"
-        tc = TabuConfig(
-            tenure=int(block.get("tenure", 7)),
-            aspiration=aspiration,
-            intensification_weight=float(block.get("intensification_weight", 0.0)),
-            diversification_weight=float(block.get("diversification_weight", 0.0)),
-        )
-        return tabu_search(problem, budget, seed, cfg=tc, start=start)
-    if algorithm == "hopfield":
-        p = TankParams(
-            a=float(block.get("A", 500.0)),
-            b=float(block.get("B", 500.0)),
-            c=float(block.get("C", 200.0)),
-            d=float(block.get("D", 500.0)),
-        )
-        return hopfield_solve(
-            problem, p,
-            max_steps=block.get("max_steps"),
-            restarts=int(block.get("restarts", budget.max_evaluations)),
-            seed=seed,
-        )
-    if algorithm == "pso":
-        sc = SwarmConfig(
-            size=int(block.get("size", 20)),
-            p_increment=float(block.get("p_increment", 2.0)),
-            g_increment=float(block.get("g_increment", 2.0)),
-            vmax=block.get("vmax"),
-            inertia=block.get("inertia"),
-        )
-        return pso_run(problem, budget, seed, cfg=sc)
-    if algorithm == "aco":
-        ac = AcoConfig(
-            ants=block.get("ants"),
-            w_tau=float(block.get("w_tau", 1.0)),
-            w_eta=block.get("w_eta"),
-            rho=float(block.get("rho", 0.1)),
-            local_deposit=float(block.get("local_deposit", 0.01)),
-            q=float(block.get("q", 1.0)),
-            tau0=float(block.get("tau0", 1.0)),
-            rule=block.get("rule", "sum"),
-        )
-        return aco_run(problem, budget, seed, cfg=ac)
-    raise ValidationError(f"unknown algorithm {algorithm!r}")
+def _cast(default, value):
+    """Cast like a bool, int or float default; any other default keeps the value."""
+    kind = type(default)
+    return kind(value) if kind in (bool, int, float) else value
+
+
+def _hopfield_solve(problem, budget, seed, p, max_steps=None, restarts=None):
+    """`hopfield_solve` under the common call; restarts default to the budget."""
+    restarts = budget.max_evaluations if restarts is None else int(restarts)
+    return hopfield_solve(problem, p, max_steps=max_steps, restarts=restarts, seed=seed)
+
+
+def _entry_call(cfg: ExperimentConfig):
+    """(entry, keywords): each replica runs entry(problem, budget, seed, **keywords)."""
+    spec = ALGORITHMS[cfg.algorithm]
+    entry = globals()[spec.entry]  # at call time, so names patched on this module are used
+    settings = {ALIASES.get(k, k): v for k, v in cfg.params.get(cfg.algorithm, {}).items()}
+    if isinstance(settings.get("aspiration"), bool):
+        settings["aspiration"] = "best_so_far" if settings["aspiration"] else "off"
+    kwargs = {}
+    if spec.config is not None:
+        defaults = {f.name: f.default for f in fields(spec.config)}
+        own = {k: _cast(defaults[k], settings.pop(k)) for k in list(settings) if k in defaults}
+        kwargs[spec.keyword] = spec.config(**own)
+    parameters = inspect.signature(entry).parameters
+    kwargs.update((k, _cast(parameters[k].default, v)) for k, v in settings.items())
+    if spec.start:
+        kwargs["start"] = cfg.start
+    return entry, kwargs
 
 
 @dataclass
@@ -514,10 +508,11 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> ResultTable:
     curves = []
     records = []
     total_wall = 0.0
+    entry, kwargs = _entry_call(cfg)
     for i in range(cfg.replicas):
         seed = cfg.seed + i
         t0 = time.perf_counter()
-        record = _run_one(cfg, problem, seed)
+        record = entry(problem, cfg.budget, seed, **kwargs)
         wall = time.perf_counter() - t0
         total_wall += wall
         records.append(record)
@@ -555,24 +550,15 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> ResultTable:
             threshold=threshold,
             label=cfg.label,
         )
-        times = ens.success_times()
         summary["success_threshold"] = threshold
-        summary["successes"] = len(times)
-        total = len(records)
-        summary["pn_curve"] = [
-            [int(t), (i + 1) / total]
-            for i, t in enumerate(times)
-            if i + 1 == len(times) or times[i + 1] != t
-        ]
+        summary["successes"] = len(ens.success_times())
+        summary["pn_curve"] = [[t, p] for t, p in success_steps(ens)]
         z = float(cfg.success.get("confidence", 0.99))
         summary["confidence"] = z
         try:
             n_star, i_min = computational_effort(ens, z)
             summary["effort"] = {"n_star": n_star, "i_min": i_min}
-            distinct = sorted(set(times))
-            summary["effort_curve"] = [
-                [t, _effort_at(ens, t, z)] for t in distinct
-            ]
+            summary["effort_curve"] = [[t, i] for t, i in effort_steps(ens, z)]
         except EffortUndefinedError:
             summary["effort"] = None
             summary["effort_curve"] = []
@@ -585,12 +571,6 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> ResultTable:
     )
     _write_outputs(table, cfg, output_dir)
     return table
-
-
-def _effort_at(ens: EnsembleStats, n: int, z: float) -> int:
-    from .effort import _runs_needed, cumulative_success
-
-    return n * _runs_needed(cumulative_success(ens, n), z)
 
 
 def _write_outputs(table: ResultTable, cfg: ExperimentConfig, output_dir=None):

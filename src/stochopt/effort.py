@@ -111,14 +111,30 @@ def effort_curve(e: EnsembleStats, z: float) -> list:
     return curve
 
 
+def success_steps(e: EnsembleStats) -> list:
+    """[(t, P(t))] at each distinct success time t, ties collapsed to the final height."""
+    total = len(e.records)
+    height = {t: (i + 1) / total for i, t in enumerate(e.success_times())}  # last tie wins
+    return list(height.items())
+
+
+def effort_steps(e: EnsembleStats, z: float) -> list:
+    """[(t, I(t, z))] at each distinct success time t within the budget.
+
+    P(n) only moves at success times and I(n, z) grows with n between
+    them, so the first minimum of `effort_curve` is always among these.
+    """
+    if not 0 < z < 1:
+        raise ValidationError("confidence must lie strictly between 0 and 1")
+    steps = [(t, t * _runs_needed(p, z)) for t, p in success_steps(e) if t <= e.budget]
+    if not steps:
+        raise EffortUndefinedError("no run reached the target within the budget")
+    return steps
+
+
 def computational_effort(e: EnsembleStats, z: float) -> tuple:
-    """(n*, I): restart length minimizing the effort, and that effort."""
-    curve = effort_curve(e, z)
-    best_n, best_i = curve[0]
-    for n, i in curve[1:]:
-        if i < best_i:
-            best_n, best_i = n, i
-    return best_n, best_i
+    """(n*, I): restart length minimizing the effort (the first on ties), and that effort."""
+    return min(effort_steps(e, z), key=lambda step: step[1])
 
 
 @dataclass(frozen=True)
@@ -181,15 +197,9 @@ class ComparisonReport:
 
 
 def _pn_steps(e: EnsembleStats) -> list:
-    times = e.success_times()
-    total = len(e.records)
-    steps = []
-    for i, t in enumerate(times):
-        if i + 1 < len(times) and times[i + 1] == t:
-            continue  # collapse ties to the final height at t
-        steps.append((t, (i + 1) / total))
+    steps = success_steps(e)
     if not steps or steps[-1][0] != e.budget:
-        steps.append((e.budget, len(times) / total))
+        steps.append((e.budget, steps[-1][1] if steps else 0.0))
     return steps
 
 

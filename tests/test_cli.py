@@ -1,15 +1,21 @@
 import csv
+import dataclasses
+import functools
+import inspect
 import json
 
 import numpy as np
 import pytest
 
-from conftest import FIXTURES
+from conftest import EXPERIMENTS, FIXTURES
 from stochopt import (
     Budget,
+    CoolingSchedule,
     ExperimentConfig,
     ParseError,
     ResultTable,
+    TankParams,
+    TabuConfig,
     TspInstance,
     ValidationError,
     emit_plot_data,
@@ -21,6 +27,7 @@ from stochopt import (
     run_experiment,
     success_threshold,
 )
+from stochopt import cli
 from stochopt.cli import _parse_complexity
 
 TRI_TSP = """\
@@ -197,6 +204,97 @@ def test_config_from_dict():
         }
     )
     assert timed.budget == Budget(7, 5.0)
+
+
+_CUBE = {"instance": {"kind": "cube"}, "budget": 10}
+
+
+@pytest.mark.parametrize(
+    "raw, bad",
+    [
+        pytest.param({"algorithm": "sa", "sa": {"lamda": 0.5}}, "lamda", id="sa-lamda"),
+        pytest.param({"algorithm": "sa", "sa": {"steps_per_tmp": 3}}, "steps_per_tmp",
+                     id="sa-steps_per_tmp"),
+        pytest.param({"algorithm": "tabu", "params": {"sa": {"rate": 0.5}}}, "rate",
+                     id="idle-block-parameter-name"),
+        pytest.param({"algorithm": "pso", "params": {"genetic": {"size": 4}}}, "genetic",
+                     id="params-unknown-algorithm"),
+        pytest.param({"algorithm": "random", "success": {"optimum": 5.0, "relativ": 0.5}},
+                     "relativ", id="success-relativ"),
+        pytest.param({"algorithm": "random", "budget": {"max_evaluations": 10, "target": 5.0}},
+                     "target", id="budget-target"),
+        pytest.param({"algorithm": "random",
+                      "instance": {"kind": "continuous", "objectiv": "abs_linear"}},
+                     "objectiv", id="instance-objectiv"),
+        pytest.param({"algorithm": "random", "instance": {"kind": "cube", "path": "x.tsp"}},
+                     "path", id="instance-key-of-another-kind"),
+    ]
+    + [
+        pytest.param({"algorithm": name, "start": 1}, "start", id=f"{name}-start")
+        for name in ("random", "pso", "aco", "hopfield")
+    ],
+)
+def test_config_rejects_unknown_keys(monkeypatch, raw, bad):
+    def no_loading(desc):
+        raise AssertionError("the instance was loaded before the config was checked")
+
+    monkeypatch.setattr(cli, "load_instance", no_loading)
+    with pytest.raises(ValidationError, match=bad):
+        ExperimentConfig.from_dict({**_CUBE, **raw})
+
+
+@pytest.mark.parametrize("path", sorted(EXPERIMENTS.glob("*.json")), ids=lambda p: p.stem)
+def test_shipped_experiments_load(path):
+    cfg = ExperimentConfig.from_file(path)
+    assert cfg.label == path.stem
+    load_instance(cfg.instance)
+
+
+@pytest.mark.parametrize("name", list(cli.ALGORITHMS))
+def test_every_table_key_reaches_a_parameter(name):
+    spec = cli.ALGORITHMS[name]
+    parameters = inspect.signature(getattr(cli, spec.entry)).parameters
+    own = {f.name for f in dataclasses.fields(spec.config)} if spec.config else set()
+    for key in spec.keys:
+        assert (cli.ALIASES.get(key, key) in own) != (cli.ALIASES.get(key, key) in parameters)
+    assert spec.keyword is None or spec.keyword in parameters
+    assert ("start" in parameters) == spec.start
+
+
+def _entry_call(raw):
+    return cli._entry_call(ExperimentConfig.from_dict({**_CUBE, **raw}))
+
+
+def test_blocks_reach_entry_points_with_aliases_and_casts(monkeypatch):
+    @functools.wraps(cli.simulated_annealing)  # casts follow the entry point's signature
+    def patched(*args, **kwargs):
+        raise AssertionError("not called")
+
+    monkeypatch.setattr(cli, "simulated_annealing", patched)
+    entry, sa = _entry_call({
+        "algorithm": "sa", "start": 1,
+        "sa": {"lambda": "0.5", "steps_per_temp": 3.0, "t0": 2, "rescaled": 1},
+    })
+    assert entry is patched  # looked up on the module when the experiment runs
+    assert sa == {"schedule": CoolingSchedule(t0=2, rate=0.5, steps_per_temperature=3),
+                  "rescaled": True, "start": 1}
+    assert type(sa["schedule"].steps_per_temperature) is int
+
+    entry, tabu = _entry_call({"algorithm": "tabu", "tabu": {"aspiration": False}})
+    assert entry is cli.tabu_search
+    assert tabu == {"cfg": TabuConfig(aspiration="off"), "start": None}
+
+    calls = []
+    monkeypatch.setattr(cli, "hopfield_solve", lambda *args, **kw: calls.append((args, kw)))
+    entry, hop = _entry_call({"algorithm": "hopfield", "hopfield": {"A": 7, "max_steps": 5}})
+    entry("problem", Budget(10), 0, **hop)
+    entry, hop = _entry_call({"algorithm": "hopfield", "hopfield": {"restarts": 3.0}})
+    entry("problem", Budget(10), 0, **hop)
+    assert calls == [  # restarts default to the budget
+        (("problem", TankParams(a=7.0)), {"max_steps": 5, "restarts": 10, "seed": 0}),
+        (("problem", TankParams()), {"max_steps": None, "restarts": 3, "seed": 0}),
+    ]
+    assert type(calls[1][1]["restarts"]) is int
 
 
 def test_config_from_file_labels_and_anchoring(tmp_path, monkeypatch):

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochopt import (
     Budget,
@@ -19,6 +21,7 @@ from stochopt import (
     runtime_projection,
     tabu_search,
 )
+from stochopt.effort import effort_steps
 
 
 def _record(success_at=None, evaluations=100, best=0.0, algorithm="demo",
@@ -113,6 +116,27 @@ def test_effort_error_cases():
         effort_curve(ok, 0.0)
     with pytest.raises(ValidationError):
         effort_curve(ok, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    times=st.lists(st.one_of(st.none(), st.integers(1, 40)), min_size=1, max_size=30),
+    budget=st.integers(1, 30),
+    z=st.floats(0.01, 0.999),
+)
+def test_effort_at_success_times_matches_the_dense_curve(times, budget, z):
+    e = EnsembleStats(records=tuple(_record(t) for t in times), budget=budget)
+    try:
+        dense = effort_curve(e, z)
+    except EffortUndefinedError:
+        dense = []
+    if not dense:  # no success, or none within the budget
+        with pytest.raises(EffortUndefinedError):
+            computational_effort(e, z)
+        return
+    assert computational_effort(e, z) == min(dense, key=lambda step: step[1])
+    hit = set(e.success_times())
+    assert effort_steps(e, z) == [(n, i) for n, i in dense if n in hit]
 
 
 def test_complexity_operation_counts():
