@@ -109,7 +109,7 @@ def calibrate_t0(problem, run: Run, start, probes: int = 100) -> tuple[float, ob
     f_current = run.evaluate(current)
     deltas = []
     while len(deltas) < probes and not run.finished:
-        candidate, _ = problem.sample_neighbor(current, run.rng)
+        candidate = problem.sample_neighbor(current, run.rng)
         f_candidate = run.evaluate(candidate)
         deltas.append(abs(f_candidate - f_current))
         current, f_current = candidate, f_candidate
@@ -168,7 +168,7 @@ def simulated_annealing(
         for _ in range(schedule.steps_per_temperature):
             if run.finished:
                 break
-            candidate, _ = problem.sample_neighbor(current, run.rng)
+            candidate = problem.sample_neighbor(current, run.rng)
             f_candidate = run.evaluate(candidate)
             raw_delta = f_candidate - f_current
             if rescaled:

@@ -70,8 +70,6 @@ from .tabu import TabuConfig, tabu_search
 
 OUTPUT_DIR_ENV = "STOCHOPT_OUTPUT_DIR"
 SCHEMA_VERSION = 1
-ORACLE_TSP_LIMIT = 10
-ORACLE_PACKING_LIMIT = 12
 
 
 # ---------------------------------------------------------------- parsing
@@ -224,6 +222,14 @@ def _anchor_instance(desc, base: Path):
     return desc
 
 
+def _number(kind: type, value, what: str):
+    """kind(value) for a number read from a config, or a ValidationError naming `what`."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} cannot be read as {kind.__name__}: {value!r}") from None
+
+
 def _check_keys(what: str, given, accepted) -> None:
     """Reject any key of `given` outside `accepted`, naming it."""
     stray = sorted(set(given) - set(accepted))
@@ -244,6 +250,8 @@ def _descriptor_kind(desc) -> str:
     if kind not in INSTANCE_KEYS:
         raise ValidationError(f"unknown instance kind {kind!r}")
     _check_keys(f"{kind} instance keys", set(desc) - {"kind"}, INSTANCE_KEYS[kind])
+    if "path" in INSTANCE_KEYS[kind] and not isinstance(desc.get("path"), str):
+        raise ValidationError(f"a {kind} instance needs a 'path' string")
     return kind
 
 
@@ -266,7 +274,7 @@ def load_instance(desc):
     if kind == "continuous":
         return ContinuousLandscape(
             objective=desc.get("objective", "abs_linear"),
-            dim=int(desc.get("dim", 1)),
+            dim=_number(int, desc.get("dim", 1), "continuous instance 'dim'"),
             bounds=tuple(desc["bounds"]) if "bounds" in desc else None,
             neighbor_radius=desc.get("neighbor_radius"),
         )
@@ -350,6 +358,7 @@ class ExperimentConfig:
         success_threshold(self.success)
         if not isinstance(self.instance, str):
             _descriptor_kind(self.instance)
+        _entry_call(self)  # casts the active block and builds its config, or fails here
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -361,11 +370,12 @@ class ExperimentConfig:
             if "max_evaluations" not in budget_raw:
                 raise ValidationError("budget needs 'max_evaluations'")
             budget = Budget(
-                max_evaluations=int(budget_raw["max_evaluations"]),
+                max_evaluations=_number(int, budget_raw["max_evaluations"],
+                                        "budget 'max_evaluations'"),
                 target_fitness=budget_raw.get("target_fitness"),
             )
         else:
-            budget = Budget(max_evaluations=int(budget_raw))
+            budget = Budget(max_evaluations=_number(int, budget_raw, "'budget'"))
         success = raw.get("success")
         if success is not None and budget.target_fitness is None:
             budget = Budget(
@@ -373,15 +383,18 @@ class ExperimentConfig:
                 target_fitness=success_threshold(success),
             )
         _check_keys("config fields", set(raw) - set(ALGORITHMS), [f.name for f in fields(cls)])
-        params = dict(raw.get("params", {}))
+        params = raw.get("params", {})
+        if not isinstance(params, dict):
+            raise ValidationError(f"'params' must be an object, got {params!r}")
+        params = dict(params)
         for name in ALGORITHMS:  # allow algorithm blocks at the top level too
             if name in raw:
                 params.setdefault(name, raw[name])
         return cls(
             instance=raw["instance"],
             algorithm=raw["algorithm"],
-            replicas=int(raw.get("replicas", 1)),
-            seed=int(raw.get("seed", 0)),
+            replicas=_number(int, raw.get("replicas", 1), "'replicas'"),
+            seed=_number(int, raw.get("seed", 0), "'seed'"),
             budget=budget,
             params=params,
             success=success,
@@ -422,24 +435,35 @@ class ExperimentConfig:
 
 def success_threshold(success: dict | None) -> float | None:
     """Cost level counting as success: optimum plus declared slack."""
+    if success is not None and not isinstance(success, dict):
+        raise ValidationError(f"'success' must be an object, got {success!r}")
     if not success:
         return None
     _check_keys("success keys", success,
                 ("threshold", "optimum", "relative", "absolute", "confidence"))
+
+    def value(key, default=None):
+        return _number(float, success.get(key, default), f"success {key!r}")
+
     if "threshold" in success:
-        return float(success["threshold"])
+        return value("threshold")
     if "optimum" not in success:
         raise ValidationError("success block needs 'optimum' or 'threshold'")
-    opt = float(success["optimum"])
-    rel = float(success.get("relative", 1e-9))
-    absolute = float(success.get("absolute", 0.0))
-    return opt + abs(opt) * rel + absolute
+    opt = value("optimum")
+    return opt + abs(opt) * value("relative", 1e-9) + value("absolute", 0.0)
 
 
-def _cast(default, value):
-    """Cast like a bool, int or float default; any other default keeps the value."""
+def _cast(what: str, default, value):
+    """Cast like a bool, int or float default; a None default takes a number or null.
+
+    Any other default keeps the value, for its owner to check.
+    """
     kind = type(default)
-    return kind(value) if kind in (bool, int, float) else value
+    if kind in (bool, int, float):
+        return _number(kind, value, what)
+    if default is None and value is not None and not isinstance(value, (int, float)):
+        raise ValidationError(f"{what} must be a number, got {value!r}")
+    return value
 
 
 def _hopfield_solve(problem, budget, seed, p, max_steps=None, restarts=None):
@@ -452,16 +476,18 @@ def _entry_call(cfg: ExperimentConfig):
     """(entry, keywords): each replica runs entry(problem, budget, seed, **keywords)."""
     spec = ALGORITHMS[cfg.algorithm]
     entry = globals()[spec.entry]  # at call time, so names patched on this module are used
-    settings = {ALIASES.get(k, k): v for k, v in cfg.params.get(cfg.algorithm, {}).items()}
-    if isinstance(settings.get("aspiration"), bool):
-        settings["aspiration"] = "best_so_far" if settings["aspiration"] else "off"
-    kwargs = {}
+    own = {f.name: f.default for f in fields(spec.config)} if spec.config else {}
+    defaults = {k: p.default for k, p in inspect.signature(entry).parameters.items()}
+    defaults.update(own)
+    settings = {}
+    for key, value in cfg.params.get(cfg.algorithm, {}).items():
+        name = ALIASES.get(key, key)
+        if name == "aspiration" and isinstance(value, bool):
+            value = "best_so_far" if value else "off"
+        settings[name] = _cast(f"{cfg.algorithm} setting {key!r}", defaults[name], value)
+    kwargs = {k: v for k, v in settings.items() if k not in own}
     if spec.config is not None:
-        defaults = {f.name: f.default for f in fields(spec.config)}
-        own = {k: _cast(defaults[k], settings.pop(k)) for k in list(settings) if k in defaults}
-        kwargs[spec.keyword] = spec.config(**own)
-    parameters = inspect.signature(entry).parameters
-    kwargs.update((k, _cast(parameters[k].default, v)) for k, v in settings.items())
+        kwargs[spec.keyword] = spec.config(**{k: v for k, v in settings.items() if k in own})
     if spec.start:
         kwargs["start"] = cfg.start
     return entry, kwargs
@@ -682,14 +708,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    path = Path(args.instance)
-    if path.suffix.lower() == ".tsp":
-        inst = parse_tsp_file(path)
-        if inst.n > ORACLE_TSP_LIMIT:
-            raise ValidationError(
-                f"exhaustive tour search is capped at {ORACLE_TSP_LIMIT} cities, got {inst.n}"
-            )
-        tour, length = brute_force_tour(inst, limit=ORACLE_TSP_LIMIT)
+    inst = load_instance(args.instance)
+    if inst.kind == "tsp":
+        tour, length = brute_force_tour(inst)
         answer = {
             "instance": inst.name,
             "kind": "tsp",
@@ -697,12 +718,7 @@ def _cmd_oracle(args) -> int:
             "tour": [int(c) for c in tour],
         }
     else:
-        inst = parse_binpacking_file(path)
-        if inst.n > ORACLE_PACKING_LIMIT:
-            raise ValidationError(
-                f"exhaustive packing search is capped at {ORACLE_PACKING_LIMIT} items, got {inst.n}"
-            )
-        bins, assignment = brute_force_packing(inst, limit=ORACLE_PACKING_LIMIT)
+        bins, assignment = brute_force_packing(inst)
         answer = {
             "instance": inst.name,
             "kind": "binpacking",

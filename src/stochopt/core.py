@@ -212,6 +212,12 @@ class Problem:
     random construction and neighborhood sampling.  `neighbors` (full
     enumeration) exists only where the neighborhood is finite; continuous
     landscapes raise UnsupportedOperationError there.
+
+    A solution is checked once, where it is costed: `evaluate` validates
+    its input.  `sample_neighbor`, `neighbors` and `solution_attributes`
+    do not, because they only ever see solutions the problem built
+    itself (`random_solution` or a neighbor operator) or a start that
+    already passed `validate`; their neighbors are valid by construction.
     """
 
     kind: str = "abstract"
@@ -227,7 +233,7 @@ class Problem:
         raise NotImplementedError
 
     def sample_neighbor(self, solution, rng: np.random.Generator):
-        """Return (neighbor, Move) drawn uniformly from the neighborhood."""
+        """Return a neighbor drawn uniformly from the neighborhood."""
         raise NotImplementedError
 
     def neighbors(self, solution) -> list:
@@ -241,13 +247,6 @@ class Problem:
         return frozenset()
 
     def freeze(self, solution):
-        """Immutable, JSON-friendly copy of a solution."""
-        if isinstance(solution, np.ndarray):
-            return tuple(solution.tolist())
-        if isinstance(solution, (list, tuple)):
-            return tuple(solution)
-        if isinstance(solution, (np.integer,)):
-            return int(solution)
-        if isinstance(solution, (np.floating,)):
-            return float(solution)
-        return solution
+        """Immutable, JSON-friendly copy of a solution (Python scalars only)."""
+        plain = np.asarray(solution).tolist()
+        return tuple(plain) if isinstance(plain, list) else plain

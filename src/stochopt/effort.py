@@ -103,12 +103,11 @@ def effort_curve(e: EnsembleStats, z: float) -> list:
     total = len(e.records)
     ns = np.arange(1, e.budget + 1, dtype=np.int64)
     hits = np.searchsorted(times, ns, side="right")
-    curve = []
-    for n, h in zip(ns, hits):
-        if h == 0:
-            continue
-        curve.append((int(n), int(n) * _runs_needed(h / total, z)))
-    return curve
+    hit = hits > 0
+    runs = np.zeros(total + 1, dtype=np.int64)  # I(n, z) / n, by hit count
+    for h in np.unique(hits[hit]).tolist():
+        runs[h] = _runs_needed(h / total, z)
+    return list(zip(ns[hit].tolist(), (ns[hit] * runs[hits[hit]]).tolist()))
 
 
 def success_steps(e: EnsembleStats) -> list:

@@ -35,7 +35,7 @@ def hill_climb_first_accept(
     )
     f_current = run.evaluate(current)
     while not run.finished:
-        candidate, _ = problem.sample_neighbor(current, run.rng)
+        candidate = problem.sample_neighbor(current, run.rng)
         f_candidate = run.evaluate(candidate)
         if random_walk or f_candidate <= f_current:
             current, f_current = candidate, f_candidate

@@ -17,6 +17,7 @@ import numpy as np
 from ..core import (
     EncodingMismatchError,
     Move,
+    NoNeighborError,
     Problem,
     ValidationError,
 )
@@ -73,7 +74,7 @@ class BinPackingInstance(Problem):
         return used
 
     def neighbors(self, solution) -> list:
-        a = self.validate(solution)
+        a = np.asarray(solution)
         targets = self._targets(a)
         out = []
         for item in range(self.n):
@@ -94,7 +95,9 @@ class BinPackingInstance(Problem):
         return out
 
     def sample_neighbor(self, solution, rng):
-        a = self.validate(solution)
+        if self.n == 1:
+            raise NoNeighborError("a single item has no other bin to move to")
+        a = np.asarray(solution)
         swappable = np.unique(a).size > 1
         use_swap = swappable and rng.random() < 0.5
         if use_swap:
@@ -105,20 +108,16 @@ class BinPackingInstance(Problem):
             i, j = (int(i), int(j)) if i < j else (int(j), int(i))
             nxt = a.copy()
             nxt[i], nxt[j] = a[j], a[i]
-            return nxt, _swap_move(i, int(a[i]), j, int(a[j]))
+            return nxt
         item = int(rng.integers(self.n))
         targets = [b for b in self._targets(a) if b != a[item]]
         dst = targets[int(rng.integers(len(targets)))]
         nxt = a.copy()
         nxt[item] = dst
-        return nxt, _relocate_move(item, int(a[item]), dst)
+        return nxt
 
     def solution_attributes(self, solution) -> frozenset:
-        a = self.validate(solution)
-        return frozenset((item, int(a[item])) for item in range(self.n))
-
-    def freeze(self, solution):
-        return tuple(int(b) for b in np.asarray(solution).tolist())
+        return frozenset(enumerate(np.asarray(solution).tolist()))
 
 
 def _relocate_move(item: int, src: int, dst: int) -> Move:

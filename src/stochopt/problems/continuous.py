@@ -21,7 +21,7 @@ import logging
 
 import numpy as np
 
-from ..core import EncodingMismatchError, Move, Problem, ValidationError
+from ..core import EncodingMismatchError, Problem, ValidationError
 
 log = logging.getLogger(__name__)
 
@@ -87,13 +87,9 @@ class ContinuousLandscape(Problem):
         return self.lower + rng.random(self.dim) * (self.upper - self.lower)
 
     def sample_neighbor(self, solution, rng):
-        x = self.validate(solution)
         step = rng.uniform(-self.neighbor_radius, self.neighbor_radius)
-        moved, _ = self.clamp(x + step)
-        return moved, Move(attributes=(), reverse_attributes=(), label=None)
-
-    def freeze(self, solution):
-        return tuple(float(v) for v in np.asarray(solution).tolist())
+        moved, _ = self.clamp(solution + step)
+        return moved
 
 
 def landscape_value(landscape: ContinuousLandscape, x) -> float:

@@ -61,25 +61,19 @@ class TabletopInstance(Problem):
         return int(rng.integers(len(self.costs)))
 
     def neighbors(self, solution) -> list:
-        s = self.validate(solution)
         return [
             (v, Move(attributes=(lab,), reverse_attributes=(rev,), label=lab))
-            for v, lab, rev in self.adjacency[s]
+            for v, lab, rev in self.adjacency[solution]
         ]
 
     def sample_neighbor(self, solution, rng):
-        s = self.validate(solution)
-        options = self.adjacency[s]
+        options = self.adjacency[solution]
         if not options:
-            raise NoNeighborError(f"state {s} has no neighbors")
-        v, lab, rev = options[int(rng.integers(len(options)))]
-        return v, Move(attributes=(lab,), reverse_attributes=(rev,), label=lab)
+            raise NoNeighborError(f"state {solution} has no neighbors")
+        return options[int(rng.integers(len(options)))][0]
 
     def solution_attributes(self, solution) -> frozenset:
-        return frozenset((self.validate(solution),))
-
-    def freeze(self, solution):
-        return int(solution)
+        return frozenset((int(solution),))
 
 
 CUBE_COSTS = {

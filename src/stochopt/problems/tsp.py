@@ -38,8 +38,13 @@ class TspInstance(Problem):
             raise ValidationError("distance matrix must be square")
         if d.shape[0] < 1:
             raise ValidationError("instance needs at least one city")
-        if not np.allclose(d, d.T):
-            raise ValidationError("distance matrix must be symmetric")
+        if not np.array_equal(d, d.T):
+            gap = np.abs(d - d.T)
+            i, j = np.unravel_index(np.argmax(gap), gap.shape)
+            raise ValidationError(
+                "distance matrix must be exactly symmetric; largest asymmetry "
+                f"|d[{i}, {j}] - d[{j}, {i}]| = {gap[i, j]:.3g}"
+            )
         if np.any(np.diag(d) != 0):
             raise ValidationError("distance matrix needs a zero diagonal")
         if np.any(d < 0):
@@ -105,28 +110,23 @@ class TspInstance(Problem):
         return Move(attributes=broken, reverse_attributes=made, label=(i, j))
 
     def neighbors(self, solution) -> list:
-        tour = self.validate(solution)
+        tour = np.asarray(solution)
         return [
             (two_opt(tour, i, j), self._move(tour, i, j)) for i, j in self._pairs
         ]
 
     def sample_neighbor(self, solution, rng):
-        tour = self.validate(solution)
         if not self._pairs:
-            # 1-3 cities: every reversal is the same cyclic tour
-            return tour.copy(), Move(attributes=(), reverse_attributes=(), label=None)
+            return np.array(solution)  # 1-3 cities: every reversal is the same cyclic tour
         i, j = self._pairs[int(rng.integers(len(self._pairs)))]
-        return two_opt(tour, i, j), self._move(tour, i, j)
+        return two_opt(solution, i, j)
 
     def solution_attributes(self, solution) -> frozenset:
-        tour = self.validate(solution)
         if self.n < 2:
             return frozenset()
+        tour = np.asarray(solution)
         pairs = [_edge(int(tour[k]), int(tour[(k + 1) % self.n])) for k in range(self.n)]
         return frozenset(pairs)
-
-    def freeze(self, solution):
-        return tuple(int(c) for c in np.asarray(solution).tolist())
 
 
 def tour_length(inst: TspInstance, tour) -> float:

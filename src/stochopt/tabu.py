@@ -33,7 +33,6 @@ class TabuConfig:
     aspiration: str = "best_so_far"  # or "off"
     intensification_weight: float = 0.0
     diversification_weight: float = 0.0
-    frequency_memory: bool = True
     elite_size: int = 5
 
     def __post_init__(self):
@@ -88,12 +87,7 @@ class SearchMemory:
 
     def penalty(self, move) -> float:
         term = 0.0
-        if (
-            self.cfg.diversification_weight > 0
-            and self.cfg.frequency_memory
-            and self.iterations > 0
-            and move.attributes
-        ):
+        if self.cfg.diversification_weight > 0 and self.iterations > 0 and move.attributes:
             used = sum(self.frequency[a] for a in move.attributes) / len(move.attributes)
             term += self.cfg.diversification_weight * used / self.iterations
         if self.cfg.intensification_weight > 0 and self.elite and move.reverse_attributes:
@@ -106,9 +100,8 @@ class SearchMemory:
 
     def update(self, move, solution, cost: float):
         self.iterations += 1
-        if self.cfg.frequency_memory:
-            for atom in move.attributes:
-                self.frequency[atom] += 1
+        for atom in move.attributes:
+            self.frequency[atom] += 1
         frozen = self.problem.freeze(solution)
         if any(entry[1] == frozen for entry in self.elite):
             return

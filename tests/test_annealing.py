@@ -86,7 +86,7 @@ def test_calibration_replays_the_probe_walk(cube):
     f_current = cube.evaluate(current)
     deltas = []
     for _ in range(100):
-        candidate, _ = cube.sample_neighbor(current, replay)
+        candidate = cube.sample_neighbor(current, replay)
         f_candidate = cube.evaluate(candidate)
         deltas.append(abs(f_candidate - f_current))
         current, f_current = candidate, f_candidate

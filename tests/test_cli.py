@@ -228,6 +228,17 @@ _CUBE = {"instance": {"kind": "cube"}, "budget": 10}
                      "objectiv", id="instance-objectiv"),
         pytest.param({"algorithm": "random", "instance": {"kind": "cube", "path": "x.tsp"}},
                      "path", id="instance-key-of-another-kind"),
+        pytest.param({"algorithm": "random", "instance": {"kind": "tsp"}}, "path",
+                     id="tsp-without-path"),
+        pytest.param({"algorithm": "random", "success": 5}, "success", id="success-not-object"),
+        pytest.param({"algorithm": "random", "params": [1]}, "params", id="params-not-object"),
+        pytest.param({"algorithm": "random", "budget": [10]}, "budget", id="budget-list"),
+        pytest.param({"algorithm": "random", "replicas": "x"}, "replicas", id="replicas-text"),
+        pytest.param({"algorithm": "random", "success": {"optimum": "abc"}}, "optimum",
+                     id="optimum-text"),
+        pytest.param({"algorithm": "sa", "sa": {"t0": "hot"}}, "t0", id="sa-t0-text"),
+        pytest.param({"algorithm": "tabu", "tabu": {"tenure": [3]}}, "tenure",
+                     id="tabu-tenure-list"),
     ]
     + [
         pytest.param({"algorithm": name, "start": 1}, "start", id=f"{name}-start")
@@ -521,6 +532,16 @@ def test_main_reports_config_errors(tmp_path, capsys):
     garbled = tmp_path / "garbled.json"
     garbled.write_text("{not json")
     assert main(["run", "--config", str(garbled)]) == 1
+
+
+def test_main_names_a_value_that_cannot_be_cast(tmp_path, capsys):
+    cfg = _write(tmp_path, "bad_dim.json", json.dumps(
+        {"instance": {"kind": "continuous", "dim": "x"}, "algorithm": "random", "budget": 5}))
+    rc = main(["run", "--config", str(cfg), "--output-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:")
+    assert "'dim'" in err
 
 
 def test_main_oracle_subcommand(tmp_path, capsys, eight_oracle):

@@ -2,15 +2,22 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochopt import (
+    BinPackingInstance,
     Budget,
     BudgetExhaustedError,
+    ContinuousLandscape,
     Move,
+    NoNeighborError,
     Problem,
     Run,
+    TspInstance,
     UnsupportedOperationError,
     ValidationError,
+    cube_fixture,
     seeded_rng,
     split_streams,
     success_time,
@@ -131,3 +138,46 @@ def test_freeze_handles_numpy_types():
     assert p.freeze(np.int64(4)) == 4
     assert isinstance(p.freeze(np.float64(0.5)), float)
     assert p.freeze([3, 4]) == (3, 4)
+
+
+def _instance(kind: str, n: int, rng) -> Problem:
+    if kind == "tsp":
+        return TspInstance.from_coords(rng.random((n, 2)))
+    if kind == "binpacking":
+        return BinPackingInstance(rng.uniform(0.05, 1.0, size=n))
+    if kind == "cube":
+        return cube_fixture()
+    return ContinuousLandscape(("abs_linear", "multimodal_test")[n % 2], dim=n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(["tsp", "binpacking", "cube", "continuous"]),
+    n=st.integers(1, 9),
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.integers(1, 12),
+)
+def test_neighbors_are_valid_by_construction(kind, n, seed, steps):
+    """What `sample_neighbor` and `neighbors` build passes `validate` unchanged.
+
+    Only `evaluate` validates, so every solution a problem builds itself
+    must already be valid and freeze exactly as its canonical form does.
+    """
+    rng = seeded_rng(seed)
+    problem = _instance(kind, n, rng)
+
+    def check(solution):
+        assert problem.freeze(problem.validate(solution)) == problem.freeze(solution)
+
+    current = problem.random_solution(rng)
+    check(current)
+    for _ in range(steps):
+        hood = [] if kind == "continuous" else problem.neighbors(current)
+        for neighbor, _ in hood:
+            check(neighbor)
+        try:
+            current = problem.sample_neighbor(current, rng)
+        except NoNeighborError:
+            assert not hood
+            return
+        check(current)

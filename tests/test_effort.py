@@ -21,7 +21,7 @@ from stochopt import (
     runtime_projection,
     tabu_search,
 )
-from stochopt.effort import effort_steps
+from stochopt.effort import _runs_needed, effort_steps
 
 
 def _record(success_at=None, evaluations=100, best=0.0, algorithm="demo",
@@ -130,6 +130,8 @@ def test_effort_at_success_times_matches_the_dense_curve(times, budget, z):
         dense = effort_curve(e, z)
     except EffortUndefinedError:
         dense = []
+    assert dense == [(n, n * _runs_needed(cumulative_success(e, n), z))
+                     for n in range(1, budget + 1) if cumulative_success(e, n) > 0]
     if not dense:  # no success, or none within the budget
         with pytest.raises(EffortUndefinedError):
             computational_effort(e, z)

@@ -70,7 +70,7 @@ def test_sampled_neighbors_stay_in_bounds_and_nearby():
     rng = seeded_rng(4)
     x = np.array([4.9, -4.9])
     for _ in range(50):
-        y, _ = f.sample_neighbor(x, rng)
+        y = f.sample_neighbor(x, rng)
         assert np.all(y >= f.lower) and np.all(y <= f.upper)
         # default radius is 5% of the 10-wide box
         assert np.all(np.abs(y - x) <= 0.5 + 1e-12)
