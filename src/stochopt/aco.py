@@ -7,7 +7,9 @@ length.  The score is a weighted SUM,
 
     score(x, y) = w_tau * tau[x][y] + w_eta / d[x][y]
 
-(the classical product tau^a * eta^b is available as rule="product").
+(the classical product tau^a * eta^b is available as rule="product",
+with w_tau and w_eta as the exponents a and b).  The trail is a plain
+(n, n) array.
 Every edge an ant picks receives a small constant deposit immediately;
 after the iteration all trails evaporate by rho and the iteration-best
 tour's edges gain q / tour_length.  Entries live in [tau_min, tau_max],
@@ -44,7 +46,7 @@ RULES = ("sum", "product")
 class AcoConfig:
     ants: int | None = None  # None: one ant per city
     w_tau: float = 1.0
-    w_eta: float | None = None  # None: 2 * mean edge length, scale-matching
+    w_eta: float | None = None  # None: 2 * mean edge length (sum), 2 (product)
     rho: float = 0.1
     local_deposit: float = 0.01
     q: float = 1.0
@@ -70,68 +72,36 @@ class AcoConfig:
             raise ValidationError(f"rule must be one of {RULES}")
 
 
-@dataclass
-class PheromoneMatrix:
-    tau: np.ndarray
-    tau_min: float
-    tau_max: float
-
-    @classmethod
-    def initial(cls, n: int, cfg: AcoConfig) -> "PheromoneMatrix":
-        return cls(
-            tau=np.full((n, n), float(cfg.tau0)),
-            tau_min=cfg.tau_min,
-            tau_max=cfg.tau_max,
-        )
-
-    def clamp(self):
-        np.clip(self.tau, self.tau_min, self.tau_max, out=self.tau)
-
-
-@dataclass
-class AntState:
-    current: int
-    visited: np.ndarray  # boolean mask
-    tour: list
-    length: float = 0.0
-
-
 def _resolved(cfg: AcoConfig, inst) -> AcoConfig:
     n = inst.n
     updates = {}
     if cfg.ants is None:
         updates["ants"] = n
-    if cfg.w_eta is None:
+    if cfg.w_eta is None and cfg.rule == "product":
+        updates["w_eta"] = 2.0  # an exponent here: beta = 2, as in Dorigo & Gambardella 1997
+    elif cfg.w_eta is None:
         off = inst.d[~np.eye(n, dtype=bool)]
         updates["w_eta"] = 2.0 * float(off.mean())
     return replace(cfg, **updates) if updates else cfg
 
 
-def edge_desirability(tau_xy: float, d_xy: float, cfg: AcoConfig) -> float:
-    if d_xy <= 0:
+def edge_desirability(tau_xy, d_xy, cfg: AcoConfig):
+    """Score of one edge, or elementwise of arrays of trails and lengths."""
+    if np.any(d_xy <= 0):
         raise ValidationError("distinct cities at distance 0 break the inverse-distance term")
     if cfg.rule == "product":
-        return float(tau_xy**cfg.w_tau * (1.0 / d_xy) ** cfg.w_eta)
-    return float(cfg.w_tau * tau_xy + cfg.w_eta / d_xy)
+        return tau_xy**cfg.w_tau * (1.0 / d_xy) ** cfg.w_eta
+    return cfg.w_tau * tau_xy + cfg.w_eta / d_xy
 
 
-def _desirability_row(tau_row, d_row, cfg: AcoConfig) -> np.ndarray:
-    if np.any(d_row <= 0):
-        raise ValidationError("distinct cities at distance 0 break the inverse-distance term")
-    if cfg.rule == "product":
-        return tau_row**cfg.w_tau * (1.0 / d_row) ** cfg.w_eta
-    return cfg.w_tau * tau_row + cfg.w_eta / d_row
-
-
-def choose_next_city(ant: AntState, tau: PheromoneMatrix, inst, cfg: AcoConfig, rng) -> int:
-    candidates = np.flatnonzero(~ant.visited)
+def choose_next_city(current: int, visited, tau, inst, cfg: AcoConfig, rng) -> int:
+    """Roulette-wheel draw of an unvisited city (`visited` is a boolean mask)."""
+    candidates = np.flatnonzero(~visited)
     if candidates.size == 0:
         raise ValidationError("no unvisited city to move to")
     if candidates.size == 1:
         return int(candidates[0])
-    scores = _desirability_row(
-        tau.tau[ant.current, candidates], inst.d[ant.current, candidates], cfg
-    )
+    scores = edge_desirability(tau[current, candidates], inst.d[current, candidates], cfg)
     total = scores.sum()
     if total <= 0:
         log.warning("all desirabilities zero; falling back to a uniform choice")
@@ -141,43 +111,40 @@ def choose_next_city(ant: AntState, tau: PheromoneMatrix, inst, cfg: AcoConfig, 
     return int(candidates[min(idx, candidates.size - 1)])
 
 
-def local_update(tau: PheromoneMatrix, edge: tuple, cfg: AcoConfig) -> PheromoneMatrix:
+def local_update(tau, edge: tuple, cfg: AcoConfig) -> None:
+    """Deposit on one edge and its mirror, capped at tau_max.
+
+    Every other entry already lies in [tau_min, tau_max], so this is the
+    only one that could leave the bounds.
+    """
     x, y = edge
-    tau.tau[x, y] += cfg.local_deposit
-    tau.tau[y, x] = tau.tau[x, y]
-    tau.clamp()
-    return tau
+    tau[x, y] = tau[y, x] = min(tau[x, y] + cfg.local_deposit, cfg.tau_max)
 
 
-def global_update(tau: PheromoneMatrix, best_tour, tour_length: float, cfg: AcoConfig) -> PheromoneMatrix:
-    tau.tau *= 1.0 - cfg.rho
+def global_update(tau, best_tour, tour_length: float, cfg: AcoConfig) -> None:
+    """Evaporate every trail, reinforce the tour's edges, clip to the bounds."""
+    tau *= 1.0 - cfg.rho
     gain = cfg.q / tour_length
     tour = np.asarray(best_tour)
     for a, b in zip(tour, np.roll(tour, -1)):
-        tau.tau[a, b] += gain
-        tau.tau[b, a] = tau.tau[a, b]
-    tau.clamp()
-    return tau
+        tau[a, b] += gain
+        tau[b, a] = tau[a, b]
+    np.clip(tau, cfg.tau_min, cfg.tau_max, out=tau)
 
 
-def _build_tour(inst, tau: PheromoneMatrix, cfg: AcoConfig, rng) -> AntState:
+def _build_tour(inst, tau, cfg: AcoConfig, rng) -> list:
     n = inst.n
-    start = int(rng.integers(n))
-    ant = AntState(
-        current=start,
-        visited=np.zeros(n, dtype=bool),
-        tour=[start],
-    )
-    ant.visited[start] = True
+    current = int(rng.integers(n))
+    visited = np.zeros(n, dtype=bool)
+    visited[current] = True
+    tour = [current]
     for _ in range(n - 1):
-        city = choose_next_city(ant, tau, inst, cfg, rng)
-        ant.length += float(inst.d[ant.current, city])
-        local_update(tau, (ant.current, city), cfg)
-        ant.visited[city] = True
-        ant.tour.append(city)
-        ant.current = city
-    ant.length += float(inst.d[ant.current, ant.tour[0]])  # closing edge, never chosen
-    return ant
+        city = choose_next_city(current, visited, tau, inst, cfg, rng)
+        local_update(tau, (current, city), cfg)
+        visited[city] = True
+        tour.append(city)
+        current = city
+    return tour
 
 
 def aco_run(
@@ -195,7 +162,7 @@ def aco_run(
         raise ValidationError("ant runs need a distance-matrix instance")
     cfg = _resolved(cfg or AcoConfig(), problem)
     run = Run(problem, budget, seed, "aco")
-    tau = PheromoneMatrix.initial(problem.n, cfg)
+    tau = np.full((problem.n, problem.n), float(cfg.tau0))
     streams = split_streams(run.rng, cfg.ants)
     iterations = 0
     iteration_best: list[float] = []
@@ -204,11 +171,11 @@ def aco_run(
             best_len = float("inf")
             best_tour = None
             for stream in streams:
-                ant = _build_tour(problem, tau, cfg, stream)
-                cost = run.evaluate(ant.tour)
+                tour = _build_tour(problem, tau, cfg, stream)
+                cost = run.evaluate(tour)
                 if cost < best_len:
                     best_len = cost
-                    best_tour = ant.tour
+                    best_tour = tour
                 if run.target_reached:
                     break
             if best_tour is not None:
@@ -220,7 +187,7 @@ def aco_run(
     extras = {
         "iterations": iterations,
         "iteration_best": iteration_best,
-        "pheromone": tau.tau.tolist(),
+        "pheromone": tau.tolist(),
         "ants": cfg.ants,
     }
     return run.record(extras=extras)

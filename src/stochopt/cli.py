@@ -102,6 +102,8 @@ def parse_tsp_file(path) -> TspInstance:
                     raise ParseError(
                         f"{path}:{lineno}: non-numeric coordinate line"
                     ) from None
+                if not all(map(math.isfinite, xy)):
+                    raise ParseError(f"{path}:{lineno}: coordinates must be finite")
                 if idx in coords:
                     raise ParseError(f"{path}:{lineno}: duplicate node index {idx}")
                 coords[idx] = xy
@@ -164,9 +166,12 @@ def parse_binpacking_file(path) -> BinPackingInstance:
     def number(pos: int, caster, what: str):
         lineno, tok = tokens[pos]
         try:
-            return caster(tok)
+            value = caster(tok)
         except ValueError:
             raise ParseError(f"{path}:{lineno}: {what} must be a number, got {tok!r}") from None
+        if not math.isfinite(value):
+            raise ParseError(f"{path}:{lineno}: {what} must be finite, got {tok!r}")
+        return value
 
     count = number(0, int, "item count")
     if count < 1:
@@ -223,11 +228,14 @@ def _anchor_instance(desc, base: Path):
 
 
 def _number(kind: type, value, what: str):
-    """kind(value) for a number read from a config, or a ValidationError naming `what`."""
+    """kind(value) for a finite number read from a config, or a ValidationError naming `what`."""
     try:
-        return kind(value)
-    except (TypeError, ValueError):
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"{what} cannot be read as {kind.__name__}: {value!r}") from None
+    if not math.isfinite(number):
+        raise ValidationError(f"{what} must be finite, got {value!r}")
+    return number
 
 
 def _check_keys(what: str, given, accepted) -> None:
@@ -275,7 +283,7 @@ def load_instance(desc):
         return ContinuousLandscape(
             objective=desc.get("objective", "abs_linear"),
             dim=_number(int, desc.get("dim", 1), "continuous instance 'dim'"),
-            bounds=tuple(desc["bounds"]) if "bounds" in desc else None,
+            bounds=desc.get("bounds"),
             neighbor_radius=desc.get("neighbor_radius"),
         )
     return cube_fixture()
@@ -369,10 +377,12 @@ class ExperimentConfig:
             _check_keys("budget keys", budget_raw, ("max_evaluations", "target_fitness"))
             if "max_evaluations" not in budget_raw:
                 raise ValidationError("budget needs 'max_evaluations'")
+            target = budget_raw.get("target_fitness")
             budget = Budget(
                 max_evaluations=_number(int, budget_raw["max_evaluations"],
                                         "budget 'max_evaluations'"),
-                target_fitness=budget_raw.get("target_fitness"),
+                target_fitness=None if target is None else _number(
+                    float, target, "budget 'target_fitness'"),
             )
         else:
             budget = Budget(max_evaluations=_number(int, budget_raw, "'budget'"))
@@ -445,6 +455,9 @@ def success_threshold(success: dict | None) -> float | None:
     def value(key, default=None):
         return _number(float, success.get(key, default), f"success {key!r}")
 
+    if not 0 < value("confidence", 0.99) < 1:
+        raise ValidationError(
+            f"success 'confidence' must lie in (0, 1), got {success['confidence']!r}")
     if "threshold" in success:
         return value("threshold")
     if "optimum" not in success:
@@ -456,13 +469,19 @@ def success_threshold(success: dict | None) -> float | None:
 def _cast(what: str, default, value):
     """Cast like a bool, int or float default; a None default takes a number or null.
 
-    Any other default keeps the value, for its owner to check.
+    A bool takes true/false or 0/1 only.  Any other default keeps the
+    value, for its owner to check.
     """
     kind = type(default)
-    if kind in (bool, int, float):
+    if kind is bool:
+        if type(value) in (bool, int) and value in (0, 1):
+            return bool(value)
+        raise ValidationError(f"{what} must be true or false, got {value!r}")
+    if kind in (int, float):
         return _number(kind, value, what)
-    if default is None and value is not None and not isinstance(value, (int, float)):
-        raise ValidationError(f"{what} must be a number, got {value!r}")
+    if default is None and value is not None and not (
+            isinstance(value, (int, float)) and math.isfinite(value)):
+        raise ValidationError(f"{what} must be a finite number, got {value!r}")
     return value
 
 

@@ -30,11 +30,13 @@ class BinPackingInstance(Problem):
 
     def __init__(self, sizes, capacity: float = 1.0, penalty: float | None = None,
                  name: str = "binpacking"):
-        if capacity <= 0:
-            raise ValidationError("capacity must be positive")
+        if not 0 < capacity < np.inf:
+            raise ValidationError(f"capacity must be positive and finite, got {capacity}")
         raw = np.asarray(sizes, dtype=float)
         if raw.ndim != 1 or raw.size == 0:
             raise ValidationError("sizes must be a nonempty 1-d sequence")
+        if not np.all(np.isfinite(raw)):
+            raise ValidationError("item sizes must be finite")
         if np.any(raw <= 0):
             raise ValidationError("item sizes must be positive")
         self.sizes = raw / capacity

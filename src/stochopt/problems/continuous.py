@@ -48,18 +48,21 @@ class ContinuousLandscape(Problem):
         self.dim = dim
         if bounds is None:
             bounds = _DEFAULT_BOUNDS[objective]
-        lo, hi = bounds
-        self.lower = np.broadcast_to(np.asarray(lo, dtype=float), (dim,)).copy()
-        self.upper = np.broadcast_to(np.asarray(hi, dtype=float), (dim,)).copy()
+        try:
+            lo, hi = bounds
+        except (TypeError, ValueError):
+            raise ValidationError(
+                f"'bounds' must be a (lower, upper) pair, got {bounds!r}"
+            ) from None
+        self.lower = _finite_vector(lo, dim, "bounds")
+        self.upper = _finite_vector(hi, dim, "bounds")
         if np.any(self.lower >= self.upper):
             raise ValidationError("each lower bound must be below its upper bound")
         width = self.upper - self.lower
         if neighbor_radius is None:
             self.neighbor_radius = 0.05 * width
         else:
-            self.neighbor_radius = np.broadcast_to(
-                np.asarray(neighbor_radius, dtype=float), (dim,)
-            ).copy()
+            self.neighbor_radius = _finite_vector(neighbor_radius, dim, "neighbor_radius")
             if np.any(self.neighbor_radius <= 0):
                 raise ValidationError("neighbor radius must be positive")
         self.name = name or objective
@@ -90,6 +93,19 @@ class ContinuousLandscape(Problem):
         step = rng.uniform(-self.neighbor_radius, self.neighbor_radius)
         moved, _ = self.clamp(solution + step)
         return moved
+
+
+def _finite_vector(value, dim: int, what: str) -> np.ndarray:
+    """One finite float per dimension from a number or a length-dim sequence."""
+    try:
+        v = np.broadcast_to(np.asarray(value, dtype=float), (dim,)).copy()
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"{what!r} must be one number or one per dimension ({dim}), got {value!r}"
+        ) from None
+    if not np.all(np.isfinite(v)):
+        raise ValidationError(f"{what!r} must be finite, got {value!r}")
+    return v
 
 
 def landscape_value(landscape: ContinuousLandscape, x) -> float:

@@ -38,6 +38,9 @@ class TspInstance(Problem):
             raise ValidationError("distance matrix must be square")
         if d.shape[0] < 1:
             raise ValidationError("instance needs at least one city")
+        if not np.all(np.isfinite(d)):
+            i, j = np.argwhere(~np.isfinite(d))[0]
+            raise ValidationError(f"distances must be finite; d[{i}, {j}] = {d[i, j]}")
         if not np.array_equal(d, d.T):
             gap = np.abs(d - d.T)
             i, j = np.unravel_index(np.argmax(gap), gap.shape)

@@ -2,6 +2,8 @@
 
 Each particle carries a position, a velocity, and the best point it has
 personally evaluated; the swarm shares the best point anyone has found.
+The swarm's state is plain arrays: positions, velocities and personal
+bests of shape (size, dim), personal-best costs of shape (size,).
 Per dimension, the velocity gains a pull toward the personal best and a
 pull toward the swarm best, each scaled by its increment and a fresh
 uniform draw:
@@ -17,7 +19,7 @@ particles move and evaluate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,20 +31,6 @@ from .core import (
     UnsupportedOperationError,
     ValidationError,
 )
-
-
-@dataclass
-class Particle:
-    pos: np.ndarray
-    veloc: np.ndarray
-    p_best_pos: np.ndarray
-    p_best_val: float = float("inf")
-
-
-@dataclass
-class GlobalBest:
-    pos: np.ndarray
-    val: float = float("inf")
 
 
 @dataclass(frozen=True)
@@ -62,48 +50,52 @@ class SwarmConfig:
             raise ValidationError("vmax must be positive when given")
 
 
-def update_velocity(
-    p: Particle, g: GlobalBest, cfg: SwarmConfig, rng
-) -> np.ndarray:
-    dim = p.pos.shape[0]
-    r1 = rng.random(dim)
-    r2 = rng.random(dim)
+def update_velocity(pos, veloc, p_best_pos, g_pos, cfg: SwarmConfig, rng) -> np.ndarray:
+    """New (size, dim) velocities; row i draws its r1 and r2 in turn, as a loop would."""
+    r = rng.random((pos.shape[0], 2, pos.shape[1]))
     keep = 1.0 if cfg.inertia is None else cfg.inertia
     v = (
-        keep * p.veloc
-        + cfg.p_increment * r1 * (p.p_best_pos - p.pos)
-        + cfg.g_increment * r2 * (g.pos - p.pos)
+        keep * veloc
+        + cfg.p_increment * r[:, 0] * (p_best_pos - pos)
+        + cfg.g_increment * r[:, 1] * (g_pos - pos)
     )
     if cfg.vmax is not None:
         v = np.clip(v, -cfg.vmax, cfg.vmax)
     return v
 
 
-def step_swarm(particles, g: GlobalBest, problem, cfg: SwarmConfig, rng, evaluate=None):
-    """One synchronous sweep: velocities first, then move/evaluate all.
+def _evaluate_all(pos, p_best_pos, p_best_val, evaluate) -> None:
+    """Evaluate every particle in index order, keeping strictly better personal bests."""
+    for i in range(pos.shape[0]):
+        val = evaluate(pos[i])
+        if val < p_best_val[i]:
+            p_best_val[i] = val
+            p_best_pos[i] = pos[i]
 
-    `evaluate` defaults to the bare objective; drivers pass a counting
-    wrapper.  Out-of-bounds positions are clamped in place and counted
-    via the returned clamp tally.
+
+def step_swarm(pos, veloc, p_best_pos, p_best_val, g_pos, g_val, problem,
+               cfg: SwarmConfig, rng, evaluate):
+    """One synchronous sweep: velocities first, then move and evaluate all.
+
+    Moves that leave the box are clipped to it.  Personal bests update in
+    place; returns (pos, veloc, g_pos, g_val, clamped), where `clamped`
+    counts the particles whose move was clipped.
     """
-    evaluate = evaluate or problem.evaluate
-    for p in particles:
-        p.veloc = update_velocity(p, g, cfg, rng)
-    clamped = 0
-    for p in particles:
-        p.pos = p.pos + p.veloc
-        p.pos, hit = problem.clamp(p.pos)
-        if hit:
-            clamped += 1
-        val = evaluate(p.pos)
-        if val < p.p_best_val:
-            p.p_best_val = val
-            p.p_best_pos = p.pos.copy()
-    for p in particles:
-        if p.p_best_val < g.val:
-            g.val = p.p_best_val
-            g.pos = p.p_best_pos.copy()
-    return particles, g, clamped
+    veloc = update_velocity(pos, veloc, p_best_pos, g_pos, cfg, rng)
+    moved = pos + veloc
+    pos = np.clip(moved, problem.lower, problem.upper)
+    clamped = int(np.any(pos != moved, axis=1).sum())
+    _evaluate_all(pos, p_best_pos, p_best_val, evaluate)
+    g_pos, g_val = _swarm_best(p_best_pos, p_best_val, g_pos, g_val)
+    return pos, veloc, g_pos, g_val, clamped
+
+
+def _swarm_best(p_best_pos, p_best_val, g_pos, g_val):
+    """The first lowest personal best, when it beats the swarm best."""
+    i = int(np.argmin(p_best_val))
+    if p_best_val[i] < g_val:
+        return p_best_pos[i].copy(), float(p_best_val[i])
+    return g_pos, g_val
 
 
 def pso_run(
@@ -124,50 +116,36 @@ def pso_run(
     run = Run(problem, budget, seed, "pso")
     rng = run.rng
     lo = problem.lower
-    hi = problem.upper
-    span = hi - lo
-    if cfg.vmax is not None:
-        run_cfg = cfg
-    else:
-        run_cfg = SwarmConfig(
-            size=cfg.size,
-            p_increment=cfg.p_increment,
-            g_increment=cfg.g_increment,
-            vmax=float(span.max()) / 2.0,
-            inertia=cfg.inertia,
-        )
-    particles = []
-    for _ in range(cfg.size):
-        pos = lo + rng.random(problem.dim) * span
-        veloc = (rng.random(problem.dim) * 2.0 - 1.0) * span / 10.0
-        particles.append(Particle(pos=pos, veloc=veloc, p_best_pos=pos.copy()))
-    g = GlobalBest(pos=particles[0].pos.copy())
+    span = problem.upper - lo
+    if cfg.vmax is None:
+        cfg = replace(cfg, vmax=float(span.max()) / 2.0)
+    r = rng.random((cfg.size, 2, problem.dim))
+    pos = lo + r[:, 0] * span
+    veloc = (r[:, 1] * 2.0 - 1.0) * span / 10.0
+    p_best_pos = pos.copy()
+    p_best_val = np.full(cfg.size, np.inf)
+    g_pos, g_val = pos[0].copy(), float("inf")
     clamp_count = 0
     sweeps = 0
     gbest_curve: list[float] = []
     try:
-        for p in particles:
-            val = run.evaluate(p.pos)
-            if val < p.p_best_val:
-                p.p_best_val = val
-                p.p_best_pos = p.pos.copy()
-            if val < g.val:
-                g.val = val
-                g.pos = p.pos.copy()
-        gbest_curve.append(g.val)
+        _evaluate_all(pos, p_best_pos, p_best_val, run.evaluate)
+        g_pos, g_val = _swarm_best(p_best_pos, p_best_val, g_pos, g_val)
+        gbest_curve.append(g_val)
         while not run.finished:
-            particles, g, clamped = step_swarm(
-                particles, g, problem, run_cfg, rng, evaluate=run.evaluate
+            pos, veloc, g_pos, g_val, clamped = step_swarm(
+                pos, veloc, p_best_pos, p_best_val, g_pos, g_val, problem, cfg, rng,
+                run.evaluate,
             )
             clamp_count += clamped
             sweeps += 1
-            gbest_curve.append(g.val)
+            gbest_curve.append(g_val)
     except BudgetExhaustedError:
         pass
     extras = {
         "sweeps": sweeps,
         "clamped_moves": clamp_count,
         "gbest_curve": gbest_curve,
-        "vmax": run_cfg.vmax,
+        "vmax": cfg.vmax,
     }
     return run.record(extras=extras)

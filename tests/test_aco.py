@@ -7,9 +7,8 @@ import pytest
 
 from stochopt import (
     AcoConfig,
-    AntState,
     Budget,
-    PheromoneMatrix,
+    TspInstance,
     ValidationError,
     aco_run,
     choose_next_city,
@@ -21,10 +20,10 @@ from stochopt import (
 )
 
 
-def _fresh_ant(current, n):
-    visited = np.zeros(n, dtype=bool)
-    visited[current] = True
-    return AntState(current=current, visited=visited, tour=[current])
+def _visited(n, *cities):
+    mask = np.zeros(n, dtype=bool)
+    mask[list(cities)] = True
+    return mask
 
 
 def test_config_validation():
@@ -53,84 +52,84 @@ def test_edge_desirability_both_rules():
     assert edge_desirability(2.0, 4.0, multiplied) == pytest.approx(4.0 / 64.0)
     with pytest.raises(ValidationError):
         edge_desirability(1.0, 0.0, added)
+    rows = edge_desirability(np.array([2.0, 1.0]), np.array([4.0, 2.0]), added)
+    np.testing.assert_array_equal(rows, [2.0 + 2.0 / 4.0, 1.0 + 2.0 / 2.0])
+    with pytest.raises(ValidationError):
+        edge_desirability(np.ones(2), np.array([1.0, 0.0]), added)
 
 
 def test_choose_next_city_follows_the_roulette_wheel():
     cfg = AcoConfig(w_tau=1.0, w_eta=2.0)
-    tau = PheromoneMatrix.initial(4, cfg)
-    tau.tau[0] = [1.0, 0.3, 2.0, 0.7]
+    tau = np.full((4, 4), cfg.tau0)
+    tau[0] = [1.0, 0.3, 2.0, 0.7]
     inst = SimpleNamespace(
         n=4, d=np.array([[0.0, 1.0, 2.0, 4.0]] * 4)
     )
-    ant = _fresh_ant(0, 4)
 
     scores = np.array([0.3 + 2.0 / 1.0, 2.0 + 2.0 / 2.0, 0.7 + 2.0 / 4.0])
     cum = np.cumsum(scores / scores.sum())
     for seed in range(20):
         draw = seeded_rng(seed).random()
         idx = min(int(np.searchsorted(cum, draw, side="right")), 2)
-        got = choose_next_city(ant, tau, inst, cfg, seeded_rng(seed))
+        got = choose_next_city(0, _visited(4, 0), tau, inst, cfg, seeded_rng(seed))
         assert got == [1, 2, 3][idx]
 
 
 def test_single_candidate_skips_the_draw():
     cfg = AcoConfig()
-    tau = PheromoneMatrix.initial(3, cfg)
+    tau = np.full((3, 3), cfg.tau0)
     inst = SimpleNamespace(n=3, d=np.ones((3, 3)))
-    ant = _fresh_ant(0, 3)
-    ant.visited[1] = True
     rng = seeded_rng(7)
-    assert choose_next_city(ant, tau, inst, cfg, rng) == 2
+    assert choose_next_city(0, _visited(3, 0, 1), tau, inst, cfg, rng) == 2
     # the generator was never consulted
     assert rng.random() == seeded_rng(7).random()
 
 
 def test_zero_desirability_falls_back_to_uniform(caplog):
     cfg = AcoConfig(w_tau=0.0, w_eta=1.0)
-    tau = PheromoneMatrix.initial(3, cfg)
+    tau = np.full((3, 3), cfg.tau0)
     d = np.full((3, 3), np.inf)
     np.fill_diagonal(d, 0.0)
     inst = SimpleNamespace(n=3, d=d)
-    ant = _fresh_ant(0, 3)
     with caplog.at_level(logging.WARNING, logger="stochopt.aco"):
-        picks = {choose_next_city(ant, tau, inst, cfg, seeded_rng(s)) for s in range(30)}
+        picks = {choose_next_city(0, _visited(3, 0), tau, inst, cfg, seeded_rng(s))
+                 for s in range(30)}
     assert picks == {1, 2}
     assert any("falling back to a uniform choice" in r.message for r in caplog.records)
 
 
 def test_no_candidate_raises():
     cfg = AcoConfig()
-    tau = PheromoneMatrix.initial(2, cfg)
+    tau = np.full((2, 2), cfg.tau0)
     inst = SimpleNamespace(n=2, d=np.ones((2, 2)))
-    ant = _fresh_ant(0, 2)
-    ant.visited[:] = True
     with pytest.raises(ValidationError):
-        choose_next_city(ant, tau, inst, cfg, seeded_rng(0))
+        choose_next_city(0, _visited(2, 0, 1), tau, inst, cfg, seeded_rng(0))
 
 
 def test_local_update_is_symmetric_and_clamped():
     cfg = AcoConfig(local_deposit=0.01)
-    tau = PheromoneMatrix.initial(3, cfg)
+    tau = np.full((3, 3), cfg.tau0)
     local_update(tau, (0, 1), cfg)
-    assert tau.tau[0, 1] == tau.tau[1, 0] == 1.01
-    assert tau.tau[0, 2] == 1.0
+    assert tau[0, 1] == tau[1, 0] == 1.01
+    assert tau[0, 2] == 1.0
 
     capped = AcoConfig(local_deposit=0.01, tau_max=1.005)
-    tau = PheromoneMatrix.initial(3, capped)
-    local_update(tau, (0, 1), capped)
-    assert tau.tau[0, 1] == 1.005
+    tau = np.full((3, 3), capped.tau0)
+    local_update(tau, (1, 0), capped)
+    assert tau[0, 1] == tau[1, 0] == 1.005
+    assert tau[0, 2] == 1.0
 
 
 def test_global_update_matches_hand_computation():
     cfg = AcoConfig(rho=0.5, q=2.0)
-    tau = PheromoneMatrix.initial(4, cfg)
+    tau = np.full((4, 4), cfg.tau0)
     tour = [0, 2, 1, 3]
     global_update(tau, tour, 8.0, cfg)
     want = np.full((4, 4), 0.5)
     for a, b in [(0, 2), (2, 1), (1, 3), (3, 0)]:
         want[a, b] += 2.0 / 8.0
         want[b, a] = want[a, b]
-    np.testing.assert_allclose(tau.tau, want)
+    np.testing.assert_allclose(tau, want)
 
 
 def test_one_iteration_leaves_the_predicted_trail():
@@ -206,3 +205,13 @@ def test_trail_mass_collects_on_the_short_route():
     long_mass = sum(tau[a, b] for a, b in long_route)
     assert short_mass > long_mass
     assert rec.best_fitness == 4.0
+
+
+def test_product_rule_default_weight_keeps_the_wheel_alive(caplog):
+    # w_eta is an exponent under the product rule; two mean edge lengths
+    # (~1000 here) would drive every score to 0.0 and every choice uniform
+    inst = TspInstance.from_coords(seeded_rng(0).random((50, 2)) * 1000.0)
+    with caplog.at_level(logging.WARNING, logger="stochopt.aco"):
+        rec = aco_run(inst, Budget(50), seed=0, cfg=AcoConfig(rule="product"))
+    assert rec.evaluations == 50
+    assert not any("uniform choice" in r.message for r in caplog.records)

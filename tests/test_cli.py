@@ -88,6 +88,8 @@ def test_parse_tsp_accepts_zero_based_indices(tmp_path):
         (lambda t: t.replace("DIMENSION: 3", "DIMENSION: many"), "must be an integer"),
         (lambda t: t.replace("COMMENT: three points on a 3-4-5 frame\n", "stray\n"),
          "unrecognized line"),
+        (lambda t: t.replace("2 3 4", "2 nan 4"), ":8: coordinates must be finite"),
+        (lambda t: t.replace("2 3 4", "2 3 inf"), ":8: coordinates must be finite"),
     ],
 )
 def test_parse_tsp_rejects_malformed_files(tmp_path, mangle, message):
@@ -127,6 +129,8 @@ def test_parse_binpacking_normalizes_capacity(tmp_path):
         ("1 1.0\nbig\n", "must be a number"),
         ("0 1.0\n", "item count must be positive"),
         ("1 0\n0.4\n", "capacity must be positive"),
+        ("1 inf\n0.4\n", ":1: capacity must be finite"),
+        ("2 1.0\n0.4\nnan\n", ":3: item size must be finite"),
     ],
 )
 def test_parse_binpacking_rejects_malformed_files(tmp_path, text, message):
@@ -239,6 +243,19 @@ _CUBE = {"instance": {"kind": "cube"}, "budget": 10}
         pytest.param({"algorithm": "sa", "sa": {"t0": "hot"}}, "t0", id="sa-t0-text"),
         pytest.param({"algorithm": "tabu", "tabu": {"tenure": [3]}}, "tenure",
                      id="tabu-tenure-list"),
+        pytest.param({"algorithm": "random", "success": {"optimum": 5.0, "confidence": "abc"}},
+                     "confidence", id="confidence-text"),
+        pytest.param({"algorithm": "random", "success": {"optimum": 5.0, "confidence": 1.5}},
+                     "confidence", id="confidence-out-of-range"),
+        pytest.param({"algorithm": "random",
+                      "budget": {"max_evaluations": 10, "target_fitness": "abc"}},
+                     "target_fitness", id="target-fitness-text"),
+        pytest.param({"algorithm": "hillclimb", "hillclimb": {"random_walk": "false"}},
+                     "random_walk", id="bool-setting-text"),
+        pytest.param({"algorithm": "random", "budget": float("inf")}, "budget",
+                     id="budget-infinite"),
+        pytest.param({"algorithm": "pso", "pso": {"vmax": float("nan")}}, "vmax",
+                     id="pso-vmax-nan"),
     ]
     + [
         pytest.param({"algorithm": name, "start": 1}, "start", id=f"{name}-start")
@@ -534,14 +551,19 @@ def test_main_reports_config_errors(tmp_path, capsys):
     assert main(["run", "--config", str(garbled)]) == 1
 
 
-def test_main_names_a_value_that_cannot_be_cast(tmp_path, capsys):
+@pytest.mark.parametrize("key, value", [
+    ("dim", "x"), ("bounds", 5), ("bounds", [1, 2, 3]), ("bounds", ["a", "b"]),
+    ("bounds", [float("nan"), 1.0]), ("neighbor_radius", "x"),
+], ids=["dim", "bounds-number", "bounds-triple", "bounds-text", "bounds-nan",
+        "neighbor_radius"])
+def test_main_names_a_value_that_cannot_be_cast(tmp_path, capsys, key, value):
     cfg = _write(tmp_path, "bad_dim.json", json.dumps(
-        {"instance": {"kind": "continuous", "dim": "x"}, "algorithm": "random", "budget": 5}))
+        {"instance": {"kind": "continuous", key: value}, "algorithm": "random", "budget": 5}))
     rc = main(["run", "--config", str(cfg), "--output-dir", str(tmp_path)])
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error:")
-    assert "'dim'" in err
+    assert f"'{key}'" in err
 
 
 def test_main_oracle_subcommand(tmp_path, capsys, eight_oracle):

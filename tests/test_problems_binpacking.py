@@ -65,6 +65,10 @@ def test_instance_validation():
         BinPackingInstance([1.2])
     with pytest.raises(ValidationError):
         BinPackingInstance([0.5], capacity=0.0)
+    with pytest.raises(ValidationError, match="finite"):
+        BinPackingInstance([0.5, np.nan])
+    with pytest.raises(ValidationError, match="finite"):
+        BinPackingInstance([0.5], capacity=np.inf)
 
 
 def test_assignment_validation():

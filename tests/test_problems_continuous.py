@@ -55,6 +55,12 @@ def test_validation_and_unsupported_enumeration():
         ContinuousLandscape("parabola")
     with pytest.raises(ValidationError):
         ContinuousLandscape("abs_linear", bounds=(3.0, 3.0))
+    for bounds in (5, [1.0, 2.0, 3.0], ["a", "b"], [np.nan, 1.0], [-1.0, np.inf]):
+        with pytest.raises(ValidationError, match="'bounds'"):
+            ContinuousLandscape("abs_linear", bounds=bounds)
+    for radius in ("x", np.nan, [0.1, 0.2]):
+        with pytest.raises(ValidationError, match="'neighbor_radius'"):
+            ContinuousLandscape("abs_linear", neighbor_radius=radius)
 
 
 def test_random_solutions_fill_the_box():

@@ -130,6 +130,10 @@ def test_instance_validation():
         TspInstance(np.array([[0.0, -1.0], [-1.0, 0.0]]))  # negative
     with pytest.raises(ValidationError, match="largest asymmetry"):
         TspInstance(np.array([[0.0, 1.0], [1.0 + 1e-12, 0.0]]))  # 1e-12 off
+    with pytest.raises(ValidationError, match="finite"):
+        TspInstance(np.array([[0.0, np.inf], [np.inf, 0.0]]))
+    with pytest.raises(ValidationError, match="finite"):  # not reported as an asymmetry
+        TspInstance(np.array([[0.0, np.nan], [np.nan, 0.0]]))
 
 
 def test_from_coords_is_plain_euclidean():

@@ -6,8 +6,6 @@ import pytest
 from stochopt import (
     Budget,
     ContinuousLandscape,
-    GlobalBest,
-    Particle,
     SwarmConfig,
     UnsupportedOperationError,
     ValidationError,
@@ -18,113 +16,178 @@ from stochopt import (
 )
 
 
-def _particle(pos, veloc, pb_pos, pb_val=float("inf")):
-    return Particle(
-        pos=np.asarray(pos, dtype=float),
-        veloc=np.asarray(veloc, dtype=float),
-        p_best_pos=np.asarray(pb_pos, dtype=float),
-        p_best_val=pb_val,
-    )
+def _rows(*rows):
+    return np.asarray(rows, dtype=float)
 
 
 def test_velocity_rule_matches_hand_formula():
-    cfg = SwarmConfig(size=1, p_increment=2.0, g_increment=3.0)
-    p = _particle([1.0, -2.0], [0.5, 0.5], [2.0, 0.0])
-    g = GlobalBest(pos=np.array([0.0, 4.0]))
+    cfg = SwarmConfig(size=2, p_increment=2.0, g_increment=3.0)
+    pos = _rows([1.0, -2.0], [0.0, 3.0])
+    veloc = _rows([0.5, 0.5], [-1.0, 0.0])
+    p_best = _rows([2.0, 0.0], [1.0, 1.0])
+    g_pos = np.array([0.0, 4.0])
 
-    probe = seeded_rng(5)
-    r1 = probe.random(2)
-    r2 = probe.random(2)
-    want = p.veloc + 2.0 * r1 * (p.p_best_pos - p.pos) + 3.0 * r2 * (g.pos - p.pos)
+    probe = seeded_rng(5)  # each particle draws r1, then r2, in index order
+    want = []
+    for i in range(2):
+        r1 = probe.random(2)
+        r2 = probe.random(2)
+        want.append(veloc[i] + 2.0 * r1 * (p_best[i] - pos[i]) + 3.0 * r2 * (g_pos - pos[i]))
 
-    got = update_velocity(p, g, cfg, seeded_rng(5))
+    got = update_velocity(pos, veloc, p_best, g_pos, cfg, seeded_rng(5))
     np.testing.assert_array_equal(got, want)
 
 
 def test_velocity_is_clipped_to_vmax():
     cfg = SwarmConfig(size=1, p_increment=50.0, g_increment=50.0, vmax=0.5)
-    p = _particle([0.0], [0.0], [4.0])
-    g = GlobalBest(pos=np.array([-4.0]))
     for seed in range(10):
-        v = update_velocity(p, g, cfg, seeded_rng(seed))
-        assert abs(v[0]) <= 0.5
+        v = update_velocity(_rows([0.0]), _rows([0.0]), _rows([4.0]), np.array([-4.0]), cfg,
+                            seeded_rng(seed))
+        assert abs(v[0, 0]) <= 0.5
 
 
 def test_inertia_scales_the_carried_velocity():
     cfg = SwarmConfig(size=1, p_increment=0.0, g_increment=0.0, inertia=0.25)
-    p = _particle([0.0, 0.0], [2.0, -8.0], [0.0, 0.0])
-    g = GlobalBest(pos=np.zeros(2))
-    v = update_velocity(p, g, cfg, seeded_rng(0))
-    np.testing.assert_array_equal(v, [0.5, -2.0])
+    v = update_velocity(_rows([0.0, 0.0]), _rows([2.0, -8.0]), _rows([0.0, 0.0]), np.zeros(2),
+                        cfg, seeded_rng(0))
+    np.testing.assert_array_equal(v, [[0.5, -2.0]])
 
 
 def test_step_swarm_counts_clamped_moves():
-    prob = ContinuousLandscape("abs_linear")
-    cfg = SwarmConfig(size=2, p_increment=0.0, g_increment=0.0)
-    runaway = _particle([4.0], [10.0], [4.0], pb_val=5.0)
-    docile = _particle([0.0], [0.1], [0.0], pb_val=1.0)
-    g = GlobalBest(pos=np.array([0.0]), val=1.0)
-    particles, g, clamped = step_swarm([runaway, docile], g, prob, cfg, seeded_rng(0))
-    assert clamped == 1
-    assert particles[0].pos[0] == 5.0  # pinned to the upper bound
-    assert particles[1].pos[0] == pytest.approx(0.1)
-    # neither landing beat its personal best, so the swarm best stands
-    assert g.val == 1.0
-
-
-def test_pso_run_matches_manual_replay():
     prob = ContinuousLandscape("abs_linear", dim=2)
-    size, sweeps_wanted = 4, 2
-    budget = size * (1 + sweeps_wanted)
-    rec = pso_run(prob, Budget(budget), seed=3, cfg=SwarmConfig(size=size))
+    cfg = SwarmConfig(size=2, p_increment=0.0, g_increment=0.0)
+    # a runaway particle, out on both axes, and a docile one; personal bests 5.0 and 1.0
+    pos, veloc = _rows([4.0, 4.0], [0.0, 0.0]), _rows([10.0, -10.0], [0.1, 0.1])
+    p_best, p_best_val = _rows([4.0, 4.0], [0.0, 0.0]), np.array([5.0, 1.0])
+    pos, veloc, g_pos, g_val, clamped = step_swarm(
+        pos, veloc, p_best, p_best_val, np.zeros(2), 1.0, prob, cfg, seeded_rng(0),
+        prob.evaluate,
+    )
+    assert clamped == 1  # particles, not coordinates
+    np.testing.assert_array_equal(pos[0], [5.0, -5.0])  # pinned to the box
+    assert pos[1, 0] == pytest.approx(0.1)
+    # neither landing beat its personal best, so the swarm best stands
+    np.testing.assert_array_equal(p_best_val, [5.0, 1.0])
+    assert g_val == 1.0
 
-    rng = seeded_rng(3)
+
+def test_ties_keep_the_standing_bests():
+    # abs_linear ignores x[1], so each landing costs exactly its personal best
+    prob = ContinuousLandscape("abs_linear", dim=2)
+    cfg = SwarmConfig(size=2, p_increment=0.0, g_increment=0.0)
+    pos, veloc = _rows([0.0, 0.0], [1.0, 0.0]), np.zeros((2, 2))
+    p_best, p_best_val = _rows([0.0, 3.0], [1.0, -3.0]), np.array([1.0, 2.0])
+    g_pos = np.array([-2.0, 4.0])
+    _, _, g_pos, g_val, _ = step_swarm(
+        pos, veloc, p_best, p_best_val, g_pos, 1.0, prob, cfg, seeded_rng(0), prob.evaluate,
+    )
+    np.testing.assert_array_equal(p_best, [[0.0, 3.0], [1.0, -3.0]])
+    np.testing.assert_array_equal(g_pos, [-2.0, 4.0])
+    assert g_val == 1.0
+
+
+class _Spent(Exception):
+    pass
+
+
+def _replay(prob, size, budget, seed, inertia=None, vmax=None):
+    """The swarm by hand, one particle at a time: the reference draw order."""
+    dim = prob.dim
+    rng = seeded_rng(seed)
     lo, span = prob.lower, prob.upper - prob.lower
-    vmax = float(span.max()) / 2.0
-    pos, vel, pb_pos, pb_val = [], [], [], []
+    vmax = float(span.max()) / 2.0 if vmax is None else vmax
+    keep = 1.0 if inertia is None else inertia
+    pos, vel = [], []
     for _ in range(size):
-        p = lo + rng.random(2) * span
-        v = (rng.random(2) * 2.0 - 1.0) * span / 10.0
-        pos.append(p)
-        vel.append(v)
-        pb_pos.append(p.copy())
-        pb_val.append(float("inf"))
+        pos.append(lo + rng.random(dim) * span)
+        vel.append((rng.random(dim) * 2.0 - 1.0) * span / 10.0)
+    pb_pos = [p.copy() for p in pos]
+    pb_val = [float("inf")] * size
     g_val, g_pos = float("inf"), pos[0].copy()
-    best = float("inf")
-    for i in range(size):
-        val = prob.evaluate(pos[i])
-        best = min(best, val)
-        if val < pb_val[i]:
-            pb_val[i], pb_pos[i] = val, pos[i].copy()
-        if val < g_val:
-            g_val, g_pos = val, pos[i].copy()
-    curve = [g_val]
-    for _ in range(sweeps_wanted):
-        anchor = g_pos
-        nxt = []
+    out = {"evaluations": 0, "best": float("inf"), "hit": None,
+           "curve": [], "sweeps": 0, "clamped": 0, "vmax": vmax}
+
+    def evaluate(x):
+        if out["evaluations"] == budget.max_evaluations:
+            raise _Spent
+        val = prob.evaluate(x)
+        out["evaluations"] += 1
+        out["best"] = min(out["best"], val)
+        target = budget.target_fitness
+        if out["hit"] is None and target is not None and out["best"] <= target:
+            out["hit"] = out["evaluations"]
+        return val
+
+    try:
         for i in range(size):
-            r1 = rng.random(2)
-            r2 = rng.random(2)
-            v = vel[i] + 2.0 * r1 * (pb_pos[i] - pos[i]) + 2.0 * r2 * (anchor - pos[i])
-            nxt.append(np.clip(v, -vmax, vmax))
-        vel = nxt
-        for i in range(size):
-            pos[i], _ = prob.clamp(pos[i] + vel[i])
-            val = prob.evaluate(pos[i])
-            best = min(best, val)
+            val = evaluate(pos[i])
             if val < pb_val[i]:
                 pb_val[i], pb_pos[i] = val, pos[i].copy()
-        for i in range(size):
-            if pb_val[i] < g_val:
-                g_val, g_pos = pb_val[i], pb_pos[i].copy()
-        curve.append(g_val)
+            if val < g_val:
+                g_val, g_pos = val, pos[i].copy()
+        out["curve"].append(g_val)
+        while out["evaluations"] < budget.max_evaluations and out["hit"] is None:
+            anchor = g_pos
+            nxt = []
+            for i in range(size):
+                r1 = rng.random(dim)
+                r2 = rng.random(dim)
+                v = keep * vel[i] + 2.0 * r1 * (pb_pos[i] - pos[i]) + 2.0 * r2 * (anchor - pos[i])
+                nxt.append(np.clip(v, -vmax, vmax))
+            vel = nxt
+            clamped = 0
+            for i in range(size):
+                pos[i], hit = prob.clamp(pos[i] + vel[i])
+                clamped += hit
+                val = evaluate(pos[i])
+                if val < pb_val[i]:
+                    pb_val[i], pb_pos[i] = val, pos[i].copy()
+            for i in range(size):
+                if pb_val[i] < g_val:
+                    g_val, g_pos = pb_val[i], pb_pos[i].copy()
+            out["clamped"] += clamped  # a sweep the budget cuts short adds no clamps
+            out["sweeps"] += 1
+            out["curve"].append(g_val)
+    except _Spent:
+        pass
+    return out
 
-    assert rec.evaluations == budget
-    assert rec.extras["sweeps"] == sweeps_wanted
-    assert rec.extras["vmax"] == vmax == 5.0
-    assert rec.best_fitness == best
-    assert rec.extras["gbest_curve"] == curve
+
+@pytest.mark.parametrize(
+    "budget, cfg",
+    [
+        pytest.param(Budget(12), SwarmConfig(size=4), id="two-full-sweeps"),
+        pytest.param(Budget(30), SwarmConfig(size=4), id="budget-mid-sweep"),
+        pytest.param(Budget(400, target_fitness=0.3), SwarmConfig(size=4),
+                     id="target-mid-sweep"),
+        pytest.param(Budget(40), SwarmConfig(size=4, inertia=0.6), id="inertia"),
+        pytest.param(Budget(40), SwarmConfig(size=4, vmax=0.3), id="explicit-vmax"),
+    ],
+)
+def test_pso_run_matches_manual_replay(budget, cfg):
+    prob = ContinuousLandscape("abs_linear", dim=2)
+    rec = pso_run(prob, budget, seed=3, cfg=cfg)
+    want = _replay(prob, cfg.size, budget, 3, inertia=cfg.inertia, vmax=cfg.vmax)
+
+    assert rec.evaluations == want["evaluations"]
+    assert rec.evaluations_to_success == want["hit"]
+    assert rec.extras["sweeps"] == want["sweeps"]
+    assert rec.extras["clamped_moves"] == want["clamped"]
+    assert rec.extras["vmax"] == want["vmax"]
+    assert rec.best_fitness == want["best"]
+    assert rec.extras["gbest_curve"] == want["curve"]
     assert prob.evaluate(np.asarray(rec.best_solution)) == rec.best_fitness
+
+
+def test_replay_cases_cover_what_they_name():
+    prob = ContinuousLandscape("abs_linear", dim=2)
+    assert pso_run(prob, Budget(12), 3, SwarmConfig(size=4)).extras["vmax"] == 5.0
+    cut = _replay(prob, 4, Budget(30), 3)
+    assert cut["evaluations"] == 30 and cut["sweeps"] == 6  # the seventh sweep is cut short
+    hit = _replay(prob, 4, Budget(400, target_fitness=0.3), 3)
+    assert hit["hit"] % 4 != 0  # the target falls mid-sweep ...
+    assert hit["evaluations"] % 4 == 0  # ... and the sweep still runs to its end
+    assert cut["clamped"] > 0
 
 
 def test_pso_needs_a_continuous_landscape(cube):
