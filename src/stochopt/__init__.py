@@ -10,22 +10,9 @@ returns a deterministic RunRecord; the `effort` module turns record
 ensembles into success probabilities and restart-effort estimates.
 """
 
-from .aco import (
-    AcoConfig,
-    aco_run,
-    choose_next_city,
-    edge_desirability,
-    global_update,
-    local_update,
-)
-from .annealing import (
-    CoolingSchedule,
-    calibrate_t0,
-    metropolis_accept,
-    next_temperature,
-    rescaled_delta,
-    simulated_annealing,
-)
+from .aco import AcoConfig, aco_run
+from .annealing import CoolingSchedule, metropolis_accept, next_temperature, simulated_annealing
+from .cli import ExperimentConfig, format_duration, load_instance, main, run_experiment
 from .core import (
     Budget,
     BudgetExhaustedError,
@@ -40,23 +27,8 @@ from .core import (
     UnsupportedOperationError,
     ValidationError,
     seeded_rng,
-    split_streams,
-    success_time,
-)
-from .cli import (
-    ExperimentConfig,
-    ResultTable,
-    emit_plot_data,
-    format_duration,
-    load_instance,
-    main,
-    parse_binpacking_file,
-    parse_tsp_file,
-    run_experiment,
-    success_threshold,
 )
 from .effort import (
-    ComparisonReport,
     ComplexityClass,
     EffortUndefinedError,
     EnsembleStats,
@@ -78,13 +50,8 @@ from .hopfield import (
     is_fixed_point,
     network_energy,
 )
-from .local_search import (
-    hill_climb_first_accept,
-    hill_climb_steepest,
-    random_search,
-)
+from .local_search import hill_climb_first_accept, hill_climb_steepest, random_search
 from .problems import (
-    CUBE_COSTS,
     BinPackingInstance,
     ContinuousLandscape,
     TabletopInstance,
@@ -93,15 +60,12 @@ from .problems import (
     brute_force_tour,
     cube_fixture,
     cube_state,
-    first_fit_decreasing,
-    landscape_value,
-    packing_cost,
-    tour_length,
-    two_opt,
+    parse_binpacking_file,
+    parse_tsp_file,
     two_route_instance,
 )
-from .swarm import SwarmConfig, pso_run, step_swarm, update_velocity
-from .tabu import TabuConfig, TabuList, SearchMemory, select_best_admissible, tabu_search
+from .swarm import SwarmConfig, pso_run
+from .tabu import TabuConfig, tabu_search
 
 __version__ = "0.1.0"
 
@@ -110,8 +74,6 @@ __all__ = [
     "BinPackingInstance",
     "Budget",
     "BudgetExhaustedError",
-    "CUBE_COSTS",
-    "ComparisonReport",
     "ComplexityClass",
     "ContinuousLandscape",
     "CoolingSchedule",
@@ -125,14 +87,11 @@ __all__ = [
     "OptimizationError",
     "ParseError",
     "Problem",
-    "ResultTable",
     "Run",
     "RunRecord",
-    "SearchMemory",
     "SwarmConfig",
     "TabletopInstance",
     "TabuConfig",
-    "TabuList",
     "TankParams",
     "TspInstance",
     "UnsupportedOperationError",
@@ -142,8 +101,6 @@ __all__ = [
     "brute_force_packing",
     "brute_force_tour",
     "build_weights",
-    "calibrate_t0",
-    "choose_next_city",
     "computational_effort",
     "constraint_energy",
     "cost_energy",
@@ -151,43 +108,27 @@ __all__ = [
     "cube_state",
     "cumulative_success",
     "decode_tour",
-    "edge_desirability",
     "effort_curve",
-    "emit_plot_data",
-    "first_fit_decreasing",
     "format_duration",
-    "global_update",
     "hill_climb_first_accept",
     "hill_climb_steepest",
     "hopfield_solve",
     "is_fixed_point",
-    "landscape_value",
     "load_instance",
-    "local_update",
     "main",
     "metropolis_accept",
     "network_energy",
     "next_temperature",
     "nfl_comparison",
-    "packing_cost",
     "parse_binpacking_file",
     "parse_tsp_file",
     "pso_run",
     "random_search",
-    "rescaled_delta",
     "run_experiment",
     "runtime_projection",
     "seeded_rng",
-    "select_best_admissible",
     "simulated_annealing",
-    "split_streams",
-    "step_swarm",
-    "success_threshold",
-    "success_time",
     "tabu_search",
-    "tour_length",
-    "two_opt",
     "two_route_instance",
-    "update_velocity",
     "__version__",
 ]

@@ -73,22 +73,26 @@ class AcoConfig:
 
 
 def _resolved(cfg: AcoConfig, inst) -> AcoConfig:
+    """Fill the run-dependent defaults, after refusing distances the scores cannot take."""
     n = inst.n
+    off = inst.d[~np.eye(n, dtype=bool)]
+    if np.any(off <= 0):
+        raise ValidationError("distinct cities at distance 0 break the inverse-distance term")
     updates = {}
     if cfg.ants is None:
         updates["ants"] = n
     if cfg.w_eta is None and cfg.rule == "product":
         updates["w_eta"] = 2.0  # an exponent here: beta = 2, as in Dorigo & Gambardella 1997
     elif cfg.w_eta is None:
-        off = inst.d[~np.eye(n, dtype=bool)]
         updates["w_eta"] = 2.0 * float(off.mean())
     return replace(cfg, **updates) if updates else cfg
 
 
 def edge_desirability(tau_xy, d_xy, cfg: AcoConfig):
-    """Score of one edge, or elementwise of arrays of trails and lengths."""
-    if np.any(d_xy <= 0):
-        raise ValidationError("distinct cities at distance 0 break the inverse-distance term")
+    """Score of one edge, or elementwise of arrays of trails and lengths.
+
+    Distances must be positive; `aco_run` checks that once per run.
+    """
     if cfg.rule == "product":
         return tau_xy**cfg.w_tau * (1.0 / d_xy) ** cfg.w_eta
     return cfg.w_tau * tau_xy + cfg.w_eta / d_xy

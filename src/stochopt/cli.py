@@ -39,13 +39,7 @@ import numpy as np
 
 from .aco import AcoConfig, aco_run
 from .annealing import CoolingSchedule, simulated_annealing
-from .core import (
-    Budget,
-    OptimizationError,
-    ParseError,
-    ValidationError,
-    success_time,
-)
+from .core import Budget, OptimizationError, ValidationError, success_time
 from .effort import (
     ComplexityClass,
     EffortUndefinedError,
@@ -58,12 +52,12 @@ from .effort import (
 from .hopfield import TankParams, hopfield_solve
 from .local_search import hill_climb_first_accept, hill_climb_steepest, random_search
 from .problems import (
-    BinPackingInstance,
     ContinuousLandscape,
-    TspInstance,
     brute_force_packing,
     brute_force_tour,
     cube_fixture,
+    parse_binpacking_file,
+    parse_tsp_file,
 )
 from .swarm import SwarmConfig, pso_run
 from .tabu import TabuConfig, tabu_search
@@ -73,128 +67,6 @@ SCHEMA_VERSION = 1
 
 
 # ---------------------------------------------------------------- parsing
-
-
-def parse_tsp_file(path) -> TspInstance:
-    """Minimal TSPLIB subset: EUC_2D coordinates, full-precision distances."""
-    path = Path(path)
-    header: dict = {}
-    coords: dict = {}
-    in_coords = False
-    dim_line = None
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.upper() == "EOF":
-                break
-            if in_coords:
-                parts = line.split()
-                if len(parts) != 3:
-                    raise ParseError(
-                        f"{path}:{lineno}: expected 'index x y' in NODE_COORD_SECTION"
-                    )
-                try:
-                    idx = int(parts[0])
-                    xy = (float(parts[1]), float(parts[2]))
-                except ValueError:
-                    raise ParseError(
-                        f"{path}:{lineno}: non-numeric coordinate line"
-                    ) from None
-                if not all(map(math.isfinite, xy)):
-                    raise ParseError(f"{path}:{lineno}: coordinates must be finite")
-                if idx in coords:
-                    raise ParseError(f"{path}:{lineno}: duplicate node index {idx}")
-                coords[idx] = xy
-                continue
-            if line.upper().startswith("NODE_COORD_SECTION"):
-                if dim_line is None:
-                    raise ParseError(
-                        f"{path}:{lineno}: DIMENSION must appear before NODE_COORD_SECTION"
-                    )
-                in_coords = True
-                continue
-            if ":" in line:
-                key, _, value = line.partition(":")
-                key = key.strip().upper()
-                value = value.strip()
-                if key == "DIMENSION":
-                    try:
-                        header["DIMENSION"] = int(value)
-                    except ValueError:
-                        raise ParseError(
-                            f"{path}:{lineno}: DIMENSION must be an integer"
-                        ) from None
-                    dim_line = lineno
-                elif key == "TYPE" and value.upper() != "TSP":
-                    raise ParseError(f"{path}:{lineno}: only TYPE: TSP is supported")
-                elif key == "EDGE_WEIGHT_TYPE" and value.upper() != "EUC_2D":
-                    raise ParseError(
-                        f"{path}:{lineno}: unknown edge weight type {value!r} (only EUC_2D)"
-                    )
-                else:
-                    header[key] = value
-                continue
-            raise ParseError(f"{path}:{lineno}: unrecognized line {line!r}")
-    if "DIMENSION" not in header:
-        raise ParseError(f"{path}: missing DIMENSION")
-    n = header["DIMENSION"]
-    if len(coords) != n:
-        raise ParseError(
-            f"{path}: NODE_COORD_SECTION has {len(coords)} entries, DIMENSION says {n}"
-        )
-    indices = sorted(coords)
-    if indices != list(range(1, n + 1)) and indices != list(range(n)):
-        raise ParseError(f"{path}: node indices must be 1..{n} (or 0..{n - 1})")
-    pts = [coords[i] for i in indices]
-    return TspInstance.from_coords(pts, name=header.get("NAME", path.stem))
-
-
-def parse_binpacking_file(path) -> BinPackingInstance:
-    """Plain text: item count, capacity, then the sizes ('#' comments ok)."""
-    path = Path(path)
-    tokens: list = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            for tok in line.split():
-                tokens.append((lineno, tok))
-    if len(tokens) < 2:
-        raise ParseError(f"{path}: need an item count and a capacity")
-
-    def number(pos: int, caster, what: str):
-        lineno, tok = tokens[pos]
-        try:
-            value = caster(tok)
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: {what} must be a number, got {tok!r}") from None
-        if not math.isfinite(value):
-            raise ParseError(f"{path}:{lineno}: {what} must be finite, got {tok!r}")
-        return value
-
-    count = number(0, int, "item count")
-    if count < 1:
-        raise ParseError(f"{path}:{tokens[0][0]}: item count must be positive")
-    capacity = number(1, float, "capacity")
-    if capacity <= 0:
-        raise ParseError(f"{path}:{tokens[1][0]}: capacity must be positive")
-    if len(tokens) - 2 != count:
-        raise ParseError(
-            f"{path}: expected {count} sizes, found {len(tokens) - 2}"
-        )
-    sizes = []
-    for pos in range(2, len(tokens)):
-        size = number(pos, float, "item size")
-        lineno = tokens[pos][0]
-        if size <= 0:
-            raise ParseError(f"{path}:{lineno}: item size must be positive")
-        if size > capacity:
-            raise ParseError(
-                f"{path}:{lineno}: item size {size} exceeds the capacity {capacity}"
-            )
-        sizes.append(size)
-    return BinPackingInstance(sizes, capacity=capacity, name=path.stem)
 
 
 def _anchor_instance(desc, base: Path):
@@ -370,6 +242,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        if not isinstance(raw, dict):
+            raise ValidationError(f"a config must be a JSON object, got {raw!r}")
         if "instance" not in raw or "algorithm" not in raw:
             raise ValidationError("config needs 'instance' and 'algorithm' fields")
         budget_raw = raw.get("budget", 1000)
@@ -533,10 +407,19 @@ class ResultTable:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ResultTable":
+        if not isinstance(data, dict):
+            raise ValidationError(f"a report must be a JSON object, got {type(data).__name__}")
         if data.get("schema_version") != SCHEMA_VERSION:
             raise ValidationError(
                 f"unsupported report schema_version {data.get('schema_version')!r}"
             )
+        for key, kind, word in (("config", dict, "object"), ("rows", list, "array"),
+                                ("summary", dict, "object"), ("curves", list, "array")):
+            if not isinstance(data.get(key), kind):
+                raise ValidationError(f"a report needs {key!r} as a JSON {word}")
+        for i, curve in enumerate(data["curves"]):
+            if not isinstance(curve, dict) or not {"seed", "best_curve"} <= curve.keys():
+                raise ValidationError(f"report curve {i} needs 'seed' and 'best_curve'")
         return cls(
             config=data["config"],
             rows=data["rows"],
@@ -681,10 +564,12 @@ def emit_plot_data(table: ResultTable, kind: str) -> str:
 def _parse_complexity(text: str) -> ComplexityClass:
     base, _, param = text.partition(":")
     base = base.strip().lower()
-    if base == "poly":
-        return ComplexityClass("poly", float(param or 1))
-    if base == "exp":
-        return ComplexityClass("exp", float(param or 2))
+    if base in ("poly", "exp"):
+        try:
+            value = float(param or (1 if base == "poly" else 2))
+        except ValueError:
+            raise ValidationError(f"complexity class {text!r}: {param!r} is not a number") from None
+        return ComplexityClass(base, value)
     if base in ("tsp", "tsp_factorial"):
         return ComplexityClass("tsp_factorial")
     if base == "factorial":
@@ -757,7 +642,12 @@ def _cmd_project(args) -> int:
     cls = _parse_complexity(args.cls)
     seconds = runtime_projection(cls, args.n, args.rate)
     ops = cls.operations(args.n)
-    print(f"operations: {ops}")
+    try:
+        count = str(ops)
+    except ValueError:  # an int too long for str(); show its magnitude instead
+        exponent = math.log10(ops)
+        count = f"~{10 ** (exponent % 1):.3g}e+{int(exponent)}"
+    print(f"operations: {count}")
     print(f"seconds at {args.rate:g} ops/s: {seconds:.6g} ({format_duration(seconds)})")
     return 0
 

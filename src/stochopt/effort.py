@@ -144,6 +144,8 @@ class ComplexityClass:
     parameter: float | None = None
 
     def __post_init__(self):
+        if self.parameter is not None and not math.isfinite(self.parameter):
+            raise ValidationError(f"{self.kind} parameter must be finite, got {self.parameter}")
         if self.kind == "poly":
             if self.parameter is None or self.parameter < 1:
                 raise ValidationError("polynomial degree must be >= 1")
@@ -159,12 +161,15 @@ class ComplexityClass:
     def operations(self, n: int):
         if n < 1:
             raise ValidationError("problem size must be at least 1")
-        if self.kind == "poly":
-            k = self.parameter
-            return n ** int(k) if float(k).is_integer() else float(n) ** k
-        if self.kind == "exp":
-            b = self.parameter
-            return int(b) ** n if float(b).is_integer() else b**n
+        try:
+            if self.kind == "poly":
+                k = self.parameter
+                return n ** int(k) if float(k).is_integer() else float(n) ** k
+            if self.kind == "exp":
+                b = self.parameter
+                return int(b) ** n if float(b).is_integer() else b**n
+        except OverflowError:  # a float power past the largest double
+            return math.inf
         if self.kind == "tsp_factorial":
             # distinct closed tours over n cities: fix the start, halve direction
             return math.factorial(n - 1) // 2 if n > 2 else 1
@@ -172,8 +177,8 @@ class ComplexityClass:
 
 
 def runtime_projection(c: ComplexityClass, n: int, ops_per_second: float) -> float:
-    if ops_per_second <= 0:
-        raise ValidationError("instruction rate must be positive")
+    if not 0 < ops_per_second < math.inf:
+        raise ValidationError(f"instruction rate must be finite and positive, got {ops_per_second}")
     count = c.operations(n)
     try:
         return count / ops_per_second

@@ -48,6 +48,10 @@ import numpy as np
 
 from .core import Budget, Run, RunRecord, ValidationError, split_streams
 
+# The dense matrix holds (n^2)^2 floats and building it peaks at several
+# times that, so n = 100 would need gigabytes; 64 MiB admits n <= 53.
+MAX_WEIGHT_BYTES = 64 * 2**20
+
 
 @dataclass(frozen=True)
 class TankParams:
@@ -135,10 +139,17 @@ def cost_energy(v, distances, d_coeff: float) -> float:
 
 
 def build_weights(inst, p: TankParams) -> HopfieldNet:
+    """Dense (n^2, n^2) weights; refused before any allocation above MAX_WEIGHT_BYTES."""
     n = inst.n
     if n < 2:
         raise ValidationError("the tour encoding needs at least two cities")
     m = n * n
+    need = m * m * np.dtype(float).itemsize
+    if need > MAX_WEIGHT_BYTES:
+        raise ValidationError(
+            f"a {n}-city network needs a {need:,}-byte weight matrix, "
+            f"over the {MAX_WEIGHT_BYTES:,}-byte cap"
+        )
     city = np.arange(m) // n
     pos = np.arange(m) % n
     same_city = city[:, None] == city[None, :]

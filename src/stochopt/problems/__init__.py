@@ -1,18 +1,8 @@
-from .binpacking import (
-    BinPackingInstance,
-    brute_force_packing,
-    first_fit_decreasing,
-    packing_cost,
-)
-from .continuous import OBJECTIVES, ContinuousLandscape, landscape_value
+from .binpacking import BinPackingInstance, brute_force_packing, first_fit_decreasing
+from .continuous import OBJECTIVES, ContinuousLandscape
+from .io import parse_binpacking_file, parse_tsp_file
 from .tabletop import CUBE_COSTS, TabletopInstance, cube_fixture, cube_state
-from .tsp import (
-    TspInstance,
-    brute_force_tour,
-    tour_length,
-    two_opt,
-    two_route_instance,
-)
+from .tsp import TspInstance, brute_force_tour, two_opt, two_route_instance
 
 __all__ = [
     "BinPackingInstance",
@@ -26,9 +16,8 @@ __all__ = [
     "cube_fixture",
     "cube_state",
     "first_fit_decreasing",
-    "landscape_value",
-    "packing_cost",
-    "tour_length",
+    "parse_binpacking_file",
+    "parse_tsp_file",
     "two_opt",
     "two_route_instance",
 ]

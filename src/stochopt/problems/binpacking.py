@@ -59,7 +59,13 @@ class BinPackingInstance(Problem):
         return a.astype(np.intp)
 
     def evaluate(self, solution) -> float:
-        return packing_cost(self, solution)
+        """Open-bin count plus penalty times total overflow."""
+        loads = self.loads(solution)
+        open_bins = int(np.count_nonzero(loads > 0))
+        overflow = float(np.maximum(loads - 1.0, 0.0).sum())
+        if overflow < FIT_SLACK * self.n:
+            overflow = 0.0
+        return open_bins + self.penalty * overflow
 
     def loads(self, assignment) -> np.ndarray:
         a = self.validate(assignment)
@@ -138,16 +144,6 @@ def _swap_move(i: int, bin_i: int, j: int, bin_j: int) -> Move:
     )
 
 
-def packing_cost(inst: BinPackingInstance, assignment) -> float:
-    """Open-bin count plus penalty times total overflow."""
-    loads = inst.loads(assignment)
-    open_bins = int(np.count_nonzero(loads > 0))
-    overflow = float(np.maximum(loads - 1.0, 0.0).sum())
-    if overflow < FIT_SLACK * inst.n:
-        overflow = 0.0
-    return open_bins + inst.penalty * overflow
-
-
 def first_fit_decreasing(inst: BinPackingInstance) -> np.ndarray:
     """Classic FFD: items by falling size into the first bin that fits."""
     order = sorted(range(inst.n), key=lambda i: (-inst.sizes[i], i))
@@ -175,8 +171,8 @@ def brute_force_packing(inst: BinPackingInstance, limit: int = 12):
     if inst.n > limit:
         raise ValidationError(f"exact search capped at {limit} items, got {inst.n}")
     order = sorted(range(inst.n), key=lambda i: (-inst.sizes[i], i))
-    best_count = len(first_fit_decreasing_loads(inst))
     best_assign = first_fit_decreasing(inst)
+    best_count = int(best_assign.max()) + 1  # FFD opens bins 0..k-1, none left empty
     lower = int(np.ceil(inst.sizes.sum() - FIT_SLACK))
     assign = np.zeros(inst.n, dtype=np.intp)
     loads: list[float] = []
@@ -209,9 +205,3 @@ def brute_force_packing(inst: BinPackingInstance, limit: int = 12):
 
     place(0)
     return int(best_count), best_assign
-
-
-def first_fit_decreasing_loads(inst: BinPackingInstance) -> list[float]:
-    a = first_fit_decreasing(inst)
-    loads = inst.loads(a)
-    return [float(x) for x in loads[loads > 0]]

@@ -84,7 +84,10 @@ class ContinuousLandscape(Problem):
         x, clamped = self.clamp(x)
         if clamped:
             log.debug("point outside bounds clamped before evaluation")
-        return landscape_value(self, x)
+        if self.objective == "abs_linear":
+            return float(abs(x[0] + 1.0))
+        # multimodal_test
+        return float(10.0 * x.size + np.sum(x**2 - 10.0 * np.cos(2.0 * np.pi * x)))
 
     def random_solution(self, rng) -> np.ndarray:
         return self.lower + rng.random(self.dim) * (self.upper - self.lower)
@@ -106,11 +109,3 @@ def _finite_vector(value, dim: int, what: str) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ValidationError(f"{what!r} must be finite, got {value!r}")
     return v
-
-
-def landscape_value(landscape: ContinuousLandscape, x) -> float:
-    x = np.asarray(x, dtype=float)
-    if landscape.objective == "abs_linear":
-        return float(abs(x[0] + 1.0))
-    # multimodal_test
-    return float(10.0 * x.size + np.sum(x**2 - 10.0 * np.cos(2.0 * np.pi * x)))

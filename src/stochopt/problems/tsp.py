@@ -132,10 +132,6 @@ class TspInstance(Problem):
         return frozenset(pairs)
 
 
-def tour_length(inst: TspInstance, tour) -> float:
-    return inst.evaluate(tour)
-
-
 def two_opt(tour, i: int, j: int) -> np.ndarray:
     """Reverse the closed slice i..j of the permutation (i == j is identity)."""
     t = np.asarray(tour)

@@ -11,13 +11,11 @@ from stochopt import (
     TspInstance,
     ValidationError,
     aco_run,
-    choose_next_city,
-    edge_desirability,
-    global_update,
-    local_update,
     seeded_rng,
     two_route_instance,
 )
+from stochopt import aco
+from stochopt.aco import choose_next_city, edge_desirability, global_update, local_update
 
 
 def _visited(n, *cities):
@@ -50,12 +48,19 @@ def test_edge_desirability_both_rules():
     assert edge_desirability(2.0, 4.0, added) == 2.0 + 2.0 / 4.0
     multiplied = AcoConfig(w_tau=2.0, w_eta=3.0, rule="product")
     assert edge_desirability(2.0, 4.0, multiplied) == pytest.approx(4.0 / 64.0)
-    with pytest.raises(ValidationError):
-        edge_desirability(1.0, 0.0, added)
     rows = edge_desirability(np.array([2.0, 1.0]), np.array([4.0, 2.0]), added)
     np.testing.assert_array_equal(rows, [2.0 + 2.0 / 4.0, 1.0 + 2.0 / 2.0])
-    with pytest.raises(ValidationError):
-        edge_desirability(np.ones(2), np.array([1.0, 0.0]), added)
+
+
+@pytest.mark.parametrize("rule", ["sum", "product"])
+@pytest.mark.parametrize("n", [2, 4])
+def test_zero_distance_fails_before_the_first_tour(monkeypatch, n, rule):
+    # with n = 2 the one candidate is taken unscored, so only the run-level check sees it
+    d = np.ones((n, n)) - np.eye(n)
+    d[0, n - 1] = d[n - 1, 0] = 0.0
+    monkeypatch.setattr(aco, "_build_tour", lambda *a: pytest.fail("a tour was built"))
+    with pytest.raises(ValidationError, match="distance 0"):
+        aco_run(TspInstance(d), Budget(10), seed=0, cfg=AcoConfig(rule=rule))
 
 
 def test_choose_next_city_follows_the_roulette_wheel():

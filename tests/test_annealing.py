@@ -8,14 +8,13 @@ from stochopt import (
     CoolingSchedule,
     Run,
     ValidationError,
-    calibrate_t0,
     cube_state,
     metropolis_accept,
     next_temperature,
-    rescaled_delta,
     seeded_rng,
     simulated_annealing,
 )
+from stochopt.annealing import calibrate_t0, rescaled_delta
 
 
 def test_geometric_schedule():

@@ -13,22 +13,19 @@ from stochopt import (
     CoolingSchedule,
     ExperimentConfig,
     ParseError,
-    ResultTable,
     TankParams,
     TabuConfig,
     TspInstance,
     ValidationError,
-    emit_plot_data,
     format_duration,
     load_instance,
     main,
     parse_binpacking_file,
     parse_tsp_file,
     run_experiment,
-    success_threshold,
 )
 from stochopt import cli
-from stochopt.cli import _parse_complexity
+from stochopt.cli import ResultTable, _parse_complexity, emit_plot_data, success_threshold
 
 TRI_TSP = """\
 NAME: tri
@@ -602,6 +599,42 @@ def test_main_project_subcommand(capsys):
     rc = main(["project", "--class", "warp", "--n", "3"])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, text, named", [
+    (["project", "--class", "poly:abc", "--n", "5"], None, "'poly:abc'"),
+    (["project", "--class", "poly:nan", "--n", "5"], None, "poly parameter"),
+    (["project", "--class", "exp:inf", "--n", "5"], None, "exp parameter"),
+    (["project", "--class", "poly:2", "--n", "5", "--rate", "nan"], None, "rate"),
+    (["project", "--class", "poly:2", "--n", "5", "--rate", "inf"], None, "rate"),
+    (["plot", "--kind", "best_curve", "--input"], '{"schema_version": 1}', "'config'"),
+    (["plot", "--kind", "best_curve", "--input"], json.dumps(
+        {"schema_version": 1, "config": {}, "rows": [], "summary": {}, "curves": [{"seed": 0}]}),
+     "'best_curve'"),
+    (["plot", "--kind", "best_curve", "--input"], "[1]", "a report must be a JSON object"),
+    (["run", "--config"], "5", "a config must be a JSON object"),
+], ids=["poly-text", "poly-nan", "exp-inf", "rate-nan", "rate-inf", "report-without-config",
+        "curve-without-best_curve", "report-array", "config-number"])
+def test_main_names_bad_input(tmp_path, capsys, argv, text, named):
+    if text is not None:
+        argv = argv + [str(_write(tmp_path, "input.json", text))]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:")
+    assert named in err
+
+
+@pytest.mark.parametrize("cls, n, count", [
+    ("exp:2.5", "2000", "operations: inf"),  # a float power past the largest double
+    ("exp:2", "20000", "operations: ~3.98e+6020"),  # an int too long for str()
+], ids=["float-overflow", "int-too-long"])
+def test_main_project_counts_past_any_horizon(capsys, cls, n, count):
+    rc = main(["project", "--class", cls, "--n", n])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert count in out.splitlines()
+    assert "beyond any horizon" in out
 
 
 def test_main_plot_subcommand(tmp_path, capsys):

@@ -1,10 +1,15 @@
+import ast
+import inspect
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stochopt
+from conftest import REPO
 from stochopt import (
     BinPackingInstance,
     Budget,
@@ -19,9 +24,31 @@ from stochopt import (
     ValidationError,
     cube_fixture,
     seeded_rng,
-    split_streams,
-    success_time,
 )
+from stochopt.core import split_streams, success_time
+
+
+def test_the_package_root_exports_exactly_its_public_api():
+    names = stochopt.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        getattr(stochopt, name)
+
+    readme = (REPO / "README.md").read_text()
+    sources = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert sources, "the README has no python block"
+    sources += [p.read_text() for p in sorted((REPO / "demos").glob("*.py"))]
+    imported = {
+        alias.name
+        for src in sources
+        for node in ast.walk(ast.parse(src))
+        if isinstance(node, ast.ImportFrom) and node.module == "stochopt"
+        for alias in node.names
+    }
+    assert imported <= set(names), sorted(imported - set(names))
+
+    unlisted = {n for n in dir(stochopt) if not n.startswith("_")} - set(names)
+    assert all(inspect.ismodule(getattr(stochopt, n)) for n in unlisted), sorted(unlisted)
 
 
 def test_seeded_rng_is_reproducible():

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -19,6 +20,7 @@ from stochopt import (
     network_energy,
     seeded_rng,
 )
+from stochopt.hopfield import MAX_WEIGHT_BYTES
 
 
 def _tour_matrix(order):
@@ -143,6 +145,19 @@ def test_weight_matrix_entries():
     # constant drive from completing the square over the global term
     np.testing.assert_allclose(net.thresholds, -200.0 * 7 / 2.0)
     assert np.all(np.diag(net.weights) == 0.0)
+
+
+def test_oversized_network_is_refused_before_allocating():
+    assert 53**4 * 8 <= MAX_WEIGHT_BYTES < 54**4 * 8
+    inst = TspInstance.from_coords(seeded_rng(0).random((54, 2)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="54-city network needs a 68,024,448-byte"):
+            hopfield_solve(inst, restarts=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_decode_tour():

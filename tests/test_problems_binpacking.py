@@ -9,10 +9,9 @@ from stochopt import (
     EncodingMismatchError,
     ValidationError,
     brute_force_packing,
-    first_fit_decreasing,
-    packing_cost,
     seeded_rng,
 )
+from stochopt.problems.binpacking import first_fit_decreasing
 
 from conftest import FIXTURES
 
@@ -39,14 +38,14 @@ def test_ffd_packs_the_textbook_triple():
     assert _bins_used(assignment) == 2
     # 0.7 opens bin 0, 0.4 needs a new bin, 0.3 tops bin 0 up to 1.0
     assert assignment.tolist() == [1, 0, 0]
-    assert packing_cost(inst, assignment) == 2.0
+    assert inst.evaluate(assignment) == 2.0
 
 
 def test_overfull_bin_costs_count_plus_penalized_overflow():
     inst = BinPackingInstance([0.6, 0.6])
-    cost = packing_cost(inst, [0, 0])
+    cost = inst.evaluate([0, 0])
     assert cost == pytest.approx(1.0 + inst.penalty * 0.2, rel=1e-9)
-    assert packing_cost(inst, [0, 1]) == 2.0
+    assert inst.evaluate([0, 1]) == 2.0
     # the penalty default keeps any overfull packing above any feasible one
     assert cost > 2.0
 

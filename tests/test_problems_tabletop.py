@@ -1,7 +1,6 @@
 import pytest
 
 from stochopt import (
-    CUBE_COSTS,
     EncodingMismatchError,
     NoNeighborError,
     TabletopInstance,
@@ -9,6 +8,7 @@ from stochopt import (
     cube_state,
     seeded_rng,
 )
+from stochopt.problems.tabletop import CUBE_COSTS
 
 
 def test_cube_costs_by_coordinates(cube):

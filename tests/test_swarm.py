@@ -11,9 +11,8 @@ from stochopt import (
     ValidationError,
     pso_run,
     seeded_rng,
-    step_swarm,
-    update_velocity,
 )
+from stochopt.swarm import step_swarm, update_velocity
 
 
 def _rows(*rows):

@@ -4,15 +4,13 @@ from stochopt import (
     Budget,
     Move,
     NoNeighborError,
-    SearchMemory,
     TabletopInstance,
     TabuConfig,
-    TabuList,
     ValidationError,
     cube_state,
-    select_best_admissible,
     tabu_search,
 )
+from stochopt.tabu import SearchMemory, TabuList, select_best_admissible
 
 START = cube_state(1, 0, 0)  # the cost-10 vertex
 
