@@ -84,7 +84,8 @@ def _resolved(cfg: AcoConfig, inst) -> AcoConfig:
     if cfg.w_eta is None and cfg.rule == "product":
         updates["w_eta"] = 2.0  # an exponent here: beta = 2, as in Dorigo & Gambardella 1997
     elif cfg.w_eta is None:
-        updates["w_eta"] = 2.0 * float(off.mean())
+        # one city has no edge to average and is never scored; any positive weight will do
+        updates["w_eta"] = 2.0 * float(off.mean()) if off.size else 2.0
     return replace(cfg, **updates) if updates else cfg
 
 
@@ -128,25 +129,28 @@ def local_update(tau, edge: tuple, cfg: AcoConfig) -> None:
 def global_update(tau, best_tour, tour_length: float, cfg: AcoConfig) -> None:
     """Evaporate every trail, reinforce the tour's edges, clip to the bounds."""
     tau *= 1.0 - cfg.rho
-    gain = cfg.q / tour_length
     tour = np.asarray(best_tour)
-    for a, b in zip(tour, np.roll(tour, -1)):
-        tau[a, b] += gain
-        tau[b, a] = tau[a, b]
+    if tour.size > 1:  # a lone city has no edge to reinforce, and length 0
+        gain = cfg.q / tour_length
+        for a, b in zip(tour, np.roll(tour, -1)):
+            tau[a, b] += gain
+            tau[b, a] = tau[a, b]
     np.clip(tau, cfg.tau_min, cfg.tau_max, out=tau)
 
 
-def _build_tour(inst, tau, cfg: AcoConfig, rng) -> list:
+def _build_tour(inst, tau, cfg: AcoConfig, rng) -> np.ndarray:
+    """One ant's tour as an `intp` permutation, the form `TspInstance.cost` takes."""
     n = inst.n
     current = int(rng.integers(n))
     visited = np.zeros(n, dtype=bool)
     visited[current] = True
-    tour = [current]
-    for _ in range(n - 1):
+    tour = np.empty(n, dtype=np.intp)
+    tour[0] = current
+    for k in range(1, n):
         city = choose_next_city(current, visited, tau, inst, cfg, rng)
         local_update(tau, (current, city), cfg)
         visited[city] = True
-        tour.append(city)
+        tour[k] = city
         current = city
     return tour
 

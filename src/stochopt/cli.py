@@ -46,7 +46,7 @@ from .effort import (
     EnsembleStats,
     computational_effort,
     effort_steps,
-    runtime_projection,
+    seconds_at,
     success_steps,
 )
 from .hopfield import TankParams, hopfield_solve
@@ -640,14 +640,9 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_project(args) -> int:
     cls = _parse_complexity(args.cls)
-    seconds = runtime_projection(cls, args.n, args.rate)
     ops = cls.operations(args.n)
-    try:
-        count = str(ops)
-    except ValueError:  # an int too long for str(); show its magnitude instead
-        exponent = math.log10(ops)
-        count = f"~{10 ** (exponent % 1):.3g}e+{int(exponent)}"
-    print(f"operations: {count}")
+    seconds = seconds_at(ops, args.rate)
+    print(f"operations: {ops}")
     print(f"seconds at {args.rate:g} ops/s: {seconds:.6g} ({format_duration(seconds)})")
     return 0
 

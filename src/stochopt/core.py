@@ -142,8 +142,11 @@ class Run:
     """Evaluation counter and best-so-far tracker for one optimizer run.
 
     Optimizers call `evaluate` for every objective computation; nothing
-    else touches the counter.  `finished` turns true once the budget is
-    spent or the target cost has been reached.
+    else touches the counter.  Candidates are costed with `Problem.cost`;
+    a strict improvement is re-evaluated through the checked
+    `Problem.evaluate` before it enters the record, so every recorded
+    best solution has been validated.  `finished` turns true once the
+    budget is spent or the target cost has been reached.
     """
 
     def __init__(self, problem: "Problem", budget: Budget, seed: int, algorithm: str):
@@ -159,22 +162,26 @@ class Run:
         self.evaluations_to_success: int | None = None
 
     def evaluate(self, solution) -> float:
+        """Cost one candidate; validate it only if it enters the record."""
         if self.evaluations >= self.budget.max_evaluations:
             raise BudgetExhaustedError(
                 f"budget of {self.budget.max_evaluations} evaluations exhausted"
             )
-        value = self.problem.evaluate(solution)
+        value = self.problem.cost(solution)
         self.evaluations += 1
         if value < self.best_fitness:
+            checked = self.problem.evaluate(solution)
+            if checked != value:
+                raise ValidationError(
+                    f"cost {value!r} of an improving solution disagrees with its "
+                    f"checked evaluation {checked!r}"
+                )
             self.best_fitness = value
             self.best_solution = self.problem.freeze(solution)
             self.best_curve.append((self.evaluations, value))
-        if (
-            self.evaluations_to_success is None
-            and self.budget.target_fitness is not None
-            and self.best_fitness <= self.budget.target_fitness
-        ):
-            self.evaluations_to_success = self.evaluations
+            target = self.budget.target_fitness
+            if self.evaluations_to_success is None and target is not None and value <= target:
+                self.evaluations_to_success = self.evaluations
         return value
 
     @property
@@ -208,21 +215,30 @@ class Run:
 class Problem:
     """Minimization problem contract.
 
-    Concrete problems implement cost evaluation, validation, uniform
-    random construction and neighborhood sampling.  `neighbors` (full
+    Concrete problems implement `validate`, `cost`, uniform random
+    construction and neighborhood sampling.  `neighbors` (full
     enumeration) exists only where the neighborhood is finite; continuous
     landscapes raise UnsupportedOperationError there.
 
-    A solution is checked once, where it is costed: `evaluate` validates
-    its input.  `sample_neighbor`, `neighbors` and `solution_attributes`
-    do not, because they only ever see solutions the problem built
-    itself (`random_solution` or a neighbor operator) or a start that
-    already passed `validate`; their neighbors are valid by construction.
+    Solutions are checked where they enter and where they reach the
+    record.  `evaluate` is the one checked entry for outside input
+    (starts, files, tests): it validates, then costs.  `cost`,
+    `sample_neighbor`, `neighbors` and `solution_attributes` do not
+    validate, because inside a search they only ever see solutions the
+    problem built itself (`random_solution` or a neighbor operator) or a
+    start that already passed `validate`; these are valid by
+    construction.  `Run` costs every candidate with `cost` and passes
+    each strict improvement through `evaluate` before recording it.
     """
 
     kind: str = "abstract"
 
     def evaluate(self, solution) -> float:
+        """Validate, then cost: the checked entry for outside input."""
+        return self.cost(self.validate(solution))
+
+    def cost(self, solution) -> float:
+        """Objective of a solution `validate` returned or the problem built."""
         raise NotImplementedError
 
     def validate(self, solution):

@@ -15,7 +15,10 @@ run upward.
 
 `runtime_projection` turns a complexity class and a problem size into
 seconds at a given instruction rate, with factorial counts computed in
-exact integer arithmetic before the division.  `nfl_comparison` lays
+exact integer arithmetic before the division.  A count with more digits
+than Python prints comes back as a `Magnitude`, its base-10 logarithm;
+factorials that long are never built, their logarithm comes from
+`math.lgamma`.  `nfl_comparison` lays
 algorithm ensembles side by side against a random-search baseline at
 equal budgets; it presents curves and distributions and draws no verdict.
 """
@@ -23,6 +26,7 @@ equal budgets; it presents curves and distributions and draws no verdict.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,27 +163,62 @@ class ComplexityClass:
             raise ValidationError(f"unknown complexity kind {self.kind!r}")
 
     def operations(self, n: int):
+        """Count at size n: an int, a float for a fractional parameter, or a `Magnitude`.
+
+        A float power past the largest double is `math.inf`.  An int with
+        more digits than `str()` prints (`sys.get_int_max_str_digits()`)
+        is a `Magnitude`.
+        """
         if n < 1:
             raise ValidationError("problem size must be at least 1")
-        try:
-            if self.kind == "poly":
-                k = self.parameter
-                return n ** int(k) if float(k).is_integer() else float(n) ** k
-            if self.kind == "exp":
-                b = self.parameter
-                return int(b) ** n if float(b).is_integer() else b**n
-        except OverflowError:  # a float power past the largest double
-            return math.inf
+        # 0 means no limit, as before Python 3.10.7 added one
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         if self.kind == "tsp_factorial":
             # distinct closed tours over n cities: fix the start, halve direction
-            return math.factorial(n - 1) // 2 if n > 2 else 1
-        return math.factorial(n)
+            log10 = (math.lgamma(n) - math.log(2)) / math.log(10)
+            if limit and log10 > limit + 1:  # surely too long; +1 clears rounding
+                return Magnitude(log10)
+            count = math.factorial(n - 1) // 2 if n > 2 else 1
+        elif self.kind == "factorial":
+            log10 = math.lgamma(n + 1) / math.log(10)
+            if limit and log10 > limit + 1:
+                return Magnitude(log10)
+            count = math.factorial(n)
+        else:
+            try:
+                if self.kind == "poly":
+                    k = self.parameter
+                    count = n ** int(k) if float(k).is_integer() else float(n) ** k
+                else:
+                    b = self.parameter
+                    count = int(b) ** n if float(b).is_integer() else b**n
+            except OverflowError:  # a float power past the largest double
+                return math.inf
+        if isinstance(count, int) and limit and count >= 10**limit:
+            return Magnitude(math.log10(count))
+        return count
+
+
+@dataclass(frozen=True)
+class Magnitude:
+    """An operation count too long to print in full, kept as its base-10 logarithm."""
+
+    log10: float
+
+    def __str__(self) -> str:
+        return f"~{10 ** (self.log10 % 1):.3g}e+{int(self.log10)}"
 
 
 def runtime_projection(c: ComplexityClass, n: int, ops_per_second: float) -> float:
+    return seconds_at(c.operations(n), ops_per_second)
+
+
+def seconds_at(count, ops_per_second: float) -> float:
+    """Seconds for an `operations` count at a rate; inf past the largest double."""
     if not 0 < ops_per_second < math.inf:
         raise ValidationError(f"instruction rate must be finite and positive, got {ops_per_second}")
-    count = c.operations(n)
+    if isinstance(count, Magnitude):
+        return math.inf  # at least 640 digits (the least print limit) over a double
     try:
         return count / ops_per_second
     except OverflowError:

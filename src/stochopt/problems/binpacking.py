@@ -58,9 +58,9 @@ class BinPackingInstance(Problem):
             raise ValidationError(f"bin ids must lie in 0..{self.n - 1}")
         return a.astype(np.intp)
 
-    def evaluate(self, solution) -> float:
+    def cost(self, assignment) -> float:
         """Open-bin count plus penalty times total overflow."""
-        loads = self.loads(solution)
+        loads = np.bincount(assignment, weights=self.sizes, minlength=self.n)
         open_bins = int(np.count_nonzero(loads > 0))
         overflow = float(np.maximum(loads - 1.0, 0.0).sum())
         if overflow < FIT_SLACK * self.n:
@@ -75,11 +75,12 @@ class BinPackingInstance(Problem):
         return rng.integers(0, self.n, size=self.n)
 
     def _targets(self, a: np.ndarray) -> list[int]:
-        used = sorted(set(int(b) for b in a))
-        for b in range(self.n):
-            if b not in used:
-                return used + [b]  # one fresh bin is always enough
-        return used
+        """The used bins in order, then the first empty one (one fresh bin is always enough)."""
+        counts = np.bincount(a, minlength=self.n)
+        targets = np.flatnonzero(counts).tolist()
+        if len(targets) < self.n:
+            targets.append(int(np.argmin(counts)))
+        return targets
 
     def neighbors(self, solution) -> list:
         a = np.asarray(solution)
@@ -106,7 +107,7 @@ class BinPackingInstance(Problem):
         if self.n == 1:
             raise NoNeighborError("a single item has no other bin to move to")
         a = np.asarray(solution)
-        swappable = np.unique(a).size > 1
+        swappable = bool(np.any(a != a[0]))
         use_swap = swappable and rng.random() < 0.5
         if use_swap:
             while True:
@@ -118,7 +119,8 @@ class BinPackingInstance(Problem):
             nxt[i], nxt[j] = a[j], a[i]
             return nxt
         item = int(rng.integers(self.n))
-        targets = [b for b in self._targets(a) if b != a[item]]
+        src = int(a[item])
+        targets = [b for b in self._targets(a) if b != src]
         dst = targets[int(rng.integers(len(targets)))]
         nxt = a.copy()
         nxt[item] = dst

@@ -79,8 +79,7 @@ class ContinuousLandscape(Problem):
         clipped = np.clip(x, self.lower, self.upper)
         return clipped, bool(np.any(clipped != x))
 
-    def evaluate(self, solution) -> float:
-        x = self.validate(solution)
+    def cost(self, x) -> float:
         x, clamped = self.clamp(x)
         if clamped:
             log.debug("point outside bounds clamped before evaluation")

@@ -54,8 +54,8 @@ class TabletopInstance(Problem):
             raise ValidationError(f"state {s} outside 0..{len(self.costs) - 1}")
         raise EncodingMismatchError("tabletop solutions are integer state ids")
 
-    def evaluate(self, solution) -> float:
-        return self.costs[self.validate(solution)]
+    def cost(self, solution) -> float:
+        return self.costs[solution]
 
     def random_solution(self, rng) -> int:
         return int(rng.integers(len(self.costs)))

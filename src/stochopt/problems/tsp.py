@@ -87,8 +87,7 @@ class TspInstance(Problem):
             raise ValidationError("tour must visit every city exactly once")
         return tour.astype(np.intp)
 
-    def evaluate(self, solution) -> float:
-        tour = self.validate(solution)
+    def cost(self, tour) -> float:
         if self.n == 1:
             return 0.0
         return float(self.d[tour[:-1], tour[1:]].sum() + self.d[tour[-1], tour[0]])

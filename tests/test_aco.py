@@ -1,5 +1,6 @@
 import json
 import logging
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,7 +16,7 @@ from stochopt import (
     two_route_instance,
 )
 from stochopt import aco
-from stochopt.aco import choose_next_city, edge_desirability, global_update, local_update
+from stochopt.aco import RULES, choose_next_city, edge_desirability, global_update, local_update
 
 
 def _visited(n, *cities):
@@ -220,3 +221,16 @@ def test_product_rule_default_weight_keeps_the_wheel_alive(caplog):
         rec = aco_run(inst, Budget(50), seed=0, cfg=AcoConfig(rule="product"))
     assert rec.evaluations == 50
     assert not any("uniform choice" in r.message for r in caplog.records)
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_one_city_resolves_its_defaults_without_warnings(rule):
+    inst = TspInstance(np.zeros((1, 1)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cfg = aco._resolved(AcoConfig(rule=rule), inst)
+        rec = aco_run(inst, Budget(3), seed=0, cfg=AcoConfig(rule=rule))
+    assert cfg.w_eta > 0
+    assert rec.best_solution == (0,)
+    assert rec.best_fitness == 0.0
+    assert rec.evaluations == 3

@@ -628,7 +628,8 @@ def test_main_names_bad_input(tmp_path, capsys, argv, text, named):
 @pytest.mark.parametrize("cls, n, count", [
     ("exp:2.5", "2000", "operations: inf"),  # a float power past the largest double
     ("exp:2", "20000", "operations: ~3.98e+6020"),  # an int too long for str()
-], ids=["float-overflow", "int-too-long"])
+    ("tsp", "1000000", "operations: ~4.13e+5565702"),  # never built: from math.lgamma
+], ids=["float-overflow", "int-too-long", "factorial-too-long"])
 def test_main_project_counts_past_any_horizon(capsys, cls, n, count):
     rc = main(["project", "--class", cls, "--n", n])
     out = capsys.readouterr().out

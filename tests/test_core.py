@@ -2,6 +2,7 @@ import ast
 import inspect
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 import stochopt
 from conftest import REPO
 from stochopt import (
+    AcoConfig,
     BinPackingInstance,
     Budget,
     BudgetExhaustedError,
@@ -23,8 +25,13 @@ from stochopt import (
     UnsupportedOperationError,
     ValidationError,
     cube_fixture,
+    hill_climb_first_accept,
+    hill_climb_steepest,
     seeded_rng,
+    simulated_annealing,
+    tabu_search,
 )
+from stochopt import aco
 from stochopt.core import split_streams, success_time
 
 
@@ -82,11 +89,61 @@ class _Countdown(Problem):
 
     kind = "state"
 
-    def evaluate(self, solution):
+    def validate(self, solution):
+        return int(solution)
+
+    def cost(self, solution):
         return 10.0 - solution
 
     def freeze(self, solution):
         return int(solution)
+
+
+def test_an_invalid_improvement_is_refused_where_it_would_enter_the_record():
+    inst = TspInstance.from_coords(seeded_rng(0).random((5, 2)))
+    run = Run(inst, Budget(10), seed=0, algorithm="probe")
+    run.evaluate(np.arange(5))
+    first = run.best_curve[:]
+    # a tour that repeats one city costs 0, so it would be an improvement
+    with pytest.raises(ValidationError, match="every city exactly once"):
+        run.evaluate(np.zeros(5, dtype=np.intp))
+    assert run.evaluations == 2
+    assert run.best_curve == first
+    assert run.best_solution == (0, 1, 2, 3, 4)
+
+
+class _Drifting(_Countdown):
+    """`validate` canonicalizes to a different solution, so `evaluate` != `cost`."""
+
+    def validate(self, solution):
+        return int(solution) + 1
+
+
+def test_run_refuses_an_improvement_whose_cost_disagrees_with_evaluate():
+    run = Run(_Drifting(), Budget(5), seed=0, algorithm="probe")
+    with pytest.raises(ValidationError, match=r"cost 9\.0 .* evaluation 8\.0"):
+        run.evaluate(1)
+    assert run.best_solution is None
+    assert run.best_curve == []
+
+
+@pytest.mark.parametrize("search", [
+    lambda p, start: simulated_annealing(p, Budget(50), 0, start=start),
+    lambda p, start: hill_climb_first_accept(p, Budget(50), 0, start=start),
+    lambda p, start: hill_climb_steepest(p, Budget(50), 0, start=start),
+    lambda p, start: tabu_search(p, Budget(50), 0, start=start),
+], ids=["annealing", "first_accept", "steepest", "tabu"])
+@pytest.mark.parametrize("kind, start", [
+    ("tsp", [0, 1, 1, 3, 4]),
+    ("tsp", [0, 1, 2]),
+    ("binpacking", [0, 1, 2, 3, 5]),
+    ("cube", 8),
+], ids=["repeated-city", "short-tour", "bin-out-of-range", "no-such-state"])
+def test_an_invalid_start_fails_before_any_evaluation(monkeypatch, search, kind, start):
+    problem = _instance(kind, 5, seeded_rng(1))
+    monkeypatch.setattr(Run, "evaluate", lambda *a: pytest.fail("an evaluation ran"))
+    with pytest.raises(ValidationError):
+        search(problem, start)
 
 
 def test_run_counts_and_enforces_budget():
@@ -187,17 +244,28 @@ def _instance(kind: str, n: int, rng) -> Problem:
 def test_neighbors_are_valid_by_construction(kind, n, seed, steps):
     """What `sample_neighbor` and `neighbors` build passes `validate` unchanged.
 
-    Only `evaluate` validates, so every solution a problem builds itself
-    must already be valid and freeze exactly as its canonical form does.
+    Inside a run candidates are costed with `cost`, which does not
+    validate, so every solution a problem builds itself must already be
+    valid, freeze exactly as its canonical form does, and cost exactly
+    (`==`) what the checked `evaluate` gives.  Ant tours are checked in
+    the form `aco_run` meters them.
     """
     rng = seeded_rng(seed)
     problem = _instance(kind, n, rng)
 
     def check(solution):
         assert problem.freeze(problem.validate(solution)) == problem.freeze(solution)
+        assert problem.cost(solution) == problem.evaluate(solution)
 
     current = problem.random_solution(rng)
     check(current)
+    if kind == "tsp":
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cfg = aco._resolved(AcoConfig(), problem)
+        tau = np.full((problem.n, problem.n), cfg.tau0)
+        for _ in range(steps):
+            check(aco._build_tour(problem, tau, cfg, rng))
     for _ in range(steps):
         hood = [] if kind == "continuous" else problem.neighbors(current)
         for neighbor, _ in hood:

@@ -1,4 +1,6 @@
 import math
+import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,7 @@ from stochopt import (
     runtime_projection,
     tabu_search,
 )
-from stochopt.effort import _runs_needed, effort_steps
+from stochopt.effort import Magnitude, _runs_needed, effort_steps
 
 
 def _record(success_at=None, evaluations=100, best=0.0, algorithm="demo",
@@ -169,6 +171,31 @@ def test_complexity_validation():
     ):
         with pytest.raises(ValidationError):
             ComplexityClass(kind, param)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python prints ints of any length")
+def test_counts_too_long_to_print_are_magnitudes():
+    t0 = time.perf_counter()
+    tours = ComplexityClass("tsp_factorial").operations(10**6)
+    assert isinstance(tours, Magnitude)
+    assert str(tours) == "~4.13e+5565702"
+    assert str(ComplexityClass("factorial").operations(10**7)) == "~1.2e+65657059"
+    assert runtime_projection(ComplexityClass("factorial"), 10**7, 1e9) == math.inf
+    assert time.perf_counter() - t0 < 1.0
+
+    # across the print limit: the exact count wherever str() prints it, and
+    # otherwise the magnitude math.log10 gives of the exact count
+    for kind, exact in (("factorial", math.factorial),
+                        ("tsp_factorial", lambda n: math.factorial(n - 1) // 2)):
+        for n in range(1400, 1800, 3):
+            count = exact(n)
+            try:
+                want = str(count)
+            except ValueError:
+                log10 = math.log10(count)
+                want = f"~{10 ** (log10 % 1):.3g}e+{int(log10)}"
+            assert str(ComplexityClass(kind).operations(n)) == want, (kind, n)
 
 
 def test_runtime_projection():
