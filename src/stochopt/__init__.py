@@ -17,7 +17,7 @@ from .core import (
     Budget,
     BudgetExhaustedError,
     EncodingMismatchError,
-    Move,
+    Neighborhood,
     NoNeighborError,
     OptimizationError,
     ParseError,
@@ -82,7 +82,7 @@ __all__ = [
     "EnsembleStats",
     "ExperimentConfig",
     "HopfieldNet",
-    "Move",
+    "Neighborhood",
     "NoNeighborError",
     "OptimizationError",
     "ParseError",

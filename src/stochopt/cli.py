@@ -73,7 +73,9 @@ def _anchor_instance(desc, base: Path):
     """Rebase a relative instance path that only resolves next to its config.
 
     Paths that resolve from the working directory win, so command-line
-    relative paths keep their usual meaning.
+    relative paths keep their usual meaning; otherwise the path is read
+    from the config's own directory.  No other directory is searched, so
+    a same-named file higher up the tree is never picked up.
     """
 
     def rebase(text):
@@ -81,13 +83,7 @@ def _anchor_instance(desc, base: Path):
         if p.is_absolute() or p.exists():
             return text
         candidate = base / p
-        if candidate.exists():
-            return str(candidate)
-        for parent in base.resolve().parents:
-            candidate = parent / p
-            if candidate.exists():
-                return str(candidate)
-        return text
+        return str(candidate) if candidate.exists() else text
 
     if isinstance(desc, str):
         rebased = rebase(desc)

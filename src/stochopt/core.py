@@ -1,4 +1,4 @@
-"""Shared contracts for the toolkit: problems, moves, budgets, run records.
+"""Shared contracts for the toolkit: problems, neighborhoods, budgets, run records.
 
 Everything is phrased as minimization.  A problem exposes a cost function
 over one of four solution encodings (city permutation, item-to-bin
@@ -16,7 +16,7 @@ generator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -64,19 +64,29 @@ def split_streams(rng: np.random.Generator, n: int) -> list[np.random.Generator]
 
 
 @dataclass(frozen=True)
-class Move:
-    """A reversible neighborhood step.
+class Neighborhood:
+    """A whole neighborhood as arrays, one row per neighbor, in a fixed order.
 
-    `attributes` are the hashable atoms the step consumes (the city
-    adjacencies a reversal breaks, an (item, source bin) pair, an axis
-    and direction on a state graph).  `reverse_attributes` are the atoms
-    of the inverse step, i.e. what the move creates; a short-term memory
-    that wants to forbid undoing a move stores exactly these.
+    `solutions[k]` is neighbor k: a row of an (M, n) array for tours and
+    packings, a list entry for state graphs.  `costs[k]` is the Python
+    float `cost(solutions[k])` gives, bit for bit.  `broken[k]` and
+    `made[k]` are the integer atom ids the move to neighbor k consumes
+    and creates (the city adjacencies a reversal breaks and makes, an
+    (item, bin) pair, a labeled step on a state graph), padded with -1
+    to a common width; every move has at least one of each.  A
+    short-term memory that forbids undoing a move stores its `made`
+    atoms.  `label(k)` names move k for the record; it is computed only
+    for the moves a searcher picks.
     """
 
-    attributes: tuple
-    reverse_attributes: tuple
-    label: Any = None
+    solutions: Any
+    costs: list
+    broken: np.ndarray
+    made: np.ndarray
+    label: Callable[[int], Any]
+
+    def __len__(self) -> int:
+        return len(self.costs)
 
 
 @dataclass(frozen=True)
@@ -142,11 +152,12 @@ class Run:
     """Evaluation counter and best-so-far tracker for one optimizer run.
 
     Optimizers call `evaluate` for every objective computation; nothing
-    else touches the counter.  Candidates are costed with `Problem.cost`;
-    a strict improvement is re-evaluated through the checked
-    `Problem.evaluate` before it enters the record, so every recorded
-    best solution has been validated.  `finished` turns true once the
-    budget is spent or the target cost has been reached.
+    else touches the counter.  Candidates are costed with `Problem.cost`
+    (or arrive with their cost, see `evaluate`); a strict improvement is
+    re-evaluated through the checked `Problem.evaluate` before it enters
+    the record, so every recorded best solution has been validated.
+    `finished` turns true once the budget is spent or the target cost
+    has been reached.
     """
 
     def __init__(self, problem: "Problem", budget: Budget, seed: int, algorithm: str):
@@ -161,13 +172,25 @@ class Run:
         self.best_curve: list[tuple[int, float]] = []
         self.evaluations_to_success: int | None = None
 
-    def evaluate(self, solution) -> float:
-        """Cost one candidate; validate it only if it enters the record."""
+    def evaluate(self, solution, value: float | None = None) -> float:
+        """Count one candidate; validate it only if it enters the record.
+
+        `value`, when given, is the candidate's `cost` computed ahead of
+        time (a `Neighborhood` costs all its rows at once), and `cost`
+        is not called again.  Each candidate is still one call here, so
+        the evaluation count, the best curve and the budget and target
+        stops land on exactly the candidate they would if it were costed
+        alone, and anything counting calls to this method counts
+        evaluations.  A strict improvement is checked through
+        `Problem.evaluate` either way, and a `value` that disagrees with
+        it raises `ValidationError`.
+        """
         if self.evaluations >= self.budget.max_evaluations:
             raise BudgetExhaustedError(
                 f"budget of {self.budget.max_evaluations} evaluations exhausted"
             )
-        value = self.problem.cost(solution)
+        if value is None:
+            value = self.problem.cost(solution)
         self.evaluations += 1
         if value < self.best_fitness:
             checked = self.problem.evaluate(solution)
@@ -183,6 +206,22 @@ class Run:
             if self.evaluations_to_success is None and target is not None and value <= target:
                 self.evaluations_to_success = self.evaluations
         return value
+
+    def evaluate_neighborhood(self, hood: "Neighborhood") -> int:
+        """Evaluate `hood`'s neighbors in order until the run finishes.
+
+        One `evaluate` call per neighbor, with its precomputed cost;
+        returns how many were evaluated (all of them unless the budget
+        or the target stopped the run part way).
+        """
+        room = self.budget.max_evaluations - self.evaluations
+        evaluated = 0
+        for solution, value in zip(hood.solutions[:room], hood.costs[:room]):
+            if self.evaluations_to_success is not None:  # `finished` inside the budget
+                break
+            self.evaluate(solution, value)
+            evaluated += 1
+        return evaluated
 
     @property
     def out_of_budget(self) -> bool:
@@ -216,9 +255,12 @@ class Problem:
     """Minimization problem contract.
 
     Concrete problems implement `validate`, `cost`, uniform random
-    construction and neighborhood sampling.  `neighbors` (full
-    enumeration) exists only where the neighborhood is finite; continuous
-    landscapes raise UnsupportedOperationError there.
+    construction and neighborhood sampling.  Where the neighborhood is
+    finite they also implement `neighbors`, which returns the whole of
+    it as one `Neighborhood` (rows, costs, atom ids, labels) in a fixed
+    order, `solution_attributes` and `atom_count`, the size of the atom
+    id space both use; tabu memories are arrays indexed by atom id.
+    Continuous landscapes raise UnsupportedOperationError in `neighbors`.
 
     Solutions are checked where they enter and where they reach the
     record.  `evaluate` is the one checked entry for outside input
@@ -227,11 +269,13 @@ class Problem:
     validate, because inside a search they only ever see solutions the
     problem built itself (`random_solution` or a neighbor operator) or a
     start that already passed `validate`; these are valid by
-    construction.  `Run` costs every candidate with `cost` and passes
-    each strict improvement through `evaluate` before recording it.
+    construction.  `Run` counts every candidate, costed by `cost` or by
+    `neighbors`, and passes each strict improvement through `evaluate`
+    before recording it.
     """
 
     kind: str = "abstract"
+    atom_count: int = 0
 
     def evaluate(self, solution) -> float:
         """Validate, then cost: the checked entry for outside input."""
@@ -252,15 +296,15 @@ class Problem:
         """Return a neighbor drawn uniformly from the neighborhood."""
         raise NotImplementedError
 
-    def neighbors(self, solution) -> list:
-        """Full neighborhood as [(neighbor, Move), ...] in a fixed order."""
+    def neighbors(self, solution) -> Neighborhood:
+        """The full neighborhood, costed, in a fixed order."""
         raise UnsupportedOperationError(
             f"{self.kind} problems do not enumerate neighborhoods"
         )
 
-    def solution_attributes(self, solution) -> frozenset:
-        """Atoms a solution is made of, for overlap-based memories."""
-        return frozenset()
+    def solution_attributes(self, solution) -> np.ndarray:
+        """Distinct atom ids a solution is made of, for overlap-based memories."""
+        return np.empty(0, dtype=np.intp)
 
     def freeze(self, solution):
         """Immutable, JSON-friendly copy of a solution (Python scalars only)."""

@@ -12,6 +12,10 @@ the first local optimum.
 
 from __future__ import annotations
 
+from copy import copy
+
+import numpy as np
+
 from .core import Budget, Run, RunRecord
 
 
@@ -57,20 +61,15 @@ def hill_climb_steepest(
     status = None
     restarts = 0
     while not run.finished:
-        best = None
-        best_f = f_current
-        enumerated_all = True
-        for candidate, _ in problem.neighbors(current):
-            if run.finished:
-                enumerated_all = False
-                break
-            f = run.evaluate(candidate)
-            if f < best_f:  # strict; first strictly-best neighbor wins ties
-                best, best_f = candidate, f
-        if best is not None:
-            current, f_current = best, best_f
-            continue
-        if not enumerated_all:
+        hood = problem.neighbors(current)
+        evaluated = run.evaluate_neighborhood(hood)
+        if evaluated:
+            costs = np.array(hood.costs[:evaluated])
+            best = int(np.argmin(costs))  # first of the lowest: ties go to the lowest index
+            if costs[best] < f_current:  # strict
+                current, f_current = copy(hood.solutions[best]), hood.costs[best]
+                continue
+        if evaluated < len(hood):
             break  # budget died mid-enumeration; local optimality unknown
         if restart_on_optimum and not run.finished:
             restarts += 1

@@ -8,6 +8,11 @@ feasible one, which keeps local moves on a connected landscape.
 
 Fit checks use a 1e-9 relative slack so decimal size literals that sum
 to the capacity exactly in base ten still count as fitting.
+
+Atoms are (item, bin) pairs with id item * n + bin, so ids lie in
+0..n*n - 1.  A relocation breaks (item, source) and makes (item,
+target); a swap of items i and j breaks (i, bin_i) and (j, bin_j) and
+makes (i, bin_j) and (j, bin_i).
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import numpy as np
 
 from ..core import (
     EncodingMismatchError,
-    Move,
+    Neighborhood,
     NoNeighborError,
     Problem,
     ValidationError,
@@ -45,6 +50,8 @@ class BinPackingInstance(Problem):
         self.n = raw.size
         self.penalty = 10.0 * self.n if penalty is None else float(penalty)
         self.name = name
+        self.atom_count = self.n * self.n
+        self._i, self._j = np.triu_indices(self.n, 1)  # swap pairs i < j in row order
 
     def validate(self, solution) -> np.ndarray:
         a = np.asarray(solution)
@@ -82,26 +89,51 @@ class BinPackingInstance(Problem):
             targets.append(int(np.argmin(counts)))
         return targets
 
-    def neighbors(self, solution) -> list:
+    def neighbors(self, solution) -> Neighborhood:
+        """Relocations item by item over `_targets`, then swaps i < j; costed as `cost` does."""
         a = np.asarray(solution)
-        targets = self._targets(a)
-        out = []
-        for item in range(self.n):
-            src = int(a[item])
-            for dst in targets:
-                if dst == src:
-                    continue
-                nxt = a.copy()
-                nxt[item] = dst
-                out.append((nxt, _relocate_move(item, src, dst)))
-        for i in range(self.n - 1):
-            for j in range(i + 1, self.n):
-                if a[i] == a[j]:
-                    continue
-                nxt = a.copy()
-                nxt[i], nxt[j] = a[j], a[i]
-                out.append((nxt, _swap_move(i, int(a[i]), j, int(a[j]))))
-        return out
+        n = self.n
+        targets = np.array(self._targets(a))
+        item, dst = np.repeat(np.arange(n), targets.size), np.tile(targets, n)
+        moved = dst != a[item]
+        item, dst = item[moved], dst[moved]
+        swapped = a[self._i] != a[self._j]
+        i, j = self._i[swapped], self._j[swapped]
+        relocations, m = item.size, item.size + i.size
+        rows = np.tile(a, (m, 1))
+        rows[np.arange(relocations), item] = dst
+        swaps = np.arange(relocations, m)
+        rows[swaps, i] = a[j]
+        rows[swaps, j] = a[i]
+        # Each row's loads summed in item order, as `bincount` sums one row.
+        loads = np.zeros((m, n))
+        flat, offsets = loads.reshape(-1), np.arange(m) * n
+        for column, size in enumerate(self.sizes):
+            flat[offsets + rows[:, column]] += size
+        open_bins = np.count_nonzero(loads > 0, axis=1)
+        loads -= 1.0
+        overflow = np.maximum(loads, 0.0, out=loads).sum(axis=1)
+        overflow[overflow < FIT_SLACK * n] = 0.0
+        none = np.full(relocations, -1)
+
+        def label(k):
+            if k < relocations:
+                return ("relocate", int(item[k]), int(a[item[k]]), int(dst[k]))
+            return ("swap", int(i[k - relocations]), int(j[k - relocations]))
+
+        return Neighborhood(
+            solutions=rows,
+            costs=(open_bins + self.penalty * overflow).tolist(),
+            broken=np.concatenate((
+                np.stack((item * n + a[item], none), axis=1),
+                np.stack((i * n + a[i], j * n + a[j]), axis=1),
+            )),
+            made=np.concatenate((
+                np.stack((item * n + dst, none), axis=1),
+                np.stack((i * n + a[j], j * n + a[i]), axis=1),
+            )),
+            label=label,
+        )
 
     def sample_neighbor(self, solution, rng):
         if self.n == 1:
@@ -126,24 +158,8 @@ class BinPackingInstance(Problem):
         nxt[item] = dst
         return nxt
 
-    def solution_attributes(self, solution) -> frozenset:
-        return frozenset(enumerate(np.asarray(solution).tolist()))
-
-
-def _relocate_move(item: int, src: int, dst: int) -> Move:
-    return Move(
-        attributes=((item, src),),
-        reverse_attributes=((item, dst),),
-        label=("relocate", item, src, dst),
-    )
-
-
-def _swap_move(i: int, bin_i: int, j: int, bin_j: int) -> Move:
-    return Move(
-        attributes=((i, bin_i), (j, bin_j)),
-        reverse_attributes=((i, bin_j), (j, bin_i)),
-        label=("swap", i, j),
-    )
+    def solution_attributes(self, solution) -> np.ndarray:
+        return np.arange(self.n) * self.n + np.asarray(solution)
 
 
 def first_fit_decreasing(inst: BinPackingInstance) -> np.ndarray:

@@ -6,6 +6,10 @@ checked step by step.  Edges may carry a label per direction (an axis
 and sign on a hypercube, say); unlabeled edges fall back to (from, to)
 ordered pairs, which still gives every move a well-defined reverse.
 
+Atoms: each distinct label gets an id (0..L-1, in order of first
+appearance), and state s has the id L + s, so move atoms and the state
+atoms of `solution_attributes` never meet.
+
 `cube_fixture` builds the 8-state unit cube whose vertex costs make
 greedy descent stall on a secondary basin while smarter strategies reach
 the global minimum at cost 5.
@@ -17,7 +21,7 @@ import numpy as np
 
 from ..core import (
     EncodingMismatchError,
-    Move,
+    Neighborhood,
     NoNeighborError,
     Problem,
     ValidationError,
@@ -45,6 +49,11 @@ class TabletopInstance(Problem):
             self.adjacency[u].append((v, lab_uv, lab_vu))
             self.adjacency[v].append((u, lab_vu, lab_uv))
         self.name = name
+        self._label_ids: dict = {}
+        for options in self.adjacency:
+            for _, lab, _ in options:
+                self._label_ids.setdefault(lab, len(self._label_ids))
+        self.atom_count = len(self._label_ids) + n
 
     def validate(self, solution) -> int:
         if isinstance(solution, (np.integer, int)) and not isinstance(solution, bool):
@@ -60,11 +69,16 @@ class TabletopInstance(Problem):
     def random_solution(self, rng) -> int:
         return int(rng.integers(len(self.costs)))
 
-    def neighbors(self, solution) -> list:
-        return [
-            (v, Move(attributes=(lab,), reverse_attributes=(rev,), label=lab))
-            for v, lab, rev in self.adjacency[solution]
-        ]
+    def neighbors(self, solution) -> Neighborhood:
+        options = self.adjacency[solution]
+        ids = self._label_ids
+        return Neighborhood(
+            solutions=[v for v, _, _ in options],
+            costs=[self.costs[v] for v, _, _ in options],
+            broken=np.array([ids[lab] for _, lab, _ in options], dtype=np.intp).reshape(-1, 1),
+            made=np.array([ids[rev] for _, _, rev in options], dtype=np.intp).reshape(-1, 1),
+            label=lambda k: options[k][1],
+        )
 
     def sample_neighbor(self, solution, rng):
         options = self.adjacency[solution]
@@ -72,8 +86,8 @@ class TabletopInstance(Problem):
             raise NoNeighborError(f"state {solution} has no neighbors")
         return options[int(rng.integers(len(options)))][0]
 
-    def solution_attributes(self, solution) -> frozenset:
-        return frozenset((int(solution),))
+    def solution_attributes(self, solution) -> np.ndarray:
+        return np.array([len(self._label_ids) + solution], dtype=np.intp)
 
 
 CUBE_COSTS = {

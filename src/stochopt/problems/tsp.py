@@ -6,9 +6,10 @@ spanning the whole tour or all but one city reproduce the same cyclic
 tour, so they are excluded from neighborhood enumeration and sampling;
 `two_opt` itself still accepts any 0 <= i <= j < n.
 
-Move attributes are the unordered city pairs whose adjacency a reversal
-breaks; the reverse attributes are the pairs it creates.  Short-term
-memories match on these atoms.
+Atoms are undirected city adjacencies: the pair {a, b} has id
+min(a, b) * n + max(a, b), so ids lie in 0..n*n - 1.  A reversal's
+`broken` atoms are the two adjacencies it removes and its `made` atoms
+the two it creates; short-term memories match on these ids.
 """
 
 from __future__ import annotations
@@ -19,14 +20,10 @@ import numpy as np
 
 from ..core import (
     EncodingMismatchError,
-    Move,
+    Neighborhood,
     Problem,
     ValidationError,
 )
-
-
-def _edge(a: int, b: int) -> tuple[int, int]:
-    return (a, b) if a < b else (b, a)
 
 
 class TspInstance(Problem):
@@ -56,12 +53,13 @@ class TspInstance(Problem):
         self.n = d.shape[0]
         self.coords = None if coords is None else np.asarray(coords, dtype=float)
         self.name = name
-        self._pairs = [
-            (i, j)
-            for i in range(self.n - 1)
-            for j in range(i + 1, self.n)
-            if not self._trivial(i, j)
-        ]
+        self.atom_count = self.n * self.n
+        # The reversal pairs i < j in row order.  Pairs (0, n-1), (0, n-2) and
+        # (1, n-1) reverse the whole cycle or all but one city, which leaves
+        # the cyclic tour unchanged, so they are left out.
+        i, j = np.triu_indices(self.n, 1)
+        trivial = ((i == 0) & (j >= self.n - 2)) | ((i == 1) & (j == self.n - 1))
+        self._i, self._j = i[~trivial], j[~trivial]
 
     @classmethod
     def from_coords(cls, coords, name: str = "tsp") -> "TspInstance":
@@ -95,40 +93,39 @@ class TspInstance(Problem):
     def random_solution(self, rng) -> np.ndarray:
         return rng.permutation(self.n)
 
-    # Pairs (0, n-1), (0, n-2) and (1, n-1) reverse the whole cycle or all
-    # but one city, which leaves the cyclic tour unchanged.
-    def _trivial(self, i: int, j: int) -> bool:
-        n = self.n
-        return (i, j) in ((0, n - 1), (0, n - 2), (1, n - 1))
+    def _atom(self, a, b):
+        return np.minimum(a, b) * self.n + np.maximum(a, b)
 
-    def _move(self, tour: np.ndarray, i: int, j: int) -> Move:
-        n = self.n
-        before = _edge(int(tour[(i - 1) % n]), int(tour[i]))
-        after = _edge(int(tour[j]), int(tour[(j + 1) % n]))
-        made_1 = _edge(int(tour[(i - 1) % n]), int(tour[j]))
-        made_2 = _edge(int(tour[i]), int(tour[(j + 1) % n]))
-        broken = tuple(dict.fromkeys((before, after)))
-        made = tuple(dict.fromkeys((made_1, made_2)))
-        return Move(attributes=broken, reverse_attributes=made, label=(i, j))
-
-    def neighbors(self, solution) -> list:
+    def neighbors(self, solution) -> Neighborhood:
+        """Every non-trivial reversal, in (i, j) row order, costed as `cost` does."""
         tour = np.asarray(solution)
-        return [
-            (two_opt(tour, i, j), self._move(tour, i, j)) for i, j in self._pairs
-        ]
+        i, j, n = self._i, self._j, self.n
+        p = np.arange(n)
+        inside = (i[:, None] <= p) & (p <= j[:, None])
+        rows = tour[np.where(inside, (i + j)[:, None] - p, p)]
+        d = self.d
+        costs = d[rows[:, :-1], rows[:, 1:]].sum(axis=1) + d[rows[:, -1], rows[:, 0]]
+        before, first, last, after = tour[(i - 1) % n], tour[i], tour[j], tour[(j + 1) % n]
+        atom = self._atom
+        return Neighborhood(
+            solutions=rows,
+            costs=costs.tolist(),
+            broken=np.stack((atom(before, first), atom(last, after)), axis=1),
+            made=np.stack((atom(before, last), atom(first, after)), axis=1),
+            label=lambda k: (int(i[k]), int(j[k])),
+        )
 
     def sample_neighbor(self, solution, rng):
-        if not self._pairs:
+        if not self._i.size:
             return np.array(solution)  # 1-3 cities: every reversal is the same cyclic tour
-        i, j = self._pairs[int(rng.integers(len(self._pairs)))]
-        return two_opt(solution, i, j)
+        k = int(rng.integers(self._i.size))
+        return two_opt(solution, int(self._i[k]), int(self._j[k]))
 
-    def solution_attributes(self, solution) -> frozenset:
+    def solution_attributes(self, solution) -> np.ndarray:
         if self.n < 2:
-            return frozenset()
+            return np.empty(0, dtype=np.intp)
         tour = np.asarray(solution)
-        pairs = [_edge(int(tour[k]), int(tour[(k + 1) % self.n])) for k in range(self.n)]
-        return frozenset(pairs)
+        return np.unique(self._atom(tour, np.roll(tour, -1)))
 
 
 def two_opt(tour, i: int, j: int) -> np.ndarray:

@@ -2,27 +2,30 @@
 
 Every iteration evaluates the full neighborhood, picks the admissible
 move with the lowest penalized cost, applies it even when it is uphill,
-and forbids the chosen move's reverse attributes for the next `tenure`
+and forbids the chosen move's made atoms for the next `tenure`
 iterations.  A tabu move becomes admissible again if it would beat the
 best cost visited so far ("best_so_far" aspiration).  When all moves are
 tabu and none aspires, the search halts.
 
-An entry pushed after selection h is live for selections h+1 .. h+tenure;
-the list is purged after every step, so it never holds attributes older
-than `tenure` iterations.
+Memories are arrays indexed by the problem's integer atom ids (see
+`Neighborhood`).  The tabu list holds one expiry per atom: an atom
+pushed after selection h is live for selections h+1 .. h+tenure, and a
+move is tabu while any atom it breaks is live.
 
-Long-term memory is optional: a frequency table over chosen move
-attributes feeds a diversification penalty (weight times the attribute's
-use frequency), and a small elite pool feeds an intensification bonus
-(weight times the fraction of elites sharing the attributes a move would
-create).  Both weights default to 0, which reduces the penalized cost to
-the raw cost.
+Long-term memory is optional: a frequency count per atom over chosen
+moves feeds a diversification penalty (weight times the mean use
+frequency of the atoms a move breaks), and a small elite pool, counted
+per atom, feeds an intensification bonus (weight times the mean
+fraction of elites holding the atoms a move makes).  Both weights
+default to 0, which reduces the penalized cost to the raw cost.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from copy import copy
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import Budget, NoNeighborError, Run, RunRecord, ValidationError
 
@@ -47,96 +50,95 @@ class TabuConfig:
 
 
 class TabuList:
-    """Attribute -> expiry map; an atom is tabu at selection k while k <= expiry."""
+    """Expiry per atom id; an atom is tabu at selection k while k <= its expiry.
 
-    def __init__(self, tenure: int):
+    The array has one slot more than the atom space.  That slot is never
+    set, so the -1 that pads a move's atoms reads as free.
+    """
+
+    def __init__(self, tenure: int, atom_count: int):
         if tenure < 0:
             raise ValidationError("tenure must be >= 0")
         self.tenure = tenure
-        self._expiry: dict = {}
+        self.expiry = np.zeros(atom_count + 1, dtype=np.intp)
 
-    def push(self, attributes, k: int):
+    def push(self, atoms: np.ndarray, k: int):
         if self.tenure == 0:
             return
-        for atom in attributes:
-            self._expiry[atom] = k + self.tenure
+        self.expiry[atoms[atoms >= 0]] = k + self.tenure
 
-    def is_tabu(self, atom, k: int) -> bool:
-        return self._expiry.get(atom, 0) >= k
-
-    def move_is_tabu(self, move, k: int) -> bool:
-        return any(self.is_tabu(a, k) for a in move.attributes)
-
-    def purge(self, k: int):
-        """Drop entries that can no longer matter (expiry <= k)."""
-        self._expiry = {a: e for a, e in self._expiry.items() if e > k}
-
-    def __len__(self) -> int:
-        return len(self._expiry)
+    def blocks(self, atoms: np.ndarray, k: int) -> np.ndarray:
+        """Per row of atom ids: is any of them tabu at selection k?"""
+        return (self.expiry[atoms] >= k).any(axis=1)
 
 
 class SearchMemory:
-    """Frequency table plus elite pool backing the f-tilde penalty terms."""
+    """Per-atom frequency and elite counts backing the f-tilde penalty terms."""
 
     def __init__(self, problem, cfg: TabuConfig):
         self.problem = problem
         self.cfg = cfg
-        self.frequency: Counter = Counter()
+        self.frequency = np.zeros(problem.atom_count + 1, dtype=np.intp)
+        self.in_elite = np.zeros(problem.atom_count + 1, dtype=np.intp)
         self.iterations = 0
-        self.elite: list[tuple[float, object, frozenset]] = []  # (cost, frozen, atoms)
+        self.elite: list[tuple[float, object, np.ndarray]] = []  # (cost, frozen, atoms)
 
-    def penalty(self, move) -> float:
-        term = 0.0
-        if self.cfg.diversification_weight > 0 and self.iterations > 0 and move.attributes:
-            used = sum(self.frequency[a] for a in move.attributes) / len(move.attributes)
-            term += self.cfg.diversification_weight * used / self.iterations
-        if self.cfg.intensification_weight > 0 and self.elite and move.reverse_attributes:
-            overlap = sum(
-                sum(1 for _, _, atoms in self.elite if a in atoms) / len(self.elite)
-                for a in move.reverse_attributes
-            ) / len(move.reverse_attributes)
-            term -= self.cfg.intensification_weight * overlap
+    def penalty(self, broken: np.ndarray, made: np.ndarray) -> np.ndarray:
+        """Penalty per move, in the float operations of one move at a time."""
+        term = np.zeros(len(broken))
+        if self.cfg.diversification_weight > 0 and self.iterations > 0:
+            used = self.frequency[broken].sum(axis=1) / (broken >= 0).sum(axis=1)
+            term = self.cfg.diversification_weight * used / self.iterations
+        if self.cfg.intensification_weight > 0 and self.elite:
+            share = self.in_elite[made] / len(self.elite)
+            overlap = share[:, 0]
+            for column in range(1, made.shape[1]):
+                overlap = overlap + share[:, column]  # padding adds 0.0: exact
+            overlap = overlap / (made >= 0).sum(axis=1)
+            term = term - self.cfg.intensification_weight * overlap
         return term
 
-    def update(self, move, solution, cost: float):
+    def update(self, broken: np.ndarray, solution, cost: float):
         self.iterations += 1
-        for atom in move.attributes:
-            self.frequency[atom] += 1
+        np.add.at(self.frequency, broken[broken >= 0], 1)
         frozen = self.problem.freeze(solution)
         if any(entry[1] == frozen for entry in self.elite):
             return
-        self.elite.append((cost, frozen, self.problem.solution_attributes(solution)))
+        atoms = self.problem.solution_attributes(solution)
+        self.elite.append((cost, frozen, atoms))
+        self.in_elite[atoms] += 1
         self.elite.sort(key=lambda entry: entry[0])
+        for _, _, dropped in self.elite[self.cfg.elite_size :]:
+            self.in_elite[dropped] -= 1
         del self.elite[self.cfg.elite_size :]
 
 
 def select_best_admissible(
-    neighbors,
+    hood,
+    evaluated: int,
     tabu: TabuList,
     best_so_far: float,
     cfg: TabuConfig,
     k: int = 1,
     memory: SearchMemory | None = None,
-):
-    """Lowest penalized cost among admissible (solution, move, cost) triples.
+) -> int | None:
+    """Index of the lowest penalized cost among the first `evaluated` moves.
 
-    Returns the winning triple, or None when nothing is admissible (the
-    caller halts).  Ties keep the earliest candidate.
+    A move is admissible unless tabu at selection k and not aspiring.
+    Returns None when nothing is admissible (the caller halts).  Ties
+    keep the earliest move.
     """
-    if not neighbors:
+    if evaluated == 0:
         raise NoNeighborError("cannot select from an empty neighborhood")
-    best = None
-    best_score = float("inf")
-    for entry in neighbors:
-        _, move, cost = entry
-        if tabu.move_is_tabu(move, k):
-            aspires = cfg.aspiration == "best_so_far" and cost < best_so_far
-            if not aspires:
-                continue
-        score = cost + (memory.penalty(move) if memory is not None else 0.0)
-        if score < best_score:
-            best, best_score = entry, score
-    return best
+    costs = np.array(hood.costs[:evaluated])
+    broken, made = hood.broken[:evaluated], hood.made[:evaluated]
+    blocked = tabu.blocks(broken, k)
+    if cfg.aspiration == "best_so_far":
+        blocked &= ~(costs < best_so_far)
+    scores = costs if memory is None else costs + memory.penalty(broken, made)
+    scores = np.where(blocked, np.inf, scores)
+    best = int(np.argmin(scores))
+    return best if scores[best] < np.inf else None
 
 
 def tabu_search(
@@ -155,7 +157,7 @@ def tabu_search(
     best_visited = f_current
     visited = [f_current]
     chosen_moves = []
-    tabu = TabuList(cfg.tenure)
+    tabu = TabuList(cfg.tenure, problem.atom_count)
     memory = (
         SearchMemory(problem, cfg)
         if cfg.intensification_weight > 0 or cfg.diversification_weight > 0
@@ -165,33 +167,25 @@ def tabu_search(
     status = None
 
     while not run.finished:
-        neighborhood = problem.neighbors(current)
-        if not neighborhood:
-            status = "no_neighbors" if k > 0 else None
+        hood = problem.neighbors(current)
+        if not len(hood):
             if k == 0:
                 raise NoNeighborError("start solution has an empty neighborhood")
+            status = "no_neighbors"
             break
-        candidates = []
-        for solution, move in neighborhood:
-            if run.finished:
-                break
-            candidates.append((solution, move, run.evaluate(solution)))
-        if not candidates:
-            break
+        evaluated = run.evaluate_neighborhood(hood)
         k += 1
-        selected = select_best_admissible(candidates, tabu, best_visited, cfg, k, memory)
-        if selected is None:
+        chosen = select_best_admissible(hood, evaluated, tabu, best_visited, cfg, k, memory)
+        if chosen is None:
             status = "no_admissible"
             break
-        solution, move, cost = selected
-        current, f_current = solution, cost
-        visited.append(cost)
-        chosen_moves.append(move.label)
-        best_visited = min(best_visited, cost)
-        tabu.push(move.reverse_attributes, k)
-        tabu.purge(k)
+        current, f_current = copy(hood.solutions[chosen]), hood.costs[chosen]
+        visited.append(f_current)
+        chosen_moves.append(hood.label(chosen))
+        best_visited = min(best_visited, f_current)
+        tabu.push(hood.made[chosen], k)
         if memory is not None:
-            memory.update(move, solution, cost)
+            memory.update(hood.broken[chosen], current, f_current)
 
     extras = {"visited": visited, "moves": chosen_moves, "iterations": k}
     return run.record(status, extras=extras)

@@ -3,11 +3,14 @@ import dataclasses
 import functools
 import inspect
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from conftest import EXPERIMENTS, FIXTURES
+from conftest import EXPERIMENTS, FIXTURES, REPO
 from stochopt import (
     Budget,
     CoolingSchedule,
@@ -327,13 +330,24 @@ def test_config_from_file_labels_and_anchoring(tmp_path, monkeypatch):
     nested = tmp_path / "configs" / "deep"
     nested.mkdir(parents=True)
     cfg_path = nested / "tri_random.json"
-    cfg_path.write_text(json.dumps({"instance": "tri.tsp", "algorithm": "random"}))
+    cfg_path.write_text(json.dumps({"instance": "../../tri.tsp", "algorithm": "random"}))
 
     monkeypatch.chdir(tmp_path / "configs")  # instance not visible from cwd
     cfg = ExperimentConfig.from_file(cfg_path)
     assert cfg.label == "tri_random"  # file stem fills the default label
-    assert cfg.instance == str(tmp_path / "tri.tsp")
-    load_instance(cfg.instance)
+    assert cfg.instance == str(nested / "../../tri.tsp")  # read from the config's directory
+    assert load_instance(cfg.instance).n == 3
+
+    # a same-named file in an ancestor of the config's directory is not found
+    stray = nested / "stray.json"
+    stray.write_text(json.dumps({"instance": "tri.tsp", "algorithm": "random"}))
+    assert ExperimentConfig.from_file(stray).instance == "tri.tsp"
+    with pytest.raises(OSError):
+        load_instance("tri.tsp")
+    # one that resolves from the working directory still wins
+    monkeypatch.chdir(tmp_path)
+    assert ExperimentConfig.from_file(stray).instance == "tri.tsp"
+    assert load_instance("tri.tsp").n == 3
 
     labeled = nested / "named.json"
     labeled.write_text(
@@ -650,3 +664,17 @@ def test_main_plot_subcommand(tmp_path, capsys):
                "--out", str(dest)])
     assert rc == 0
     assert dest.read_text().startswith("# best-so-far")
+
+
+def test_the_package_runs_as_a_module():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "stochopt", "project", "--class", "tsp", "--n", "10"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0
+    assert done.stderr == ""
+    assert done.stdout.startswith("operations: 181440\n")

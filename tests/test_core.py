@@ -17,7 +17,7 @@ from stochopt import (
     Budget,
     BudgetExhaustedError,
     ContinuousLandscape,
-    Move,
+    Neighborhood,
     NoNeighborError,
     Problem,
     Run,
@@ -78,10 +78,14 @@ def test_budget_rejects_zero_evaluations():
     assert Budget(5).target_fitness is None
 
 
-def test_move_is_frozen():
-    m = Move(attributes=(1, 2), reverse_attributes=(2, 1), label="swap")
+def test_neighborhood_is_frozen():
+    atoms = np.array([[1, 2]])
+    hood = Neighborhood(
+        solutions=[7], costs=[3.0], broken=atoms, made=atoms, label=lambda k: "swap"
+    )
+    assert len(hood) == 1 and hood.label(0) == "swap"
     with pytest.raises(AttributeError):
-        m.label = "other"
+        hood.costs = [4.0]
 
 
 class _Countdown(Problem):
@@ -125,6 +129,13 @@ def test_run_refuses_an_improvement_whose_cost_disagrees_with_evaluate():
         run.evaluate(1)
     assert run.best_solution is None
     assert run.best_curve == []
+    # a precomputed value is held to the same check, and skips `cost`
+    run = Run(_Countdown(), Budget(5), seed=0, algorithm="probe")
+    assert run.evaluate(4, value=6.0) == 6.0
+    assert run.evaluate(3, value=100.0) == 100.0  # no improvement: taken as given
+    with pytest.raises(ValidationError, match=r"cost 5\.5 .* evaluation 5\.0"):
+        run.evaluate(5, value=5.5)
+    assert run.best_curve == [(1, 6.0)]
 
 
 @pytest.mark.parametrize("search", [
@@ -267,12 +278,12 @@ def test_neighbors_are_valid_by_construction(kind, n, seed, steps):
         for _ in range(steps):
             check(aco._build_tour(problem, tau, cfg, rng))
     for _ in range(steps):
-        hood = [] if kind == "continuous" else problem.neighbors(current)
-        for neighbor, _ in hood:
+        hood = [] if kind == "continuous" else problem.neighbors(current).solutions
+        for neighbor in hood:
             check(neighbor)
         try:
             current = problem.sample_neighbor(current, rng)
         except NoNeighborError:
-            assert not hood
+            assert len(hood) == 0
             return
         check(current)

@@ -118,13 +118,13 @@ def test_neighbors_cover_relocations_and_swaps():
     inst = BinPackingInstance([0.3, 0.3, 0.3])
     a = np.array([0, 0, 1])
     hood = inst.neighbors(a)
-    kinds = {move.label[0] for _, move in hood}
-    assert kinds == {"relocate", "swap"}
-    for neighbor, _ in hood:
+    labels = [hood.label(k) for k in range(len(hood))]
+    assert {label[0] for label in labels} == {"relocate", "swap"}
+    for neighbor in hood.solutions:
         assert neighbor.tolist() != a.tolist()
         inst.validate(neighbor)
     # relocations may open exactly one fresh bin
-    targets = {move.label[3] for _, move in hood if move.label[0] == "relocate"}
+    targets = {label[3] for label in labels if label[0] == "relocate"}
     assert targets == {0, 1, 2}
 
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from stochopt import (
@@ -20,15 +21,16 @@ def test_cube_costs_by_coordinates(cube):
 
 
 def test_cube_moves_are_axis_flips_in_xyz_order(cube):
-    hood = cube.neighbors(cube_state(1, 0, 0))
-    assert [move.label for _, move in hood] == ["x-", "y+", "z+"]
-    assert [cube.evaluate(s) for s, _ in hood] == [15.0, 12.0, 8.0]
-    # each move's reverse undoes it
-    for state, move in hood:
-        back = dict(
-            (m.label, s) for s, m in cube.neighbors(state)
-        )[move.reverse_attributes[0]]
-        assert back == cube_state(1, 0, 0)
+    start = cube_state(1, 0, 0)
+    hood = cube.neighbors(start)
+    assert [hood.label(k) for k in range(len(hood))] == ["x-", "y+", "z+"]
+    assert [cube.evaluate(s) for s in hood.solutions] == [15.0, 12.0, 8.0]
+    assert hood.costs == [15.0, 12.0, 8.0]
+    # each move's made atom is what its reverse breaks, and the reverse undoes it
+    for state, made in zip(hood.solutions, hood.made[:, 0]):
+        back = cube.neighbors(state)
+        (k,) = np.flatnonzero(back.broken[:, 0] == made)
+        assert back.solutions[k] == start
 
 
 def test_every_vertex_has_three_neighbors(cube):
@@ -49,15 +51,24 @@ def test_isolated_state_has_no_sampled_neighbor():
     lonely = TabletopInstance([1.0, 2.0], edges=[])
     with pytest.raises(NoNeighborError):
         lonely.sample_neighbor(0, seeded_rng(0))
-    assert lonely.neighbors(0) == []
+    assert len(lonely.neighbors(0)) == 0
 
 
 def test_unlabeled_edges_use_ordered_pairs():
     inst = TabletopInstance([1.0, 2.0], edges=[(0, 1)])
-    (state, move), = inst.neighbors(0)
-    assert state == 1
-    assert move.label == (0, 1)
-    assert move.reverse_attributes == ((1, 0),)
+    hood, back = inst.neighbors(0), inst.neighbors(1)
+    assert hood.solutions == [1]
+    assert hood.label(0) == (0, 1)
+    assert back.label(0) == (1, 0)
+    assert hood.made[0, 0] == back.broken[0, 0] != hood.broken[0, 0]
+
+
+def test_label_atoms_and_state_atoms_never_meet(cube):
+    labels = {int(a) for s in range(8) for a in cube.neighbors(s).broken[:, 0]}
+    states = {int(a) for s in range(8) for a in cube.solution_attributes(s)}
+    assert len(labels) == 6 and len(states) == 8
+    assert labels.isdisjoint(states)
+    assert max(labels | states) < cube.atom_count
 
 
 def test_edge_validation():

@@ -83,25 +83,28 @@ def test_neighborhood_excludes_whole_cycle_reversals(eight):
     # all i < j pairs minus the three slices whose reversal leaves the
     # cyclic tour unchanged
     assert len(hood) == 8 * 7 // 2 - 3
-    labels = {move.label for _, move in hood}
+    labels = [hood.label(k) for k in range(len(hood))]
     assert {(0, 7), (0, 6), (1, 7)}.isdisjoint(labels)
     base = eight.evaluate(tour)
-    for neighbor, move in hood:
+    for neighbor, (i, j) in zip(hood.solutions, labels):
         assert sorted(neighbor.tolist()) == list(range(8))
-        i, j = move.label
         assert neighbor.tolist() == two_opt(tour, i, j).tolist()
     # every retained reversal changes the cyclic tour's length here
-    changed = [n for n, _ in hood if eight.evaluate(n) != base]
+    changed = [n for n in hood.solutions if eight.evaluate(n) != base]
     assert len(changed) == len(hood)
+
+
+def _edges(atoms, n):
+    return {divmod(int(a), n) for a in atoms if a >= 0}
 
 
 def test_move_attributes_are_broken_and_made_edges(eight):
     tour = np.arange(8)
-    hood = dict((move.label, move) for _, move in eight.neighbors(tour))
-    move = hood[(2, 5)]
+    hood = eight.neighbors(tour)
+    k = [hood.label(k) for k in range(len(hood))].index((2, 5))
     # reversing 2..5 breaks edges (1,2) and (5,6), creates (1,5) and (2,6)
-    assert set(move.attributes) == {(1, 2), (5, 6)}
-    assert set(move.reverse_attributes) == {(1, 5), (2, 6)}
+    assert _edges(hood.broken[k], 8) == {(1, 2), (5, 6)}
+    assert _edges(hood.made[k], 8) == {(1, 5), (2, 6)}
 
 
 def test_sample_neighbor_is_seed_stable(eight):
@@ -159,6 +162,9 @@ def test_two_route_instance_has_one_short_cycle():
 
 def test_solution_attributes_are_undirected_edges(eight):
     atoms = eight.solution_attributes(np.arange(8))
-    assert (0, 1) in atoms
-    assert (0, 7) in atoms  # closing edge, ordered low-high
-    assert len(atoms) == 8
+    edges = _edges(atoms, 8)
+    assert (0, 1) in edges
+    assert (0, 7) in edges  # closing edge, ordered low-high
+    assert len(atoms) == len(edges) == 8
+    # the same cycle read backwards is made of the same atoms
+    assert eight.solution_attributes(np.arange(8)[::-1]).tolist() == atoms.tolist()
