@@ -43,8 +43,10 @@ print("cost energy / weight           :", cost_energy(np.eye(5), inst.d, p.d) / 
 print("tour length of that assignment :", inst.evaluate(order))
 
 # Wiring the penalties into weights and thresholds gives a network whose
-# energy can only fall under asynchronous updates.
-net = build_weights(inst, p)
+# energy can only fall under asynchronous updates.  `build_weights` keeps
+# only the distances and coefficients, which is all its fields need;
+# `dense()` spells out the (n^2, n^2) weight matrix they stand for.
+net = build_weights(inst, p).dense()
 net.state = (seeded_rng(7).random(net.size) < 0.5).astype(float)
 energies = [network_energy(net)]
 while not is_fixed_point(net):

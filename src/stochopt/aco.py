@@ -9,7 +9,9 @@ length.  The score is a weighted SUM,
 
 (the classical product tau^a * eta^b is available as rule="product",
 with w_tau and w_eta as the exponents a and b).  The trail is a plain
-(n, n) array.
+(n, n) array.  The distance half of the score, eta = w_eta / d for the
+sum rule and (1 / d) ** w_eta for the product rule, never changes
+during a run, so it is computed once per run as an (n, n) array.
 Every edge an ant picks receives a small constant deposit immediately;
 after the iteration all trails evaporate by rho and the iteration-best
 tour's edges gain q / tour_length.  Entries live in [tau_min, tau_max],
@@ -72,10 +74,15 @@ class AcoConfig:
             raise ValidationError(f"rule must be one of {RULES}")
 
 
-def _resolved(cfg: AcoConfig, inst) -> AcoConfig:
-    """Fill the run-dependent defaults, after refusing distances the scores cannot take."""
+def _resolved(cfg: AcoConfig, inst) -> tuple[AcoConfig, np.ndarray]:
+    """The config with its run-dependent defaults filled, and the run's eta matrix.
+
+    Distances the scores cannot take are refused first.  eta is 0 on the
+    diagonal, which is never scored.
+    """
     n = inst.n
-    off = inst.d[~np.eye(n, dtype=bool)]
+    off_diagonal = ~np.eye(n, dtype=bool)
+    off = inst.d[off_diagonal]
     if np.any(off <= 0):
         raise ValidationError("distinct cities at distance 0 break the inverse-distance term")
     updates = {}
@@ -86,27 +93,27 @@ def _resolved(cfg: AcoConfig, inst) -> AcoConfig:
     elif cfg.w_eta is None:
         # one city has no edge to average and is never scored; any positive weight will do
         updates["w_eta"] = 2.0 * float(off.mean()) if off.size else 2.0
-    return replace(cfg, **updates) if updates else cfg
+    cfg = replace(cfg, **updates) if updates else cfg
+    eta = np.zeros((n, n))
+    eta[off_diagonal] = (1.0 / off) ** cfg.w_eta if cfg.rule == "product" else cfg.w_eta / off
+    return cfg, eta
 
 
-def edge_desirability(tau_xy, d_xy, cfg: AcoConfig):
-    """Score of one edge, or elementwise of arrays of trails and lengths.
-
-    Distances must be positive; `aco_run` checks that once per run.
-    """
+def edge_desirability(tau_xy, eta_xy, cfg: AcoConfig):
+    """Score of one edge, or elementwise of arrays of trails and eta values."""
     if cfg.rule == "product":
-        return tau_xy**cfg.w_tau * (1.0 / d_xy) ** cfg.w_eta
-    return cfg.w_tau * tau_xy + cfg.w_eta / d_xy
+        return tau_xy**cfg.w_tau * eta_xy
+    return cfg.w_tau * tau_xy + eta_xy
 
 
-def choose_next_city(current: int, visited, tau, inst, cfg: AcoConfig, rng) -> int:
+def choose_next_city(current: int, visited, tau, eta, cfg: AcoConfig, rng) -> int:
     """Roulette-wheel draw of an unvisited city (`visited` is a boolean mask)."""
     candidates = np.flatnonzero(~visited)
     if candidates.size == 0:
         raise ValidationError("no unvisited city to move to")
     if candidates.size == 1:
         return int(candidates[0])
-    scores = edge_desirability(tau[current, candidates], inst.d[current, candidates], cfg)
+    scores = edge_desirability(tau[current, candidates], eta[current, candidates], cfg)
     total = scores.sum()
     if total <= 0:
         log.warning("all desirabilities zero; falling back to a uniform choice")
@@ -138,16 +145,16 @@ def global_update(tau, best_tour, tour_length: float, cfg: AcoConfig) -> None:
     np.clip(tau, cfg.tau_min, cfg.tau_max, out=tau)
 
 
-def _build_tour(inst, tau, cfg: AcoConfig, rng) -> np.ndarray:
+def _build_tour(tau, eta, cfg: AcoConfig, rng) -> np.ndarray:
     """One ant's tour as an `intp` permutation, the form `TspInstance.cost` takes."""
-    n = inst.n
+    n = len(tau)
     current = int(rng.integers(n))
     visited = np.zeros(n, dtype=bool)
     visited[current] = True
     tour = np.empty(n, dtype=np.intp)
     tour[0] = current
     for k in range(1, n):
-        city = choose_next_city(current, visited, tau, inst, cfg, rng)
+        city = choose_next_city(current, visited, tau, eta, cfg, rng)
         local_update(tau, (current, city), cfg)
         visited[city] = True
         tour[k] = city
@@ -168,7 +175,7 @@ def aco_run(
     """
     if not hasattr(problem, "d"):
         raise ValidationError("ant runs need a distance-matrix instance")
-    cfg = _resolved(cfg or AcoConfig(), problem)
+    cfg, eta = _resolved(cfg or AcoConfig(), problem)
     run = Run(problem, budget, seed, "aco")
     tau = np.full((problem.n, problem.n), float(cfg.tau0))
     streams = split_streams(run.rng, cfg.ants)
@@ -179,7 +186,7 @@ def aco_run(
             best_len = float("inf")
             best_tour = None
             for stream in streams:
-                tour = _build_tour(problem, tau, cfg, stream)
+                tour = _build_tour(tau, eta, cfg, stream)
                 cost = run.evaluate(tour)
                 if cost < best_len:
                     best_len = cost

@@ -96,13 +96,19 @@ def _anchor_instance(desc, base: Path):
 
 
 def _number(kind: type, value, what: str):
-    """kind(value) for a finite number read from a config, or a ValidationError naming `what`."""
+    """kind(value) for a finite number read from a config, or a ValidationError naming `what`.
+
+    An int takes whole numbers only: 3.0 reads as 3, and 2.5 is refused
+    rather than truncated.
+    """
     try:
         number = kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"{what} cannot be read as {kind.__name__}: {value!r}") from None
     if not math.isfinite(number):
         raise ValidationError(f"{what} must be finite, got {value!r}")
+    if kind is int and isinstance(value, float) and number != value:
+        raise ValidationError(f"{what} must be a whole number, got {value!r}")
     return number
 
 
@@ -356,8 +362,17 @@ def _cast(what: str, default, value):
 
 
 def _hopfield_solve(problem, budget, seed, p, max_steps=None, restarts=None):
-    """`hopfield_solve` under the common call; restarts default to the budget."""
-    restarts = budget.max_evaluations if restarts is None else int(restarts)
+    """`hopfield_solve` under the common call; restarts default to the budget.
+
+    Counts given as whole floats (3.0) are read as ints; `hopfield_solve`
+    checks that they are at least 1.
+    """
+    if restarts is None:
+        restarts = budget.max_evaluations
+    else:
+        restarts = _number(int, restarts, "hopfield setting 'restarts'")
+    if max_steps is not None:
+        max_steps = _number(int, max_steps, "hopfield setting 'max_steps'")
     return hopfield_solve(problem, p, max_steps=max_steps, restarts=restarts, seed=seed)
 
 

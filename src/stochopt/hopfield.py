@@ -38,11 +38,32 @@ so the uniform threshold theta = -(C(2n-1)/2), a constant positive
 drive, makes E equal the penalty plus tour-length energy minus the
 constant C n^2/2 on every binary state.  Without that drive the
 all-negative weights would switch every neuron off.
+
+The weights never need to be stored.  Summing w over the neurons (y, j)
+other than (x, i), each term of the weight formula collapses onto a
+sum of V:
+
+    h(x,i) = sum_{(y,j) != (x,i)} w V[y][j] - theta
+           = -A (r[x] - v) - B (c[i] - v) - C (S - v)
+             - D d[x] . (V[:, i+1] + V[:, i-1]) - theta
+
+with v = V[x][i], r and c the row and column sums of V and S its
+total.  The "- v" removes the neuron itself from its own row, column
+and total; the distance term needs no such correction because positions
+i +- 1 never equal i (for n = 2 both name the other position, and it
+counts twice, as in the weights).  r, c and S are exact small integers.
+`TankNet` evaluates this field from the state alone: O(n^2) memory, and
+per asynchronous step an n-entry dot product, a row, a column and the
+n^2-entry total.  All fields at once cost one O(n^3) product,
+d @ (roll(V, -1, 1) + roll(V, 1, 1)), and the energy follows from them,
+since W s = h + theta.  `TankNet.dense()` builds the (n^2)^2 matrix
+itself, as a reference for small n.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -61,8 +82,13 @@ class TankParams:
     d: float = 500.0
 
     def __post_init__(self):
-        if min(self.a, self.b, self.c, self.d) < 0:
-            raise ValidationError("penalty coefficients must be non-negative")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValidationError(
+                    f"penalty coefficient {f.name!r} must be finite and non-negative, "
+                    f"got {value!r}"
+                )
 
 
 @dataclass
@@ -91,6 +117,111 @@ class HopfieldNet:
     @property
     def size(self) -> int:
         return self.weights.shape[0]
+
+    def field(self, i: int) -> float:
+        """Input of neuron i less its threshold: w[:, i] @ s - theta_i."""
+        return float(self.weights[:, i] @ self.state) - float(self.thresholds[i])
+
+    def fields(self) -> np.ndarray:
+        """Every neuron's `field` at once."""
+        return self.weights @ self.state - self.thresholds
+
+
+@dataclass
+class TankNet:
+    """The Tank network of a tour instance, held as its distances and coefficients.
+
+    It has `HopfieldNet`'s `size`, `state`, `thresholds`, `field` and
+    `fields`, computed from the structured field in the module
+    docstring.  Row, column and total sums are read from `state` on
+    every call, so `state` may be replaced at any time.
+    """
+
+    d: np.ndarray
+    p: TankParams
+    state: np.ndarray = field(default=None)  # type: ignore[assignment]
+
+    def __post_init__(self):
+        d = np.asarray(self.d, dtype=float)
+        if d.ndim != 2 or d.shape[0] != d.shape[1]:
+            raise ValidationError("distance matrix must be square")
+        if d.shape[0] < 2:
+            raise ValidationError("the tour encoding needs at least two cities")
+        self.d = d
+        if self.state is None:
+            self.state = np.zeros(self.size)
+        else:
+            self.state = _validate_state(self.state, self.size)
+
+    @property
+    def size(self) -> int:
+        return self.d.shape[0] ** 2
+
+    @property
+    def theta(self) -> float:
+        return -self.p.c * (2 * self.d.shape[0] - 1) / 2.0
+
+    @property
+    def thresholds(self) -> np.ndarray:
+        return np.full(self.size, self.theta)
+
+    def field(self, k: int) -> float:
+        n = self.d.shape[0]
+        x, i = divmod(k, n)
+        v = self.state.reshape(n, n)
+        own = v[x, i]
+        near = self.d[x] @ (v[:, (i + 1) % n] + v[:, i - 1])
+        p = self.p
+        return float(
+            -p.a * (v[x].sum() - own)
+            - p.b * (v[:, i].sum() - own)
+            - p.c * (v.sum() - own)
+            - p.d * near
+            - self.theta
+        )
+
+    def fields(self) -> np.ndarray:
+        n = self.d.shape[0]
+        v = self.state.reshape(n, n)
+        near = self.d @ (np.roll(v, -1, axis=1) + np.roll(v, 1, axis=1))
+        p = self.p
+        h = (
+            -p.a * (v.sum(axis=1, keepdims=True) - v)
+            - p.b * (v.sum(axis=0) - v)
+            - p.c * (v.sum() - v)
+            - p.d * near
+            - self.theta
+        )
+        return h.ravel()
+
+    def dense(self) -> HopfieldNet:
+        """The same network as dense (n^2, n^2) weights; refused above MAX_WEIGHT_BYTES.
+
+        The refusal comes before any allocation.
+        """
+        n = self.d.shape[0]
+        m = n * n
+        need = m * m * np.dtype(float).itemsize
+        if need > MAX_WEIGHT_BYTES:
+            raise ValidationError(
+                f"a {n}-city network needs a {need:,}-byte weight matrix, "
+                f"over the {MAX_WEIGHT_BYTES:,}-byte cap"
+            )
+        city = np.arange(m) // n
+        pos = np.arange(m) % n
+        same_city = city[:, None] == city[None, :]
+        same_pos = pos[:, None] == pos[None, :]
+        gap = (pos[None, :] - pos[:, None]) % n
+        adjacent = (gap == 1).astype(float) + (gap == n - 1).astype(float)
+        p = self.p
+        w = (
+            -p.a * (same_city & ~same_pos)
+            - p.b * (same_pos & ~same_city)
+            - p.c
+            - p.d * self.d[city[:, None], city[None, :]] * adjacent
+        )
+        np.fill_diagonal(w, 0.0)
+        return HopfieldNet(weights=w, thresholds=self.theta, state=self.state.copy())
 
 
 def _validate_state(state, m: int) -> np.ndarray:
@@ -138,50 +269,26 @@ def cost_energy(v, distances, d_coeff: float) -> float:
     return 0.5 * d_coeff * float(off_diag.sum())
 
 
-def build_weights(inst, p: TankParams) -> HopfieldNet:
-    """Dense (n^2, n^2) weights; refused before any allocation above MAX_WEIGHT_BYTES."""
-    n = inst.n
-    if n < 2:
-        raise ValidationError("the tour encoding needs at least two cities")
-    m = n * n
-    need = m * m * np.dtype(float).itemsize
-    if need > MAX_WEIGHT_BYTES:
-        raise ValidationError(
-            f"a {n}-city network needs a {need:,}-byte weight matrix, "
-            f"over the {MAX_WEIGHT_BYTES:,}-byte cap"
-        )
-    city = np.arange(m) // n
-    pos = np.arange(m) % n
-    same_city = city[:, None] == city[None, :]
-    same_pos = pos[:, None] == pos[None, :]
-    gap = (pos[None, :] - pos[:, None]) % n
-    adjacent = (gap == 1).astype(float) + (gap == n - 1).astype(float)
-    w = (
-        -p.a * (same_city & ~same_pos)
-        - p.b * (same_pos & ~same_city)
-        - p.c
-        - p.d * inst.d[city[:, None], city[None, :]] * adjacent
-    )
-    np.fill_diagonal(w, 0.0)
-    theta = -p.c * (2 * n - 1) / 2.0
-    return HopfieldNet(weights=w, thresholds=np.full(m, theta))
+def build_weights(inst, p: TankParams) -> TankNet:
+    """The Tank network of `inst`, stored in O(n^2); `.dense()` gives its weight matrix."""
+    return TankNet(inst.d, p)
 
 
-def network_energy(net: HopfieldNet) -> float:
+def network_energy(net) -> float:
+    """-1/2 s W s + theta . s, with W s read off the fields as h + theta."""
     s = net.state
-    return float(-0.5 * s @ net.weights @ s + net.thresholds @ s)
+    theta = net.thresholds
+    return float(-0.5 * s @ (net.fields() + theta) + theta @ s)
 
 
-def async_step(net: HopfieldNet, rng) -> HopfieldNet:
+def async_step(net, rng):
     i = int(rng.integers(net.size))
-    h = float(net.weights[:, i] @ net.state) - float(net.thresholds[i])
-    net.state[i] = 1.0 if h >= 0 else 0.0
+    net.state[i] = 1.0 if net.field(i) >= 0 else 0.0
     return net
 
 
-def is_fixed_point(net: HopfieldNet) -> bool:
-    h = net.weights @ net.state - net.thresholds
-    desired = (h >= 0).astype(float)
+def is_fixed_point(net) -> bool:
+    desired = (net.fields() >= 0).astype(float)
     return bool(np.array_equal(desired, net.state))
 
 
@@ -191,6 +298,10 @@ def decode_tour(v):
     if not (np.all(m.sum(axis=0) == 1.0) and np.all(m.sum(axis=1) == 1.0)):
         return None
     return np.argmax(m, axis=0).astype(np.intp)
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
 
 
 def hopfield_solve(
@@ -205,11 +316,14 @@ def hopfield_solve(
     Each restart runs the asynchronous dynamics until a full sweep would
     change nothing, or until `max_steps` single-neuron updates (default
     100 sweeps).  Evaluations count decoded valid tours, one per valid
-    restart; the valid fraction lands in the record extras.
+    restart; the valid fraction lands in the record extras.  The network
+    is a `TankNet`: O(n^2) memory, with no cap on n.
     """
     p = p or TankParams()
-    if restarts < 1:
-        raise ValidationError("need at least one restart")
+    if max_steps is not None and not _is_count(max_steps):
+        raise ValidationError(f"'max_steps' must be an integer >= 1 or None, got {max_steps!r}")
+    if not _is_count(restarts):
+        raise ValidationError(f"'restarts' must be an integer >= 1, got {restarts!r}")
     net = build_weights(inst, p)
     m = net.size
     if max_steps is None:

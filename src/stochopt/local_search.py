@@ -68,9 +68,11 @@ def hill_climb_steepest(
             best = int(np.argmin(costs))  # first of the lowest: ties go to the lowest index
             if costs[best] < f_current:  # strict
                 current, f_current = copy(hood.solutions[best]), hood.costs[best]
+                del hood  # free it before `neighbors` builds the next one
                 continue
         if evaluated < len(hood):
             break  # budget died mid-enumeration; local optimality unknown
+        del hood
         if restart_on_optimum and not run.finished:
             restarts += 1
             current = problem.random_solution(run.rng)

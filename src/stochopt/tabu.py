@@ -186,6 +186,7 @@ def tabu_search(
         tabu.push(hood.made[chosen], k)
         if memory is not None:
             memory.update(hood.broken[chosen], current, f_current)
+        del hood  # free it before `neighbors` builds the next one
 
     extras = {"visited": visited, "moves": chosen_moves, "iterations": k}
     return run.record(status, extras=extras)

@@ -1,7 +1,6 @@
 import json
 import logging
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -45,12 +44,14 @@ def test_config_validation():
 
 
 def test_edge_desirability_both_rules():
-    added = AcoConfig(w_tau=1.0, w_eta=2.0)
-    assert edge_desirability(2.0, 4.0, added) == 2.0 + 2.0 / 4.0
-    multiplied = AcoConfig(w_tau=2.0, w_eta=3.0, rule="product")
-    assert edge_desirability(2.0, 4.0, multiplied) == pytest.approx(4.0 / 64.0)
-    rows = edge_desirability(np.array([2.0, 1.0]), np.array([4.0, 2.0]), added)
+    inst = TspInstance(np.array([[0.0, 4.0, 2.0], [4.0, 0.0, 1.0], [2.0, 1.0, 0.0]]))
+    added, eta = aco._resolved(AcoConfig(w_tau=1.0, w_eta=2.0), inst)
+    assert edge_desirability(2.0, eta[0, 1], added) == 2.0 + 2.0 / 4.0
+    multiplied, eta_product = aco._resolved(AcoConfig(w_tau=2.0, w_eta=3.0, rule="product"), inst)
+    assert edge_desirability(2.0, eta_product[0, 1], multiplied) == pytest.approx(4.0 / 64.0)
+    rows = edge_desirability(np.array([2.0, 1.0]), eta[0, 1:], added)
     np.testing.assert_array_equal(rows, [2.0 + 2.0 / 4.0, 1.0 + 2.0 / 2.0])
+    assert np.all(np.diag(eta) == 0.0) and np.all(np.diag(eta_product) == 0.0)
 
 
 @pytest.mark.parametrize("rule", ["sum", "product"])
@@ -68,25 +69,22 @@ def test_choose_next_city_follows_the_roulette_wheel():
     cfg = AcoConfig(w_tau=1.0, w_eta=2.0)
     tau = np.full((4, 4), cfg.tau0)
     tau[0] = [1.0, 0.3, 2.0, 0.7]
-    inst = SimpleNamespace(
-        n=4, d=np.array([[0.0, 1.0, 2.0, 4.0]] * 4)
-    )
+    eta = np.array([[0.0, 2.0 / 1.0, 2.0 / 2.0, 2.0 / 4.0]] * 4)  # w_eta / d
 
     scores = np.array([0.3 + 2.0 / 1.0, 2.0 + 2.0 / 2.0, 0.7 + 2.0 / 4.0])
     cum = np.cumsum(scores / scores.sum())
     for seed in range(20):
         draw = seeded_rng(seed).random()
         idx = min(int(np.searchsorted(cum, draw, side="right")), 2)
-        got = choose_next_city(0, _visited(4, 0), tau, inst, cfg, seeded_rng(seed))
+        got = choose_next_city(0, _visited(4, 0), tau, eta, cfg, seeded_rng(seed))
         assert got == [1, 2, 3][idx]
 
 
 def test_single_candidate_skips_the_draw():
     cfg = AcoConfig()
     tau = np.full((3, 3), cfg.tau0)
-    inst = SimpleNamespace(n=3, d=np.ones((3, 3)))
     rng = seeded_rng(7)
-    assert choose_next_city(0, _visited(3, 0, 1), tau, inst, cfg, rng) == 2
+    assert choose_next_city(0, _visited(3, 0, 1), tau, np.ones((3, 3)), cfg, rng) == 2
     # the generator was never consulted
     assert rng.random() == seeded_rng(7).random()
 
@@ -94,11 +92,9 @@ def test_single_candidate_skips_the_draw():
 def test_zero_desirability_falls_back_to_uniform(caplog):
     cfg = AcoConfig(w_tau=0.0, w_eta=1.0)
     tau = np.full((3, 3), cfg.tau0)
-    d = np.full((3, 3), np.inf)
-    np.fill_diagonal(d, 0.0)
-    inst = SimpleNamespace(n=3, d=d)
+    eta = np.zeros((3, 3))  # w_eta / d with every distance infinite
     with caplog.at_level(logging.WARNING, logger="stochopt.aco"):
-        picks = {choose_next_city(0, _visited(3, 0), tau, inst, cfg, seeded_rng(s))
+        picks = {choose_next_city(0, _visited(3, 0), tau, eta, cfg, seeded_rng(s))
                  for s in range(30)}
     assert picks == {1, 2}
     assert any("falling back to a uniform choice" in r.message for r in caplog.records)
@@ -107,9 +103,8 @@ def test_zero_desirability_falls_back_to_uniform(caplog):
 def test_no_candidate_raises():
     cfg = AcoConfig()
     tau = np.full((2, 2), cfg.tau0)
-    inst = SimpleNamespace(n=2, d=np.ones((2, 2)))
     with pytest.raises(ValidationError):
-        choose_next_city(0, _visited(2, 0, 1), tau, inst, cfg, seeded_rng(0))
+        choose_next_city(0, _visited(2, 0, 1), tau, np.ones((2, 2)), cfg, seeded_rng(0))
 
 
 def test_local_update_is_symmetric_and_clamped():
@@ -228,7 +223,7 @@ def test_one_city_resolves_its_defaults_without_warnings(rule):
     inst = TspInstance(np.zeros((1, 1)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        cfg = aco._resolved(AcoConfig(rule=rule), inst)
+        cfg, _ = aco._resolved(AcoConfig(rule=rule), inst)
         rec = aco_run(inst, Budget(3), seed=0, cfg=AcoConfig(rule=rule))
     assert cfg.w_eta > 0
     assert rec.best_solution == (0,)

@@ -256,6 +256,12 @@ _CUBE = {"instance": {"kind": "cube"}, "budget": 10}
                      id="budget-infinite"),
         pytest.param({"algorithm": "pso", "pso": {"vmax": float("nan")}}, "vmax",
                      id="pso-vmax-nan"),
+        pytest.param({"algorithm": "hopfield", "hopfield": {"A": float("nan")}}, "'A'",
+                     id="hopfield-A-nan"),
+        pytest.param({"algorithm": "random", "replicas": 2.5}, "replicas",
+                     id="replicas-fraction"),
+        pytest.param({"algorithm": "tabu", "tabu": {"tenure": 2.5}}, "tenure",
+                     id="tabu-tenure-fraction"),
     ]
     + [
         pytest.param({"algorithm": name, "start": 1}, "start", id=f"{name}-start")
@@ -318,11 +324,15 @@ def test_blocks_reach_entry_points_with_aliases_and_casts(monkeypatch):
     entry("problem", Budget(10), 0, **hop)
     entry, hop = _entry_call({"algorithm": "hopfield", "hopfield": {"restarts": 3.0}})
     entry("problem", Budget(10), 0, **hop)
+    entry, hop = _entry_call({"algorithm": "hopfield", "hopfield": {"max_steps": 100.0}})
+    entry("problem", Budget(10), 0, **hop)
     assert calls == [  # restarts default to the budget
         (("problem", TankParams(a=7.0)), {"max_steps": 5, "restarts": 10, "seed": 0}),
         (("problem", TankParams()), {"max_steps": None, "restarts": 3, "seed": 0}),
+        (("problem", TankParams()), {"max_steps": 100, "restarts": 10, "seed": 0}),
     ]
     assert type(calls[1][1]["restarts"]) is int
+    assert type(calls[2][1]["max_steps"]) is int
 
 
 def test_config_from_file_labels_and_anchoring(tmp_path, monkeypatch):
@@ -562,19 +572,30 @@ def test_main_reports_config_errors(tmp_path, capsys):
     assert main(["run", "--config", str(garbled)]) == 1
 
 
-@pytest.mark.parametrize("key, value", [
-    ("dim", "x"), ("bounds", 5), ("bounds", [1, 2, 3]), ("bounds", ["a", "b"]),
-    ("bounds", [float("nan"), 1.0]), ("neighbor_radius", "x"),
+@pytest.mark.parametrize("raw, key", [
+    ({"instance": {"kind": "continuous", "dim": "x"}}, "dim"),
+    ({"instance": {"kind": "continuous", "bounds": 5}}, "bounds"),
+    ({"instance": {"kind": "continuous", "bounds": [1, 2, 3]}}, "bounds"),
+    ({"instance": {"kind": "continuous", "bounds": ["a", "b"]}}, "bounds"),
+    ({"instance": {"kind": "continuous", "bounds": [float("nan"), 1.0]}}, "bounds"),
+    ({"instance": {"kind": "continuous", "neighbor_radius": "x"}}, "neighbor_radius"),
+] + [
+    ({"instance": "eight.tsp", "algorithm": "hopfield", "hopfield": {key: value}}, key)
+    for key, value in (("max_steps", 2.5), ("max_steps", 0), ("max_steps", -3),
+                       ("restarts", 2.5), ("restarts", 0))
 ], ids=["dim", "bounds-number", "bounds-triple", "bounds-text", "bounds-nan",
-        "neighbor_radius"])
-def test_main_names_a_value_that_cannot_be_cast(tmp_path, capsys, key, value):
-    cfg = _write(tmp_path, "bad_dim.json", json.dumps(
-        {"instance": {"kind": "continuous", key: value}, "algorithm": "random", "budget": 5}))
+        "neighbor_radius", "hopfield-max_steps-fraction", "hopfield-max_steps-zero",
+        "hopfield-max_steps-negative", "hopfield-restarts-fraction", "hopfield-restarts-zero"])
+def test_main_names_a_value_that_cannot_be_cast(tmp_path, capsys, raw, key):
+    _write(tmp_path, "eight.tsp", (FIXTURES / "eight.tsp").read_text())
+    cfg = _write(tmp_path, "bad_value.json", json.dumps(
+        {"algorithm": "random", "budget": 5, **raw}))
     rc = main(["run", "--config", str(cfg), "--output-dir", str(tmp_path)])
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error:")
     assert f"'{key}'" in err
+    assert not (tmp_path / "bad_value.csv").exists()  # failed before any report was written
 
 
 def test_main_oracle_subcommand(tmp_path, capsys, eight_oracle):

@@ -273,10 +273,10 @@ def test_neighbors_are_valid_by_construction(kind, n, seed, steps):
     if kind == "tsp":
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            cfg = aco._resolved(AcoConfig(), problem)
+            cfg, eta = aco._resolved(AcoConfig(), problem)
         tau = np.full((problem.n, problem.n), cfg.tau0)
         for _ in range(steps):
-            check(aco._build_tour(problem, tau, cfg, rng))
+            check(aco._build_tour(tau, eta, cfg, rng))
     for _ in range(steps):
         hood = [] if kind == "continuous" else problem.neighbors(current).solutions
         for neighbor in hood:

@@ -3,6 +3,8 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stochopt import (
     HopfieldNet,
@@ -20,7 +22,8 @@ from stochopt import (
     network_energy,
     seeded_rng,
 )
-from stochopt.hopfield import MAX_WEIGHT_BYTES
+from stochopt import hopfield
+from stochopt.hopfield import MAX_WEIGHT_BYTES, TankNet
 
 
 def _tour_matrix(order):
@@ -130,7 +133,7 @@ def test_weight_matrix_entries():
     d = np.zeros((4, 4))
     d[0, 1] = d[1, 0] = 2.0
     inst = TspInstance(d, name="pair")
-    net = build_weights(inst, TankParams())
+    net = build_weights(inst, TankParams()).dense()
 
     def neuron(city, pos):
         return city * 4 + pos
@@ -149,15 +152,104 @@ def test_weight_matrix_entries():
 
 def test_oversized_network_is_refused_before_allocating():
     assert 53**4 * 8 <= MAX_WEIGHT_BYTES < 54**4 * 8
-    inst = TspInstance.from_coords(seeded_rng(0).random((54, 2)))
+    net = build_weights(TspInstance.from_coords(seeded_rng(0).random((54, 2))), TankParams())
     tracemalloc.start()
     try:
         with pytest.raises(ValidationError, match="54-city network needs a 68,024,448-byte"):
-            hopfield_solve(inst, restarts=1)
+            net.dense()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_solve_runs_above_the_dense_cap_in_little_memory():
+    inst = TspInstance.from_coords(seeded_rng(0).random((60, 2)))
+    tracemalloc.start()
+    try:
+        rec = hopfield_solve(inst, restarts=1, max_steps=2 * 60 * 60, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rec.extras["restarts"] == 1
+    assert peak < 2_000_000  # the dense weights alone would take 103.7 MB
+
+
+_coefficient = st.floats(0.0, 1000.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(2, 12),
+    p=st.builds(TankParams, _coefficient, _coefficient, _coefficient, _coefficient),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=2, p=TankParams(), seed=0)  # positions i + 1 and i - 1 coincide
+def test_structured_field_matches_the_dense_weights(n, p, seed):
+    rng = seeded_rng(seed)
+    d = rng.uniform(0.1, 100.0, size=(n, n))
+    d = np.triu(d, 1) + np.triu(d, 1).T
+    net = build_weights(TspInstance(d), p)
+    dense = net.dense()
+    w, theta = dense.weights, dense.thresholds
+    np.testing.assert_array_equal(net.thresholds, theta)
+    scale = np.abs(w).sum(axis=0).max() + abs(theta[0]) + 1.0
+    for _ in range(4):
+        net.state = rng.integers(0, 2, size=n * n).astype(float)
+        dense.state = net.state.copy()
+        by_weights = w @ net.state - theta
+        for k in range(n * n):
+            assert abs(net.field(k) - (w[:, k] @ net.state - theta[k])) <= 1e-9 * scale
+        assert np.all(np.abs(net.fields() - by_weights) <= 1e-9 * scale)
+        e_dense = -0.5 * net.state @ w @ net.state + theta @ net.state
+        assert abs(network_energy(net) - e_dense) <= 1e-9 * scale * n * n
+        if np.all(np.abs(by_weights) > 1e-9 * scale):  # no near-tie for rounding to split
+            assert is_fixed_point(net) == is_fixed_point(dense)
+    for _ in range(50):  # settle, so that fixed points are compared too
+        if is_fixed_point(dense):
+            break
+        for _ in range(n * n):
+            async_step(dense, rng)
+    net.state = dense.state.copy()
+    if np.all(np.abs(dense.fields()) > 1e-9 * scale):
+        assert is_fixed_point(net) == is_fixed_point(dense)
+
+
+@pytest.mark.parametrize("case", ["eight", "unit5"])
+def test_solve_replays_the_dense_network(monkeypatch, eight, case):
+    if case == "eight":
+        inst, p = eight, TankParams()
+    else:
+        inst = TspInstance.from_coords(seeded_rng(1).random((5, 2)), name="unit5")
+        p = TankParams(d=40.0)
+    decode = hopfield.decode_tour
+
+    def solve(build):
+        finals = []
+        monkeypatch.setattr(hopfield, "build_weights", build)
+        monkeypatch.setattr(hopfield, "decode_tour", lambda v: finals.append(v.copy()) or decode(v))
+        return hopfield_solve(inst, p, restarts=20, seed=3), finals
+
+    structured, structured_finals = solve(hopfield.build_weights)
+    dense, dense_finals = solve(lambda inst, p: TankNet(inst.d, p).dense())
+    assert structured == dense
+    assert len(structured_finals) == len(dense_finals) == 20
+    for a, b in zip(structured_finals, dense_finals):
+        np.testing.assert_array_equal(a, b)
+    if case == "unit5":
+        assert structured.extras["valid_tours"] > 0
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    ({"max_steps": 2.5}, "max_steps"), ({"max_steps": 100.0}, "max_steps"),
+    ({"max_steps": 0}, "max_steps"), ({"max_steps": -3}, "max_steps"),
+    ({"restarts": 2.5}, "restarts"), ({"restarts": 0}, "restarts"),
+    ({"restarts": True}, "restarts"),
+])
+def test_solve_names_a_bad_count_before_any_restart(monkeypatch, eight, kwargs, field):
+    monkeypatch.setattr(hopfield, "build_weights", lambda *a: pytest.fail("a network was built"))
+    with pytest.raises(ValidationError, match=f"'{field}'"):
+        hopfield_solve(eight, **kwargs)
 
 
 def test_decode_tour():
@@ -178,6 +270,10 @@ def test_net_validation():
         HopfieldNet(weights=np.zeros((2, 2)), thresholds=0.0, state=np.array([0.5, 0.0]))
     with pytest.raises(ValidationError):
         build_weights(TspInstance(np.zeros((1, 1))), TankParams())
+    for name in ("a", "b", "c", "d"):
+        for bad in (float("nan"), float("inf"), -1.0):
+            with pytest.raises(ValidationError, match=f"'{name}'"):
+                TankParams(**{name: bad})
 
 
 def test_textbook_penalties_rarely_settle_on_tours(eight):

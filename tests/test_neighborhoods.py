@@ -7,11 +7,22 @@ neighbors in the same order, cost each one exactly (`==`) as `cost`
 does, and carry atom ids that decode to the same pairs.
 """
 
+import tracemalloc
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stochopt import BinPackingInstance, TspInstance, cube_fixture, seeded_rng
+from stochopt import (
+    BinPackingInstance,
+    Budget,
+    TspInstance,
+    cube_fixture,
+    hill_climb_steepest,
+    seeded_rng,
+    tabu_search,
+)
 from stochopt.problems.tsp import two_opt
 
 
@@ -139,3 +150,22 @@ def test_fit_slack_clamps_a_rounding_overflow_as_cost_does():
     hood = inst.neighbors(np.array([0, 0, 0, 1]))
     k = [hood.label(k) for k in range(len(hood))].index(("relocate", 3, 1, 0))
     assert hood.costs[k] == inst.cost(hood.solutions[k]) == 1.0
+
+
+@pytest.mark.parametrize("search", [tabu_search, hill_climb_steepest])
+def test_searchers_hold_one_neighborhood_at_a_time(search):
+    inst = TspInstance.from_coords(seeded_rng(0).random((60, 2)))
+    start = inst.random_solution(seeded_rng(1))
+    tracemalloc.start()
+    try:
+        hood = inst.neighbors(start)
+        _, one = tracemalloc.get_traced_memory()
+        rows, steps = hood.solutions.nbytes, len(hood)
+        del hood
+        tracemalloc.reset_peak()
+        search(inst, Budget(4 * steps), seed=0, start=start)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # building a neighborhood while the previous one is still bound costs its rows again
+    assert peak < one + rows / 2
