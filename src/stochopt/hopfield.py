@@ -63,7 +63,7 @@ itself, as a reference for small n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -95,7 +95,7 @@ class TankParams:
 class HopfieldNet:
     weights: np.ndarray
     thresholds: np.ndarray
-    state: np.ndarray = field(default=None)  # type: ignore[assignment]
+    state: np.ndarray = None  # type: ignore[assignment]
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -139,7 +139,7 @@ class TankNet:
 
     d: np.ndarray
     p: TankParams
-    state: np.ndarray = field(default=None)  # type: ignore[assignment]
+    state: np.ndarray = None  # type: ignore[assignment]
 
     def __post_init__(self):
         d = np.asarray(self.d, dtype=float)
