@@ -1,11 +1,19 @@
-"""Tabu and steepest-descent records pinned by digest.
+"""Searcher records pinned by digest.
 
 Each case runs one searcher on a fixed instance and hashes the canonical
-JSON of `RunRecord.to_dict()`.  The digests were taken from the
-per-neighbour implementation (a solution copy and a `Move` per
-neighbour, one `cost` call each); the array neighbourhoods must
-reproduce them bit for bit.  The memory-weighted cases are the only
+JSON of `RunRecord.to_dict()`.  The tabu and steepest-descent digests
+were taken from the per-neighbour implementation (a solution copy and a
+`Move` per neighbour, one `cost` call each); the array neighbourhoods
+must reproduce them bit for bit.  The memory-weighted cases are the only
 guard on the penalty path, which no shipped config or benchmark turns on.
+
+The annealing and first-accept digests were taken from the full-costing
+implementation (every sampled neighbour built as a new tour and costed
+edge by edge); sampled moves costed by their changed edges must
+reproduce them bit for bit.  Most of these configurations (fixed and
+linear schedules, both rescaled forms, the current-cost curve, random
+walks, a 50-city tour with irrational edge lengths) are in no shipped
+config or benchmark workload.
 """
 
 import hashlib
@@ -19,12 +27,15 @@ from stochopt import (
     Budget,
     TabuConfig,
     TspInstance,
+    CoolingSchedule,
     cube_fixture,
     cube_state,
+    hill_climb_first_accept,
     hill_climb_steepest,
     parse_binpacking_file,
     parse_tsp_file,
     seeded_rng,
+    simulated_annealing,
     tabu_search,
 )
 
@@ -46,6 +57,7 @@ def _instances():
         "tour12": TspInstance.from_coords(seeded_rng(12).random((12, 2)), name="tour12"),
         "pack12": BinPackingInstance(seeded_rng(21).uniform(0.05, 0.7, size=12), name="pack12"),
         "cube": cube_fixture(),
+        "tour50": TspInstance.from_coords(seeded_rng(50).random((50, 2)), name="tour50"),
     }
 
 
@@ -101,6 +113,56 @@ CASES = {
     "cube-steepest-restarts": ("cube", _steepest(60, 1, restart=True)),
 }
 
+# Per instance: a starting temperature near 10x its mean step, for the
+# fixed-start and linear schedules.
+T0 = {"eight": 300.0, "tour50": 2.0, "pack10": 20.0}
+
+
+def _sa(budget, seed, target=None, schedule="calibrated", **kw):
+    def run(problem, instance):
+        t0 = T0[instance]
+        cooling = {
+            "calibrated": None,
+            "fixed": CoolingSchedule(t0=t0, steps_per_temperature=50),
+            "linear": CoolingSchedule(
+                kind="linear", t0=t0, decrement=t0 / 80, t_floor=t0 / 1000,
+                steps_per_temperature=50,
+            ),
+        }[schedule]
+        return simulated_annealing(problem, Budget(budget, target), seed, cooling, **kw)
+
+    return run
+
+
+def _first_accept(budget, seed, random_walk=False):
+    def run(problem, instance):
+        return hill_climb_first_accept(problem, Budget(budget), seed, random_walk=random_walk)
+
+    return run
+
+
+TRAJECTORY = {
+    "sa-calibrated": _sa(6000, 0),
+    "sa-fixed": _sa(6000, 1, schedule="fixed"),
+    "sa-linear": _sa(6000, 2, schedule="linear"),
+    "sa-rescaled": _sa(6000, 3, rescaled=True),
+    "sa-rescaled-target-centered": _sa(
+        6000, 4, rescaled=True, alpha=0.5, rescaled_form="target_centered"
+    ),
+    "sa-record-current": _sa(4000, 5, record_current=True),
+    "sa-rescaled-record-current": _sa(4000, 6, rescaled=True, record_current=True),
+    "sa-fixed-record-current": _sa(8000, 11, schedule="fixed", record_current=True),
+    "first-accept": _first_accept(4000, 7),
+    "first-accept-random-walk": _first_accept(2000, 8, random_walk=True),
+}
+TRAJECTORY_CASES = {
+    f"{instance}-{name}": (instance, run)
+    for instance in ("eight", "tour50", "pack10")
+    for name, run in TRAJECTORY.items()
+}
+TRAJECTORY_CASES["eight-sa-target"] = ("eight", _sa(10000, 9, target=242.46491759376055))
+TRAJECTORY_CASES["pack10-sa-target"] = ("pack10", _sa(10000, 10, target=4.0))
+
 DIGESTS = {
     "cube-steepest-restarts": "23fc10764e25c7066b3598e7b4fcc054f6b2dfc82412bc8495daa47f8b76afbe",
     "cube-tabu-memory": "3d99af233dcd5c178a1df4552eeb14f1d68945c2993ca74628f0a0609f9b4f1f",
@@ -135,6 +197,41 @@ DIGESTS = {
     "tour12-tabu-tenure0": "6080799e0cbbf5aab05bbd37cf8aa8963302c63a85da71610423682f38b7e5f0",
 }
 
+TRAJECTORY_DIGESTS = {
+    "eight-first-accept": "002a3848962612a0bc6154373ce43a89ff8605aa78e1630d44ce30c514fbeb96",
+    "eight-first-accept-random-walk": "7ce421528bb7d2b021c41324be90f45f9995f20debe10426fcb57becf6882258",
+    "eight-sa-calibrated": "5f0fc04e3ab719e83604ee5a764daf43c7c8f950935d1af83c5b9851dce2e281",
+    "eight-sa-fixed": "27f8ed7c52faad88aa9cd8e78236d3ade747645de351622123f1b783bf6ca27f",
+    "eight-sa-fixed-record-current": "19c3a26d876febb81cc9521d8320d255b3c2f78661e37cc87e7508d7e62e8375",
+    "eight-sa-linear": "5f30a679563e9fe37e96c4edcc988c3975e66e758ba21acc262dff7647d7fa58",
+    "eight-sa-record-current": "7099ba6c81f7bb256ffa229f1b0227bed02d575017bcc4ae9ed6f432b4a39714",
+    "eight-sa-rescaled": "5ad51c3fdb67e373c7b9bae10899720d5e09311d857cd2c3226ac3b49bc244c5",
+    "eight-sa-rescaled-record-current": "b1e707d44234b7387bfaa6cd2eda2691f8c24479abaf117f77a0f210d9c07928",
+    "eight-sa-rescaled-target-centered": "42ec5e08c83925747bb99d000b8091efde96b21fc8f9ce02b18d4dd8efaf9f68",
+    "eight-sa-target": "3a4283fc88f09da9d3bfc87628478b0b816c44371b8010f4eafd408e1f33752e",
+    "pack10-first-accept": "acbb80c501756621ddd9f8b3640282e823e3fc60fe3f6288e438f3e5a294bb09",
+    "pack10-first-accept-random-walk": "d8ff9a4aebb3771edca54f4c2a9fdd12d76813626537a674a760a10fcb1188c1",
+    "pack10-sa-calibrated": "babfe5a7127cd7e9b1b59ff67a09a144b7060ad4b2c4bb68a15db5c984952fdb",
+    "pack10-sa-fixed": "a24e7448318db9c5bbec205f9f00ad9a6c9f0d470da5c8efec28e94805ec3ff0",
+    "pack10-sa-fixed-record-current": "02d2782a0a51bef35a5951cc1e39e83aa266086e48b5929f857ea72156813db9",
+    "pack10-sa-linear": "070a52d1ab61cb7819a188b1d5c0c4c6d146ba90cef0e480b61998e53df33dbc",
+    "pack10-sa-record-current": "8f358712ce5801c88b377b6b976fd241d45614428aae6d1665af76fde2b34b81",
+    "pack10-sa-rescaled": "41199edfa69a5243462b4ccc56edf09067e99396e8c890d5ad8f70c0bc0dabed",
+    "pack10-sa-rescaled-record-current": "7244a58cff17ce2650a6868032138557300aa6c3431bc7d8e5822495940b96d2",
+    "pack10-sa-rescaled-target-centered": "a2f89f046ee5d664e63f73a7e501f93822e4f86d168543b04062cef93348b910",
+    "pack10-sa-target": "ff94896ffbdd41a5f0154d805e7324f9eb5a138c289796b51c3696d546e90ca2",
+    "tour50-first-accept": "d8a69aabd60fab0349a6bf65d6a606c06d7c951723039b99f4300bd9d4c9560b",
+    "tour50-first-accept-random-walk": "dcf415b52bef463fb010ed5fe5519f770cb13b9c949c793be33cb2874ee576b1",
+    "tour50-sa-calibrated": "02f54de7fcad5790093c7158c547dcd47ba52f8c5b33cf8cc31920c0f80b05ba",
+    "tour50-sa-fixed": "1445838f9a21c4c4fbd2d64cccad29da577af1ac63546f40fad2e34a6692697e",
+    "tour50-sa-fixed-record-current": "458355349d3e63e7d0aead7f8b1694725192ee5a72b689520a24777b1d97cc22",
+    "tour50-sa-linear": "c1454cddf95dc648c3592759e94fe49bad3e3e8b8407718b2bb34d626c4eca27",
+    "tour50-sa-record-current": "7a854473478671a495f7ee0989cf57b4759634418226ad67789490d14276452f",
+    "tour50-sa-rescaled": "fa2ac6af02baf20e87818f02f6120ed193d5c4d9c083e803da4b96fdecf17f9a",
+    "tour50-sa-rescaled-record-current": "26b395a5fd44ff812243d0e352f1b2f8ce1f74188f88bb23a63d4356503a5908",
+    "tour50-sa-rescaled-target-centered": "7e37a4a3b9f599e82380611fde3b8270c7a18dd47262653f38a0423d1b99c154",
+}
+
 
 def _digest(record) -> str:
     text = json.dumps(record.to_dict(), sort_keys=True)
@@ -150,6 +247,12 @@ def instances():
 def test_record_matches_its_pinned_digest(name, instances):
     instance, run = CASES[name]
     assert _digest(run(instances[instance])) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(TRAJECTORY_CASES))
+def test_trajectory_record_matches_its_pinned_digest(name, instances):
+    instance, run = TRAJECTORY_CASES[name]
+    assert _digest(run(instances[instance], instance)) == TRAJECTORY_DIGESTS[name]
 
 
 def test_memory_weights_change_the_walk(instances):
