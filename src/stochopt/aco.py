@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
+from numbers import Real
 
 import numpy as np
 
@@ -58,8 +59,13 @@ class AcoConfig:
     rule: str = "sum"
 
     def __post_init__(self):
-        if self.ants is not None and self.ants < 1:
-            raise ValidationError("need at least one ant")
+        if self.ants is not None:
+            ants = self.ants
+            if isinstance(ants, bool) or not isinstance(ants, Real) or not float(ants).is_integer():
+                raise ValidationError(f"'ants' must be a whole number, got {ants!r}")
+            if ants < 1:
+                raise ValidationError(f"'ants' must be at least 1, got {ants!r}")
+            object.__setattr__(self, "ants", int(ants))  # 3.0 from a config is 3
         if self.w_tau < 0 or (self.w_eta is not None and self.w_eta < 0):
             raise ValidationError("desirability weights must be non-negative")
         if self.w_tau == 0 and self.w_eta == 0:

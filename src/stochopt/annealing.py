@@ -168,8 +168,8 @@ def simulated_annealing(
         for _ in range(schedule.steps_per_temperature):
             if run.finished:
                 break
-            candidate = problem.sample_neighbor(current, run.rng)
-            f_candidate = run.evaluate(candidate)
+            move = problem.sample_move(current, run.rng)
+            f_candidate = run.evaluate_move(current, f_current, move)
             raw_delta = f_candidate - f_current
             if rescaled:
                 e_t = alpha * temperature * temperature
@@ -183,7 +183,9 @@ def simulated_annealing(
             if metropolis_accept(delta, temperature, run.rng):
                 if raw_delta > 0:
                     uphill_accepted += 1
-                current, f_current = candidate, f_candidate
+                current = problem.apply(current, move)
+                # a recorded curve holds full costs, not running sums of move costs
+                f_current = problem.cost(current) if record_current else f_candidate
             if current_curve is not None:
                 current_curve.append(f_current)
         step_index += 1

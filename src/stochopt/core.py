@@ -151,8 +151,9 @@ def success_time(record: RunRecord, threshold: float) -> int | None:
 class Run:
     """Evaluation counter and best-so-far tracker for one optimizer run.
 
-    Optimizers call `evaluate` for every objective computation; nothing
-    else touches the counter.  Candidates are costed with `Problem.cost`
+    Optimizers call `evaluate` for every objective computation, directly
+    or through `evaluate_move` or `evaluate_neighborhood`; nothing else
+    touches the counter.  Candidates are costed with `Problem.cost`
     (or arrive with their cost, see `evaluate`); a strict improvement is
     re-evaluated through the checked `Problem.evaluate` before it enters
     the record, so every recorded best solution has been validated.
@@ -206,6 +207,35 @@ class Run:
             if self.evaluations_to_success is None and target is not None and value <= target:
                 self.evaluations_to_success = self.evaluations
         return value
+
+    def evaluate_move(self, solution, f: float, move) -> float:
+        """Count one sampled move from `solution`, whose cost is `f`.
+
+        The move is costed by `Problem.move_cost`, which may reach the
+        candidate's cost from `f` without building it.  A value that
+        could enter the record, one below the best cost or within the
+        problem's `move_tolerance` of it, is re-costed in full on the
+        built candidate, so improvements are decided, checked and
+        recorded exactly as `evaluate` would; a `move_cost` farther than
+        the tolerance from that cost raises `ValidationError`.  Returns
+        the value the candidate was counted at.  The count goes through
+        `evaluate`, one call per candidate.
+        """
+        problem = self.problem
+        value = problem.move_cost(solution, f, move)
+        tolerance = problem.move_tolerance * max(1.0, abs(value))
+        if not value < self.best_fitness + tolerance:
+            return self.evaluate(None, value)  # cannot improve: the solution is not read
+        candidate = problem.apply(solution, move)
+        if tolerance:
+            full = problem.cost(candidate)
+            if abs(full - value) > tolerance:
+                raise ValidationError(
+                    f"move cost {value!r} disagrees with the full cost {full!r} "
+                    f"of the solution it builds"
+                )
+            value = full
+        return self.evaluate(candidate, value)
 
     def evaluate_neighborhood(self, hood: "Neighborhood") -> int:
         """Evaluate `hood`'s neighbors in order until the run finishes.
@@ -262,6 +292,18 @@ class Problem:
     id space both use; tabu memories are arrays indexed by atom id.
     Continuous landscapes raise UnsupportedOperationError in `neighbors`.
 
+    Sampled search moves through three methods.  `sample_move` draws a
+    move with exactly the random numbers `sample_neighbor` draws,
+    `move_cost(solution, f, move)` gives the cost of the solution the
+    move leads to, given `f = cost(solution)`, and `apply` builds that
+    solution as a new object.  The base implementation makes the move
+    the sampled neighbor itself, costs it with `cost` and applies it by
+    returning it, so every kind works unchanged.  `TspInstance`
+    overrides all three: a move is a reversal (i, j), costed from the
+    four edges it changes and built only when a search keeps it.  Such
+    a cost may differ from `cost` by rounding; `move_tolerance` bounds
+    the relative difference (0 on the base path, where they are equal).
+
     Solutions are checked where they enter and where they reach the
     record.  `evaluate` is the one checked entry for outside input
     (starts, files, tests): it validates, then costs.  `cost`,
@@ -269,13 +311,15 @@ class Problem:
     validate, because inside a search they only ever see solutions the
     problem built itself (`random_solution` or a neighbor operator) or a
     start that already passed `validate`; these are valid by
-    construction.  `Run` counts every candidate, costed by `cost` or by
-    `neighbors`, and passes each strict improvement through `evaluate`
-    before recording it.
+    construction.  `Run` counts every candidate, costed by `cost`,
+    `move_cost` or `neighbors`, and passes each strict improvement
+    through `evaluate` before recording it.
     """
 
     kind: str = "abstract"
     atom_count: int = 0
+    # largest relative error `move_cost` may carry against `cost`
+    move_tolerance: float = 0.0
 
     def evaluate(self, solution) -> float:
         """Validate, then cost: the checked entry for outside input."""
@@ -295,6 +339,21 @@ class Problem:
     def sample_neighbor(self, solution, rng: np.random.Generator):
         """Return a neighbor drawn uniformly from the neighborhood."""
         raise NotImplementedError
+
+    def sample_move(self, solution, rng: np.random.Generator):
+        """Draw a move, consuming exactly the draws `sample_neighbor` does.
+
+        The base move is the sampled neighbor itself.
+        """
+        return self.sample_neighbor(solution, rng)
+
+    def move_cost(self, solution, f: float, move) -> float:
+        """Cost of `apply(solution, move)`, given `f = cost(solution)`."""
+        return self.cost(move)
+
+    def apply(self, solution, move):
+        """The solution a move leads to, as a new object; `solution` is untouched."""
+        return move
 
     def neighbors(self, solution) -> Neighborhood:
         """The full neighborhood, costed, in a fixed order."""

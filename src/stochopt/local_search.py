@@ -39,10 +39,10 @@ def hill_climb_first_accept(
     )
     f_current = run.evaluate(current)
     while not run.finished:
-        candidate = problem.sample_neighbor(current, run.rng)
-        f_candidate = run.evaluate(candidate)
+        move = problem.sample_move(current, run.rng)
+        f_candidate = run.evaluate_move(current, f_current, move)
         if random_walk or f_candidate <= f_current:
-            current, f_current = candidate, f_candidate
+            current, f_current = problem.apply(current, move), f_candidate
     return run.record(extras={"random_walk": random_walk})
 
 

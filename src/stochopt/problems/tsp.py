@@ -6,6 +6,12 @@ spanning the whole tour or all but one city reproduce the same cyclic
 tour, so they are excluded from neighborhood enumeration and sampling;
 `two_opt` itself still accepts any 0 <= i <= j < n.
 
+A sampled move is the pair (i, j).  Its cost is the tour's cost plus
+the two edges the reversal makes minus the two it breaks, four reads of
+the distance matrix instead of n; the tour itself is copied and
+reversed only for a move a search keeps.  The sum can differ from a
+full recompute in the last bits, which `move_tolerance` allows for.
+
 Atoms are undirected city adjacencies: the pair {a, b} has id
 min(a, b) * n + max(a, b), so ids lie in 0..n*n - 1.  A reversal's
 `broken` atoms are the two adjacencies it removes and its `made` atoms
@@ -28,6 +34,7 @@ from ..core import (
 
 class TspInstance(Problem):
     kind = "tsp"
+    move_tolerance = 1e-9
 
     def __init__(self, distances, coords=None, name: str = "tsp"):
         d = np.asarray(distances, dtype=float)
@@ -116,10 +123,31 @@ class TspInstance(Problem):
         )
 
     def sample_neighbor(self, solution, rng):
+        return self.apply(solution, self.sample_move(solution, rng))
+
+    def sample_move(self, solution, rng):
+        """A reversal (i, j), or None for 1-3 cities, where every reversal
+        is the same cyclic tour and nothing is drawn."""
         if not self._i.size:
-            return np.array(solution)  # 1-3 cities: every reversal is the same cyclic tour
+            return None
         k = int(rng.integers(self._i.size))
-        return two_opt(solution, int(self._i[k]), int(self._j[k]))
+        return self._i.item(k), self._j.item(k)
+
+    def move_cost(self, tour, f: float, move) -> float:
+        """`f` plus the two edges reversal i..j makes, minus the two it breaks."""
+        if move is None:
+            return f
+        i, j = move
+        d = self.d
+        a, b, c, e = tour.item(i - 1), tour.item(i), tour.item(j), tour.item((j + 1) % self.n)
+        return f + (d.item(a, c) + d.item(b, e)) - (d.item(a, b) + d.item(c, e))
+
+    def apply(self, tour, move) -> np.ndarray:
+        out = np.array(tour)
+        if move is not None:
+            i, j = move
+            out[i : j + 1] = out[i : j + 1][::-1]
+        return out
 
     def solution_attributes(self, solution) -> np.ndarray:
         if self.n < 2:

@@ -43,6 +43,21 @@ def test_config_validation():
             AcoConfig(**bad)
 
 
+@pytest.mark.parametrize("ants", [2.5, float("nan"), float("inf"), True, "3", 0, -2.0])
+def test_ant_count_must_be_a_whole_number_of_at_least_one(ants):
+    with pytest.raises(ValidationError, match="'ants'"):
+        AcoConfig(ants=ants)
+
+
+def test_a_whole_float_ant_count_is_stored_as_an_int(eight):
+    cfg = AcoConfig(ants=3.0)
+    assert cfg.ants == 3 and type(cfg.ants) is int
+    assert type(AcoConfig(ants=np.int64(4)).ants) is int
+    rec = aco_run(eight, Budget(10), 0, cfg)
+    assert rec.extras["ants"] == 3 and type(rec.extras["ants"]) is int
+    assert rec.to_dict() == aco_run(eight, Budget(10), 0, AcoConfig(ants=3)).to_dict()
+
+
 def test_edge_desirability_both_rules():
     inst = TspInstance(np.array([[0.0, 4.0, 2.0], [4.0, 0.0, 1.0], [2.0, 1.0, 0.0]]))
     added, eta = aco._resolved(AcoConfig(w_tau=1.0, w_eta=2.0), inst)

@@ -583,9 +583,13 @@ def test_main_reports_config_errors(tmp_path, capsys):
     ({"instance": "eight.tsp", "algorithm": "hopfield", "hopfield": {key: value}}, key)
     for key, value in (("max_steps", 2.5), ("max_steps", 0), ("max_steps", -3),
                        ("restarts", 2.5), ("restarts", 0))
+] + [
+    ({"instance": "eight.tsp", "algorithm": "aco", "aco": {"ants": value}}, "ants")
+    for value in (2.5, 0)
 ], ids=["dim", "bounds-number", "bounds-triple", "bounds-text", "bounds-nan",
         "neighbor_radius", "hopfield-max_steps-fraction", "hopfield-max_steps-zero",
-        "hopfield-max_steps-negative", "hopfield-restarts-fraction", "hopfield-restarts-zero"])
+        "hopfield-max_steps-negative", "hopfield-restarts-fraction", "hopfield-restarts-zero",
+        "aco-ants-fraction", "aco-ants-zero"])
 def test_main_names_a_value_that_cannot_be_cast(tmp_path, capsys, raw, key):
     _write(tmp_path, "eight.tsp", (FIXTURES / "eight.tsp").read_text())
     cfg = _write(tmp_path, "bad_value.json", json.dumps(
@@ -596,6 +600,22 @@ def test_main_names_a_value_that_cannot_be_cast(tmp_path, capsys, raw, key):
     assert err.startswith("error:")
     assert f"'{key}'" in err
     assert not (tmp_path / "bad_value.csv").exists()  # failed before any report was written
+
+
+def test_main_runs_a_whole_float_ant_count_as_that_many_ants(tmp_path):
+    _write(tmp_path, "eight.tsp", (FIXTURES / "eight.tsp").read_text())
+    reports = []
+    for ants in (3.0, 3):
+        cfg = _write(tmp_path, "ants.json", json.dumps(
+            {"instance": "eight.tsp", "algorithm": "aco", "budget": 9, "aco": {"ants": ants}}))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--output-dir", str(out)]) == 0
+        report = json.loads((out / "ants.json").read_text())
+        for row in report["rows"]:
+            del row["wall_time_s"]
+        reports.append((report["rows"], report["curves"]))
+    assert reports[0] == reports[1]
+    assert type(cli._entry_call(ExperimentConfig.from_file(cfg))[1]["cfg"].ants) is int
 
 
 def test_main_oracle_subcommand(tmp_path, capsys, eight_oracle):

@@ -1,4 +1,5 @@
 import ast
+import copy
 import inspect
 import json
 import re
@@ -6,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stochopt
@@ -17,6 +18,7 @@ from stochopt import (
     Budget,
     BudgetExhaustedError,
     ContinuousLandscape,
+    CoolingSchedule,
     Neighborhood,
     NoNeighborError,
     Problem,
@@ -136,6 +138,48 @@ def test_run_refuses_an_improvement_whose_cost_disagrees_with_evaluate():
     with pytest.raises(ValidationError, match=r"cost 5\.5 .* evaluation 5\.0"):
         run.evaluate(5, value=5.5)
     assert run.best_curve == [(1, 6.0)]
+
+
+class _Undercosted(TspInstance):
+    """Every move cost a millionth of the tour length too low."""
+
+    def move_cost(self, tour, f, move):
+        return super().move_cost(tour, f, move) - 1e-6 * f
+
+
+def test_run_refuses_an_improvement_whose_move_cost_disagrees_with_its_cost():
+    coords = seeded_rng(4).random((8, 2))
+    tour = np.arange(8)
+    run = Run(_Undercosted.from_coords(coords), Budget(5), seed=0, algorithm="probe")
+    f = run.problem.cost(tour)
+    with pytest.raises(ValidationError, match=r"move cost .* full cost"):
+        run.evaluate_move(tour, f, (2, 5))
+    assert run.best_solution is None
+    assert run.best_curve == []
+    # the same move, costed correctly, enters the record at its full cost
+    exact = Run(TspInstance.from_coords(coords), Budget(5), seed=0, algorithm="probe")
+    value = exact.evaluate_move(tour, f, (2, 5))
+    assert value == exact.problem.cost(exact.problem.apply(tour, (2, 5)))
+    assert exact.best_curve == [(1, value)]
+    # a search stops at its first improvement from a move
+    with pytest.raises(ValidationError, match=r"move cost .* full cost"):
+        simulated_annealing(_Undercosted.from_coords(coords), Budget(500), 0)
+
+
+def test_long_rescaled_annealing_on_irrational_lengths_keeps_its_energies_non_negative():
+    """Shifted energies f - best stay >= 0 when moves are costed from their edges.
+
+    A cold, long chain revisits its best tour many times; a move cost a few
+    ulps below the recorded best would make the shifted energy negative.
+    """
+    tour = TspInstance.from_coords(seeded_rng(50).random((50, 2)))
+    for form in ("as_printed", "target_centered"):
+        schedule = CoolingSchedule(t0=0.5, rate=0.9, steps_per_temperature=500)
+        rec = simulated_annealing(
+            tour, Budget(60_000), 1, schedule, rescaled=True, rescaled_form=form
+        )
+        assert rec.status == "budget_exhausted" and rec.evaluations == 60_000
+        assert rec.best_fitness == tour.evaluate(rec.best_solution)
 
 
 @pytest.mark.parametrize("search", [
@@ -287,3 +331,50 @@ def test_neighbors_are_valid_by_construction(kind, n, seed, steps):
             assert len(hood) == 0
             return
         check(current)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(["tsp", "binpacking", "cube", "continuous"]),
+    n=st.integers(1, 30),
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.integers(1, 25),
+)
+@example(kind="tsp", n=1, seed=0, steps=3)
+@example(kind="tsp", n=2, seed=0, steps=3)
+@example(kind="tsp", n=3, seed=0, steps=3)
+@example(kind="tsp", n=4, seed=0, steps=25)
+def test_a_sampled_move_builds_and_costs_the_sampled_neighbor(kind, n, seed, steps):
+    """`sample_move`, `move_cost` and `apply` agree with `sample_neighbor` and `cost`.
+
+    Along a random chain, two identically seeded generators give the
+    same neighbor through either path and are left in the same state;
+    the move's cost matches the built neighbor's full cost within the
+    problem's `move_tolerance` (exactly where it is 0); and `apply`
+    leaves the solution it starts from untouched.
+    """
+    problem = _instance(kind, n, seeded_rng(seed))
+    chain = seeded_rng(seed + 1)
+    rng, rng2 = seeded_rng(seed + 2), seeded_rng(seed + 2)
+    x = problem.random_solution(chain)
+    f = problem.cost(x)
+    for _ in range(steps):
+        try:
+            move = problem.sample_move(x, rng)
+        except NoNeighborError:
+            with pytest.raises(NoNeighborError):
+                problem.sample_neighbor(x, rng2)
+            return
+        neighbor = problem.sample_neighbor(x, rng2)
+        assert rng.bit_generator.state == rng2.bit_generator.state
+        before = copy.deepcopy(x)
+        y = problem.apply(x, move)
+        assert problem.freeze(y) == problem.freeze(neighbor)
+        assert problem.freeze(x) == problem.freeze(before)
+        full = problem.cost(y)
+        tolerance = problem.move_tolerance * max(1.0, abs(full))
+        assert abs(problem.move_cost(x, problem.cost(x), move) - full) <= tolerance
+        f_y = problem.move_cost(x, f, move)  # from a cost carried along the chain
+        assert abs(f_y - full) <= tolerance
+        if chain.random() < 0.8:  # move on, as a search mostly does
+            x, f = y, f_y
