@@ -35,6 +35,7 @@ from stochopt import (
 )
 from stochopt import aco
 from stochopt.core import split_streams, success_time
+from stochopt.problems import two_opt
 
 
 def test_the_package_root_exports_exactly_its_public_api():
@@ -333,6 +334,17 @@ def test_neighbors_are_valid_by_construction(kind, n, seed, steps):
         check(current)
 
 
+def _reference_tour_neighbor(tour, rng):
+    """A uniformly drawn reversal other than the three that keep the cycle."""
+    n = len(tour)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
+             if not (i == 0 and j >= n - 2) and not (i == 1 and j == n - 1)]
+    if not pairs:
+        return np.array(tour)
+    i, j = pairs[int(rng.integers(len(pairs)))]
+    return two_opt(tour, i, j)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     kind=st.sampled_from(["tsp", "binpacking", "cube", "continuous"]),
@@ -348,14 +360,16 @@ def test_a_sampled_move_builds_and_costs_the_sampled_neighbor(kind, n, seed, ste
     """`sample_move`, `move_cost` and `apply` agree with `sample_neighbor` and `cost`.
 
     Along a random chain, two identically seeded generators give the
-    same neighbor through either path and are left in the same state;
-    the move's cost matches the built neighbor's full cost within the
-    problem's `move_tolerance` (exactly where it is 0); and `apply`
-    leaves the solution it starts from untouched.
+    same neighbor through either path and are left in the same state,
+    and for tours that neighbor is the one a reference draw of a
+    non-trivial reversal gives; the move's cost matches the built
+    neighbor's full cost within the problem's `move_tolerance` (exactly
+    where it is 0), also when the cost is carried along the chain; and
+    `apply` leaves the solution it starts from untouched.
     """
     problem = _instance(kind, n, seeded_rng(seed))
     chain = seeded_rng(seed + 1)
-    rng, rng2 = seeded_rng(seed + 2), seeded_rng(seed + 2)
+    rng, rng2, rng3 = seeded_rng(seed + 2), seeded_rng(seed + 2), seeded_rng(seed + 2)
     x = problem.random_solution(chain)
     f = problem.cost(x)
     for _ in range(steps):
@@ -367,6 +381,8 @@ def test_a_sampled_move_builds_and_costs_the_sampled_neighbor(kind, n, seed, ste
             return
         neighbor = problem.sample_neighbor(x, rng2)
         assert rng.bit_generator.state == rng2.bit_generator.state
+        if kind == "tsp":
+            assert np.array_equal(neighbor, _reference_tour_neighbor(x, rng3))
         before = copy.deepcopy(x)
         y = problem.apply(x, move)
         assert problem.freeze(y) == problem.freeze(neighbor)
