@@ -52,6 +52,9 @@ class ParseError(OptimizationError):
 Solution = Any  # tuple, np.ndarray or int depending on the problem kind
 Fitness = float
 
+# Relative rounding a `move_cost` may carry against `cost`; see `Run.evaluate_move`.
+MOVE_TOLERANCE = 1e-9
+
 
 def seeded_rng(seed: int) -> np.random.Generator:
     """Return the toolkit's reference generator (PCG64) for a seed."""
@@ -172,6 +175,7 @@ class Run:
         self.best_solution = None
         self.best_curve: list[tuple[int, float]] = []
         self.evaluations_to_success: int | None = None
+        self._cost_scale = 1.0  # largest |cost| `evaluate_move` has seen, at least 1
 
     def evaluate(self, solution, value: float | None = None) -> float:
         """Count one candidate; validate it only if it enters the record.
@@ -212,30 +216,33 @@ class Run:
         """Count one sampled move from `solution`, whose cost is `f`.
 
         The move is costed by `Problem.move_cost`, which may reach the
-        candidate's cost from `f` without building it.  A value that
-        could enter the record, one below the best cost or within the
-        problem's `move_tolerance` of it, is re-costed in full on the
-        built candidate, so improvements are decided, checked and
-        recorded exactly as `evaluate` would; a `move_cost` farther than
-        the tolerance from that cost raises `ValidationError`.  Returns
-        the value the candidate was counted at.  The count goes through
-        `evaluate`, one call per candidate.
+        candidate's cost from `f` without building it.  A cost carried
+        from move to move picks up the rounding of every sum it passes
+        through, which can be as large as the largest cost it has held,
+        so the window is `MOVE_TOLERANCE` times the largest |cost| this
+        run has passed to or got from `move_cost` (at least 1).  A value
+        that could enter the record, one below the best cost or within
+        that window of it, is re-costed in full on the built candidate,
+        so improvements are decided, checked and recorded on full costs
+        as `evaluate` would; a `move_cost` farther than the window from
+        that cost raises `ValidationError`.  Returns the value the
+        candidate was counted at.  The count goes through `evaluate`,
+        one call per candidate.
         """
         problem = self.problem
         value = problem.move_cost(solution, f, move)
-        tolerance = problem.move_tolerance * max(1.0, abs(value))
+        self._cost_scale = max(self._cost_scale, abs(f), abs(value))
+        tolerance = MOVE_TOLERANCE * self._cost_scale
         if not value < self.best_fitness + tolerance:
             return self.evaluate(None, value)  # cannot improve: the solution is not read
         candidate = problem.apply(solution, move)
-        if tolerance:
-            full = problem.cost(candidate)
-            if abs(full - value) > tolerance:
-                raise ValidationError(
-                    f"move cost {value!r} disagrees with the full cost {full!r} "
-                    f"of the solution it builds"
-                )
-            value = full
-        return self.evaluate(candidate, value)
+        full = problem.cost(candidate)
+        if abs(full - value) > tolerance:
+            raise ValidationError(
+                f"move cost {value!r} disagrees with the full cost {full!r} "
+                f"of the solution it builds"
+            )
+        return self.evaluate(candidate, full)
 
     def evaluate_neighborhood(self, hood: "Neighborhood") -> int:
         """Evaluate `hood`'s neighbors in order until the run finishes.
@@ -301,8 +308,8 @@ class Problem:
     returning it, so every kind works unchanged.  `TspInstance`
     overrides all three: a move is a reversal (i, j), costed from the
     four edges it changes and built only when a search keeps it.  Such
-    a cost may differ from `cost` by rounding; `move_tolerance` bounds
-    the relative difference (0 on the base path, where they are equal).
+    a cost may differ from `cost` by rounding, which `Run.evaluate_move`
+    allows for within `MOVE_TOLERANCE` of the largest cost carried.
 
     Solutions are checked where they enter and where they reach the
     record.  `evaluate` is the one checked entry for outside input
@@ -318,8 +325,6 @@ class Problem:
 
     kind: str = "abstract"
     atom_count: int = 0
-    # largest relative error `move_cost` may carry against `cost`
-    move_tolerance: float = 0.0
 
     def evaluate(self, solution) -> float:
         """Validate, then cost: the checked entry for outside input."""

@@ -9,8 +9,10 @@ tour, so they are excluded from neighborhood enumeration and sampling;
 A sampled move is the pair (i, j).  Its cost is the tour's cost plus
 the two edges the reversal makes minus the two it breaks, four reads of
 the distance matrix instead of n; the tour itself is copied and
-reversed only for a move a search keeps.  The sum can differ from a
-full recompute in the last bits, which `move_tolerance` allows for.
+reversed only for a move a search keeps.  The edges are summed before
+`f` is added, so a reversal that trades two edges for two of the same
+lengths leaves `f` exactly as it was.  Otherwise the sum can differ from
+a full recompute in the last bits, which `Run.evaluate_move` allows for.
 
 Atoms are undirected city adjacencies: the pair {a, b} has id
 min(a, b) * n + max(a, b), so ids lie in 0..n*n - 1.  A reversal's
@@ -34,7 +36,6 @@ from ..core import (
 
 class TspInstance(Problem):
     kind = "tsp"
-    move_tolerance = 1e-9
 
     def __init__(self, distances, coords=None, name: str = "tsp"):
         d = np.asarray(distances, dtype=float)
@@ -140,7 +141,7 @@ class TspInstance(Problem):
         i, j = move
         d = self.d
         a, b, c, e = tour.item(i - 1), tour.item(i), tour.item(j), tour.item((j + 1) % self.n)
-        return f + (d.item(a, c) + d.item(b, e)) - (d.item(a, b) + d.item(c, e))
+        return f + ((d.item(a, c) + d.item(b, e)) - (d.item(a, b) + d.item(c, e)))
 
     def apply(self, tour, move) -> np.ndarray:
         out = np.array(tour)

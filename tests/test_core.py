@@ -34,7 +34,7 @@ from stochopt import (
     tabu_search,
 )
 from stochopt import aco
-from stochopt.core import split_streams, success_time
+from stochopt.core import MOVE_TOLERANCE, split_streams, success_time
 from stochopt.problems import two_opt
 
 
@@ -181,6 +181,74 @@ def test_long_rescaled_annealing_on_irrational_lengths_keeps_its_energies_non_ne
         )
         assert rec.status == "budget_exhausted" and rec.evaluations == 60_000
         assert rec.best_fitness == tour.evaluate(rec.best_solution)
+
+
+class _FullCostTsp(TspInstance):
+    """Tours on the base path: every sampled neighbor built and costed edge by edge."""
+
+    sample_move = Problem.sample_move
+    move_cost = Problem.move_cost
+    apply = Problem.apply
+
+    def sample_neighbor(self, tour, rng):
+        return TspInstance.apply(self, tour, TspInstance.sample_move(self, tour, rng))
+
+
+def _penalty_distances(n, penalty, seed):
+    """Fractional plane distances, with `penalty` on about a fifth of the edges."""
+    rng = seeded_rng(seed)
+    coords = rng.random((n, 2))
+    d = np.hypot(*(coords[:, None, :] - coords[None, :, :]).transpose(2, 0, 1))
+    forbidden = np.triu(rng.random((n, n)) < 0.2, 1)
+    d[forbidden | forbidden.T] = penalty
+    return d
+
+
+@pytest.mark.parametrize("penalty", [1e8, 1e10, 1e12])
+def test_moves_on_a_penalty_edge_matrix_keep_full_cost_records(penalty):
+    """A running cost that has carried 1e10-sized edges is off by their rounding.
+
+    Leaving the last penalty edge lands a fractional tour cost whose
+    carried value is off by about ulp(penalty), far more than 1e-9 of
+    it; the window scales with the largest cost the run carried, so the
+    re-cost resyncs instead of raising.  First-accept moves only to
+    costs within the window of the best, so it decides on full costs
+    and its records equal a full-costing run's.  Annealing also decides
+    away from the best, on carried costs whose rounding can tip a
+    Metropolis test, so its record is held to its own checked best.
+    """
+    d = _penalty_distances(30, penalty, seed=0)
+    tour, full_cost = TspInstance(d), _FullCostTsp(d)
+    for seed in range(2):
+        for walk in (False, True):
+            rec = hill_climb_first_accept(tour, Budget(3000), seed, random_walk=walk)
+            assert rec == hill_climb_first_accept(full_cost, Budget(3000), seed, random_walk=walk)
+        assert rec.best_fitness < penalty
+        for rescaled in (False, True):
+            rec = simulated_annealing(tour, Budget(10_000), seed, rescaled=rescaled)
+            assert rec.evaluations == 10_000
+            assert rec.best_fitness == tour.evaluate(rec.best_solution) < penalty
+            assert rec.best_curve[-1][1] == rec.best_fitness
+
+
+def test_a_reversal_that_trades_edges_for_equal_ones_leaves_the_cost_exact():
+    """On a lattice, a move whose made edges have its broken edges' lengths is a tie.
+
+    Its move cost is the tour's cost to the bit, so annealing accepts it
+    without a draw; a full recompute sums the reordered tour and can
+    land an ulp either side.
+    """
+    grid = TspInstance.from_coords([(x, y) for x in range(4) for y in range(4)])
+    d, n, ties = grid.d, grid.n, 0
+    for seed in range(4):
+        tour = seeded_rng(seed).permutation(n)
+        f = grid.cost(tour)
+        for i, j in zip(grid._i.tolist(), grid._j.tolist()):
+            a, b, c, e = tour[i - 1], tour[i], tour[j], tour[(j + 1) % n]
+            if sorted((d[a, c], d[b, e])) == sorted((d[a, b], d[c, e])):
+                ties += 1
+                assert grid.move_cost(tour, f, (i, j)) == f
+    assert ties
 
 
 @pytest.mark.parametrize("search", [
@@ -363,15 +431,17 @@ def test_a_sampled_move_builds_and_costs_the_sampled_neighbor(kind, n, seed, ste
     same neighbor through either path and are left in the same state,
     and for tours that neighbor is the one a reference draw of a
     non-trivial reversal gives; the move's cost matches the built
-    neighbor's full cost within the problem's `move_tolerance` (exactly
-    where it is 0), also when the cost is carried along the chain; and
-    `apply` leaves the solution it starts from untouched.
+    neighbor's full cost within `MOVE_TOLERANCE` of the largest cost the
+    chain has carried (exactly on the base path, which only tours leave),
+    also when the cost is carried along the chain; and `apply` leaves the
+    solution it starts from untouched.
     """
     problem = _instance(kind, n, seeded_rng(seed))
     chain = seeded_rng(seed + 1)
     rng, rng2, rng3 = seeded_rng(seed + 2), seeded_rng(seed + 2), seeded_rng(seed + 2)
     x = problem.random_solution(chain)
     f = problem.cost(x)
+    scale = max(1.0, abs(f))
     for _ in range(steps):
         try:
             move = problem.sample_move(x, rng)
@@ -388,7 +458,8 @@ def test_a_sampled_move_builds_and_costs_the_sampled_neighbor(kind, n, seed, ste
         assert problem.freeze(y) == problem.freeze(neighbor)
         assert problem.freeze(x) == problem.freeze(before)
         full = problem.cost(y)
-        tolerance = problem.move_tolerance * max(1.0, abs(full))
+        scale = max(scale, abs(full))
+        tolerance = MOVE_TOLERANCE * scale if kind == "tsp" else 0.0
         assert abs(problem.move_cost(x, problem.cost(x), move) - full) <= tolerance
         f_y = problem.move_cost(x, f, move)  # from a cost carried along the chain
         assert abs(f_y - full) <= tolerance
