@@ -12,10 +12,20 @@ with w_tau and w_eta as the exponents a and b).  The trail is a plain
 (n, n) array.  The distance half of the score, eta = w_eta / d for the
 sum rule and (1 / d) ** w_eta for the product rule, never changes
 during a run, so it is computed once per run as an (n, n) array.
-Every edge an ant picks receives a small constant deposit immediately;
-after the iteration all trails evaporate by rho and the iteration-best
-tour's edges gain q / tour_length.  Entries live in [tau_min, tau_max],
-so trails fade toward the floor but never vanish and cannot blow up.
+Every edge an ant walks receives a small constant deposit; after the
+iteration all trails evaporate by rho and the iteration-best tour's
+edges gain q / tour_length.  Entries live in [tau_min, tau_max], so
+trails fade toward the floor but never vanish and cannot blow up.
+
+An ant scores every edge once, as a list of Python floats, before its
+first step, and makes its deposits once its tour is complete.  That is
+the same walk as re-reading the trail at every step with the deposits
+made along the way: a deposit on (x, y) changes only the entries (x, y)
+and (y, x), both of cities the ant has visited, and from then on it
+reads only edges to unvisited cities.  The wheel itself (`_sum` for the
+total, a running sum of score / total for the spin) repeats numpy's
+float operations in numpy's order, so each draw lands on the city
+`searchsorted` over the normalized cumulative scores would pick.
 
 Budgets count completed tours, one objective evaluation each, so ant
 runs compare against other algorithms on equal terms.  Each ant owns a
@@ -26,8 +36,11 @@ construction might be scheduled.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, replace
+from functools import reduce
 from numbers import Real
+from operator import add
 
 import numpy as np
 
@@ -66,6 +79,10 @@ class AcoConfig:
             if ants < 1:
                 raise ValidationError(f"'ants' must be at least 1, got {ants!r}")
             object.__setattr__(self, "ants", int(ants))  # 3.0 from a config is 3
+        for name in ("w_tau", "w_eta", "rho", "local_deposit", "q", "tau0", "tau_min", "tau_max"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValidationError(f"aco setting {name!r} must be finite, got {value!r}")
         if self.w_tau < 0 or (self.w_eta is not None and self.w_eta < 0):
             raise ValidationError("desirability weights must be non-negative")
         if self.w_tau == 0 and self.w_eta == 0:
@@ -106,37 +123,75 @@ def _resolved(cfg: AcoConfig, inst) -> tuple[AcoConfig, np.ndarray]:
 
 
 def edge_desirability(tau_xy, eta_xy, cfg: AcoConfig):
-    """Score of one edge, or elementwise of arrays of trails and eta values."""
+    """Score of one edge, or elementwise of arrays of trails and eta values.
+
+    An ant scores the whole (n, n) trail at once; the values are the ones
+    a gather of the same entries would score.
+    """
     if cfg.rule == "product":
         return tau_xy**cfg.w_tau * eta_xy
     return cfg.w_tau * tau_xy + eta_xy
 
 
-def choose_next_city(current: int, visited, tau, eta, cfg: AcoConfig, rng) -> int:
-    """Roulette-wheel draw of an unvisited city (`visited` is a boolean mask)."""
-    candidates = np.flatnonzero(~visited)
-    if candidates.size == 0:
+def _sum(xs) -> float:
+    """`np.sum` of a list of floats, bit for bit: numpy's pairwise summation.
+
+    Below 8 terms a running sum; up to 128, eight interleaved running sums
+    added in a fixed tree, then the leftover terms; above that, the sums of
+    two halves split at a multiple of 8.
+    """
+    n = len(xs)
+    if n < 8:
+        total = 0.0
+        for x in xs:
+            total += x
+        return total
+    if n <= 128:
+        whole = n - n % 8
+        r = [reduce(add, xs[j:whole:8]) for j in range(8)]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for x in xs[whole:]:
+            total += x
+        return total
+    half = n // 2
+    half -= half % 8
+    return _sum(xs[:half]) + _sum(xs[half:])
+
+
+def choose_next_city(row, candidates, rng) -> int:
+    """Roulette-wheel draw from `candidates`, ascending city ids scored by `row`.
+
+    `row` is the current city's list of edge scores.  The spin lands on
+    the first city whose cumulative share exceeds the draw; `not cum <= u`
+    also stops at a NaN share, where `searchsorted` would.
+    """
+    if not candidates:
         raise ValidationError("no unvisited city to move to")
-    if candidates.size == 1:
-        return int(candidates[0])
-    scores = edge_desirability(tau[current, candidates], eta[current, candidates], cfg)
-    total = scores.sum()
+    if len(candidates) == 1:
+        return candidates[0]
+    scores = [row[c] for c in candidates]
+    total = _sum(scores)
     if total <= 0:
         log.warning("all desirabilities zero; falling back to a uniform choice")
-        return int(candidates[rng.integers(candidates.size)])
-    cum = np.cumsum(scores / total)
-    idx = int(np.searchsorted(cum, rng.random(), side="right"))
-    return int(candidates[min(idx, candidates.size - 1)])
+        return candidates[rng.integers(len(candidates))]
+    u = rng.random()
+    cum = 0.0
+    for city, score in zip(candidates, scores):
+        cum += score / total
+        if not cum <= u:
+            return city
+    return candidates[-1]
 
 
-def local_update(tau, edge: tuple, cfg: AcoConfig) -> None:
-    """Deposit on one edge and its mirror, capped at tau_max.
+def local_update(tau, tour, cfg: AcoConfig) -> None:
+    """Deposit on every path edge of a tour and its mirror, capped at tau_max.
 
-    Every other entry already lies in [tau_min, tau_max], so this is the
-    only one that could leave the bounds.
+    The closing edge gets none.  Every other entry already lies in
+    [tau_min, tau_max], so these are the only ones that could leave the
+    bounds.
     """
-    x, y = edge
-    tau[x, y] = tau[y, x] = min(tau[x, y] + cfg.local_deposit, cfg.tau_max)
+    a, b = tour[:-1], tour[1:]
+    tau[a, b] = tau[b, a] = np.minimum(tau[a, b] + cfg.local_deposit, cfg.tau_max)
 
 
 def global_update(tau, best_tour, tour_length: float, cfg: AcoConfig) -> None:
@@ -155,17 +210,14 @@ def _build_tour(tau, eta, cfg: AcoConfig, rng) -> np.ndarray:
     """One ant's tour as an `intp` permutation, the form `TspInstance.cost` takes."""
     n = len(tau)
     current = int(rng.integers(n))
-    visited = np.zeros(n, dtype=bool)
-    visited[current] = True
-    tour = np.empty(n, dtype=np.intp)
-    tour[0] = current
-    for k in range(1, n):
-        city = choose_next_city(current, visited, tau, eta, cfg, rng)
-        local_update(tau, (current, city), cfg)
-        visited[city] = True
-        tour[k] = city
-        current = city
-    return tour
+    scores = edge_desirability(tau, eta, cfg).tolist()
+    unvisited = [c for c in range(n) if c != current]
+    tour = [current]
+    for _ in range(1, n):
+        current = choose_next_city(scores[current], unvisited, rng)
+        unvisited.remove(current)
+        tour.append(current)
+    return np.array(tour, dtype=np.intp)
 
 
 def aco_run(
@@ -193,6 +245,7 @@ def aco_run(
             best_tour = None
             for stream in streams:
                 tour = _build_tour(tau, eta, cfg, stream)
+                local_update(tau, tour, cfg)
                 cost = run.evaluate(tour)
                 if cost < best_len:
                     best_len = cost

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stochopt import (
     AcoConfig,
@@ -15,13 +17,28 @@ from stochopt import (
     two_route_instance,
 )
 from stochopt import aco
-from stochopt.aco import RULES, choose_next_city, edge_desirability, global_update, local_update
+from stochopt.aco import (
+    RULES,
+    _sum,
+    choose_next_city,
+    edge_desirability,
+    global_update,
+    local_update,
+)
 
 
-def _visited(n, *cities):
-    mask = np.zeros(n, dtype=bool)
-    mask[list(cities)] = True
-    return mask
+def _numpy_wheel(row, candidates, rng):
+    """The per-choice numpy roulette `choose_next_city` must reproduce draw for draw."""
+    candidates = np.asarray(candidates)
+    if candidates.size == 1:
+        return int(candidates[0])
+    scores = np.asarray(row)[candidates]
+    total = scores.sum()
+    if total <= 0:
+        return int(candidates[rng.integers(candidates.size)])
+    cum = np.cumsum(scores / total)
+    idx = int(np.searchsorted(cum, rng.random(), side="right"))
+    return int(candidates[min(idx, candidates.size - 1)])
 
 
 def test_config_validation():
@@ -41,6 +58,15 @@ def test_config_validation():
     ):
         with pytest.raises(ValidationError):
             AcoConfig(**bad)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize(
+    "field", ["w_tau", "w_eta", "rho", "local_deposit", "q", "tau0", "tau_min", "tau_max"]
+)
+def test_config_refuses_non_finite_settings(field, value):
+    with pytest.raises(ValidationError, match=f"'{field}' must be finite"):
+        AcoConfig(**{field: value})
 
 
 @pytest.mark.parametrize("ants", [2.5, float("nan"), float("inf"), True, "3", 0, -2.0])
@@ -85,21 +111,20 @@ def test_choose_next_city_follows_the_roulette_wheel():
     tau = np.full((4, 4), cfg.tau0)
     tau[0] = [1.0, 0.3, 2.0, 0.7]
     eta = np.array([[0.0, 2.0 / 1.0, 2.0 / 2.0, 2.0 / 4.0]] * 4)  # w_eta / d
+    row = edge_desirability(tau, eta, cfg)[0].tolist()
 
     scores = np.array([0.3 + 2.0 / 1.0, 2.0 + 2.0 / 2.0, 0.7 + 2.0 / 4.0])
     cum = np.cumsum(scores / scores.sum())
     for seed in range(20):
         draw = seeded_rng(seed).random()
         idx = min(int(np.searchsorted(cum, draw, side="right")), 2)
-        got = choose_next_city(0, _visited(4, 0), tau, eta, cfg, seeded_rng(seed))
+        got = choose_next_city(row, [1, 2, 3], seeded_rng(seed))
         assert got == [1, 2, 3][idx]
 
 
 def test_single_candidate_skips_the_draw():
-    cfg = AcoConfig()
-    tau = np.full((3, 3), cfg.tau0)
     rng = seeded_rng(7)
-    assert choose_next_city(0, _visited(3, 0, 1), tau, np.ones((3, 3)), cfg, rng) == 2
+    assert choose_next_city([1.0, 1.0, 1.0], [2], rng) == 2
     # the generator was never consulted
     assert rng.random() == seeded_rng(7).random()
 
@@ -108,32 +133,121 @@ def test_zero_desirability_falls_back_to_uniform(caplog):
     cfg = AcoConfig(w_tau=0.0, w_eta=1.0)
     tau = np.full((3, 3), cfg.tau0)
     eta = np.zeros((3, 3))  # w_eta / d with every distance infinite
+    row = edge_desirability(tau, eta, cfg)[0].tolist()
     with caplog.at_level(logging.WARNING, logger="stochopt.aco"):
-        picks = {choose_next_city(0, _visited(3, 0), tau, eta, cfg, seeded_rng(s))
-                 for s in range(30)}
+        picks = {choose_next_city(row, [1, 2], seeded_rng(s)) for s in range(30)}
     assert picks == {1, 2}
     assert any("falling back to a uniform choice" in r.message for r in caplog.records)
 
 
 def test_no_candidate_raises():
-    cfg = AcoConfig()
-    tau = np.full((2, 2), cfg.tau0)
     with pytest.raises(ValidationError):
-        choose_next_city(0, _visited(2, 0, 1), tau, np.ones((2, 2)), cfg, seeded_rng(0))
+        choose_next_city([1.0, 1.0], [], seeded_rng(0))
+
+
+# Finite non-negative scores from subnormal to 1e300, so a 300-term sum stays finite.
+SCORES = st.floats(min_value=0.0, max_value=1e300, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(xs=st.lists(SCORES, max_size=300))
+@example(xs=[])
+@example(xs=[0.1] * 7)
+@example(xs=[0.1] * 8)
+@example(xs=[0.1] * 128)
+@example(xs=[0.1] * 129)
+@example(xs=[1e16, 1.0, -0.0, 1.0] * 75)
+def test_sum_is_numpys_pairwise_sum(xs):
+    assert _sum(xs) == float(np.sum(np.array(xs, dtype=float)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    row=st.lists(SCORES, min_size=1, max_size=150),
+    picks=st.lists(st.integers(0, 149), min_size=1, max_size=150),
+    zero_row=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(row=[0.5, 2.0], picks=[1], zero_row=False, seed=0)  # one candidate: no draw
+@example(row=[1.0] * 5, picks=[0, 3, 4], zero_row=True, seed=0)  # the uniform fallback
+@example(row=[1e-300, 1e300, 1.0], picks=[0, 1, 2], zero_row=False, seed=5)
+def test_choose_next_city_matches_the_numpy_wheel(row, picks, zero_row, seed):
+    """Same city, and the generator left in the same state, as the numpy roulette."""
+    candidates = sorted({p % len(row) for p in picks})
+    if zero_row:
+        row = [0.0] * len(row)
+    ours, theirs = seeded_rng(seed), seeded_rng(seed)
+    assert choose_next_city(row, candidates, ours) == _numpy_wheel(row, candidates, theirs)
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+@pytest.mark.parametrize("total", [3.0, 13.0])
+def test_a_draw_equal_to_a_cumulative_share_moves_past_it(total):
+    """Ties go right, as `searchsorted(side="right")` sends them, with the share a true quotient.
+
+    With a total of 13, `a * (1 / 13)` lands above the draw for about a
+    quarter of these seeds, so a wheel that multiplied by the reciprocal
+    would stop a city early.
+    """
+    tied = 0
+    for seed in range(200):
+        u = seeded_rng(seed).random()
+        a = u * total
+        row = [a, total - a]
+        if a + row[1] != total or a / total != u:
+            continue
+        tied += 1
+        assert choose_next_city(row, [0, 1], seeded_rng(seed)) == 1
+        assert _numpy_wheel(row, [0, 1], seeded_rng(seed)) == 1
+    assert tied > 100
 
 
 def test_local_update_is_symmetric_and_clamped():
     cfg = AcoConfig(local_deposit=0.01)
-    tau = np.full((3, 3), cfg.tau0)
-    local_update(tau, (0, 1), cfg)
-    assert tau[0, 1] == tau[1, 0] == 1.01
-    assert tau[0, 2] == 1.0
+    tau = np.full((4, 4), cfg.tau0)
+    local_update(tau, np.array([2, 0, 3, 1]), cfg)
+    want = np.full((4, 4), 1.0)
+    for a, b in [(2, 0), (0, 3), (3, 1)]:  # the closing edge (1, 2) gets nothing
+        want[a, b] = want[b, a] = 1.01
+    np.testing.assert_array_equal(tau, want)
 
     capped = AcoConfig(local_deposit=0.01, tau_max=1.005)
     tau = np.full((3, 3), capped.tau0)
-    local_update(tau, (1, 0), capped)
-    assert tau[0, 1] == tau[1, 0] == 1.005
-    assert tau[0, 2] == 1.0
+    local_update(tau, np.array([1, 0, 2]), capped)
+    assert tau[0, 1] == tau[1, 0] == tau[0, 2] == tau[2, 0] == 1.005
+    assert tau[1, 2] == 1.0
+
+
+def test_local_update_leaves_a_one_city_trail_alone():
+    tau = np.full((1, 1), 1.0)
+    local_update(tau, np.array([0]), AcoConfig())
+    assert tau[0, 0] == 1.0
+
+
+def test_aco_run_calls_the_traced_helpers_through_the_module(eight, monkeypatch):
+    """The benchmark tracer wraps these three names; each must be called through them."""
+    cfg = AcoConfig(ants=4)
+    plain = aco_run(eight, Budget(40), 3, cfg)
+    calls = {}
+
+    def counting(name):
+        original = getattr(aco, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        return wrapped
+
+    for name in ("choose_next_city", "local_update", "global_update"):
+        monkeypatch.setattr(aco, name, counting(name))
+    traced = aco_run(eight, Budget(40), 3, cfg)
+    assert traced.to_dict() == plain.to_dict()
+    assert calls == {
+        "choose_next_city": 40 * (eight.n - 1),  # one per step after the start city
+        "local_update": 40,  # one per tour
+        "global_update": traced.extras["iterations"],
+    }
 
 
 def test_global_update_matches_hand_computation():

@@ -22,6 +22,17 @@ recompute summed the reordered tour, could land an ulp above and then
 drew a number.  Its two annealing digests are this implementation's (the
 full-costing ones were afa0b8db... and 9b350d6a...); its first-accept
 digests are the full-costing ones.
+
+The ant-colony digests were taken from the per-choice implementation
+(each choice gathered its row of scores with numpy, summed them, and
+drew with `searchsorted` over the normalized cumulative sum; each edge
+got its local deposit as it was chosen).  Ant construction from one
+score snapshot per ant, with a pure-Python wheel and the deposits made
+once per tour, must reproduce them bit for bit.  The cases cover both
+rules (the product rule with an exponent numpy raises by its generic
+`pow`), tours from 2 to 140 cities (past the 128 terms where numpy's
+pairwise sum splits), a budget that ends mid-iteration, a `tau_max` the
+local deposit hits, the uniform fallback and a target stop.
 """
 
 import hashlib
@@ -31,11 +42,13 @@ import pytest
 
 from conftest import FIXTURES
 from stochopt import (
+    AcoConfig,
     BinPackingInstance,
     Budget,
     TabuConfig,
     TspInstance,
     CoolingSchedule,
+    aco_run,
     cube_fixture,
     cube_state,
     hill_climb_first_accept,
@@ -69,6 +82,10 @@ def _instances():
         "grid16": TspInstance.from_coords(
             [(x, y) for x in range(4) for y in range(4)], name="grid16"
         ),
+        **{
+            f"tour{n}": TspInstance.from_coords(seeded_rng(n).random((n, 2)), name=f"tour{n}")
+            for n in (2, 3, 9, 140)
+        },
     }
 
 
@@ -176,6 +193,59 @@ TRAJECTORY_CASES["pack10-sa-target"] = ("pack10", _sa(10000, 10, target=4.0))
 for name in ("sa-calibrated", "sa-rescaled", "first-accept", "first-accept-random-walk"):
     TRAJECTORY_CASES[f"grid16-{name}"] = ("grid16", TRAJECTORY[name])
 
+
+
+def _aco(budget, seed, target=None, **cfg):
+    def run(problem):
+        return aco_run(problem, Budget(budget, target), seed, AcoConfig(**cfg))
+
+    return run
+
+
+ACO_CASES = {
+    "eight-aco-sum": ("eight", _aco(400, 0)),
+    "eight-aco-product": ("eight", _aco(400, 1, rule="product", w_tau=1.7)),
+    "eight-aco-mid-iteration": ("eight", _aco(100, 2, ants=3)),
+    "eight-aco-tau-max": ("eight", _aco(400, 3, tau0=0.05, tau_max=0.06, local_deposit=0.004)),
+    # every (1 / d) ** 400 underflows to 0.0, so every choice is uniform
+    "eight-aco-uniform": ("eight", _aco(64, 4, rule="product", w_eta=400.0)),
+    "eight-aco-target": ("eight", _aco(5000, 5, target=242.4649175937606)),
+    "tour2-aco": ("tour2", _aco(10, 6)),
+    "tour3-aco": ("tour3", _aco(12, 7)),
+    "tour9-aco": ("tour9", _aco(200, 8)),
+    "tour9-aco-product": ("tour9", _aco(200, 9, rule="product", w_tau=0.6, w_eta=3.3)),
+    "tour50-aco": ("tour50", _aco(150, 10)),
+    "tour50-aco-product": ("tour50", _aco(150, 11, rule="product")),
+    "tour140-aco": ("tour140", _aco(10, 12, ants=4)),
+    "tour140-aco-product": ("tour140", _aco(6, 13, ants=3, rule="product", w_tau=2.5)),
+}
+
+
+def _aco(budget, seed, target=None, **cfg):
+    def run(problem):
+        return aco_run(problem, Budget(budget, target), seed, AcoConfig(**cfg))
+
+    return run
+
+
+ACO_CASES = {
+    "eight-aco-sum": ("eight", _aco(400, 0)),
+    "eight-aco-product": ("eight", _aco(400, 1, rule="product", w_tau=1.7)),
+    "eight-aco-mid-iteration": ("eight", _aco(100, 2, ants=3)),
+    "eight-aco-tau-max": ("eight", _aco(400, 3, tau0=0.05, tau_max=0.06, local_deposit=0.004)),
+    # every (1 / d) ** 400 underflows to 0.0, so every choice is uniform
+    "eight-aco-uniform": ("eight", _aco(64, 4, rule="product", w_eta=400.0)),
+    "eight-aco-target": ("eight", _aco(5000, 5, target=242.4649175937606)),
+    "tour2-aco": ("tour2", _aco(10, 6)),
+    "tour3-aco": ("tour3", _aco(12, 7)),
+    "tour9-aco": ("tour9", _aco(200, 8)),
+    "tour9-aco-product": ("tour9", _aco(200, 9, rule="product", w_tau=0.6, w_eta=3.3)),
+    "tour50-aco": ("tour50", _aco(150, 10)),
+    "tour50-aco-product": ("tour50", _aco(150, 11, rule="product")),
+    "tour140-aco": ("tour140", _aco(10, 12, ants=4)),
+    "tour140-aco-product": ("tour140", _aco(6, 13, ants=3, rule="product", w_tau=2.5)),
+}
+
 DIGESTS = {
     "cube-steepest-restarts": "23fc10764e25c7066b3598e7b4fcc054f6b2dfc82412bc8495daa47f8b76afbe",
     "cube-tabu-memory": "3d99af233dcd5c178a1df4552eeb14f1d68945c2993ca74628f0a0609f9b4f1f",
@@ -250,6 +320,24 @@ TRAJECTORY_DIGESTS = {
 }
 
 
+ACO_DIGESTS = {
+    "eight-aco-mid-iteration": "dd2bb2dc1bb6e38f6a58eca5e41166d76fdd1d8efe34c3090343f7b4e2634820",
+    "eight-aco-product": "06befe2f41633fc09568ead0a5ebe1368a259de5e84ccb215da98d35a119cd1d",
+    "eight-aco-sum": "c254dd478922bd7bc021f7a1df8f513ca25b183d70473759cd6ca661036e438a",
+    "eight-aco-target": "14820f2bc090167211ebc335a4ef368a9a16db991b28bd23c909b976e142140b",
+    "eight-aco-tau-max": "113e18781e87ac21ce51a9c6b81b6f613d9c4d6685094d27df7f0021f259ac4e",
+    "eight-aco-uniform": "9dc1f02acd6f689f4b82de21c67a3370b2cda634bfc3e25fd8b75bcb4fa1ca80",
+    "tour140-aco": "42738a1f7fd2e5a79ff3d1bf22dbbe0f0e70aec583520485506c064dd268dbce",
+    "tour140-aco-product": "bc8cc26ee6d8fc4925f3df0cec48c16775db91b72c062b8eed187fdf10363c12",
+    "tour2-aco": "722f95d32526a89c0c3660c74b0399d203e0300fdfd2f1c361c4baa577baa2ba",
+    "tour3-aco": "22837810a3ecde68ecf54eda2282308dde8aeec3d7bac7f5e208790659315912",
+    "tour50-aco": "9d08c994b03af6976edba8b864a4386d5027f98c5986b14b4381cd1cd89271ea",
+    "tour50-aco-product": "5a8b6fedef9ca146e1146450de46e5673f5a258a07ce9fd259f5902bd7db5432",
+    "tour9-aco": "15ef43329b1ab3691f0365e6851a649451131e745ec1641c96ebdb9317a23372",
+    "tour9-aco-product": "1518e8277cee2b8411d07698a207c926a24f68d296c5c5fc19dcad2b01c2a270",
+}
+
+
 def _digest(record) -> str:
     text = json.dumps(record.to_dict(), sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
@@ -270,6 +358,23 @@ def test_record_matches_its_pinned_digest(name, instances):
 def test_trajectory_record_matches_its_pinned_digest(name, instances):
     instance, run = TRAJECTORY_CASES[name]
     assert _digest(run(instances[instance], instance)) == TRAJECTORY_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(ACO_CASES))
+def test_aco_record_matches_its_pinned_digest(name, instances):
+    instance, run = ACO_CASES[name]
+    assert _digest(run(instances[instance])) == ACO_DIGESTS[name]
+
+
+def test_aco_cases_take_the_paths_they_pin(instances, caplog):
+    """The mid-iteration, fallback and target cases stop and choose as named."""
+    mid = ACO_CASES["eight-aco-mid-iteration"][1](instances["eight"])
+    assert mid.evaluations % 3 != 0 and mid.status == "budget_exhausted"
+    target = ACO_CASES["eight-aco-target"][1](instances["eight"])
+    assert target.status == "target_reached" and target.evaluations < 5000
+    with caplog.at_level("WARNING", logger="stochopt.aco"):
+        ACO_CASES["eight-aco-uniform"][1](instances["eight"])
+    assert any("uniform choice" in r.message for r in caplog.records)
 
 
 def test_memory_weights_change_the_walk(instances):

@@ -227,3 +227,10 @@ def test_swarm_config_validation():
         SwarmConfig(p_increment=-1.0)
     with pytest.raises(ValidationError):
         SwarmConfig(vmax=0.0)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("field", ["p_increment", "g_increment", "vmax", "inertia"])
+def test_swarm_config_refuses_non_finite_settings(field, value):
+    with pytest.raises(ValidationError, match=f"'{field}' must be finite"):
+        SwarmConfig(**{field: value})
