@@ -36,7 +36,8 @@ def _numpy_wheel(row, candidates, rng):
     total = scores.sum()
     if total <= 0:
         return int(candidates[rng.integers(candidates.size)])
-    cum = np.cumsum(scores / total)
+    with np.errstate(invalid="ignore"):  # inf / inf
+        cum = np.cumsum(scores / total)
     idx = int(np.searchsorted(cum, rng.random(), side="right"))
     return int(candidates[min(idx, candidates.size - 1)])
 
@@ -171,6 +172,8 @@ def test_sum_is_numpys_pairwise_sum(xs):
 @example(row=[0.5, 2.0], picks=[1], zero_row=False, seed=0)  # one candidate: no draw
 @example(row=[1.0] * 5, picks=[0, 3, 4], zero_row=True, seed=0)  # the uniform fallback
 @example(row=[1e-300, 1e300, 1.0], picks=[0, 1, 2], zero_row=False, seed=5)
+@example(row=[1.0, float("nan"), 2.0], picks=[0, 1, 2], zero_row=False, seed=0)  # NaN shares
+@example(row=[1.0, float("inf"), 2.0], picks=[0, 1, 2], zero_row=False, seed=0)
 def test_choose_next_city_matches_the_numpy_wheel(row, picks, zero_row, seed):
     """Same city, and the generator left in the same state, as the numpy roulette."""
     candidates = sorted({p % len(row) for p in picks})
@@ -181,8 +184,7 @@ def test_choose_next_city_matches_the_numpy_wheel(row, picks, zero_row, seed):
     assert ours.bit_generator.state == theirs.bit_generator.state
 
 
-@pytest.mark.parametrize("total", [3.0, 13.0])
-def test_a_draw_equal_to_a_cumulative_share_moves_past_it(total):
+def test_a_draw_equal_to_a_cumulative_share_moves_past_it():
     """Ties go right, as `searchsorted(side="right")` sends them, with the share a true quotient.
 
     With a total of 13, `a * (1 / 13)` lands above the draw for about a
@@ -192,9 +194,9 @@ def test_a_draw_equal_to_a_cumulative_share_moves_past_it(total):
     tied = 0
     for seed in range(200):
         u = seeded_rng(seed).random()
-        a = u * total
-        row = [a, total - a]
-        if a + row[1] != total or a / total != u:
+        a = u * 13.0
+        row = [a, 13.0 - a]
+        if a + row[1] != 13.0 or a / 13.0 != u:
             continue
         tied += 1
         assert choose_next_city(row, [0, 1], seeded_rng(seed)) == 1
@@ -216,12 +218,6 @@ def test_local_update_is_symmetric_and_clamped():
     local_update(tau, np.array([1, 0, 2]), capped)
     assert tau[0, 1] == tau[1, 0] == tau[0, 2] == tau[2, 0] == 1.005
     assert tau[1, 2] == 1.0
-
-
-def test_local_update_leaves_a_one_city_trail_alone():
-    tau = np.full((1, 1), 1.0)
-    local_update(tau, np.array([0]), AcoConfig())
-    assert tau[0, 0] == 1.0
 
 
 def test_aco_run_calls_the_traced_helpers_through_the_module(eight, monkeypatch):
