@@ -12,6 +12,7 @@ asynchronous neuron update moves downhill in energy.
 import numpy as np
 
 from stochopt import (
+    Budget,
     HopfieldNet,
     TankParams,
     TspInstance,
@@ -58,11 +59,11 @@ print("energy per sweep               :", [round(e, 1) for e in energies])
 # Whether the fixed point decodes to a tour is a different question:
 # with the textbook penalty weights it usually does not.  A gentler tour
 # term on unit-scale distances behaves far better.
-rec = hopfield_solve(inst, p, restarts=100, seed=0)
+rec = hopfield_solve(inst, Budget(100), 0, p)
 print(f"textbook weights: {rec.extras['valid_tours']}/100 restarts decode to tours")
 
 soft = TankParams(d=40.0)
-rec = hopfield_solve(inst, soft, restarts=100, seed=0)
+rec = hopfield_solve(inst, Budget(100), 0, soft)
 _, optimum = brute_force_tour(inst)
 print(
     f"softer tour term: {rec.extras['valid_tours']}/100 decode, "
@@ -72,5 +73,5 @@ print(
 # The same recipe collapses on instances whose distances dwarf the
 # penalty scale; valid fractions are worth recording, not assuming.
 big = TspInstance.from_coords(100.0 * seeded_rng(3).random((6, 2)), name="big6")
-rec = hopfield_solve(big, soft, restarts=100, seed=0)
+rec = hopfield_solve(big, Budget(100), 0, soft)
 print(f"unscaled distances: {rec.extras['valid_tours']}/100 decode ({rec.status})")

@@ -36,11 +36,10 @@ construction might be scheduled.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, replace
 from functools import reduce
-from numbers import Real
 from operator import add
+from typing import Literal
 
 import numpy as np
 
@@ -50,12 +49,11 @@ from .core import (
     Run,
     RunRecord,
     ValidationError,
+    check_fields,
     split_streams,
 )
 
 log = logging.getLogger(__name__)
-
-RULES = ("sum", "product")
 
 
 @dataclass(frozen=True)
@@ -69,20 +67,12 @@ class AcoConfig:
     tau0: float = 1.0
     tau_min: float = 1e-4
     tau_max: float = 1e6
-    rule: str = "sum"
+    rule: Literal["sum", "product"] = "sum"
 
     def __post_init__(self):
-        if self.ants is not None:
-            ants = self.ants
-            if isinstance(ants, bool) or not isinstance(ants, Real) or not float(ants).is_integer():
-                raise ValidationError(f"'ants' must be a whole number, got {ants!r}")
-            if ants < 1:
-                raise ValidationError(f"'ants' must be at least 1, got {ants!r}")
-            object.__setattr__(self, "ants", int(ants))  # 3.0 from a config is 3
-        for name in ("w_tau", "w_eta", "rho", "local_deposit", "q", "tau0", "tau_min", "tau_max"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValidationError(f"aco setting {name!r} must be finite, got {value!r}")
+        check_fields(self, "aco setting")
+        if self.ants is not None and self.ants < 1:
+            raise ValidationError(f"'ants' must be at least 1, got {self.ants!r}")
         if self.w_tau < 0 or (self.w_eta is not None and self.w_eta < 0):
             raise ValidationError("desirability weights must be non-negative")
         if self.w_tau == 0 and self.w_eta == 0:
@@ -93,8 +83,6 @@ class AcoConfig:
             raise ValidationError("deposits and tau0 must be positive")
         if not 0 < self.tau_min <= self.tau0 <= self.tau_max:
             raise ValidationError("need 0 < tau_min <= tau0 <= tau_max")
-        if self.rule not in RULES:
-            raise ValidationError(f"rule must be one of {RULES}")
 
 
 def _resolved(cfg: AcoConfig, inst) -> tuple[AcoConfig, np.ndarray]:

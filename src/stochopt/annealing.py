@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Literal
 
-from .core import Budget, Run, RunRecord, ValidationError
+from .core import Budget, Run, RunRecord, ValidationError, check_fields, conform
 
 # geometric schedules never hit zero algebraically; below this the float
 # has underflowed and the chain is stuck anyway
@@ -39,7 +40,7 @@ class CoolingSchedule:
     the run.
     """
 
-    kind: str = "geometric"
+    kind: Literal["geometric", "linear"] = "geometric"
     t0: float | None = None
     rate: float = 0.95
     decrement: float = 0.0
@@ -48,8 +49,7 @@ class CoolingSchedule:
     max_temperature_steps: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ("geometric", "linear"):
-            raise ValidationError(f"unknown schedule kind {self.kind!r}")
+        check_fields(self, "schedule")
         if self.t0 is not None and self.t0 <= 0:
             raise ValidationError("initial temperature must be positive")
         if self.kind == "geometric" and not (0.0 < self.rate < 1.0):
@@ -131,8 +131,9 @@ def simulated_annealing(
     rescaled_form: str = "as_printed",
     record_current: bool = False,
 ) -> RunRecord:
+    alpha = conform(float, alpha, "'alpha'")
     if rescaled and alpha <= 0:
-        raise ValidationError("alpha must be positive")
+        raise ValidationError(f"'alpha' must be positive, got {alpha!r}")
     if rescaled_form not in ("as_printed", "target_centered"):
         raise ValidationError(f"unknown rescaled form {rescaled_form!r}")
     schedule = schedule or CoolingSchedule()

@@ -32,14 +32,22 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .aco import AcoConfig, aco_run
 from .annealing import CoolingSchedule, simulated_annealing
-from .core import Budget, OptimizationError, ValidationError, success_time
+from .core import (
+    Budget,
+    OptimizationError,
+    ValidationError,
+    check_fields,
+    conform,
+    field_types,
+    success_time,
+)
 from .effort import (
     ComplexityClass,
     EffortUndefinedError,
@@ -95,23 +103,6 @@ def _anchor_instance(desc, base: Path):
     return desc
 
 
-def _number(kind: type, value, what: str):
-    """kind(value) for a finite number read from a config, or a ValidationError naming `what`.
-
-    An int takes whole numbers only: 3.0 reads as 3, and 2.5 is refused
-    rather than truncated.
-    """
-    try:
-        number = kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{what} cannot be read as {kind.__name__}: {value!r}") from None
-    if not math.isfinite(number):
-        raise ValidationError(f"{what} must be finite, got {value!r}")
-    if kind is int and isinstance(value, float) and number != value:
-        raise ValidationError(f"{what} must be a whole number, got {value!r}")
-    return number
-
-
 def _check_keys(what: str, given, accepted) -> None:
     """Reject any key of `given` outside `accepted`, naming it."""
     stray = sorted(set(given) - set(accepted))
@@ -156,7 +147,7 @@ def load_instance(desc):
     if kind == "continuous":
         return ContinuousLandscape(
             objective=desc.get("objective", "abs_linear"),
-            dim=_number(int, desc.get("dim", 1), "continuous instance 'dim'"),
+            dim=desc.get("dim", 1),
             bounds=desc.get("bounds"),
             neighbor_radius=desc.get("neighbor_radius"),
         )
@@ -186,7 +177,7 @@ ALGORITHMS = {
         "rescaled", "alpha"), start=True),
     "tabu": _Algorithm("tabu_search", TabuConfig, "cfg", (
         "tenure", "aspiration", "intensification_weight", "diversification_weight"), start=True),
-    "hopfield": _Algorithm("_hopfield_solve", TankParams, "p",
+    "hopfield": _Algorithm("hopfield_solve", TankParams, "p",
                            ("A", "B", "C", "D", "max_steps", "restarts")),
     "pso": _Algorithm("pso_run", SwarmConfig, "cfg",
                       ("size", "p_increment", "g_increment", "vmax", "inertia")),
@@ -221,12 +212,15 @@ class ExperimentConfig:
     output_json: str | None = None
 
     def __post_init__(self):
+        check_fields(self, "config")
         if self.algorithm not in ALGORITHMS:
             raise ValidationError(
                 f"unknown algorithm {self.algorithm!r}; choose from {tuple(ALGORITHMS)}"
             )
         if self.replicas < 1:
             raise ValidationError("need at least one replica")
+        if self.seed < 0:
+            raise ValidationError(f"'seed' must be at least 0, got {self.seed!r}")
         for name, block in self.params.items():
             if name not in ALGORITHMS:
                 raise ValidationError(
@@ -240,7 +234,7 @@ class ExperimentConfig:
         success_threshold(self.success)
         if not isinstance(self.instance, str):
             _descriptor_kind(self.instance)
-        _entry_call(self)  # casts the active block and builds its config, or fails here
+        _entry_call(self)  # checks the active block and builds its config, or fails here
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -253,42 +247,19 @@ class ExperimentConfig:
             _check_keys("budget keys", budget_raw, ("max_evaluations", "target_fitness"))
             if "max_evaluations" not in budget_raw:
                 raise ValidationError("budget needs 'max_evaluations'")
-            target = budget_raw.get("target_fitness")
-            budget = Budget(
-                max_evaluations=_number(int, budget_raw["max_evaluations"],
-                                        "budget 'max_evaluations'"),
-                target_fitness=None if target is None else _number(
-                    float, target, "budget 'target_fitness'"),
-            )
+            budget = Budget(**budget_raw)
         else:
-            budget = Budget(max_evaluations=_number(int, budget_raw, "'budget'"))
+            budget = Budget(budget_raw)
         success = raw.get("success")
         if success is not None and budget.target_fitness is None:
-            budget = Budget(
-                max_evaluations=budget.max_evaluations,
-                target_fitness=success_threshold(success),
-            )
+            budget = replace(budget, target_fitness=success_threshold(success))
         _check_keys("config fields", set(raw) - set(ALGORITHMS), [f.name for f in fields(cls)])
         params = raw.get("params", {})
         if not isinstance(params, dict):
             raise ValidationError(f"'params' must be an object, got {params!r}")
-        params = dict(params)
-        for name in ALGORITHMS:  # allow algorithm blocks at the top level too
-            if name in raw:
-                params.setdefault(name, raw[name])
-        return cls(
-            instance=raw["instance"],
-            algorithm=raw["algorithm"],
-            replicas=_number(int, raw.get("replicas", 1), "'replicas'"),
-            seed=_number(int, raw.get("seed", 0), "'seed'"),
-            budget=budget,
-            params=params,
-            success=success,
-            start=raw.get("start"),
-            label=raw.get("label", "experiment"),
-            output_csv=raw.get("output_csv"),
-            output_json=raw.get("output_json"),
-        )
+        blocks = {k: v for k, v in raw.items() if k in ALGORITHMS}  # top-level blocks; params win
+        given = {k: v for k, v in raw.items() if k not in ALGORITHMS}  # the dataclass checks them
+        return cls(**{**given, "budget": budget, "params": {**blocks, **params}})
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -303,20 +274,10 @@ class ExperimentConfig:
         return cfg
 
     def echo(self) -> dict:
-        return {
-            "instance": self.instance,
-            "algorithm": self.algorithm,
-            "replicas": self.replicas,
-            "seed": self.seed,
-            "budget": {
-                "max_evaluations": self.budget.max_evaluations,
-                "target_fitness": self.budget.target_fitness,
-            },
-            "params": self.params,
-            "success": self.success,
-            "start": self.start,
-            "label": self.label,
-        }
+        """Every field but the output paths, the budget as a dict: a report's `config`."""
+        config = asdict(self)
+        del config["output_csv"], config["output_json"]
+        return config
 
 
 def success_threshold(success: dict | None) -> float | None:
@@ -329,7 +290,7 @@ def success_threshold(success: dict | None) -> float | None:
                 ("threshold", "optimum", "relative", "absolute", "confidence"))
 
     def value(key, default=None):
-        return _number(float, success.get(key, default), f"success {key!r}")
+        return float(conform(float, success.get(key, default), f"success {key!r}"))
 
     if not 0 < value("confidence", 0.99) < 1:
         raise ValidationError(
@@ -342,53 +303,22 @@ def success_threshold(success: dict | None) -> float | None:
     return opt + abs(opt) * value("relative", 1e-9) + value("absolute", 0.0)
 
 
-def _cast(what: str, default, value):
-    """Cast like a bool, int or float default; a None default takes a number or null.
-
-    A bool takes true/false or 0/1 only.  Any other default keeps the
-    value, for its owner to check.
-    """
-    kind = type(default)
-    if kind is bool:
-        if type(value) in (bool, int) and value in (0, 1):
-            return bool(value)
-        raise ValidationError(f"{what} must be true or false, got {value!r}")
-    if kind in (int, float):
-        return _number(kind, value, what)
-    if default is None and value is not None and not (
-            isinstance(value, (int, float)) and math.isfinite(value)):
-        raise ValidationError(f"{what} must be a finite number, got {value!r}")
-    return value
-
-
-def _hopfield_solve(problem, budget, seed, p, max_steps=None, restarts=None):
-    """`hopfield_solve` under the common call; restarts default to the budget.
-
-    Counts given as whole floats (3.0) are read as ints; `hopfield_solve`
-    checks that they are at least 1.
-    """
-    if restarts is None:
-        restarts = budget.max_evaluations
-    else:
-        restarts = _number(int, restarts, "hopfield setting 'restarts'")
-    if max_steps is not None:
-        max_steps = _number(int, max_steps, "hopfield setting 'max_steps'")
-    return hopfield_solve(problem, p, max_steps=max_steps, restarts=restarts, seed=seed)
-
-
 def _entry_call(cfg: ExperimentConfig):
-    """(entry, keywords): each replica runs entry(problem, budget, seed, **keywords)."""
+    """(entry, keywords): each replica runs entry(problem, budget, seed, **keywords).
+
+    Each block key passes the type rule of the field or parameter it sets.
+    """
     spec = ALGORITHMS[cfg.algorithm]
     entry = globals()[spec.entry]  # at call time, so names patched on this module are used
-    own = {f.name: f.default for f in fields(spec.config)} if spec.config else {}
-    defaults = {k: p.default for k, p in inspect.signature(entry).parameters.items()}
-    defaults.update(own)
+    own = field_types(spec.config) if spec.config else {}
+    kinds = {k: p.annotation for k, p in inspect.signature(entry, eval_str=True).parameters.items()}
+    kinds.update(own)
     settings = {}
     for key, value in cfg.params.get(cfg.algorithm, {}).items():
         name = ALIASES.get(key, key)
         if name == "aspiration" and isinstance(value, bool):
             value = "best_so_far" if value else "off"
-        settings[name] = _cast(f"{cfg.algorithm} setting {key!r}", defaults[name], value)
+        settings[name] = conform(kinds[name], value, f"{cfg.algorithm} setting {key!r}")
     kwargs = {k: v for k, v in settings.items() if k not in own}
     if spec.config is not None:
         kwargs[spec.keyword] = spec.config(**{k: v for k, v in settings.items() if k in own})

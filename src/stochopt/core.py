@@ -15,8 +15,14 @@ generator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable
+import math
+import types
+import typing
+from contextlib import suppress
+from dataclasses import dataclass, field, fields
+from functools import cache
+from numbers import Integral, Real
+from typing import Any, Callable, Literal, Union
 
 import numpy as np
 
@@ -54,6 +60,82 @@ Fitness = float
 
 # Relative rounding a `move_cost` may carry against `cost`; see `Run.evaluate_move`.
 MOVE_TOLERANCE = 1e-9
+
+
+def _bool(value, what: str) -> bool:
+    if type(value) in (bool, int) and value in (0, 1):
+        return bool(value)
+    raise ValidationError(f"{what} must be true or false, got {value!r}")
+
+
+def _number(value, what: str):
+    """A finite real number that is not a bool; numeric text reads as float."""
+    if isinstance(value, str):
+        with suppress(ValueError):
+            value = float(value)
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValidationError(f"{what} must be a number, got {value!r}")
+    if not isinstance(value, Integral) and not math.isfinite(value):
+        raise ValidationError(f"{what} must be finite, got {value!r}")
+    return value
+
+
+def _int(value, what: str) -> int:
+    """A whole number, stored as int: 3.0 reads as 3, and 2.5 is refused rather than truncated."""
+    if isinstance(value, (bool, str)) or _number(value, what) != int(value):
+        raise ValidationError(f"{what} must be a whole number, got {value!r}")
+    return int(value)
+
+
+def _str(value, what: str) -> str:
+    if isinstance(value, str):
+        return value
+    raise ValidationError(f"{what} must be text, got {value!r}")
+
+
+@cache
+def type_rule(kind) -> Callable[[Any, str], Any] | None:
+    """The rule for values annotated `kind`, or None for an annotation left to its owner.
+
+    A rule takes (value, what) and returns the value as the field holds it,
+    or raises `ValidationError` naming `what`.  bool takes true/false or 0/1;
+    int a whole number, as int; float a finite number as given, or numeric
+    text; both refuse bools.  str takes text, Literal one of its strings,
+    X | None None or an X.  Config fields and config keys share it.
+    """
+    if typing.get_origin(kind) is Literal:
+        choices = typing.get_args(kind)
+
+        def literal(value, what):
+            if isinstance(value, str) and value in choices:
+                return value
+            raise ValidationError(f"{what} must be one of {choices}, got {value!r}")
+
+        return literal
+    if typing.get_origin(kind) in (Union, types.UnionType):
+        rest = [a for a in typing.get_args(kind) if a is not type(None)]
+        inner = type_rule(rest[0]) if len(rest) == 1 else None  # None: X has no rule either
+        return inner and (lambda value, what: None if value is None else inner(value, what))
+    return {bool: _bool, int: _int, float: _number, str: _str}.get(kind)
+
+
+def conform(kind, value, what: str):
+    """`value` as a field annotated `kind` holds it; a `ValidationError` names `what`."""
+    rule = type_rule(kind)
+    return value if rule is None else rule(value, what)
+
+
+@cache
+def field_types(cls) -> dict[str, Any]:
+    """The annotation of each field of dataclass `cls`, resolved once per class (it is slow)."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
+
+
+def check_fields(obj, owner: str) -> None:
+    """Keep each field of dataclass `obj` as its rule reads it; errors name `<owner> '<field>'`."""
+    for name, kind in field_types(type(obj)).items():
+        object.__setattr__(obj, name, conform(kind, getattr(obj, name), f"{owner} {name!r}"))
 
 
 def seeded_rng(seed: int) -> np.random.Generator:
@@ -105,6 +187,7 @@ class Budget:
     target_fitness: float | None = None
 
     def __post_init__(self):
+        check_fields(self, "budget")
         if self.max_evaluations < 1:
             raise ValidationError("budget must allow at least one evaluation")
 

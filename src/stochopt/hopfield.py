@@ -62,12 +62,11 @@ itself, as a reference for small n.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import Budget, Run, RunRecord, ValidationError, split_streams
+from .core import Budget, Run, RunRecord, ValidationError, check_fields, split_streams
 
 # The dense matrix holds (n^2)^2 floats and building it peaks at several
 # times that, so n = 100 would need gigabytes; 64 MiB admits n <= 53.
@@ -82,13 +81,10 @@ class TankParams:
     d: float = 500.0
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValidationError(
-                    f"penalty coefficient {f.name!r} must be finite and non-negative, "
-                    f"got {value!r}"
-                )
+        check_fields(self, "penalty coefficient")
+        negative = [f.name for f in fields(self) if getattr(self, f.name) < 0]
+        if negative:
+            raise ValidationError(f"penalty coefficients {negative} must be non-negative")
 
 
 @dataclass
@@ -306,20 +302,23 @@ def _is_count(value) -> bool:
 
 def hopfield_solve(
     inst,
+    budget: Budget,
+    seed: int,
     p: TankParams | None = None,
     max_steps: int | None = None,
-    restarts: int = 100,
-    seed: int = 0,
+    restarts: int | None = None,
 ) -> RunRecord:
-    """Best valid decoded tour over random-state restarts.
+    """Best valid decoded tour over `restarts` random-state restarts (default: the budget's).
 
     Each restart runs the asynchronous dynamics until a full sweep would
     change nothing, or until `max_steps` single-neuron updates (default
     100 sweeps).  Evaluations count decoded valid tours, one per valid
-    restart; the valid fraction lands in the record extras.  The network
-    is a `TankNet`: O(n^2) memory, with no cap on n.
+    restart, under `Budget(restarts)`: the given budget's target is not
+    used.  The valid fraction lands in the record extras.  The network is
+    a `TankNet`: O(n^2) memory, with no cap on n.
     """
     p = p or TankParams()
+    restarts = budget.max_evaluations if restarts is None else restarts
     if max_steps is not None and not _is_count(max_steps):
         raise ValidationError(f"'max_steps' must be an integer >= 1 or None, got {max_steps!r}")
     if not _is_count(restarts):

@@ -21,7 +21,7 @@ import logging
 
 import numpy as np
 
-from ..core import EncodingMismatchError, Problem, ValidationError
+from ..core import EncodingMismatchError, Problem, ValidationError, conform
 
 log = logging.getLogger(__name__)
 
@@ -42,6 +42,7 @@ class ContinuousLandscape(Problem):
             raise ValidationError(
                 f"unknown objective {objective!r}, expected one of {OBJECTIVES}"
             )
+        dim = conform(int, dim, "continuous instance 'dim'")
         if dim < 1:
             raise ValidationError("dimension must be at least 1")
         self.objective = objective

@@ -19,7 +19,6 @@ particles move and evaluate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,6 +30,7 @@ from .core import (
     RunRecord,
     UnsupportedOperationError,
     ValidationError,
+    check_fields,
 )
 
 
@@ -43,10 +43,7 @@ class SwarmConfig:
     inertia: float | None = None  # None: plain sum, the original rule
 
     def __post_init__(self):
-        for name in ("p_increment", "g_increment", "vmax", "inertia"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValidationError(f"swarm setting {name!r} must be finite, got {value!r}")
+        check_fields(self, "swarm setting")
         if self.size < 1:
             raise ValidationError("swarm size must be at least 1")
         if self.p_increment < 0 or self.g_increment < 0:

@@ -24,25 +24,25 @@ from __future__ import annotations
 
 from copy import copy
 from dataclasses import dataclass
+from typing import Literal
 
 import numpy as np
 
-from .core import Budget, NoNeighborError, Run, RunRecord, ValidationError
+from .core import Budget, NoNeighborError, Run, RunRecord, ValidationError, check_fields
 
 
 @dataclass(frozen=True)
 class TabuConfig:
     tenure: int = 7
-    aspiration: str = "best_so_far"  # or "off"
+    aspiration: Literal["best_so_far", "off"] = "best_so_far"
     intensification_weight: float = 0.0
     diversification_weight: float = 0.0
     elite_size: int = 5
 
     def __post_init__(self):
+        check_fields(self, "tabu setting")
         if self.tenure < 0:
             raise ValidationError("tenure must be >= 0 (0 disables the list)")
-        if self.aspiration not in ("best_so_far", "off"):
-            raise ValidationError(f"unknown aspiration rule {self.aspiration!r}")
         if self.intensification_weight < 0 or self.diversification_weight < 0:
             raise ValidationError("memory weights must be >= 0")
         if self.elite_size < 1:

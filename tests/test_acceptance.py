@@ -335,9 +335,7 @@ def test_identical_seeds_give_identical_records(cube, eight, tmp_path):
         "steepest": lambda: hill_climb_steepest(cube, Budget(100), 7),
         "sa": lambda: simulated_annealing(eight, Budget(2000), 7),
         "tabu": lambda: tabu_search(eight, Budget(500), 7),
-        "hopfield": lambda: hopfield_solve(
-            unit5, TankParams(d=40.0), restarts=10, seed=7
-        ),
+        "hopfield": lambda: hopfield_solve(unit5, Budget(10), 7, TankParams(d=40.0)),
         "pso": lambda: pso_run(prob, Budget(500), 7),
         "aco": lambda: aco_run(two_route_instance(), Budget(100), 7),
     }

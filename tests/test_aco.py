@@ -1,5 +1,6 @@
 import json
 import logging
+import typing
 import warnings
 
 import numpy as np
@@ -18,7 +19,6 @@ from stochopt import (
 )
 from stochopt import aco
 from stochopt.aco import (
-    RULES,
     _sum,
     choose_next_city,
     edge_desirability,
@@ -343,7 +343,7 @@ def test_product_rule_default_weight_keeps_the_wheel_alive(caplog):
     assert not any("uniform choice" in r.message for r in caplog.records)
 
 
-@pytest.mark.parametrize("rule", RULES)
+@pytest.mark.parametrize("rule", typing.get_args(typing.get_type_hints(AcoConfig)["rule"]))
 def test_one_city_resolves_its_defaults_without_warnings(rule):
     inst = TspInstance(np.zeros((1, 1)))
     with warnings.catch_warnings():

@@ -148,7 +148,8 @@ def test_rescaled_variant_runs_and_validates(eight):
         schedule=CoolingSchedule(t0=50.0),
     )
     assert rec.evaluations == 500
-    with pytest.raises(ValidationError):
-        simulated_annealing(eight, Budget(10), seed=0, rescaled=True, alpha=0.0)
+    for alpha in (0.0, float("nan"), float("inf"), True, "x"):
+        with pytest.raises(ValidationError, match="'alpha'"):
+            simulated_annealing(eight, Budget(10), seed=0, rescaled=True, alpha=alpha)
     with pytest.raises(ValidationError):
         simulated_annealing(eight, Budget(10), seed=0, rescaled_form="other")

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import functools
 import inspect
 import json
@@ -29,6 +28,7 @@ from stochopt import (
 )
 from stochopt import cli
 from stochopt.cli import ResultTable, _parse_complexity, emit_plot_data, success_threshold
+from stochopt.core import field_types, type_rule
 
 TRI_TSP = """\
 NAME: tri
@@ -262,6 +262,14 @@ _CUBE = {"instance": {"kind": "cube"}, "budget": 10}
                      id="replicas-fraction"),
         pytest.param({"algorithm": "tabu", "tabu": {"tenure": 2.5}}, "tenure",
                      id="tabu-tenure-fraction"),
+        pytest.param({"algorithm": "tabu", "tabu": {"tenure": True}}, "tenure",
+                     id="tabu-tenure-bool"),
+        pytest.param({"algorithm": "random", "replicas": True}, "replicas", id="replicas-bool"),
+        pytest.param({"algorithm": "random", "budget": True}, "budget", id="budget-bool"),
+        pytest.param({"algorithm": "random", "seed": -3}, "seed", id="seed-negative"),
+        pytest.param({"algorithm": "random", "label": ["a"]}, "label", id="label-list"),
+        pytest.param({"algorithm": "random", "output_csv": 5}, "output_csv",
+                     id="output_csv-number"),
     ]
     + [
         pytest.param({"algorithm": name, "start": 1}, "start", id=f"{name}-start")
@@ -287,10 +295,13 @@ def test_shipped_experiments_load(path):
 @pytest.mark.parametrize("name", list(cli.ALGORITHMS))
 def test_every_table_key_reaches_a_parameter(name):
     spec = cli.ALGORITHMS[name]
-    parameters = inspect.signature(getattr(cli, spec.entry)).parameters
-    own = {f.name for f in dataclasses.fields(spec.config)} if spec.config else set()
+    parameters = inspect.signature(getattr(cli, spec.entry), eval_str=True).parameters
+    own = field_types(spec.config) if spec.config else {}
     for key in spec.keys:
-        assert (cli.ALIASES.get(key, key) in own) != (cli.ALIASES.get(key, key) in parameters)
+        target = cli.ALIASES.get(key, key)
+        assert (target in own) != (target in parameters)
+        kind = own[target] if target in own else parameters[target].annotation
+        assert type_rule(kind) is not None, f"{key!r} has no type rule for {kind!r}"
     assert spec.keyword is None or spec.keyword in parameters
     assert ("start" in parameters) == spec.start
 
@@ -299,7 +310,7 @@ def _entry_call(raw):
     return cli._entry_call(ExperimentConfig.from_dict({**_CUBE, **raw}))
 
 
-def test_blocks_reach_entry_points_with_aliases_and_casts(monkeypatch):
+def test_blocks_reach_entry_points_with_aliases_and_casts(monkeypatch, tmp_path):
     @functools.wraps(cli.simulated_annealing)  # casts follow the entry point's signature
     def patched(*args, **kwargs):
         raise AssertionError("not called")
@@ -318,21 +329,26 @@ def test_blocks_reach_entry_points_with_aliases_and_casts(monkeypatch):
     assert entry is cli.tabu_search
     assert tabu == {"cfg": TabuConfig(aspiration="off"), "start": None}
 
-    calls = []
-    monkeypatch.setattr(cli, "hopfield_solve", lambda *args, **kw: calls.append((args, kw)))
+    hopfield_solve = cli.hopfield_solve
+
+    @functools.wraps(hopfield_solve)
+    def solve(*args, **kwargs):
+        return hopfield_solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "hopfield_solve", solve)
     entry, hop = _entry_call({"algorithm": "hopfield", "hopfield": {"A": 7, "max_steps": 5}})
-    entry("problem", Budget(10), 0, **hop)
-    entry, hop = _entry_call({"algorithm": "hopfield", "hopfield": {"restarts": 3.0}})
-    entry("problem", Budget(10), 0, **hop)
-    entry, hop = _entry_call({"algorithm": "hopfield", "hopfield": {"max_steps": 100.0}})
-    entry("problem", Budget(10), 0, **hop)
-    assert calls == [  # restarts default to the budget
-        (("problem", TankParams(a=7.0)), {"max_steps": 5, "restarts": 10, "seed": 0}),
-        (("problem", TankParams()), {"max_steps": None, "restarts": 3, "seed": 0}),
-        (("problem", TankParams()), {"max_steps": 100, "restarts": 10, "seed": 0}),
-    ]
-    assert type(calls[1][1]["restarts"]) is int
-    assert type(calls[2][1]["max_steps"]) is int
+    assert entry is solve
+    assert hop == {"p": TankParams(a=7.0), "max_steps": 5}
+    entry, hop = _entry_call({"algorithm": "hopfield",
+                              "hopfield": {"restarts": 3.0, "max_steps": 100.0}})
+    assert hop == {"p": TankParams(), "restarts": 3, "max_steps": 100}
+    assert type(hop["restarts"]) is int and type(hop["max_steps"]) is int
+
+    tri = parse_tsp_file(_write(tmp_path, "tri.tsp", TRI_TSP))
+    entry, hop = _entry_call({"algorithm": "hopfield", "hopfield": {"max_steps": 20}})
+    record = entry(tri, Budget(4, target_fitness=0.0), 0, **hop)
+    assert record.extras["restarts"] == 4  # restarts default to the budget
+    assert record == hopfield_solve(tri, Budget(4), 0, max_steps=20)  # which sets no target
 
 
 def test_config_from_file_labels_and_anchoring(tmp_path, monkeypatch):

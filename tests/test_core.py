@@ -3,6 +3,8 @@ import copy
 import inspect
 import json
 import re
+import types
+import typing
 import warnings
 
 import numpy as np
@@ -19,10 +21,14 @@ from stochopt import (
     BudgetExhaustedError,
     ContinuousLandscape,
     CoolingSchedule,
+    ExperimentConfig,
     Neighborhood,
     NoNeighborError,
     Problem,
     Run,
+    SwarmConfig,
+    TabuConfig,
+    TankParams,
     TspInstance,
     UnsupportedOperationError,
     ValidationError,
@@ -34,7 +40,7 @@ from stochopt import (
     tabu_search,
 )
 from stochopt import aco
-from stochopt.core import MOVE_TOLERANCE, split_streams, success_time
+from stochopt.core import MOVE_TOLERANCE, field_types, split_streams, success_time
 from stochopt.problems import two_opt
 
 
@@ -79,6 +85,45 @@ def test_budget_rejects_zero_evaluations():
     with pytest.raises(ValidationError):
         Budget(0)
     assert Budget(5).target_fitness is None
+
+
+# the fields each config dataclass needs besides the one under test
+_CONFIGS = {
+    Budget: {"max_evaluations": 10},
+    CoolingSchedule: {},
+    TabuConfig: {},
+    AcoConfig: {},
+    SwarmConfig: {},
+    TankParams: {},
+    ExperimentConfig: {"instance": {"kind": "cube"}, "algorithm": "random"},
+}
+NAN, INF = float("nan"), float("inf")
+
+
+def _wrong_values(kind):
+    """Values of the wrong type for a field annotated `kind`."""
+    if typing.get_origin(kind) in (typing.Union, types.UnionType):
+        (kind,) = [a for a in typing.get_args(kind) if a is not type(None)]
+    if kind is int:
+        return [NAN, INF, 2.5, True, "x", "3"]
+    if kind is float:
+        return [NAN, INF, True, "x"]
+    if kind is str:
+        return [2.5, True]  # any text is a str
+    if typing.get_origin(kind) is typing.Literal:
+        return [2.5, True, "x"]
+    return []  # left to the class
+
+
+@pytest.mark.parametrize("cls, name, value", [
+    pytest.param(cls, name, value, id=f"{cls.__name__}.{name}-{value!r}")
+    for cls in _CONFIGS
+    for name, kind in field_types(cls).items()
+    for value in _wrong_values(kind)
+])
+def test_every_config_field_refuses_a_value_of_the_wrong_type(cls, name, value):
+    with pytest.raises(ValidationError, match=f"'{name}'"):
+        cls(**{**_CONFIGS[cls], name: value})
 
 
 def test_neighborhood_is_frozen():

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stochopt import (
+    Budget,
     HopfieldNet,
     TankParams,
     TspInstance,
@@ -167,7 +168,7 @@ def test_solve_runs_above_the_dense_cap_in_little_memory():
     inst = TspInstance.from_coords(seeded_rng(0).random((60, 2)))
     tracemalloc.start()
     try:
-        rec = hopfield_solve(inst, restarts=1, max_steps=2 * 60 * 60, seed=0)
+        rec = hopfield_solve(inst, Budget(1), 0, max_steps=2 * 60 * 60)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -228,7 +229,7 @@ def test_solve_replays_the_dense_network(monkeypatch, eight, case):
         finals = []
         monkeypatch.setattr(hopfield, "build_weights", build)
         monkeypatch.setattr(hopfield, "decode_tour", lambda v: finals.append(v.copy()) or decode(v))
-        return hopfield_solve(inst, p, restarts=20, seed=3), finals
+        return hopfield_solve(inst, Budget(20), 3, p), finals
 
     structured, structured_finals = solve(hopfield.build_weights)
     dense, dense_finals = solve(lambda inst, p: TankNet(inst.d, p).dense())
@@ -249,7 +250,7 @@ def test_solve_replays_the_dense_network(monkeypatch, eight, case):
 def test_solve_names_a_bad_count_before_any_restart(monkeypatch, eight, kwargs, field):
     monkeypatch.setattr(hopfield, "build_weights", lambda *a: pytest.fail("a network was built"))
     with pytest.raises(ValidationError, match=f"'{field}'"):
-        hopfield_solve(eight, **kwargs)
+        hopfield_solve(eight, Budget(10), 0, **kwargs)
 
 
 def test_decode_tour():
@@ -277,7 +278,7 @@ def test_net_validation():
 
 
 def test_textbook_penalties_rarely_settle_on_tours(eight):
-    rec = hopfield_solve(eight, restarts=30, seed=0)
+    rec = hopfield_solve(eight, Budget(30), 0)
     assert rec.status == "no_valid_tour"
     assert rec.extras["valid_fraction"] == 0.0
     assert rec.extras["restarts"] == 30
@@ -289,7 +290,7 @@ def test_softer_tour_term_recovers_valid_tours():
     rng = seeded_rng(1)
     inst = TspInstance.from_coords(rng.random((5, 2)), name="unit5")
     _, optimum = brute_force_tour(inst)
-    rec = hopfield_solve(inst, TankParams(d=40.0), restarts=50, seed=0)
+    rec = hopfield_solve(inst, Budget(50), 0, TankParams(d=40.0))
     assert rec.status == "ok"
     assert rec.extras["valid_fraction"] == 1.0
     assert rec.best_fitness == pytest.approx(optimum, rel=1e-9)

@@ -62,6 +62,9 @@ def test_validation_and_unsupported_enumeration():
     for radius in ("x", np.nan, [0.1, 0.2]):
         with pytest.raises(ValidationError, match="'neighbor_radius'"):
             ContinuousLandscape("abs_linear", neighbor_radius=radius)
+    for dim in (2.5, True, np.nan, "2"):
+        with pytest.raises(ValidationError, match="'dim'"):
+            ContinuousLandscape("abs_linear", dim=dim)
 
 
 def test_random_solutions_fill_the_box():
