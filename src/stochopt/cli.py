@@ -32,13 +32,12 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+import typing
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
-from .aco import AcoConfig, aco_run
-from .annealing import CoolingSchedule, simulated_annealing
+from .aco import aco_run
+from .annealing import simulated_annealing
 from .core import (
     Budget,
     OptimizationError,
@@ -49,6 +48,7 @@ from .core import (
     success_time,
 )
 from .effort import (
+    DEFAULT_CONFIDENCE,
     ComplexityClass,
     EffortUndefinedError,
     EnsembleStats,
@@ -57,7 +57,7 @@ from .effort import (
     seconds_at,
     success_steps,
 )
-from .hopfield import TankParams, hopfield_solve
+from .hopfield import hopfield_solve
 from .local_search import hill_climb_first_accept, hill_climb_steepest, random_search
 from .problems import (
     ContinuousLandscape,
@@ -67,8 +67,8 @@ from .problems import (
     parse_binpacking_file,
     parse_tsp_file,
 )
-from .swarm import SwarmConfig, pso_run
-from .tabu import TabuConfig, tabu_search
+from .swarm import pso_run
+from .tabu import tabu_search
 
 OUTPUT_DIR_ENV = "STOCHOPT_OUTPUT_DIR"
 SCHEMA_VERSION = 1
@@ -145,44 +145,26 @@ def load_instance(desc):
     if kind == "binpacking":
         return parse_binpacking_file(desc["path"])
     if kind == "continuous":
-        return ContinuousLandscape(
-            objective=desc.get("objective", "abs_linear"),
-            dim=desc.get("dim", 1),
-            bounds=desc.get("bounds"),
-            neighbor_radius=desc.get("neighbor_radius"),
-        )
+        return ContinuousLandscape(**{k: v for k, v in desc.items() if k != "kind"})
     return cube_fixture()
 
 
 # ----------------------------------------------------------- experiments
 
 
-@dataclass(frozen=True)
-class _Algorithm:
-    entry: str  # entry point's name in this module, looked up when an experiment runs
-    config: type | None = None  # dataclass built from the block's settings
-    keyword: str | None = None  # the entry point's parameter that takes it
-    keys: tuple = ()  # block keys, as a config spells them
-    start: bool = False  # whether the entry point takes a start solution
-
-
-# algorithm name -> how its config block reaches the entry point; each
-# default lives in the config dataclass or the entry point's signature
+# algorithm name -> (entry point's name in this module, its config block's keys);
+# the entry point's signature supplies the rest (see `_entry_call`)
 ALGORITHMS = {
-    "random": _Algorithm("random_search"),
-    "hillclimb": _Algorithm("hill_climb_first_accept", keys=("random_walk",), start=True),
-    "steepest": _Algorithm("hill_climb_steepest", keys=("restart_on_optimum",), start=True),
-    "sa": _Algorithm("simulated_annealing", CoolingSchedule, "schedule", (
-        "kind", "t0", "lambda", "decrement", "steps_per_temp", "max_temperature_steps",
-        "rescaled", "alpha"), start=True),
-    "tabu": _Algorithm("tabu_search", TabuConfig, "cfg", (
-        "tenure", "aspiration", "intensification_weight", "diversification_weight"), start=True),
-    "hopfield": _Algorithm("hopfield_solve", TankParams, "p",
-                           ("A", "B", "C", "D", "max_steps", "restarts")),
-    "pso": _Algorithm("pso_run", SwarmConfig, "cfg",
-                      ("size", "p_increment", "g_increment", "vmax", "inertia")),
-    "aco": _Algorithm("aco_run", AcoConfig, "cfg",
-                      ("ants", "w_tau", "w_eta", "rho", "local_deposit", "q", "tau0", "rule")),
+    "random": ("random_search", ()),
+    "hillclimb": ("hill_climb_first_accept", ("random_walk",)),
+    "steepest": ("hill_climb_steepest", ("restart_on_optimum",)),
+    "sa": ("simulated_annealing", ("kind", "t0", "lambda", "decrement", "steps_per_temp",
+                                   "max_temperature_steps", "rescaled", "alpha")),
+    "tabu": ("tabu_search", ("tenure", "aspiration", "intensification_weight",
+                             "diversification_weight")),
+    "hopfield": ("hopfield_solve", ("A", "B", "C", "D", "max_steps", "restarts")),
+    "pso": ("pso_run", ("size", "p_increment", "g_increment", "vmax", "inertia")),
+    "aco": ("aco_run", ("ants", "w_tau", "w_eta", "rho", "local_deposit", "q", "tau0", "rule")),
 }
 # block key -> the parameter it sets, where the two are spelled differently
 ALIASES = {"lambda": "rate", "steps_per_temp": "steps_per_temperature",
@@ -195,8 +177,9 @@ class ExperimentConfig:
 
     `params` holds one block per algorithm family (key = algorithm name)
     so a config can carry, say, both `sa` and `tabu` blocks while only
-    the active one is read.  Unknown keys anywhere, and a `start` the
-    algorithm cannot take, are refused.  Replica i runs with seed `seed + i`.
+    the active one is run; every block is checked and built at load.
+    Unknown keys anywhere, and a `start` the algorithm cannot take, are
+    refused.  Replica i runs with seed `seed + i`.
     """
 
     instance: object
@@ -228,13 +211,12 @@ class ExperimentConfig:
                 )
             if not isinstance(block, dict):
                 raise ValidationError(f"the {name!r} block must be an object")
-            _check_keys(f"{name} keys", block, ALGORITHMS[name].keys)
-        if self.start is not None and not ALGORITHMS[self.algorithm].start:
-            raise ValidationError(f"{self.algorithm} takes no 'start'")
+            _check_keys(f"{name} keys", block, ALGORITHMS[name][1])
         success_threshold(self.success)
         if not isinstance(self.instance, str):
             _descriptor_kind(self.instance)
-        _entry_call(self)  # checks the active block and builds its config, or fails here
+        for name in dict.fromkeys([self.algorithm, *self.params]):  # check and build each block
+            _entry_call(self, name)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -292,7 +274,7 @@ def success_threshold(success: dict | None) -> float | None:
     def value(key, default=None):
         return float(conform(float, success.get(key, default), f"success {key!r}"))
 
-    if not 0 < value("confidence", 0.99) < 1:
+    if not 0 < value("confidence", DEFAULT_CONFIDENCE) < 1:
         raise ValidationError(
             f"success 'confidence' must lie in (0, 1), got {success['confidence']!r}")
     if "threshold" in success:
@@ -303,27 +285,43 @@ def success_threshold(success: dict | None) -> float | None:
     return opt + abs(opt) * value("relative", 1e-9) + value("absolute", 0.0)
 
 
-def _entry_call(cfg: ExperimentConfig):
+def _settings(parameters) -> tuple:
+    """(keyword, X) for the parameter annotated `X | None` with X a dataclass, else (None, None)."""
+    for name, p in parameters.items():
+        args = typing.get_args(p.annotation)
+        if len(args) == 2 and args[1] is type(None) and is_dataclass(args[0]):
+            return name, args[0]
+    return None, None
+
+
+def _entry_call(cfg: ExperimentConfig, name: str | None = None):
     """(entry, keywords): each replica runs entry(problem, budget, seed, **keywords).
 
-    Each block key passes the type rule of the field or parameter it sets.
+    `name` picks the block, by default the active algorithm's.  The entry's
+    signature gives its settings dataclass (`_settings`) and whether it
+    takes `start`; a `start` it cannot take is refused for the active
+    algorithm only.  Each block key passes the type rule of the field or
+    parameter it sets.
     """
-    spec = ALGORITHMS[cfg.algorithm]
-    entry = globals()[spec.entry]  # at call time, so names patched on this module are used
-    own = field_types(spec.config) if spec.config else {}
-    kinds = {k: p.annotation for k, p in inspect.signature(entry, eval_str=True).parameters.items()}
-    kinds.update(own)
+    name = name or cfg.algorithm
+    entry = globals()[ALGORITHMS[name][0]]  # at call time, so names patched here are used
+    parameters = inspect.signature(entry, eval_str=True).parameters
+    keyword, config = _settings(parameters)
+    own = field_types(config) if config else {}
+    kinds = {k: p.annotation for k, p in parameters.items()} | own
     settings = {}
-    for key, value in cfg.params.get(cfg.algorithm, {}).items():
-        name = ALIASES.get(key, key)
-        if name == "aspiration" and isinstance(value, bool):
+    for key, value in cfg.params.get(name, {}).items():
+        target = ALIASES.get(key, key)
+        if target == "aspiration" and isinstance(value, bool):
             value = "best_so_far" if value else "off"
-        settings[name] = conform(kinds[name], value, f"{cfg.algorithm} setting {key!r}")
+        settings[target] = conform(kinds[target], value, f"{name} setting {key!r}")
     kwargs = {k: v for k, v in settings.items() if k not in own}
-    if spec.config is not None:
-        kwargs[spec.keyword] = spec.config(**{k: v for k, v in settings.items() if k in own})
-    if spec.start:
+    if config is not None:
+        kwargs[keyword] = config(**{k: v for k, v in settings.items() if k in own})
+    if "start" in parameters:
         kwargs["start"] = cfg.start
+    elif cfg.start is not None and name == cfg.algorithm:
+        raise ValidationError(f"{name} takes no 'start'")
     return entry, kwargs
 
 
@@ -403,26 +401,17 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> ResultTable:
         curves.append(
             {"seed": seed, "best_curve": [[int(n), float(f)] for n, f in record.best_curve]}
         )
-    best = np.array([r.best_fitness for r in records], dtype=float)
+    ens = EnsembleStats(tuple(records), cfg.budget.max_evaluations, threshold, cfg.label)
     summary: dict = {
         "replicas": cfg.replicas,
-        "best_median": float(np.median(best)),
-        "best_mean": float(best.mean()),
-        "best_min": float(best.min()),
-        "best_max": float(best.max()),
+        **ens.best_summary(),
         "total_wall_time_s": total_wall,
     }
     if threshold is not None:
-        ens = EnsembleStats(
-            records=tuple(records),
-            budget=cfg.budget.max_evaluations,
-            threshold=threshold,
-            label=cfg.label,
-        )
         summary["success_threshold"] = threshold
         summary["successes"] = len(ens.success_times())
         summary["pn_curve"] = [[t, p] for t, p in success_steps(ens)]
-        z = float(cfg.success.get("confidence", 0.99))
+        z = float(cfg.success.get("confidence", DEFAULT_CONFIDENCE))
         summary["confidence"] = z
         try:
             n_star, i_min = computational_effort(ens, z)

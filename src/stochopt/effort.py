@@ -17,8 +17,8 @@ run upward.
 seconds at a given instruction rate, with factorial counts computed in
 exact integer arithmetic before the division.  A count with more digits
 than Python prints comes back as a `Magnitude`, its base-10 logarithm;
-factorials that long are never built, their logarithm comes from
-`math.lgamma`.  `nfl_comparison` lays
+that logarithm is computed first (`math.lgamma` for factorials), so a
+count that long is never built.  `nfl_comparison` lays
 algorithm ensembles side by side against a random-search baseline at
 equal budgets; it presents curves and distributions and draws no verdict.
 """
@@ -31,7 +31,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import OptimizationError, ValidationError, success_time
+from .core import OptimizationError, ValidationError, conform, success_time
+
+DEFAULT_CONFIDENCE = 0.99  # the confidence z of effort statistics unless one is given
 
 
 class EffortUndefinedError(OptimizationError):
@@ -78,8 +80,15 @@ class EnsembleStats:
                 times.append(int(t))
         return sorted(times)
 
-    def best_values(self) -> np.ndarray:
-        return np.array([r.best_fitness for r in self.records], dtype=float)
+    def best_summary(self) -> dict:
+        """Median, mean, least and greatest best cost over the runs."""
+        best = np.array([r.best_fitness for r in self.records], dtype=float)
+        return {
+            "best_median": float(np.median(best)),
+            "best_mean": float(best.mean()),
+            "best_min": float(best.min()),
+            "best_max": float(best.max()),
+        }
 
 
 def cumulative_success(e: EnsembleStats, n: int) -> float:
@@ -148,8 +157,8 @@ class ComplexityClass:
     parameter: float | None = None
 
     def __post_init__(self):
-        if self.parameter is not None and not math.isfinite(self.parameter):
-            raise ValidationError(f"{self.kind} parameter must be finite, got {self.parameter}")
+        parameter = conform(float | None, self.parameter, f"{self.kind} parameter")
+        object.__setattr__(self, "parameter", parameter)
         if self.kind == "poly":
             if self.parameter is None or self.parameter < 1:
                 raise ValidationError("polynomial degree must be >= 1")
@@ -171,30 +180,29 @@ class ComplexityClass:
         """
         if n < 1:
             raise ValidationError("problem size must be at least 1")
-        # 0 means no limit, as before Python 3.10.7 added one
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if self.kind == "tsp_factorial":
-            # distinct closed tours over n cities: fix the start, halve direction
-            log10 = (math.lgamma(n) - math.log(2)) / math.log(10)
-            if limit and log10 > limit + 1:  # surely too long; +1 clears rounding
-                return Magnitude(log10)
-            count = math.factorial(n - 1) // 2 if n > 2 else 1
-        elif self.kind == "factorial":
-            log10 = math.lgamma(n + 1) / math.log(10)
-            if limit and log10 > limit + 1:
-                return Magnitude(log10)
-            count = math.factorial(n)
-        else:
+        k = self.parameter
+        if k is not None and not float(k).is_integer():
             try:
-                if self.kind == "poly":
-                    k = self.parameter
-                    count = n ** int(k) if float(k).is_integer() else float(n) ** k
-                else:
-                    b = self.parameter
-                    count = int(b) ** n if float(b).is_integer() else b**n
+                return float(n) ** k if self.kind == "poly" else k**n
             except OverflowError:  # a float power past the largest double
                 return math.inf
-        if isinstance(count, int) and limit and count >= 10**limit:
+        # the base-10 logarithm first, so a count too long to print is never built
+        if self.kind == "poly":
+            log10, exact = k * math.log10(n), lambda: n ** int(k)
+        elif self.kind == "exp":
+            log10, exact = n * math.log10(k), lambda: int(k) ** n
+        elif self.kind == "tsp_factorial":
+            # distinct closed tours over n cities: fix the start, halve direction
+            log10 = (math.lgamma(n) - math.log(2)) / math.log(10)
+            exact = lambda: math.factorial(n - 1) // 2 if n > 2 else 1
+        else:
+            log10, exact = math.lgamma(n + 1) / math.log(10), lambda: math.factorial(n)
+        # 0 means no limit, as before Python 3.10.7 added one
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and log10 > limit + 1:  # surely too long; +1 clears rounding
+            return Magnitude(log10)
+        count = exact()
+        if limit and count >= 10**limit:
             return Magnitude(math.log10(count))
         return count
 
@@ -246,7 +254,9 @@ def _pn_steps(e: EnsembleStats) -> list:
     return steps
 
 
-def nfl_comparison(ensembles: dict, baseline: EnsembleStats, z: float = 0.99) -> ComparisonReport:
+def nfl_comparison(
+    ensembles: dict, baseline: EnsembleStats, z: float = DEFAULT_CONFIDENCE
+) -> ComparisonReport:
     """Side-by-side presentation of algorithm ensembles vs random search.
 
     Pure presentation: success curves, efforts where defined, and
@@ -265,7 +275,6 @@ def nfl_comparison(ensembles: dict, baseline: EnsembleStats, z: float = 0.99) ->
             effort = {"n_star": n_star, "i_min": i_min}
         except EffortUndefinedError:
             effort = None
-        best = ens.best_values()
         entries.append(
             {
                 "name": name,
@@ -273,10 +282,7 @@ def nfl_comparison(ensembles: dict, baseline: EnsembleStats, z: float = 0.99) ->
                 "runs": len(ens.records),
                 "success_curve": [[int(n), p] for n, p in _pn_steps(ens)],
                 "effort": effort,
-                "best_median": float(np.median(best)),
-                "best_mean": float(best.mean()),
-                "best_min": float(best.min()),
-                "best_max": float(best.max()),
+                **ens.best_summary(),
             }
         )
     return ComparisonReport(budget=baseline.budget, confidence=z, entries=tuple(entries))

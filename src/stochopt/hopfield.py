@@ -317,6 +317,8 @@ def hopfield_solve(
     used.  The valid fraction lands in the record extras.  The network is
     a `TankNet`: O(n^2) memory, with no cap on n.
     """
+    if not hasattr(inst, "d"):
+        raise ValidationError("Hopfield runs need a distance-matrix instance")
     p = p or TankParams()
     restarts = budget.max_evaluations if restarts is None else restarts
     if max_steps is not None and not _is_count(max_steps):

@@ -1,8 +1,10 @@
 import csv
 import functools
 import inspect
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -270,6 +272,12 @@ _CUBE = {"instance": {"kind": "cube"}, "budget": 10}
         pytest.param({"algorithm": "random", "label": ["a"]}, "label", id="label-list"),
         pytest.param({"algorithm": "random", "output_csv": 5}, "output_csv",
                      id="output_csv-number"),
+        pytest.param({"algorithm": "tabu", "sa": {"t0": "hot", "lambda": True}},
+                     "sa setting 't0'", id="idle-sa-t0-text"),
+        pytest.param({"algorithm": "random", "tabu": {"tenure": -1}}, "tenure",
+                     id="idle-tabu-tenure-negative"),
+        pytest.param({"algorithm": "sa", "aco": {"rule": "x"}}, "aco setting 'rule'",
+                     id="idle-aco-rule-unknown"),
     ]
     + [
         pytest.param({"algorithm": name, "start": 1}, "start", id=f"{name}-start")
@@ -294,16 +302,36 @@ def test_shipped_experiments_load(path):
 
 @pytest.mark.parametrize("name", list(cli.ALGORITHMS))
 def test_every_table_key_reaches_a_parameter(name):
-    spec = cli.ALGORITHMS[name]
-    parameters = inspect.signature(getattr(cli, spec.entry), eval_str=True).parameters
-    own = field_types(spec.config) if spec.config else {}
-    for key in spec.keys:
+    entry, keys = cli.ALGORITHMS[name]
+    parameters = inspect.signature(getattr(cli, entry), eval_str=True).parameters
+    _, config = cli._settings(parameters)
+    own = field_types(config) if config else {}
+    for key in keys:
         target = cli.ALIASES.get(key, key)
         assert (target in own) != (target in parameters)
         kind = own[target] if target in own else parameters[target].annotation
         assert type_rule(kind) is not None, f"{key!r} has no type rule for {kind!r}"
-    assert spec.keyword is None or spec.keyword in parameters
-    assert ("start" in parameters) == spec.start
+    assert (config is not None) == (name in ("sa", "tabu", "hopfield", "pso", "aco"))
+
+
+def _readme_block_table() -> dict:
+    """README's block-key table: algorithm -> (block keys, whether it takes `start`)."""
+    lines = (REPO / "README.md").read_text().splitlines()
+    head = next(i for i, line in enumerate(lines) if line.startswith("| algorithm"))
+    table = {}
+    for line in itertools.takewhile(lambda line: line.startswith("|"), lines[head + 2:]):
+        name, keys, start = (cell.strip() for cell in line.strip("|").split("|"))
+        firsts = (re.search(r"`([^`]*)`", item) for item in keys.split(","))
+        table[name.strip("`")] = (tuple(m.group(1) for m in firsts if m), start == "yes")
+    return table
+
+
+def test_readme_block_table_matches_the_algorithm_table():
+    table = _readme_block_table()
+    assert list(table) == list(cli.ALGORITHMS)
+    for name, (entry, keys) in cli.ALGORITHMS.items():
+        parameters = inspect.signature(getattr(cli, entry)).parameters
+        assert table[name] == (keys, "start" in parameters), name
 
 
 def _entry_call(raw):
@@ -634,6 +662,24 @@ def test_main_runs_a_whole_float_ant_count_as_that_many_ants(tmp_path):
     assert type(cli._entry_call(ExperimentConfig.from_file(cfg))[1]["cfg"].ants) is int
 
 
+@pytest.mark.parametrize("algorithm", ["hopfield", "aco"])
+@pytest.mark.parametrize("instance", [{"kind": "cube"}, {"kind": "continuous"}, "pack10.txt"],
+                         ids=["cube", "continuous", "packing"])
+def test_tour_searchers_refuse_problems_that_are_not_tours(tmp_path, capsys, algorithm, instance):
+    if instance == "pack10.txt":
+        instance = str(FIXTURES / instance)
+    entry = getattr(cli, cli.ALGORITHMS[algorithm][0])
+    with pytest.raises(ValidationError, match="need a distance-matrix instance"):
+        entry(load_instance(instance), Budget(5), 0)
+
+    config = _write(tmp_path, "cfg.json",
+                    json.dumps({"instance": instance, "algorithm": algorithm, "budget": 5}))
+    rc = main(["run", "--config", str(config), "--output-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and "distance-matrix instance" in err
+
+
 def test_main_oracle_subcommand(tmp_path, capsys, eight_oracle):
     rc = main(["oracle", "--instance", str(FIXTURES / "eight.tsp")])
     out = capsys.readouterr().out
@@ -700,7 +746,8 @@ def test_main_names_bad_input(tmp_path, capsys, argv, text, named):
     ("exp:2.5", "2000", "operations: inf"),  # a float power past the largest double
     ("exp:2", "20000", "operations: ~3.98e+6020"),  # an int too long for str()
     ("tsp", "1000000", "operations: ~4.13e+5565702"),  # never built: from math.lgamma
-], ids=["float-overflow", "int-too-long", "factorial-too-long"])
+    ("exp:3", "30000000", "operations: ~4.38e+14313637"),  # never built: n * log10(3)
+], ids=["float-overflow", "int-too-long", "factorial-too-long", "power-too-long"])
 def test_main_project_counts_past_any_horizon(capsys, cls, n, count):
     rc = main(["project", "--class", cls, "--n", n])
     out = capsys.readouterr().out

@@ -168,9 +168,12 @@ def test_complexity_validation():
         ("tsp_factorial", 2),
         ("factorial", 1),
         ("cubic", None),
+        ("poly", True),
+        ("poly", "x"),
     ):
         with pytest.raises(ValidationError):
             ComplexityClass(kind, param)
+    assert ComplexityClass("exp", "3").parameter == 3.0  # numeric text reads as a number
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
