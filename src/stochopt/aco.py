@@ -146,12 +146,15 @@ def _sum(xs) -> float:
     return _sum(xs[:half]) + _sum(xs[half:])
 
 
-def choose_next_city(row, candidates, rng) -> int:
+def choose_next_city(row, candidates, rng, fallbacks: list | None = None) -> int:
     """Roulette-wheel draw from `candidates`, ascending city ids scored by `row`.
 
     `row` is the current city's list of edge scores.  The spin lands on
     the first city whose cumulative share exceeds the draw; `not cum <= u`
-    also stops at a NaN share, where `searchsorted` would.
+    also stops at a NaN share, where `searchsorted` would.  When every
+    score is zero the choice is uniform instead; a call on its own logs
+    a warning, while a run passes `fallbacks`, a list that gets the
+    candidate count of each such choice, and warns once at its end.
     """
     if not candidates:
         raise ValidationError("no unvisited city to move to")
@@ -160,7 +163,10 @@ def choose_next_city(row, candidates, rng) -> int:
     scores = [row[c] for c in candidates]
     total = _sum(scores)
     if total <= 0:
-        log.warning("all desirabilities zero; falling back to a uniform choice")
+        if fallbacks is None:
+            log.warning("all desirabilities zero; falling back to a uniform choice")
+        else:
+            fallbacks.append(len(candidates))
         return candidates[rng.integers(len(candidates))]
     u = rng.random()
     cum = 0.0
@@ -194,7 +200,7 @@ def global_update(tau, best_tour, tour_length: float, cfg: AcoConfig) -> None:
     np.clip(tau, cfg.tau_min, cfg.tau_max, out=tau)
 
 
-def _build_tour(tau, eta, cfg: AcoConfig, rng) -> np.ndarray:
+def _build_tour(tau, eta, cfg: AcoConfig, rng, fallbacks: list | None = None) -> np.ndarray:
     """One ant's tour as an `intp` permutation, the form `TspInstance.cost` takes."""
     n = len(tau)
     current = int(rng.integers(n))
@@ -202,7 +208,7 @@ def _build_tour(tau, eta, cfg: AcoConfig, rng) -> np.ndarray:
     unvisited = [c for c in range(n) if c != current]
     tour = [current]
     for _ in range(1, n):
-        current = choose_next_city(scores[current], unvisited, rng)
+        current = choose_next_city(scores[current], unvisited, rng, fallbacks)
         unvisited.remove(current)
         tour.append(current)
     return np.array(tour, dtype=np.intp)
@@ -227,12 +233,13 @@ def aco_run(
     streams = split_streams(run.rng, cfg.ants)
     iterations = 0
     iteration_best: list[float] = []
+    fallbacks: list[int] = []
     try:
         while not run.finished:
             best_len = float("inf")
             best_tour = None
             for stream in streams:
-                tour = _build_tour(tau, eta, cfg, stream)
+                tour = _build_tour(tau, eta, cfg, stream, fallbacks)
                 local_update(tau, tour, cfg)
                 cost = run.evaluate(tour)
                 if cost < best_len:
@@ -246,6 +253,11 @@ def aco_run(
                 iteration_best.append(best_len)
     except BudgetExhaustedError:
         pass
+    if fallbacks:
+        log.warning(
+            "all desirabilities zero on %d choices; each fell back to a uniform choice",
+            len(fallbacks),
+        )
     extras = {
         "iterations": iterations,
         "iteration_best": iteration_best,

@@ -153,15 +153,17 @@ class Neighborhood:
     """A whole neighborhood as arrays, one row per neighbor, in a fixed order.
 
     `solutions[k]` is neighbor k: a row of an (M, n) array for tours and
-    packings, a list entry for state graphs.  `costs[k]` is the Python
-    float `cost(solutions[k])` gives, bit for bit.  `broken[k]` and
-    `made[k]` are the integer atom ids the move to neighbor k consumes
-    and creates (the city adjacencies a reversal breaks and makes, an
-    (item, bin) pair, a labeled step on a state graph), padded with -1
-    to a common width; every move has at least one of each.  A
-    short-term memory that forbids undoing a move stores its `made`
-    atoms.  `label(k)` names move k for the record; it is computed only
-    for the moves a searcher picks.
+    packings, a list entry for state graphs.  `costs` is
+    `Problem.cost_rows(solutions)`: `costs[k]` is the Python float
+    `cost(solutions[k])` gives, bit for bit, which holds in any memory
+    layout of `solutions` because `cost_rows` reads its rows C-ordered
+    (see `Problem`).  `broken[k]` and `made[k]` are the integer atom ids
+    the move to neighbor k consumes and creates (the city adjacencies a
+    reversal breaks and makes, an (item, bin) pair, a labeled step on a
+    state graph), padded with -1 to a common width; every move has at
+    least one of each.  A short-term memory that forbids undoing a move
+    stores its `made` atoms.  `label(k)` names move k for the record; it
+    is computed only for the moves a searcher picks.
     """
 
     solutions: Any
@@ -264,12 +266,12 @@ class Run:
         """Count one candidate; validate it only if it enters the record.
 
         `value`, when given, is the candidate's `cost` computed ahead of
-        time (a `Neighborhood` costs all its rows at once), and `cost`
-        is not called again.  Each candidate is still one call here, so
-        the evaluation count, the best curve and the budget and target
-        stops land on exactly the candidate they would if it were costed
-        alone, and anything counting calls to this method counts
-        evaluations.  A strict improvement is checked through
+        time (a `Neighborhood` or a swarm sweep costs all its rows at
+        once through `cost_rows`), and `cost` is not called again.  Each
+        candidate is still one call here, so the evaluation count, the
+        best curve and the budget and target stops land on exactly the
+        candidate they would if it were costed alone, and anything
+        counting calls to this method counts evaluations.  A strict improvement is checked through
         `Problem.evaluate` either way, and a `value` that disagrees with
         it raises `ValidationError`.
         """
@@ -394,6 +396,17 @@ class Problem:
     a cost may differ from `cost` by rounding, which `Run.evaluate_move`
     allows for within `MOVE_TOLERANCE` of the largest cost carried.
 
+    `cost_rows(rows)` is the batched twin of `cost`: one Python float
+    per solution in `rows`, with `cost_rows(rows)[k] == cost(rows[k])`
+    bit for bit, in any memory layout of the block.  The base
+    implementation calls `cost` once per row.  Tours, packings and
+    continuous landscapes override it to cost an (M, n) block in one set
+    of array operations, reading each row as C-ordered: numpy sums along
+    the rows of a C-ordered block pairwise, as it sums one solution, but
+    straight down the columns of a Fortran-ordered one, which rounds
+    differently once a row has 8 terms or more.  `neighbors` costs its
+    rows and a particle swarm its sweep through it.
+
     Solutions are checked where they enter and where they reach the
     record.  `evaluate` is the one checked entry for outside input
     (starts, files, tests): it validates, then costs.  `cost`,
@@ -402,7 +415,7 @@ class Problem:
     problem built itself (`random_solution` or a neighbor operator) or a
     start that already passed `validate`; these are valid by
     construction.  `Run` counts every candidate, costed by `cost`,
-    `move_cost` or `neighbors`, and passes each strict improvement
+    `move_cost` or `cost_rows`, and passes each strict improvement
     through `evaluate` before recording it.
     """
 
@@ -416,6 +429,10 @@ class Problem:
     def cost(self, solution) -> float:
         """Objective of a solution `validate` returned or the problem built."""
         raise NotImplementedError
+
+    def cost_rows(self, rows) -> list[float]:
+        """`cost` of each solution in `rows`, as Python floats, bit for bit."""
+        return [self.cost(r) for r in rows]
 
     def validate(self, solution):
         """Return the solution in canonical form, or raise."""

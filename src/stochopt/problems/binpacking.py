@@ -74,6 +74,24 @@ class BinPackingInstance(Problem):
             overflow = 0.0
         return open_bins + self.penalty * overflow
 
+    def cost_rows(self, rows) -> list[float]:
+        """`cost` of each assignment of an (M, n) block.
+
+        Each row's loads are summed in item order, as `bincount` sums one
+        assignment's.
+        """
+        rows = np.asarray(rows)
+        m, n = rows.shape[0], self.n
+        loads = np.zeros((m, n))
+        flat, offsets = loads.reshape(-1), np.arange(m) * n
+        for column, size in enumerate(self.sizes):
+            flat[offsets + rows[:, column]] += size
+        open_bins = np.count_nonzero(loads > 0, axis=1)
+        loads -= 1.0
+        overflow = np.maximum(loads, 0.0, out=loads).sum(axis=1)
+        overflow[overflow < FIT_SLACK * n] = 0.0
+        return (open_bins + self.penalty * overflow).tolist()
+
     def loads(self, assignment) -> np.ndarray:
         a = self.validate(assignment)
         return np.bincount(a, weights=self.sizes, minlength=self.n)
@@ -90,7 +108,7 @@ class BinPackingInstance(Problem):
         return targets
 
     def neighbors(self, solution) -> Neighborhood:
-        """Relocations item by item over `_targets`, then swaps i < j; costed as `cost` does."""
+        """Relocations item by item over `_targets`, then swaps i < j; costed by `cost_rows`."""
         a = np.asarray(solution)
         n = self.n
         targets = np.array(self._targets(a))
@@ -105,15 +123,6 @@ class BinPackingInstance(Problem):
         swaps = np.arange(relocations, m)
         rows[swaps, i] = a[j]
         rows[swaps, j] = a[i]
-        # Each row's loads summed in item order, as `bincount` sums one row.
-        loads = np.zeros((m, n))
-        flat, offsets = loads.reshape(-1), np.arange(m) * n
-        for column, size in enumerate(self.sizes):
-            flat[offsets + rows[:, column]] += size
-        open_bins = np.count_nonzero(loads > 0, axis=1)
-        loads -= 1.0
-        overflow = np.maximum(loads, 0.0, out=loads).sum(axis=1)
-        overflow[overflow < FIT_SLACK * n] = 0.0
         none = np.full(relocations, -1)
 
         def label(k):
@@ -123,7 +132,7 @@ class BinPackingInstance(Problem):
 
         return Neighborhood(
             solutions=rows,
-            costs=(open_bins + self.penalty * overflow).tolist(),
+            costs=self.cost_rows(rows),
             broken=np.concatenate((
                 np.stack((item * n + a[item], none), axis=1),
                 np.stack((i * n + a[i], j * n + a[j]), axis=1),

@@ -89,6 +89,19 @@ class ContinuousLandscape(Problem):
         # multimodal_test
         return float(10.0 * x.size + np.sum(x**2 - 10.0 * np.cos(2.0 * np.pi * x)))
 
+    def cost_rows(self, rows) -> list[float]:
+        """`cost` of each point of an (M, dim) block: the same clamp and expression, row by row.
+
+        The block is copied C-ordered first if it is not, so each row
+        sums pairwise, as `cost` sums one point.
+        """
+        x, clamped = self.clamp(np.ascontiguousarray(rows, dtype=float))
+        if clamped:
+            log.debug("points outside bounds clamped before evaluation")
+        if self.objective == "abs_linear":
+            return np.abs(x[:, 0] + 1.0).tolist()
+        return (10.0 * x.shape[1] + np.sum(x**2 - 10.0 * np.cos(2.0 * np.pi * x), axis=1)).tolist()
+
     def random_solution(self, rng) -> np.ndarray:
         return self.lower + rng.random(self.dim) * (self.upper - self.lower)
 

@@ -72,9 +72,10 @@ class TabletopInstance(Problem):
     def neighbors(self, solution) -> Neighborhood:
         options = self.adjacency[solution]
         ids = self._label_ids
+        states = [v for v, _, _ in options]
         return Neighborhood(
-            solutions=[v for v, _, _ in options],
-            costs=[self.costs[v] for v, _, _ in options],
+            solutions=states,
+            costs=self.cost_rows(states),
             broken=np.array([ids[lab] for _, lab, _ in options], dtype=np.intp).reshape(-1, 1),
             made=np.array([ids[rev] for _, _, rev in options], dtype=np.intp).reshape(-1, 1),
             label=lambda k: options[k][1],

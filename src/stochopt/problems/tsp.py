@@ -98,6 +98,16 @@ class TspInstance(Problem):
             return 0.0
         return float(self.d[tour[:-1], tour[1:]].sum() + self.d[tour[-1], tour[0]])
 
+    def cost_rows(self, rows) -> list[float]:
+        """`cost` of each tour of an (M, n) block: path edges summed per row, then the closing edge.
+
+        The rows are read C-ordered, so the gathered edges are too and
+        each row sums pairwise, as `cost` sums one tour.
+        """
+        rows = np.ascontiguousarray(rows)
+        d = self.d
+        return (d[rows[:, :-1], rows[:, 1:]].sum(axis=1) + d[rows[:, -1], rows[:, 0]]).tolist()
+
     def random_solution(self, rng) -> np.ndarray:
         return rng.permutation(self.n)
 
@@ -105,19 +115,17 @@ class TspInstance(Problem):
         return np.minimum(a, b) * self.n + np.maximum(a, b)
 
     def neighbors(self, solution) -> Neighborhood:
-        """Every non-trivial reversal, in (i, j) row order, costed as `cost` does."""
+        """Every non-trivial reversal, in (i, j) row order, costed by `cost_rows`."""
         tour = np.asarray(solution)
         i, j, n = self._i, self._j, self.n
         p = np.arange(n)
         inside = (i[:, None] <= p) & (p <= j[:, None])
         rows = tour[np.where(inside, (i + j)[:, None] - p, p)]
-        d = self.d
-        costs = d[rows[:, :-1], rows[:, 1:]].sum(axis=1) + d[rows[:, -1], rows[:, 0]]
         before, first, last, after = tour[(i - 1) % n], tour[i], tour[j], tour[(j + 1) % n]
         atom = self._atom
         return Neighborhood(
             solutions=rows,
-            costs=costs.tolist(),
+            costs=self.cost_rows(rows),
             broken=np.stack((atom(before, first), atom(last, after)), axis=1),
             made=np.stack((atom(before, last), atom(first, after)), axis=1),
             label=lambda k: (int(i[k]), int(j[k])),

@@ -15,6 +15,13 @@ Everything is minimization, so personal bests start at +inf and update
 on strictly smaller cost.  The sweep order is particle-index order:
 all velocities update against the previous sweep's swarm best, then all
 particles move and evaluate.
+
+A sweep is costed as one block: `Problem.cost_rows` costs every moved
+particle at once, bit for bit as `cost` would one by one.  The particles
+are then counted one at a time, in index order, through `Run.evaluate`
+with their precomputed costs, so a budget or target stop and every
+personal-best update land on the same particle as if each were costed
+alone.
 """
 
 from __future__ import annotations
@@ -66,28 +73,30 @@ def update_velocity(pos, veloc, p_best_pos, g_pos, cfg: SwarmConfig, rng) -> np.
     return v
 
 
-def _evaluate_all(pos, p_best_pos, p_best_val, evaluate) -> None:
-    """Evaluate every particle in index order, keeping strictly better personal bests."""
-    for i in range(pos.shape[0]):
-        val = evaluate(pos[i])
+def _evaluate_all(pos, p_best_pos, p_best_val, run: Run) -> None:
+    """Cost every particle at once, then count each in index order; keep strictly better
+    personal bests."""
+    for i, val in enumerate(run.problem.cost_rows(pos)):
+        run.evaluate(pos[i], val)
         if val < p_best_val[i]:
             p_best_val[i] = val
             p_best_pos[i] = pos[i]
 
 
-def step_swarm(pos, veloc, p_best_pos, p_best_val, g_pos, g_val, problem,
-               cfg: SwarmConfig, rng, evaluate):
+def step_swarm(pos, veloc, p_best_pos, p_best_val, g_pos, g_val, cfg: SwarmConfig, run: Run):
     """One synchronous sweep: velocities first, then move and evaluate all.
 
-    Moves that leave the box are clipped to it.  Personal bests update in
-    place; returns (pos, veloc, g_pos, g_val, clamped), where `clamped`
-    counts the particles whose move was clipped.
+    Moves that leave the box are clipped to it.  Draws come from
+    `run.rng` and evaluations are counted by `run`.  Personal bests
+    update in place; returns (pos, veloc, g_pos, g_val, clamped), where
+    `clamped` counts the particles whose move was clipped.
     """
-    veloc = update_velocity(pos, veloc, p_best_pos, g_pos, cfg, rng)
+    problem = run.problem
+    veloc = update_velocity(pos, veloc, p_best_pos, g_pos, cfg, run.rng)
     moved = pos + veloc
     pos = np.clip(moved, problem.lower, problem.upper)
     clamped = int(np.any(pos != moved, axis=1).sum())
-    _evaluate_all(pos, p_best_pos, p_best_val, evaluate)
+    _evaluate_all(pos, p_best_pos, p_best_val, run)
     g_pos, g_val = _swarm_best(p_best_pos, p_best_val, g_pos, g_val)
     return pos, veloc, g_pos, g_val, clamped
 
@@ -131,13 +140,12 @@ def pso_run(
     sweeps = 0
     gbest_curve: list[float] = []
     try:
-        _evaluate_all(pos, p_best_pos, p_best_val, run.evaluate)
+        _evaluate_all(pos, p_best_pos, p_best_val, run)
         g_pos, g_val = _swarm_best(p_best_pos, p_best_val, g_pos, g_val)
         gbest_curve.append(g_val)
         while not run.finished:
             pos, veloc, g_pos, g_val, clamped = step_swarm(
-                pos, veloc, p_best_pos, p_best_val, g_pos, g_val, problem, cfg, rng,
-                run.evaluate,
+                pos, veloc, p_best_pos, p_best_val, g_pos, g_val, cfg, run,
             )
             clamp_count += clamped
             sweeps += 1

@@ -33,6 +33,17 @@ rules (the product rule with an exponent numpy raises by its generic
 `pow`), tours from 2 to 140 cities (past the 128 terms where numpy's
 pairwise sum splits), a budget that ends mid-iteration, a `tau_max` the
 local deposit hits, the uniform fallback and a target stop.
+
+The particle-swarm digests were taken from the per-particle
+implementation (each particle's position costed by its own
+`ContinuousLandscape.cost` call as the sweep reached it).  Costing each
+sweep as one block through `cost_rows`, then counting the particles in
+index order, must reproduce them bit for bit.  The cases cover both
+shipped settings (`pso_balanced`, `pso_lopsided`), the line in one and
+three dimensions, Rastrigin in 3, 10 and 130 dimensions (past the 8
+terms where numpy's pairwise sum unrolls and the 128 where it splits),
+a budget that ends mid-sweep, targets that fall mid-sweep, inertia, an
+explicit `vmax` and a swarm of one.
 """
 
 import hashlib
@@ -45,6 +56,8 @@ from stochopt import (
     AcoConfig,
     BinPackingInstance,
     Budget,
+    ContinuousLandscape,
+    SwarmConfig,
     TabuConfig,
     TspInstance,
     CoolingSchedule,
@@ -55,6 +68,7 @@ from stochopt import (
     hill_climb_steepest,
     parse_binpacking_file,
     parse_tsp_file,
+    pso_run,
     seeded_rng,
     simulated_annealing,
     tabu_search,
@@ -85,6 +99,12 @@ def _instances():
         **{
             f"tour{n}": TspInstance.from_coords(seeded_rng(n).random((n, 2)), name=f"tour{n}")
             for n in (2, 3, 9, 140)
+        },
+        "line": ContinuousLandscape("abs_linear"),
+        "line3": ContinuousLandscape("abs_linear", dim=3),
+        **{
+            f"rastrigin{d}": ContinuousLandscape("multimodal_test", dim=d)
+            for d in (3, 10, 130)
         },
     }
 
@@ -221,29 +241,31 @@ ACO_CASES = {
 }
 
 
-def _aco(budget, seed, target=None, **cfg):
+def _pso(budget, seed, target=None, **cfg):
     def run(problem):
-        return aco_run(problem, Budget(budget, target), seed, AcoConfig(**cfg))
+        return pso_run(problem, Budget(budget, target), seed, SwarmConfig(**cfg))
 
     return run
 
 
-ACO_CASES = {
-    "eight-aco-sum": ("eight", _aco(400, 0)),
-    "eight-aco-product": ("eight", _aco(400, 1, rule="product", w_tau=1.7)),
-    "eight-aco-mid-iteration": ("eight", _aco(100, 2, ants=3)),
-    "eight-aco-tau-max": ("eight", _aco(400, 3, tau0=0.05, tau_max=0.06, local_deposit=0.004)),
-    # every (1 / d) ** 400 underflows to 0.0, so every choice is uniform
-    "eight-aco-uniform": ("eight", _aco(64, 4, rule="product", w_eta=400.0)),
-    "eight-aco-target": ("eight", _aco(5000, 5, target=242.4649175937606)),
-    "tour2-aco": ("tour2", _aco(10, 6)),
-    "tour3-aco": ("tour3", _aco(12, 7)),
-    "tour9-aco": ("tour9", _aco(200, 8)),
-    "tour9-aco-product": ("tour9", _aco(200, 9, rule="product", w_tau=0.6, w_eta=3.3)),
-    "tour50-aco": ("tour50", _aco(150, 10)),
-    "tour50-aco-product": ("tour50", _aco(150, 11, rule="product")),
-    "tour140-aco": ("tour140", _aco(10, 12, ants=4)),
-    "tour140-aco-product": ("tour140", _aco(6, 13, ants=3, rule="product", w_tau=2.5)),
+BALANCED = dict(size=20, p_increment=2.0, g_increment=2.0)  # pso_balanced.json
+LOPSIDED = dict(size=20, p_increment=20.0, g_increment=0.2)  # pso_lopsided.json
+
+PSO_CASES = {
+    "line-pso-balanced": ("line", _pso(5000, 0, **BALANCED)),
+    "line-pso-lopsided": ("line", _pso(5000, 1, **LOPSIDED)),
+    "line3-pso-balanced": ("line3", _pso(2000, 2, **BALANCED)),
+    "rastrigin3-pso-balanced": ("rastrigin3", _pso(3000, 3, **BALANCED)),
+    "rastrigin10-pso-balanced": ("rastrigin10", _pso(5000, 4, **BALANCED)),
+    "rastrigin10-pso-lopsided": ("rastrigin10", _pso(5000, 5, **LOPSIDED)),
+    "rastrigin10-pso-mid-sweep": ("rastrigin10", _pso(1010, 6, **BALANCED)),
+    "line-pso-target": ("line", _pso(5000, 7, target=1e-3, size=7)),
+    "rastrigin3-pso-target": ("rastrigin3", _pso(20000, 8, target=0.5, size=13)),
+    "rastrigin10-pso-inertia": ("rastrigin10", _pso(3000, 9, size=15, inertia=0.7)),
+    "rastrigin3-pso-vmax": ("rastrigin3", _pso(2000, 10, size=10, vmax=0.3)),
+    "rastrigin10-pso-size1": ("rastrigin10", _pso(300, 11, size=1)),
+    "line-pso-size1": ("line", _pso(300, 12, size=1)),
+    "rastrigin130-pso": ("rastrigin130", _pso(400, 13, size=9)),
 }
 
 DIGESTS = {
@@ -338,6 +360,24 @@ ACO_DIGESTS = {
 }
 
 
+PSO_DIGESTS = {
+    "line-pso-balanced": "24c2da7b5c06d3b0de27d97bce03cd7668c4ff70b60bb12eff736892584478c2",
+    "line-pso-lopsided": "5cad50ebe6e6e694caabc31654b22032b612430539742bc6b6bf10eea6f6b456",
+    "line-pso-size1": "4412bbbf46a93ff78c67422363453eb381564fa5b8d6cf59f77b9b081e6fb65c",
+    "line-pso-target": "f3f92c44d369408088ca68db9f80526939983a0411266116ee98448e5779e4a3",
+    "line3-pso-balanced": "ec7a869d0c491608596200c0af16597f3c57e6c254b1f8ce2131cd9fa198836a",
+    "rastrigin10-pso-balanced": "9d74c9e337e4635032a53f5d294aae03aa9f22f228b6504908ea46a9a109264d",
+    "rastrigin10-pso-inertia": "9ff914e6d6b3d5b035e7515e90b87ce0690721ad8114e1052139ccd2f6b8d588",
+    "rastrigin10-pso-lopsided": "19801ef403ccc019cc68c12eb8d9eaa089be9a73e775d2032a8b7698ecaea614",
+    "rastrigin10-pso-mid-sweep": "49fcff19dbed12009970b3fe0d71356da32d54e1d050db7b37423a20c78afeec",
+    "rastrigin10-pso-size1": "d890c17514eeb6d0b7f6239fa66584385424642f7870ae1a499a9f414e9a50ba",
+    "rastrigin130-pso": "be285fb92b1d431c6bf8e641d8be6501a9964d6a059efa0d2e845fb278ec94df",
+    "rastrigin3-pso-balanced": "4f257b43b293d416fe98b10f5dfd1e3e929c8938e98a609bcf53f35d3e10d95d",
+    "rastrigin3-pso-target": "ac0826327b64564bfd365b46211f768db9e646d574eab56cc88211eeb2c96857",
+    "rastrigin3-pso-vmax": "cb65ef1f7f19991ba9017d454f60cf6c6457e5b02235a02f738c0a5ec0e4b444",
+}
+
+
 def _digest(record) -> str:
     text = json.dumps(record.to_dict(), sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
@@ -375,6 +415,34 @@ def test_aco_cases_take_the_paths_they_pin(instances, caplog):
     with caplog.at_level("WARNING", logger="stochopt.aco"):
         ACO_CASES["eight-aco-uniform"][1](instances["eight"])
     assert any("uniform choice" in r.message for r in caplog.records)
+
+
+def test_aco_uniform_fallback_warns_once_per_run(instances, caplog):
+    """64 tours of 8 cities make 6 drawn choices each, all of them uniform."""
+    with caplog.at_level("WARNING", logger="stochopt.aco"):
+        ACO_CASES["eight-aco-uniform"][1](instances["eight"])
+    warned = [r.getMessage() for r in caplog.records if "uniform choice" in r.getMessage()]
+    assert warned == [
+        "all desirabilities zero on 384 choices; each fell back to a uniform choice"
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(PSO_CASES))
+def test_pso_record_matches_its_pinned_digest(name, instances):
+    instance, run = PSO_CASES[name]
+    assert _digest(run(instances[instance])) == PSO_DIGESTS[name]
+
+
+def test_pso_cases_take_the_paths_they_pin(instances):
+    """The mid-sweep and target cases stop where they are named for."""
+    cut = PSO_CASES["rastrigin10-pso-mid-sweep"][1](instances["rastrigin10"])
+    assert cut.evaluations == 1010 and cut.evaluations % 20 != 0
+    for name, size in (("line-pso-target", 7), ("rastrigin3-pso-target", 13)):
+        instance, run = PSO_CASES[name]
+        hit = run(instances[instance])
+        assert hit.status == "target_reached"
+        assert hit.evaluations_to_success % size != 0  # the target falls mid-sweep ...
+        assert hit.evaluations % size == 0  # ... and the sweep still runs to its end
 
 
 def test_memory_weights_change_the_walk(instances):

@@ -6,6 +6,7 @@ import pytest
 from stochopt import (
     Budget,
     ContinuousLandscape,
+    Run,
     SwarmConfig,
     UnsupportedOperationError,
     ValidationError,
@@ -59,8 +60,7 @@ def test_step_swarm_counts_clamped_moves():
     pos, veloc = _rows([4.0, 4.0], [0.0, 0.0]), _rows([10.0, -10.0], [0.1, 0.1])
     p_best, p_best_val = _rows([4.0, 4.0], [0.0, 0.0]), np.array([5.0, 1.0])
     pos, veloc, g_pos, g_val, clamped = step_swarm(
-        pos, veloc, p_best, p_best_val, np.zeros(2), 1.0, prob, cfg, seeded_rng(0),
-        prob.evaluate,
+        pos, veloc, p_best, p_best_val, np.zeros(2), 1.0, cfg, Run(prob, Budget(2), 0, "pso"),
     )
     assert clamped == 1  # particles, not coordinates
     np.testing.assert_array_equal(pos[0], [5.0, -5.0])  # pinned to the box
@@ -78,7 +78,7 @@ def test_ties_keep_the_standing_bests():
     p_best, p_best_val = _rows([0.0, 3.0], [1.0, -3.0]), np.array([1.0, 2.0])
     g_pos = np.array([-2.0, 4.0])
     _, _, g_pos, g_val, _ = step_swarm(
-        pos, veloc, p_best, p_best_val, g_pos, 1.0, prob, cfg, seeded_rng(0), prob.evaluate,
+        pos, veloc, p_best, p_best_val, g_pos, 1.0, cfg, Run(prob, Budget(2), 0, "pso"),
     )
     np.testing.assert_array_equal(p_best, [[0.0, 3.0], [1.0, -3.0]])
     np.testing.assert_array_equal(g_pos, [-2.0, 4.0])
