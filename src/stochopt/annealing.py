@@ -138,9 +138,7 @@ def simulated_annealing(
         raise ValidationError(f"unknown rescaled form {rescaled_form!r}")
     schedule = schedule or CoolingSchedule()
     run = Run(problem, budget, seed, "simulated_annealing")
-    current = (
-        problem.validate(start) if start is not None else problem.random_solution(run.rng)
-    )
+    current = run.start(start)
 
     t0_override = None
     if schedule.t0 is None:

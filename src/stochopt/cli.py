@@ -128,25 +128,26 @@ def _descriptor_kind(desc) -> str:
     return kind
 
 
+# instance file suffix -> the kind of instance the file holds
+SUFFIX_KINDS = {".tsp": "tsp", ".bp": "binpacking", ".bpp": "binpacking",
+                ".pack": "binpacking", ".txt": "binpacking"}
+
+
 def load_instance(desc):
     """Build a problem from a path string or an inline descriptor dict."""
     if isinstance(desc, str):
         suffix = Path(desc).suffix.lower()
-        if suffix == ".tsp":
-            return parse_tsp_file(desc)
-        if suffix in (".bp", ".bpp", ".pack", ".txt"):
-            return parse_binpacking_file(desc)
-        raise ValidationError(
-            f"cannot infer instance kind from suffix {suffix!r}; use an inline descriptor"
-        )
+        if suffix not in SUFFIX_KINDS:
+            raise ValidationError(
+                f"cannot infer instance kind from suffix {suffix!r}; use an inline descriptor"
+            )
+        desc = {"kind": SUFFIX_KINDS[suffix], "path": desc}
     kind = _descriptor_kind(desc)
-    if kind == "tsp":
-        return parse_tsp_file(desc["path"])
-    if kind == "binpacking":
-        return parse_binpacking_file(desc["path"])
     if kind == "continuous":
         return ContinuousLandscape(**{k: v for k, v in desc.items() if k != "kind"})
-    return cube_fixture()
+    if kind == "cube":
+        return cube_fixture()
+    return (parse_tsp_file if kind == "tsp" else parse_binpacking_file)(desc["path"])
 
 
 # ----------------------------------------------------------- experiments
@@ -559,13 +560,7 @@ def _cmd_oracle(args) -> int:
             "optimum": int(bins),
             "assignment": [int(b) for b in assignment],
         }
-    text = json.dumps(answer, indent=2, sort_keys=True)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-        print(f"wrote {args.out}")
-    else:
-        print(text)
-    return 0
+    return _emit(json.dumps(answer, indent=2, sort_keys=True), args.out)
 
 
 def _cmd_project(args) -> int:
@@ -580,10 +575,14 @@ def _cmd_project(args) -> int:
 def _cmd_plot(args) -> int:
     with open(args.input) as fh:
         table = ResultTable.from_json_dict(json.load(fh))
-    text = emit_plot_data(table, args.kind)
-    if args.out:
-        Path(args.out).write_text(text + ("\n" if not text.endswith("\n") else ""))
-        print(f"wrote {args.out}")
+    return _emit(emit_plot_data(table, args.kind), args.out)
+
+
+def _emit(text: str, out: str | None) -> int:
+    """Print `text`, or write it to `out` with a final newline added if it lacks one."""
+    if out:
+        Path(out).write_text(text if text.endswith("\n") else text + "\n")
+        print(f"wrote {out}")
     else:
         print(text)
     return 0

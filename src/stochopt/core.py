@@ -345,6 +345,12 @@ class Run:
             evaluated += 1
         return evaluated
 
+    def start(self, start=None):
+        """The first solution of a search: `start` validated, or a random one if None."""
+        if start is None:
+            return self.problem.random_solution(self.rng)
+        return self.problem.validate(start)
+
     @property
     def out_of_budget(self) -> bool:
         return self.evaluations >= self.budget.max_evaluations
@@ -376,21 +382,22 @@ class Run:
 class Problem:
     """Minimization problem contract.
 
-    Concrete problems implement `validate`, `cost`, uniform random
-    construction and neighborhood sampling.  Where the neighborhood is
-    finite they also implement `neighbors`, which returns the whole of
-    it as one `Neighborhood` (rows, costs, atom ids, labels) in a fixed
-    order, `solution_attributes` and `atom_count`, the size of the atom
-    id space both use; tabu memories are arrays indexed by atom id.
-    Continuous landscapes raise UnsupportedOperationError in `neighbors`.
+    Concrete problems implement `validate`, `cost`, `random_solution`
+    (uniform random construction) and `sample_move`.  Where the
+    neighborhood is finite they also implement `neighbors`, which
+    returns the whole of it as one `Neighborhood` (rows, costs, atom
+    ids, labels) in a fixed order, `solution_attributes` and
+    `atom_count`, the size of the atom id space both use; tabu memories
+    are arrays indexed by atom id.  Continuous landscapes raise
+    UnsupportedOperationError in `neighbors`.
 
     Sampled search moves through three methods.  `sample_move` draws a
-    move with exactly the random numbers `sample_neighbor` draws,
-    `move_cost(solution, f, move)` gives the cost of the solution the
-    move leads to, given `f = cost(solution)`, and `apply` builds that
-    solution as a new object.  The base implementation makes the move
-    the sampled neighbor itself, costs it with `cost` and applies it by
-    returning it, so every kind works unchanged.  `TspInstance`
+    move, `move_cost(solution, f, move)` gives the cost of the solution
+    the move leads to, given `f = cost(solution)`, and `apply` builds
+    that solution as a new object; `sample_neighbor` is `apply` of a
+    drawn move.  By default a move is the sampled neighbor itself, which
+    `move_cost` costs with `cost` and `apply` returns, so a kind that
+    draws whole neighbors writes only `sample_move`.  `TspInstance`
     overrides all three: a move is a reversal (i, j), costed from the
     four edges it changes and built only when a search keeps it.  Such
     a cost may differ from `cost` by rounding, which `Run.evaluate_move`
@@ -410,13 +417,13 @@ class Problem:
     Solutions are checked where they enter and where they reach the
     record.  `evaluate` is the one checked entry for outside input
     (starts, files, tests): it validates, then costs.  `cost`,
-    `sample_neighbor`, `neighbors` and `solution_attributes` do not
+    `sample_move`, `neighbors` and `solution_attributes` do not
     validate, because inside a search they only ever see solutions the
     problem built itself (`random_solution` or a neighbor operator) or a
-    start that already passed `validate`; these are valid by
-    construction.  `Run` counts every candidate, costed by `cost`,
-    `move_cost` or `cost_rows`, and passes each strict improvement
-    through `evaluate` before recording it.
+    start that `Run.start` already passed through `validate`; these are
+    valid by construction.  `Run` counts every candidate, costed by
+    `cost`, `move_cost` or `cost_rows`, and passes each strict
+    improvement through `evaluate` before recording it.
     """
 
     kind: str = "abstract"
@@ -441,16 +448,13 @@ class Problem:
     def random_solution(self, rng: np.random.Generator):
         raise NotImplementedError
 
-    def sample_neighbor(self, solution, rng: np.random.Generator):
-        """Return a neighbor drawn uniformly from the neighborhood."""
+    def sample_move(self, solution, rng: np.random.Generator):
+        """Draw a move uniformly from the neighborhood; by default the neighbor itself."""
         raise NotImplementedError
 
-    def sample_move(self, solution, rng: np.random.Generator):
-        """Draw a move, consuming exactly the draws `sample_neighbor` does.
-
-        The base move is the sampled neighbor itself.
-        """
-        return self.sample_neighbor(solution, rng)
+    def sample_neighbor(self, solution, rng: np.random.Generator):
+        """The neighbor a drawn move leads to, as a new object."""
+        return self.apply(solution, self.sample_move(solution, rng))
 
     def move_cost(self, solution, f: float, move) -> float:
         """Cost of `apply(solution, move)`, given `f = cost(solution)`."""

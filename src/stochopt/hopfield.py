@@ -66,7 +66,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import Budget, Run, RunRecord, ValidationError, check_fields, split_streams
+from .core import Budget, Run, RunRecord, ValidationError, check_fields, conform, split_streams
 
 # The dense matrix holds (n^2)^2 floats and building it peaks at several
 # times that, so n = 100 would need gigabytes; 64 MiB admits n <= 53.
@@ -296,10 +296,6 @@ def decode_tour(v):
     return np.argmax(m, axis=0).astype(np.intp)
 
 
-def _is_count(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
-
-
 def hopfield_solve(
     inst,
     budget: Budget,
@@ -320,10 +316,11 @@ def hopfield_solve(
     if not hasattr(inst, "d"):
         raise ValidationError("Hopfield runs need a distance-matrix instance")
     p = p or TankParams()
-    restarts = budget.max_evaluations if restarts is None else restarts
-    if max_steps is not None and not _is_count(max_steps):
+    max_steps = conform(int | None, max_steps, "'max_steps'")
+    restarts = budget.max_evaluations if restarts is None else conform(int, restarts, "'restarts'")
+    if max_steps is not None and max_steps < 1:
         raise ValidationError(f"'max_steps' must be an integer >= 1 or None, got {max_steps!r}")
-    if not _is_count(restarts):
+    if restarts < 1:
         raise ValidationError(f"'restarts' must be an integer >= 1, got {restarts!r}")
     net = build_weights(inst, p)
     m = net.size

@@ -34,9 +34,7 @@ def hill_climb_first_accept(
     random_walk: bool = False,
 ) -> RunRecord:
     run = Run(problem, budget, seed, "hill_climb")
-    current = (
-        problem.validate(start) if start is not None else problem.random_solution(run.rng)
-    )
+    current = run.start(start)
     f_current = run.evaluate(current)
     while not run.finished:
         move = problem.sample_move(current, run.rng)
@@ -54,9 +52,7 @@ def hill_climb_steepest(
     restart_on_optimum: bool = False,
 ) -> RunRecord:
     run = Run(problem, budget, seed, "steepest_descent")
-    current = (
-        problem.validate(start) if start is not None else problem.random_solution(run.rng)
-    )
+    current = run.start(start)
     f_current = run.evaluate(current)
     status = None
     restarts = 0

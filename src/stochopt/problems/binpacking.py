@@ -25,6 +25,7 @@ from ..core import (
     NoNeighborError,
     Problem,
     ValidationError,
+    conform,
 )
 
 FIT_SLACK = 1e-9
@@ -48,6 +49,9 @@ class BinPackingInstance(Problem):
         if np.any(self.sizes > 1.0 + FIT_SLACK):
             raise ValidationError("an item larger than the capacity can never be packed")
         self.n = raw.size
+        penalty = conform(float | None, penalty, "'penalty'")
+        if penalty is not None and penalty <= 0:
+            raise ValidationError(f"'penalty' must be positive, got {penalty!r}")
         self.penalty = 10.0 * self.n if penalty is None else float(penalty)
         self.name = name
         self.atom_count = self.n * self.n
@@ -144,7 +148,7 @@ class BinPackingInstance(Problem):
             label=label,
         )
 
-    def sample_neighbor(self, solution, rng):
+    def sample_move(self, solution, rng):
         if self.n == 1:
             raise NoNeighborError("a single item has no other bin to move to")
         a = np.asarray(solution)

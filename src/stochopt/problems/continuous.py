@@ -105,7 +105,7 @@ class ContinuousLandscape(Problem):
     def random_solution(self, rng) -> np.ndarray:
         return self.lower + rng.random(self.dim) * (self.upper - self.lower)
 
-    def sample_neighbor(self, solution, rng):
+    def sample_move(self, solution, rng):
         step = rng.uniform(-self.neighbor_radius, self.neighbor_radius)
         moved, _ = self.clamp(solution + step)
         return moved

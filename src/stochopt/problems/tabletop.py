@@ -81,7 +81,7 @@ class TabletopInstance(Problem):
             label=lambda k: options[k][1],
         )
 
-    def sample_neighbor(self, solution, rng):
+    def sample_move(self, solution, rng):
         options = self.adjacency[solution]
         if not options:
             raise NoNeighborError(f"state {solution} has no neighbors")

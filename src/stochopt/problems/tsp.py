@@ -6,7 +6,8 @@ spanning the whole tour or all but one city reproduce the same cyclic
 tour, so they are excluded from neighborhood enumeration and sampling;
 `two_opt` itself still accepts any 0 <= i <= j < n.
 
-A sampled move is the pair (i, j).  Its cost is the tour's cost plus
+A sampled move is the pair (i, j) that `sample_move` draws; the base
+`Problem.sample_neighbor` applies it.  Its cost is the tour's cost plus
 the two edges the reversal makes minus the two it breaks, four reads of
 the distance matrix instead of n; the tour itself is copied and
 reversed only for a move a search keeps.  The edges are summed before
@@ -130,9 +131,6 @@ class TspInstance(Problem):
             made=np.stack((atom(before, last), atom(first, after)), axis=1),
             label=lambda k: (int(i[k]), int(j[k])),
         )
-
-    def sample_neighbor(self, solution, rng):
-        return self.apply(solution, self.sample_move(solution, rng))
 
     def sample_move(self, solution, rng):
         """A reversal (i, j), or None for 1-3 cities, where every reversal

@@ -150,9 +150,7 @@ def tabu_search(
 ) -> RunRecord:
     cfg = cfg or TabuConfig()
     run = Run(problem, budget, seed, "tabu_search")
-    current = (
-        problem.validate(start) if start is not None else problem.random_solution(run.rng)
-    )
+    current = run.start(start)
     f_current = run.evaluate(current)
     best_visited = f_current
     visited = [f_current]

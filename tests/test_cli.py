@@ -770,6 +770,18 @@ def test_main_plot_subcommand(tmp_path, capsys):
     assert dest.read_text().startswith("# best-so-far")
 
 
+def test_out_holds_the_printed_text_with_one_final_newline(tmp_path, capsys):
+    table = _small_table(tmp_path)
+    dest = tmp_path / "out.txt"
+    for args in (["oracle", "--instance", str(FIXTURES / "eight.tsp")],
+                 ["plot", "--input", table.json_path, "--kind", "best_curve"]):
+        assert main(args) == 0
+        printed = capsys.readouterr().out
+        assert main(args + ["--out", str(dest)]) == 0
+        assert capsys.readouterr().out == f"wrote {dest}\n"
+        assert dest.read_text() == printed.rstrip("\n") + "\n"
+
+
 def test_the_package_runs_as_a_module():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

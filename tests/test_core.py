@@ -35,6 +35,7 @@ from stochopt import (
     cube_fixture,
     hill_climb_first_accept,
     hill_climb_steepest,
+    random_search,
     seeded_rng,
     simulated_annealing,
     tabu_search,
@@ -231,11 +232,10 @@ def test_long_rescaled_annealing_on_irrational_lengths_keeps_its_energies_non_ne
 class _FullCostTsp(TspInstance):
     """Tours on the base path: every sampled neighbor built and costed edge by edge."""
 
-    sample_move = Problem.sample_move
     move_cost = Problem.move_cost
     apply = Problem.apply
 
-    def sample_neighbor(self, tour, rng):
+    def sample_move(self, tour, rng):
         return TspInstance.apply(self, tour, TspInstance.sample_move(self, tour, rng))
 
 
@@ -383,6 +383,47 @@ def test_success_time_reads_the_curve():
 def test_base_problem_refuses_enumeration():
     with pytest.raises(UnsupportedOperationError):
         Problem().neighbors(None)
+
+
+class _Ring(Problem):
+    """The least a problem kind writes: positions on a ring of 40, stepped one either way."""
+
+    kind = "ring"
+
+    def validate(self, solution):
+        if isinstance(solution, (int, np.integer)) and 0 <= solution < 40:
+            return int(solution)
+        raise ValidationError(f"no position {solution!r} on the ring")
+
+    def cost(self, x):
+        return float((x * 7) % 11) + abs(x - 25) / 4
+
+    def random_solution(self, rng):
+        return int(rng.integers(40))
+
+    def sample_move(self, x, rng):
+        return (x + (1 if rng.random() < 0.5 else -1)) % 40
+
+
+def test_a_kind_with_only_the_four_required_methods_runs_every_sampled_searcher():
+    """`validate`, `cost`, `random_solution` and `sample_move` are all a sampled search needs.
+
+    Annealing calibrates its starting temperature through
+    `sample_neighbor`, which the base class composes from `sample_move`.
+    """
+    ring = _Ring()
+    records = [
+        random_search(ring, Budget(300), 0),
+        hill_climb_first_accept(ring, Budget(300), 1),
+        hill_climb_first_accept(ring, Budget(300), 2, start=np.int64(3), random_walk=True),
+        simulated_annealing(ring, Budget(300), 3),
+    ]
+    for rec in records:
+        assert rec.evaluations == 300
+        assert ring.evaluate(rec.best_solution) == rec.best_fitness
+    assert records[3].extras["t0"] > 0
+    assert records[2].best_curve[0] == (1, ring.cost(3))
+    assert ring.sample_neighbor(5, seeded_rng(4)) == ring.sample_move(5, seeded_rng(4))
 
 
 def test_freeze_handles_numpy_types():

@@ -242,7 +242,7 @@ def test_solve_replays_the_dense_network(monkeypatch, eight, case):
 
 
 @pytest.mark.parametrize("kwargs, field", [
-    ({"max_steps": 2.5}, "max_steps"), ({"max_steps": 100.0}, "max_steps"),
+    ({"max_steps": 2.5}, "max_steps"), ({"max_steps": "100"}, "max_steps"),
     ({"max_steps": 0}, "max_steps"), ({"max_steps": -3}, "max_steps"),
     ({"restarts": 2.5}, "restarts"), ({"restarts": 0}, "restarts"),
     ({"restarts": True}, "restarts"),
@@ -251,6 +251,13 @@ def test_solve_names_a_bad_count_before_any_restart(monkeypatch, eight, kwargs, 
     monkeypatch.setattr(hopfield, "build_weights", lambda *a: pytest.fail("a network was built"))
     with pytest.raises(ValidationError, match=f"'{field}'"):
         hopfield_solve(eight, Budget(10), 0, **kwargs)
+
+
+def test_solve_reads_a_whole_float_count_as_the_int_a_config_gives():
+    unit5 = TspInstance.from_coords(seeded_rng(1).random((5, 2)))
+    rec = hopfield_solve(unit5, Budget(4), 0, max_steps=100.0, restarts=3.0)
+    assert rec == hopfield_solve(unit5, Budget(4), 0, max_steps=100, restarts=3)
+    assert type(rec.extras["max_steps"]) is int and type(rec.extras["restarts"]) is int
 
 
 def test_decode_tour():

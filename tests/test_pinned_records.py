@@ -44,6 +44,12 @@ three dimensions, Rastrigin in 3, 10 and 130 dimensions (past the 8
 terms where numpy's pairwise sum unrolls and the 128 where it splits),
 a budget that ends mid-sweep, targets that fall mid-sweep, inertia, an
 explicit `vmax` and a swarm of one.
+
+The random-search and Hopfield digests, and those of the first-accept,
+steepest and annealing runs from an explicit `start` (given as a list,
+so `validate` turns it into the problem's array), were taken before
+every searcher drew its start through one `Run.start` and every problem
+kind sampled through one `sample_move`; both must reproduce them.
 """
 
 import hashlib
@@ -59,6 +65,7 @@ from stochopt import (
     ContinuousLandscape,
     SwarmConfig,
     TabuConfig,
+    TankParams,
     TspInstance,
     CoolingSchedule,
     aco_run,
@@ -66,9 +73,11 @@ from stochopt import (
     cube_state,
     hill_climb_first_accept,
     hill_climb_steepest,
+    hopfield_solve,
     parse_binpacking_file,
     parse_tsp_file,
     pso_run,
+    random_search,
     seeded_rng,
     simulated_annealing,
     tabu_search,
@@ -98,7 +107,7 @@ def _instances():
         ),
         **{
             f"tour{n}": TspInstance.from_coords(seeded_rng(n).random((n, 2)), name=f"tour{n}")
-            for n in (2, 3, 9, 140)
+            for n in (2, 3, 5, 9, 140)
         },
         "line": ContinuousLandscape("abs_linear"),
         "line3": ContinuousLandscape("abs_linear", dim=3),
@@ -118,9 +127,25 @@ def _tabu(budget, seed, target=None, start=None, **cfg):
     return run
 
 
-def _steepest(budget, seed, restart=False):
+def _steepest(budget, seed, restart=False, start=None):
     def run(problem):
-        return hill_climb_steepest(problem, Budget(budget), seed, restart_on_optimum=restart)
+        return hill_climb_steepest(
+            problem, Budget(budget), seed, start=start, restart_on_optimum=restart
+        )
+
+    return run
+
+
+def _random(budget, seed, target=None):
+    def run(problem):
+        return random_search(problem, Budget(budget, target), seed)
+
+    return run
+
+
+def _hopfield(restarts, seed, **kw):
+    def run(problem):
+        return hopfield_solve(problem, Budget(restarts), seed, **kw)
 
     return run
 
@@ -159,6 +184,13 @@ CASES = {
         "cube", _tabu(100, 0, start=cube_state(1, 0, 0), elite_size=3, **MEMORY["cube"])
     ),
     "cube-steepest-restarts": ("cube", _steepest(60, 1, restart=True)),
+    "tour12-steepest-start": ("tour12", _steepest(3000, 8, start=list(range(12)))),
+    "eight-random": ("eight", _random(2000, 0)),
+    "pack10-random-target": ("pack10", _random(5000, 1, target=5.0)),
+    "rastrigin3-random": ("rastrigin3", _random(1000, 2)),
+    "cube-random": ("cube", _random(50, 3)),
+    "eight-hopfield": ("eight", _hopfield(5, 0, max_steps=640)),
+    "tour5-hopfield": ("tour5", _hopfield(20, 1, p=TankParams(d=40.0))),
 }
 
 # Per instance: a starting temperature near 10x its mean step, for the
@@ -182,9 +214,11 @@ def _sa(budget, seed, target=None, schedule="calibrated", **kw):
     return run
 
 
-def _first_accept(budget, seed, random_walk=False):
+def _first_accept(budget, seed, random_walk=False, start=None):
     def run(problem, instance):
-        return hill_climb_first_accept(problem, Budget(budget), seed, random_walk=random_walk)
+        return hill_climb_first_accept(
+            problem, Budget(budget), seed, start=start, random_walk=random_walk
+        )
 
     return run
 
@@ -212,6 +246,13 @@ TRAJECTORY_CASES["eight-sa-target"] = ("eight", _sa(10000, 9, target=242.4649175
 TRAJECTORY_CASES["pack10-sa-target"] = ("pack10", _sa(10000, 10, target=4.0))
 for name in ("sa-calibrated", "sa-rescaled", "first-accept", "first-accept-random-walk"):
     TRAJECTORY_CASES[f"grid16-{name}"] = ("grid16", TRAJECTORY[name])
+TRAJECTORY_CASES["eight-first-accept-start"] = (
+    "eight", _first_accept(2000, 12, start=[3, 1, 4, 0, 5, 2, 6, 7])
+)
+TRAJECTORY_CASES["pack10-sa-start"] = ("pack10", _sa(4000, 13, start=[0] * 10))
+TRAJECTORY_CASES["tour50-sa-fixed-start"] = (
+    "tour50", _sa(4000, 14, schedule="fixed", start=list(range(50)))
+)
 
 
 
@@ -300,6 +341,13 @@ DIGESTS = {
     "tour12-tabu-memory": "4be4795946b80195960c62ec45f9b711e708fce74c5d903f550a45157304d953",
     "tour12-tabu-mid-neighbourhood": "368bf3288d97c72982e6edaaf893e18e161ea9ce569ac3df4962f5fd45f66fae",
     "tour12-tabu-tenure0": "6080799e0cbbf5aab05bbd37cf8aa8963302c63a85da71610423682f38b7e5f0",
+    "tour12-steepest-start": "db841346dbfef951f0473ca41fd68428af7c1d93fd51800efa86b463da2c1bb0",
+    "eight-random": "400b2aee48c8e34b04a60e806fae21ec7135487c2c4f6b35a2daf64ae80b7c6f",
+    "pack10-random-target": "91f7025958b3703c5da7371de9e5f12ba2ac1eb70e5ec6e019eb0955f617f978",
+    "rastrigin3-random": "23e8106de62e0ad38c5cb91baa280acc28fee8a29bda6cff1d95e29f21e1d1a9",
+    "cube-random": "93344dcaeb3d55564bcbeaa697883ffde18fa461e947cefe7778729d120ac05a",
+    "eight-hopfield": "50083b59753c6cf5e92b80e0936d047474cf7c901441eef8ceba4d9f4cc130f2",
+    "tour5-hopfield": "851270dbd6ef10cdfde140c0fd396abc07096fa88c1ebb86c59ff65536396111",
 }
 
 TRAJECTORY_DIGESTS = {
@@ -339,6 +387,9 @@ TRAJECTORY_DIGESTS = {
     "grid16-first-accept-random-walk": "c1f386ea79cd06a587c6d3929ee9227f25c88b0b4df4ac343ecbe9224fa4ecc3",
     "grid16-sa-calibrated": "722a7210cc48723f4b40ee730765e197554e171e1cd93ecf8db06aa3a7db06c4",
     "grid16-sa-rescaled": "f4e2a3b2917c16a67f0404d36d54b3909023d90b885da2ab0e81b5b811b77489",
+    "eight-first-accept-start": "116accc96088edf416d59ae2b42713ebf5cfd75fea366a838ab0dc0d4d538f5b",
+    "pack10-sa-start": "162de8e6c6ab2a0c734acd397c0ce83f70aa437145754abdc583290bee9ec361",
+    "tour50-sa-fixed-start": "abe67c55af9ad609bda556b1858c5c8aecf90562a35ea85a9d8d3895b07faef5",
 }
 
 

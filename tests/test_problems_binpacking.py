@@ -50,6 +50,14 @@ def test_overfull_bin_costs_count_plus_penalized_overflow():
     assert cost > 2.0
 
 
+@pytest.mark.parametrize("penalty", [float("nan"), float("inf"), 0, -5.0, True])
+def test_a_penalty_that_is_not_finite_and_positive_is_refused(penalty):
+    """Such a penalty would let annealing record inf with no solution, or an overfull packing."""
+    with pytest.raises(ValidationError, match="'penalty'"):
+        BinPackingInstance([0.6, 0.6, 0.3], penalty=penalty)
+    assert BinPackingInstance([0.6, 0.6, 0.3], penalty=3).penalty == 3.0
+
+
 def test_capacity_normalizes_sizes():
     inst = BinPackingInstance([4.0, 7.0, 3.0], capacity=10.0)
     np.testing.assert_allclose(inst.sizes, [0.4, 0.7, 0.3])
