@@ -18,7 +18,8 @@ edges gain q / tour_length.  Entries live in [tau_min, tau_max], so
 trails fade toward the floor but never vanish and cannot blow up.
 
 An ant scores every edge once, as a list of Python floats, before its
-first step, and makes its deposits once its tour is complete.  That is
+first step, and makes its deposits once its tour is complete and
+counted; an ant built after the budget ran out lays none.  That is
 the same walk as re-reading the trail at every step with the deposits
 made along the way: a deposit on (x, y) changes only the entries (x, y)
 and (y, x), both of cities the ant has visited, and from then on it
@@ -46,6 +47,10 @@ import numpy as np
 from .core import (
     Budget,
     BudgetExhaustedError,
+    Count,
+    Fraction,
+    NonNegative,
+    Positive,
     Run,
     RunRecord,
     ValidationError,
@@ -58,31 +63,23 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class AcoConfig:
-    ants: int | None = None  # None: one ant per city
-    w_tau: float = 1.0
-    w_eta: float | None = None  # None: 2 * mean edge length (sum), 2 (product)
-    rho: float = 0.1
-    local_deposit: float = 0.01
-    q: float = 1.0
-    tau0: float = 1.0
-    tau_min: float = 1e-4
+    ants: Count | None = None  # None: one ant per city
+    w_tau: NonNegative = 1.0
+    w_eta: NonNegative | None = None  # None: 2 * mean edge length (sum), 2 (product)
+    rho: Fraction = 0.1
+    local_deposit: Positive = 0.01
+    q: Positive = 1.0
+    tau0: Positive = 1.0
+    tau_min: Positive = 1e-4
     tau_max: float = 1e6
     rule: Literal["sum", "product"] = "sum"
 
     def __post_init__(self):
         check_fields(self, "aco setting")
-        if self.ants is not None and self.ants < 1:
-            raise ValidationError(f"'ants' must be at least 1, got {self.ants!r}")
-        if self.w_tau < 0 or (self.w_eta is not None and self.w_eta < 0):
-            raise ValidationError("desirability weights must be non-negative")
         if self.w_tau == 0 and self.w_eta == 0:
             raise ValidationError("desirability weights must not both be zero")
-        if not 0 < self.rho < 1:
-            raise ValidationError("evaporation rate must lie in (0, 1)")
-        if self.local_deposit <= 0 or self.q <= 0 or self.tau0 <= 0:
-            raise ValidationError("deposits and tau0 must be positive")
-        if not 0 < self.tau_min <= self.tau0 <= self.tau_max:
-            raise ValidationError("need 0 < tau_min <= tau0 <= tau_max")
+        if not self.tau_min <= self.tau0 <= self.tau_max:
+            raise ValidationError("need tau_min <= tau0 <= tau_max")
 
 
 def _resolved(cfg: AcoConfig, inst) -> tuple[AcoConfig, np.ndarray]:
@@ -240,8 +237,8 @@ def aco_run(
             best_tour = None
             for stream in streams:
                 tour = _build_tour(tau, eta, cfg, stream, fallbacks)
+                cost = run.evaluate(tour)  # counted first: an ant past the budget lays nothing
                 local_update(tau, tour, cfg)
-                cost = run.evaluate(tour)
                 if cost < best_len:
                     best_len = cost
                     best_tour = tour

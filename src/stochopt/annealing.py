@@ -23,11 +23,14 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
-from .core import Budget, Run, RunRecord, ValidationError, check_fields, conform
+from .core import (Budget, Count, Positive, Run, RunRecord, ValidationError, check_fields,
+                   conform)
 
 # geometric schedules never hit zero algebraically; below this the float
 # has underflowed and the chain is stuck anyway
 T_UNDERFLOW = 1e-300
+
+RescaledForm = Literal["as_printed", "target_centered"]
 
 
 @dataclass(frozen=True)
@@ -41,25 +44,21 @@ class CoolingSchedule:
     """
 
     kind: Literal["geometric", "linear"] = "geometric"
-    t0: float | None = None
+    t0: Positive | None = None
     rate: float = 0.95
     decrement: float = 0.0
     t_floor: float = 1e-9
-    steps_per_temperature: int = 100
-    max_temperature_steps: int | None = None
+    steps_per_temperature: Count = 100
+    max_temperature_steps: Count | None = None
 
     def __post_init__(self):
         check_fields(self, "schedule")
-        if self.t0 is not None and self.t0 <= 0:
-            raise ValidationError("initial temperature must be positive")
         if self.kind == "geometric" and not (0.0 < self.rate < 1.0):
             raise ValidationError("geometric factor must lie in (0, 1)")
         if self.kind == "linear" and self.decrement <= 0:
             raise ValidationError("linear schedules need a positive decrement")
         if self.kind == "linear" and self.t_floor <= 0:
             raise ValidationError("linear schedules need a positive floor")
-        if self.steps_per_temperature < 1:
-            raise ValidationError("need at least one proposal per temperature")
 
 
 def next_temperature(schedule: CoolingSchedule, i: int, t0: float | None = None) -> float:
@@ -127,15 +126,12 @@ def simulated_annealing(
     schedule: CoolingSchedule | None = None,
     start=None,
     rescaled: bool = False,
-    alpha: float = 1.0,
-    rescaled_form: str = "as_printed",
+    alpha: Positive = 1.0,
+    rescaled_form: RescaledForm = "as_printed",
     record_current: bool = False,
 ) -> RunRecord:
-    alpha = conform(float, alpha, "'alpha'")
-    if rescaled and alpha <= 0:
-        raise ValidationError(f"'alpha' must be positive, got {alpha!r}")
-    if rescaled_form not in ("as_printed", "target_centered"):
-        raise ValidationError(f"unknown rescaled form {rescaled_form!r}")
+    alpha = conform(Positive, alpha, "'alpha'")
+    rescaled_form = conform(RescaledForm, rescaled_form, "'rescaled_form'")
     schedule = schedule or CoolingSchedule()
     run = Run(problem, budget, seed, "simulated_annealing")
     current = run.start(start)

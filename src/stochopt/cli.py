@@ -40,8 +40,11 @@ from .aco import aco_run
 from .annealing import simulated_annealing
 from .core import (
     Budget,
+    Count,
+    Fraction,
     OptimizationError,
     ValidationError,
+    Whole,
     check_fields,
     conform,
     field_types,
@@ -185,8 +188,8 @@ class ExperimentConfig:
 
     instance: object
     algorithm: str
-    replicas: int = 1
-    seed: int = 0
+    replicas: Count = 1
+    seed: Whole = 0
     budget: Budget = field(default_factory=lambda: Budget(1000))
     params: dict = field(default_factory=dict)
     success: dict | None = None
@@ -201,10 +204,6 @@ class ExperimentConfig:
             raise ValidationError(
                 f"unknown algorithm {self.algorithm!r}; choose from {tuple(ALGORITHMS)}"
             )
-        if self.replicas < 1:
-            raise ValidationError("need at least one replica")
-        if self.seed < 0:
-            raise ValidationError(f"'seed' must be at least 0, got {self.seed!r}")
         for name, block in self.params.items():
             if name not in ALGORITHMS:
                 raise ValidationError(
@@ -275,9 +274,7 @@ def success_threshold(success: dict | None) -> float | None:
     def value(key, default=None):
         return float(conform(float, success.get(key, default), f"success {key!r}"))
 
-    if not 0 < value("confidence", DEFAULT_CONFIDENCE) < 1:
-        raise ValidationError(
-            f"success 'confidence' must lie in (0, 1), got {success['confidence']!r}")
+    conform(Fraction, success.get("confidence", DEFAULT_CONFIDENCE), "success 'confidence'")
     if "threshold" in success:
         return value("threshold")
     if "optimum" not in success:

@@ -22,7 +22,7 @@ from contextlib import suppress
 from dataclasses import dataclass, field, fields
 from functools import cache
 from numbers import Integral, Real
-from typing import Any, Callable, Literal, Union
+from typing import Annotated, Any, Callable, Literal, NamedTuple, Union
 
 import numpy as np
 
@@ -93,6 +93,23 @@ def _str(value, what: str) -> str:
     raise ValidationError(f"{what} must be text, got {value!r}")
 
 
+class Range(NamedTuple):
+    """The values a bounded setting takes: above `low`, or at it when `closed`, and below `high`."""
+
+    low: float
+    closed: bool = True
+    high: float = math.inf
+
+
+# The bounded settings: annotate a field or parameter with one of these and
+# the type rule checks the range after the type.
+Count = Annotated[int, Range(1)]  # a whole number of at least 1
+Whole = Annotated[int, Range(0)]  # a whole number of at least 0
+Positive = Annotated[float, Range(0, closed=False)]  # a finite number above 0
+NonNegative = Annotated[float, Range(0)]  # a finite number of at least 0
+Fraction = Annotated[float, Range(0, closed=False, high=1)]  # strictly between 0 and 1
+
+
 @cache
 def type_rule(kind) -> Callable[[Any, str], Any] | None:
     """The rule for values annotated `kind`, or None for an annotation left to its owner.
@@ -101,8 +118,23 @@ def type_rule(kind) -> Callable[[Any, str], Any] | None:
     or raises `ValidationError` naming `what`.  bool takes true/false or 0/1;
     int a whole number, as int; float a finite number as given, or numeric
     text; both refuse bools.  str takes text, Literal one of its strings,
-    X | None None or an X.  Config fields and config keys share it.
+    X | None None or an X.  Annotated[X, Range(...)] takes what X takes
+    within the range.  Config fields and config keys share it.
     """
+    if typing.get_origin(kind) is Annotated:
+        base, (low, closed, high) = typing.get_args(kind)
+        rule = type_rule(base)
+        span = f"at least {low}" if closed else f"above {low}"
+        if high < math.inf:
+            span += f" and below {high}"
+
+        def bounded(value, what):
+            value = rule(value, what)
+            if (low <= value if closed else low < value) and value < high:
+                return value
+            raise ValidationError(f"{what} must be {span}, got {value!r}")
+
+        return bounded
     if typing.get_origin(kind) is Literal:
         choices = typing.get_args(kind)
 
@@ -128,7 +160,7 @@ def conform(kind, value, what: str):
 @cache
 def field_types(cls) -> dict[str, Any]:
     """The annotation of each field of dataclass `cls`, resolved once per class (it is slow)."""
-    hints = typing.get_type_hints(cls)
+    hints = typing.get_type_hints(cls, include_extras=True)
     return {f.name: hints[f.name] for f in fields(cls)}
 
 
@@ -185,13 +217,11 @@ class Budget:
     cost reaches it, and the evaluation index of that event is recorded.
     """
 
-    max_evaluations: int
+    max_evaluations: Count
     target_fitness: float | None = None
 
     def __post_init__(self):
         check_fields(self, "budget")
-        if self.max_evaluations < 1:
-            raise ValidationError("budget must allow at least one evaluation")
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import OptimizationError, ValidationError, conform, success_time
+from .core import (Count, Fraction, OptimizationError, Positive, ValidationError, conform,
+                   success_time)
 
 DEFAULT_CONFIDENCE = 0.99  # the confidence z of effort statistics unless one is given
 
@@ -106,10 +107,9 @@ def _runs_needed(p: float, z: float) -> int:
     return max(1, math.ceil(round(ratio, 12)))
 
 
-def effort_curve(e: EnsembleStats, z: float) -> list:
+def effort_curve(e: EnsembleStats, z: Fraction) -> list:
     """[(n, I(n, z))] for every n in 1..budget with P(n) > 0."""
-    if not 0 < z < 1:
-        raise ValidationError("confidence must lie strictly between 0 and 1")
+    z = conform(Fraction, z, "confidence 'z'")
     times = np.array(e.success_times(), dtype=np.int64)
     if times.size == 0:
         raise EffortUndefinedError("no run reached the target")
@@ -130,21 +130,20 @@ def success_steps(e: EnsembleStats) -> list:
     return list(height.items())
 
 
-def effort_steps(e: EnsembleStats, z: float) -> list:
+def effort_steps(e: EnsembleStats, z: Fraction) -> list:
     """[(t, I(t, z))] at each distinct success time t within the budget.
 
     P(n) only moves at success times and I(n, z) grows with n between
     them, so the first minimum of `effort_curve` is always among these.
     """
-    if not 0 < z < 1:
-        raise ValidationError("confidence must lie strictly between 0 and 1")
+    z = conform(Fraction, z, "confidence 'z'")
     steps = [(t, t * _runs_needed(p, z)) for t, p in success_steps(e) if t <= e.budget]
     if not steps:
         raise EffortUndefinedError("no run reached the target within the budget")
     return steps
 
 
-def computational_effort(e: EnsembleStats, z: float) -> tuple:
+def computational_effort(e: EnsembleStats, z: Fraction) -> tuple:
     """(n*, I): restart length minimizing the effort (the first on ties), and that effort."""
     return min(effort_steps(e, z), key=lambda step: step[1])
 
@@ -171,15 +170,14 @@ class ComplexityClass:
         else:
             raise ValidationError(f"unknown complexity kind {self.kind!r}")
 
-    def operations(self, n: int):
+    def operations(self, n: Count):
         """Count at size n: an int, a float for a fractional parameter, or a `Magnitude`.
 
         A float power past the largest double is `math.inf`.  An int with
         more digits than `str()` prints (`sys.get_int_max_str_digits()`)
         is a `Magnitude`.
         """
-        if n < 1:
-            raise ValidationError("problem size must be at least 1")
+        n = conform(Count, n, "problem size 'n'")
         k = self.parameter
         if k is not None and not float(k).is_integer():
             try:
@@ -221,10 +219,9 @@ def runtime_projection(c: ComplexityClass, n: int, ops_per_second: float) -> flo
     return seconds_at(c.operations(n), ops_per_second)
 
 
-def seconds_at(count, ops_per_second: float) -> float:
+def seconds_at(count, ops_per_second: Positive) -> float:
     """Seconds for an `operations` count at a rate; inf past the largest double."""
-    if not 0 < ops_per_second < math.inf:
-        raise ValidationError(f"instruction rate must be finite and positive, got {ops_per_second}")
+    ops_per_second = conform(Positive, ops_per_second, "instruction rate 'ops_per_second'")
     if isinstance(count, Magnitude):
         return math.inf  # at least 640 digits (the least print limit) over a double
     try:

@@ -62,11 +62,12 @@ itself, as a reference for small n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Budget, Run, RunRecord, ValidationError, check_fields, conform, split_streams
+from .core import (Budget, Count, NonNegative, Run, RunRecord, ValidationError, check_fields,
+                   conform, split_streams)
 
 # The dense matrix holds (n^2)^2 floats and building it peaks at several
 # times that, so n = 100 would need gigabytes; 64 MiB admits n <= 53.
@@ -75,16 +76,13 @@ MAX_WEIGHT_BYTES = 64 * 2**20
 
 @dataclass(frozen=True)
 class TankParams:
-    a: float = 500.0
-    b: float = 500.0
-    c: float = 200.0
-    d: float = 500.0
+    a: NonNegative = 500.0
+    b: NonNegative = 500.0
+    c: NonNegative = 200.0
+    d: NonNegative = 500.0
 
     def __post_init__(self):
         check_fields(self, "penalty coefficient")
-        negative = [f.name for f in fields(self) if getattr(self, f.name) < 0]
-        if negative:
-            raise ValidationError(f"penalty coefficients {negative} must be non-negative")
 
 
 @dataclass
@@ -301,8 +299,8 @@ def hopfield_solve(
     budget: Budget,
     seed: int,
     p: TankParams | None = None,
-    max_steps: int | None = None,
-    restarts: int | None = None,
+    max_steps: Count | None = None,
+    restarts: Count | None = None,
 ) -> RunRecord:
     """Best valid decoded tour over `restarts` random-state restarts (default: the budget's).
 
@@ -316,12 +314,8 @@ def hopfield_solve(
     if not hasattr(inst, "d"):
         raise ValidationError("Hopfield runs need a distance-matrix instance")
     p = p or TankParams()
-    max_steps = conform(int | None, max_steps, "'max_steps'")
-    restarts = budget.max_evaluations if restarts is None else conform(int, restarts, "'restarts'")
-    if max_steps is not None and max_steps < 1:
-        raise ValidationError(f"'max_steps' must be an integer >= 1 or None, got {max_steps!r}")
-    if restarts < 1:
-        raise ValidationError(f"'restarts' must be an integer >= 1, got {restarts!r}")
+    max_steps = conform(Count | None, max_steps, "'max_steps'")
+    restarts = conform(Count | None, restarts, "'restarts'") or budget.max_evaluations
     net = build_weights(inst, p)
     m = net.size
     if max_steps is None:

@@ -23,6 +23,7 @@ from ..core import (
     EncodingMismatchError,
     Neighborhood,
     NoNeighborError,
+    Positive,
     Problem,
     ValidationError,
     conform,
@@ -34,10 +35,9 @@ FIT_SLACK = 1e-9
 class BinPackingInstance(Problem):
     kind = "binpacking"
 
-    def __init__(self, sizes, capacity: float = 1.0, penalty: float | None = None,
+    def __init__(self, sizes, capacity: Positive = 1.0, penalty: Positive | None = None,
                  name: str = "binpacking"):
-        if not 0 < capacity < np.inf:
-            raise ValidationError(f"capacity must be positive and finite, got {capacity}")
+        capacity = conform(Positive, capacity, "'capacity'")
         raw = np.asarray(sizes, dtype=float)
         if raw.ndim != 1 or raw.size == 0:
             raise ValidationError("sizes must be a nonempty 1-d sequence")
@@ -49,9 +49,7 @@ class BinPackingInstance(Problem):
         if np.any(self.sizes > 1.0 + FIT_SLACK):
             raise ValidationError("an item larger than the capacity can never be packed")
         self.n = raw.size
-        penalty = conform(float | None, penalty, "'penalty'")
-        if penalty is not None and penalty <= 0:
-            raise ValidationError(f"'penalty' must be positive, got {penalty!r}")
+        penalty = conform(Positive | None, penalty, "'penalty'")
         self.penalty = 10.0 * self.n if penalty is None else float(penalty)
         self.name = name
         self.atom_count = self.n * self.n

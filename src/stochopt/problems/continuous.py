@@ -21,7 +21,7 @@ import logging
 
 import numpy as np
 
-from ..core import EncodingMismatchError, Problem, ValidationError, conform
+from ..core import Count, EncodingMismatchError, Problem, ValidationError, conform
 
 log = logging.getLogger(__name__)
 
@@ -36,15 +36,13 @@ _DEFAULT_BOUNDS = {
 class ContinuousLandscape(Problem):
     kind = "continuous"
 
-    def __init__(self, objective: str = "abs_linear", dim: int = 1, bounds=None,
+    def __init__(self, objective: str = "abs_linear", dim: Count = 1, bounds=None,
                  neighbor_radius=None, name: str | None = None):
         if objective not in OBJECTIVES:
             raise ValidationError(
                 f"unknown objective {objective!r}, expected one of {OBJECTIVES}"
             )
-        dim = conform(int, dim, "continuous instance 'dim'")
-        if dim < 1:
-            raise ValidationError("dimension must be at least 1")
+        dim = conform(Count, dim, "continuous instance 'dim'")
         self.objective = objective
         self.dim = dim
         if bounds is None:

@@ -33,30 +33,26 @@ import numpy as np
 from .core import (
     Budget,
     BudgetExhaustedError,
+    Count,
+    NonNegative,
+    Positive,
     Run,
     RunRecord,
     UnsupportedOperationError,
-    ValidationError,
     check_fields,
 )
 
 
 @dataclass(frozen=True)
 class SwarmConfig:
-    size: int = 20
-    p_increment: float = 2.0
-    g_increment: float = 2.0
-    vmax: float | None = None  # None: half the variable range at run start
+    size: Count = 20
+    p_increment: NonNegative = 2.0
+    g_increment: NonNegative = 2.0
+    vmax: Positive | None = None  # None: half the variable range at run start
     inertia: float | None = None  # None: plain sum, the original rule
 
     def __post_init__(self):
         check_fields(self, "swarm setting")
-        if self.size < 1:
-            raise ValidationError("swarm size must be at least 1")
-        if self.p_increment < 0 or self.g_increment < 0:
-            raise ValidationError("increments must be non-negative")
-        if self.vmax is not None and self.vmax <= 0:
-            raise ValidationError("vmax must be positive when given")
 
 
 def update_velocity(pos, veloc, p_best_pos, g_pos, cfg: SwarmConfig, rng) -> np.ndarray:

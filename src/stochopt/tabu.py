@@ -28,25 +28,19 @@ from typing import Literal
 
 import numpy as np
 
-from .core import Budget, NoNeighborError, Run, RunRecord, ValidationError, check_fields
+from .core import Budget, Count, NoNeighborError, NonNegative, Run, RunRecord, Whole, check_fields
 
 
 @dataclass(frozen=True)
 class TabuConfig:
-    tenure: int = 7
+    tenure: Whole = 7  # 0 disables the list
     aspiration: Literal["best_so_far", "off"] = "best_so_far"
-    intensification_weight: float = 0.0
-    diversification_weight: float = 0.0
-    elite_size: int = 5
+    intensification_weight: NonNegative = 0.0
+    diversification_weight: NonNegative = 0.0
+    elite_size: Count = 5
 
     def __post_init__(self):
         check_fields(self, "tabu setting")
-        if self.tenure < 0:
-            raise ValidationError("tenure must be >= 0 (0 disables the list)")
-        if self.intensification_weight < 0 or self.diversification_weight < 0:
-            raise ValidationError("memory weights must be >= 0")
-        if self.elite_size < 1:
-            raise ValidationError("elite pool needs room for at least one solution")
 
 
 class TabuList:
@@ -57,8 +51,6 @@ class TabuList:
     """
 
     def __init__(self, tenure: int, atom_count: int):
-        if tenure < 0:
-            raise ValidationError("tenure must be >= 0")
         self.tenure = tenure
         self.expiry = np.zeros(atom_count + 1, dtype=np.intp)
 

@@ -4,11 +4,33 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stochopt import TspInstance, cube_fixture, parse_tsp_file
+from stochopt import (
+    AcoConfig,
+    Budget,
+    CoolingSchedule,
+    ExperimentConfig,
+    SwarmConfig,
+    TabuConfig,
+    TankParams,
+    TspInstance,
+    cube_fixture,
+    parse_tsp_file,
+)
 
 REPO = Path(__file__).resolve().parents[1]
 FIXTURES = REPO / "fixtures"
 EXPERIMENTS = FIXTURES / "experiments"
+
+# each config dataclass, with the fields it needs besides the one under test
+CONFIGS = {
+    Budget: {"max_evaluations": 10},
+    CoolingSchedule: {},
+    TabuConfig: {},
+    AcoConfig: {},
+    SwarmConfig: {},
+    TankParams: {},
+    ExperimentConfig: {"instance": {"kind": "cube"}, "algorithm": "random"},
+}
 
 
 @pytest.fixture(scope="session")

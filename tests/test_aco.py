@@ -85,6 +85,21 @@ def test_a_whole_float_ant_count_is_stored_as_an_int(eight):
     assert rec.to_dict() == aco_run(eight, Budget(10), 0, AcoConfig(ants=3)).to_dict()
 
 
+@pytest.mark.parametrize("budget, ants", [(12, None), (100, 3), (5, 4)])
+def test_only_counted_tours_lay_a_local_deposit(monkeypatch, eight, budget, ants):
+    """A budget that ends mid-iteration leaves no trail from the ant built past it."""
+    deposits = []
+
+    def counted(tau, tour, cfg):
+        deposits.append(tour)
+        local_update(tau, tour, cfg)
+
+    monkeypatch.setattr(aco, "local_update", counted)
+    rec = aco_run(eight, Budget(budget), 0, AcoConfig(ants=ants))
+    assert rec.evaluations % rec.extras["ants"] != 0
+    assert len(deposits) == rec.evaluations == budget
+
+
 def test_edge_desirability_both_rules():
     inst = TspInstance(np.array([[0.0, 4.0, 2.0], [4.0, 0.0, 1.0], [2.0, 1.0, 0.0]]))
     added, eta = aco._resolved(AcoConfig(w_tau=1.0, w_eta=2.0), inst)

@@ -197,7 +197,7 @@ def test_config_from_dict():
         ExperimentConfig.from_dict(dict(raw, typo=1))
     with pytest.raises(ValidationError, match="unknown algorithm"):
         ExperimentConfig.from_dict(dict(raw, algorithm="genetic"))
-    with pytest.raises(ValidationError, match="at least one replica"):
+    with pytest.raises(ValidationError, match="config 'replicas' must be at least 1, got 0"):
         ExperimentConfig.from_dict(dict(raw, replicas=0))
     with pytest.raises(ValidationError, match="'instance' and 'algorithm'"):
         ExperimentConfig.from_dict({"algorithm": "tabu"})

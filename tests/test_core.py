@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stochopt
-from conftest import REPO
+from conftest import CONFIGS, REPO
 from stochopt import (
     AcoConfig,
     BinPackingInstance,
@@ -21,14 +21,10 @@ from stochopt import (
     BudgetExhaustedError,
     ContinuousLandscape,
     CoolingSchedule,
-    ExperimentConfig,
     Neighborhood,
     NoNeighborError,
     Problem,
     Run,
-    SwarmConfig,
-    TabuConfig,
-    TankParams,
     TspInstance,
     UnsupportedOperationError,
     ValidationError,
@@ -88,16 +84,6 @@ def test_budget_rejects_zero_evaluations():
     assert Budget(5).target_fitness is None
 
 
-# the fields each config dataclass needs besides the one under test
-_CONFIGS = {
-    Budget: {"max_evaluations": 10},
-    CoolingSchedule: {},
-    TabuConfig: {},
-    AcoConfig: {},
-    SwarmConfig: {},
-    TankParams: {},
-    ExperimentConfig: {"instance": {"kind": "cube"}, "algorithm": "random"},
-}
 NAN, INF = float("nan"), float("inf")
 
 
@@ -105,6 +91,8 @@ def _wrong_values(kind):
     """Values of the wrong type for a field annotated `kind`."""
     if typing.get_origin(kind) in (typing.Union, types.UnionType):
         (kind,) = [a for a in typing.get_args(kind) if a is not type(None)]
+    if typing.get_origin(kind) is typing.Annotated:  # a bounded alias: its base's wrong values
+        kind = typing.get_args(kind)[0]
     if kind is int:
         return [NAN, INF, 2.5, True, "x", "3"]
     if kind is float:
@@ -118,13 +106,13 @@ def _wrong_values(kind):
 
 @pytest.mark.parametrize("cls, name, value", [
     pytest.param(cls, name, value, id=f"{cls.__name__}.{name}-{value!r}")
-    for cls in _CONFIGS
+    for cls in CONFIGS
     for name, kind in field_types(cls).items()
     for value in _wrong_values(kind)
 ])
 def test_every_config_field_refuses_a_value_of_the_wrong_type(cls, name, value):
     with pytest.raises(ValidationError, match=f"'{name}'"):
-        cls(**{**_CONFIGS[cls], name: value})
+        cls(**{**CONFIGS[cls], name: value})
 
 
 def test_neighborhood_is_frozen():
