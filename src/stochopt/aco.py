@@ -19,18 +19,20 @@ trails fade toward the floor but never vanish and cannot blow up.
 
 An ant scores every edge once, as a list of Python floats, before its
 first step, and makes its deposits once its tour is complete and
-counted; an ant built after the budget ran out lays none.  That is
-the same walk as re-reading the trail at every step with the deposits
-made along the way: a deposit on (x, y) changes only the entries (x, y)
-and (y, x), both of cities the ant has visited, and from then on it
-reads only edges to unvisited cities.  The wheel itself (`_sum` for the
-total, a running sum of score / total for the spin) repeats numpy's
-float operations in numpy's order, so each draw lands on the city
-`searchsorted` over the normalized cumulative scores would pick.
+counted.  That is the same walk as re-reading the trail at every step
+with the deposits made along the way: a deposit on (x, y) changes only
+the entries (x, y) and (y, x), both of cities the ant has visited, and
+from then on it reads only edges to unvisited cities.  The wheel itself
+(`_sum` for the total, a running sum of score / total for the spin)
+repeats numpy's float operations in numpy's order, so each draw lands on
+the city `searchsorted` over the normalized cumulative scores would pick.
 
 Budgets count completed tours, one objective evaluation each, so ant
-runs compare against other algorithms on equal terms.  Each ant owns a
-child RNG stream, which keeps a run reproducible regardless of how ant
+runs compare against other algorithms on equal terms.  An ant is built
+only while the run has room for it, and an iteration the budget or the
+target cuts short ends as a full one does: its best counted tour gets
+the global update and one `iteration_best` entry.  Each ant owns a child
+RNG stream, which keeps a run reproducible regardless of how ant
 construction might be scheduled.
 """
 
@@ -46,7 +48,6 @@ import numpy as np
 
 from .core import (
     Budget,
-    BudgetExhaustedError,
     Count,
     Fraction,
     NonNegative,
@@ -217,7 +218,7 @@ def aco_run(
     seed: int,
     cfg: AcoConfig | None = None,
 ) -> RunRecord:
-    """Ant-system search over a distance matrix until the tour budget ends.
+    """Ant-system search over a distance matrix until the run finishes.
 
     The final trail matrix, iteration count and per-iteration best
     lengths land in extras for trail-level analysis.
@@ -231,25 +232,21 @@ def aco_run(
     iterations = 0
     iteration_best: list[float] = []
     fallbacks: list[int] = []
-    try:
-        while not run.finished:
-            best_len = float("inf")
-            best_tour = None
-            for stream in streams:
-                tour = _build_tour(tau, eta, cfg, stream, fallbacks)
-                cost = run.evaluate(tour)  # counted first: an ant past the budget lays nothing
-                local_update(tau, tour, cfg)
-                if cost < best_len:
-                    best_len = cost
-                    best_tour = tour
-                if run.target_reached:
-                    break
-            if best_tour is not None:
-                global_update(tau, best_tour, best_len, cfg)
-                iterations += 1
-                iteration_best.append(best_len)
-    except BudgetExhaustedError:
-        pass
+    while not run.finished:
+        best_len = float("inf")
+        best_tour = None
+        for stream in streams:
+            if run.finished:
+                break
+            tour = _build_tour(tau, eta, cfg, stream, fallbacks)
+            cost = run.evaluate(tour)
+            local_update(tau, tour, cfg)
+            if cost < best_len:
+                best_len = cost
+                best_tour = tour
+        global_update(tau, best_tour, best_len, cfg)
+        iterations += 1
+        iteration_best.append(best_len)
     if fallbacks:
         log.warning(
             "all desirabilities zero on %d choices; each fell back to a uniform choice",

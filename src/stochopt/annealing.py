@@ -20,7 +20,7 @@ elsewhere in the literature ("target_centered").
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Literal
 
 from .core import (Budget, Count, Positive, Run, RunRecord, ValidationError, check_fields,
@@ -61,16 +61,15 @@ class CoolingSchedule:
             raise ValidationError("linear schedules need a positive floor")
 
 
-def next_temperature(schedule: CoolingSchedule, i: int, t0: float | None = None) -> float:
-    """Temperature at step index i; `t0` overrides a calibrated start."""
+def next_temperature(schedule: CoolingSchedule, i: int) -> float:
+    """Temperature at step index i of a schedule whose `t0` is set."""
     if i < 0:
         raise ValidationError("temperature step index must be >= 0")
-    start = schedule.t0 if t0 is None else t0
-    if start is None or start <= 0:
-        raise ValidationError("schedule has no positive initial temperature")
+    if schedule.t0 is None:
+        raise ValidationError("schedule has no initial temperature; a run calibrates one")
     if schedule.kind == "geometric":
-        return start * schedule.rate**i
-    return max(start - i * schedule.decrement, schedule.t_floor)
+        return schedule.t0 * schedule.rate**i
+    return max(schedule.t0 - i * schedule.decrement, schedule.t_floor)
 
 
 def metropolis_accept(delta: float, temperature: float, rng) -> bool:
@@ -136,9 +135,9 @@ def simulated_annealing(
     run = Run(problem, budget, seed, "simulated_annealing")
     current = run.start(start)
 
-    t0_override = None
     if schedule.t0 is None:
-        t0_override, current, f_current = calibrate_t0(problem, run, current)
+        t0, current, f_current = calibrate_t0(problem, run, current)
+        schedule = replace(schedule, t0=t0)
     else:
         f_current = run.evaluate(current)
 
@@ -156,7 +155,7 @@ def simulated_annealing(
         ):
             status = "frozen"
             break
-        temperature = next_temperature(schedule, step_index, t0_override)
+        temperature = next_temperature(schedule, step_index)
         if temperature < T_UNDERFLOW:
             status = "frozen"
             break
@@ -189,7 +188,7 @@ def simulated_annealing(
         "temperature_steps": step_index,
         "uphill_proposed": uphill_proposed,
         "uphill_accepted": uphill_accepted,
-        "t0": schedule.t0 if t0_override is None else t0_override,
+        "t0": schedule.t0,
     }
     if current_curve is not None:
         extras["current_curve"] = current_curve

@@ -270,13 +270,14 @@ class Run:
     """Evaluation counter and best-so-far tracker for one optimizer run.
 
     Optimizers call `evaluate` for every objective computation, directly
-    or through `evaluate_move` or `evaluate_neighborhood`; nothing else
-    touches the counter.  Candidates are costed with `Problem.cost`
+    or through `evaluate_move` or `evaluate_batch`; nothing else touches
+    the counter.  Candidates are costed with `Problem.cost`
     (or arrive with their cost, see `evaluate`); a strict improvement is
     re-evaluated through the checked `Problem.evaluate` before it enters
     the record, so every recorded best solution has been validated.
     `finished` turns true once the budget is spent or the target cost
-    has been reached.
+    has been reached; searchers ask for no evaluation after that, and
+    `evaluate` guards the budget by raising `BudgetExhaustedError`.
     """
 
     def __init__(self, problem: "Problem", budget: Budget, seed: int, algorithm: str):
@@ -297,11 +298,12 @@ class Run:
 
         `value`, when given, is the candidate's `cost` computed ahead of
         time (a `Neighborhood` or a swarm sweep costs all its rows at
-        once through `cost_rows`), and `cost` is not called again.  Each
-        candidate is still one call here, so the evaluation count, the
-        best curve and the budget and target stops land on exactly the
-        candidate they would if it were costed alone, and anything
-        counting calls to this method counts evaluations.  A strict improvement is checked through
+        once through `cost_rows` and is counted by `evaluate_batch`), and
+        `cost` is not called again.  Each candidate is still one call
+        here, so the evaluation count, the best curve and the budget and
+        target stops land on exactly the candidate they would if it were
+        costed alone, and anything counting calls to this method counts
+        evaluations.  A strict improvement is checked through
         `Problem.evaluate` either way, and a `value` that disagrees with
         it raises `ValidationError`.
         """
@@ -359,21 +361,21 @@ class Run:
             )
         return self.evaluate(candidate, full)
 
-    def evaluate_neighborhood(self, hood: "Neighborhood") -> int:
-        """Evaluate `hood`'s neighbors in order until the run finishes.
+    def evaluate_batch(self, solutions, costs) -> int:
+        """Count `solutions` in order, each at its precomputed cost, until the run finishes.
 
-        One `evaluate` call per neighbor, with its precomputed cost;
-        returns how many were evaluated (all of them unless the budget
-        or the target stopped the run part way).
+        One `evaluate` call per candidate, and none once the budget is
+        spent or the target reached; returns how many were counted (all
+        of them unless the run finished part way).
         """
         room = self.budget.max_evaluations - self.evaluations
-        evaluated = 0
-        for solution, value in zip(hood.solutions[:room], hood.costs[:room]):
+        counted = 0
+        for solution, value in zip(solutions[:room], costs[:room]):
             if self.evaluations_to_success is not None:  # `finished` inside the budget
                 break
             self.evaluate(solution, value)
-            evaluated += 1
-        return evaluated
+            counted += 1
+        return counted
 
     def start(self, start=None):
         """The first solution of a search: `start` validated, or a random one if None."""

@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (Count, Fraction, OptimizationError, Positive, ValidationError, conform,
-                   success_time)
+from .core import (Count, Fraction, OptimizationError, Positive, ValidationError, check_fields,
+                   conform, success_time)
 
 DEFAULT_CONFIDENCE = 0.99  # the confidence z of effort statistics unless one is given
 
@@ -51,15 +51,14 @@ class EnsembleStats:
     """
 
     records: tuple
-    budget: int
+    budget: Count
     threshold: float | None = None
     label: str = ""
 
     def __post_init__(self):
+        check_fields(self, "ensemble")
         if not self.records:
             raise ValidationError("an ensemble needs at least one run")
-        if self.budget < 1:
-            raise ValidationError("budget must be at least one evaluation")
         names = {r.algorithm for r in self.records}
         if len(names) > 1:
             raise ValidationError(f"mixed algorithms in one ensemble: {sorted(names)}")
@@ -92,9 +91,8 @@ class EnsembleStats:
         }
 
 
-def cumulative_success(e: EnsembleStats, n: int) -> float:
-    if n < 1:
-        raise ValidationError("evaluation count must be at least 1")
+def cumulative_success(e: EnsembleStats, n: Count) -> float:
+    n = conform(Count, n, "evaluation count 'n'")
     times = e.success_times()
     hits = np.searchsorted(times, n, side="right")
     return float(hits) / len(e.records)

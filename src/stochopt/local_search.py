@@ -58,7 +58,7 @@ def hill_climb_steepest(
     restarts = 0
     while not run.finished:
         hood = problem.neighbors(current)
-        evaluated = run.evaluate_neighborhood(hood)
+        evaluated = run.evaluate_batch(hood.solutions, hood.costs)
         if evaluated:
             costs = np.array(hood.costs[:evaluated])
             best = int(np.argmin(costs))  # first of the lowest: ties go to the lowest index

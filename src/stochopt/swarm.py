@@ -18,10 +18,11 @@ particles move and evaluate.
 
 A sweep is costed as one block: `Problem.cost_rows` costs every moved
 particle at once, bit for bit as `cost` would one by one.  The particles
-are then counted one at a time, in index order, through `Run.evaluate`
-with their precomputed costs, so a budget or target stop and every
-personal-best update land on the same particle as if each were costed
-alone.
+are then counted in index order through `Run.evaluate_batch`, which
+stops at the particle that finishes the run, by budget or by target
+alike.  Only the counted particles update their personal bests and count
+toward `clamped_moves`, and a sweep cut short still ends as a full one
+does: it counts in `sweeps` and adds its swarm best to `gbest_curve`.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import numpy as np
 
 from .core import (
     Budget,
-    BudgetExhaustedError,
     Count,
     NonNegative,
     Positive,
@@ -69,14 +69,16 @@ def update_velocity(pos, veloc, p_best_pos, g_pos, cfg: SwarmConfig, rng) -> np.
     return v
 
 
-def _evaluate_all(pos, p_best_pos, p_best_val, run: Run) -> None:
-    """Cost every particle at once, then count each in index order; keep strictly better
-    personal bests."""
-    for i, val in enumerate(run.problem.cost_rows(pos)):
-        run.evaluate(pos[i], val)
+def _evaluate_all(pos, p_best_pos, p_best_val, run: Run) -> int:
+    """Cost every particle at once, then count them in index order until the run finishes;
+    the counted ones keep strictly better personal bests.  Returns how many were counted."""
+    costs = run.problem.cost_rows(pos)
+    counted = run.evaluate_batch(pos, costs)
+    for i, val in enumerate(costs[:counted]):
         if val < p_best_val[i]:
             p_best_val[i] = val
             p_best_pos[i] = pos[i]
+    return counted
 
 
 def step_swarm(pos, veloc, p_best_pos, p_best_val, g_pos, g_val, cfg: SwarmConfig, run: Run):
@@ -85,14 +87,14 @@ def step_swarm(pos, veloc, p_best_pos, p_best_val, g_pos, g_val, cfg: SwarmConfi
     Moves that leave the box are clipped to it.  Draws come from
     `run.rng` and evaluations are counted by `run`.  Personal bests
     update in place; returns (pos, veloc, g_pos, g_val, clamped), where
-    `clamped` counts the particles whose move was clipped.
+    `clamped` counts the counted particles whose move was clipped.
     """
     problem = run.problem
     veloc = update_velocity(pos, veloc, p_best_pos, g_pos, cfg, run.rng)
     moved = pos + veloc
     pos = np.clip(moved, problem.lower, problem.upper)
-    clamped = int(np.any(pos != moved, axis=1).sum())
-    _evaluate_all(pos, p_best_pos, p_best_val, run)
+    counted = _evaluate_all(pos, p_best_pos, p_best_val, run)
+    clamped = int(np.any(pos[:counted] != moved[:counted], axis=1).sum())
     g_pos, g_val = _swarm_best(p_best_pos, p_best_val, g_pos, g_val)
     return pos, veloc, g_pos, g_val, clamped
 
@@ -111,11 +113,12 @@ def pso_run(
     seed: int,
     cfg: SwarmConfig | None = None,
 ) -> RunRecord:
-    """Swarm search on a continuous landscape until the budget is spent.
+    """Swarm search on a continuous landscape until the run finishes.
 
     Positions start uniform in the bounds, velocities uniform in
-    one tenth of the range either way.  The swarm best after every sweep
-    lands in extras["gbest_curve"].
+    one tenth of the range either way.  The swarm best after every sweep,
+    the last one too when the run finishes part way through it, lands in
+    extras["gbest_curve"].
     """
     cfg = cfg or SwarmConfig()
     if getattr(problem, "kind", None) != "continuous":
@@ -134,20 +137,16 @@ def pso_run(
     g_pos, g_val = pos[0].copy(), float("inf")
     clamp_count = 0
     sweeps = 0
-    gbest_curve: list[float] = []
-    try:
-        _evaluate_all(pos, p_best_pos, p_best_val, run)
-        g_pos, g_val = _swarm_best(p_best_pos, p_best_val, g_pos, g_val)
+    _evaluate_all(pos, p_best_pos, p_best_val, run)
+    g_pos, g_val = _swarm_best(p_best_pos, p_best_val, g_pos, g_val)
+    gbest_curve = [g_val]
+    while not run.finished:
+        pos, veloc, g_pos, g_val, clamped = step_swarm(
+            pos, veloc, p_best_pos, p_best_val, g_pos, g_val, cfg, run,
+        )
+        clamp_count += clamped
+        sweeps += 1
         gbest_curve.append(g_val)
-        while not run.finished:
-            pos, veloc, g_pos, g_val, clamped = step_swarm(
-                pos, veloc, p_best_pos, p_best_val, g_pos, g_val, cfg, run,
-            )
-            clamp_count += clamped
-            sweeps += 1
-            gbest_curve.append(g_val)
-    except BudgetExhaustedError:
-        pass
     extras = {
         "sweeps": sweeps,
         "clamped_moves": clamp_count,

@@ -163,7 +163,7 @@ def tabu_search(
                 raise NoNeighborError("start solution has an empty neighborhood")
             status = "no_neighbors"
             break
-        evaluated = run.evaluate_neighborhood(hood)
+        evaluated = run.evaluate_batch(hood.solutions, hood.costs)
         k += 1
         chosen = select_best_admissible(hood, evaluated, tabu, best_visited, cfg, k, memory)
         if chosen is None:

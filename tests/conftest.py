@@ -8,7 +8,9 @@ from stochopt import (
     AcoConfig,
     Budget,
     CoolingSchedule,
+    EnsembleStats,
     ExperimentConfig,
+    RunRecord,
     SwarmConfig,
     TabuConfig,
     TankParams,
@@ -30,6 +32,10 @@ CONFIGS = {
     SwarmConfig: {},
     TankParams: {},
     ExperimentConfig: {"instance": {"kind": "cube"}, "algorithm": "random"},
+    EnsembleStats: {
+        "records": (RunRecord("random_search", 0, "budget_exhausted", 1, 1.0, None, ((1, 1.0),)),),
+        "budget": 10,
+    },
 }
 
 

@@ -309,11 +309,16 @@ def test_budget_counts_tours(triangle):
     assert rec.best_fitness == 3.0
 
 
-def test_partial_iteration_drops_its_update(triangle):
+def test_partial_iteration_ends_as_a_full_one(triangle):
+    """The budget ends the second iteration after two of its three ants; it still counts."""
     rec = aco_run(triangle, Budget(5), seed=0, cfg=AcoConfig(ants=3))
     assert rec.evaluations == 5
-    assert rec.extras["iterations"] == 1
+    assert rec.extras["iterations"] == 2
+    assert rec.extras["iteration_best"] == [3.0, 3.0]
     assert rec.status == "budget_exhausted"
+    full = aco_run(triangle, Budget(6), seed=0, cfg=AcoConfig(ants=3))
+    assert full.extras["iterations"] == 2
+    assert rec.extras["pheromone"] != full.extras["pheromone"]  # one ant's deposit fewer
 
 
 def test_target_stops_mid_iteration(triangle):

@@ -26,6 +26,7 @@ from stochopt import (
     TspInstance,
     ValidationError,
     cube_fixture,
+    cumulative_success,
     effort_curve,
     hopfield_solve,
     random_search,
@@ -48,6 +49,7 @@ _CALLS = {
     (BinPackingInstance, "capacity"): lambda v: BinPackingInstance([0.5, 0.7], capacity=v),
     (BinPackingInstance, "penalty"): lambda v: BinPackingInstance([0.5, 0.7], penalty=v),
     (ContinuousLandscape, "dim"): lambda v: ContinuousLandscape(dim=v),
+    (cumulative_success, "n"): lambda v: cumulative_success(_ENSEMBLE, v),
     (effort_curve, "z"): lambda v: effort_curve(_ENSEMBLE, v),
     (effort_steps, "z"): lambda v: effort_steps(_ENSEMBLE, v),
     (seconds_at, "ops_per_second"): lambda v: seconds_at(10, v),
@@ -99,6 +101,7 @@ def test_the_sweep_reaches_every_bounded_setting():
         "AcoConfig.local_deposit", "AcoConfig.q", "AcoConfig.tau0", "AcoConfig.tau_min",
         "SwarmConfig.size", "SwarmConfig.p_increment", "SwarmConfig.g_increment",
         "SwarmConfig.vmax", "TankParams.a", "TankParams.b", "TankParams.c", "TankParams.d",
+        "EnsembleStats.budget",
     }
     assert all(_bound(kind) for _, _, kind in _PARAMETERS)
 

@@ -57,6 +57,10 @@ def test_success_times_from_recorded_bookkeeping():
     assert cumulative_success(e, 10) == pytest.approx(2 / 3)
     with pytest.raises(ValidationError):
         cumulative_success(e, 0)
+    for bad in ("3", 2.5, True):
+        with pytest.raises(ValidationError, match="'n' must be a whole number"):
+            cumulative_success(e, bad)
+    assert cumulative_success(e, 3.0) == pytest.approx(1 / 3)  # a whole float reads as its int
 
 
 def test_success_times_rederived_from_curves():

@@ -37,7 +37,11 @@ cases whose budget is not a multiple of the ant count
 (`eight-aco-mid-iteration`, `tour9-aco`, `tour9-aco-product`,
 `tour140-aco`) were re-pinned when each tour came to be counted before
 its deposit: the ant built past the budget no longer lays a trail, so
-their `pheromone` lacks that one tour's deposit and nothing else moved.
+their `pheromone` lacked that one tour's deposit and nothing else moved.
+They were re-pinned again when that ant stopped being built at all and a
+partial iteration came to end as a full one does: it now gets the
+global update, one more `iteration_best` entry and one more in
+`iterations`, and the counted tours did not move.
 
 The particle-swarm digests were taken from the per-particle
 implementation (each particle's position costed by its own
@@ -48,7 +52,13 @@ shipped settings (`pso_balanced`, `pso_lopsided`), the line in one and
 three dimensions, Rastrigin in 3, 10 and 130 dimensions (past the 8
 terms where numpy's pairwise sum unrolls and the 128 where it splits),
 a budget that ends mid-sweep, targets that fall mid-sweep, inertia, an
-explicit `vmax` and a swarm of one.
+explicit `vmax` and a swarm of one.  Four cases were re-pinned when the
+swarm came to stop at the particle that finishes the run: the two
+target cases (`line-pso-target`, `rastrigin3-pso-target`) no longer
+count the rest of the sweep past the target, and the two whose budget
+ends mid-sweep (`rastrigin10-pso-mid-sweep`, `rastrigin130-pso`) count
+that last sweep in `sweeps`, `gbest_curve` and `clamped_moves`.  The
+counted particles did not move.
 
 The random-search and Hopfield digests, and those of the first-accept,
 steepest and annealing runs from an explicit `start` (given as a list,
@@ -399,20 +409,20 @@ TRAJECTORY_DIGESTS = {
 
 
 ACO_DIGESTS = {
-    "eight-aco-mid-iteration": "fd87186e9e46f0f0f0ac265538bedd3c9863518908bfd0c8baf011bc113a16c1",
+    "eight-aco-mid-iteration": "a1242fb121269b20eef7b77bf0504383519cd542a1ef3a743074fc64e6e07d79",
     "eight-aco-product": "06befe2f41633fc09568ead0a5ebe1368a259de5e84ccb215da98d35a119cd1d",
     "eight-aco-sum": "c254dd478922bd7bc021f7a1df8f513ca25b183d70473759cd6ca661036e438a",
     "eight-aco-target": "14820f2bc090167211ebc335a4ef368a9a16db991b28bd23c909b976e142140b",
     "eight-aco-tau-max": "113e18781e87ac21ce51a9c6b81b6f613d9c4d6685094d27df7f0021f259ac4e",
     "eight-aco-uniform": "9dc1f02acd6f689f4b82de21c67a3370b2cda634bfc3e25fd8b75bcb4fa1ca80",
-    "tour140-aco": "1ba284eb69ea4ecaba821d194a44cdd8ef67d2ad4fbb45db114528ae8a46c8b7",
+    "tour140-aco": "8e88f33d9a41e4437b12be3304a29821f811891a3ac423bcf8c799375d5ab5a1",
     "tour140-aco-product": "bc8cc26ee6d8fc4925f3df0cec48c16775db91b72c062b8eed187fdf10363c12",
     "tour2-aco": "722f95d32526a89c0c3660c74b0399d203e0300fdfd2f1c361c4baa577baa2ba",
     "tour3-aco": "22837810a3ecde68ecf54eda2282308dde8aeec3d7bac7f5e208790659315912",
     "tour50-aco": "9d08c994b03af6976edba8b864a4386d5027f98c5986b14b4381cd1cd89271ea",
     "tour50-aco-product": "5a8b6fedef9ca146e1146450de46e5673f5a258a07ce9fd259f5902bd7db5432",
-    "tour9-aco": "9c81f4e51919fcbc49e03a5c55e4aa24bfe76de5c23619d931e7dfbe1d4b245a",
-    "tour9-aco-product": "78c61115d8d58d5be22b774a634ae33b4e8e4c3c81ce3c8cee2a7dc554c7f81b",
+    "tour9-aco": "18ba334a32f95e113f34c891e82d81384db6cb2e53062a605d51a81d1798dd5b",
+    "tour9-aco-product": "590b27bc4b38d64091273548c89bef99ed5e8ecb7cdf92c1ee2f5e196b7d1754",
 }
 
 
@@ -420,16 +430,16 @@ PSO_DIGESTS = {
     "line-pso-balanced": "24c2da7b5c06d3b0de27d97bce03cd7668c4ff70b60bb12eff736892584478c2",
     "line-pso-lopsided": "5cad50ebe6e6e694caabc31654b22032b612430539742bc6b6bf10eea6f6b456",
     "line-pso-size1": "4412bbbf46a93ff78c67422363453eb381564fa5b8d6cf59f77b9b081e6fb65c",
-    "line-pso-target": "f3f92c44d369408088ca68db9f80526939983a0411266116ee98448e5779e4a3",
+    "line-pso-target": "f4a6faac147fa1dd18f90438bb7399eddd65cad8854317425268c8d1cc498828",
     "line3-pso-balanced": "ec7a869d0c491608596200c0af16597f3c57e6c254b1f8ce2131cd9fa198836a",
     "rastrigin10-pso-balanced": "9d74c9e337e4635032a53f5d294aae03aa9f22f228b6504908ea46a9a109264d",
     "rastrigin10-pso-inertia": "9ff914e6d6b3d5b035e7515e90b87ce0690721ad8114e1052139ccd2f6b8d588",
     "rastrigin10-pso-lopsided": "19801ef403ccc019cc68c12eb8d9eaa089be9a73e775d2032a8b7698ecaea614",
-    "rastrigin10-pso-mid-sweep": "49fcff19dbed12009970b3fe0d71356da32d54e1d050db7b37423a20c78afeec",
+    "rastrigin10-pso-mid-sweep": "09e34c67c3817999ee0c878e0d63b6fc1b8f258eb24cb28065a06389fe375d66",
     "rastrigin10-pso-size1": "d890c17514eeb6d0b7f6239fa66584385424642f7870ae1a499a9f414e9a50ba",
-    "rastrigin130-pso": "be285fb92b1d431c6bf8e641d8be6501a9964d6a059efa0d2e845fb278ec94df",
+    "rastrigin130-pso": "e8c8af7b96d98a574d855039ac4487ece52f5e0b1616edc3a4fd147c5273d71d",
     "rastrigin3-pso-balanced": "4f257b43b293d416fe98b10f5dfd1e3e929c8938e98a609bcf53f35d3e10d95d",
-    "rastrigin3-pso-target": "ac0826327b64564bfd365b46211f768db9e646d574eab56cc88211eeb2c96857",
+    "rastrigin3-pso-target": "b1d2a36c6cf6925bed11611ab53944c572f0496442dfd4032af1331bafd6fd49",
     "rastrigin3-pso-vmax": "cb65ef1f7f19991ba9017d454f60cf6c6457e5b02235a02f738c0a5ec0e4b444",
 }
 
@@ -466,6 +476,7 @@ def test_aco_cases_take_the_paths_they_pin(instances, caplog):
     """The mid-iteration, fallback and target cases stop and choose as named."""
     mid = ACO_CASES["eight-aco-mid-iteration"][1](instances["eight"])
     assert mid.evaluations % 3 != 0 and mid.status == "budget_exhausted"
+    assert mid.extras["iterations"] == len(mid.extras["iteration_best"]) == 34  # 33 full + 1
     target = ACO_CASES["eight-aco-target"][1](instances["eight"])
     assert target.status == "target_reached" and target.evaluations < 5000
     with caplog.at_level("WARNING", logger="stochopt.aco"):
@@ -493,12 +504,14 @@ def test_pso_cases_take_the_paths_they_pin(instances):
     """The mid-sweep and target cases stop where they are named for."""
     cut = PSO_CASES["rastrigin10-pso-mid-sweep"][1](instances["rastrigin10"])
     assert cut.evaluations == 1010 and cut.evaluations % 20 != 0
+    assert cut.extras["sweeps"] == 50  # 20 + 49 full sweeps of 20, and 10 in the last
+    assert len(cut.extras["gbest_curve"]) == 51
     for name, size in (("line-pso-target", 7), ("rastrigin3-pso-target", 13)):
         instance, run = PSO_CASES[name]
         hit = run(instances[instance])
         assert hit.status == "target_reached"
         assert hit.evaluations_to_success % size != 0  # the target falls mid-sweep ...
-        assert hit.evaluations % size == 0  # ... and the sweep still runs to its end
+        assert hit.evaluations == hit.evaluations_to_success  # ... and the run ends there
 
 
 def test_memory_weights_change_the_walk(instances):

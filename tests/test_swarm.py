@@ -85,12 +85,12 @@ def test_ties_keep_the_standing_bests():
     assert g_val == 1.0
 
 
-class _Spent(Exception):
-    pass
-
-
 def _replay(prob, size, budget, seed, inertia=None, vmax=None):
-    """The swarm by hand, one particle at a time: the reference draw order."""
+    """The swarm by hand, one particle at a time: the reference draw order.
+
+    No particle is evaluated once the run has finished, by budget or by
+    target; a sweep cut short still counts, with the swarm best it found.
+    """
     dim = prob.dim
     rng = seeded_rng(seed)
     lo, span = prob.lower, prob.upper - prob.lower
@@ -106,9 +106,10 @@ def _replay(prob, size, budget, seed, inertia=None, vmax=None):
     out = {"evaluations": 0, "best": float("inf"), "hit": None,
            "curve": [], "sweeps": 0, "clamped": 0, "vmax": vmax}
 
+    def finished():
+        return out["evaluations"] == budget.max_evaluations or out["hit"] is not None
+
     def evaluate(x):
-        if out["evaluations"] == budget.max_evaluations:
-            raise _Spent
         val = prob.evaluate(x)
         out["evaluations"] += 1
         out["best"] = min(out["best"], val)
@@ -117,38 +118,37 @@ def _replay(prob, size, budget, seed, inertia=None, vmax=None):
             out["hit"] = out["evaluations"]
         return val
 
-    try:
+    for i in range(size):
+        if finished():
+            break
+        val = evaluate(pos[i])
+        if val < pb_val[i]:
+            pb_val[i], pb_pos[i] = val, pos[i].copy()
+        if val < g_val:
+            g_val, g_pos = val, pos[i].copy()
+    out["curve"].append(g_val)
+    while not finished():
+        anchor = g_pos
+        nxt = []
         for i in range(size):
+            r1 = rng.random(dim)
+            r2 = rng.random(dim)
+            v = keep * vel[i] + 2.0 * r1 * (pb_pos[i] - pos[i]) + 2.0 * r2 * (anchor - pos[i])
+            nxt.append(np.clip(v, -vmax, vmax))
+        vel = nxt
+        for i in range(size):
+            if finished():
+                break  # the particles left are neither evaluated nor counted as clamped
+            pos[i], hit = prob.clamp(pos[i] + vel[i])
+            out["clamped"] += hit
             val = evaluate(pos[i])
             if val < pb_val[i]:
                 pb_val[i], pb_pos[i] = val, pos[i].copy()
-            if val < g_val:
-                g_val, g_pos = val, pos[i].copy()
+        for i in range(size):
+            if pb_val[i] < g_val:
+                g_val, g_pos = pb_val[i], pb_pos[i].copy()
+        out["sweeps"] += 1
         out["curve"].append(g_val)
-        while out["evaluations"] < budget.max_evaluations and out["hit"] is None:
-            anchor = g_pos
-            nxt = []
-            for i in range(size):
-                r1 = rng.random(dim)
-                r2 = rng.random(dim)
-                v = keep * vel[i] + 2.0 * r1 * (pb_pos[i] - pos[i]) + 2.0 * r2 * (anchor - pos[i])
-                nxt.append(np.clip(v, -vmax, vmax))
-            vel = nxt
-            clamped = 0
-            for i in range(size):
-                pos[i], hit = prob.clamp(pos[i] + vel[i])
-                clamped += hit
-                val = evaluate(pos[i])
-                if val < pb_val[i]:
-                    pb_val[i], pb_pos[i] = val, pos[i].copy()
-            for i in range(size):
-                if pb_val[i] < g_val:
-                    g_val, g_pos = pb_val[i], pb_pos[i].copy()
-            out["clamped"] += clamped  # a sweep the budget cuts short adds no clamps
-            out["sweeps"] += 1
-            out["curve"].append(g_val)
-    except _Spent:
-        pass
     return out
 
 
@@ -182,10 +182,11 @@ def test_replay_cases_cover_what_they_name():
     prob = ContinuousLandscape("abs_linear", dim=2)
     assert pso_run(prob, Budget(12), 3, SwarmConfig(size=4)).extras["vmax"] == 5.0
     cut = _replay(prob, 4, Budget(30), 3)
-    assert cut["evaluations"] == 30 and cut["sweeps"] == 6  # the seventh sweep is cut short
+    assert cut["evaluations"] == 30 and cut["sweeps"] == 7  # the seventh sweep is cut short
+    assert len(cut["curve"]) == 8
     hit = _replay(prob, 4, Budget(400, target_fitness=0.3), 3)
     assert hit["hit"] % 4 != 0  # the target falls mid-sweep ...
-    assert hit["evaluations"] % 4 == 0  # ... and the sweep still runs to its end
+    assert hit["evaluations"] == hit["hit"]  # ... and the run ends there
     assert cut["clamped"] > 0
 
 
