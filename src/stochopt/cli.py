@@ -42,6 +42,7 @@ from .core import (
     Budget,
     Count,
     Fraction,
+    NonNegative,
     OptimizationError,
     ValidationError,
     Whole,
@@ -263,7 +264,7 @@ class ExperimentConfig:
 
 
 def success_threshold(success: dict | None) -> float | None:
-    """Cost level counting as success: optimum plus declared slack."""
+    """Cost level counting as success: a `threshold`, or `optimum` plus nonnegative slack."""
     if success is not None and not isinstance(success, dict):
         raise ValidationError(f"'success' must be an object, got {success!r}")
     if not success:
@@ -271,16 +272,20 @@ def success_threshold(success: dict | None) -> float | None:
     _check_keys("success keys", success,
                 ("threshold", "optimum", "relative", "absolute", "confidence"))
 
-    def value(key, default=None):
-        return float(conform(float, success.get(key, default), f"success {key!r}"))
+    def value(key, default=None, kind=float):
+        return float(conform(kind, success.get(key, default), f"success {key!r}"))
 
     conform(Fraction, success.get("confidence", DEFAULT_CONFIDENCE), "success 'confidence'")
     if "threshold" in success:
+        slack = [key for key in ("optimum", "relative", "absolute") if key in success]
+        if slack:
+            raise ValidationError(f"success 'threshold' cannot be given with {slack}")
         return value("threshold")
     if "optimum" not in success:
         raise ValidationError("success block needs 'optimum' or 'threshold'")
     opt = value("optimum")
-    return opt + abs(opt) * value("relative", 1e-9) + value("absolute", 0.0)
+    return (opt + abs(opt) * value("relative", 1e-9, NonNegative)
+            + value("absolute", 0.0, NonNegative))
 
 
 def _settings(parameters) -> tuple:
@@ -357,12 +362,27 @@ class ResultTable:
         for i, curve in enumerate(data["curves"]):
             if not isinstance(curve, dict) or not {"seed", "best_curve"} <= curve.keys():
                 raise ValidationError(f"report curve {i} needs 'seed' and 'best_curve'")
+            _check_pairs(curve["best_curve"], f"curve {i} 'best_curve'")
+        for key in ("pn_curve", "effort_curve"):
+            if key in data["summary"]:
+                _check_pairs(data["summary"][key], f"summary {key!r}")
         return cls(
             config=data["config"],
             rows=data["rows"],
             summary=data["summary"],
             curves=data["curves"],
         )
+
+
+def _check_pairs(curve, what: str) -> None:
+    """Refuse a report curve that is not a list of [n, value] number pairs, naming it."""
+    def number(x):
+        return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+    if not isinstance(curve, list) or not all(
+        isinstance(pair, list) and len(pair) == 2 and all(map(number, pair)) for pair in curve
+    ):
+        raise ValidationError(f"report {what} must be a list of [n, value] number pairs")
 
 
 def run_experiment(cfg: ExperimentConfig, output_dir=None) -> ResultTable:

@@ -9,8 +9,8 @@ are exact and budgets are enforced in evaluations, never wall time.
 
 Randomness comes from numpy's PCG64 generator.  Given the same seed the
 draw sequence is identical on every platform, and `split_streams` derives
-independent child streams (one per ant, per restart, ...) from a parent
-generator.
+independent child streams (one per ant) from a parent generator; spawning
+them one at a time, as each Hopfield restart does, gives the same streams.
 """
 
 from __future__ import annotations
@@ -481,7 +481,7 @@ class Problem:
         raise NotImplementedError
 
     def sample_move(self, solution, rng: np.random.Generator):
-        """Draw a move uniformly from the neighborhood; by default the neighbor itself."""
+        """Draw a move uniformly from the neighborhood; every problem kind writes its own."""
         raise NotImplementedError
 
     def sample_neighbor(self, solution, rng: np.random.Generator):

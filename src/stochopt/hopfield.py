@@ -67,7 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (Budget, Count, NonNegative, Run, RunRecord, ValidationError, check_fields,
-                   conform, split_streams)
+                   conform)
 
 # The dense matrix holds (n^2)^2 floats and building it peaks at several
 # times that, so n = 100 would need gigabytes; 64 MiB admits n <= 53.
@@ -302,14 +302,14 @@ def hopfield_solve(
     max_steps: Count | None = None,
     restarts: Count | None = None,
 ) -> RunRecord:
-    """Best valid decoded tour over `restarts` random-state restarts (default: the budget's).
+    """Best valid decoded tour over at most `restarts` random starts (default: the budget's).
 
-    Each restart runs the asynchronous dynamics until a full sweep would
-    change nothing, or until `max_steps` single-neuron updates (default
-    100 sweeps).  Evaluations count decoded valid tours, one per valid
-    restart, under `Budget(restarts)`: the given budget's target is not
-    used.  The valid fraction lands in the record extras.  The network is
-    a `TankNet`: O(n^2) memory, with no cap on n.
+    Each restart spawns its own child stream of the run's generator and
+    runs the asynchronous dynamics until a full sweep would change
+    nothing, or until `max_steps` single-neuron updates (default 100
+    sweeps).  A valid decoded tour counts one evaluation under `budget`,
+    and restarts stop once the run is finished; the extras count the
+    restarts made.  The network is a `TankNet`: O(n^2) memory, any n.
     """
     if not hasattr(inst, "d"):
         raise ValidationError("Hopfield runs need a distance-matrix instance")
@@ -320,10 +320,11 @@ def hopfield_solve(
     m = net.size
     if max_steps is None:
         max_steps = 100 * m
-    run = Run(inst, Budget(max_evaluations=restarts), seed, "hopfield_tank")
-    streams = split_streams(run.rng, restarts)
-    valid = 0
-    for stream in streams:
+    run = Run(inst, budget, seed, "hopfield_tank")
+    attempts = valid = 0
+    while attempts < restarts and not run.finished:
+        attempts += 1
+        stream = run.rng.spawn(1)[0]
         net.state = (stream.random(m) < 0.5).astype(float)
         steps = 0
         converged = is_fixed_point(net)
@@ -337,11 +338,10 @@ def hopfield_solve(
         if tour is not None:
             valid += 1
             run.evaluate(tour)
-    status = "ok" if valid > 0 else "no_valid_tour"
     extras = {
-        "restarts": restarts,
+        "restarts": attempts,
         "valid_tours": valid,
-        "valid_fraction": valid / restarts,
+        "valid_fraction": valid / attempts,
         "max_steps": max_steps,
     }
-    return run.record(status, extras=extras)
+    return run.record("ok" if valid else "no_valid_tour", extras=extras)

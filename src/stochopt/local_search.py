@@ -71,7 +71,7 @@ def hill_climb_steepest(
         del hood
         if restart_on_optimum and not run.finished:
             restarts += 1
-            current = problem.random_solution(run.rng)
+            current = run.start()
             f_current = run.evaluate(current)
             continue
         status = "local_optimum"

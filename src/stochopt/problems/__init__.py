@@ -2,7 +2,7 @@ from .binpacking import BinPackingInstance, brute_force_packing, first_fit_decre
 from .continuous import OBJECTIVES, ContinuousLandscape
 from .io import parse_binpacking_file, parse_tsp_file
 from .tabletop import CUBE_COSTS, TabletopInstance, cube_fixture, cube_state
-from .tsp import TspInstance, brute_force_tour, two_opt, two_route_instance
+from .tsp import TspInstance, brute_force_tour, two_route_instance
 
 __all__ = [
     "BinPackingInstance",
@@ -18,6 +18,5 @@ __all__ = [
     "first_fit_decreasing",
     "parse_binpacking_file",
     "parse_tsp_file",
-    "two_opt",
     "two_route_instance",
 ]

@@ -3,8 +3,7 @@
 A tour is a permutation of range(n) read cyclically.  The neighborhood
 is 2-opt: reverse the closed slice i..j of the permutation.  Reversals
 spanning the whole tour or all but one city reproduce the same cyclic
-tour, so they are excluded from neighborhood enumeration and sampling;
-`two_opt` itself still accepts any 0 <= i <= j < n.
+tour, so they are excluded from neighborhood enumeration and sampling.
 
 A sampled move is the pair (i, j) that `sample_move` draws; the base
 `Problem.sample_neighbor` applies it.  Its cost is the tour's cost plus
@@ -163,17 +162,6 @@ class TspInstance(Problem):
         return np.unique(self._atom(tour, np.roll(tour, -1)))
 
 
-def two_opt(tour, i: int, j: int) -> np.ndarray:
-    """Reverse the closed slice i..j of the permutation (i == j is identity)."""
-    t = np.asarray(tour)
-    n = t.size
-    if not (0 <= i <= j < n):
-        raise ValidationError(f"need 0 <= i <= j < {n}, got i={i}, j={j}")
-    out = t.copy()
-    out[i : j + 1] = out[i : j + 1][::-1]
-    return out
-
-
 def brute_force_tour(inst: TspInstance, limit: int = 10):
     """Exhaustive optimum over (n-1)!/2 distinct tours; n <= limit.
 
@@ -194,7 +182,7 @@ def brute_force_tour(inst: TspInstance, limit: int = 10):
         if rest[0] > rest[-1]:
             continue  # other orientation of the same cycle
         tour = (0,) + rest
-        length = inst.evaluate(tour)
+        length = inst.cost(tour)  # a permutation built here, so it needs no validation
         if length < best_len:
             best_len = length
             best_tour = tour

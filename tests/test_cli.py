@@ -27,6 +27,7 @@ from stochopt import (
     parse_binpacking_file,
     parse_tsp_file,
     run_experiment,
+    seeded_rng,
 )
 from stochopt import cli
 from stochopt.cli import ResultTable, _parse_complexity, emit_plot_data, success_threshold
@@ -249,6 +250,17 @@ _CUBE = {"instance": {"kind": "cube"}, "budget": 10}
                      "confidence", id="confidence-text"),
         pytest.param({"algorithm": "random", "success": {"optimum": 5.0, "confidence": 1.5}},
                      "confidence", id="confidence-out-of-range"),
+        pytest.param({"algorithm": "random", "success": {"optimum": 10.0, "relative": -0.5}},
+                     "success 'relative' must be at least 0", id="success-relative-negative"),
+        pytest.param({"algorithm": "random", "success": {"optimum": 10.0, "absolute": -1}},
+                     "success 'absolute' must be at least 0", id="success-absolute-negative"),
+        pytest.param({"algorithm": "random",
+                      "success": {"optimum": 10, "threshold": 3, "relative": 0.1}},
+                     r"'threshold' cannot be given with \['optimum', 'relative'\]",
+                     id="success-threshold-with-optimum"),
+        pytest.param({"algorithm": "random", "success": {"threshold": 3, "absolute": 1}},
+                     r"'threshold' cannot be given with \['absolute'\]",
+                     id="success-threshold-with-absolute"),
         pytest.param({"algorithm": "random",
                       "budget": {"max_evaluations": 10, "target_fitness": "abc"}},
                      "target_fitness", id="target-fitness-text"),
@@ -449,6 +461,23 @@ def test_run_experiment_writes_table_and_files(tmp_path):
 
     with pytest.raises(ValidationError, match="schema_version"):
         ResultTable.from_json_dict(dict(data, schema_version=99))
+
+
+@pytest.mark.parametrize("budget, evaluations", [
+    (3, 3), ({"max_evaluations": 10, "target_fitness": 100.0}, 1),
+])
+def test_hopfield_rows_count_under_the_configured_budget(tmp_path, budget, evaluations):
+    coords = seeded_rng(1).random((5, 2))  # tours of these five points decode at D = 40
+    lines = ["NAME: unit5", "TYPE: TSP", "DIMENSION: 5", "EDGE_WEIGHT_TYPE: EUC_2D",
+             "NODE_COORD_SECTION"]
+    lines += [f"{k + 1} {x!r} {y!r}" for k, (x, y) in enumerate(coords.tolist())]
+    path = _write(tmp_path, "unit5.tsp", "\n".join(lines + ["EOF"]) + "\n")
+    cfg = ExperimentConfig.from_dict({"instance": str(path), "algorithm": "hopfield",
+                                      "replicas": 3, "budget": budget,
+                                      "hopfield": {"D": 40.0, "restarts": 10}})
+    table = run_experiment(cfg, output_dir=tmp_path)
+    assert [row["evaluations"] for row in table.rows] == [evaluations] * 3
+    assert all(r.extras["restarts"] == evaluations for r in table.records)
 
 
 def test_run_experiment_is_stable_apart_from_wall_time(tmp_path):
@@ -694,6 +723,14 @@ def test_main_oracle_subcommand(tmp_path, capsys, eight_oracle):
     assert json.loads(dest.read_text())["optimum"] == 2
 
 
+@pytest.mark.parametrize("instance, answer", [("eight.tsp", "eight.oracle.json"),
+                                              ("pack10.txt", "pack10.oracle.json")])
+def test_main_oracle_regenerates_the_shipped_answers(tmp_path, instance, answer):
+    dest = tmp_path / answer
+    assert main(["oracle", "--instance", str(FIXTURES / instance), "--out", str(dest)]) == 0
+    assert dest.read_bytes() == (FIXTURES / answer).read_bytes()
+
+
 def test_main_oracle_refuses_large_instances(tmp_path, capsys):
     lines = ["NAME: big", "TYPE: TSP", "DIMENSION: 11",
              "EDGE_WEIGHT_TYPE: EUC_2D", "NODE_COORD_SECTION"]
@@ -729,9 +766,22 @@ def test_main_project_subcommand(capsys):
         {"schema_version": 1, "config": {}, "rows": [], "summary": {}, "curves": [{"seed": 0}]}),
      "'best_curve'"),
     (["plot", "--kind", "best_curve", "--input"], "[1]", "a report must be a JSON object"),
+    (["plot", "--kind", "best_curve", "--input"], json.dumps(
+        {"schema_version": 1, "config": {}, "rows": [], "summary": {},
+         "curves": [{"seed": 0, "best_curve": [1, 2]}]}),
+     "report curve 0 'best_curve' must be a list of [n, value] number pairs"),
+    (["plot", "--kind", "pn_curve", "--input"], json.dumps(
+        {"schema_version": 1, "config": {}, "rows": [{}], "summary": {"pn_curve": [5]},
+         "curves": []}),
+     "report summary 'pn_curve' must be a list"),
+    (["plot", "--kind", "effort_curve", "--input"], json.dumps(
+        {"schema_version": 1, "config": {}, "rows": [{}], "curves": [],
+         "summary": {"effort_curve": [[1, 2.0], [3, "x"]]}}),
+     "report summary 'effort_curve' must be a list"),
     (["run", "--config"], "5", "a config must be a JSON object"),
 ], ids=["poly-text", "poly-nan", "exp-inf", "rate-nan", "rate-inf", "report-without-config",
-        "curve-without-best_curve", "report-array", "config-number"])
+        "curve-without-best_curve", "report-array", "best_curve-of-numbers",
+        "pn_curve-of-numbers", "effort_curve-with-text", "config-number"])
 def test_main_names_bad_input(tmp_path, capsys, argv, text, named):
     if text is not None:
         argv = argv + [str(_write(tmp_path, "input.json", text))]

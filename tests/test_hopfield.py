@@ -301,3 +301,34 @@ def test_softer_tour_term_recovers_valid_tours():
     assert rec.status == "ok"
     assert rec.extras["valid_fraction"] == 1.0
     assert rec.best_fitness == pytest.approx(optimum, rel=1e-9)
+
+
+def test_restarts_stop_when_the_run_is_finished():
+    unit5 = TspInstance.from_coords(seeded_rng(1).random((5, 2)))
+    spent = hopfield_solve(unit5, Budget(3), 0, TankParams(d=40.0), restarts=10)
+    assert spent.evaluations == spent.extras["restarts"] == 3
+    assert spent.extras["valid_fraction"] == 1.0
+    reached = hopfield_solve(unit5, Budget(10, target_fitness=100.0), 0, TankParams(d=40.0))
+    assert reached.evaluations == reached.evaluations_to_success == 1
+    assert reached.extras["restarts"] == 1
+    # an invalid decode is not an evaluation, so `restarts` caps the attempts
+    none = hopfield_solve(unit5, Budget(10), 0, max_steps=1, restarts=4)
+    assert none.evaluations == 0 and none.extras["restarts"] == 4
+
+
+def test_peak_memory_does_not_grow_with_restarts():
+    unit5 = TspInstance.from_coords(seeded_rng(1).random((5, 2)))
+
+    def peak(restarts):
+        tracemalloc.start()
+        try:
+            rec = hopfield_solve(unit5, Budget(restarts), 0, max_steps=1)
+            _, top = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rec.extras["restarts"] == restarts
+        return top
+
+    peak(20)
+    # a generator takes about 0.9 KB, so 2,000 held at once would add 1.6 MB
+    assert peak(2000) < peak(200) + 200_000

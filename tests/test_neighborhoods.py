@@ -23,7 +23,6 @@ from stochopt import (
     seeded_rng,
     tabu_search,
 )
-from stochopt.problems.tsp import two_opt
 
 
 def _edge(a, b):
@@ -40,7 +39,7 @@ def _reference_tour(tour):
             before, after = t[(i - 1) % n], t[(j + 1) % n]
             broken = {_edge(before, t[i]), _edge(t[j], after)}
             made = {_edge(before, t[j]), _edge(t[i], after)}
-            yield two_opt(tour, i, j), broken, made, (i, j)
+            yield np.array(t[:i] + t[i : j + 1][::-1] + t[j + 1 :]), broken, made, (i, j)
 
 
 def _reference_packing(a):

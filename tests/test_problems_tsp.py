@@ -11,7 +11,6 @@ from stochopt import (
     seeded_rng,
     two_route_instance,
 )
-from stochopt.problems.tsp import two_opt
 
 
 def _length_by_hand(d, tour):
@@ -61,20 +60,13 @@ def test_length_is_rotation_and_reflection_invariant(eight):
     assert eight.evaluate(tour[::-1]) == pytest.approx(base, rel=1e-12)
 
 
-def test_two_opt_reverses_the_closed_slice():
+def test_apply_reverses_the_closed_slice():
     # F D B A E C with the slice 1..4 reversed reads F E A B D C
     f, d, b, a, e, c = 5, 3, 1, 0, 4, 2
-    out = two_opt(np.array([f, d, b, a, e, c]), 1, 4)
-    assert out.tolist() == [f, e, a, b, d, c]
-
-
-def test_two_opt_identity_and_bounds():
-    t = np.arange(5)
-    assert two_opt(t, 2, 2).tolist() == t.tolist()
-    with pytest.raises(ValidationError):
-        two_opt(t, 3, 1)
-    with pytest.raises(ValidationError):
-        two_opt(t, 0, 5)
+    tour = np.array([f, d, b, a, e, c])
+    inst = TspInstance(np.zeros((6, 6)))
+    assert inst.apply(tour, (1, 4)).tolist() == [f, e, a, b, d, c]
+    assert inst.apply(tour, (2, 2)).tolist() == tour.tolist() == [f, d, b, a, e, c]
 
 
 def test_neighborhood_excludes_whole_cycle_reversals(eight):
@@ -86,9 +78,10 @@ def test_neighborhood_excludes_whole_cycle_reversals(eight):
     labels = [hood.label(k) for k in range(len(hood))]
     assert {(0, 7), (0, 6), (1, 7)}.isdisjoint(labels)
     base = eight.evaluate(tour)
+    t = tour.tolist()
     for neighbor, (i, j) in zip(hood.solutions, labels):
         assert sorted(neighbor.tolist()) == list(range(8))
-        assert neighbor.tolist() == two_opt(tour, i, j).tolist()
+        assert neighbor.tolist() == t[:i] + t[i : j + 1][::-1] + t[j + 1 :]
     # every retained reversal changes the cyclic tour's length here
     changed = [n for n in hood.solutions if eight.evaluate(n) != base]
     assert len(changed) == len(hood)
