@@ -348,8 +348,10 @@ class Run:
         """
         problem = self.problem
         value = problem.move_cost(solution, f, move)
-        self._cost_scale = max(self._cost_scale, abs(f), abs(value))
-        tolerance = MOVE_TOLERANCE * self._cost_scale
+        scale = self._cost_scale
+        if abs(f) > scale or abs(value) > scale:
+            scale = self._cost_scale = max(scale, abs(f), abs(value))
+        tolerance = MOVE_TOLERANCE * scale
         if not value < self.best_fitness + tolerance:
             return self.evaluate(None, value)  # cannot improve: the solution is not read
         candidate = problem.apply(solution, move)
@@ -393,7 +395,9 @@ class Run:
 
     @property
     def finished(self) -> bool:
-        return self.out_of_budget or self.target_reached
+        """`out_of_budget or target_reached`, inlined: searchers ask it twice per evaluation."""
+        return (self.evaluations >= self.budget.max_evaluations
+                or self.evaluations_to_success is not None)
 
     def record(self, status: str | None = None, extras: dict | None = None) -> RunRecord:
         if status is None:

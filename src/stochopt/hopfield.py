@@ -309,7 +309,10 @@ def hopfield_solve(
     nothing, or until `max_steps` single-neuron updates (default 100
     sweeps).  A valid decoded tour counts one evaluation under `budget`,
     and restarts stop once the run is finished; the extras count the
-    restarts made.  The network is a `TankNet`: O(n^2) memory, any n.
+    restarts made.  A run the budget or target finished reads
+    `budget_exhausted` or `target_reached`, as every searcher's does; one
+    the restart cap ended reads `ok`, or `no_valid_tour` if no decode was
+    valid.  The network is a `TankNet`: O(n^2) memory, any n.
     """
     if not hasattr(inst, "d"):
         raise ValidationError("Hopfield runs need a distance-matrix instance")
@@ -344,4 +347,5 @@ def hopfield_solve(
         "valid_fraction": valid / attempts,
         "max_steps": max_steps,
     }
-    return run.record("ok" if valid else "no_valid_tour", extras=extras)
+    return run.record(None if run.finished else ("ok" if valid else "no_valid_tour"),
+                      extras=extras)

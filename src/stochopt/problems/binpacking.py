@@ -9,6 +9,16 @@ feasible one, which keeps local moves on a connected landscape.
 Fit checks use a 1e-9 relative slack so decimal size literals that sum
 to the capacity exactly in base ten still count as fitting.
 
+A sampled move works on the bin ids as a Python list.  When the items
+are not all in one bin it swaps with probability 1/2, two items drawn
+by two scalar `rng.integers(n)` calls until they sit in different bins;
+otherwise it relocates one item to another of its targets, the used
+bins in order and then the first empty bin, the targets `neighbors`
+relocates over too.  numpy draws each bounded value from the bit
+generator's own buffered 32-bit stream, so the two scalar draws give
+the values and leave the state of one `integers(0, n, size=2)` draw,
+and cost less than it.
+
 Atoms are (item, bin) pairs with id item * n + bin, so ids lie in
 0..n*n - 1.  A relocation breaks (item, source) and makes (item,
 target); a swap of items i and j breaks (i, bin_i) and (j, bin_j) and
@@ -71,7 +81,7 @@ class BinPackingInstance(Problem):
         """Open-bin count plus penalty times total overflow."""
         loads = np.bincount(assignment, weights=self.sizes, minlength=self.n)
         open_bins = int(np.count_nonzero(loads > 0))
-        overflow = float(np.maximum(loads - 1.0, 0.0).sum())
+        overflow = float(np.add.reduce(np.maximum(loads - 1.0, 0.0)))
         if overflow < FIT_SLACK * self.n:
             overflow = 0.0
         return open_bins + self.penalty * overflow
@@ -101,19 +111,19 @@ class BinPackingInstance(Problem):
     def random_solution(self, rng) -> np.ndarray:
         return rng.integers(0, self.n, size=self.n)
 
-    def _targets(self, a: np.ndarray) -> list[int]:
+    def _targets(self, bins: list[int]) -> list[int]:
         """The used bins in order, then the first empty one (one fresh bin is always enough)."""
-        counts = np.bincount(a, minlength=self.n)
-        targets = np.flatnonzero(counts).tolist()
+        used = set(bins)
+        targets = sorted(used)
         if len(targets) < self.n:
-            targets.append(int(np.argmin(counts)))
+            targets.append(next(b for b in range(self.n) if b not in used))
         return targets
 
     def neighbors(self, solution) -> Neighborhood:
         """Relocations item by item over `_targets`, then swaps i < j; costed by `cost_rows`."""
         a = np.asarray(solution)
         n = self.n
-        targets = np.array(self._targets(a))
+        targets = np.array(self._targets(a.tolist()))
         item, dst = np.repeat(np.arange(n), targets.size), np.tile(targets, n)
         moved = dst != a[item]
         item, dst = item[moved], dst[moved]
@@ -147,26 +157,23 @@ class BinPackingInstance(Problem):
         )
 
     def sample_move(self, solution, rng):
-        if self.n == 1:
+        n = self.n
+        if n == 1:
             raise NoNeighborError("a single item has no other bin to move to")
         a = np.asarray(solution)
-        swappable = bool(np.any(a != a[0]))
-        use_swap = swappable and rng.random() < 0.5
-        if use_swap:
-            while True:
-                i, j = rng.integers(0, self.n, size=2)
-                if a[i] != a[j]:
-                    break
-            i, j = (int(i), int(j)) if i < j else (int(j), int(i))
-            nxt = a.copy()
-            nxt[i], nxt[j] = a[j], a[i]
-            return nxt
-        item = int(rng.integers(self.n))
-        src = int(a[item])
-        targets = [b for b in self._targets(a) if b != src]
-        dst = targets[int(rng.integers(len(targets)))]
+        bins = a.tolist()
         nxt = a.copy()
-        nxt[item] = dst
+        if bins.count(bins[0]) < n and rng.random() < 0.5:
+            while True:  # the values and state of `integers(0, n, size=2)`, drawn cheaper
+                i, j = int(rng.integers(n)), int(rng.integers(n))
+                if bins[i] != bins[j]:
+                    break
+            nxt[i], nxt[j] = bins[j], bins[i]
+            return nxt
+        item = int(rng.integers(n))
+        targets = self._targets(bins)
+        targets.remove(bins[item])
+        nxt[item] = targets[int(rng.integers(len(targets)))]
         return nxt
 
     def solution_attributes(self, solution) -> np.ndarray:

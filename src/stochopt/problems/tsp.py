@@ -96,7 +96,7 @@ class TspInstance(Problem):
     def cost(self, tour) -> float:
         if self.n == 1:
             return 0.0
-        return float(self.d[tour[:-1], tour[1:]].sum() + self.d[tour[-1], tour[0]])
+        return float(np.add.reduce(self.d[tour[:-1], tour[1:]]) + self.d[tour[-1], tour[0]])
 
     def cost_rows(self, rows) -> list[float]:
         """`cost` of each tour of an (M, n) block: path edges summed per row, then the closing edge.
@@ -149,10 +149,11 @@ class TspInstance(Problem):
         return f + ((d.item(a, c) + d.item(b, e)) - (d.item(a, b) + d.item(c, e)))
 
     def apply(self, tour, move) -> np.ndarray:
+        """A new tour with slice i..j reversed, read from `tour` into one copy."""
         out = np.array(tour)
         if move is not None:
             i, j = move
-            out[i : j + 1] = out[i : j + 1][::-1]
+            out[i : j + 1] = tour[j : i - 1 if i else None : -1]
         return out
 
     def solution_attributes(self, solution) -> np.ndarray:

@@ -298,7 +298,8 @@ def test_softer_tour_term_recovers_valid_tours():
     inst = TspInstance.from_coords(rng.random((5, 2)), name="unit5")
     _, optimum = brute_force_tour(inst)
     rec = hopfield_solve(inst, Budget(50), 0, TankParams(d=40.0))
-    assert rec.status == "ok"
+    assert rec.status == "budget_exhausted"
+    assert rec.evaluations == 50
     assert rec.extras["valid_fraction"] == 1.0
     assert rec.best_fitness == pytest.approx(optimum, rel=1e-9)
 
@@ -306,13 +307,19 @@ def test_softer_tour_term_recovers_valid_tours():
 def test_restarts_stop_when_the_run_is_finished():
     unit5 = TspInstance.from_coords(seeded_rng(1).random((5, 2)))
     spent = hopfield_solve(unit5, Budget(3), 0, TankParams(d=40.0), restarts=10)
+    assert spent.status == "budget_exhausted"
     assert spent.evaluations == spent.extras["restarts"] == 3
     assert spent.extras["valid_fraction"] == 1.0
     reached = hopfield_solve(unit5, Budget(10, target_fitness=100.0), 0, TankParams(d=40.0))
+    assert reached.status == "target_reached"
     assert reached.evaluations == reached.evaluations_to_success == 1
     assert reached.extras["restarts"] == 1
+    # only a run the restart cap ended reads `ok` or `no_valid_tour`
+    capped = hopfield_solve(unit5, Budget(10), 0, TankParams(d=40.0), restarts=4)
+    assert capped.status == "ok" and capped.evaluations == 4
     # an invalid decode is not an evaluation, so `restarts` caps the attempts
     none = hopfield_solve(unit5, Budget(10), 0, max_steps=1, restarts=4)
+    assert none.status == "no_valid_tour"
     assert none.evaluations == 0 and none.extras["restarts"] == 4
 
 

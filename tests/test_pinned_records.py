@@ -362,7 +362,7 @@ DIGESTS = {
     "rastrigin3-random": "23e8106de62e0ad38c5cb91baa280acc28fee8a29bda6cff1d95e29f21e1d1a9",
     "cube-random": "93344dcaeb3d55564bcbeaa697883ffde18fa461e947cefe7778729d120ac05a",
     "eight-hopfield": "50083b59753c6cf5e92b80e0936d047474cf7c901441eef8ceba4d9f4cc130f2",
-    "tour5-hopfield": "851270dbd6ef10cdfde140c0fd396abc07096fa88c1ebb86c59ff65536396111",
+    "tour5-hopfield": "cfda22b912278f17586e8734b1efa2039b41866ad9fd01a8d38fb187afafa642",
 }
 
 TRAJECTORY_DIGESTS = {

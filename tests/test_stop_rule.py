@@ -108,7 +108,7 @@ def test_a_target_stop_ends_at_the_evaluation_that_reached_it(tours, name):
     n, target = [(n, f) for n, f in free.best_curve[1:] if batch == 1 or n % batch][-1]
     del tours[:]
     rec = search(problem, Budget(3000, target))
-    assert rec.status == ("ok" if name == "hopfield" else "target_reached")
+    assert rec.status == "target_reached"
     assert rec.evaluations == rec.evaluations_to_success == n
     if name == "ants":
         assert len(tours) == rec.evaluations
