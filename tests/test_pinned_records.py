@@ -6,6 +6,10 @@ were taken from the per-neighbour implementation (a solution copy and a
 `Move` per neighbour, one `cost` call each); the array neighbourhoods
 must reproduce them bit for bit.  The memory-weighted cases are the only
 guard on the penalty path, which no shipped config or benchmark turns on.
+The cases on the benchmark-size tours (`SIZED`) were taken from the
+row-building neighbourhood, which built every reversed tour as a row of
+an (M, n) block and costed each row in full; neighbourhoods costed by the
+four edges each reversal changes must reproduce them bit for bit.
 
 The annealing and first-accept digests were taken from the full-costing
 implementation (every sampled neighbour built as a new tour and costed
@@ -106,6 +110,9 @@ MEMORY = {
     "tour12": dict(tenure=6, intensification_weight=3.0, diversification_weight=40.0),
     "pack12": dict(tenure=5, intensification_weight=50.0, diversification_weight=400.0),
     "cube": dict(tenure=2, intensification_weight=3.0, diversification_weight=40.0),
+    "tour50": dict(tenure=5, intensification_weight=3.0, diversification_weight=40.0),
+    "grid16": dict(tenure=5, intensification_weight=3.0, diversification_weight=40.0),
+    "tour140": dict(tenure=5, intensification_weight=10.0, diversification_weight=100.0),
 }
 
 
@@ -207,6 +214,20 @@ CASES = {
     "eight-hopfield": ("eight", _hopfield(5, 0, max_steps=640)),
     "tour5-hopfield": ("tour5", _hopfield(20, 1, p=TankParams(d=40.0))),
 }
+
+# Tours at benchmark sizes, a few neighbourhoods each: irrational edges
+# (tour50), a lattice full of exact ties and twin reversals (grid16, whose
+# small neighbourhoods let it reach the plateau, a restart and a halt) and
+# rows past numpy's 128-term pairwise split (tour140).
+SIZED = {"tour50": 6200, "grid16": 1500, "tour140": 30000}
+for _name, _budget in SIZED.items():
+    CASES[f"{_name}-tabu"] = (_name, _tabu(_budget, 0))
+    CASES[f"{_name}-tabu-tenure0"] = (_name, _tabu(_budget, 1, tenure=0))
+    CASES[f"{_name}-tabu-aspiration-off"] = (
+        _name, _tabu(_budget, 2, aspiration="off", tenure=4)
+    )
+    CASES[f"{_name}-tabu-memory"] = (_name, _tabu(_budget, 3, elite_size=3, **MEMORY[_name]))
+    CASES[f"{_name}-steepest-restarts"] = (_name, _steepest(_budget, 4, restart=True))
 
 # Per instance: a starting temperature near 10x its mean step, for the
 # fixed-start and linear schedules.
@@ -363,6 +384,21 @@ DIGESTS = {
     "cube-random": "93344dcaeb3d55564bcbeaa697883ffde18fa461e947cefe7778729d120ac05a",
     "eight-hopfield": "50083b59753c6cf5e92b80e0936d047474cf7c901441eef8ceba4d9f4cc130f2",
     "tour5-hopfield": "cfda22b912278f17586e8734b1efa2039b41866ad9fd01a8d38fb187afafa642",
+    "grid16-steepest-restarts": "eb2a59222a04b353135fa63e7a32da13bc353331b61b3c6ecf9542bfbf24d0d3",
+    "grid16-tabu": "d910483869cb12c78998bca32f7c8ee0c20d3fc7c21e7542efbf19dd4df1f385",
+    "grid16-tabu-aspiration-off": "3f03b654f2df87de163d29671b4d461e1eeb628dcca1e455002144c14703ffef",
+    "grid16-tabu-memory": "558705e6e2be038a9a5d432f3ec152133e0657abf9781d3cb872396f73c74960",
+    "grid16-tabu-tenure0": "b377ff97fb2294425557c41161c27ba49cc795de61b087696305942ea24b920f",
+    "tour140-steepest-restarts": "154fcaca0de24e28fdd88924bb58cc8b88b8b4773f8470219becc24fce23811f",
+    "tour140-tabu": "633072ce9d53570f0a4d46e70e7cafaa1bcbe91fbb075396fc7eeb5cc528f574",
+    "tour140-tabu-aspiration-off": "ee84f3e4feeae48df28723a07bf004927c08576a12ffc2dcf8607a8c857b52c1",
+    "tour140-tabu-memory": "ba52d4cde6af160b8ce14272b84abe1e816d070863744b247fb0b686a387278d",
+    "tour140-tabu-tenure0": "c7a210deab585321f85b6c330daa12aa744b2bff4aa48ddcd4e067970af52d0e",
+    "tour50-steepest-restarts": "8e90f828dd3a82388b772c4f488e632428d0d1bdf4fe744cc3fa5566815d3d2b",
+    "tour50-tabu": "2a8444e1c179211d48eadd96ba3ffa337a2ee51001b59136198de8bc084a12fe",
+    "tour50-tabu-aspiration-off": "00715e2f0002d156e30e9c482d678d9856b8cc7680c356e89fce498ab5e2c43e",
+    "tour50-tabu-memory": "44f6797652b2772ecad17845ec5d7c094e8af905fd4dad7eb71da81f7d94eb27",
+    "tour50-tabu-tenure0": "b53d228b3820fc4f1d86606fef880d98023a691c8d5adff2772c2aaf79706e8e",
 }
 
 TRAJECTORY_DIGESTS = {
@@ -516,8 +552,9 @@ def test_pso_cases_take_the_paths_they_pin(instances):
 
 def test_memory_weights_change_the_walk(instances):
     """The memory cases pin a walk the penalty actually steers."""
-    for name in ("eight", "pack10", "tour12", "pack12"):
+    budgets = {"eight": 1500, "pack10": 1500, "tour12": 1500, "pack12": 1500, **SIZED}
+    for name, budget in budgets.items():
         cfg = MEMORY[name]
-        plain = _tabu(1500, 3, tenure=cfg["tenure"])(instances[name])
-        steered = _tabu(1500, 3, elite_size=3, **cfg)(instances[name])
+        plain = _tabu(budget, 3, tenure=cfg["tenure"])(instances[name])
+        steered = _tabu(budget, 3, elite_size=3, **cfg)(instances[name])
         assert plain.extras["moves"] != steered.extras["moves"], name
