@@ -182,30 +182,65 @@ def split_streams(rng: np.random.Generator, n: int) -> list[np.random.Generator]
 
 @dataclass(frozen=True)
 class Neighborhood:
-    """A whole neighborhood as arrays, one row per neighbor, in a fixed order.
+    """A whole neighborhood as arrays, one entry per neighbor, in a fixed order.
 
-    `solutions[k]` is neighbor k: a row of an (M, n) array for tours and
-    packings, a list entry for state graphs.  `costs` is
-    `Problem.cost_rows(solutions)`: `costs[k]` is the Python float
-    `cost(solutions[k])` gives, bit for bit, which holds in any memory
-    layout of `solutions` because `cost_rows` reads its rows C-ordered
-    (see `Problem`).  `broken[k]` and `made[k]` are the integer atom ids
-    the move to neighbor k consumes and creates (the city adjacencies a
-    reversal breaks and makes, an (item, bin) pair, a labeled step on a
-    state graph), padded with -1 to a common width; every move has at
-    least one of each.  A short-term memory that forbids undoing a move
-    stores its `made` atoms.  `label(k)` names move k for the record; it
-    is computed only for the moves a searcher picks.
+    `costs[k]` is the Python float cost of neighbor k, within `window` of
+    its full `cost(row(k))`: tours cost a reversal from the four edges it
+    changes, which can differ from the full sum in the last bits (see
+    `MOVE_TOLERANCE`); packings and state graphs cost their rows through
+    `Problem.cost_rows`, bit for bit, and have a zero window.  `row(k)`
+    builds neighbor k as a new object (the tour with slice i..j reversed,
+    a copy of a block row, a state id), so only the neighbors a decision
+    reads are ever built, and `exact(k)` gives it with its full cost.
+    `broken[k]` and `made[k]` are the integer atom ids the move to
+    neighbor k consumes and creates (the city adjacencies a reversal
+    breaks and makes, an (item, bin) pair, a labeled step on a state
+    graph), padded with -1 to a common width; every move has at least one
+    of each.  A short-term memory that forbids undoing a move stores its
+    `made` atoms.  `label(k)` names move k for the record; it is computed
+    only for the moves a searcher picks.
+
+    Every decision is read on full costs.  A neighbor whose cost is more
+    than a window from deciding anything is settled on `costs` alone; one
+    within it is built and read through `exact`.
     """
 
-    solutions: Any
     costs: list
     broken: np.ndarray
     made: np.ndarray
     label: Callable[[int], Any]
+    row: Callable[[int], Any]
+    window: float = 0.0
+    cost: Callable[[Any], float] | None = None  # the problem's `cost`, read where window > 0
+    _exact: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.costs)
+
+    def exact(self, k: int) -> tuple[Any, float]:
+        """Neighbor k and its full cost, built once.
+
+        With a zero window `costs[k]` is the full cost.  Otherwise
+        `cost(row(k))` is read, and a `costs[k]` farther than the window
+        from it raises `ValidationError`.
+        """
+        found = self._exact.get(k)
+        if found is None:
+            solution, value = self.row(k), self.costs[k]
+            if self.window:
+                value = _checked(self.cost(solution), value, self.window)
+            found = self._exact[k] = solution, value
+        return found
+
+
+def _checked(full: float, value: float, window: float) -> float:
+    """`full`, once `value` is found within `window` of it; else `ValidationError`."""
+    if abs(full - value) > window:
+        raise ValidationError(
+            f"move cost {value!r} disagrees with the full cost {full!r} "
+            f"of the solution it builds"
+        )
+    return full
 
 
 @dataclass(frozen=True)
@@ -297,13 +332,13 @@ class Run:
         """Count one candidate; validate it only if it enters the record.
 
         `value`, when given, is the candidate's `cost` computed ahead of
-        time (a `Neighborhood` or a swarm sweep costs all its rows at
-        once through `cost_rows` and is counted by `evaluate_batch`), and
-        `cost` is not called again.  Each candidate is still one call
-        here, so the evaluation count, the best curve and the budget and
-        target stops land on exactly the candidate they would if it were
-        costed alone, and anything counting calls to this method counts
-        evaluations.  A strict improvement is checked through
+        time (a swarm sweep costs all its rows at once through
+        `cost_rows`, and `evaluate_batch` counts it and every
+        neighborhood), and `cost` is not called again.  Each candidate is
+        still one call here, so the evaluation count, the best curve and
+        the budget and target stops land on exactly the candidate they
+        would if it were costed alone, and anything counting calls to this
+        method counts evaluations.  A strict improvement is checked through
         `Problem.evaluate` either way, and a `value` that disagrees with
         it raises `ValidationError`.
         """
@@ -355,29 +390,35 @@ class Run:
         if not value < self.best_fitness + tolerance:
             return self.evaluate(None, value)  # cannot improve: the solution is not read
         candidate = problem.apply(solution, move)
-        full = problem.cost(candidate)
-        if abs(full - value) > tolerance:
-            raise ValidationError(
-                f"move cost {value!r} disagrees with the full cost {full!r} "
-                f"of the solution it builds"
-            )
-        return self.evaluate(candidate, full)
+        return self.evaluate(candidate, _checked(problem.cost(candidate), value, tolerance))
 
-    def evaluate_batch(self, solutions, costs) -> int:
-        """Count `solutions` in order, each at its precomputed cost, until the run finishes.
+    def evaluate_batch(self, costs, exact: Callable[[int], tuple], window: float = 0.0) -> int:
+        """Count candidates 0, 1, ... at `costs`, in order, until the run finishes.
 
-        One `evaluate` call per candidate, and none once the budget is
-        spent or the target reached; returns how many were counted (all
-        of them unless the run finished part way).
+        `costs[k]` lies within `window` of candidate k's full cost, and
+        `exact(k)` builds candidate k and returns it with that full cost
+        (`Neighborhood.exact`).  Only a candidate that could enter the
+        record, one below the best cost plus the window, is built and
+        counted at its full cost, as `evaluate_move` does; the others are
+        counted at `costs[k]` and never built.  One `evaluate` call per
+        candidate, and none once the budget is spent or the target
+        reached; returns how many were counted (all of them unless the
+        run finished part way).
         """
-        room = self.budget.max_evaluations - self.evaluations
-        counted = 0
-        for solution, value in zip(solutions[:room], costs[:room]):
-            if self.evaluations_to_success is not None:  # `finished` inside the budget
-                break
-            self.evaluate(solution, value)
-            counted += 1
-        return counted
+        if self.evaluations_to_success is not None:
+            return 0
+        batch = costs[: self.budget.max_evaluations - self.evaluations]
+        evaluate = self.evaluate
+        bar = self.best_fitness + window
+        for k, value in enumerate(batch):
+            if value < bar:
+                evaluate(*exact(k))
+                if self.evaluations_to_success is not None:  # only a new best reaches the target
+                    return k + 1
+                bar = self.best_fitness + window
+            else:
+                evaluate(None, value)
+        return len(batch)
 
     def start(self, start=None):
         """The first solution of a search: `start` validated, or a random one if None."""
@@ -421,11 +462,11 @@ class Problem:
     Concrete problems implement `validate`, `cost`, `random_solution`
     (uniform random construction) and `sample_move`.  Where the
     neighborhood is finite they also implement `neighbors`, which
-    returns the whole of it as one `Neighborhood` (rows, costs, atom
-    ids, labels) in a fixed order, `solution_attributes` and
-    `atom_count`, the size of the atom id space both use; tabu memories
-    are arrays indexed by atom id.  Continuous landscapes raise
-    UnsupportedOperationError in `neighbors`.
+    returns the whole of it as one `Neighborhood` (costs, atom ids,
+    labels, rows built on demand) in a fixed order, and
+    `solution_attributes` and `atom_count`, the size of the atom id
+    space both use; tabu memories are arrays indexed by atom id.
+    Continuous landscapes raise UnsupportedOperationError in `neighbors`.
 
     Sampled search moves through three methods.  `sample_move` draws a
     move, `move_cost(solution, f, move)` gives the cost of the solution
@@ -447,8 +488,9 @@ class Problem:
     of array operations, reading each row as C-ordered: numpy sums along
     the rows of a C-ordered block pairwise, as it sums one solution, but
     straight down the columns of a Fortran-ordered one, which rounds
-    differently once a row has 8 terms or more.  `neighbors` costs its
-    rows and a particle swarm its sweep through it.
+    differently once a row has 8 terms or more.  Packing and state-graph
+    `neighbors` cost their rows, and a particle swarm its sweep, through
+    it; a tour neighborhood costs each reversal as `move_cost` does.
 
     Solutions are checked where they enter and where they reach the
     record.  `evaluate` is the one checked entry for outside input
@@ -485,7 +527,16 @@ class Problem:
         raise NotImplementedError
 
     def sample_move(self, solution, rng: np.random.Generator):
-        """Draw a move uniformly from the neighborhood; every problem kind writes its own."""
+        """Draw one move from `solution`; every problem kind writes its own.
+
+        Tours draw a reversal uniformly from those `neighbors` lists, and
+        state graphs an edge uniformly from the state's edges.  Packings
+        choose a swap or a relocation with equal chance (a relocation
+        whenever all items share one bin), then draw uniformly within that
+        kind, so a kind's share does not follow its count.  Continuous
+        boxes draw one uniform step of at most `neighbor_radius`, add it to
+        the point and clamp the result to the box.
+        """
         raise NotImplementedError
 
     def sample_neighbor(self, solution, rng: np.random.Generator):

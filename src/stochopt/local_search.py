@@ -12,8 +12,6 @@ the first local optimum.
 
 from __future__ import annotations
 
-from copy import copy
-
 import numpy as np
 
 from .core import Budget, Run, RunRecord
@@ -58,13 +56,19 @@ def hill_climb_steepest(
     restarts = 0
     while not run.finished:
         hood = problem.neighbors(current)
-        evaluated = run.evaluate_batch(hood.solutions, hood.costs)
+        evaluated = run.evaluate_batch(hood.costs, hood.exact, hood.window)
         if evaluated:
             costs = np.array(hood.costs[:evaluated])
-            best = int(np.argmin(costs))  # first of the lowest: ties go to the lowest index
-            if costs[best] < f_current:  # strict
-                current, f_current = copy(hood.solutions[best]), hood.costs[best]
-                del hood  # free it before `neighbors` builds the next one
+            best = int(np.argmin(costs))
+            # Only a move within two windows of the lowest cost can tie or beat it in
+            # full; of the lowest full costs the first wins.
+            near = np.flatnonzero(costs < costs[best] + 2 * hood.window)
+            if near.size > 1:
+                best = min(near.tolist(), key=lambda m: hood.exact(m)[1])
+            neighbor, f_neighbor = hood.exact(best)
+            if f_neighbor < f_current:  # strict
+                current, f_current = neighbor, f_neighbor
+                del hood  # free it before `neighbors` builds the next: a packing's holds a block
                 continue
         if evaluated < len(hood):
             break  # budget died mid-enumeration; local optimality unknown

@@ -143,7 +143,6 @@ class BinPackingInstance(Problem):
             return ("swap", int(i[k - relocations]), int(j[k - relocations]))
 
         return Neighborhood(
-            solutions=rows,
             costs=self.cost_rows(rows),
             broken=np.concatenate((
                 np.stack((item * n + a[item], none), axis=1),
@@ -154,6 +153,7 @@ class BinPackingInstance(Problem):
                 np.stack((i * n + a[j], j * n + a[i]), axis=1),
             )),
             label=label,
+            row=lambda k: rows[k].copy(),
         )
 
     def sample_move(self, solution, rng):

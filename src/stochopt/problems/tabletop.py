@@ -74,11 +74,11 @@ class TabletopInstance(Problem):
         ids = self._label_ids
         states = [v for v, _, _ in options]
         return Neighborhood(
-            solutions=states,
             costs=self.cost_rows(states),
             broken=np.array([ids[lab] for _, lab, _ in options], dtype=np.intp).reshape(-1, 1),
             made=np.array([ids[rev] for _, _, rev in options], dtype=np.intp).reshape(-1, 1),
             label=lambda k: options[k][1],
+            row=states.__getitem__,
         )
 
     def sample_move(self, solution, rng):

@@ -14,6 +14,16 @@ reversed only for a move a search keeps.  The edges are summed before
 lengths leaves `f` exactly as it was.  Otherwise the sum can differ from
 a full recompute in the last bits, which `Run.evaluate_move` allows for.
 
+`neighbors` costs every reversal the same way, as arrays: it gathers the
+four edges of each reversal at tour positions fixed per instance and
+builds no reversed tour, so a 200-city neighborhood of 19,897 moves
+takes a few MB, not the 65 MB its rows once did.  Its window is
+`MOVE_TOLERANCE` times the largest cost in it; a searcher builds a row
+(`Neighborhood.row`) and reads its full cost only within a window of a
+decision.  The two reversals (0, j) and (j + 1, n - 1) of one cycle sum
+the same four edges and so cost the same, where their full sums can
+differ in the last bit; a decision between them reads the full sums.
+
 Atoms are undirected city adjacencies: the pair {a, b} has id
 min(a, b) * n + max(a, b), so ids lie in 0..n*n - 1.  A reversal's
 `broken` atoms are the two adjacencies it removes and its `made` atoms
@@ -22,11 +32,13 @@ the two it creates; short-term memories match on these ids.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import permutations
 
 import numpy as np
 
 from ..core import (
+    MOVE_TOLERANCE,
     EncodingMismatchError,
     Neighborhood,
     Problem,
@@ -114,21 +126,43 @@ class TspInstance(Problem):
     def _atom(self, a, b):
         return np.minimum(a, b) * self.n + np.maximum(a, b)
 
+    @cached_property
+    def _ends(self):
+        """Tour positions per reversal (i, j), each an (M, 2) array: the edges
+        it breaks run from (i-1, j) to (i, j+1), and those it makes from
+        (i-1, i) to (j, j+1).  Built on the first `neighbors` call."""
+        i, j = self._i, self._j
+        after = (j + 1) % self.n
+        pairs = ((i - 1, j), (i, after), (i - 1, i), (j, after))
+        return tuple(np.stack(pair, axis=1) for pair in pairs)
+
+    @cached_property
+    def _atoms(self):
+        """Atom id of every city pair, as an (n, n) table."""
+        city = np.arange(self.n)
+        return self._atom(city[:, None], city)
+
     def neighbors(self, solution) -> Neighborhood:
-        """Every non-trivial reversal, in (i, j) row order, costed by `cost_rows`."""
+        """Every non-trivial reversal, in (i, j) row order, costed from the four edges it changes.
+
+        `costs[k]` is `move_cost(tour, cost(tour), label(k))` bit for bit:
+        the tour's cost plus the two edges the reversal makes, minus the
+        two it breaks.  The reversed tours are not built.
+        """
         tour = np.asarray(solution)
-        i, j, n = self._i, self._j, self.n
-        p = np.arange(n)
-        inside = (i[:, None] <= p) & (p <= j[:, None])
-        rows = tour[np.where(inside, (i + j)[:, None] - p, p)]
-        before, first, last, after = tour[(i - 1) % n], tour[i], tour[j], tour[(j + 1) % n]
-        atom = self._atom
+        i, j, d = self._i, self._j, self.d
+        broken_from, broken_to, made_from, made_to = (tour[ends] for ends in self._ends)
+        made, broken = d[made_from, made_to], d[broken_from, broken_to]
+        f = self.cost(tour)
+        costs = f + ((made[:, 0] + made[:, 1]) - (broken[:, 0] + broken[:, 1]))
         return Neighborhood(
-            solutions=rows,
-            costs=self.cost_rows(rows),
-            broken=np.stack((atom(before, first), atom(last, after)), axis=1),
-            made=np.stack((atom(before, last), atom(first, after)), axis=1),
+            costs=costs.tolist(),
+            broken=self._atoms[broken_from, broken_to],
+            made=self._atoms[made_from, made_to],
             label=lambda k: (int(i[k]), int(j[k])),
+            row=lambda k: self.apply(tour, (i[k], j[k])),
+            window=MOVE_TOLERANCE * max(1.0, f, costs.max(initial=0.0)),
+            cost=self.cost,
         )
 
     def sample_move(self, solution, rng):

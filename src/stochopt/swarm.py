@@ -73,7 +73,7 @@ def _evaluate_all(pos, p_best_pos, p_best_val, run: Run) -> int:
     """Cost every particle at once, then count them in index order until the run finishes;
     the counted ones keep strictly better personal bests.  Returns how many were counted."""
     costs = run.problem.cost_rows(pos)
-    counted = run.evaluate_batch(pos, costs)
+    counted = run.evaluate_batch(costs, lambda k: (pos[k], costs[k]))
     for i, val in enumerate(costs[:counted]):
         if val < p_best_val[i]:
             p_best_val[i] = val

@@ -22,13 +22,22 @@ default to 0, which reduces the penalized cost to the raw cost.
 
 from __future__ import annotations
 
-from copy import copy
 from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
 
-from .core import Budget, Count, NoNeighborError, NonNegative, Run, RunRecord, Whole, check_fields
+from .core import (
+    MOVE_TOLERANCE,
+    Budget,
+    Count,
+    NoNeighborError,
+    NonNegative,
+    Run,
+    RunRecord,
+    Whole,
+    check_fields,
+)
 
 
 @dataclass(frozen=True)
@@ -114,23 +123,55 @@ def select_best_admissible(
     k: int = 1,
     memory: SearchMemory | None = None,
 ) -> int | None:
-    """Index of the lowest penalized cost among the first `evaluated` moves.
+    """Index of the lowest penalized full cost among the first `evaluated` moves.
 
-    A move is admissible unless tabu at selection k and not aspiring.
-    Returns None when nothing is admissible (the caller halts).  Ties
-    keep the earliest move.
+    A move is admissible unless tabu at selection k and not aspiring (its
+    full cost below `best_so_far`).  Returns None when nothing is
+    admissible (the caller halts).  Ties keep the earliest move.
+
+    The choice is made on full costs.  `hood.costs` lie within a window
+    of them, and so do the scores; the window widens to `MOVE_TOLERANCE`
+    of the largest score where a penalty makes the scores round coarser
+    than the costs.  The lowest score m of a surely admissible move
+    bounds the choice: each move that may be admissible and scores below
+    m plus two windows is read in full (`hood.exact`) and decided on its
+    full score, and no other move can tie or win.  When that is the one
+    move with score m, nothing needs reading.  With a zero window the
+    costs are exact and m decides.
     """
     if evaluated == 0:
         raise NoNeighborError("cannot select from an empty neighborhood")
     costs = np.array(hood.costs[:evaluated])
     broken, made = hood.broken[:evaluated], hood.made[:evaluated]
-    blocked = tabu.blocks(broken, k)
-    if cfg.aspiration == "best_so_far":
-        blocked &= ~(costs < best_so_far)
-    scores = costs if memory is None else costs + memory.penalty(broken, made)
-    scores = np.where(blocked, np.inf, scores)
-    best = int(np.argmin(scores))
-    return best if scores[best] < np.inf else None
+    window = hood.window
+    penalty = None if memory is None else memory.penalty(broken, made)
+    scores = costs if penalty is None else costs + penalty
+    if penalty is not None and window:
+        window = max(window, MOVE_TOLERANCE * float(np.abs(scores).max()))
+    tabu_now = tabu.blocks(broken, k)
+    aspire = cfg.aspiration == "best_so_far"
+    # tabu and not surely aspiring: a cost a window below best_so_far surely is
+    blocked = tabu_now & ~(costs < best_so_far - window) if aspire else tabu_now
+    ranked = np.where(blocked, np.inf, scores)
+    best = int(np.argmin(ranked))
+    low = ranked[best]
+    if not window:
+        return best if low < np.inf else None
+    near = [
+        m for m in np.flatnonzero(scores < low + 2 * window).tolist()
+        if not tabu_now[m] or aspire and costs[m] < best_so_far + window  # may be admissible
+    ]
+    if low < np.inf and near == [best]:
+        return best
+    chosen, lowest = None, np.inf
+    for m in near:
+        full = hood.exact(m)[1]
+        if tabu_now[m] and not (aspire and full < best_so_far):
+            continue
+        score = full if penalty is None else full + penalty[m]
+        if score < lowest:
+            chosen, lowest = m, score
+    return chosen
 
 
 def tabu_search(
@@ -163,20 +204,20 @@ def tabu_search(
                 raise NoNeighborError("start solution has an empty neighborhood")
             status = "no_neighbors"
             break
-        evaluated = run.evaluate_batch(hood.solutions, hood.costs)
+        evaluated = run.evaluate_batch(hood.costs, hood.exact, hood.window)
         k += 1
         chosen = select_best_admissible(hood, evaluated, tabu, best_visited, cfg, k, memory)
         if chosen is None:
             status = "no_admissible"
             break
-        current, f_current = copy(hood.solutions[chosen]), hood.costs[chosen]
+        current, f_current = hood.exact(chosen)
         visited.append(f_current)
         chosen_moves.append(hood.label(chosen))
         best_visited = min(best_visited, f_current)
         tabu.push(hood.made[chosen], k)
         if memory is not None:
             memory.update(hood.broken[chosen], current, f_current)
-        del hood  # free it before `neighbors` builds the next one
+        del hood  # free it before `neighbors` builds the next: a packing's holds a block
 
     extras = {"visited": visited, "moves": chosen_moves, "iterations": k}
     return run.record(status, extras=extras)

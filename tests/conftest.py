@@ -1,4 +1,6 @@
 import json
+import warnings
+from contextlib import suppress
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,15 @@ from stochopt import (
     cube_fixture,
     parse_tsp_file,
 )
+
+# Hypothesis imports libcst to write the patch it prints for a failing
+# property, and that import raises a DeprecationWarning of its own
+# (mypy_extensions.TypedDict).  Under the `error::DeprecationWarning`
+# filter it would crash pytest instead of printing the falsifying example,
+# so it is imported once here, with that warning silenced for it alone.
+with warnings.catch_warnings(), suppress(ImportError):
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 REPO = Path(__file__).resolve().parents[1]
 FIXTURES = REPO / "fixtures"

@@ -6,6 +6,7 @@ import re
 import types
 import typing
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -117,9 +118,10 @@ def test_every_config_field_refuses_a_value_of_the_wrong_type(cls, name, value):
 def test_neighborhood_is_frozen():
     atoms = np.array([[1, 2]])
     hood = Neighborhood(
-        solutions=[7], costs=[3.0], broken=atoms, made=atoms, label=lambda k: "swap"
+        costs=[3.0], broken=atoms, made=atoms, label=lambda k: "swap",
+        row=[7].__getitem__,
     )
-    assert len(hood) == 1 and hood.label(0) == "swap"
+    assert len(hood) == 1 and hood.label(0) == "swap" and hood.exact(0) == (7, 3.0)
     with pytest.raises(AttributeError):
         hood.costs = [4.0]
 
@@ -198,6 +200,43 @@ def test_run_refuses_an_improvement_whose_move_cost_disagrees_with_its_cost():
     # a search stops at its first improvement from a move
     with pytest.raises(ValidationError, match=r"move cost .* full cost"):
         simulated_annealing(_Undercosted.from_coords(coords), Budget(500), 0)
+
+
+def test_a_neighborhood_cost_past_its_window_raises_where_it_is_read():
+    atoms = np.array([[1, 2], [3, 4]])
+    hood = Neighborhood(
+        costs=[3.25, 5.0], broken=atoms, made=atoms, label=str, row=[7, 2].__getitem__,
+        window=0.5, cost=_Countdown().cost,
+    )
+    assert hood.exact(0) == (7, 3.0)  # within the window: read at its full cost
+    with pytest.raises(ValidationError, match=r"move cost 5\.0 .* full cost 8\.0"):
+        hood.exact(1)
+
+
+class _Overcosted(TspInstance):
+    """Every reversal costed a millionth of the tour length too high."""
+
+    def neighbors(self, solution):
+        hood = super().neighbors(solution)
+        f = self.cost(solution)
+        return replace(hood, costs=[c + 1e-6 * f for c in hood.costs])
+
+
+@pytest.mark.parametrize("search", [tabu_search, hill_climb_steepest])
+def test_searchers_read_neighborhood_costs_in_full_where_they_decide(search):
+    coords = seeded_rng(5).random((30, 2))
+    with pytest.raises(ValidationError, match=r"move cost .* full cost"):
+        search(_Overcosted.from_coords(coords), Budget(2000), 0)
+    built = []
+
+    class Counting(TspInstance):
+        def apply(self, tour, move):
+            built.append(move)
+            return super().apply(tour, move)
+
+    record = search(Counting.from_coords(coords), Budget(20 * 432), 0)  # 20 neighborhoods
+    # a row per new best, and a few more where ties or twin reversals are settled
+    assert len(built) <= len(record.best_curve) + 2 * 20
 
 
 def test_long_rescaled_annealing_on_irrational_lengths_keeps_its_energies_non_negative():
@@ -464,8 +503,8 @@ def test_neighbors_are_valid_by_construction(kind, n, seed, steps):
         for _ in range(steps):
             check(aco._build_tour(tau, eta, cfg, rng))
     for _ in range(steps):
-        hood = [] if kind == "continuous" else problem.neighbors(current).solutions
-        for neighbor in hood:
+        hood = [] if kind == "continuous" else problem.neighbors(current)
+        for neighbor in [hood.row(k) for k in range(len(hood))]:
             check(neighbor)
         try:
             current = problem.sample_neighbor(current, rng)

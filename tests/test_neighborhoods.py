@@ -1,10 +1,19 @@
-"""Array neighborhoods against a one-neighbor-at-a-time reference.
+"""Array neighborhoods against a one-neighbor-at-a-time reference, and
+searches on four-edge tour costs against searches on full ones.
 
 The reference enumerators below build each neighbor on its own, the
 way a per-move implementation would: a copy of the solution, its broken
 and made atoms as pairs, its label.  The array form must list the same
-neighbors in the same order, cost each one exactly (`==`) as `cost`
-does, and carry atom ids that decode to the same pairs.
+neighbors in the same order, as `row(k)`, and carry atom ids that decode
+to the same pairs.  Packings and state graphs cost every neighbor
+exactly (`==`) as `cost` does.
+
+A tour costs each reversal from the four edges it changes, bit for bit
+as `move_cost` does; that cost lies within the neighborhood's window of
+the full `cost` of the built row, but not always on it.  `_RowBuilding`
+keeps the earlier neighborhood, which built every reversed tour as a row
+of an (M, n) block and costed the block in full, and tabu search and
+steepest descent must give equal records on both.
 """
 
 import tracemalloc
@@ -17,6 +26,9 @@ from hypothesis import strategies as st
 from stochopt import (
     BinPackingInstance,
     Budget,
+    Neighborhood,
+    NoNeighborError,
+    TabuConfig,
     TspInstance,
     cube_fixture,
     hill_climb_steepest,
@@ -67,26 +79,116 @@ def _pairs(atoms, n):
     return {divmod(int(x), n) for x in atoms if x >= 0}
 
 
+class _RowBuilding(TspInstance):
+    """Every reversed tour built as a row of an (M, n) block, costed by `cost_rows`."""
+
+    def neighbors(self, solution) -> Neighborhood:
+        tour = np.asarray(solution)
+        i, j, n = self._i, self._j, self.n
+        p = np.arange(n)
+        inside = (i[:, None] <= p) & (p <= j[:, None])
+        rows = tour[np.where(inside, (i + j)[:, None] - p, p)]
+        before, first, last, after = tour[(i - 1) % n], tour[i], tour[j], tour[(j + 1) % n]
+        atom = self._atom
+        return Neighborhood(
+            costs=self.cost_rows(rows),
+            broken=np.stack((atom(before, first), atom(last, after)), axis=1),
+            made=np.stack((atom(before, last), atom(first, after)), axis=1),
+            label=lambda k: (int(i[k]), int(j[k])),
+            row=lambda k: rows[k].copy(),
+        )
+
+
 def _check(problem, solution, reference, n):
     hood = problem.neighbors(solution)
     expected = list(reference(solution))
     assert len(hood) == len(expected)
     assert hood.broken.shape == hood.made.shape == (len(hood), 2)
     for k, (row, broken, made, label) in enumerate(expected):
-        assert hood.solutions[k].tolist() == row.tolist()
-        assert hood.costs[k] == problem.cost(hood.solutions[k])
+        assert hood.row(k).tolist() == row.tolist()
         assert _pairs(hood.broken[k], n) == broken
         assert _pairs(hood.made[k], n) == made
         assert hood.label(k) == label
     assert all(type(c) is float for c in hood.costs)
+    return hood
+
+
+def _check_exact(problem, solution, reference, n):
+    hood = _check(problem, solution, reference, n)
+    assert hood.window == 0.0
+    for k in range(len(hood)):
+        assert hood.costs[k] == problem.cost(hood.row(k))
+
+
+def _check_four_edge(problem, tour):
+    """Per move: the row-building reference's row, `move_cost`'s value, and a
+    cost within the window of the full one."""
+    hood = _check(problem, tour, _reference_tour, problem.n)
+    rows = _RowBuilding(problem.d).neighbors(tour)
+    f = problem.cost(tour)
+    for k in range(len(hood)):
+        row = hood.row(k)
+        assert row.tolist() == rows.row(k).tolist()
+        assert hood.costs[k].hex() == problem.move_cost(tour, f, hood.label(k)).hex()
+        assert abs(hood.costs[k] - problem.cost(row)) <= hood.window
+        assert problem.cost(row) == rows.costs[k]
+    assert np.array_equal(hood.broken, rows.broken) and np.array_equal(hood.made, rows.made)
+
+
+def _cities(n, seed, lattice):
+    """Random points, or points on a 4 x 4 lattice (repeats allowed): exact ties."""
+    rng = seeded_rng(seed)
+    if lattice:
+        return TspInstance.from_coords(rng.integers(0, 4, size=(n, 2))), rng
+    return TspInstance.from_coords(rng.random((n, 2)) * 100), rng
 
 
 @settings(max_examples=150, deadline=None)
-@given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
-def test_tour_neighborhood_matches_the_reference(n, seed):
-    rng = seeded_rng(seed)
-    problem = TspInstance.from_coords(rng.random((n, 2)) * 100)
-    _check(problem, problem.random_solution(rng), _reference_tour, n)
+@given(n=st.integers(1, 14), seed=st.integers(0, 2**32 - 1), lattice=st.booleans())
+def test_tour_neighborhood_matches_the_reference(n, seed, lattice):
+    problem, rng = _cities(n, seed, lattice)
+    _check_four_edge(problem, problem.random_solution(rng))
+
+
+def _outcome(search, problem, *args, **kwargs):
+    try:
+        return search(problem, *args, **kwargs).to_dict()
+    except NoNeighborError as error:  # 1-3 cities: no reversal to start from
+        return repr(error)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 14),
+    seed=st.integers(0, 2**32 - 1),
+    lattice=st.booleans(),
+    budget=st.integers(1, 600),
+    tabu=st.one_of(
+        st.none(),
+        st.builds(
+            TabuConfig,
+            tenure=st.sampled_from([0, 1, 3, 7]),
+            aspiration=st.sampled_from(["best_so_far", "off"]),
+            intensification_weight=st.sampled_from([0.0, 0.5, 3.0]),
+            diversification_weight=st.sampled_from([0.0, 5.0, 40.0]),
+            elite_size=st.integers(1, 4),
+        ),
+    ),
+    restart=st.booleans(),
+)
+def test_searches_on_four_edge_costs_match_the_row_building_path(
+    n, seed, lattice, budget, tabu, restart
+):
+    """Records equal, move for move, whatever ties and twin reversals the costs hold."""
+    problem, _ = _cities(n, seed, lattice)
+    reference = _RowBuilding(problem.d)
+    if tabu is None:
+        search, options = hill_climb_steepest, {"restart_on_optimum": restart}
+    else:
+        search, options = tabu_search, {"cfg": tabu}
+    assert _outcome(search, problem, Budget(budget), seed, **options) == _outcome(
+        search, reference, Budget(budget), seed, **options
+    )
 
 
 @settings(max_examples=150, deadline=None)
@@ -108,7 +210,7 @@ def test_packing_neighborhood_matches_the_reference(n, seed, layout, decimal):
         a = rng.permutation(n)
     else:
         a = problem.random_solution(rng)
-    _check(problem, a, _reference_packing, n)
+    _check_exact(problem, a, _reference_packing, n)
 
 
 def test_cube_neighborhoods_match_the_graph():
@@ -117,8 +219,8 @@ def test_cube_neighborhoods_match_the_graph():
     for s in range(8):
         hood = cube.neighbors(s)
         flips = [s ^ bit for bit in (1, 2, 4)]  # x, y, z order
-        assert hood.solutions == flips
-        assert hood.costs == [cube.cost(v) for v in flips]
+        assert [hood.row(k) for k in range(len(hood))] == flips
+        assert hood.costs == [cube.cost(v) for v in flips] and hood.window == 0.0
         for k, v in enumerate(flips):
             axis = "xyz"[k]
             label = f"{axis}+" if v > s else f"{axis}-"
@@ -133,14 +235,21 @@ def test_cube_neighborhoods_match_the_graph():
 
 
 def test_costs_are_exact_at_benchmark_sizes():
-    """Row-wise sums give `cost`'s value bit for bit on long rows too."""
+    """Row-wise packing sums give `cost`'s value bit for bit on long rows too."""
     rng = seeded_rng(50)
-    tour = TspInstance.from_coords(rng.random((50, 2)) * 1000)
     pack = BinPackingInstance(rng.integers(5, 61, size=60), capacity=100)
-    for problem in (tour, pack):
-        for _ in range(3):
-            hood = problem.neighbors(problem.random_solution(rng))
-            assert hood.costs == [problem.cost(row) for row in hood.solutions]
+    for _ in range(3):
+        hood = pack.neighbors(pack.random_solution(rng))
+        assert hood.costs == [pack.cost(hood.row(k)) for k in range(len(hood))]
+
+
+@pytest.mark.parametrize("n", [50, 140])
+def test_tour_costs_at_benchmark_sizes_are_four_edge_sums(n):
+    """Irrational edges, and rows past numpy's 128-term pairwise split."""
+    rng = seeded_rng(n)
+    problem = TspInstance.from_coords(rng.random((n, 2)) * 1000)
+    for _ in range(2):
+        _check_four_edge(problem, problem.random_solution(rng))
 
 
 def test_fit_slack_clamps_a_rounding_overflow_as_cost_does():
@@ -148,23 +257,32 @@ def test_fit_slack_clamps_a_rounding_overflow_as_cost_does():
     inst = BinPackingInstance([0.2, 0.4, 0.3, 0.1])
     hood = inst.neighbors(np.array([0, 0, 0, 1]))
     k = [hood.label(k) for k in range(len(hood))].index(("relocate", 3, 1, 0))
-    assert hood.costs[k] == inst.cost(hood.solutions[k]) == 1.0
+    assert hood.costs[k] == inst.cost(hood.row(k)) == 1.0
+
+
+MIB = 2**20
+
+
+def _peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_200_city_neighborhood_builds_no_rows():
+    """19,897 reversals: their (M, n) rows alone took 31 MiB and the build 65 MiB."""
+    inst = TspInstance.from_coords(seeded_rng(0).random((200, 2)))
+    tour = inst.random_solution(seeded_rng(1))
+    assert _peak(lambda: inst.neighbors(tour)) < 8 * MIB
 
 
 @pytest.mark.parametrize("search", [tabu_search, hill_climb_steepest])
-def test_searchers_hold_one_neighborhood_at_a_time(search):
-    inst = TspInstance.from_coords(seeded_rng(0).random((60, 2)))
+def test_searchers_at_200_cities_stay_small(search):
+    """Three neighborhoods, about 3.8 MiB here; the row-building path took 65 MiB."""
+    inst = TspInstance.from_coords(seeded_rng(0).random((200, 2)))
     start = inst.random_solution(seeded_rng(1))
-    tracemalloc.start()
-    try:
-        hood = inst.neighbors(start)
-        _, one = tracemalloc.get_traced_memory()
-        rows, steps = hood.solutions.nbytes, len(hood)
-        del hood
-        tracemalloc.reset_peak()
-        search(inst, Budget(4 * steps), seed=0, start=start)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # building a neighborhood while the previous one is still bound costs its rows again
-    assert peak < one + rows / 2
+    steps = len(inst.neighbors(start))
+    assert _peak(lambda: search(inst, Budget(3 * steps), seed=0, start=start)) < 8 * MIB

@@ -128,7 +128,7 @@ def test_neighbors_cover_relocations_and_swaps():
     hood = inst.neighbors(a)
     labels = [hood.label(k) for k in range(len(hood))]
     assert {label[0] for label in labels} == {"relocate", "swap"}
-    for neighbor in hood.solutions:
+    for neighbor in map(hood.row, range(len(hood))):
         assert neighbor.tolist() != a.tolist()
         inst.validate(neighbor)
     # relocations may open exactly one fresh bin

@@ -79,11 +79,12 @@ def test_neighborhood_excludes_whole_cycle_reversals(eight):
     assert {(0, 7), (0, 6), (1, 7)}.isdisjoint(labels)
     base = eight.evaluate(tour)
     t = tour.tolist()
-    for neighbor, (i, j) in zip(hood.solutions, labels):
+    rows = [hood.row(k) for k in range(len(hood))]
+    for neighbor, (i, j) in zip(rows, labels):
         assert sorted(neighbor.tolist()) == list(range(8))
         assert neighbor.tolist() == t[:i] + t[i : j + 1][::-1] + t[j + 1 :]
     # every retained reversal changes the cyclic tour's length here
-    changed = [n for n in hood.solutions if eight.evaluate(n) != base]
+    changed = [n for n in rows if eight.evaluate(n) != base]
     assert len(changed) == len(hood)
 
 

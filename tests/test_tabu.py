@@ -47,8 +47,17 @@ def _hood(costs, *atoms):
     """Hand-built neighborhood: move k breaks and makes atoms[k]."""
     rows = _rows(*atoms) if atoms else np.empty((0, 1), dtype=np.intp)
     return Neighborhood(
-        solutions=list(range(len(costs))), costs=list(costs), broken=rows, made=rows,
-        label=lambda k: k,
+        costs=list(costs), broken=rows, made=rows, label=lambda k: k,
+        row=lambda k: k,
+    )
+
+
+def _windowed(costs, full, *atoms):
+    """Hand-built neighborhood whose `costs` lie within 1e-9 of the full costs `full`."""
+    rows = _rows(*atoms)
+    return Neighborhood(
+        costs=list(costs), broken=rows, made=rows, label=lambda k: k, row=lambda k: k,
+        window=1e-9, cost=list(full).__getitem__,
     )
 
 
@@ -97,6 +106,50 @@ def test_selection_skips_tabu_unless_aspiring():
     # with aspiration off even that stays forbidden
     off = TabuConfig(tenure=3, aspiration="off")
     assert select_best_admissible(hood, 2, tabu, 5.0, off, k=1) == 1
+
+
+def test_selection_reads_full_costs_within_the_window():
+    cfg = TabuConfig(tenure=3)
+    free = TabuList(3, atom_count=2)
+    # the first move looks lowest, but in full the second is
+    hood = _windowed([1.0, 1.0 + 1e-12, 5.0], [1.0 + 2e-12, 1.0, 5.0], [A], [B], [B])
+    assert select_best_admissible(hood, 3, free, 10.0, cfg) == 1
+    tabu = TabuList(3, atom_count=2)
+    tabu.push(np.array([A]), k=0)
+    # a tabu move a hair above best_so_far aspires on its full cost, a hair below ...
+    hood = _windowed([3.0 + 1e-12, 4.0], [3.0 - 1e-12, 4.0], [A], [B])
+    assert select_best_admissible(hood, 2, tabu, 3.0, cfg, k=1) == 0
+    assert select_best_admissible(hood, 1, tabu, 3.0, cfg, k=1) == 0
+    # ... and stays tabu when its full cost does not beat it
+    hood = _windowed([3.0 - 1e-12, 4.0], [3.0, 4.0], [A], [B])
+    assert select_best_admissible(hood, 2, tabu, 3.0, cfg, k=1) == 1
+    assert select_best_admissible(hood, 1, tabu, 3.0, cfg, k=1) is None
+    # a cost farther than the window from its full cost raises where it is read
+    with pytest.raises(ValidationError, match="disagrees"):
+        select_best_admissible(_windowed([1.0, 1.0], [1.0, 2.0], [A], [B]), 2, free, 10.0, cfg)
+
+
+class _FixedPenalty:
+    def __init__(self, values):
+        self.values = np.array(values)
+
+    def penalty(self, broken, made):
+        return self.values[: len(broken)]
+
+
+def test_a_large_penalty_widens_the_window_to_its_rounding():
+    """Scores near 2**30 round to steps of 2**-22, far coarser than the costs' window.
+
+    Move 1 scores a step below move 0 on its cost, but its full cost rounds
+    up to the same score, and of equal scores the earlier move wins."""
+    step = 2.0**-22
+    hood = _windowed(
+        [0.5 + 0.75 * step, 0.5 + step / 2 - 1e-12],
+        [0.5 + 0.75 * step, 0.5 + step / 2 + 1e-12],
+        [A], [B],
+    )
+    memory = _FixedPenalty([2.0**30, 2.0**30])
+    assert select_best_admissible(hood, 2, TabuList(0, 2), 10.0, TabuConfig(), memory=memory) == 0
 
 
 def test_everything_tabu_returns_none():
