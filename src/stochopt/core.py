@@ -534,8 +534,8 @@ class Problem:
         choose a swap or a relocation with equal chance (a relocation
         whenever all items share one bin), then draw uniformly within that
         kind, so a kind's share does not follow its count.  Continuous
-        boxes draw one uniform step of at most `neighbor_radius`, add it to
-        the point and clamp the result to the box.
+        boxes step each coordinate uniformly within its `neighbor_radius`
+        and clamp the point to the box.
         """
         raise NotImplementedError
 
