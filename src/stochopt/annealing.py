@@ -105,13 +105,14 @@ def calibrate_t0(problem, run: Run, start, probes: int = 100) -> tuple[float, ob
     """
     current = start
     f_current = run.evaluate(current)
-    deltas = []
-    while len(deltas) < probes and not run.finished:
+    total, steps = 0.0, 0  # summed left to right: `sum` compensates from Python 3.12 on
+    while steps < probes and not run.finished:
         candidate = problem.sample_neighbor(current, run.rng)
         f_candidate = run.evaluate(candidate)
-        deltas.append(abs(f_candidate - f_current))
+        total += abs(f_candidate - f_current)
+        steps += 1
         current, f_current = candidate, f_candidate
-    mean = sum(deltas) / len(deltas) if deltas else 0.0
+    mean = total / steps if steps else 0.0
     t0 = 10.0 * mean
     if t0 <= 0:
         t0 = 1.0  # flat probe region; any positive scale works

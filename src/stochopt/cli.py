@@ -461,7 +461,12 @@ def _write_outputs(table: ResultTable, cfg: ExperimentConfig, output_dir=None):
         for row in table.rows:
             writer.writerow(row)
     with open(json_path, "w") as fh:
-        json.dump(table.to_json_dict(), fh, indent=2, sort_keys=True)
+        try:
+            json.dump(table.to_json_dict(), fh, indent=2, sort_keys=True, allow_nan=False)
+        except ValueError:  # strict JSON has no Infinity: a replica with no solution reads null
+            fh.truncate(fh.seek(0))
+            strict = json.loads(json.dumps(table.to_json_dict()), parse_constant=lambda _: None)
+            json.dump(strict, fh, indent=2, sort_keys=True)
         fh.write("\n")
     table.csv_path = str(csv_path)
     table.json_path = str(json_path)

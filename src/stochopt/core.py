@@ -200,9 +200,10 @@ class Neighborhood:
     `made` atoms.  `label(k)` names move k for the record; it is computed
     only for the moves a searcher picks.
 
-    Every decision is read on full costs.  A neighbor whose cost is more
-    than a window from deciding anything is settled on `costs` alone; one
-    within it is built and read through `exact`.
+    Every decision is read on full costs, and `lowest` is the one rule
+    that makes it: a neighbor whose cost is more than a window from
+    deciding anything is settled on `costs` alone; one within it is built
+    and read through `exact`.
     """
 
     costs: list
@@ -231,6 +232,56 @@ class Neighborhood:
                 value = _checked(self.cost(solution), value, self.window)
             found = self._exact[k] = solution, value
         return found
+
+    def evaluate(self, run) -> int:
+        """Count the neighbors in order through `run.evaluate_batch`; returns how many."""
+        return run.evaluate_batch(self.costs, self.exact, self.window)
+
+    def lowest(
+        self, evaluated: int, penalty=None, tabu=None, aspire_below: float = -math.inf
+    ) -> int | None:
+        """Index of the lowest full cost plus `penalty` among the first `evaluated`
+        neighbors that are admissible (not `tabu[k]`, or of full cost below
+        `aspire_below`); None when none is.  Ties keep the earliest neighbor.
+
+        `costs`, and so the scores, lie within a window of the full ones; a
+        penalty widens it to `MOVE_TOLERANCE` of the largest score, where the
+        scores round coarser than the costs.  The lowest score m of a surely
+        admissible move bounds the choice: each move that may be admissible
+        and scores below m plus two windows is read in full (`exact`) and
+        decided on its full score, and no other move can tie or win.  When
+        that is the one move with score m, or the window is zero, m decides.
+        """
+        if evaluated == 0:
+            raise NoNeighborError("cannot select from an empty neighborhood")
+        costs = np.array(self.costs[:evaluated])
+        window = self.window
+        scores = costs if penalty is None else costs + penalty
+        if penalty is not None and window:
+            window = max(window, MOVE_TOLERANCE * float(np.abs(scores).max()))
+        tabu = np.zeros(evaluated, dtype=bool) if tabu is None else tabu
+        # tabu and not surely aspiring: a cost a window below aspire_below surely is
+        blocked = tabu & ~(costs < aspire_below - window)
+        ranked = np.where(blocked, np.inf, scores)
+        best = int(np.argmin(ranked))
+        low = ranked[best]
+        if not window:
+            return best if low < np.inf else None
+        near = [
+            m for m in np.flatnonzero(scores < low + 2 * window).tolist()
+            if not tabu[m] or costs[m] < aspire_below + window  # may be admissible
+        ]
+        if low < np.inf and near == [best]:
+            return best
+        chosen, lowest = None, np.inf
+        for m in near:
+            full = self.exact(m)[1]
+            if tabu[m] and not full < aspire_below:
+                continue
+            score = full if penalty is None else full + penalty[m]
+            if score < lowest:
+                chosen, lowest = m, score
+        return chosen
 
 
 def _checked(full: float, value: float, window: float) -> float:

@@ -36,6 +36,9 @@ class TabletopInstance(Problem):
         self.costs = [float(c) for c in costs]
         if not self.costs:
             raise ValidationError("instance needs at least one state")
+        if not np.isfinite(self.costs).all():
+            s = int(np.argmin(np.isfinite(self.costs)))
+            raise ValidationError(f"state costs must be finite; state {s} costs {self.costs[s]}")
         n = len(self.costs)
         self.adjacency: list[list[tuple[int, object, object]]] = [[] for _ in range(n)]
         for e in edges:

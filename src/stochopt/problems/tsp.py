@@ -110,16 +110,6 @@ class TspInstance(Problem):
             return 0.0
         return float(np.add.reduce(self.d[tour[:-1], tour[1:]]) + self.d[tour[-1], tour[0]])
 
-    def cost_rows(self, rows) -> list[float]:
-        """`cost` of each tour of an (M, n) block: path edges summed per row, then the closing edge.
-
-        The rows are read C-ordered, so the gathered edges are too and
-        each row sums pairwise, as `cost` sums one tour.
-        """
-        rows = np.ascontiguousarray(rows)
-        d = self.d
-        return (d[rows[:, :-1], rows[:, 1:]].sum(axis=1) + d[rows[:, -1], rows[:, 0]]).tolist()
-
     def random_solution(self, rng) -> np.ndarray:
         return rng.permutation(self.n)
 

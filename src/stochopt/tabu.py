@@ -4,8 +4,9 @@ Every iteration evaluates the full neighborhood, picks the admissible
 move with the lowest penalized cost, applies it even when it is uphill,
 and forbids the chosen move's made atoms for the next `tenure`
 iterations.  A tabu move becomes admissible again if it would beat the
-best cost visited so far ("best_so_far" aspiration).  When all moves are
-tabu and none aspires, the search halts.
+best cost visited so far ("best_so_far" aspiration); `Neighborhood.lowest`
+chooses on full costs.  When all moves are tabu and none aspires, the
+search halts.
 
 Memories are arrays indexed by the problem's integer atom ids (see
 `Neighborhood`).  The tabu list holds one expiry per atom: an atom
@@ -28,7 +29,6 @@ from typing import Literal
 import numpy as np
 
 from .core import (
-    MOVE_TOLERANCE,
     Budget,
     Count,
     NoNeighborError,
@@ -123,55 +123,13 @@ def select_best_admissible(
     k: int = 1,
     memory: SearchMemory | None = None,
 ) -> int | None:
-    """Index of the lowest penalized full cost among the first `evaluated` moves.
-
-    A move is admissible unless tabu at selection k and not aspiring (its
-    full cost below `best_so_far`).  Returns None when nothing is
-    admissible (the caller halts).  Ties keep the earliest move.
-
-    The choice is made on full costs.  `hood.costs` lie within a window
-    of them, and so do the scores; the window widens to `MOVE_TOLERANCE`
-    of the largest score where a penalty makes the scores round coarser
-    than the costs.  The lowest score m of a surely admissible move
-    bounds the choice: each move that may be admissible and scores below
-    m plus two windows is read in full (`hood.exact`) and decided on its
-    full score, and no other move can tie or win.  When that is the one
-    move with score m, nothing needs reading.  With a zero window the
-    costs are exact and m decides.
-    """
-    if evaluated == 0:
-        raise NoNeighborError("cannot select from an empty neighborhood")
-    costs = np.array(hood.costs[:evaluated])
-    broken, made = hood.broken[:evaluated], hood.made[:evaluated]
-    window = hood.window
-    penalty = None if memory is None else memory.penalty(broken, made)
-    scores = costs if penalty is None else costs + penalty
-    if penalty is not None and window:
-        window = max(window, MOVE_TOLERANCE * float(np.abs(scores).max()))
-    tabu_now = tabu.blocks(broken, k)
-    aspire = cfg.aspiration == "best_so_far"
-    # tabu and not surely aspiring: a cost a window below best_so_far surely is
-    blocked = tabu_now & ~(costs < best_so_far - window) if aspire else tabu_now
-    ranked = np.where(blocked, np.inf, scores)
-    best = int(np.argmin(ranked))
-    low = ranked[best]
-    if not window:
-        return best if low < np.inf else None
-    near = [
-        m for m in np.flatnonzero(scores < low + 2 * window).tolist()
-        if not tabu_now[m] or aspire and costs[m] < best_so_far + window  # may be admissible
-    ]
-    if low < np.inf and near == [best]:
-        return best
-    chosen, lowest = None, np.inf
-    for m in near:
-        full = hood.exact(m)[1]
-        if tabu_now[m] and not (aspire and full < best_so_far):
-            continue
-        score = full if penalty is None else full + penalty[m]
-        if score < lowest:
-            chosen, lowest = m, score
-    return chosen
+    """Index of the lowest penalized full cost among the first `evaluated` moves
+    that are admissible: not tabu at selection k, or aspiring (full cost below
+    `best_so_far`).  None when none is (the caller halts); ties keep the earliest."""
+    broken = hood.broken[:evaluated]
+    penalty = None if memory is None else memory.penalty(broken, hood.made[:evaluated])
+    aspire_below = best_so_far if cfg.aspiration == "best_so_far" else -np.inf
+    return hood.lowest(evaluated, penalty, tabu.blocks(broken, k), aspire_below)
 
 
 def tabu_search(
@@ -204,7 +162,7 @@ def tabu_search(
                 raise NoNeighborError("start solution has an empty neighborhood")
             status = "no_neighbors"
             break
-        evaluated = run.evaluate_batch(hood.costs, hood.exact, hood.window)
+        evaluated = hood.evaluate(run)
         k += 1
         chosen = select_best_admissible(hood, evaluated, tabu, best_visited, cfg, k, memory)
         if chosen is None:
@@ -217,7 +175,7 @@ def tabu_search(
         tabu.push(hood.made[chosen], k)
         if memory is not None:
             memory.update(hood.broken[chosen], current, f_current)
-        del hood  # free it before `neighbors` builds the next: a packing's holds a block
+        del hood  # before the next build; see `hill_climb_steepest`
 
     extras = {"visited": visited, "moves": chosen_moves, "iterations": k}
     return run.record(status, extras=extras)

@@ -629,6 +629,29 @@ def test_main_run_subcommand(tmp_path, capsys):
     assert (tmp_path / "cube_tabu.csv").exists()
 
 
+def test_a_report_without_solutions_is_strict_json(tmp_path, capsys):
+    """A replica with no solution has best cost inf.  Its report writes null
+    there, which RFC 8259 parsers accept, and the summary line and every
+    plot still work on it."""
+    cfg = _write(tmp_path, "none.json", json.dumps({
+        "instance": str(FIXTURES / "eight.tsp"), "algorithm": "hopfield", "replicas": 2,
+        "budget": 2, "hopfield": {"restarts": 1, "max_steps": 1},
+        "success": {"optimum": 242.46491759376028, "relative": 0.01}}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--output-dir", str(out)]) == 0
+    assert "2 replicas, best median inf, best min inf" in capsys.readouterr().out
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    report = json.loads((out / "none.json").read_text(), parse_constant=refuse)
+    assert [row["best_fitness"] for row in report["rows"]] == [None, None]
+    assert {report["summary"][f"best_{k}"] for k in ("min", "median", "mean", "max")} == {None}
+    for kind in cli.PLOT_KINDS:
+        assert main(["plot", "--input", str(out / "none.json"), "--kind", kind]) == 0
+        assert capsys.readouterr().out.startswith("# ")
+
+
 def test_main_reports_config_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"instance": {"kind": "cube"}, "algorithm": "genetic"}))

@@ -16,6 +16,8 @@ of an (M, n) block and costed the block in full, and tabu search and
 steepest descent must give equal records on both.
 """
 
+import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -35,6 +37,7 @@ from stochopt import (
     seeded_rng,
     tabu_search,
 )
+from stochopt.core import MOVE_TOLERANCE
 
 
 def _edge(a, b):
@@ -148,6 +151,82 @@ def _cities(n, seed, lattice):
 def test_tour_neighborhood_matches_the_reference(n, seed, lattice):
     problem, rng = _cities(n, seed, lattice)
     _check_four_edge(problem, problem.random_solution(rng))
+
+
+def _plain_lowest(full, penalty, tabu, aspire_below):
+    """The rule on full costs, every neighbor read: admissible if not tabu or
+    aspiring, score = full cost + penalty, the first lowest score."""
+    chosen, lowest = None, math.inf
+    for m, cost in enumerate(full):
+        if tabu is not None and tabu[m] and not cost < aspire_below:
+            continue
+        score = cost if penalty is None else cost + penalty[m]
+        if score < lowest:
+            chosen, lowest = m, score
+    return chosen
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    n=st.integers(1, 14),
+    seed=st.integers(0, 2**32 - 1),
+    lattice=st.booleans(),
+    tabu_share=st.sampled_from([None, 0.0, 0.3, 0.7, 1.0]),
+    aspire=st.sampled_from(["off", "below", "at", "above"]),
+    penalty=st.sampled_from([None, "small", "large"]),
+    jitter=st.booleans(),
+)
+def test_lowest_is_the_plain_rule_on_full_costs(
+    n, seed, lattice, tabu_share, aspire, penalty, jitter
+):
+    """`Neighborhood.lowest` picks what reading every neighbor in full would,
+    and reads only moves within two windows of its bound.
+
+    With `jitter` each cost is moved 0.99 windows up or down from its full
+    cost, as far as the window allows, not just the last bits four-edge sums
+    carry."""
+    problem, rng = _cities(n, seed, lattice)
+    hood = problem.neighbors(problem.random_solution(rng))
+    if not len(hood):
+        with pytest.raises(NoNeighborError):
+            hood.lowest(0)
+        return
+    full = [problem.cost(hood.row(m)) for m in range(len(hood))]
+    if jitter:
+        shifts = rng.choice([-0.99, 0.99], len(hood)) * hood.window
+        hood = dataclasses.replace(hood, costs=(np.array(full) + shifts).tolist())
+    evaluated = int(rng.integers(1, len(hood) + 1))
+    full = full[:evaluated]
+    tabu = None if tabu_share is None else rng.random(evaluated) < tabu_share
+    steps = rng.integers(0, 3, evaluated) * 0.25  # repeats: exact ties in the scores
+    # near 2**30 the scores round to steps of 2**-22, coarser than the costs' window
+    scale = {None: None, "small": 0.0, "large": 2.0**30}[penalty]
+    penalty = None if scale is None else scale + steps
+    aspire_below = -math.inf
+    if aspire != "off":
+        at = full[int(rng.integers(evaluated))]
+        aspire_below = {"below": math.nextafter(at, -math.inf), "at": at,
+                        "above": math.nextafter(at, math.inf)}[aspire]
+    reads = []
+
+    def row(k):
+        reads.append(k)
+        return hood.row(k)
+
+    counted = dataclasses.replace(hood, row=row)
+    assert counted.lowest(evaluated, penalty, tabu, aspire_below) == _plain_lowest(
+        full, penalty, tabu, aspire_below
+    )
+    # the bound: the lowest score on `costs` of a move surely admissible
+    costs = np.array(hood.costs[:evaluated])
+    scores = costs if penalty is None else costs + penalty
+    window = hood.window
+    if penalty is not None:
+        window = max(window, MOVE_TOLERANCE * float(np.abs(scores).max()))
+    blocked = np.zeros(evaluated, dtype=bool) if tabu is None else tabu
+    low = scores[~blocked | (costs < aspire_below - window)].min(initial=math.inf)
+    assert len(set(reads)) == len(reads)
+    assert all(scores[k] < low + 2 * window for k in reads)
 
 
 def _outcome(search, problem, *args, **kwargs):

@@ -79,3 +79,10 @@ def test_edge_validation():
         TabletopInstance([1.0, 2.0], edges=[(0, 5)])
     with pytest.raises(ValidationError):
         TabletopInstance([], edges=[])
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+def test_state_costs_must_be_finite(bad):
+    """A neighborhood of infinite costs has no lowest move to take."""
+    with pytest.raises(ValidationError, match="state 1 costs"):
+        TabletopInstance([1.0, bad, 2.0], edges=[(0, 1), (1, 2)])
