@@ -18,7 +18,7 @@ from stochopt import (
     computational_effort,
     cube_fixture,
     cumulative_success,
-    effort_curve,
+    effort_steps,
     format_duration,
     nfl_comparison,
     random_search,
@@ -39,10 +39,11 @@ print("P(5)  =", cumulative_success(ens, 5))
 print("P(10) =", cumulative_success(ens, 10))
 
 # The effort curve answers: if runs are cut off after n evaluations and
-# restarted until one succeeds, which n is cheapest overall?
-curve = effort_curve(ens, z=0.99)
+# restarted until one succeeds, which n is cheapest overall?  P(n) only
+# moves when a run succeeds, so I(n, z) is read at those steps.
+steps = effort_steps(ens, z=0.99)
 n_star, i_min = computational_effort(ens, z=0.99)
-print(f"effort curve head: {curve[:4]}")
+print(f"effort at the success steps: {steps[:4]}")
 print(f"cheapest restart length n* = {n_star}, total effort I = {i_min}")
 
 # Laying ensembles side by side against a random-search baseline makes

@@ -34,7 +34,7 @@ from .effort import (
     EnsembleStats,
     computational_effort,
     cumulative_success,
-    effort_curve,
+    effort_steps,
     nfl_comparison,
     runtime_projection,
 )
@@ -108,7 +108,7 @@ __all__ = [
     "cube_state",
     "cumulative_success",
     "decode_tour",
-    "effort_curve",
+    "effort_steps",
     "format_duration",
     "hill_climb_first_accept",
     "hill_climb_steepest",

@@ -56,7 +56,6 @@ from .core import (
     RunRecord,
     ValidationError,
     check_fields,
-    split_streams,
 )
 
 log = logging.getLogger(__name__)
@@ -144,15 +143,15 @@ def _sum(xs) -> float:
     return _sum(xs[:half]) + _sum(xs[half:])
 
 
-def choose_next_city(row, candidates, rng, fallbacks: list | None = None) -> int:
+def choose_next_city(row, candidates, rng, fallbacks: list) -> int:
     """Roulette-wheel draw from `candidates`, ascending city ids scored by `row`.
 
     `row` is the current city's list of edge scores.  The spin lands on
     the first city whose cumulative share exceeds the draw; `not cum <= u`
     also stops at a NaN share, where `searchsorted` would.  When every
-    score is zero the choice is uniform instead; a call on its own logs
-    a warning, while a run passes `fallbacks`, a list that gets the
-    candidate count of each such choice, and warns once at its end.
+    score is zero the choice is uniform instead, and the candidate count
+    is appended to `fallbacks`; a run warns once, at its end, if the
+    list is not empty.
     """
     if not candidates:
         raise ValidationError("no unvisited city to move to")
@@ -161,10 +160,7 @@ def choose_next_city(row, candidates, rng, fallbacks: list | None = None) -> int
     scores = [row[c] for c in candidates]
     total = _sum(scores)
     if total <= 0:
-        if fallbacks is None:
-            log.warning("all desirabilities zero; falling back to a uniform choice")
-        else:
-            fallbacks.append(len(candidates))
+        fallbacks.append(len(candidates))
         return candidates[rng.integers(len(candidates))]
     u = rng.random()
     cum = 0.0
@@ -198,7 +194,7 @@ def global_update(tau, best_tour, tour_length: float, cfg: AcoConfig) -> None:
     np.clip(tau, cfg.tau_min, cfg.tau_max, out=tau)
 
 
-def _build_tour(tau, eta, cfg: AcoConfig, rng, fallbacks: list | None = None) -> np.ndarray:
+def _build_tour(tau, eta, cfg: AcoConfig, rng, fallbacks: list) -> np.ndarray:
     """One ant's tour as an `intp` permutation, the form `TspInstance.cost` takes."""
     n = len(tau)
     current = int(rng.integers(n))
@@ -228,7 +224,7 @@ def aco_run(
     cfg, eta = _resolved(cfg or AcoConfig(), problem)
     run = Run(problem, budget, seed, "aco")
     tau = np.full((problem.n, problem.n), float(cfg.tau0))
-    streams = split_streams(run.rng, cfg.ants)
+    streams = run.rng.spawn(cfg.ants)
     iterations = 0
     iteration_best: list[float] = []
     fallbacks: list[int] = []

@@ -8,9 +8,9 @@ evaluation and keeps the best-so-far trace, so reported evaluation counts
 are exact and budgets are enforced in evaluations, never wall time.
 
 Randomness comes from numpy's PCG64 generator.  Given the same seed the
-draw sequence is identical on every platform, and `split_streams` derives
-independent child streams (one per ant) from a parent generator; spawning
-them one at a time, as each Hopfield restart does, gives the same streams.
+draw sequence is identical on every platform, and `Generator.spawn`
+derives independent child streams from a parent generator: all at once
+for the ants of a run, one at a time as each Hopfield restart begins.
 """
 
 from __future__ import annotations
@@ -173,11 +173,6 @@ def check_fields(obj, owner: str) -> None:
 def seeded_rng(seed: int) -> np.random.Generator:
     """Return the toolkit's reference generator (PCG64) for a seed."""
     return np.random.Generator(np.random.PCG64(seed))
-
-
-def split_streams(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
-    """Derive n independent child generators from rng (stable order)."""
-    return list(rng.spawn(n))
 
 
 @dataclass(frozen=True)
@@ -478,22 +473,14 @@ class Run:
         return self.problem.validate(start)
 
     @property
-    def out_of_budget(self) -> bool:
-        return self.evaluations >= self.budget.max_evaluations
-
-    @property
-    def target_reached(self) -> bool:
-        return self.evaluations_to_success is not None
-
-    @property
     def finished(self) -> bool:
-        """`out_of_budget or target_reached`, inlined: searchers ask it twice per evaluation."""
+        """True once the budget is spent or the target reached."""
         return (self.evaluations >= self.budget.max_evaluations
                 or self.evaluations_to_success is not None)
 
     def record(self, status: str | None = None, extras: dict | None = None) -> RunRecord:
         if status is None:
-            status = "target_reached" if self.target_reached else "budget_exhausted"
+            status = "budget_exhausted" if self.evaluations_to_success is None else "target_reached"
         return RunRecord(
             algorithm=self.algorithm,
             seed=self.seed,
@@ -534,14 +521,14 @@ class Problem:
     `cost_rows(rows)` is the batched twin of `cost`: one Python float
     per solution in `rows`, with `cost_rows(rows)[k] == cost(rows[k])`
     bit for bit, in any memory layout of the block.  The base
-    implementation calls `cost` once per row.  Tours, packings and
-    continuous landscapes override it to cost an (M, n) block in one set
-    of array operations, reading each row as C-ordered: numpy sums along
-    the rows of a C-ordered block pairwise, as it sums one solution, but
-    straight down the columns of a Fortran-ordered one, which rounds
-    differently once a row has 8 terms or more.  Packing and state-graph
-    `neighbors` cost their rows, and a particle swarm its sweep, through
-    it; a tour neighborhood costs each reversal as `move_cost` does.
+    implementation calls `cost` once per row.  Packings and continuous
+    landscapes override it to cost an (M, n) block in one set of array
+    operations, reading each row as C-ordered: numpy sums along the rows
+    of a C-ordered block pairwise, as it sums one solution, but straight
+    down the columns of a Fortran-ordered one, which rounds differently
+    once a row has 8 terms or more.  Packing and state-graph `neighbors`
+    cost their rows, and a particle swarm its sweep, through it; a tour
+    neighborhood costs each reversal as `move_cost` does.
 
     Solutions are checked where they enter and where they reach the
     record.  `evaluate` is the one checked entry for outside input

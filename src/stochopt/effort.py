@@ -105,22 +105,6 @@ def _runs_needed(p: float, z: float) -> int:
     return max(1, math.ceil(round(ratio, 12)))
 
 
-def effort_curve(e: EnsembleStats, z: Fraction) -> list:
-    """[(n, I(n, z))] for every n in 1..budget with P(n) > 0."""
-    z = conform(Fraction, z, "confidence 'z'")
-    times = np.array(e.success_times(), dtype=np.int64)
-    if times.size == 0:
-        raise EffortUndefinedError("no run reached the target")
-    total = len(e.records)
-    ns = np.arange(1, e.budget + 1, dtype=np.int64)
-    hits = np.searchsorted(times, ns, side="right")
-    hit = hits > 0
-    runs = np.zeros(total + 1, dtype=np.int64)  # I(n, z) / n, by hit count
-    for h in np.unique(hits[hit]).tolist():
-        runs[h] = _runs_needed(h / total, z)
-    return list(zip(ns[hit].tolist(), (ns[hit] * runs[hits[hit]]).tolist()))
-
-
 def success_steps(e: EnsembleStats) -> list:
     """[(t, P(t))] at each distinct success time t, ties collapsed to the final height."""
     total = len(e.records)
@@ -132,7 +116,8 @@ def effort_steps(e: EnsembleStats, z: Fraction) -> list:
     """[(t, I(t, z))] at each distinct success time t within the budget.
 
     P(n) only moves at success times and I(n, z) grows with n between
-    them, so the first minimum of `effort_curve` is always among these.
+    them, so the first minimum of I(n, z) over 1..budget is always among
+    these.
     """
     z = conform(Fraction, z, "confidence 'z'")
     steps = [(t, t * _runs_needed(p, z)) for t, p in success_steps(e) if t <= e.budget]

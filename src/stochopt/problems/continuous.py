@@ -10,7 +10,8 @@ Two objectives ship with the toolkit:
   with a regular grid of local minima; default box [-5.12, 5.12].
 
 Points outside the box are clamped to it before evaluation and the clamp
-is logged, so objective values are always defined.  Neighborhood moves
+is logged, so objective values are always defined; a point with a NaN or
+infinite coordinate is refused by `validate`.  Neighborhood moves
 perturb every coordinate by a uniform draw within a radius that defaults
 to 5% of each dimension's width.
 """
@@ -72,6 +73,9 @@ class ContinuousLandscape(Problem):
             raise EncodingMismatchError(
                 f"point must be a vector of length {self.dim}, got shape {x.shape}"
             )
+        if not np.isfinite(x).all():
+            i = int(np.argmin(np.isfinite(x)))
+            raise ValidationError(f"point coordinates must be finite; x[{i}] = {x[i]}")
         return x
 
     def clamp(self, x: np.ndarray) -> tuple[np.ndarray, bool]:

@@ -33,7 +33,7 @@ from stochopt import (
     cost_energy,
     cube_state,
     decode_tour,
-    effort_curve,
+    effort_steps,
     hill_climb_first_accept,
     hill_climb_steepest,
     hopfield_solve,
@@ -221,7 +221,7 @@ def test_restart_effort_arithmetic():
     t0 = time.perf_counter()
     # success probability one half at the full budget of 100 evaluations
     e = EnsembleStats(records=(_rec(100), _rec(None)), budget=100)
-    assert effort_curve(e, 0.99) == [(100, 700)]
+    assert effort_steps(e, 0.99) == [(100, 700)]
 
     # geometric ensemble: success count halves per extra evaluation
     records = []

@@ -131,34 +131,38 @@ def test_choose_next_city_follows_the_roulette_wheel():
 
     scores = np.array([0.3 + 2.0 / 1.0, 2.0 + 2.0 / 2.0, 0.7 + 2.0 / 4.0])
     cum = np.cumsum(scores / scores.sum())
+    fallbacks = []
     for seed in range(20):
         draw = seeded_rng(seed).random()
         idx = min(int(np.searchsorted(cum, draw, side="right")), 2)
-        got = choose_next_city(row, [1, 2, 3], seeded_rng(seed))
+        got = choose_next_city(row, [1, 2, 3], seeded_rng(seed), fallbacks)
         assert got == [1, 2, 3][idx]
+    assert fallbacks == []
 
 
 def test_single_candidate_skips_the_draw():
     rng = seeded_rng(7)
-    assert choose_next_city([1.0, 1.0, 1.0], [2], rng) == 2
-    # the generator was never consulted
+    fallbacks = []
+    assert choose_next_city([0.0, 0.0, 0.0], [2], rng, fallbacks) == 2
+    # the generator was never consulted, and a lone candidate is no fallback
     assert rng.random() == seeded_rng(7).random()
+    assert fallbacks == []
 
 
-def test_zero_desirability_falls_back_to_uniform(caplog):
+def test_zero_desirability_falls_back_to_uniform():
     cfg = AcoConfig(w_tau=0.0, w_eta=1.0)
     tau = np.full((3, 3), cfg.tau0)
     eta = np.zeros((3, 3))  # w_eta / d with every distance infinite
     row = edge_desirability(tau, eta, cfg)[0].tolist()
-    with caplog.at_level(logging.WARNING, logger="stochopt.aco"):
-        picks = {choose_next_city(row, [1, 2], seeded_rng(s)) for s in range(30)}
+    fallbacks = []
+    picks = {choose_next_city(row, [1, 2], seeded_rng(s), fallbacks) for s in range(30)}
     assert picks == {1, 2}
-    assert any("falling back to a uniform choice" in r.message for r in caplog.records)
+    assert fallbacks == [2] * 30  # the candidate count of every uniform choice
 
 
 def test_no_candidate_raises():
     with pytest.raises(ValidationError):
-        choose_next_city([1.0, 1.0], [], seeded_rng(0))
+        choose_next_city([1.0, 1.0], [], seeded_rng(0), [])
 
 
 # Finite non-negative scores from subnormal to 1e300, so a 300-term sum stays finite.
@@ -195,8 +199,12 @@ def test_choose_next_city_matches_the_numpy_wheel(row, picks, zero_row, seed):
     if zero_row:
         row = [0.0] * len(row)
     ours, theirs = seeded_rng(seed), seeded_rng(seed)
-    assert choose_next_city(row, candidates, ours) == _numpy_wheel(row, candidates, theirs)
+    fallbacks = []
+    got = choose_next_city(row, candidates, ours, fallbacks)
+    assert got == _numpy_wheel(row, candidates, theirs)
     assert ours.bit_generator.state == theirs.bit_generator.state
+    uniform = len(candidates) > 1 and all(row[c] == 0.0 for c in candidates)
+    assert fallbacks == ([len(candidates)] if uniform else [])
 
 
 def test_a_draw_equal_to_a_cumulative_share_moves_past_it():
@@ -214,7 +222,7 @@ def test_a_draw_equal_to_a_cumulative_share_moves_past_it():
         if a + row[1] != 13.0 or a / 13.0 != u:
             continue
         tied += 1
-        assert choose_next_city(row, [0, 1], seeded_rng(seed)) == 1
+        assert choose_next_city(row, [0, 1], seeded_rng(seed), []) == 1
         assert _numpy_wheel(row, [0, 1], seeded_rng(seed)) == 1
     assert tied > 100
 

@@ -27,7 +27,7 @@ from stochopt import (
     ValidationError,
     cube_fixture,
     cumulative_success,
-    effort_curve,
+    effort_steps,
     hopfield_solve,
     random_search,
     seeded_rng,
@@ -35,7 +35,7 @@ from stochopt import (
 )
 from stochopt import cli
 from stochopt.core import field_types
-from stochopt.effort import effort_steps, seconds_at
+from stochopt.effort import seconds_at
 
 _TOUR = TspInstance.from_coords(seeded_rng(1).random((4, 2)))
 _ENSEMBLE = EnsembleStats((random_search(cube_fixture(), Budget(5), 0),), 5)
@@ -50,7 +50,6 @@ _CALLS = {
     (BinPackingInstance, "penalty"): lambda v: BinPackingInstance([0.5, 0.7], penalty=v),
     (ContinuousLandscape, "dim"): lambda v: ContinuousLandscape(dim=v),
     (cumulative_success, "n"): lambda v: cumulative_success(_ENSEMBLE, v),
-    (effort_curve, "z"): lambda v: effort_curve(_ENSEMBLE, v),
     (effort_steps, "z"): lambda v: effort_steps(_ENSEMBLE, v),
     (seconds_at, "ops_per_second"): lambda v: seconds_at(10, v),
     (ComplexityClass.operations, "n"): lambda v: ComplexityClass("poly", 2).operations(v),

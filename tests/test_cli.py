@@ -698,6 +698,17 @@ def test_main_names_a_value_that_cannot_be_cast(tmp_path, capsys, raw, key):
     assert not (tmp_path / "bad_value.csv").exists()  # failed before any report was written
 
 
+def test_main_refuses_a_start_that_is_not_finite(tmp_path, capsys):
+    # json reads the bare token Infinity as a float, so a config can carry one
+    cfg = _write(tmp_path, "inf_start.json", '{"instance": {"kind": "continuous", "dim": 2}, '
+                 '"algorithm": "hillclimb", "budget": 5, "start": [Infinity, 0]}')
+    rc = main(["run", "--config", str(cfg), "--output-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and "x[0] = inf" in err
+    assert not (tmp_path / "inf_start.csv").exists()
+
+
 def test_main_runs_a_whole_float_ant_count_as_that_many_ants(tmp_path):
     _write(tmp_path, "eight.tsp", (FIXTURES / "eight.tsp").read_text())
     reports = []

@@ -38,7 +38,7 @@ from stochopt import (
     tabu_search,
 )
 from stochopt import aco
-from stochopt.core import MOVE_TOLERANCE, field_types, split_streams, success_time
+from stochopt.core import MOVE_TOLERANCE, field_types, success_time
 
 
 def test_the_package_root_exports_exactly_its_public_api():
@@ -71,11 +71,14 @@ def test_seeded_rng_is_reproducible():
     assert not np.array_equal(a, seeded_rng(8).random(5))
 
 
-def test_split_streams_are_stable_and_distinct():
-    first = [s.random(3).tolist() for s in split_streams(seeded_rng(3), 4)]
-    second = [s.random(3).tolist() for s in split_streams(seeded_rng(3), 4)]
+def test_spawned_streams_are_stable_and_distinct():
+    first = [s.random(3).tolist() for s in seeded_rng(3).spawn(4)]
+    second = [s.random(3).tolist() for s in seeded_rng(3).spawn(4)]
     assert first == second
     assert len({tuple(row) for row in first}) == 4
+    # spawned one at a time, as Hopfield restarts spawn theirs, the same streams
+    rng = seeded_rng(3)
+    assert [rng.spawn(1)[0].random(3).tolist() for _ in range(4)] == first
 
 
 def test_budget_rejects_zero_evaluations():
@@ -346,7 +349,7 @@ def test_run_counts_and_enforces_budget():
     for s in (1, 2, 3):
         run.evaluate(s)
     assert run.evaluations == 3
-    assert run.out_of_budget
+    assert run.finished and run.evaluations_to_success is None
     with pytest.raises(BudgetExhaustedError):
         run.evaluate(4)
 
@@ -365,7 +368,7 @@ def test_best_curve_records_strict_improvements_only():
 def test_target_crossing_is_stamped_once():
     run = Run(_Countdown(), Budget(10, target_fitness=7.0), seed=0, algorithm="probe")
     run.evaluate(1)
-    assert not run.target_reached
+    assert run.evaluations_to_success is None and not run.finished
     run.evaluate(3)
     assert run.evaluations_to_success == 2
     run.evaluate(9)
@@ -501,7 +504,7 @@ def test_neighbors_are_valid_by_construction(kind, n, seed, steps):
             cfg, eta = aco._resolved(AcoConfig(), problem)
         tau = np.full((problem.n, problem.n), cfg.tau0)
         for _ in range(steps):
-            check(aco._build_tour(tau, eta, cfg, rng))
+            check(aco._build_tour(tau, eta, cfg, rng, []))
     for _ in range(steps):
         hood = [] if kind == "continuous" else problem.neighbors(current)
         for neighbor in [hood.row(k) for k in range(len(hood))]:

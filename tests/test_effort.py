@@ -17,13 +17,13 @@ from stochopt import (
     computational_effort,
     cube_fixture,
     cumulative_success,
-    effort_curve,
+    effort_steps,
     nfl_comparison,
     random_search,
     runtime_projection,
     tabu_search,
 )
-from stochopt.effort import Magnitude, _runs_needed, effort_steps
+from stochopt.effort import Magnitude, _runs_needed
 
 
 def _record(success_at=None, evaluations=100, best=0.0, algorithm="demo",
@@ -38,6 +38,12 @@ def _record(success_at=None, evaluations=100, best=0.0, algorithm="demo",
         best_curve=tuple(curve),
         evaluations_to_success=success_at,
     )
+
+
+def _dense(e, z):
+    """[(n, I(n, z))] for every n in 1..budget with P(n) > 0, read from `cumulative_success`."""
+    return [(n, n * _runs_needed(cumulative_success(e, n), z))
+            for n in range(1, e.budget + 1) if cumulative_success(e, n) > 0]
 
 
 def test_ensemble_validation():
@@ -77,7 +83,7 @@ def test_half_chance_at_budget_costs_seven_restarts():
     # one success in two runs, only at the full budget of 100:
     # ceil(ln .01 / ln .5) = 7 restarts of length 100
     e = EnsembleStats(records=(_record(100), _record(None)), budget=100)
-    assert effort_curve(e, 0.99) == [(100, 700)]
+    assert effort_steps(e, 0.99) == _dense(e, 0.99) == [(100, 700)]
     assert computational_effort(e, 0.99) == (100, 700)
 
 
@@ -85,14 +91,15 @@ def test_integer_ratio_is_not_bumped_by_float_noise():
     # nine of ten succeed immediately: ln .01 / ln .1 is exactly 2
     records = tuple(_record(1) for _ in range(9)) + (_record(None),)
     e = EnsembleStats(records=records, budget=1)
-    assert effort_curve(e, 0.99) == [(1, 2)]
+    assert effort_steps(e, 0.99) == _dense(e, 0.99) == [(1, 2)]
 
 
-def test_effort_curve_hand_checked_ensemble():
+def test_effort_hand_checked_ensemble():
     records = tuple(_record(t, evaluations=10) for t in (3, 5, 5, 9))
     e = EnsembleStats(records=records, budget=10)
     want = [(3, 27), (4, 36), (5, 10), (6, 12), (7, 14), (8, 16), (9, 9), (10, 10)]
-    assert effort_curve(e, 0.9) == want
+    assert _dense(e, 0.9) == want
+    assert effort_steps(e, 0.9) == [(3, 27), (5, 10), (9, 9)]
     assert computational_effort(e, 0.9) == (9, 9)
 
 
@@ -105,10 +112,10 @@ def test_effort_on_geometric_ensemble():
     e = EnsembleStats(records=tuple(records), budget=10)
     assert len(records) == 1024
 
-    curve = effort_curve(e, 0.99)
+    curve = effort_steps(e, 0.99)  # every n in 1..10 is a success time
     c = math.log(0.01)
     want = [(n, n * math.ceil(round(c / math.log(2.0**-n), 12))) for n in range(1, 11)]
-    assert curve == want
+    assert curve == _dense(e, 0.99) == want
     assert [i for _, i in curve] == [7, 8, 9, 8, 10, 12, 7, 8, 9, 10]
     assert computational_effort(e, 0.99) == (1, 7)
 
@@ -116,12 +123,12 @@ def test_effort_on_geometric_ensemble():
 def test_effort_error_cases():
     e = EnsembleStats(records=(_record(None),), budget=10)
     with pytest.raises(EffortUndefinedError):
-        effort_curve(e, 0.99)
+        effort_steps(e, 0.99)
     ok = EnsembleStats(records=(_record(1),), budget=10)
     with pytest.raises(ValidationError):
-        effort_curve(ok, 0.0)
+        effort_steps(ok, 0.0)
     with pytest.raises(ValidationError):
-        effort_curve(ok, 1.0)
+        effort_steps(ok, 1.0)
 
 
 @settings(max_examples=300, deadline=None)
@@ -132,13 +139,10 @@ def test_effort_error_cases():
 )
 def test_effort_at_success_times_matches_the_dense_curve(times, budget, z):
     e = EnsembleStats(records=tuple(_record(t) for t in times), budget=budget)
-    try:
-        dense = effort_curve(e, z)
-    except EffortUndefinedError:
-        dense = []
-    assert dense == [(n, n * _runs_needed(cumulative_success(e, n), z))
-                     for n in range(1, budget + 1) if cumulative_success(e, n) > 0]
+    dense = _dense(e, z)
     if not dense:  # no success, or none within the budget
+        with pytest.raises(EffortUndefinedError):
+            effort_steps(e, z)
         with pytest.raises(EffortUndefinedError):
             computational_effort(e, z)
         return

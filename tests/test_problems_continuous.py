@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 
 from stochopt import (
+    Budget,
     ContinuousLandscape,
     EncodingMismatchError,
+    Run,
     UnsupportedOperationError,
     ValidationError,
+    hill_climb_first_accept,
     seeded_rng,
+    simulated_annealing,
 )
 
 
@@ -65,6 +69,21 @@ def test_validation_and_unsupported_enumeration():
     for dim in (2.5, True, np.nan, "2"):
         with pytest.raises(ValidationError, match="'dim'"):
             ContinuousLandscape("abs_linear", dim=dim)
+
+
+@pytest.mark.parametrize("point, where", [
+    ([np.nan, 0.0], r"x\[0\] = nan"),
+    ([np.inf, 0.0], r"x\[0\] = inf"),
+    ([0.0, -np.inf], r"x\[1\] = -inf"),
+], ids=["nan", "inf", "minus-inf"])
+def test_a_point_that_is_not_finite_is_refused(monkeypatch, point, where):
+    f = ContinuousLandscape("abs_linear", dim=2)
+    with pytest.raises(ValidationError, match=rf"must be finite; {where}"):
+        f.evaluate(point)
+    monkeypatch.setattr(Run, "evaluate", lambda *a: pytest.fail("an evaluation ran"))
+    for search in (hill_climb_first_accept, simulated_annealing):
+        with pytest.raises(ValidationError, match=rf"must be finite; {where}"):
+            search(f, Budget(200), 0, start=point)
 
 
 def test_random_solutions_fill_the_box():
