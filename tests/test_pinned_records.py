@@ -27,6 +27,12 @@ drew a number.  Its two annealing digests are this implementation's (the
 full-costing ones were afa0b8db... and 9b350d6a...); its first-accept
 digests are the full-costing ones.
 
+The three annealing and first-accept cases on a continuous landscape
+(`rastrigin3-*`) were taken while every draw of those searchers came
+from numpy's `Generator`.  Each step of such a landscape draws a vector
+with `uniform`, so they pin the path on which a searcher that decodes
+its scalar draws itself hands the generator back to numpy.
+
 The ant-colony digests were taken from the per-choice implementation
 (each choice gathered its row of scores with numpy, summed them, and
 drew with `searchsorted` over the normalized cumulative sum; each edge
@@ -231,7 +237,7 @@ for _name, _budget in SIZED.items():
 
 # Per instance: a starting temperature near 10x its mean step, for the
 # fixed-start and linear schedules.
-T0 = {"eight": 300.0, "tour50": 2.0, "pack10": 20.0, "grid16": 14.0}
+T0 = {"eight": 300.0, "tour50": 2.0, "pack10": 20.0, "grid16": 14.0, "rastrigin3": 150.0}
 
 
 def _sa(budget, seed, target=None, schedule="calibrated", **kw):
@@ -282,6 +288,9 @@ TRAJECTORY_CASES["eight-sa-target"] = ("eight", _sa(10000, 9, target=242.4649175
 TRAJECTORY_CASES["pack10-sa-target"] = ("pack10", _sa(10000, 10, target=4.0))
 for name in ("sa-calibrated", "sa-rescaled", "first-accept", "first-accept-random-walk"):
     TRAJECTORY_CASES[f"grid16-{name}"] = ("grid16", TRAJECTORY[name])
+# A continuous landscape draws each step with `uniform`, a vector-valued call.
+for name in ("sa-calibrated", "sa-fixed", "first-accept"):
+    TRAJECTORY_CASES[f"rastrigin3-{name}"] = ("rastrigin3", TRAJECTORY[name])
 TRAJECTORY_CASES["eight-first-accept-start"] = (
     "eight", _first_accept(2000, 12, start=[3, 1, 4, 0, 5, 2, 6, 7])
 )
@@ -441,6 +450,9 @@ TRAJECTORY_DIGESTS = {
     "eight-first-accept-start": "116accc96088edf416d59ae2b42713ebf5cfd75fea366a838ab0dc0d4d538f5b",
     "pack10-sa-start": "162de8e6c6ab2a0c734acd397c0ce83f70aa437145754abdc583290bee9ec361",
     "tour50-sa-fixed-start": "abe67c55af9ad609bda556b1858c5c8aecf90562a35ea85a9d8d3895b07faef5",
+    "rastrigin3-sa-calibrated": "ed284f476f35af63915adce5b01453c66d384210da8b3eb5c602d90f32d10ac2",
+    "rastrigin3-sa-fixed": "d331dd39f4930095db3f591c173aeb9fc0e7699aace02248b55ad2eebba83fe0",
+    "rastrigin3-first-accept": "7b5c8d791733cdca18e673028676b1ecdfd3efecdab738cba839139cea836443",
 }
 
 
