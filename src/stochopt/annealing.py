@@ -136,54 +136,55 @@ def simulated_annealing(
     run = Run(problem, budget, seed, "simulated_annealing")
     current = run.start(start)
 
-    if schedule.t0 is None:
-        t0, current, f_current = calibrate_t0(problem, run, current)
-        schedule = replace(schedule, t0=t0)
-    else:
-        f_current = run.evaluate(current)
+    with run.scalar_draws():
+        if schedule.t0 is None:
+            t0, current, f_current = calibrate_t0(problem, run, current)
+            schedule = replace(schedule, t0=t0)
+        else:
+            f_current = run.evaluate(current)
 
-    transform = rescaled_delta if rescaled_form == "as_printed" else _target_centered_delta
-    step_index = 0
-    uphill_proposed = 0
-    uphill_accepted = 0
-    current_curve = [f_current] if record_current else None
-    status = None
+        transform = rescaled_delta if rescaled_form == "as_printed" else _target_centered_delta
+        step_index = 0
+        uphill_proposed = 0
+        uphill_accepted = 0
+        current_curve = [f_current] if record_current else None
+        status = None
 
-    while not run.finished:
-        if (
-            schedule.max_temperature_steps is not None
-            and step_index >= schedule.max_temperature_steps
-        ):
-            status = "frozen"
-            break
-        temperature = next_temperature(schedule, step_index)
-        if temperature < T_UNDERFLOW:
-            status = "frozen"
-            break
-        for _ in range(schedule.steps_per_temperature):
-            if run.finished:
+        while not run.finished:
+            if (
+                schedule.max_temperature_steps is not None
+                and step_index >= schedule.max_temperature_steps
+            ):
+                status = "frozen"
                 break
-            move = problem.sample_move(current, run.rng)
-            f_candidate = run.evaluate_move(current, f_current, move)
-            raw_delta = f_candidate - f_current
-            if rescaled:
-                e_t = alpha * temperature * temperature
-                delta = transform(
-                    f_current - run.best_fitness, f_candidate - run.best_fitness, e_t
-                )
-            else:
-                delta = raw_delta
-            if raw_delta > 0:
-                uphill_proposed += 1
-            if metropolis_accept(delta, temperature, run.rng):
+            temperature = next_temperature(schedule, step_index)
+            if temperature < T_UNDERFLOW:
+                status = "frozen"
+                break
+            for _ in range(schedule.steps_per_temperature):
+                if run.finished:
+                    break
+                move = problem.sample_move(current, run.rng)
+                f_candidate = run.evaluate_move(current, f_current, move)
+                raw_delta = f_candidate - f_current
+                if rescaled:
+                    e_t = alpha * temperature * temperature
+                    delta = transform(
+                        f_current - run.best_fitness, f_candidate - run.best_fitness, e_t
+                    )
+                else:
+                    delta = raw_delta
                 if raw_delta > 0:
-                    uphill_accepted += 1
-                current = problem.apply(current, move)
-                # a recorded curve holds full costs, not running sums of move costs
-                f_current = problem.cost(current) if record_current else f_candidate
-            if current_curve is not None:
-                current_curve.append(f_current)
-        step_index += 1
+                    uphill_proposed += 1
+                if metropolis_accept(delta, temperature, run.rng):
+                    if raw_delta > 0:
+                        uphill_accepted += 1
+                    current = problem.apply(current, move)
+                    # a recorded curve holds full costs, not running sums of move costs
+                    f_current = problem.cost(current) if record_current else f_candidate
+                if current_curve is not None:
+                    current_curve.append(f_current)
+            step_index += 1
 
     extras = {
         "temperature_steps": step_index,

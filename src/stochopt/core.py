@@ -11,6 +11,15 @@ Randomness comes from numpy's PCG64 generator.  Given the same seed the
 draw sequence is identical on every platform, and `Generator.spawn`
 derives independent child streams from a parent generator: all at once
 for the ants of a run, one at a time as each Hopfield restart begins.
+Simulated annealing (its probe walk included) and first-accept hill
+climbing draw their scalar `integers(m)` and `random()` values through
+`ScalarDraws`, which decodes them from PCG64's raw 64-bit words as
+numpy's bounded-integer (Lemire) and `next_double` definitions do; every
+other draw is numpy's own.  NumPy's compatibility policy (NEP 19) keeps
+the bit generator's raw stream stable across releases but lets
+`Generator` methods change theirs, so those searchers' records rest on
+the raw stream and those two published definitions.  The decoder was
+checked against numpy 2.4.6.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from __future__ import annotations
 import math
 import types
 import typing
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields
 from functools import cache
 from numbers import Integral, Real
@@ -173,6 +182,103 @@ def check_fields(obj, owner: str) -> None:
 def seeded_rng(seed: int) -> np.random.Generator:
     """Return the toolkit's reference generator (PCG64) for a seed."""
     return np.random.Generator(np.random.PCG64(seed))
+
+
+_HALF = 0xFFFFFFFF  # a 32-bit half of a raw word
+_WORDS_PER_READ = 256
+
+
+class ScalarDraws:
+    """A PCG64 `Generator`'s scalar draws, decoded in Python from its raw words.
+
+    `integers(m)` for 1 <= m <= 2**32 and `random()` return what the
+    generator's own calls would; `integers` costs well under half of
+    numpy's scalar call.  `integers`
+    follows numpy's bounded 32-bit draw: a 32-bit value x, low half of a
+    word first and the high half buffered in the bit generator's
+    `has_uint32` / `uinteger`, becomes (x * m) >> 32, and x is drawn again
+    while the low 32 bits of x * m are below (2**32 - m) % m (Lemire's
+    method); m = 1 draws nothing and m = 2**32 returns x.  `random()` is
+    (w >> 11) * 2**-53 for the next whole word w, as numpy's `next_double`.
+    Words are read `_WORDS_PER_READ` at a time with `random_raw`.
+
+    `close` hands the generator back in the state its own calls would have
+    left: it steps the bit generator back over the words read but not used
+    and restores the buffered half, which `advance` clears.  Any other call
+    (`permutation`, `uniform`, `integers` with more arguments) closes first
+    and goes to the generator, as does every call after it.
+    """
+
+    def __init__(self, generator: np.random.Generator):
+        self._generator = generator
+        self._bits = generator.bit_generator
+        state = self._bits.state
+        self._has_half = bool(state["has_uint32"])
+        self._half = state["uinteger"]
+        self._words: list[int] | None = []  # unused words, the next one last
+
+    def _read(self) -> int:
+        self._words = self._bits.random_raw(_WORDS_PER_READ).tolist()[::-1]
+        return self._words.pop()
+
+    def _next32(self) -> int:
+        if self._has_half:
+            self._has_half = False
+            return self._half
+        try:
+            word = self._words.pop()
+        except IndexError:
+            word = self._read()
+        self._half, self._has_half = word >> 32, True
+        return word & _HALF
+
+    def integers(self, high, *args, **kwargs):
+        if args or kwargs or type(high) is not int or not 0 < high <= _HALF + 1:
+            return self._numpy("integers")(high, *args, **kwargs)
+        if high == 1:
+            return 0
+        x = self._next32()
+        if high > _HALF:
+            return x
+        product = x * high
+        if product & _HALF < high:
+            threshold = (_HALF + 1 - high) % high
+            while product & _HALF < threshold:
+                product = self._next32() * high
+        return product >> 32
+
+    def random(self, *args, **kwargs):
+        if args or kwargs:
+            return self._numpy("random")(*args, **kwargs)
+        try:
+            word = self._words.pop()
+        except IndexError:
+            word = self._read()
+        return (word >> 11) * 2.0**-53
+
+    def close(self) -> None:
+        """Hand the generator back; later calls, these two included, go to it."""
+        if self._words is None:
+            return
+        bits = self._bits
+        bits.advance(-len(self._words))
+        state = bits.state
+        state["has_uint32"], state["uinteger"] = int(self._has_half), self._half
+        bits.state = state
+        self._words = None
+        self.integers = self._generator.integers
+        self.random = self._generator.random
+
+    def _numpy(self, name: str):
+        self.close()
+        method = getattr(self._generator, name)
+        setattr(self, name, method)  # later look-ups find it here, not in __getattr__
+        return method
+
+    def __getattr__(self, name: str):
+        if name.startswith("_"):
+            raise AttributeError(name)
+        return self._numpy(name)
 
 
 @dataclass(frozen=True)
@@ -465,6 +571,22 @@ class Run:
             else:
                 evaluate(None, value)
         return len(batch)
+
+    @contextmanager
+    def scalar_draws(self):
+        """Decode `rng`'s scalar draws (`ScalarDraws`) for a block, then hand it back.
+
+        Inside the block `rng` is the decoder; after it, on every exit,
+        `rng` is the generator again, in the state its own calls would have
+        left.  Searchers open it around loops of scalar draws.
+        """
+        generator = self.rng
+        self.rng = draws = ScalarDraws(generator)
+        try:
+            yield draws
+        finally:
+            draws.close()
+            self.rng = generator
 
     def start(self, start=None):
         """The first solution of a search: `start` validated, or a random one if None."""

@@ -32,11 +32,12 @@ def hill_climb_first_accept(
     run = Run(problem, budget, seed, "hill_climb")
     current = run.start(start)
     f_current = run.evaluate(current)
-    while not run.finished:
-        move = problem.sample_move(current, run.rng)
-        f_candidate = run.evaluate_move(current, f_current, move)
-        if random_walk or f_candidate <= f_current:
-            current, f_current = problem.apply(current, move), f_candidate
+    with run.scalar_draws():
+        while not run.finished:
+            move = problem.sample_move(current, run.rng)
+            f_candidate = run.evaluate_move(current, f_current, move)
+            if random_walk or f_candidate <= f_current:
+                current, f_current = problem.apply(current, move), f_candidate
     return run.record(extras={"random_walk": random_walk})
 
 

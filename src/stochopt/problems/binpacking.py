@@ -17,7 +17,10 @@ bins in order and then the first empty bin, the targets `neighbors`
 relocates over too.  numpy draws each bounded value from the bit
 generator's own buffered 32-bit stream, so the two scalar draws give
 the values and leave the state of one `integers(0, n, size=2)` draw,
-and cost less than it.
+and cost less than it.  Annealing and first-accept hill climbing pass a
+`core.ScalarDraws` as `rng`, which decodes these draws from PCG64's raw
+words by numpy's definitions and buffers the 32-bit halves the same
+way, so the values and the state stay those of numpy's calls.
 
 Atoms are (item, bin) pairs with id item * n + bin, so ids lie in
 0..n*n - 1.  A relocation breaks (item, source) and makes (item,
