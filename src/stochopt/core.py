@@ -193,14 +193,14 @@ class ScalarDraws:
 
     `integers(m)` for 1 <= m <= 2**32 and `random()` return what the
     generator's own calls would; `integers` costs well under half of
-    numpy's scalar call.  `integers`
-    follows numpy's bounded 32-bit draw: a 32-bit value x, low half of a
-    word first and the high half buffered in the bit generator's
-    `has_uint32` / `uinteger`, becomes (x * m) >> 32, and x is drawn again
-    while the low 32 bits of x * m are below (2**32 - m) % m (Lemire's
-    method); m = 1 draws nothing and m = 2**32 returns x.  `random()` is
-    (w >> 11) * 2**-53 for the next whole word w, as numpy's `next_double`.
-    Words are read `_WORDS_PER_READ` at a time with `random_raw`.
+    numpy's scalar call.  It follows numpy's bounded 32-bit draw: a 32-bit
+    value x, low half of a word first and the high half buffered in the
+    bit generator's `has_uint32` / `uinteger`, becomes (x * m) >> 32, and
+    x is drawn again while the low 32 bits of x * m are below
+    (2**32 - m) % m (Lemire's method); m = 1 draws nothing and m = 2**32
+    returns x.  `random()` is (w >> 11) * 2**-53 for the next whole word
+    w, as numpy's `next_double`.  Words are read `_WORDS_PER_READ` at a
+    time with `random_raw`.
 
     `close` hands the generator back in the state its own calls would have
     left: it steps the bit generator back over the words read but not used
@@ -583,7 +583,7 @@ class Run:
         generator = self.rng
         self.rng = draws = ScalarDraws(generator)
         try:
-            yield draws
+            yield
         finally:
             draws.close()
             self.rng = generator
@@ -695,7 +695,9 @@ class Problem:
         whenever all items share one bin), then draw uniformly within that
         kind, so a kind's share does not follow its count.  Continuous
         boxes step each coordinate uniformly within its `neighbor_radius`
-        and clamp the point to the box.
+        and clamp the point to the box.  Inside annealing and first-accept
+        `rng` is a `ScalarDraws`, which gives the values and generator state
+        numpy's calls would.
         """
         raise NotImplementedError
 

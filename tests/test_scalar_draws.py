@@ -184,7 +184,7 @@ def test_every_exit_hands_the_generator_back(name, monkeypatch):
     expected, search = EXITS[name]
     decoding = Run.scalar_draws
     outcome, run = _finish(search, decoding, monkeypatch)
-    plain, numpy_run = _finish(search, lambda run: nullcontext(run.rng), monkeypatch)
+    plain, numpy_run = _finish(search, lambda run: nullcontext(), monkeypatch)
     assert outcome == plain
     assert (outcome if expected is NoNeighborError else outcome["status"]) == expected
     assert type(run.rng) is np.random.Generator
