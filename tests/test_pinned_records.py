@@ -70,6 +70,15 @@ ends mid-sweep (`rastrigin10-pso-mid-sweep`, `rastrigin130-pso`) count
 that last sweep in `sweeps`, `gbest_curve` and `clamped_moves`.  The
 counted particles did not move.
 
+The two 12-city Hopfield cases and the two `tau_min` floor cases
+(`eight-aco-tau-min`, `tour9-aco-tau-min`) were taken while the network
+summed its whole state for every field and drew each neuron from numpy's
+`Generator`, and while the trail updates ran as numpy index expressions.
+The Hopfield cases cap their steps at a count that is no multiple of the
+144 neurons, so a capped restart ends mid-sweep; one decodes valid tours,
+the other (the textbook coefficients) settles on fixed points that are
+not tours.
+
 The random-search and Hopfield digests, and those of the first-accept,
 steepest and annealing runs from an explicit `start` (given as a list,
 so `validate` turns it into the problem's array), were taken before
@@ -80,6 +89,7 @@ kind sampled through one `sample_move`; both must reproduce them.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from conftest import FIXTURES
@@ -107,6 +117,7 @@ from stochopt import (
     simulated_annealing,
     tabu_search,
 )
+from stochopt import hopfield
 
 # Per instance: a tenure and memory weights large enough, next to its cost
 # scale, that the penalty changes which move is chosen.
@@ -219,6 +230,9 @@ CASES = {
     "cube-random": ("cube", _random(50, 3)),
     "eight-hopfield": ("eight", _hopfield(5, 0, max_steps=640)),
     "tour5-hopfield": ("tour5", _hopfield(20, 1, p=TankParams(d=40.0))),
+    # 613 = 4 * 144 + 37 steps: a restart the cap ends stops 37 steps into a sweep
+    "tour12-hopfield": ("tour12", _hopfield(6, 1, p=TankParams(d=10.0), max_steps=613)),
+    "tour12-hopfield-textbook": ("tour12", _hopfield(6, 0, max_steps=613)),
 }
 
 # Tours at benchmark sizes, a few neighbourhoods each: irrational edges
@@ -324,6 +338,9 @@ ACO_CASES = {
     "tour50-aco-product": ("tour50", _aco(150, 11, rule="product")),
     "tour140-aco": ("tour140", _aco(10, 12, ants=4)),
     "tour140-aco-product": ("tour140", _aco(6, 13, ants=3, rule="product", w_tau=2.5)),
+    # trails left unwalked for a few iterations fall to the tau_min floor
+    "eight-aco-tau-min": ("eight", _aco(80, 14, rho=0.9)),
+    "tour9-aco-tau-min": ("tour9", _aco(90, 15, rho=0.6, tau_min=0.05)),
 }
 
 
@@ -393,6 +410,8 @@ DIGESTS = {
     "cube-random": "93344dcaeb3d55564bcbeaa697883ffde18fa461e947cefe7778729d120ac05a",
     "eight-hopfield": "50083b59753c6cf5e92b80e0936d047474cf7c901441eef8ceba4d9f4cc130f2",
     "tour5-hopfield": "cfda22b912278f17586e8734b1efa2039b41866ad9fd01a8d38fb187afafa642",
+    "tour12-hopfield": "79571d5c68c4e0b2fa45f6e3774fe86aaab32f66d0f4ebf2f40411c66c6b00cc",
+    "tour12-hopfield-textbook": "4d74129250526055bc8ed91ba03fdf7ca33c5753500d5b18fa9afe7c023fd0f4",
     "grid16-steepest-restarts": "eb2a59222a04b353135fa63e7a32da13bc353331b61b3c6ecf9542bfbf24d0d3",
     "grid16-tabu": "d910483869cb12c78998bca32f7c8ee0c20d3fc7c21e7542efbf19dd4df1f385",
     "grid16-tabu-aspiration-off": "3f03b654f2df87de163d29671b4d461e1eeb628dcca1e455002144c14703ffef",
@@ -461,6 +480,7 @@ ACO_DIGESTS = {
     "eight-aco-product": "06befe2f41633fc09568ead0a5ebe1368a259de5e84ccb215da98d35a119cd1d",
     "eight-aco-sum": "c254dd478922bd7bc021f7a1df8f513ca25b183d70473759cd6ca661036e438a",
     "eight-aco-target": "14820f2bc090167211ebc335a4ef368a9a16db991b28bd23c909b976e142140b",
+    "eight-aco-tau-min": "72db7fd0bbd443acba381cc5462bda092857da9987974046d8ac7c42b4557d78",
     "eight-aco-tau-max": "113e18781e87ac21ce51a9c6b81b6f613d9c4d6685094d27df7f0021f259ac4e",
     "eight-aco-uniform": "9dc1f02acd6f689f4b82de21c67a3370b2cda634bfc3e25fd8b75bcb4fa1ca80",
     "tour140-aco": "8e88f33d9a41e4437b12be3304a29821f811891a3ac423bcf8c799375d5ab5a1",
@@ -471,6 +491,7 @@ ACO_DIGESTS = {
     "tour50-aco-product": "5a8b6fedef9ca146e1146450de46e5673f5a258a07ce9fd259f5902bd7db5432",
     "tour9-aco": "18ba334a32f95e113f34c891e82d81384db6cb2e53062a605d51a81d1798dd5b",
     "tour9-aco-product": "590b27bc4b38d64091273548c89bef99ed5e8ecb7cdf92c1ee2f5e196b7d1754",
+    "tour9-aco-tau-min": "7c090d99a32ddc5c8d7382121721d64c238a5a066be8b4d239afdeb4359601e8",
 }
 
 
@@ -508,6 +529,26 @@ def test_record_matches_its_pinned_digest(name, instances):
     assert _digest(run(instances[instance])) == DIGESTS[name]
 
 
+def test_hopfield_cases_take_the_paths_they_pin(instances, monkeypatch):
+    """Each 12-city case has restarts the step cap ends mid-sweep; one decodes valid tours."""
+    settled, decoded = [], []
+    fixed_point, decode = hopfield.is_fixed_point, hopfield.decode_tour
+    monkeypatch.setattr(hopfield, "is_fixed_point",
+                        lambda net: settled.append(fixed_point(net)) or settled[-1])
+    monkeypatch.setattr(hopfield, "decode_tour",
+                        lambda v: decoded.append((settled[-1], decode(v) is not None))
+                        or decode(v))
+    assert 613 % 144 != 0
+    for name, valid in (("tour12-hopfield", True), ("tour12-hopfield-textbook", False)):
+        decoded.clear()
+        instance, run = CASES[name]
+        rec = run(instances[instance])
+        assert rec.extras["restarts"] == len(decoded) == 6
+        assert (False, False) in decoded  # a restart the cap ended
+        assert (rec.extras["valid_tours"] > 0) == valid
+        assert ((True, True) in decoded) == valid
+
+
 @pytest.mark.parametrize("name", sorted(TRAJECTORY_CASES))
 def test_trajectory_record_matches_its_pinned_digest(name, instances):
     instance, run = TRAJECTORY_CASES[name]
@@ -530,6 +571,11 @@ def test_aco_cases_take_the_paths_they_pin(instances, caplog):
     with caplog.at_level("WARNING", logger="stochopt.aco"):
         ACO_CASES["eight-aco-uniform"][1](instances["eight"])
     assert any("uniform choice" in r.message for r in caplog.records)
+    for name, floor in (("eight-aco-tau-min", 1e-4), ("tour9-aco-tau-min", 0.05)):
+        instance, run = ACO_CASES[name]
+        tau = np.array(run(instances[instance]).extras["pheromone"])
+        off_diagonal = ~np.eye(len(tau), dtype=bool)
+        assert np.any(tau[off_diagonal] == floor), name  # the floor binds on a real edge
 
 
 def test_aco_uniform_fallback_warns_once_per_run(instances, caplog):
