@@ -26,6 +26,11 @@ from then on it reads only edges to unvisited cities.  The wheel itself
 (`_sum` for the total, a running sum of score / total for the spin)
 repeats numpy's float operations in numpy's order, so each draw lands on
 the city `searchsorted` over the normalized cumulative scores would pick.
+Both trail updates walk the tour's city list and read and write one
+entry at a time in plain floats.  A path holds each unordered edge once,
+so that is the arithmetic an update of all the edges at once would do;
+the global update's closing edge comes last, so a 2-city tour's one edge
+gains twice.
 
 Budgets count completed tours, one objective evaluation each, so ant
 runs compare against other algorithms on equal terms.  An ant is built
@@ -176,21 +181,31 @@ def local_update(tau, tour, cfg: AcoConfig) -> None:
 
     The closing edge gets none.  Every other entry already lies in
     [tau_min, tau_max], so these are the only ones that could leave the
-    bounds.
+    bounds.  A path holds each edge once, so the edges are updated one
+    after another, in plain floats.
     """
-    a, b = tour[:-1], tour[1:]
-    tau[a, b] = tau[b, a] = np.minimum(tau[a, b] + cfg.local_deposit, cfg.tau_max)
+    deposit, cap = cfg.local_deposit, cfg.tau_max
+    cities = np.asarray(tour).tolist()
+    entries = memoryview(tau)  # reads and writes Python floats
+    for a, b in zip(cities, cities[1:]):
+        value = entries[a, b] + deposit
+        entries[a, b] = entries[b, a] = cap if value > cap else value
 
 
 def global_update(tau, best_tour, tour_length: float, cfg: AcoConfig) -> None:
-    """Evaporate every trail, reinforce the tour's edges, clip to the bounds."""
+    """Evaporate every trail, reinforce the tour's edges, clip to the bounds.
+
+    The edges are reinforced one after another, the closing one last, in
+    plain floats.  A 2-city tour's one edge is both its path edge and its
+    closing edge, so it gains q / tour_length twice.
+    """
     tau *= 1.0 - cfg.rho
-    tour = np.asarray(best_tour)
-    if tour.size > 1:  # a lone city has no edge to reinforce, and length 0
+    if best_tour is not None and len(best_tour) > 1:  # a lone city has no edge, and length 0
         gain = cfg.q / tour_length
-        for a, b in zip(tour, np.roll(tour, -1)):
-            tau[a, b] += gain
-            tau[b, a] = tau[a, b]
+        cities = np.asarray(best_tour).tolist()
+        entries = memoryview(tau)
+        for a, b in zip(cities, cities[1:] + cities[:1]):
+            entries[a, b] = entries[b, a] = entries[a, b] + gain
     np.clip(tau, cfg.tau_min, cfg.tau_max, out=tau)
 
 

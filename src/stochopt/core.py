@@ -204,9 +204,10 @@ class ScalarDraws:
 
     `close` hands the generator back in the state its own calls would have
     left: it steps the bit generator back over the words read but not used
-    and restores the buffered half, which `advance` clears.  Any other call
-    (`permutation`, `uniform`, `integers` with more arguments) closes first
-    and goes to the generator, as does every call after it.
+    and restores the buffered half, which `advance` clears; a `with` block
+    closes on every exit.  Any other call (`permutation`, `uniform`,
+    `integers` with more arguments) closes first and goes to the
+    generator, as does every call after it.
     """
 
     def __init__(self, generator: np.random.Generator):
@@ -268,6 +269,12 @@ class ScalarDraws:
         self._words = None
         self.integers = self._generator.integers
         self.random = self._generator.random
+
+    def __enter__(self) -> ScalarDraws:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     def _numpy(self, name: str):
         self.close()
@@ -581,12 +588,11 @@ class Run:
         left.  Searchers open it around loops of scalar draws.
         """
         generator = self.rng
-        self.rng = draws = ScalarDraws(generator)
-        try:
-            yield
-        finally:
-            draws.close()
-            self.rng = generator
+        with ScalarDraws(generator) as self.rng:
+            try:
+                yield
+            finally:
+                self.rng = generator
 
     def start(self, start=None):
         """The first solution of a search: `start` validated, or a random one if None."""

@@ -51,12 +51,13 @@ with v = V[x][i], r and c the row and column sums of V and S its
 total.  The "- v" removes the neuron itself from its own row, column
 and total; the distance term needs no such correction because positions
 i +- 1 never equal i (for n = 2 both name the other position, and it
-counts twice, as in the weights).  r, c and S are exact small integers.
-`TankNet` evaluates this field from the state alone: O(n^2) memory, and
-per asynchronous step an n-entry dot product, a row, a column and the
-n^2-entry total.  All fields at once cost one O(n^3) product,
-d @ (roll(V, -1, 1) + roll(V, 1, 1)), and the energy follows from them,
-since W s = h + theta.  `TankNet.dense()` builds the (n^2)^2 matrix
+counts twice, as in the weights).  r, c and S are exact small integers,
+so `TankNet` keeps them as counts, updated as neurons switch, and each
+field is the float a sum over the state would give.  That is O(n^2)
+memory, and per asynchronous step an n-entry dot product and three count
+reads, plus three count updates when the neuron switches.  All fields at
+once cost one O(n^3) product, d @ (roll(V, -1, 1) + roll(V, 1, 1)), and
+the energy follows from them, since W s = h + theta.  `TankNet.dense()` builds the (n^2)^2 matrix
 itself, as a reference for small n.
 """
 
@@ -66,8 +67,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Budget, Count, NonNegative, Run, RunRecord, ValidationError, check_fields,
-                   conform)
+from .core import (Budget, Count, NonNegative, Run, RunRecord, ScalarDraws, ValidationError,
+                   check_fields, conform)
 
 # The dense matrix holds (n^2)^2 floats and building it peaks at several
 # times that, so n = 100 would need gigabytes; 64 MiB admits n <= 53.
@@ -85,14 +86,40 @@ class TankParams:
         check_fields(self, "penalty coefficient")
 
 
-@dataclass
-class HopfieldNet:
-    weights: np.ndarray
-    thresholds: np.ndarray
-    state: np.ndarray = None  # type: ignore[assignment]
+class _Neurons:
+    """A binary state held by the net: validated on every assignment, handed out read-only.
 
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
+    `state` may be replaced at any time; the new vector is checked and
+    copied, so the net alone writes to it, one neuron at a time through
+    `set_neuron`.  An in-place write to `state` raises.
+    """
+
+    size: int
+
+    @property
+    def state(self) -> np.ndarray:
+        return self._readonly
+
+    @state.setter
+    def state(self, state) -> None:
+        self._state = _validate_state(state, self.size)
+        self._readonly = self._state.view()
+        self._readonly.flags.writeable = False
+        self._recount()
+
+    def _recount(self) -> None:
+        pass
+
+    def set_neuron(self, k: int, on: bool) -> None:
+        """Switch neuron k on (1.0) or off (0.0)."""
+        self._state[k] = 1.0 if on else 0.0
+
+
+class HopfieldNet(_Neurons):
+    """A Hopfield network given by dense symmetric weights and thresholds."""
+
+    def __init__(self, weights: np.ndarray, thresholds, state=None):
+        w = np.asarray(weights, dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValidationError("weight matrix must be square")
         if not np.allclose(w, w.T):
@@ -101,12 +128,9 @@ class HopfieldNet:
             raise ValidationError("no self-connections: diagonal must be zero")
         self.weights = w
         self.thresholds = np.broadcast_to(
-            np.asarray(self.thresholds, dtype=float), (w.shape[0],)
+            np.asarray(thresholds, dtype=float), (w.shape[0],)
         ).copy()
-        if self.state is None:
-            self.state = np.zeros(w.shape[0])
-        else:
-            self.state = _validate_state(self.state, w.shape[0])
+        self.state = np.zeros(w.shape[0]) if state is None else state
 
     @property
     def size(self) -> int:
@@ -114,38 +138,34 @@ class HopfieldNet:
 
     def field(self, i: int) -> float:
         """Input of neuron i less its threshold: w[:, i] @ s - theta_i."""
-        return float(self.weights[:, i] @ self.state) - float(self.thresholds[i])
+        return float(self.weights[:, i] @ self._state) - float(self.thresholds[i])
 
     def fields(self) -> np.ndarray:
         """Every neuron's `field` at once."""
-        return self.weights @ self.state - self.thresholds
+        return self.weights @ self._state - self.thresholds
 
 
-@dataclass
-class TankNet:
+class TankNet(_Neurons):
     """The Tank network of a tour instance, held as its distances and coefficients.
 
-    It has `HopfieldNet`'s `size`, `state`, `thresholds`, `field` and
-    `fields`, computed from the structured field in the module
-    docstring.  Row, column and total sums are read from `state` on
-    every call, so `state` may be replaced at any time.
+    It has `HopfieldNet`'s `size`, `state`, `thresholds`, `field`,
+    `fields` and `set_neuron`, computed from the structured field in the
+    module docstring.  The net keeps the row, column and total counts of
+    `state`: assigning `state` recounts them and `set_neuron` updates the
+    three it changes, so `field` reads them where it would sum the state.
+    They are exact small integers, so each field is the same float as
+    one summed from the state.  `fields` sums the state itself.
     """
 
-    d: np.ndarray
-    p: TankParams
-    state: np.ndarray = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        d = np.asarray(self.d, dtype=float)
+    def __init__(self, d: np.ndarray, p: TankParams, state=None):
+        d = np.asarray(d, dtype=float)
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValidationError("distance matrix must be square")
         if d.shape[0] < 2:
             raise ValidationError("the tour encoding needs at least two cities")
         self.d = d
-        if self.state is None:
-            self.state = np.zeros(self.size)
-        else:
-            self.state = _validate_state(self.state, self.size)
+        self.p = p
+        self.state = np.zeros(self.size) if state is None else state
 
     @property
     def size(self) -> int:
@@ -159,24 +179,41 @@ class TankNet:
     def thresholds(self) -> np.ndarray:
         return np.full(self.size, self.theta)
 
+    def _recount(self) -> None:
+        n = self.d.shape[0]
+        self._v = v = self._state.reshape(n, n)
+        self._rows = v.sum(axis=1).tolist()
+        self._cols = v.sum(axis=0).tolist()
+        self._total = float(v.sum())
+
+    def set_neuron(self, k: int, on: bool) -> None:
+        value = 1.0 if on else 0.0
+        change = value - self._state.item(k)
+        if change:
+            self._state[k] = value
+            x, i = divmod(k, self.d.shape[0])
+            self._rows[x] += change
+            self._cols[i] += change
+            self._total += change
+
     def field(self, k: int) -> float:
         n = self.d.shape[0]
         x, i = divmod(k, n)
-        v = self.state.reshape(n, n)
-        own = v[x, i]
-        near = self.d[x] @ (v[:, (i + 1) % n] + v[:, i - 1])
+        v = self._v
+        own = v.item(x, i)
+        near = float(self.d[x] @ (v[:, (i + 1) % n] + v[:, i - 1]))
         p = self.p
-        return float(
-            -p.a * (v[x].sum() - own)
-            - p.b * (v[:, i].sum() - own)
-            - p.c * (v.sum() - own)
+        return (
+            -p.a * (self._rows[x] - own)
+            - p.b * (self._cols[i] - own)
+            - p.c * (self._total - own)
             - p.d * near
             - self.theta
         )
 
     def fields(self) -> np.ndarray:
         n = self.d.shape[0]
-        v = self.state.reshape(n, n)
+        v = self._v
         near = self.d @ (np.roll(v, -1, axis=1) + np.roll(v, 1, axis=1))
         p = self.p
         h = (
@@ -219,7 +256,8 @@ class TankNet:
 
 
 def _validate_state(state, m: int) -> np.ndarray:
-    s = np.asarray(state, dtype=float)
+    """A binary vector of m floats, as a new array."""
+    s = np.array(state, dtype=float)
     if s.shape != (m,):
         raise ValidationError(f"state must have {m} entries")
     if not np.all((s == 0.0) | (s == 1.0)):
@@ -276,8 +314,9 @@ def network_energy(net) -> float:
 
 
 def async_step(net, rng):
+    """Update one uniformly drawn neuron: on when its field reaches 0, else off."""
     i = int(rng.integers(net.size))
-    net.state[i] = 1.0 if net.field(i) >= 0 else 0.0
+    net.set_neuron(i, net.field(i) >= 0)
     return net
 
 
@@ -307,7 +346,9 @@ def hopfield_solve(
     Each restart spawns its own child stream of the run's generator and
     runs the asynchronous dynamics until a full sweep would change
     nothing, or until `max_steps` single-neuron updates (default 100
-    sweeps).  A valid decoded tour counts one evaluation under `budget`,
+    sweeps).  The steps draw their neurons from the stream through
+    `core.ScalarDraws`, which hands the stream back when the restart's
+    steps end.  A valid decoded tour counts one evaluation under `budget`,
     and restarts stop once the run is finished; the extras count the
     restarts made.  A run the budget or target finished reads
     `budget_exhausted` or `target_reached`, as every searcher's does; one
@@ -329,14 +370,15 @@ def hopfield_solve(
         attempts += 1
         stream = run.rng.spawn(1)[0]
         net.state = (stream.random(m) < 0.5).astype(float)
-        steps = 0
-        converged = is_fixed_point(net)
-        while not converged and steps < max_steps:
-            sweep = min(m, max_steps - steps)
-            for _ in range(sweep):
-                async_step(net, stream)
-            steps += sweep
+        with ScalarDraws(stream) as draws:
+            steps = 0
             converged = is_fixed_point(net)
+            while not converged and steps < max_steps:
+                sweep = min(m, max_steps - steps)
+                for _ in range(sweep):
+                    async_step(net, draws)
+                steps += sweep
+                converged = is_fixed_point(net)
         tour = decode_tour(net.state.reshape(inst.n, inst.n))
         if tour is not None:
             valid += 1

@@ -42,6 +42,25 @@ def _numpy_wheel(row, candidates, rng):
     return int(candidates[min(idx, candidates.size - 1)])
 
 
+def _numpy_local_update(tau, tour, cfg):
+    """The fancy-index deposit `local_update` must reproduce bit for bit."""
+    tour = np.asarray(tour)
+    a, b = tour[:-1], tour[1:]
+    tau[a, b] = tau[b, a] = np.minimum(tau[a, b] + cfg.local_deposit, cfg.tau_max)
+
+
+def _numpy_global_update(tau, best_tour, tour_length, cfg):
+    """The numpy-scalar update `global_update` must reproduce bit for bit."""
+    tau *= 1.0 - cfg.rho
+    tour = np.asarray(best_tour)
+    if tour.size > 1:
+        gain = cfg.q / tour_length
+        for a, b in zip(tour, np.roll(tour, -1)):
+            tau[a, b] += gain
+            tau[b, a] = tau[a, b]
+    np.clip(tau, cfg.tau_min, cfg.tau_max, out=tau)
+
+
 def test_config_validation():
     for bad in (
         dict(ants=0),
@@ -241,6 +260,61 @@ def test_local_update_is_symmetric_and_clamped():
     local_update(tau, np.array([1, 0, 2]), capped)
     assert tau[0, 1] == tau[1, 0] == tau[0, 2] == tau[2, 0] == 1.005
     assert tau[1, 2] == 1.0
+
+
+@st.composite
+def _trail_cases(draw):
+    """A symmetric trail inside [tau_min, tau_max], a tour of 1 to 12 of its cities, a config.
+
+    The tour's first edge may sit at the cap and the other entries at the
+    floor, so that the cap and the floor bind; deposits and gains run up
+    to a few times the width of the bounds.
+    """
+    n = draw(st.integers(1, 12))
+    rng = seeded_rng(draw(st.integers(0, 2**32 - 1)))
+    tau_min = 10.0 ** draw(st.floats(-6.0, 1.0))
+    tau_max = tau_min * 10.0 ** draw(st.floats(0.0, 4.0))
+    width = tau_max - tau_min
+    cfg = AcoConfig(
+        tau_min=tau_min, tau0=tau_min, tau_max=tau_max,
+        rho=draw(st.floats(0.01, 0.99)),
+        local_deposit=draw(st.floats(1e-3, 3.0)) * width or tau_min,
+        q=draw(st.floats(1e-3, 3.0)) * width or tau_min,
+    )
+    tau = np.triu(rng.uniform(tau_min, tau_max, size=(n, n)))
+    if draw(st.booleans()):
+        tau[rng.random((n, n)) < 0.5] = tau_min
+    tau = tau + np.triu(tau, 1).T
+    tour = rng.permutation(n)[: draw(st.integers(1, n))]
+    if tour.size > 1 and draw(st.booleans()):
+        a, b = tour[:2]
+        tau[a, b] = tau[b, a] = tau_max
+    return tau, tour, cfg, draw(st.floats(0.1, 10.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_trail_cases())
+def test_trail_updates_equal_their_numpy_forms(case):
+    tau, tour, cfg, length = case
+    for ours, theirs, args in (
+        (local_update, _numpy_local_update, (tour, cfg)),
+        (global_update, _numpy_global_update, (tour, length, cfg)),
+        (global_update, _numpy_global_update, (tour.tolist(), length, cfg)),
+    ):
+        got, want = tau.copy(), tau.copy()
+        ours(got, *args)
+        theirs(want, *args)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_a_two_city_tour_gains_twice_and_the_bounds_bind():
+    cfg = AcoConfig(rho=0.5, q=2.0, tau_min=0.6, tau0=1.0, tau_max=1.2, local_deposit=0.5)
+    tau = np.full((3, 3), 1.0)
+    global_update(tau, np.array([0, 2]), 8.0, cfg)
+    assert tau[0, 2] == tau[2, 0] == 0.5 + 0.25 + 0.25  # as (0, 2), then as the closing (2, 0)
+    assert tau[0, 1] == tau[1, 1] == 0.6  # evaporated to 0.5, then raised to the floor
+    local_update(tau, np.array([2, 0]), cfg)
+    assert tau[0, 2] == tau[2, 0] == 1.2  # capped at tau_max
 
 
 def test_aco_run_calls_the_traced_helpers_through_the_module(eight, monkeypatch):

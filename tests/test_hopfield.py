@@ -1,4 +1,6 @@
+import re
 import tracemalloc
+from contextlib import nullcontext
 from itertools import permutations
 
 import numpy as np
@@ -24,6 +26,7 @@ from stochopt import (
     seeded_rng,
 )
 from stochopt import hopfield
+from stochopt.core import ScalarDraws
 from stochopt.hopfield import MAX_WEIGHT_BYTES, TankNet
 
 
@@ -33,6 +36,38 @@ def _tour_matrix(order):
     for pos, city in enumerate(order):
         v[city, pos] = 1.0
     return v
+
+
+def _summed_field(net, k):
+    """`TankNet.field` summing the row, column and total from the state on every call."""
+    n = net.d.shape[0]
+    x, i = divmod(k, n)
+    v = net.state.reshape(n, n)
+    own = v[x, i]
+    near = net.d[x] @ (v[:, (i + 1) % n] + v[:, i - 1])
+    p = net.p
+    return float(
+        -p.a * (v[x].sum() - own)
+        - p.b * (v[:, i].sum() - own)
+        - p.c * (v.sum() - own)
+        - p.d * near
+        - net.theta
+    )
+
+
+def _summed_fields(net):
+    n = net.d.shape[0]
+    v = net.state.reshape(n, n)
+    near = net.d @ (np.roll(v, -1, axis=1) + np.roll(v, 1, axis=1))
+    p = net.p
+    h = (
+        -p.a * (v.sum(axis=1, keepdims=True) - v)
+        - p.b * (v.sum(axis=0) - v)
+        - p.c * (v.sum() - v)
+        - p.d * near
+        - net.theta
+    )
+    return h.ravel()
 
 
 def _random_net(rng, m):
@@ -214,6 +249,119 @@ def test_structured_field_matches_the_dense_weights(n, p, seed):
     net.state = dense.state.copy()
     if np.all(np.abs(dense.fields()) > 1e-9 * scale):
         assert is_fixed_point(net) == is_fixed_point(dense)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    p=st.builds(TankParams, _coefficient, _coefficient, _coefficient, _coefficient),
+    seed=st.integers(0, 2**32 - 1),
+    script=st.lists(st.one_of(st.none(), st.integers(1, 150)), max_size=6),
+)
+def test_kept_counts_give_the_fields_a_summed_state_gives(n, p, seed, script):
+    """After steps (an int) and reassigned states (None), every field equals the summed one."""
+    rng = seeded_rng(seed)
+    d = rng.uniform(0.1, 100.0, size=(n, n))
+    net = TankNet(np.triu(d, 1) + np.triu(d, 1).T, p,
+                  state=rng.integers(0, 2, size=n * n).astype(float))
+    for action in [None, *script]:
+        if action is None:
+            net.state = rng.random(n * n) < rng.random()  # from all off to all on
+        else:
+            for _ in range(action):
+                async_step(net, rng)
+        assert [net.field(k) for k in range(n * n)] == [
+            _summed_field(net, k) for k in range(n * n)
+        ]
+        assert np.array_equal(net.fields(), _summed_fields(net))
+
+
+@pytest.mark.parametrize("kind", ["tank", "dense"])
+def test_assigning_a_bad_state_fails_loudly(kind):
+    net = build_weights(TspInstance(np.ones((4, 4)) - np.eye(4)), TankParams())
+    if kind == "dense":
+        net = net.dense()
+    with pytest.raises(ValidationError, match="binary"):
+        net.state = np.full(16, 2.0)
+    with pytest.raises(ValidationError, match="16 entries"):
+        net.state = np.zeros(5)
+    assert np.array_equal(net.state, np.zeros(16))  # a refused state leaves the old one
+    with pytest.raises(ValueError, match="read-only"):
+        net.state[3] = 1.0
+    given = np.ones(16)
+    net.state = given
+    given[3] = 0.0  # the net holds a copy, not the caller's array
+    assert np.array_equal(net.state, np.ones(16))
+    for _ in range(64):
+        async_step(net, seeded_rng(0))
+    assert set(net.state.tolist()) <= {0.0, 1.0}
+    if kind == "tank":
+        assert [net.field(k) for k in range(16)] == [_summed_field(net, k) for k in range(16)]
+
+
+def test_solve_calls_the_traced_steps_through_the_module(eight, monkeypatch):
+    """The benchmark tracer wraps `async_step` and `is_fixed_point`: one call per step, one per sweep.
+
+    150 steps of 64 neurons make sweeps of 64, 64 and 22 in a restart the
+    cap ends; each restart starts with a check and ends with a decode.
+    """
+    plain = hopfield_solve(eight, Budget(4), 2, max_steps=150)
+    events = []
+    for name, mark in (("async_step", "s"), ("is_fixed_point", "F"), ("decode_tour", "D")):
+        original = getattr(hopfield, name)
+
+        def counted(*args, _original=original, _mark=mark):
+            events.append(_mark)
+            return _original(*args)
+
+        monkeypatch.setattr(hopfield, name, counted)
+    traced = hopfield_solve(eight, Budget(4), 2, max_steps=150)
+    assert traced.to_dict() == plain.to_dict()
+    restarts = re.findall(r"F(?:s{64}F)*(?:s{22}F)?D", "".join(events))
+    assert "".join(restarts) == "".join(events)
+    assert len(restarts) == traced.extras["restarts"] == 4
+    assert "F" + "s" * 64 + "F" + "s" * 64 + "F" + "s" * 22 + "FD" in restarts  # capped
+    assert all(r.count("s") <= 150 for r in restarts)
+
+
+@pytest.mark.parametrize("stop", ["budget", "error"])
+def test_each_restart_hands_its_stream_back(monkeypatch, stop):
+    """The steps decode each restart's stream, which goes back as numpy would leave it."""
+    unit5 = TspInstance.from_coords(seeded_rng(1).random((5, 2)))
+    streams, taken = [], []
+    step = hopfield.async_step
+
+    def failing(net, rng):  # a failure inside the step loop, on its 60th step
+        taken.append(type(rng))
+        if len(taken) == 60:
+            raise RuntimeError("step 60")
+        return step(net, rng)
+
+    if stop == "error":
+        monkeypatch.setattr(hopfield, "async_step", failing)
+
+    def solve(draws):
+        streams.clear()
+        taken.clear()
+
+        def opened(stream):
+            streams.append(stream)
+            return draws(stream)
+
+        monkeypatch.setattr(hopfield, "ScalarDraws", opened)
+        try:
+            return hopfield_solve(unit5, Budget(4), 0, TankParams(d=40.0)).to_dict()
+        except RuntimeError as error:
+            return str(error)
+
+    decoded = solve(ScalarDraws)
+    decoded_states = [s.bit_generator.state for s in streams]
+    if stop == "error":
+        assert decoded == "step 60" and set(taken) == {ScalarDraws}
+    plain = solve(nullcontext)
+    assert decoded == plain
+    assert decoded_states == [s.bit_generator.state for s in streams]
+    assert len(streams) == (1 if stop == "error" else 4)
 
 
 @pytest.mark.parametrize("case", ["eight", "unit5"])
