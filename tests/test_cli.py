@@ -557,11 +557,11 @@ def test_emit_plot_data(tmp_path):
             n, f = line.split()
             int(n), float(f)
 
-    pn = emit_plot_data(table, "pn_curve")
-    assert pn.splitlines()[0] == "# cumulative success probability"
-
-    effort = emit_plot_data(table, "effort_curve")
-    assert "computational effort at confidence 0.99" in effort.splitlines()[0]
+    # both step curves, byte for byte: one run of the two succeeds by evaluation 4, both by 10
+    assert emit_plot_data(table, "pn_curve") == (
+        "# cumulative success probability\n4 0.5\n10 1.0\n")
+    assert emit_plot_data(table, "effort_curve") == (
+        "# computational effort at confidence 0.99\n4 28\n10 10\n")
 
     with pytest.raises(ValidationError, match="plot kind"):
         emit_plot_data(table, "histogram")

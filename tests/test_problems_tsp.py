@@ -2,6 +2,8 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from stochopt import (
     EncodingMismatchError,
@@ -22,6 +24,10 @@ def test_triangle_optimum_is_three(triangle):
     tour, length = brute_force_tour(triangle)
     assert length == 3.0
     assert tour == (0, 1, 2)
+    # the smallest instances: one city, and two whose one cycle uses the edge twice
+    assert brute_force_tour(TspInstance(np.zeros((1, 1)))) == ((0,), 0.0)
+    pair = TspInstance(np.array([[0.0, 2.5], [2.5, 0.0]]))
+    assert brute_force_tour(pair) == ((0, 1), pair.d[0, 1] + pair.d[1, 0])
 
 
 def test_eight_city_oracle_matches_stored_file(eight, eight_oracle):
@@ -51,6 +57,8 @@ def test_length_matches_hand_computation(eight):
         assert eight.evaluate(tour) == pytest.approx(
             _length_by_hand(eight.d, tour), rel=1e-12
         )
+    lone = TspInstance(np.zeros((1, 1)))
+    assert lone.cost(np.array([0])) == lone.evaluate([0]) == 0.0
 
 
 def test_length_is_rotation_and_reflection_invariant(eight):
@@ -137,6 +145,20 @@ def test_from_coords_is_plain_euclidean():
     assert inst.d[0, 1] == 1.0
     assert inst.d[0, 2] == pytest.approx(np.sqrt(2.0), rel=1e-15)
     assert inst.d[1, 2] == 1.0
+
+
+_coordinate = st.floats(-1e100, 1e100)  # every squared gap stays finite
+
+
+@given(
+    points=st.lists(st.tuples(_coordinate, _coordinate), min_size=1, max_size=6),
+    picks=st.lists(st.integers(0, 5), min_size=1, max_size=10),
+)
+def test_from_coords_gives_an_exactly_zero_diagonal(points, picks):
+    coords = [points[k % len(points)] for k in picks]  # repeated points included
+    inst = TspInstance.from_coords(coords)
+    assert np.all(np.diag(inst.d) == 0.0)
+    assert np.array_equal(inst.d, inst.d.T)
 
 
 def test_brute_force_refuses_large_instances():
