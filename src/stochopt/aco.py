@@ -206,7 +206,8 @@ def global_update(tau, best_tour, tour_length: float, cfg: AcoConfig) -> None:
         entries = memoryview(tau)
         for a, b in zip(cities, cities[1:] + cities[:1]):
             entries[a, b] = entries[b, a] = entries[a, b] + gain
-    np.clip(tau, cfg.tau_min, cfg.tau_max, out=tau)
+    np.maximum(tau, cfg.tau_min, out=tau)
+    np.minimum(tau, cfg.tau_max, out=tau)
 
 
 def _build_tour(tau, eta, cfg: AcoConfig, rng, fallbacks: list) -> np.ndarray:

@@ -98,8 +98,7 @@ def _anchor_instance(desc, base: Path):
         return str(candidate) if candidate.exists() else text
 
     if isinstance(desc, str):
-        rebased = rebase(desc)
-        return desc if rebased == desc else rebased
+        return rebase(desc)
     if isinstance(desc, dict) and isinstance(desc.get("path"), str):
         rebased = rebase(desc["path"])
         if rebased != desc["path"]:
@@ -491,22 +490,14 @@ def emit_plot_data(table: ResultTable, kind: str) -> str:
             for n, f in series["best_curve"]:
                 lines.append(f"{n} {f}")
             lines.append("")
-    elif kind == "pn_curve":
-        steps = table.summary.get("pn_curve")
+    else:
+        steps = table.summary.get(kind)
         if steps is None:
             raise ValidationError("no success predicate was configured for this run")
-        lines.append("# cumulative success probability")
-        for n, p in steps:
-            lines.append(f"{n} {p}")
-        lines.append("")
-    else:
-        curve = table.summary.get("effort_curve")
-        if curve is None:
-            raise ValidationError("no success predicate was configured for this run")
-        z = table.summary.get("confidence")
-        lines.append(f"# computational effort at confidence {z}")
-        for n, i in curve:
-            lines.append(f"{n} {i}")
+        lines.append("# cumulative success probability" if kind == "pn_curve" else
+                     f"# computational effort at confidence {table.summary.get('confidence')}")
+        for n, value in steps:
+            lines.append(f"{n} {value}")
         lines.append("")
     return "\n".join(lines)
 

@@ -179,6 +179,18 @@ def check_fields(obj, owner: str) -> None:
         object.__setattr__(obj, name, conform(kind, getattr(obj, name), f"{owner} {name!r}"))
 
 
+def check_symmetric(m: np.ndarray, what: str, symbol: str) -> None:
+    """Refuse a square matrix other than its exact transpose, naming the largest asymmetry."""
+    if not np.array_equal(m, m.T):
+        with np.errstate(invalid="ignore"):  # inf - inf reads as a nan gap
+            gap = np.abs(m - m.T)
+        i, j = np.unravel_index(np.argmax(gap), gap.shape)
+        raise ValidationError(
+            f"{what} must be exactly symmetric; largest asymmetry "
+            f"|{symbol}[{i}, {j}] - {symbol}[{j}, {i}]| = {gap[i, j]:.3g}"
+        )
+
+
 def seeded_rng(seed: int) -> np.random.Generator:
     """Return the toolkit's reference generator (PCG64) for a seed."""
     return np.random.Generator(np.random.PCG64(seed))

@@ -30,7 +30,9 @@ Lyapunov energy is the threshold form
 
 which never increases under the update when W is symmetric with a zero
 diagonal: flipping neuron i changes E by -(w[:,i] @ s - theta_i) times
-the flip direction.
+the flip direction.  The descent needs W exactly symmetric, so
+`HopfieldNet` weights and `cost_energy` distances that differ from their
+transpose in any entry are refused, as `TspInstance` refuses them.
 
 Thresholds come from expanding the C-term with s^2 = s for binary
 states: C/2 (S-n)^2 = C/2 sum_{a!=b} s_a s_b + (C/2 - Cn) S + C n^2/2,
@@ -52,12 +54,13 @@ total.  The "- v" removes the neuron itself from its own row, column
 and total; the distance term needs no such correction because positions
 i +- 1 never equal i (for n = 2 both name the other position, and it
 counts twice, as in the weights).  r, c and S are exact small integers,
-so `TankNet` keeps them as counts, updated as neurons switch, and each
-field is the float a sum over the state would give.  That is O(n^2)
-memory, and per asynchronous step an n-entry dot product and three count
-reads, plus three count updates when the neuron switches.  All fields at
-once cost one O(n^3) product, d @ (roll(V, -1, 1) + roll(V, 1, 1)), and
-the energy follows from them, since W s = h + theta.  `TankNet.dense()` builds the (n^2)^2 matrix
+so `TankNet` keeps them as counts, updated as neurons switch, and
+`field` and `fields` both read them: each field is the float a sum over
+the state would give.  That is O(n^2) memory, and per asynchronous step
+an n-entry dot product and three count reads, plus three count updates
+when the neuron switches.  All fields at once cost one O(n^3) product,
+d @ (roll(V, -1, 1) + roll(V, 1, 1)), and the energy follows from them,
+since W s = h + theta.  `TankNet.dense()` builds the (n^2)^2 matrix
 itself, as a reference for small n.
 """
 
@@ -68,7 +71,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (Budget, Count, NonNegative, Run, RunRecord, ScalarDraws, ValidationError,
-                   check_fields, conform)
+                   check_fields, check_symmetric, conform)
 
 # The dense matrix holds (n^2)^2 floats and building it peaks at several
 # times that, so n = 100 would need gigabytes; 64 MiB admits n <= 53.
@@ -122,8 +125,7 @@ class HopfieldNet(_Neurons):
         w = np.asarray(weights, dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValidationError("weight matrix must be square")
-        if not np.allclose(w, w.T):
-            raise ValidationError("weights must be symmetric")
+        check_symmetric(w, "weight matrix", "w")
         if np.any(np.diag(w) != 0):
             raise ValidationError("no self-connections: diagonal must be zero")
         self.weights = w
@@ -150,11 +152,12 @@ class TankNet(_Neurons):
 
     It has `HopfieldNet`'s `size`, `state`, `thresholds`, `field`,
     `fields` and `set_neuron`, computed from the structured field in the
-    module docstring.  The net keeps the row, column and total counts of
-    `state`: assigning `state` recounts them and `set_neuron` updates the
-    three it changes, so `field` reads them where it would sum the state.
-    They are exact small integers, so each field is the same float as
-    one summed from the state.  `fields` sums the state itself.
+    module docstring; `n`, `size` and `theta` are set once, from `d` and
+    `p`.  The net keeps the row, column and total counts of `state`:
+    assigning `state` recounts them and `set_neuron` updates the three it
+    changes, and `field` and `fields` both read them where they would sum
+    the state.  They are exact small integers, so each field is the same
+    float as one summed from the state.
     """
 
     def __init__(self, d: np.ndarray, p: TankParams, state=None):
@@ -165,23 +168,17 @@ class TankNet(_Neurons):
             raise ValidationError("the tour encoding needs at least two cities")
         self.d = d
         self.p = p
+        self.n = n = d.shape[0]
+        self.size = n * n
+        self.theta = -p.c * (2 * n - 1) / 2.0
         self.state = np.zeros(self.size) if state is None else state
-
-    @property
-    def size(self) -> int:
-        return self.d.shape[0] ** 2
-
-    @property
-    def theta(self) -> float:
-        return -self.p.c * (2 * self.d.shape[0] - 1) / 2.0
 
     @property
     def thresholds(self) -> np.ndarray:
         return np.full(self.size, self.theta)
 
     def _recount(self) -> None:
-        n = self.d.shape[0]
-        self._v = v = self._state.reshape(n, n)
+        self._v = v = self._state.reshape(self.n, self.n)
         self._rows = v.sum(axis=1).tolist()
         self._cols = v.sum(axis=0).tolist()
         self._total = float(v.sum())
@@ -191,13 +188,13 @@ class TankNet(_Neurons):
         change = value - self._state.item(k)
         if change:
             self._state[k] = value
-            x, i = divmod(k, self.d.shape[0])
+            x, i = divmod(k, self.n)
             self._rows[x] += change
             self._cols[i] += change
             self._total += change
 
     def field(self, k: int) -> float:
-        n = self.d.shape[0]
+        n = self.n
         x, i = divmod(k, n)
         v = self._v
         own = v.item(x, i)
@@ -212,14 +209,13 @@ class TankNet(_Neurons):
         )
 
     def fields(self) -> np.ndarray:
-        n = self.d.shape[0]
         v = self._v
         near = self.d @ (np.roll(v, -1, axis=1) + np.roll(v, 1, axis=1))
         p = self.p
         h = (
-            -p.a * (v.sum(axis=1, keepdims=True) - v)
-            - p.b * (v.sum(axis=0) - v)
-            - p.c * (v.sum() - v)
+            -p.a * (np.array(self._rows)[:, None] - v)
+            - p.b * (np.array(self._cols) - v)
+            - p.c * (self._total - v)
             - p.d * near
             - self.theta
         )
@@ -230,8 +226,7 @@ class TankNet(_Neurons):
 
         The refusal comes before any allocation.
         """
-        n = self.d.shape[0]
-        m = n * n
+        n, m = self.n, self.size
         need = m * m * np.dtype(float).itemsize
         if need > MAX_WEIGHT_BYTES:
             raise ValidationError(
@@ -291,8 +286,7 @@ def cost_energy(v, distances, d_coeff: float) -> float:
     dist = np.asarray(distances, dtype=float)
     if dist.shape != m.shape:
         raise ValidationError("distance matrix must match the tour matrix size")
-    if not np.allclose(dist, dist.T):
-        raise ValidationError("distance matrix must be symmetric")
+    check_symmetric(dist, "distance matrix", "d")
     forward = np.roll(m, -1, axis=1)
     backward = np.roll(m, 1, axis=1)
     pairing = m @ (forward + backward).T  # [x,y] = sum_i V[x][i](V[y][i+1]+V[y][i-1])

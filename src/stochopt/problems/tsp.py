@@ -43,6 +43,7 @@ from ..core import (
     Neighborhood,
     Problem,
     ValidationError,
+    check_symmetric,
 )
 
 
@@ -58,13 +59,7 @@ class TspInstance(Problem):
         if not np.all(np.isfinite(d)):
             i, j = np.argwhere(~np.isfinite(d))[0]
             raise ValidationError(f"distances must be finite; d[{i}, {j}] = {d[i, j]}")
-        if not np.array_equal(d, d.T):
-            gap = np.abs(d - d.T)
-            i, j = np.unravel_index(np.argmax(gap), gap.shape)
-            raise ValidationError(
-                "distance matrix must be exactly symmetric; largest asymmetry "
-                f"|d[{i}, {j}] - d[{j}, {i}]| = {gap[i, j]:.3g}"
-            )
+        check_symmetric(d, "distance matrix", "d")
         if np.any(np.diag(d) != 0):
             raise ValidationError("distance matrix needs a zero diagonal")
         if np.any(d < 0):
@@ -88,9 +83,7 @@ class TspInstance(Problem):
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ValidationError("coords must be an (n, 2) array")
         diff = pts[:, None, :] - pts[None, :, :]
-        d = np.sqrt((diff**2).sum(axis=-1))
-        np.fill_diagonal(d, 0.0)
-        return cls(d, coords=pts, name=name)
+        return cls(np.sqrt((diff**2).sum(axis=-1)), coords=pts, name=name)
 
     def validate(self, solution) -> np.ndarray:
         tour = np.asarray(solution)
@@ -106,8 +99,6 @@ class TspInstance(Problem):
         return tour.astype(np.intp)
 
     def cost(self, tour) -> float:
-        if self.n == 1:
-            return 0.0
         return float(np.add.reduce(self.d[tour[:-1], tour[1:]]) + self.d[tour[-1], tour[0]])
 
     def random_solution(self, rng) -> np.ndarray:
@@ -199,8 +190,6 @@ def brute_force_tour(inst: TspInstance, limit: int = 10):
         raise ValidationError(f"exhaustive search capped at {limit} cities, got {n}")
     if n == 1:
         return (0,), 0.0
-    if n == 2:
-        return (0, 1), inst.evaluate([0, 1])
     best_tour = None
     best_len = float("inf")
     for rest in permutations(range(1, n)):

@@ -307,6 +307,22 @@ def test_trail_updates_equal_their_numpy_forms(case):
         assert got.tobytes() == want.tobytes()
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    trail=st.lists(st.floats(0.0, 4.0), min_size=1, max_size=64),
+    rho=st.floats(0.01, 0.99),
+    bounds=st.tuples(st.floats(0.1, 1.0), st.floats(1.0, 3.0)),
+)
+def test_the_closing_clamp_equals_np_clip(trail, rho, bounds):
+    """Evaporated trails on both sides of both bounds are clamped as `np.clip` clamps them."""
+    tau_min, tau_max = bounds
+    cfg = AcoConfig(rho=rho, tau_min=tau_min, tau0=tau_min, tau_max=tau_max)
+    tau = np.array(trail)
+    want = np.clip(tau * (1.0 - rho), tau_min, tau_max)
+    global_update(tau, None, 1.0, cfg)
+    assert tau.tobytes() == want.tobytes()
+
+
 def test_a_two_city_tour_gains_twice_and_the_bounds_bind():
     cfg = AcoConfig(rho=0.5, q=2.0, tau_min=0.6, tau0=1.0, tau_max=1.2, local_deposit=0.5)
     tau = np.full((3, 3), 1.0)

@@ -417,6 +417,20 @@ def test_decode_tour():
         decode_tour(np.full((3, 3), 0.5))
 
 
+def test_weights_distances_and_instances_refuse_the_same_near_symmetry():
+    """One exact rule: a 1e-9 asymmetry is refused, named by its largest entry."""
+    m = np.ones((3, 3)) - np.eye(3)
+    m[1, 0] += 1e-9
+    for build, symbol in (
+        (lambda: HopfieldNet(weights=m, thresholds=0.0), "w"),
+        (lambda: cost_energy(np.eye(3), m, 1.0), "d"),
+        (lambda: TspInstance(m), "d"),
+    ):
+        with pytest.raises(ValidationError, match=re.escape(
+                f"exactly symmetric; largest asymmetry |{symbol}[0, 1] - {symbol}[1, 0]| = 1e-09")):
+            build()
+
+
 def test_net_validation():
     with pytest.raises(ValidationError):
         HopfieldNet(weights=np.array([[0.0, 1.0], [2.0, 0.0]]), thresholds=0.0)
