@@ -84,6 +84,13 @@ steepest and annealing runs from an explicit `start` (given as a list,
 so `validate` turns it into the problem's array), were taken before
 every searcher drew its start through one `Run.start` and every problem
 kind sampled through one `sample_move`; both must reproduce them.
+
+The two tour random-search cases (`eight-random-target`, stopped by its
+target at evaluation 93, and `tour50-random`, a budget of 150) were
+taken while random search drew and costed one tour at a time.  Neither
+stop falls on a multiple of 64, so a search that draws and costs its
+candidates in blocks of 64 must end part-way through its last block and
+reproduce them bit for bit.
 """
 
 import hashlib
@@ -228,6 +235,8 @@ CASES = {
     "pack10-random-target": ("pack10", _random(5000, 1, target=5.0)),
     "rastrigin3-random": ("rastrigin3", _random(1000, 2)),
     "cube-random": ("cube", _random(50, 3)),
+    "eight-random-target": ("eight", _random(2000, 5, target=250.0)),
+    "tour50-random": ("tour50", _random(150, 6)),
     "eight-hopfield": ("eight", _hopfield(5, 0, max_steps=640)),
     "tour5-hopfield": ("tour5", _hopfield(20, 1, p=TankParams(d=40.0))),
     # 613 = 4 * 144 + 37 steps: a restart the cap ends stops 37 steps into a sweep
@@ -408,6 +417,8 @@ DIGESTS = {
     "pack10-random-target": "91f7025958b3703c5da7371de9e5f12ba2ac1eb70e5ec6e019eb0955f617f978",
     "rastrigin3-random": "23e8106de62e0ad38c5cb91baa280acc28fee8a29bda6cff1d95e29f21e1d1a9",
     "cube-random": "93344dcaeb3d55564bcbeaa697883ffde18fa461e947cefe7778729d120ac05a",
+    "eight-random-target": "03c8e5b3e6e6c8ec106c0a15afab4534cc04c19602eedd8fbd2c022b0ea67aa9",
+    "tour50-random": "130f52bb2f8c6133b68ef4b543a0f94fc29c442fbe482bf0b1955ce11afb5134",
     "eight-hopfield": "50083b59753c6cf5e92b80e0936d047474cf7c901441eef8ceba4d9f4cc130f2",
     "tour5-hopfield": "cfda22b912278f17586e8734b1efa2039b41866ad9fd01a8d38fb187afafa642",
     "tour12-hopfield": "79571d5c68c4e0b2fa45f6e3774fe86aaab32f66d0f4ebf2f40411c66c6b00cc",
@@ -547,6 +558,16 @@ def test_hopfield_cases_take_the_paths_they_pin(instances, monkeypatch):
         assert (False, False) in decoded  # a restart the cap ended
         assert (rec.extras["valid_tours"] > 0) == valid
         assert ((True, True) in decoded) == valid
+
+
+def test_tour_random_cases_stop_part_way_through_a_block(instances):
+    """The target and the budget stop both fall between multiples of 64."""
+    hit = CASES["eight-random-target"][1](instances["eight"])
+    assert hit.status == "target_reached"
+    assert hit.evaluations == hit.evaluations_to_success == 93
+    cut = CASES["tour50-random"][1](instances["tour50"])
+    assert cut.status == "budget_exhausted" and cut.evaluations == 150
+    assert 93 % 64 and 150 % 64
 
 
 @pytest.mark.parametrize("name", sorted(TRAJECTORY_CASES))
