@@ -503,9 +503,9 @@ class Run:
         """Count one candidate; validate it only if it enters the record.
 
         `value`, when given, is the candidate's `cost` computed ahead of
-        time (a swarm sweep costs all its rows at once through
-        `cost_rows`, and `evaluate_batch` counts it and every
-        neighborhood), and `cost` is not called again.  Each candidate is
+        time (a swarm sweep and a random-search block cost all their rows
+        at once through `cost_rows`, and `evaluate_batch` counts them and
+        every neighborhood), and `cost` is not called again.  Each candidate is
         still one call here, so the evaluation count, the best curve and
         the budget and target stops land on exactly the candidate they
         would if it were costed alone, and anything counting calls to this
@@ -568,7 +568,9 @@ class Run:
 
         `costs[k]` lies within `window` of candidate k's full cost, and
         `exact(k)` builds candidate k and returns it with that full cost
-        (`Neighborhood.exact`).  Only a candidate that could enter the
+        (`Neighborhood.exact`; a swarm sweep or a random-search block, whose
+        `costs` are `cost_rows` of its rows and whose window is 0, returns
+        the row and its cost).  Only a candidate that could enter the
         record, one below the best cost plus the window, is built and
         counted at its full cost, as `evaluate_move` does; the others are
         counted at `costs[k]` and never built.  One `evaluate` call per
@@ -661,14 +663,17 @@ class Problem:
     `cost_rows(rows)` is the batched twin of `cost`: one Python float
     per solution in `rows`, with `cost_rows(rows)[k] == cost(rows[k])`
     bit for bit, in any memory layout of the block.  The base
-    implementation calls `cost` once per row.  Packings and continuous
-    landscapes override it to cost an (M, n) block in one set of array
+    implementation calls `cost` once per row.  Tours, packings and
+    continuous landscapes override it to cost an (M, n) block in one set of array
     operations, reading each row as C-ordered: numpy sums along the rows
     of a C-ordered block pairwise, as it sums one solution, but straight
     down the columns of a Fortran-ordered one, which rounds differently
     once a row has 8 terms or more.  Packing and state-graph `neighbors`
-    cost their rows, and a particle swarm its sweep, through it; a tour
-    neighborhood costs each reversal as `move_cost` does.
+    cost their rows, a particle swarm its sweep and random search each
+    block it draws, through it; a tour neighborhood costs each reversal
+    as `move_cost` does.  `random_solutions(rng, k)` draws such a block:
+    by default k `random_solution` calls, so a new kind needs only
+    `random_solution`; tours draw theirs in one `permuted` call.
 
     Solutions are checked where they enter and where they reach the
     record.  `evaluate` is the one checked entry for outside input
@@ -694,7 +699,10 @@ class Problem:
         raise NotImplementedError
 
     def cost_rows(self, rows) -> list[float]:
-        """`cost` of each solution in `rows`, as Python floats, bit for bit."""
+        """`cost` of each solution in `rows`, as Python floats, bit for bit.
+
+        Swarm sweeps and random-search blocks are costed here, then
+        counted through `Run.evaluate_batch`."""
         return [self.cost(r) for r in rows]
 
     def validate(self, solution):
@@ -703,6 +711,11 @@ class Problem:
 
     def random_solution(self, rng: np.random.Generator):
         raise NotImplementedError
+
+    def random_solutions(self, rng: np.random.Generator, k: int):
+        """`k` successive `random_solution` draws as rows: the same values, and
+        `rng` left in the same state.  A kind overrides it only to draw faster."""
+        return [self.random_solution(rng) for _ in range(k)]
 
     def sample_move(self, solution, rng: np.random.Generator):
         """Draw one move from `solution`; every problem kind writes its own.

@@ -1,6 +1,11 @@
 """Random search and the two hill-climbing strategies.
 
 `random_search` draws independent uniform solutions and keeps the best.
+Like a particle swarm's sweep, it works in blocks: it draws up to `BLOCK`
+solutions at once through `Problem.random_solutions`, costs them with
+one `Problem.cost_rows` call and counts them in order through
+`Run.evaluate_batch`, one `Run.evaluate` call per candidate, so the run
+stops at the candidate that spends the budget or reaches the target.
 `hill_climb_first_accept` samples one neighbor at a time and, by default,
 moves whenever the neighbor is no worse than the current solution, so
 plateaus can drift; `random_walk=True` switches to the unconditional-move
@@ -14,11 +19,28 @@ from __future__ import annotations
 
 from .core import Budget, Run, RunRecord
 
+# Solutions drawn and costed per block.  A 64 x n tour block and its gathered
+# edges stay smaller than the n x n distance matrix once n > 64.  The 100
+# replicas of `eight_random` took 83, 47, 41-46 and 54-57 ms at 16, 64, 256
+# and 1024 rows a block (2 vCPU, Python 3.11.7, numpy 2.4.6).
+BLOCK = 64
+
 
 def random_search(problem, budget: Budget, seed: int) -> RunRecord:
+    """Uniform random solutions, drawn and costed `BLOCK` at a time, best kept.
+
+    The last block is cut to the budget left.  A target reached part-way
+    through a block leaves the rest of it drawn and costed but not
+    counted; those draws only move `run.rng`, which nothing reads after
+    the loop, so the record is the one drawing and costing each solution
+    alone would give, bit for bit.
+    """
     run = Run(problem, budget, seed, "random_search")
     while not run.finished:
-        run.evaluate(problem.random_solution(run.rng))
+        k = min(BLOCK, budget.max_evaluations - run.evaluations)
+        rows = problem.random_solutions(run.rng, k)
+        costs = problem.cost_rows(rows)
+        run.evaluate_batch(costs, lambda i: (rows[i], costs[i]))
     return run.record()
 
 

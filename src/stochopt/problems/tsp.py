@@ -82,8 +82,13 @@ class TspInstance(Problem):
         pts = np.asarray(coords, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ValidationError("coords must be an (n, 2) array")
-        diff = pts[:, None, :] - pts[None, :, :]
-        return cls(np.sqrt((diff**2).sum(axis=-1)), coords=pts, name=name)
+        if not np.all(np.isfinite(pts)):
+            i, j = np.argwhere(~np.isfinite(pts))[0]
+            raise ValidationError(f"coords must be finite; coords[{i}, {j}] = {pts[i, j]}")
+        with np.errstate(over="ignore"):  # a distance past the float range is refused as inf
+            diff = pts[:, None, :] - pts[None, :, :]
+            d = np.sqrt((diff**2).sum(axis=-1))
+        return cls(d, coords=pts, name=name)
 
     def validate(self, solution) -> np.ndarray:
         tour = np.asarray(solution)
@@ -101,8 +106,24 @@ class TspInstance(Problem):
     def cost(self, tour) -> float:
         return float(np.add.reduce(self.d[tour[:-1], tour[1:]]) + self.d[tour[-1], tour[0]])
 
+    def cost_rows(self, rows) -> list[float]:
+        """`cost` of each tour of an (M, n) block: path edges summed per row, then the closing edge.
+
+        The rows are read C-ordered, so the gathered edges are too and
+        each row sums pairwise, as `cost` sums one tour.
+        """
+        rows = np.ascontiguousarray(rows)
+        d = self.d
+        return (np.add.reduce(d[rows[:, :-1], rows[:, 1:]], axis=1)
+                + d[rows[:, -1], rows[:, 0]]).tolist()
+
     def random_solution(self, rng) -> np.ndarray:
         return rng.permutation(self.n)
+
+    def random_solutions(self, rng, k: int) -> np.ndarray:
+        """A (k, n) block of tours, each row shuffled in place by `permuted`:
+        the values of k `random_solution` calls, and `rng` left as they leave it."""
+        return rng.permuted(np.tile(np.arange(self.n), (k, 1)), axis=1)
 
     def _atom(self, a, b):
         return np.minimum(a, b) * self.n + np.maximum(a, b)

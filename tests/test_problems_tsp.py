@@ -161,6 +161,36 @@ def test_from_coords_gives_an_exactly_zero_diagonal(points, picks):
     assert np.array_equal(inst.d, inst.d.T)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("where", [(0, 0), (2, 1)])
+def test_from_coords_names_a_non_finite_coordinate(bad, where):
+    coords = np.zeros((3, 2))
+    coords[where] = bad
+    # no RuntimeWarning first: tier-1 runs turn it into an error
+    with pytest.raises(ValidationError, match=rf"coords\[{where[0]}, {where[1]}\] = {bad}"):
+        TspInstance.from_coords(coords)
+
+
+@pytest.mark.parametrize("coords", [
+    [[1e200, 0.0], [0.0, 0.0]],  # the square overflows
+    [[1.7e308, 0.0], [-1.7e308, 0.0]],  # the difference overflows
+])
+def test_from_coords_refuses_an_overflowing_distance_without_a_warning(coords):
+    with pytest.raises(ValidationError, match=r"distances must be finite; d\[0, 1\] = inf"):
+        TspInstance.from_coords(coords)
+
+
+@given(n=st.integers(1, 60), k=st.integers(1, 130), seed=st.integers(0, 2**32 - 1))
+def test_random_solutions_are_successive_random_solution_draws(n, k, seed):
+    inst = TspInstance(np.zeros((n, n)))
+    block_rng, one_rng = seeded_rng(seed), seeded_rng(seed)
+    block = inst.random_solutions(block_rng, k)
+    assert block.shape == (k, n)
+    for row in block:
+        assert row.tolist() == inst.random_solution(one_rng).tolist()
+    assert block_rng.bit_generator.state == one_rng.bit_generator.state
+
+
 def test_brute_force_refuses_large_instances():
     d = np.zeros((11, 11))
     d += 1.0
