@@ -503,15 +503,15 @@ class Run:
         """Count one candidate; validate it only if it enters the record.
 
         `value`, when given, is the candidate's `cost` computed ahead of
-        time (a swarm sweep and a random-search block cost all their rows
-        at once through `cost_rows`, and `evaluate_batch` counts them and
-        every neighborhood), and `cost` is not called again.  Each candidate is
-        still one call here, so the evaluation count, the best curve and
-        the budget and target stops land on exactly the candidate they
-        would if it were costed alone, and anything counting calls to this
-        method counts evaluations.  A strict improvement is checked through
-        `Problem.evaluate` either way, and a `value` that disagrees with
-        it raises `ValidationError`.
+        time (a swarm sweep and a random-search block cost all their
+        rows at once through `cost_rows`, and `evaluate_batch` counts
+        them and every neighborhood), and `cost` is not called again.
+        Each candidate is still one call here, so the evaluation count,
+        the best curve and the budget and target stops land on exactly
+        the candidate they would if it were costed alone, and anything
+        counting calls to this method counts evaluations.  A strict
+        improvement is checked through `Problem.evaluate` either way, and
+        a `value` that disagrees with it raises `ValidationError`.
         """
         if self.evaluations >= self.budget.max_evaluations:
             raise BudgetExhaustedError(
@@ -664,11 +664,11 @@ class Problem:
     per solution in `rows`, with `cost_rows(rows)[k] == cost(rows[k])`
     bit for bit, in any memory layout of the block.  The base
     implementation calls `cost` once per row.  Tours, packings and
-    continuous landscapes override it to cost an (M, n) block in one set of array
-    operations, reading each row as C-ordered: numpy sums along the rows
-    of a C-ordered block pairwise, as it sums one solution, but straight
-    down the columns of a Fortran-ordered one, which rounds differently
-    once a row has 8 terms or more.  Packing and state-graph `neighbors`
+    continuous landscapes override it to cost an (M, n) block in one
+    set of array operations, reading each row as C-ordered: numpy sums
+    along the rows of a C-ordered block pairwise, as it sums one
+    solution, but straight down the columns of a Fortran-ordered one,
+    which rounds differently once a row has 8 terms or more.  Packing and state-graph `neighbors`
     cost their rows, a particle swarm its sweep and random search each
     block it draws, through it; a tour neighborhood costs each reversal
     as `move_cost` does.  `random_solutions(rng, k)` draws such a block:
@@ -701,8 +701,8 @@ class Problem:
     def cost_rows(self, rows) -> list[float]:
         """`cost` of each solution in `rows`, as Python floats, bit for bit.
 
-        Swarm sweeps and random-search blocks are costed here, then
-        counted through `Run.evaluate_batch`."""
+        Its block callers, a swarm sweep and a random-search block, count
+        the costs it returns through `Run.evaluate_batch`."""
         return [self.cost(r) for r in rows]
 
     def validate(self, solution):

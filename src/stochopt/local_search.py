@@ -37,10 +37,10 @@ def random_search(problem, budget: Budget, seed: int) -> RunRecord:
     """
     run = Run(problem, budget, seed, "random_search")
     while not run.finished:
-        k = min(BLOCK, budget.max_evaluations - run.evaluations)
-        rows = problem.random_solutions(run.rng, k)
+        size = min(BLOCK, budget.max_evaluations - run.evaluations)
+        rows = problem.random_solutions(run.rng, size)
         costs = problem.cost_rows(rows)
-        run.evaluate_batch(costs, lambda i: (rows[i], costs[i]))
+        run.evaluate_batch(costs, lambda k: (rows[k], costs[k]))
     return run.record()
 
 

@@ -107,7 +107,7 @@ class TspInstance(Problem):
         return float(np.add.reduce(self.d[tour[:-1], tour[1:]]) + self.d[tour[-1], tour[0]])
 
     def cost_rows(self, rows) -> list[float]:
-        """`cost` of each tour of an (M, n) block: path edges summed per row, then the closing edge.
+        """`cost` of each tour of an (M, n) block: each row's path edges, then its closing edge.
 
         The rows are read C-ordered, so the gathered edges are too and
         each row sums pairwise, as `cost` sums one tour.
