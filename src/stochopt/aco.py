@@ -1,9 +1,11 @@
 """Ant system for tours: pheromone trails, probabilistic construction.
 
-Each iteration every ant builds a complete tour city by city.  From city
-x an unvisited city y is drawn by roulette wheel over a desirability
-score that combines the pheromone on the edge and the inverse of its
-length.  The score is a weighted SUM,
+Each iteration the ants build their tours city by city, all from the
+trail as it stood when the iteration began (Ant System construction:
+Dorigo, Maniezzo & Colorni 1996).  From city x an unvisited city y is
+drawn by roulette wheel over a desirability score that combines the
+pheromone on the edge and the inverse of its length.  The score is a
+weighted SUM,
 
     score(x, y) = w_tau * tau[x][y] + w_eta / d[x][y]
 
@@ -11,42 +13,37 @@ length.  The score is a weighted SUM,
 with w_tau and w_eta as the exponents a and b).  The trail is a plain
 (n, n) array.  The distance half of the score, eta = w_eta / d for the
 sum rule and (1 / d) ** w_eta for the product rule, never changes
-during a run, so it is computed once per run as an (n, n) array.
-Every edge an ant walks receives a small constant deposit; after the
-iteration all trails evaporate by rho and the iteration-best tour's
-edges gain q / tour_length.  Entries live in [tau_min, tau_max], so
-trails fade toward the floor but never vanish and cannot blow up.
+during a run, so it is computed once per run as an (n, n) array; the
+scores are computed once per iteration.
 
-An ant scores every edge once, as a list of Python floats, before its
-first step, and makes its deposits once its tour is complete and
-counted.  That is the same walk as re-reading the trail at every step
-with the deposits made along the way: a deposit on (x, y) changes only
-the entries (x, y) and (y, x), both of cities the ant has visited, and
-from then on it reads only edges to unvisited cities.  The wheel itself
-(`_sum` for the total, a running sum of score / total for the spin)
-repeats numpy's float operations in numpy's order, so each draw lands on
-the city `searchsorted` over the normalized cumulative scores would pick.
-Both trail updates walk the tour's city list and read and write one
-entry at a time in plain floats.  A path holds each unordered edge once,
-so that is the arithmetic an update of all the edges at once would do;
-the global update's closing edge comes last, so a 2-city tour's one edge
-gains twice.
+The ants of an iteration advance together, one `choose_next_city` call
+per step: each ant's row of scores is gathered, the cities it has
+visited are masked, and it takes the first city whose cumulative score
+exceeds u * total, u being its draw for the step.  The last city of a
+tour is the one left and takes no draw.  Each ant owns a child RNG
+stream and draws `integers(n)` for its start, then one `random(n - 2)`
+block, one value per step with a choice to make.
+
+An iteration builds min(ants, budget left) tours, costs them with one
+`cost_rows` call and counts them in ant order through
+`Run.evaluate_batch`.  A target stop ends the count at the tour that
+reached it; the tours past it were built and costed but are not
+counted.  Only the counted tours lay their local deposit, a small
+constant on every path edge.  Then all trails evaporate by rho and the
+iteration's best counted tour's edges gain q / tour_length.  Entries
+live in [tau_min, tau_max], so trails fade toward the floor but never
+vanish and cannot blow up.  An iteration the budget or the target cuts
+short ends as a full one does: its best counted tour gets the global
+update and one `iteration_best` entry.
 
 Budgets count completed tours, one objective evaluation each, so ant
-runs compare against other algorithms on equal terms.  An ant is built
-only while the run has room for it, and an iteration the budget or the
-target cuts short ends as a full one does: its best counted tour gets
-the global update and one `iteration_best` entry.  Each ant owns a child
-RNG stream, which keeps a run reproducible regardless of how ant
-construction might be scheduled.
+runs compare against other algorithms on equal terms.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
-from functools import reduce
-from operator import add
 from typing import Literal
 
 import numpy as np
@@ -113,83 +110,56 @@ def _resolved(cfg: AcoConfig, inst) -> tuple[AcoConfig, np.ndarray]:
 
 
 def edge_desirability(tau_xy, eta_xy, cfg: AcoConfig):
-    """Score of one edge, or elementwise of arrays of trails and eta values.
-
-    An ant scores the whole (n, n) trail at once; the values are the ones
-    a gather of the same entries would score.
-    """
+    """Score of one edge, or elementwise of arrays of trails and eta values."""
     if cfg.rule == "product":
         return tau_xy**cfg.w_tau * eta_xy
     return cfg.w_tau * tau_xy + eta_xy
 
 
-def _sum(xs) -> float:
-    """`np.sum` of a list of floats, bit for bit: numpy's pairwise summation.
+def choose_next_city(scores, current, unvisited, u, fallbacks: list) -> np.ndarray:
+    """Every ant's next city: a roulette-wheel draw over its unvisited cities.
 
-    Below 8 terms a running sum; up to 128, eight interleaved running sums
-    added in a fixed tree, then the leftover terms; above that, the sums of
-    two halves split at a multiple of 8.
+    `scores` is the iteration's (n, n) score snapshot, `current` the
+    ants' cities, `unvisited` an (ants, n) mask and `u` one draw in
+    [0, 1) per ant.  An ant takes the first city whose cumulative score
+    exceeds u * total, which is `np.searchsorted(cum, u * total, "right")`
+    over its masked row; if rounding puts the spin at the total, it takes
+    its last unvisited city.  When every unvisited score of an ant is
+    zero its choice is uniform instead: the floor(u * remaining)-th of
+    its remaining unvisited cities, in ascending order.  Each such choice
+    appends its candidate count to `fallbacks`; a run warns once, at its
+    end, if the list is not empty.
     """
-    n = len(xs)
-    if n < 8:
-        total = 0.0
-        for x in xs:
-            total += x
-        return total
-    if n <= 128:
-        whole = n - n % 8
-        r = [reduce(add, xs[j:whole:8]) for j in range(8)]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for x in xs[whole:]:
-            total += x
-        return total
-    half = n // 2
-    half -= half % 8
-    return _sum(xs[:half]) + _sum(xs[half:])
+    rows = np.where(unvisited, scores.take(current, axis=0), 0.0)
+    cum = rows.cumsum(axis=1)
+    total = cum[:, -1]
+    passed = cum > (u * total)[:, None]
+    picks = passed.argmax(axis=1)
+    lost = ~passed[:, -1]  # cum never falls, so a row passes at its end or nowhere
+    if np.count_nonzero(lost):
+        seen = unvisited[lost].cumsum(axis=1)
+        remaining = seen[:, -1]
+        zero = total[lost] <= 0
+        fallbacks.extend(remaining[zero].tolist())
+        nth = np.where(zero, (u[lost] * remaining).astype(np.intp), remaining - 1)
+        picks[lost] = (seen > nth[:, None]).argmax(axis=1)
+    return picks
 
 
-def choose_next_city(row, candidates, rng, fallbacks: list) -> int:
-    """Roulette-wheel draw from `candidates`, ascending city ids scored by `row`.
+def local_update(tau, tours, cfg: AcoConfig) -> None:
+    """Deposit on every path edge of each tour of a block and its mirror, capped at tau_max.
 
-    `row` is the current city's list of edge scores.  The spin lands on
-    the first city whose cumulative share exceeds the draw; `not cum <= u`
-    also stops at a NaN share, where `searchsorted` would.  When every
-    score is zero the choice is uniform instead, and the candidate count
-    is appended to `fallbacks`; a run warns once, at its end, if the
-    list is not empty.
-    """
-    if not candidates:
-        raise ValidationError("no unvisited city to move to")
-    if len(candidates) == 1:
-        return candidates[0]
-    scores = [row[c] for c in candidates]
-    total = _sum(scores)
-    if total <= 0:
-        fallbacks.append(len(candidates))
-        return candidates[rng.integers(len(candidates))]
-    u = rng.random()
-    cum = 0.0
-    for city, score in zip(candidates, scores):
-        cum += score / total
-        if not cum <= u:
-            return city
-    return candidates[-1]
-
-
-def local_update(tau, tour, cfg: AcoConfig) -> None:
-    """Deposit on every path edge of a tour and its mirror, capped at tau_max.
-
-    The closing edge gets none.  Every other entry already lies in
+    The closing edges get none.  Every other entry already lies in
     [tau_min, tau_max], so these are the only ones that could leave the
-    bounds.  A path holds each edge once, so the edges are updated one
-    after another, in plain floats.
+    bounds.  On a symmetric trail this equals capping after each deposit,
+    tour by tour and edge by edge, bit for bit: every addend is the same
+    constant, adding it never lowers an entry, so an entry once past the
+    cap stays past it, and a path holds each edge once.
     """
-    deposit, cap = cfg.local_deposit, cfg.tau_max
-    cities = np.asarray(tour).tolist()
-    entries = memoryview(tau)  # reads and writes Python floats
-    for a, b in zip(cities, cities[1:]):
-        value = entries[a, b] + deposit
-        entries[a, b] = entries[b, a] = cap if value > cap else value
+    a, b = tours[:, :-1].ravel(), tours[:, 1:].ravel()
+    np.add.at(tau, (a, b), cfg.local_deposit)
+    np.add.at(tau, (b, a), cfg.local_deposit)
+    np.minimum(tau, cfg.tau_max, out=tau)
 
 
 def global_update(tau, best_tour, tour_length: float, cfg: AcoConfig) -> None:
@@ -210,18 +180,24 @@ def global_update(tau, best_tour, tour_length: float, cfg: AcoConfig) -> None:
     np.minimum(tau, cfg.tau_max, out=tau)
 
 
-def _build_tour(tau, eta, cfg: AcoConfig, rng, fallbacks: list) -> np.ndarray:
-    """One ant's tour as an `intp` permutation, the form `TspInstance.cost` takes."""
-    n = len(tau)
-    current = int(rng.integers(n))
-    scores = edge_desirability(tau, eta, cfg).tolist()
-    unvisited = [c for c in range(n) if c != current]
-    tour = [current]
-    for _ in range(1, n):
-        current = choose_next_city(scores[current], unvisited, rng, fallbacks)
-        unvisited.remove(current)
-        tour.append(current)
-    return np.array(tour, dtype=np.intp)
+def _build_tours(scores, streams, fallbacks: list) -> np.ndarray:
+    """One tour per stream, as the rows of an (ants, n) `intp` block, built in lockstep."""
+    n = len(scores)
+    starts = [stream.integers(n) for stream in streams]
+    draws = np.array([stream.random(max(n - 2, 0)) for stream in streams])
+    tours = np.empty((len(streams), n), dtype=np.intp)
+    tours[:, 0] = current = np.array(starts, dtype=np.intp)
+    unvisited = np.ones(tours.shape, dtype=bool)
+    entries = unvisited.reshape(-1)  # a view: ant k's city c is entry k * n + c
+    offsets = np.arange(0, unvisited.size, n)
+    entries[offsets + current] = False
+    for step in range(1, n - 1):
+        current = choose_next_city(scores, current, unvisited, draws[:, step - 1], fallbacks)
+        entries[offsets + current] = False
+        tours[:, step] = current
+    if n > 1:
+        tours[:, -1] = unvisited.argmax(axis=1)
+    return tours
 
 
 def aco_run(
@@ -245,18 +221,13 @@ def aco_run(
     iteration_best: list[float] = []
     fallbacks: list[int] = []
     while not run.finished:
-        best_len = float("inf")
-        best_tour = None
-        for stream in streams:
-            if run.finished:
-                break
-            tour = _build_tour(tau, eta, cfg, stream, fallbacks)
-            cost = run.evaluate(tour)
-            local_update(tau, tour, cfg)
-            if cost < best_len:
-                best_len = cost
-                best_tour = tour
-        global_update(tau, best_tour, best_len, cfg)
+        room = budget.max_evaluations - run.evaluations
+        tours = _build_tours(edge_desirability(tau, eta, cfg), streams[:room], fallbacks)
+        costs = problem.cost_rows(tours)
+        counted = run.evaluate_batch(costs, lambda k: (tours[k], costs[k]))
+        local_update(tau, tours[:counted], cfg)
+        best_len = min(costs[:counted])
+        global_update(tau, tours[costs.index(best_len)], best_len, cfg)
         iterations += 1
         iteration_best.append(best_len)
     if fallbacks:

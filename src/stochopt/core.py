@@ -34,6 +34,7 @@ from numbers import Integral, Real
 from typing import Annotated, Any, Callable, Literal, NamedTuple, Union
 
 import numpy as np
+import numpy.random  # noqa: F401  numpy imports it lazily; load it here, not in a first run
 
 
 class OptimizationError(Exception):

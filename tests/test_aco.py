@@ -19,7 +19,7 @@ from stochopt import (
 )
 from stochopt import aco
 from stochopt.aco import (
-    _sum,
+    _build_tours,
     choose_next_city,
     edge_desirability,
     global_update,
@@ -27,26 +27,32 @@ from stochopt.aco import (
 )
 
 
-def _numpy_wheel(row, candidates, rng):
-    """The per-choice numpy roulette `choose_next_city` must reproduce draw for draw."""
-    candidates = np.asarray(candidates)
-    if candidates.size == 1:
-        return int(candidates[0])
-    scores = np.asarray(row)[candidates]
-    total = scores.sum()
-    if total <= 0:
-        return int(candidates[rng.integers(candidates.size)])
-    with np.errstate(invalid="ignore"):  # inf / inf
-        cum = np.cumsum(scores / total)
-    idx = int(np.searchsorted(cum, rng.random(), side="right"))
-    return int(candidates[min(idx, candidates.size - 1)])
+def _searchsorted_step(scores, current, unvisited, u):
+    """Ant by ant, the step `choose_next_city` must take: `searchsorted` over its candidates.
+
+    Returns the picks and the candidate count of every uniform choice.
+    """
+    picks, uniform = [], []
+    for city, mask, draw in zip(current, unvisited, u):
+        candidates = np.flatnonzero(mask)
+        cum = np.cumsum(scores[city, candidates])
+        if cum[-1] <= 0:
+            uniform.append(candidates.size)
+            picks.append(candidates[int(draw * candidates.size)])
+        else:
+            k = int(np.searchsorted(cum, draw * cum[-1], side="right"))
+            picks.append(candidates[min(k, candidates.size - 1)])
+    return picks, uniform
 
 
-def _numpy_local_update(tau, tour, cfg):
-    """The fancy-index deposit `local_update` must reproduce bit for bit."""
-    tour = np.asarray(tour)
-    a, b = tour[:-1], tour[1:]
-    tau[a, b] = tau[b, a] = np.minimum(tau[a, b] + cfg.local_deposit, cfg.tau_max)
+def _per_edge_local_update(tau, tour, cfg):
+    """One tour's deposits edge by edge, each capped as it is made: `local_update`'s reference."""
+    deposit, cap = cfg.local_deposit, cfg.tau_max
+    cities = np.asarray(tour).tolist()
+    entries = memoryview(tau)  # reads and writes Python floats
+    for a, b in zip(cities, cities[1:]):
+        value = entries[a, b] + deposit
+        entries[a, b] = entries[b, a] = cap if value > cap else value
 
 
 def _numpy_global_update(tau, best_tour, tour_length, cfg):
@@ -109,9 +115,9 @@ def test_only_counted_tours_lay_a_local_deposit(monkeypatch, eight, budget, ants
     """A budget that ends mid-iteration leaves no trail from the ant built past it."""
     deposits = []
 
-    def counted(tau, tour, cfg):
-        deposits.append(tour)
-        local_update(tau, tour, cfg)
+    def counted(tau, tours, cfg):
+        deposits.extend(tours)
+        local_update(tau, tours, cfg)
 
     monkeypatch.setattr(aco, "local_update", counted)
     rec = aco_run(eight, Budget(budget), 0, AcoConfig(ants=ants))
@@ -136,7 +142,7 @@ def test_zero_distance_fails_before_the_first_tour(monkeypatch, n, rule):
     # with n = 2 the one candidate is taken unscored, so only the run-level check sees it
     d = np.ones((n, n)) - np.eye(n)
     d[0, n - 1] = d[n - 1, 0] = 0.0
-    monkeypatch.setattr(aco, "_build_tour", lambda *a: pytest.fail("a tour was built"))
+    monkeypatch.setattr(aco, "_build_tours", lambda *a: pytest.fail("a tour was built"))
     with pytest.raises(ValidationError, match="distance 0"):
         aco_run(TspInstance(d), Budget(10), seed=0, cfg=AcoConfig(rule=rule))
 
@@ -146,110 +152,119 @@ def test_choose_next_city_follows_the_roulette_wheel():
     tau = np.full((4, 4), cfg.tau0)
     tau[0] = [1.0, 0.3, 2.0, 0.7]
     eta = np.array([[0.0, 2.0 / 1.0, 2.0 / 2.0, 2.0 / 4.0]] * 4)  # w_eta / d
-    row = edge_desirability(tau, eta, cfg)[0].tolist()
+    scores = edge_desirability(tau, eta, cfg)
 
-    scores = np.array([0.3 + 2.0 / 1.0, 2.0 + 2.0 / 2.0, 0.7 + 2.0 / 4.0])
-    cum = np.cumsum(scores / scores.sum())
+    cum = np.cumsum([0.3 + 2.0 / 1.0, 2.0 + 2.0 / 2.0, 0.7 + 2.0 / 4.0])
+    u = np.array([seeded_rng(seed).random() for seed in range(20)])
+    unvisited = np.tile([False, True, True, True], (20, 1))
     fallbacks = []
-    for seed in range(20):
-        draw = seeded_rng(seed).random()
-        idx = min(int(np.searchsorted(cum, draw, side="right")), 2)
-        got = choose_next_city(row, [1, 2, 3], seeded_rng(seed), fallbacks)
-        assert got == [1, 2, 3][idx]
+    got = choose_next_city(scores, np.zeros(20, dtype=np.intp), unvisited, u, fallbacks)
+    want = [1 + int(np.searchsorted(cum, draw * cum[-1], side="right")) for draw in u]
+    assert got.tolist() == want
     assert fallbacks == []
 
 
-def test_single_candidate_skips_the_draw():
-    rng = seeded_rng(7)
+def test_a_spin_on_a_cumulative_score_moves_past_it_and_one_at_the_total_takes_the_last_city():
+    scores = np.array([[0.0, 1.0, 1.0, 0.0], [0.0, 5e-324, 5e-324, 5e-324]])
+    unvisited = np.array([[False, True, True, True], [False, True, True, True]])
+    # 0.5 * 2.0 is the first city's cumulative score exactly, so the spin goes right;
+    # 0.9 * 1.5e-323 rounds to the subnormal total, which no cumulative score exceeds
+    got = choose_next_city(scores, np.array([0, 1]), unvisited, np.array([0.5, 0.9]), [])
+    assert got.tolist() == [2, 3]
+
+
+def test_zero_desirability_falls_back_to_the_ants_own_draw():
+    """All-zero candidates: the floor(u * remaining)-th unvisited city, counted as a fallback."""
+    scores = np.zeros((5, 5))
+    unvisited = np.array([[False, True, False, True, True]] * 4)
+    u = np.array([0.0, 0.34, 0.67, 0.999])
     fallbacks = []
-    assert choose_next_city([0.0, 0.0, 0.0], [2], rng, fallbacks) == 2
-    # the generator was never consulted, and a lone candidate is no fallback
-    assert rng.random() == seeded_rng(7).random()
-    assert fallbacks == []
+    got = choose_next_city(scores, np.zeros(4, dtype=np.intp), unvisited, u, fallbacks)
+    assert got.tolist() == [1, 3, 4, 4]
+    assert fallbacks == [3] * 4  # the candidate count of every uniform choice
 
 
-def test_zero_desirability_falls_back_to_uniform():
-    cfg = AcoConfig(w_tau=0.0, w_eta=1.0)
-    tau = np.full((3, 3), cfg.tau0)
-    eta = np.zeros((3, 3))  # w_eta / d with every distance infinite
-    row = edge_desirability(tau, eta, cfg)[0].tolist()
-    fallbacks = []
-    picks = {choose_next_city(row, [1, 2], seeded_rng(s), fallbacks) for s in range(30)}
-    assert picks == {1, 2}
-    assert fallbacks == [2] * 30  # the candidate count of every uniform choice
+@st.composite
+def _steps(draw):
+    """Scores with zeros and all-zero rows; ants at any city, with any cities unvisited.
 
-
-def test_no_candidate_raises():
-    with pytest.raises(ValidationError):
-        choose_next_city([1.0, 1.0], [], seeded_rng(0), [])
-
-
-# Finite non-negative scores from subnormal to 1e300, so a 300-term sum stays finite.
-SCORES = st.floats(min_value=0.0, max_value=1e300, allow_nan=False, allow_infinity=False)
-
-
-@settings(max_examples=300, deadline=None)
-@given(xs=st.lists(SCORES, max_size=300))
-@example(xs=[])
-@example(xs=[0.1] * 7)
-@example(xs=[0.1] * 8)
-@example(xs=[0.1] * 128)
-@example(xs=[0.1] * 129)
-@example(xs=[1e16, 1.0, -0.0, 1.0] * 75)
-def test_sum_is_numpys_pairwise_sum(xs):
-    assert _sum(xs) == float(np.sum(np.array(xs, dtype=float)))
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    row=st.lists(SCORES, min_size=1, max_size=150),
-    picks=st.lists(st.integers(0, 149), min_size=1, max_size=150),
-    zero_row=st.booleans(),
-    seed=st.integers(0, 2**32 - 1),
-)
-@example(row=[0.5, 2.0], picks=[1], zero_row=False, seed=0)  # one candidate: no draw
-@example(row=[1.0] * 5, picks=[0, 3, 4], zero_row=True, seed=0)  # the uniform fallback
-@example(row=[1e-300, 1e300, 1.0], picks=[0, 1, 2], zero_row=False, seed=5)
-@example(row=[1.0, float("nan"), 2.0], picks=[0, 1, 2], zero_row=False, seed=0)  # NaN shares
-@example(row=[1.0, float("inf"), 2.0], picks=[0, 1, 2], zero_row=False, seed=0)
-def test_choose_next_city_matches_the_numpy_wheel(row, picks, zero_row, seed):
-    """Same city, and the generator left in the same state, as the numpy roulette."""
-    candidates = sorted({p % len(row) for p in picks})
-    if zero_row:
-        row = [0.0] * len(row)
-    ours, theirs = seeded_rng(seed), seeded_rng(seed)
-    fallbacks = []
-    got = choose_next_city(row, candidates, ours, fallbacks)
-    assert got == _numpy_wheel(row, candidates, theirs)
-    assert ours.bit_generator.state == theirs.bit_generator.state
-    uniform = len(candidates) > 1 and all(row[c] == 0.0 for c in candidates)
-    assert fallbacks == ([len(candidates)] if uniform else [])
-
-
-def test_a_draw_equal_to_a_cumulative_share_moves_past_it():
-    """Ties go right, as `searchsorted(side="right")` sends them, with the share a true quotient.
-
-    With a total of 13, `a * (1 / 13)` lands above the draw for about a
-    quarter of these seeds, so a wheel that multiplied by the reciprocal
-    would stop a city early.
+    Scores span either two decades or subnormal to 1e300, so that a row of
+    40 of them stays finite.
     """
-    tied = 0
-    for seed in range(200):
-        u = seeded_rng(seed).random()
-        a = u * 13.0
-        row = [a, 13.0 - a]
-        if a + row[1] != 13.0 or a / 13.0 != u:
-            continue
-        tied += 1
-        assert choose_next_city(row, [0, 1], seeded_rng(seed), []) == 1
-        assert _numpy_wheel(row, [0, 1], seeded_rng(seed)) == 1
-    assert tied > 100
+    n = draw(st.integers(1, 40))
+    ants = draw(st.integers(1, 12))
+    rng = seeded_rng(draw(st.integers(0, 2**32 - 1)))
+    scores = 10.0 ** rng.uniform(*draw(st.sampled_from([(-1.0, 1.0), (-320.0, 300.0)])), (n, n))
+    scores[rng.random((n, n)) < draw(st.floats(0.0, 1.0))] = 0.0
+    scores[draw(st.lists(st.integers(0, n - 1), max_size=n))] = 0.0
+    current = rng.integers(n, size=ants)
+    unvisited = rng.random((ants, n)) < draw(st.floats(0.0, 1.0))
+    unvisited[np.arange(ants), rng.integers(n, size=ants)] = True
+    u = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=ants, max_size=ants))
+    return scores, current, unvisited, np.array(u)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_steps())
+@example(case=(np.zeros((3, 3)), np.array([0, 1]), np.array([[0, 1, 1], [1, 0, 1]], bool),
+               np.array([0.5, 0.99])))  # two uniform choices
+@example(case=(np.array([[0.0, 1e-300, 1e300]]), np.array([0]), np.array([[False, True, True]]),
+               np.array([0.0])))
+@example(case=(np.full((2, 2), 5e-324), np.array([0]), np.array([[True, True]]),
+               np.array([0.99])))  # the spin rounds to the total
+def test_choose_next_city_equals_searchsorted_ant_by_ant(case):
+    scores, current, unvisited, u = case
+    fallbacks = []
+    got = choose_next_city(scores, current, unvisited.copy(), u, fallbacks)
+    picks, uniform = _searchsorted_step(scores, current, unvisited, u)
+    assert got.tolist() == picks
+    assert fallbacks == uniform
+    assert unvisited[np.arange(len(got)), got].all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 30),
+    ants=st.integers(1, 10),
+    seed=st.integers(0, 2**32 - 1),
+    zero_rows=st.lists(st.integers(0, 29), max_size=30),
+)
+def test_every_built_tour_is_a_permutation_from_its_own_draws(n, ants, seed, zero_rows):
+    """Each ant draws `integers(n)` for its start, then one `random(n - 2)` block, nothing more."""
+    scores = seeded_rng(seed).random((n, n))
+    scores[[z for z in zero_rows if z < n]] = 0.0
+    streams = seeded_rng(seed).spawn(ants)
+    tours = _build_tours(scores, streams, [])
+    assert tours.shape == (ants, n) and tours.dtype == np.intp
+    assert all(sorted(tour) == list(range(n)) for tour in tours.tolist())
+    for stream, start, again in zip(streams, tours[:, 0], seeded_rng(seed).spawn(ants)):
+        assert again.integers(n) == start
+        again.random(max(n - 2, 0))
+        assert stream.bit_generator.state == again.bit_generator.state
+
+
+def test_an_iteration_builds_every_tour_from_the_trail_it_began_with(eight, monkeypatch):
+    """The trail changes only after all of an iteration's tours are built."""
+    snapshots = []
+    build = aco._build_tours
+
+    def spy(scores, streams, fallbacks):
+        snapshots.append(scores.copy())
+        return build(scores, streams, fallbacks)
+
+    monkeypatch.setattr(aco, "_build_tours", spy)
+    cfg = AcoConfig(ants=4)
+    rec = aco_run(eight, Budget(12), 0, cfg)
+    assert len(snapshots) == rec.extras["iterations"] == 3
+    cfg, eta = aco._resolved(cfg, eight)
+    tau = np.full((eight.n, eight.n), cfg.tau0)
+    assert snapshots[0].tobytes() == edge_desirability(tau, eta, cfg).tobytes()
 
 
 def test_local_update_is_symmetric_and_clamped():
     cfg = AcoConfig(local_deposit=0.01)
     tau = np.full((4, 4), cfg.tau0)
-    local_update(tau, np.array([2, 0, 3, 1]), cfg)
+    local_update(tau, np.array([[2, 0, 3, 1]]), cfg)
     want = np.full((4, 4), 1.0)
     for a, b in [(2, 0), (0, 3), (3, 1)]:  # the closing edge (1, 2) gets nothing
         want[a, b] = want[b, a] = 1.01
@@ -257,7 +272,7 @@ def test_local_update_is_symmetric_and_clamped():
 
     capped = AcoConfig(local_deposit=0.01, tau_max=1.005)
     tau = np.full((3, 3), capped.tau0)
-    local_update(tau, np.array([1, 0, 2]), capped)
+    local_update(tau, np.array([[1, 0, 2]]), capped)
     assert tau[0, 1] == tau[1, 0] == tau[0, 2] == tau[2, 0] == 1.005
     assert tau[1, 2] == 1.0
 
@@ -267,8 +282,8 @@ def _trail_cases(draw):
     """A symmetric trail inside [tau_min, tau_max], a tour of 1 to 12 of its cities, a config.
 
     The tour's first edge may sit at the cap and the other entries at the
-    floor, so that the cap and the floor bind; deposits and gains run up
-    to a few times the width of the bounds.
+    floor, so that the cap and the floor bind; gains run up to a few times
+    the width of the bounds.
     """
     n = draw(st.integers(1, 12))
     rng = seeded_rng(draw(st.integers(0, 2**32 - 1)))
@@ -278,7 +293,6 @@ def _trail_cases(draw):
     cfg = AcoConfig(
         tau_min=tau_min, tau0=tau_min, tau_max=tau_max,
         rho=draw(st.floats(0.01, 0.99)),
-        local_deposit=draw(st.floats(1e-3, 3.0)) * width or tau_min,
         q=draw(st.floats(1e-3, 3.0)) * width or tau_min,
     )
     tau = np.triu(rng.uniform(tau_min, tau_max, size=(n, n)))
@@ -296,15 +310,43 @@ def _trail_cases(draw):
 @given(case=_trail_cases())
 def test_trail_updates_equal_their_numpy_forms(case):
     tau, tour, cfg, length = case
-    for ours, theirs, args in (
-        (local_update, _numpy_local_update, (tour, cfg)),
-        (global_update, _numpy_global_update, (tour, length, cfg)),
-        (global_update, _numpy_global_update, (tour.tolist(), length, cfg)),
-    ):
+    for best_tour in (tour, tour.tolist()):
         got, want = tau.copy(), tau.copy()
-        ours(got, *args)
-        theirs(want, *args)
+        global_update(got, best_tour, length, cfg)
+        _numpy_global_update(want, best_tour, length, cfg)
         assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def _deposit_cases(draw):
+    """A symmetric trail inside [tau_min, tau_max], a block of 1 to 8 tours of 2 to 60 cities.
+
+    Deposits run up to most of the width of the bounds, so most entries a
+    few ants share pass the cap; with tau_max = tau_min every one does.
+    """
+    n = draw(st.integers(2, 60))
+    rng = seeded_rng(draw(st.integers(0, 2**32 - 1)))
+    tau_min = 10.0 ** draw(st.floats(-6.0, 1.0))
+    tau_max = tau_min * 10.0 ** draw(st.sampled_from([0.0]) | st.floats(0.0, 3.0))
+    cfg = AcoConfig(
+        tau_min=tau_min, tau0=tau_min, tau_max=tau_max,
+        local_deposit=draw(st.floats(1e-3, 0.7)) * (tau_max - tau_min) or tau_min,
+    )
+    tau = np.triu(rng.uniform(tau_min, tau_max, size=(n, n)))
+    tau = tau + np.triu(tau, 1).T
+    tours = np.array([rng.permutation(n) for _ in range(draw(st.integers(1, 8)))])
+    return tau, tours, cfg
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_deposit_cases())
+def test_local_update_equals_capped_deposits_tour_by_tour_edge_by_edge(case):
+    tau, tours, cfg = case
+    got, want = tau.copy(), tau.copy()
+    local_update(got, tours, cfg)
+    for tour in tours:
+        _per_edge_local_update(want, tour, cfg)
+    assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -329,7 +371,7 @@ def test_a_two_city_tour_gains_twice_and_the_bounds_bind():
     global_update(tau, np.array([0, 2]), 8.0, cfg)
     assert tau[0, 2] == tau[2, 0] == 0.5 + 0.25 + 0.25  # as (0, 2), then as the closing (2, 0)
     assert tau[0, 1] == tau[1, 1] == 0.6  # evaporated to 0.5, then raised to the floor
-    local_update(tau, np.array([2, 0]), cfg)
+    local_update(tau, np.array([[2, 0]]), cfg)
     assert tau[0, 2] == tau[2, 0] == 1.2  # capped at tau_max
 
 
@@ -352,10 +394,12 @@ def test_aco_run_calls_the_traced_helpers_through_the_module(eight, monkeypatch)
         monkeypatch.setattr(aco, name, counting(name))
     traced = aco_run(eight, Budget(40), 3, cfg)
     assert traced.to_dict() == plain.to_dict()
+    iterations = traced.extras["iterations"]
+    assert iterations == 10
     assert calls == {
-        "choose_next_city": 40 * (eight.n - 1),  # one per step after the start city
-        "local_update": 40,  # one per tour
-        "global_update": traced.extras["iterations"],
+        "choose_next_city": iterations * (eight.n - 2),  # one per step with a choice to make
+        "local_update": iterations,  # one per block of counted tours
+        "global_update": iterations,
     }
 
 

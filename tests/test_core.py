@@ -2,7 +2,10 @@ import ast
 import copy
 import inspect
 import json
+import os
 import re
+import subprocess
+import sys
 import types
 import typing
 import warnings
@@ -69,6 +72,20 @@ def test_seeded_rng_is_reproducible():
     b = seeded_rng(7).random(5)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, seeded_rng(8).random(5))
+
+
+def test_importing_the_package_loads_numpy_random():
+    """numpy loads `numpy.random` lazily; the package loads it, so no run pays for it."""
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, stochopt; print('numpy.random' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "True"
 
 
 def test_spawned_streams_are_stable_and_distinct():
@@ -502,9 +519,9 @@ def test_neighbors_are_valid_by_construction(kind, n, seed, steps):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             cfg, eta = aco._resolved(AcoConfig(), problem)
-        tau = np.full((problem.n, problem.n), cfg.tau0)
-        for _ in range(steps):
-            check(aco._build_tour(tau, eta, cfg, rng, []))
+        scores = aco.edge_desirability(np.full((problem.n, problem.n), cfg.tau0), eta, cfg)
+        for tour in aco._build_tours(scores, rng.spawn(steps), []):
+            check(tour)
     for _ in range(steps):
         hood = [] if kind == "continuous" else problem.neighbors(current)
         for neighbor in [hood.row(k) for k in range(len(hood))]:

@@ -1,4 +1,4 @@
-"""Every demo runs to completion as a plain script and leaves no files behind."""
+"""Every demo runs to completion as a plain script, warning-free, and leaves no files behind."""
 
 import os
 import subprocess
@@ -9,13 +9,15 @@ import pytest
 from conftest import REPO
 
 DEMOS = sorted((REPO / "demos").glob("*.py"))
+# the warning filters pyproject.toml gives pytest, so a numpy warning in a demo fails it too
+WARNINGS_AS_ERRORS = ["-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning"]
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
 def test_demo_runs(demo, tmp_path):
     path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, *WARNINGS_AS_ERRORS, str(demo)],
         cwd=tmp_path,
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,

@@ -33,25 +33,23 @@ from numpy's `Generator`.  Each step of such a landscape draws a vector
 with `uniform`, so they pin the path on which a searcher that decodes
 its scalar draws itself hands the generator back to numpy.
 
-The ant-colony digests were taken from the per-choice implementation
-(each choice gathered its row of scores with numpy, summed them, and
-drew with `searchsorted` over the normalized cumulative sum; each edge
-got its local deposit as it was chosen).  Ant construction from one
-score snapshot per ant, with a pure-Python wheel and the deposits made
-once per tour, must reproduce them bit for bit.  The cases cover both
-rules (the product rule with an exponent numpy raises by its generic
-`pow`), tours from 2 to 140 cities (past the 128 terms where numpy's
-pairwise sum splits), a budget that ends mid-iteration, a `tau_max` the
-local deposit hits, the uniform fallback and a target stop.  The four
-cases whose budget is not a multiple of the ant count
-(`eight-aco-mid-iteration`, `tour9-aco`, `tour9-aco-product`,
-`tour140-aco`) were re-pinned when each tour came to be counted before
-its deposit: the ant built past the budget no longer lays a trail, so
-their `pheromone` lacked that one tour's deposit and nothing else moved.
-They were re-pinned again when that ant stopped being built at all and a
-partial iteration came to end as a full one does: it now gets the
-global update, one more `iteration_best` entry and one more in
-`iterations`, and the counted tours did not move.
+The ant-colony digests were taken from lockstep construction: all ants
+of an iteration build their tours from the trail as it stood when the
+iteration began, one (ants, n) step at a time, and lay their local
+deposits once the iteration is costed and counted.  Each ant draws
+`integers(n)` for its start and then one `random(n - 2)` block; a step
+takes the first city whose cumulative score exceeds the ant's draw times
+its row total, and an all-zero row takes the floor(u * remaining)-th
+unvisited city.  The cases cover both rules (the product rule with an
+exponent numpy raises by its generic `pow`), tours from 2 to 140 cities,
+a budget that ends mid-iteration, a `tau_max` the local deposit hits,
+the uniform fallback, a target stop and the `tau_min` floor.  Six of the
+sixteen are those of the earlier per-ant construction, where each ant
+read the trail after the previous ant's deposits and spun a wheel of
+normalized shares: `eight-aco-mid-iteration`, `eight-aco-tau-max`,
+`eight-aco-target`, `eight-aco-tau-min`, `tour2-aco` and
+`tour9-aco-tau-min` came out the same.  The other ten were re-pinned
+when construction went lockstep.
 
 The particle-swarm digests were taken from the per-particle
 implementation (each particle's position costed by its own
@@ -488,20 +486,20 @@ TRAJECTORY_DIGESTS = {
 
 ACO_DIGESTS = {
     "eight-aco-mid-iteration": "a1242fb121269b20eef7b77bf0504383519cd542a1ef3a743074fc64e6e07d79",
-    "eight-aco-product": "06befe2f41633fc09568ead0a5ebe1368a259de5e84ccb215da98d35a119cd1d",
-    "eight-aco-sum": "c254dd478922bd7bc021f7a1df8f513ca25b183d70473759cd6ca661036e438a",
+    "eight-aco-product": "0dc617450ad0eb4c47a478fe52f5cfa752218fca0db27f656eb569abe503a370",
+    "eight-aco-sum": "eb5d7a0e8b631a75de66c8ea4d5da8e0a795ce56cc425b7f9936edcd006105e2",
     "eight-aco-target": "14820f2bc090167211ebc335a4ef368a9a16db991b28bd23c909b976e142140b",
     "eight-aco-tau-min": "72db7fd0bbd443acba381cc5462bda092857da9987974046d8ac7c42b4557d78",
     "eight-aco-tau-max": "113e18781e87ac21ce51a9c6b81b6f613d9c4d6685094d27df7f0021f259ac4e",
-    "eight-aco-uniform": "9dc1f02acd6f689f4b82de21c67a3370b2cda634bfc3e25fd8b75bcb4fa1ca80",
-    "tour140-aco": "8e88f33d9a41e4437b12be3304a29821f811891a3ac423bcf8c799375d5ab5a1",
-    "tour140-aco-product": "bc8cc26ee6d8fc4925f3df0cec48c16775db91b72c062b8eed187fdf10363c12",
+    "eight-aco-uniform": "352d4396eba6d9241b08b76757a259b09ab254e2b9cd5668baba2e970ed2170f",
+    "tour140-aco": "161d201c3717f67ee1a1bc24b7c87fc6a2db2e28b6b5ce075f2f955a5c9d061d",
+    "tour140-aco-product": "6b28538cc8ccbe53f4d340b52db29d3a7b5bb657fcbb4b9d7139664587764d01",
     "tour2-aco": "722f95d32526a89c0c3660c74b0399d203e0300fdfd2f1c361c4baa577baa2ba",
-    "tour3-aco": "22837810a3ecde68ecf54eda2282308dde8aeec3d7bac7f5e208790659315912",
-    "tour50-aco": "9d08c994b03af6976edba8b864a4386d5027f98c5986b14b4381cd1cd89271ea",
-    "tour50-aco-product": "5a8b6fedef9ca146e1146450de46e5673f5a258a07ce9fd259f5902bd7db5432",
-    "tour9-aco": "18ba334a32f95e113f34c891e82d81384db6cb2e53062a605d51a81d1798dd5b",
-    "tour9-aco-product": "590b27bc4b38d64091273548c89bef99ed5e8ecb7cdf92c1ee2f5e196b7d1754",
+    "tour3-aco": "bbefb5d786a8de9a7855d9796da3da54e193a100e2bda9dc15fef4d0a4c80941",
+    "tour50-aco": "8788fe49a0ca1834cacdc0557bcd8c9cccc084ccb4697edc99f14c337540eae5",
+    "tour50-aco-product": "e15fdf040f7d40e0400c456c0204f76887dc69fc9bf5682b6e8f3a8ffb51f0eb",
+    "tour9-aco": "1237a6536116356c4a776f818aa26a96c14b51b8ec5ed73a4377c02120c686ef",
+    "tour9-aco-product": "4af2c9621760f443645b3397e684f0982f009b1dfeafd459aa1a613d546ff2a6",
     "tour9-aco-tau-min": "7c090d99a32ddc5c8d7382121721d64c238a5a066be8b4d239afdeb4359601e8",
 }
 

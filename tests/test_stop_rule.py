@@ -6,9 +6,13 @@ step, a swarm sweep, an ant iteration) and on targets it reaches.  A spy
 on `Run.evaluate` fails the test if a searcher asks for an evaluation
 once its run has finished, so no searcher relies on
 `BudgetExhaustedError` to stop; a target stop must end at the
-evaluation that reached the target, and ants build one tour per counted
-evaluation, none past the end.
+evaluation that reached the target.  Ants build the tours of an
+iteration together: a budget stop builds exactly the tours it counts,
+and a target stop may build the rest of its last iteration, as a swarm
+costs the rest of its sweep, but only counted tours lay a deposit.
 """
+
+from types import SimpleNamespace
 
 import pytest
 
@@ -73,7 +77,8 @@ BUDGET_CASES = [
 
 @pytest.fixture(autouse=True)
 def tours(monkeypatch):
-    """Fail an evaluation asked for once the run has finished; list the tours ants build."""
+    """Fail an evaluation asked for once the run has finished; list the tours ants build
+    and the tours that lay a local deposit."""
     evaluate = Run.evaluate
 
     def guarded(run, solution, value=None):
@@ -83,10 +88,21 @@ def tours(monkeypatch):
         return evaluate(run, solution, value)
 
     monkeypatch.setattr(Run, "evaluate", guarded)
-    built = []
-    build = aco._build_tour
-    monkeypatch.setattr(aco, "_build_tour", lambda *args: built.append(1) or build(*args))
-    return built
+    seen = SimpleNamespace(built=[], deposited=[])
+    build, deposit = aco._build_tours, aco.local_update
+
+    def building(*args):
+        block = build(*args)
+        seen.built.extend(block)
+        return block
+
+    def depositing(tau, block, cfg):
+        seen.deposited.extend(block)
+        deposit(tau, block, cfg)
+
+    monkeypatch.setattr(aco, "_build_tours", building)
+    monkeypatch.setattr(aco, "local_update", depositing)
+    return seen
 
 
 @pytest.mark.parametrize("name, budget", BUDGET_CASES, ids=[f"{n}-{b}" for n, b in BUDGET_CASES])
@@ -97,7 +113,7 @@ def test_a_budget_stop_ends_at_the_last_counted_evaluation(tours, name, budget):
         assert rec.evaluations == budget
     assert rec.evaluations <= budget
     if name == "ants":
-        assert len(tours) == rec.evaluations
+        assert len(tours.built) == len(tours.deposited) == rec.evaluations
 
 
 @pytest.mark.parametrize("name", list(SEARCHERS))
@@ -106,17 +122,18 @@ def test_a_target_stop_ends_at_the_evaluation_that_reached_it(tours, name):
     free = search(problem, Budget(3000))
     # the same draws reach this curve point again, so the target stops the run right there
     n, target = [(n, f) for n, f in free.best_curve[1:] if batch == 1 or n % batch][-1]
-    del tours[:]
+    del tours.built[:], tours.deposited[:]
     rec = search(problem, Budget(3000, target))
     assert rec.status == "target_reached"
     assert rec.evaluations == rec.evaluations_to_success == n
-    if name == "ants":
-        assert len(tours) == rec.evaluations
+    if name == "ants":  # the whole last iteration is built; the tours past the target lay nothing
+        assert len(tours.built) == -(-rec.evaluations // batch) * batch > rec.evaluations
+        assert len(tours.deposited) == rec.evaluations
 
 
 def test_ants_build_only_the_tours_the_budget_counts(tours):
     rec = aco_run(EIGHT, Budget(12), 0)
-    assert len(tours) == rec.evaluations == 12
+    assert len(tours.built) == rec.evaluations == 12
     assert rec.extras["iterations"] == len(rec.extras["iteration_best"]) == 2
 
 
