@@ -504,9 +504,10 @@ class Run:
         """Count one candidate; validate it only if it enters the record.
 
         `value`, when given, is the candidate's `cost` computed ahead of
-        time (a swarm sweep and a random-search block cost all their
-        rows at once through `cost_rows`, and `evaluate_batch` counts
-        them and every neighborhood), and `cost` is not called again.
+        time (a swarm sweep, a random-search block and an ant iteration
+        cost all their rows at once through `cost_rows`, and
+        `evaluate_batch` counts them and every neighborhood), and `cost`
+        is not called again.
         Each candidate is still one call here, so the evaluation count,
         the best curve and the budget and target stops land on exactly
         the candidate they would if it were costed alone, and anything
@@ -569,9 +570,9 @@ class Run:
 
         `costs[k]` lies within `window` of candidate k's full cost, and
         `exact(k)` builds candidate k and returns it with that full cost
-        (`Neighborhood.exact`; a swarm sweep or a random-search block, whose
-        `costs` are `cost_rows` of its rows and whose window is 0, returns
-        the row and its cost).  Only a candidate that could enter the
+        (`Neighborhood.exact`; a swarm sweep, a random-search block or an
+        ant iteration, whose `costs` are `cost_rows` of its rows and whose
+        window is 0, returns the row and its cost).  Only a candidate that could enter the
         record, one below the best cost plus the window, is built and
         counted at its full cost, as `evaluate_move` does; the others are
         counted at `costs[k]` and never built.  One `evaluate` call per
@@ -670,11 +671,12 @@ class Problem:
     along the rows of a C-ordered block pairwise, as it sums one
     solution, but straight down the columns of a Fortran-ordered one,
     which rounds differently once a row has 8 terms or more.  Packing and state-graph `neighbors`
-    cost their rows, a particle swarm its sweep and random search each
-    block it draws, through it; a tour neighborhood costs each reversal
-    as `move_cost` does.  `random_solutions(rng, k)` draws such a block:
-    by default k `random_solution` calls, so a new kind needs only
-    `random_solution`; tours draw theirs in one `permuted` call.
+    cost their rows, a particle swarm its sweep, random search each
+    block it draws and the ants the tours of each iteration, through it;
+    a tour neighborhood costs each reversal as `move_cost` does.
+    `random_solutions(rng, k)` draws such a block: by default k
+    `random_solution` calls, so a new kind needs only `random_solution`;
+    tours draw theirs in one `permuted` call.
 
     Solutions are checked where they enter and where they reach the
     record.  `evaluate` is the one checked entry for outside input
@@ -702,8 +704,8 @@ class Problem:
     def cost_rows(self, rows) -> list[float]:
         """`cost` of each solution in `rows`, as Python floats, bit for bit.
 
-        Its block callers, a swarm sweep and a random-search block, count
-        the costs it returns through `Run.evaluate_batch`."""
+        Its block callers, a swarm sweep, a random-search block and an ant
+        iteration, count the costs it returns through `Run.evaluate_batch`."""
         return [self.cost(r) for r in rows]
 
     def validate(self, solution):

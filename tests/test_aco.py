@@ -259,6 +259,12 @@ def test_an_iteration_builds_every_tour_from_the_trail_it_began_with(eight, monk
     cfg, eta = aco._resolved(cfg, eight)
     tau = np.full((eight.n, eight.n), cfg.tau0)
     assert snapshots[0].tobytes() == edge_desirability(tau, eta, cfg).tobytes()
+    # the first iteration by hand: all four tours from the first snapshot, then the updates
+    tours = _build_tours(snapshots[0], seeded_rng(0).spawn(4), [])
+    costs = eight.cost_rows(tours)
+    local_update(tau, tours, cfg)
+    global_update(tau, tours[costs.index(min(costs))], min(costs), cfg)
+    assert snapshots[1].tobytes() == edge_desirability(tau, eta, cfg).tobytes()
 
 
 def test_local_update_is_symmetric_and_clamped():
