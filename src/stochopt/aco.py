@@ -24,9 +24,9 @@ tour is the one left and takes no draw.  Each ant owns a child RNG
 stream and draws `integers(n)` for its start, then one `random(n - 2)`
 block, one value per step with a choice to make.
 
-An iteration builds min(ants, budget left) tours, costs them with one
-`cost_rows` call and counts them in ant order through
-`Run.evaluate_batch`.  A target stop ends the count at the tour that
+An iteration builds min(ants, budget left) tours, and
+`Run.evaluate_rows` costs them with one `cost_rows` call and counts them
+in ant order.  A target stop ends the count at the tour that
 reached it; the tours past it were built and costed but are not
 counted.  Only the counted tours lay their local deposit, a small
 constant on every path edge.  Then all trails evaporate by rho and the
@@ -223,8 +223,7 @@ def aco_run(
     while not run.finished:
         room = budget.max_evaluations - run.evaluations
         tours = _build_tours(edge_desirability(tau, eta, cfg), streams[:room], fallbacks)
-        costs = problem.cost_rows(tours)
-        counted = run.evaluate_batch(costs, lambda k: (tours[k], costs[k]))
+        costs, counted = run.evaluate_rows(tours)
         local_update(tau, tours[:counted], cfg)
         best_len = min(costs[:counted])
         global_update(tau, tours[costs.index(best_len)], best_len, cfg)

@@ -29,6 +29,7 @@ from .core import (Budget, Count, Positive, Run, RunRecord, ValidationError, che
 # geometric schedules never hit zero algebraically; below this the float
 # has underflowed and the chain is stuck anyway
 T_UNDERFLOW = 1e-300
+PROBES = 100  # steps of the random walk `calibrate_t0` takes
 
 RescaledForm = Literal["as_printed", "target_centered"]
 
@@ -96,17 +97,17 @@ def _target_centered_delta(e_i: float, e_j: float, e_t: float) -> float:
     return (math.sqrt(e_j) - math.sqrt(e_t)) ** 2 - (math.sqrt(e_i) - math.sqrt(e_t)) ** 2
 
 
-def calibrate_t0(problem, run: Run, start, probes: int = 100) -> tuple[float, object, float]:
-    """T0 = 10 x mean |step| along a random probe walk from `start`.
+def calibrate_t0(problem, run: Run, start, f_start: float) -> tuple[float, object, float]:
+    """T0 = 10 x mean |step| along a random walk of `PROBES` steps from
+    `start`, already counted at cost `f_start`.
 
     The walk's evaluations count against the run budget.  Returns (t0,
     last solution, its fitness) so the caller can resume from where the
     probe left the chain.
     """
-    current = start
-    f_current = run.evaluate(current)
+    current, f_current = start, f_start
     total, steps = 0.0, 0  # summed left to right: `sum` compensates from Python 3.12 on
-    while steps < probes and not run.finished:
+    while steps < PROBES and not run.finished:
         candidate = problem.sample_neighbor(current, run.rng)
         f_candidate = run.evaluate(candidate)
         total += abs(f_candidate - f_current)
@@ -134,14 +135,12 @@ def simulated_annealing(
     rescaled_form = conform(RescaledForm, rescaled_form, "'rescaled_form'")
     schedule = schedule or CoolingSchedule()
     run = Run(problem, budget, seed, "simulated_annealing")
-    current = run.start(start)
+    current, f_current = run.start(start)
 
     with run.scalar_draws():
         if schedule.t0 is None:
-            t0, current, f_current = calibrate_t0(problem, run, current)
+            t0, current, f_current = calibrate_t0(problem, run, current, f_current)
             schedule = replace(schedule, t0=t0)
-        else:
-            f_current = run.evaluate(current)
 
         transform = rescaled_delta if rescaled_form == "as_printed" else _target_centered_delta
         step_index = 0

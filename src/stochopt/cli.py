@@ -49,6 +49,7 @@ from .core import (
     check_fields,
     conform,
     field_types,
+    read_text,
     success_time,
 )
 from .effort import (
@@ -245,9 +246,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            raw = json.load(fh)
-        cfg = cls.from_dict(raw)
+        cfg = cls.from_dict(json.loads(read_text(path)))
         if cfg.label == "experiment":
             cfg = replace(cfg, label=Path(path).stem)
         instance = _anchor_instance(cfg.instance, Path(path).parent)
@@ -418,7 +417,7 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> ResultTable:
         curves.append(
             {"seed": seed, "best_curve": [[int(n), float(f)] for n, f in record.best_curve]}
         )
-    ens = EnsembleStats(tuple(records), cfg.budget.max_evaluations, threshold, cfg.label)
+    ens = EnsembleStats(tuple(records), cfg.budget.max_evaluations, threshold)
     summary: dict = {
         "replicas": cfg.replicas,
         **ens.best_summary(),
@@ -586,8 +585,7 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    with open(args.input) as fh:
-        table = ResultTable.from_json_dict(json.load(fh))
+    table = ResultTable.from_json_dict(json.loads(read_text(args.input)))
     return _emit(emit_plot_data(table, args.kind), args.out)
 
 

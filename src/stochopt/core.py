@@ -62,7 +62,7 @@ class BudgetExhaustedError(OptimizationError):
 
 
 class ParseError(OptimizationError):
-    """An instance file is malformed; message carries the line number."""
+    """An input file is malformed; the message names the file, and the line if one is at fault."""
 
 
 Solution = Any  # tuple, np.ndarray or int depending on the problem kind
@@ -190,6 +190,16 @@ def check_symmetric(m: np.ndarray, what: str, symbol: str) -> None:
             f"{what} must be exactly symmetric; largest asymmetry "
             f"|{symbol}[{i}, {j}] - {symbol}[{j}, {i}]| = {gap[i, j]:.3g}"
         )
+
+
+def read_text(path) -> str:
+    """The file at `path` as UTF-8 text, newlines read as `open` reads them;
+    bytes that are not UTF-8 raise `ParseError` naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def seeded_rng(seed: int) -> np.random.Generator:
@@ -477,9 +487,10 @@ class Run:
     """Evaluation counter and best-so-far tracker for one optimizer run.
 
     Optimizers call `evaluate` for every objective computation, directly
-    or through `evaluate_move` or `evaluate_batch`; nothing else touches
-    the counter.  Candidates are costed with `Problem.cost`
-    (or arrive with their cost, see `evaluate`); a strict improvement is
+    or through `start`, `evaluate_move`, `evaluate_rows` or
+    `evaluate_batch`; nothing else touches the counter.  Candidates are
+    costed with `Problem.cost` (or arrive with their cost, see
+    `evaluate`); a strict improvement is
     re-evaluated through the checked `Problem.evaluate` before it enters
     the record, so every recorded best solution has been validated.
     `finished` turns true once the budget is spent or the target cost
@@ -504,10 +515,8 @@ class Run:
         """Count one candidate; validate it only if it enters the record.
 
         `value`, when given, is the candidate's `cost` computed ahead of
-        time (a swarm sweep, a random-search block and an ant iteration
-        cost all their rows at once through `cost_rows`, and
-        `evaluate_batch` counts them and every neighborhood), and `cost`
-        is not called again.
+        time (`evaluate_batch` passes the costs of a block or a
+        neighborhood), and `cost` is not called again.
         Each candidate is still one call here, so the evaluation count,
         the best curve and the budget and target stops land on exactly
         the candidate they would if it were costed alone, and anything
@@ -570,11 +579,10 @@ class Run:
 
         `costs[k]` lies within `window` of candidate k's full cost, and
         `exact(k)` builds candidate k and returns it with that full cost
-        (`Neighborhood.exact`; a swarm sweep, a random-search block or an
-        ant iteration, whose `costs` are `cost_rows` of its rows and whose
-        window is 0, returns the row and its cost).  Only a candidate that could enter the
-        record, one below the best cost plus the window, is built and
-        counted at its full cost, as `evaluate_move` does; the others are
+        (`Neighborhood.exact`, or the row and its cost for
+        `evaluate_rows`).  Only a candidate that could enter the record,
+        one below the best cost plus the window, is built and counted at
+        its full cost, as `evaluate_move` does; the others are
         counted at `costs[k]` and never built.  One `evaluate` call per
         candidate, and none once the budget is spent or the target
         reached; returns how many were counted (all of them unless the
@@ -595,6 +603,14 @@ class Run:
                 evaluate(None, value)
         return len(batch)
 
+    def evaluate_rows(self, rows) -> tuple[list[float], int]:
+        """Cost `rows` with one `Problem.cost_rows` call, then count them in order
+        through `evaluate_batch`; returns (every row's cost, how many were counted).
+
+        Its callers: a random-search block, a swarm sweep and an ant iteration."""
+        costs = self.problem.cost_rows(rows)
+        return costs, self.evaluate_batch(costs, lambda k: (rows[k], costs[k]))
+
     @contextmanager
     def scalar_draws(self):
         """Decode `rng`'s scalar draws (`ScalarDraws`) for a block, then hand it back.
@@ -610,11 +626,12 @@ class Run:
             finally:
                 self.rng = generator
 
-    def start(self, start=None):
-        """The first solution of a search: `start` validated, or a random one if None."""
-        if start is None:
-            return self.problem.random_solution(self.rng)
-        return self.problem.validate(start)
+    def start(self, start=None) -> tuple[Any, float]:
+        """A search's first solution, or a restart's: `start` validated, or a
+        random one if None, counted through `evaluate`; returns (solution, cost)."""
+        problem = self.problem
+        solution = problem.random_solution(self.rng) if start is None else problem.validate(start)
+        return solution, self.evaluate(solution)
 
     @property
     def finished(self) -> bool:
@@ -670,10 +687,10 @@ class Problem:
     set of array operations, reading each row as C-ordered: numpy sums
     along the rows of a C-ordered block pairwise, as it sums one
     solution, but straight down the columns of a Fortran-ordered one,
-    which rounds differently once a row has 8 terms or more.  Packing and state-graph `neighbors`
-    cost their rows, a particle swarm its sweep, random search each
-    block it draws and the ants the tours of each iteration, through it;
-    a tour neighborhood costs each reversal as `move_cost` does.
+    which rounds differently once a row has 8 terms or more.  Packing and
+    state-graph `neighbors` cost their rows through it, and
+    `Run.evaluate_rows` each block a searcher draws; a tour neighborhood
+    costs each reversal as `move_cost` does.
     `random_solutions(rng, k)` draws such a block: by default k
     `random_solution` calls, so a new kind needs only `random_solution`;
     tours draw theirs in one `permuted` call.
@@ -702,10 +719,7 @@ class Problem:
         raise NotImplementedError
 
     def cost_rows(self, rows) -> list[float]:
-        """`cost` of each solution in `rows`, as Python floats, bit for bit.
-
-        Its block callers, a swarm sweep, a random-search block and an ant
-        iteration, count the costs it returns through `Run.evaluate_batch`."""
+        """`cost` of each solution in `rows`, as Python floats, bit for bit."""
         return [self.cost(r) for r in rows]
 
     def validate(self, solution):

@@ -53,7 +53,6 @@ class EnsembleStats:
     records: tuple
     budget: Count
     threshold: float | None = None
-    label: str = ""
 
     def __post_init__(self):
         check_fields(self, "ensemble")

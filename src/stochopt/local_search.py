@@ -2,9 +2,9 @@
 
 `random_search` draws independent uniform solutions and keeps the best.
 Like a particle swarm's sweep, it works in blocks: it draws up to `BLOCK`
-solutions at once through `Problem.random_solutions`, costs them with
-one `Problem.cost_rows` call and counts them in order through
-`Run.evaluate_batch`, one `Run.evaluate` call per candidate, so the run
+solutions at once through `Problem.random_solutions`, and
+`Run.evaluate_rows` costs them with one `Problem.cost_rows` call and
+counts them in order, one `Run.evaluate` call per candidate, so the run
 stops at the candidate that spends the budget or reaches the target.
 `hill_climb_first_accept` samples one neighbor at a time and, by default,
 moves whenever the neighbor is no worse than the current solution, so
@@ -38,9 +38,7 @@ def random_search(problem, budget: Budget, seed: int) -> RunRecord:
     run = Run(problem, budget, seed, "random_search")
     while not run.finished:
         size = min(BLOCK, budget.max_evaluations - run.evaluations)
-        rows = problem.random_solutions(run.rng, size)
-        costs = problem.cost_rows(rows)
-        run.evaluate_batch(costs, lambda k: (rows[k], costs[k]))
+        run.evaluate_rows(problem.random_solutions(run.rng, size))
     return run.record()
 
 
@@ -52,8 +50,7 @@ def hill_climb_first_accept(
     random_walk: bool = False,
 ) -> RunRecord:
     run = Run(problem, budget, seed, "hill_climb")
-    current = run.start(start)
-    f_current = run.evaluate(current)
+    current, f_current = run.start(start)
     with run.scalar_draws():
         while not run.finished:
             move = problem.sample_move(current, run.rng)
@@ -71,8 +68,7 @@ def hill_climb_steepest(
     restart_on_optimum: bool = False,
 ) -> RunRecord:
     run = Run(problem, budget, seed, "steepest_descent")
-    current = run.start(start)
-    f_current = run.evaluate(current)
+    current, f_current = run.start(start)
     status = None
     restarts = 0
     while not run.finished:
@@ -89,8 +85,7 @@ def hill_climb_steepest(
         del hood
         if restart_on_optimum and not run.finished:
             restarts += 1
-            current = run.start()
-            f_current = run.evaluate(current)
+            current, f_current = run.start()
             continue
         status = "local_optimum"
         break

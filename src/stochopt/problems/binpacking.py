@@ -43,6 +43,7 @@ from ..core import (
 )
 
 FIT_SLACK = 1e-9
+PACKING_LIMIT = 12  # the most items `brute_force_packing` takes
 
 
 class BinPackingInstance(Problem):
@@ -201,14 +202,14 @@ def first_fit_decreasing(inst: BinPackingInstance) -> np.ndarray:
     return assignment
 
 
-def brute_force_packing(inst: BinPackingInstance, limit: int = 12):
-    """Exact minimum bin count by branch and bound; n <= limit items.
+def brute_force_packing(inst: BinPackingInstance):
+    """Exact minimum bin count by branch and bound; n <= `PACKING_LIMIT` items.
 
     Items are placed largest first into each open bin that fits or one
     fresh bin, pruning branches that cannot beat the incumbent.
     """
-    if inst.n > limit:
-        raise ValidationError(f"exact search capped at {limit} items, got {inst.n}")
+    if inst.n > PACKING_LIMIT:
+        raise ValidationError(f"exact search capped at {PACKING_LIMIT} items, got {inst.n}")
     order = sorted(range(inst.n), key=lambda i: (-inst.sizes[i], i))
     best_assign = first_fit_decreasing(inst)
     best_count = int(best_assign.max()) + 1  # FFD opens bins 0..k-1, none left empty

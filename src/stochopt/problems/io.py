@@ -2,7 +2,8 @@
 
 TSP files give EUC_2D node coordinates; bin-packing files give the item
 count, the capacity, then one size per token ('#' starts a comment).
-Every malformed line raises a ParseError naming the file and line.
+Files are read as UTF-8 (`read_text`).  Every malformed line raises a
+ParseError naming the file and line.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-from ..core import ParseError
+from ..core import ParseError, read_text
 from .binpacking import BinPackingInstance
 from .tsp import TspInstance
 
@@ -22,61 +23,54 @@ def parse_tsp_file(path) -> TspInstance:
     coords: dict = {}
     in_coords = False
     dim_line = None
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.upper() == "EOF":
-                break
-            if in_coords:
-                parts = line.split()
-                if len(parts) != 3:
-                    raise ParseError(
-                        f"{path}:{lineno}: expected 'index x y' in NODE_COORD_SECTION"
-                    )
+    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.upper() == "EOF":
+            break
+        if in_coords:
+            parts = line.split()
+            if len(parts) != 3:
+                raise ParseError(f"{path}:{lineno}: expected 'index x y' in NODE_COORD_SECTION")
+            try:
+                idx = int(parts[0])
+                xy = (float(parts[1]), float(parts[2]))
+            except ValueError:
+                raise ParseError(f"{path}:{lineno}: non-numeric coordinate line") from None
+            if not all(map(math.isfinite, xy)):
+                raise ParseError(f"{path}:{lineno}: coordinates must be finite")
+            if idx in coords:
+                raise ParseError(f"{path}:{lineno}: duplicate node index {idx}")
+            coords[idx] = xy
+            continue
+        if line.upper().startswith("NODE_COORD_SECTION"):
+            if dim_line is None:
+                raise ParseError(
+                    f"{path}:{lineno}: DIMENSION must appear before NODE_COORD_SECTION"
+                )
+            in_coords = True
+            continue
+        if ":" in line:
+            key, _, value = line.partition(":")
+            key = key.strip().upper()
+            value = value.strip()
+            if key == "DIMENSION":
                 try:
-                    idx = int(parts[0])
-                    xy = (float(parts[1]), float(parts[2]))
+                    header["DIMENSION"] = int(value)
                 except ValueError:
-                    raise ParseError(
-                        f"{path}:{lineno}: non-numeric coordinate line"
-                    ) from None
-                if not all(map(math.isfinite, xy)):
-                    raise ParseError(f"{path}:{lineno}: coordinates must be finite")
-                if idx in coords:
-                    raise ParseError(f"{path}:{lineno}: duplicate node index {idx}")
-                coords[idx] = xy
-                continue
-            if line.upper().startswith("NODE_COORD_SECTION"):
-                if dim_line is None:
-                    raise ParseError(
-                        f"{path}:{lineno}: DIMENSION must appear before NODE_COORD_SECTION"
-                    )
-                in_coords = True
-                continue
-            if ":" in line:
-                key, _, value = line.partition(":")
-                key = key.strip().upper()
-                value = value.strip()
-                if key == "DIMENSION":
-                    try:
-                        header["DIMENSION"] = int(value)
-                    except ValueError:
-                        raise ParseError(
-                            f"{path}:{lineno}: DIMENSION must be an integer"
-                        ) from None
-                    dim_line = lineno
-                elif key == "TYPE" and value.upper() != "TSP":
-                    raise ParseError(f"{path}:{lineno}: only TYPE: TSP is supported")
-                elif key == "EDGE_WEIGHT_TYPE" and value.upper() != "EUC_2D":
-                    raise ParseError(
-                        f"{path}:{lineno}: unknown edge weight type {value!r} (only EUC_2D)"
-                    )
-                else:
-                    header[key] = value
-                continue
-            raise ParseError(f"{path}:{lineno}: unrecognized line {line!r}")
+                    raise ParseError(f"{path}:{lineno}: DIMENSION must be an integer") from None
+                dim_line = lineno
+            elif key == "TYPE" and value.upper() != "TSP":
+                raise ParseError(f"{path}:{lineno}: only TYPE: TSP is supported")
+            elif key == "EDGE_WEIGHT_TYPE" and value.upper() != "EUC_2D":
+                raise ParseError(
+                    f"{path}:{lineno}: unknown edge weight type {value!r} (only EUC_2D)"
+                )
+            else:
+                header[key] = value
+            continue
+        raise ParseError(f"{path}:{lineno}: unrecognized line {line!r}")
     if "DIMENSION" not in header:
         raise ParseError(f"{path}: missing DIMENSION")
     n = header["DIMENSION"]
@@ -95,11 +89,10 @@ def parse_binpacking_file(path) -> BinPackingInstance:
     """Plain text: item count, capacity, then the sizes ('#' comments ok)."""
     path = Path(path)
     tokens: list = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            for tok in line.split():
-                tokens.append((lineno, tok))
+    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        for tok in line.split():
+            tokens.append((lineno, tok))
     if len(tokens) < 2:
         raise ParseError(f"{path}: need an item count and a capacity")
 
@@ -120,9 +113,7 @@ def parse_binpacking_file(path) -> BinPackingInstance:
     if capacity <= 0:
         raise ParseError(f"{path}:{tokens[1][0]}: capacity must be positive")
     if len(tokens) - 2 != count:
-        raise ParseError(
-            f"{path}: expected {count} sizes, found {len(tokens) - 2}"
-        )
+        raise ParseError(f"{path}: expected {count} sizes, found {len(tokens) - 2}")
     sizes = []
     for pos in range(2, len(tokens)):
         size = number(pos, float, "item size")
@@ -130,8 +121,6 @@ def parse_binpacking_file(path) -> BinPackingInstance:
         if size <= 0:
             raise ParseError(f"{path}:{lineno}: item size must be positive")
         if size > capacity:
-            raise ParseError(
-                f"{path}:{lineno}: item size {size} exceeds the capacity {capacity}"
-            )
+            raise ParseError(f"{path}:{lineno}: item size {size} exceeds the capacity {capacity}")
         sizes.append(size)
     return BinPackingInstance(sizes, capacity=capacity, name=path.stem)

@@ -46,11 +46,13 @@ from ..core import (
     check_symmetric,
 )
 
+TOUR_LIMIT = 10  # the most cities `brute_force_tour` takes: 9! / 2 tours
+
 
 class TspInstance(Problem):
     kind = "tsp"
 
-    def __init__(self, distances, coords=None, name: str = "tsp"):
+    def __init__(self, distances, name: str = "tsp"):
         d = np.asarray(distances, dtype=float)
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValidationError("distance matrix must be square")
@@ -66,7 +68,6 @@ class TspInstance(Problem):
             raise ValidationError("distances must be nonnegative")
         self.d = d
         self.n = d.shape[0]
-        self.coords = None if coords is None else np.asarray(coords, dtype=float)
         self.name = name
         self.atom_count = self.n * self.n
         # The reversal pairs i < j in row order.  Pairs (0, n-1), (0, n-2) and
@@ -88,7 +89,7 @@ class TspInstance(Problem):
         with np.errstate(over="ignore"):  # a distance past the float range is refused as inf
             diff = pts[:, None, :] - pts[None, :, :]
             d = np.sqrt((diff**2).sum(axis=-1))
-        return cls(d, coords=pts, name=name)
+        return cls(d, name=name)
 
     def validate(self, solution) -> np.ndarray:
         tour = np.asarray(solution)
@@ -199,16 +200,16 @@ class TspInstance(Problem):
         return np.unique(self._atom(tour, np.roll(tour, -1)))
 
 
-def brute_force_tour(inst: TspInstance, limit: int = 10):
-    """Exhaustive optimum over (n-1)!/2 distinct tours; n <= limit.
+def brute_force_tour(inst: TspInstance):
+    """Exhaustive optimum over (n-1)!/2 distinct tours; n <= `TOUR_LIMIT`.
 
     Ties resolve to the lexicographically first canonical tour, where
     canonical means city 0 first and the second city smaller than the
     last.
     """
     n = inst.n
-    if n > limit:
-        raise ValidationError(f"exhaustive search capped at {limit} cities, got {n}")
+    if n > TOUR_LIMIT:
+        raise ValidationError(f"exhaustive search capped at {TOUR_LIMIT} cities, got {n}")
     if n == 1:
         return (0,), 0.0
     best_tour = None

@@ -18,7 +18,7 @@ particles move and evaluate.
 
 A sweep is costed as one block: `Problem.cost_rows` costs every moved
 particle at once, bit for bit as `cost` would one by one.  The particles
-are then counted in index order through `Run.evaluate_batch`, which
+are then counted in index order; `Run.evaluate_rows` does both and
 stops at the particle that finishes the run, by budget or by target
 alike.  Only the counted particles update their personal bests and count
 toward `clamped_moves`, and a sweep cut short still ends as a full one
@@ -72,8 +72,7 @@ def update_velocity(pos, veloc, p_best_pos, g_pos, cfg: SwarmConfig, rng) -> np.
 def _evaluate_all(pos, p_best_pos, p_best_val, run: Run) -> int:
     """Cost every particle at once, then count them in index order until the run finishes;
     the counted ones keep strictly better personal bests.  Returns how many were counted."""
-    costs = run.problem.cost_rows(pos)
-    counted = run.evaluate_batch(costs, lambda k: (pos[k], costs[k]))
+    costs, counted = run.evaluate_rows(pos)
     for i, val in enumerate(costs[:counted]):
         if val < p_best_val[i]:
             p_best_val[i] = val

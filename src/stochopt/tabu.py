@@ -141,8 +141,7 @@ def tabu_search(
 ) -> RunRecord:
     cfg = cfg or TabuConfig()
     run = Run(problem, budget, seed, "tabu_search")
-    current = run.start(start)
-    f_current = run.evaluate(current)
+    current, f_current = run.start(start)
     best_visited = f_current
     visited = [f_current]
     chosen_moves = []

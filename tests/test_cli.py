@@ -826,6 +826,21 @@ def test_main_names_bad_input(tmp_path, capsys, argv, text, named):
     assert named in err
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["run", "--config"], "cfg.json"),
+    (["oracle", "--instance"], "cities.tsp"),
+    (["oracle", "--instance"], "items.txt"),
+    (["plot", "--kind", "best_curve", "--input"], "report.json"),
+], ids=["config", "tsp", "packing", "report"])
+def test_main_names_a_file_that_is_not_utf8(tmp_path, capsys, argv, name):
+    path = tmp_path / name
+    path.write_bytes(b"NAME: caf\xe9\n")  # Latin-1 text
+    assert main(argv + [str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not UTF-8 text: ")
+    assert "0xe9" in err
+
+
 @pytest.mark.parametrize("cls, n, count", [
     ("exp:2.5", "2000", "operations: inf"),  # a float power past the largest double
     ("exp:2", "20000", "operations: ~3.98e+6020"),  # an int too long for str()

@@ -35,6 +35,7 @@ from stochopt import (
     cube_fixture,
     hill_climb_first_accept,
     hill_climb_steepest,
+    pso_run,
     random_search,
     seeded_rng,
     simulated_annealing,
@@ -424,6 +425,52 @@ def test_success_time_reads_the_curve():
     assert success_time(rec, 7.0) == 2
     assert success_time(rec, 3.0) == 3
     assert success_time(rec, 1.0) is None
+
+
+@pytest.mark.parametrize("start", [[5, 4, 3, 2, 1, 0], None], ids=["given", "drawn"])
+def test_start_returns_the_first_solution_counted(start):
+    tour = TspInstance.from_coords(seeded_rng(2).random((6, 2)))
+    run = Run(tour, Budget(5), seed=3, algorithm="probe")
+    solution, cost = run.start(start)
+    expected = tour.random_solution(seeded_rng(3)) if start is None else np.array(start)
+    assert np.array_equal(solution, expected)
+    assert cost == tour.cost(expected)
+    assert run.evaluations == 1
+    assert run.best_curve == [(1, cost)]
+
+
+def test_evaluate_rows_costs_every_row_and_counts_up_to_the_target_row():
+    run = Run(_Countdown(), Budget(10, target_fitness=6.0), seed=0, algorithm="probe")
+    costs, counted = run.evaluate_rows([1, 3, 5, 2, 7])
+    assert costs == [9.0, 7.0, 5.0, 8.0, 3.0]
+    assert counted == run.evaluations == run.evaluations_to_success == 3
+    assert run.best_curve == [(1, 9.0), (2, 7.0), (3, 5.0)]
+
+
+@pytest.mark.parametrize("search, problem", [
+    (random_search, TspInstance.from_coords(seeded_rng(6).random((9, 2)))),
+    (pso_run, ContinuousLandscape("multimodal_test", dim=3)),
+    (aco.aco_run, TspInstance.from_coords(seeded_rng(6).random((9, 2)))),
+], ids=["random", "swarm", "ants"])
+def test_block_searchers_cost_rows_only_inside_evaluate_rows(monkeypatch, search, problem):
+    depth, calls = [0], []
+    evaluate_rows, cost_rows = Run.evaluate_rows, type(problem).cost_rows
+
+    def meter(self, rows):
+        depth[0] += 1
+        try:
+            return evaluate_rows(self, rows)
+        finally:
+            depth[0] -= 1
+
+    def watched(self, rows):
+        calls.append(depth[0])
+        return cost_rows(self, rows)
+
+    monkeypatch.setattr(Run, "evaluate_rows", meter)
+    monkeypatch.setattr(type(problem), "cost_rows", watched)
+    search(problem, Budget(150), 0)
+    assert calls and all(calls)
 
 
 def test_base_problem_refuses_enumeration():

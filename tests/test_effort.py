@@ -224,7 +224,7 @@ def _ensemble(times, budget, algorithm, bests=None):
         _record(t, evaluations=budget, best=b, algorithm=algorithm)
         for t, b in zip(times, bests)
     )
-    return EnsembleStats(records=records, budget=budget, label=algorithm)
+    return EnsembleStats(records=records, budget=budget)
 
 
 def test_comparison_report_structure():
