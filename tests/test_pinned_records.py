@@ -294,6 +294,7 @@ TRAJECTORY = {
     "sa-rescaled-target-centered": _sa(
         6000, 4, rescaled=True, alpha=0.5, rescaled_form="target_centered"
     ),
+    "sa-rescaled-alpha": _sa(6000, 4, rescaled=True, alpha=0.5),
     "sa-record-current": _sa(4000, 5, record_current=True),
     "sa-rescaled-record-current": _sa(4000, 6, rescaled=True, record_current=True),
     "sa-fixed-record-current": _sa(8000, 11, schedule="fixed", record_current=True),
@@ -447,6 +448,7 @@ TRAJECTORY_DIGESTS = {
     "eight-sa-linear": "5f30a679563e9fe37e96c4edcc988c3975e66e758ba21acc262dff7647d7fa58",
     "eight-sa-record-current": "7099ba6c81f7bb256ffa229f1b0227bed02d575017bcc4ae9ed6f432b4a39714",
     "eight-sa-rescaled": "5ad51c3fdb67e373c7b9bae10899720d5e09311d857cd2c3226ac3b49bc244c5",
+    "eight-sa-rescaled-alpha": "a18f6cead01473e1825893926bbcf384361bb4e8cff24faf45bba740e62d68b2",
     "eight-sa-rescaled-record-current": "b1e707d44234b7387bfaa6cd2eda2691f8c24479abaf117f77a0f210d9c07928",
     "eight-sa-rescaled-target-centered": "42ec5e08c83925747bb99d000b8091efde96b21fc8f9ce02b18d4dd8efaf9f68",
     "eight-sa-target": "3a4283fc88f09da9d3bfc87628478b0b816c44371b8010f4eafd408e1f33752e",
@@ -458,6 +460,7 @@ TRAJECTORY_DIGESTS = {
     "pack10-sa-linear": "070a52d1ab61cb7819a188b1d5c0c4c6d146ba90cef0e480b61998e53df33dbc",
     "pack10-sa-record-current": "8f358712ce5801c88b377b6b976fd241d45614428aae6d1665af76fde2b34b81",
     "pack10-sa-rescaled": "41199edfa69a5243462b4ccc56edf09067e99396e8c890d5ad8f70c0bc0dabed",
+    "pack10-sa-rescaled-alpha": "fc255c9056918cfced7f99a57f4477541c8fccc20f51aafdf3309a92481d51df",
     "pack10-sa-rescaled-record-current": "7244a58cff17ce2650a6868032138557300aa6c3431bc7d8e5822495940b96d2",
     "pack10-sa-rescaled-target-centered": "a2f89f046ee5d664e63f73a7e501f93822e4f86d168543b04062cef93348b910",
     "pack10-sa-target": "ff94896ffbdd41a5f0154d805e7324f9eb5a138c289796b51c3696d546e90ca2",
@@ -469,6 +472,7 @@ TRAJECTORY_DIGESTS = {
     "tour50-sa-linear": "c1454cddf95dc648c3592759e94fe49bad3e3e8b8407718b2bb34d626c4eca27",
     "tour50-sa-record-current": "7a854473478671a495f7ee0989cf57b4759634418226ad67789490d14276452f",
     "tour50-sa-rescaled": "fa2ac6af02baf20e87818f02f6120ed193d5c4d9c083e803da4b96fdecf17f9a",
+    "tour50-sa-rescaled-alpha": "57938ccf677bab42f953af30cbb61b907e56a8ce656796558f883ffa2f1a58cb",
     "tour50-sa-rescaled-record-current": "26b395a5fd44ff812243d0e352f1b2f8ce1f74188f88bb23a63d4356503a5908",
     "tour50-sa-rescaled-target-centered": "7e37a4a3b9f599e82380611fde3b8270c7a18dd47262653f38a0423d1b99c154",
     "grid16-first-accept": "8ca8c793c3b71dda42b92d9fd4956b6447c4404f23ea446a9725718284b4343d",
