@@ -7,14 +7,11 @@ consuming a random draw.
 
 The rescaled mode replaces the plain energy difference by
 
-    (sqrt(E_j) - sqrt(E_i))^2 - (sqrt(E_i) - E_t_root)^2,
+    (sqrt(E_j) - sqrt(E_i))^2 - (sqrt(E_i) - sqrt(E_t))^2,
 
 with target energy E_t = alpha * T^2 recomputed whenever the temperature
 moves.  Energies fed to the transform are the objective shifted by the
-running minimum, so they stay non-negative.  `rescaled_form` selects the
-formula exactly as stated above ("as_printed") or the target-centered
-variant (sqrt(E_j) - sqrt(E_t))^2 - (sqrt(E_i) - sqrt(E_t))^2 found
-elsewhere in the literature ("target_centered").
+running minimum, so they stay non-negative.
 """
 
 from __future__ import annotations
@@ -30,9 +27,6 @@ from .core import (Budget, Count, Positive, Run, RunRecord, ValidationError, che
 # has underflowed and the chain is stuck anyway
 T_UNDERFLOW = 1e-300
 PROBES = 100  # steps of the random walk `calibrate_t0` takes
-
-RescaledForm = Literal["as_printed", "target_centered"]
-
 
 @dataclass(frozen=True)
 class CoolingSchedule:
@@ -89,14 +83,6 @@ def rescaled_delta(e_i: float, e_j: float, e_t: float) -> float:
     return (math.sqrt(e_j) - math.sqrt(e_i)) ** 2 - (math.sqrt(e_i) - math.sqrt(e_t)) ** 2
 
 
-def _target_centered_delta(e_i: float, e_j: float, e_t: float) -> float:
-    if e_i < 0 or e_j < 0 or e_t < 0:
-        raise ValidationError(
-            "rescaled energies must be non-negative; shift the objective first"
-        )
-    return (math.sqrt(e_j) - math.sqrt(e_t)) ** 2 - (math.sqrt(e_i) - math.sqrt(e_t)) ** 2
-
-
 def calibrate_t0(problem, run: Run, start, f_start: float) -> tuple[float, object, float]:
     """T0 = 10 x mean |step| along a random walk of `PROBES` steps from
     `start`, already counted at cost `f_start`.
@@ -128,11 +114,8 @@ def simulated_annealing(
     start=None,
     rescaled: bool = False,
     alpha: Positive = 1.0,
-    rescaled_form: RescaledForm = "as_printed",
-    record_current: bool = False,
 ) -> RunRecord:
     alpha = conform(Positive, alpha, "'alpha'")
-    rescaled_form = conform(RescaledForm, rescaled_form, "'rescaled_form'")
     schedule = schedule or CoolingSchedule()
     run = Run(problem, budget, seed, "simulated_annealing")
     current, f_current = run.start(start)
@@ -142,11 +125,9 @@ def simulated_annealing(
             t0, current, f_current = calibrate_t0(problem, run, current, f_current)
             schedule = replace(schedule, t0=t0)
 
-        transform = rescaled_delta if rescaled_form == "as_printed" else _target_centered_delta
         step_index = 0
         uphill_proposed = 0
         uphill_accepted = 0
-        current_curve = [f_current] if record_current else None
         status = None
 
         while not run.finished:
@@ -168,7 +149,7 @@ def simulated_annealing(
                 raw_delta = f_candidate - f_current
                 if rescaled:
                     e_t = alpha * temperature * temperature
-                    delta = transform(
+                    delta = rescaled_delta(
                         f_current - run.best_fitness, f_candidate - run.best_fitness, e_t
                     )
                 else:
@@ -178,11 +159,7 @@ def simulated_annealing(
                 if metropolis_accept(delta, temperature, run.rng):
                     if raw_delta > 0:
                         uphill_accepted += 1
-                    current = problem.apply(current, move)
-                    # a recorded curve holds full costs, not running sums of move costs
-                    f_current = problem.cost(current) if record_current else f_candidate
-                if current_curve is not None:
-                    current_curve.append(f_current)
+                    current, f_current = problem.apply(current, move), f_candidate
             step_index += 1
 
     extras = {
@@ -191,6 +168,4 @@ def simulated_annealing(
         "uphill_accepted": uphill_accepted,
         "t0": schedule.t0,
     }
-    if current_curve is not None:
-        extras["current_curve"] = current_curve
     return run.record(status, extras=extras)

@@ -44,6 +44,7 @@ from .core import (
     Fraction,
     NonNegative,
     OptimizationError,
+    ParseError,
     ValidationError,
     Whole,
     check_fields,
@@ -80,6 +81,14 @@ SCHEMA_VERSION = 1
 
 
 # ---------------------------------------------------------------- parsing
+
+
+def _read_json(path):
+    """The JSON document in the file at `path`; malformed JSON raises `ParseError` naming it."""
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def _anchor_instance(desc, base: Path):
@@ -246,7 +255,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        cfg = cls.from_dict(json.loads(read_text(path)))
+        cfg = cls.from_dict(_read_json(path))
         if cfg.label == "experiment":
             cfg = replace(cfg, label=Path(path).stem)
         instance = _anchor_instance(cfg.instance, Path(path).parent)
@@ -585,7 +594,7 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    table = ResultTable.from_json_dict(json.loads(read_text(args.input)))
+    table = ResultTable.from_json_dict(_read_json(args.input))
     return _emit(emit_plot_data(table, args.kind), args.out)
 
 
@@ -644,7 +653,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (OptimizationError, OSError, json.JSONDecodeError) as exc:
+    except (OptimizationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

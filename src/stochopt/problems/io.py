@@ -101,7 +101,8 @@ def parse_binpacking_file(path) -> BinPackingInstance:
         try:
             value = caster(tok)
         except ValueError:
-            raise ParseError(f"{path}:{lineno}: {what} must be a number, got {tok!r}") from None
+            kind = "whole number" if caster is int else "number"
+            raise ParseError(f"{path}:{lineno}: {what} must be a {kind}, got {tok!r}") from None
         if not math.isfinite(value):
             raise ParseError(f"{path}:{lineno}: {what} must be finite, got {tok!r}")
         return value

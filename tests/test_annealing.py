@@ -167,17 +167,6 @@ def test_uphill_bookkeeping(cube):
     assert accepted >= 0.9 * proposed
 
 
-def test_current_curve_tracks_the_chain(cube):
-    schedule = CoolingSchedule(t0=5.0, steps_per_temperature=10)
-    rec = simulated_annealing(
-        cube, Budget(51), seed=3, schedule=schedule, record_current=True
-    )
-    curve = rec.extras["current_curve"]
-    assert curve[0] in cube.costs
-    assert all(f in cube.costs for f in curve)
-    assert len(curve) == 51  # one entry per evaluation
-
-
 def test_rescaled_variant_runs_and_validates(eight):
     rec = simulated_annealing(
         eight, Budget(500), seed=0, rescaled=True, alpha=2.0,
@@ -187,5 +176,3 @@ def test_rescaled_variant_runs_and_validates(eight):
     for alpha in (0.0, float("nan"), float("inf"), True, "x"):
         with pytest.raises(ValidationError, match="'alpha'"):
             simulated_annealing(eight, Budget(10), seed=0, rescaled=True, alpha=alpha)
-    with pytest.raises(ValidationError):
-        simulated_annealing(eight, Budget(10), seed=0, rescaled_form="other")

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -130,6 +131,7 @@ def test_parse_binpacking_normalizes_capacity(tmp_path):
         ("1 1.0\n1.5\n", "exceeds the capacity"),
         ("1 1.0\n-0.2\n", "item size must be positive"),
         ("1 1.0\nbig\n", "must be a number"),
+        ("3.0 1.0\n0.4 0.4 0.2\n", ":1: item count must be a whole number, got '3.0'"),
         ("0 1.0\n", "item count must be positive"),
         ("1 0\n0.4\n", "capacity must be positive"),
         ("1 inf\n0.4\n", ":1: capacity must be finite"),
@@ -324,6 +326,25 @@ def test_every_table_key_reaches_a_parameter(name):
         kind = own[target] if target in own else parameters[target].annotation
         assert type_rule(kind) is not None, f"{key!r} has no type rule for {kind!r}"
     assert (config is not None) == (name in ("sa", "tabu", "hopfield", "pso", "aco"))
+
+
+# Settings no config block can reach, each kept on purpose; any other is a
+# switch only Python callers can set, so one config and seed no longer pin a run.
+UNREACHABLE = {"CoolingSchedule.t_floor", "TabuConfig.elite_size",
+               "AcoConfig.tau_min", "AcoConfig.tau_max"}
+
+
+@pytest.mark.parametrize("name", list(cli.ALGORITHMS))
+def test_every_setting_is_reachable_from_a_config_block(name):
+    entry, keys = cli.ALGORITHMS[name]
+    parameters = inspect.signature(getattr(cli, entry), eval_str=True).parameters
+    keyword, config = cli._settings(parameters)
+    reachable = {cli.ALIASES.get(key, key) for key in keys} | {"start", keyword}
+    after_seed = list(parameters)[list(parameters).index("seed") + 1:]
+    settings = [(entry, p) for p in after_seed]
+    settings += [(config.__name__, f.name) for f in fields(config)] if config else []
+    stray = {f"{owner}.{s}" for owner, s in settings if s not in reachable} - UNREACHABLE
+    assert not stray, f"settable only from Python: {sorted(stray)}"
 
 
 def _readme_block_table() -> dict:
@@ -666,6 +687,17 @@ def test_main_reports_config_errors(tmp_path, capsys):
     garbled = tmp_path / "garbled.json"
     garbled.write_text("{not json")
     assert main(["run", "--config", str(garbled)]) == 1
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--config"], ["plot", "--kind", "best_curve", "--input"],
+], ids=["config", "report"])
+def test_main_names_a_file_that_is_not_json(tmp_path, capsys, command):
+    cut = _write(tmp_path, "g.json", '{"instance": ')
+    assert main([*command, str(cut)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {cut}: Expecting value: line 1 column 14 (char 13)\n"
+    )
 
 
 @pytest.mark.parametrize("raw, key", [

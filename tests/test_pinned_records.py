@@ -15,9 +15,11 @@ The annealing and first-accept digests were taken from the full-costing
 implementation (every sampled neighbour built as a new tour and costed
 edge by edge); sampled moves costed by their changed edges must
 reproduce them bit for bit.  Most of these configurations (fixed and
-linear schedules, both rescaled forms, the current-cost curve, random
-walks, a 50-city tour with irrational edge lengths) are in no shipped
-config or benchmark workload.
+linear schedules, rescaled acceptance, random walks, a 50-city tour with
+irrational edge lengths) are in no shipped config or benchmark workload.
+The three `sa-rescaled-alpha` cases (alpha = 0.5) are the exception to
+the first rule: they were taken from sampled moves costed by their
+changed edges, while annealing still offered a second rescaled formula.
 
 The 4x4 lattice is the exception for annealing.  Many of its reversals
 trade two edges for two of the same lengths; such a move now costs
@@ -291,13 +293,7 @@ TRAJECTORY = {
     "sa-fixed": _sa(6000, 1, schedule="fixed"),
     "sa-linear": _sa(6000, 2, schedule="linear"),
     "sa-rescaled": _sa(6000, 3, rescaled=True),
-    "sa-rescaled-target-centered": _sa(
-        6000, 4, rescaled=True, alpha=0.5, rescaled_form="target_centered"
-    ),
     "sa-rescaled-alpha": _sa(6000, 4, rescaled=True, alpha=0.5),
-    "sa-record-current": _sa(4000, 5, record_current=True),
-    "sa-rescaled-record-current": _sa(4000, 6, rescaled=True, record_current=True),
-    "sa-fixed-record-current": _sa(8000, 11, schedule="fixed", record_current=True),
     "first-accept": _first_accept(4000, 7),
     "first-accept-random-walk": _first_accept(2000, 8, random_walk=True),
 }
@@ -444,37 +440,25 @@ TRAJECTORY_DIGESTS = {
     "eight-first-accept-random-walk": "7ce421528bb7d2b021c41324be90f45f9995f20debe10426fcb57becf6882258",
     "eight-sa-calibrated": "5f0fc04e3ab719e83604ee5a764daf43c7c8f950935d1af83c5b9851dce2e281",
     "eight-sa-fixed": "27f8ed7c52faad88aa9cd8e78236d3ade747645de351622123f1b783bf6ca27f",
-    "eight-sa-fixed-record-current": "19c3a26d876febb81cc9521d8320d255b3c2f78661e37cc87e7508d7e62e8375",
     "eight-sa-linear": "5f30a679563e9fe37e96c4edcc988c3975e66e758ba21acc262dff7647d7fa58",
-    "eight-sa-record-current": "7099ba6c81f7bb256ffa229f1b0227bed02d575017bcc4ae9ed6f432b4a39714",
     "eight-sa-rescaled": "5ad51c3fdb67e373c7b9bae10899720d5e09311d857cd2c3226ac3b49bc244c5",
     "eight-sa-rescaled-alpha": "a18f6cead01473e1825893926bbcf384361bb4e8cff24faf45bba740e62d68b2",
-    "eight-sa-rescaled-record-current": "b1e707d44234b7387bfaa6cd2eda2691f8c24479abaf117f77a0f210d9c07928",
-    "eight-sa-rescaled-target-centered": "42ec5e08c83925747bb99d000b8091efde96b21fc8f9ce02b18d4dd8efaf9f68",
     "eight-sa-target": "3a4283fc88f09da9d3bfc87628478b0b816c44371b8010f4eafd408e1f33752e",
     "pack10-first-accept": "acbb80c501756621ddd9f8b3640282e823e3fc60fe3f6288e438f3e5a294bb09",
     "pack10-first-accept-random-walk": "d8ff9a4aebb3771edca54f4c2a9fdd12d76813626537a674a760a10fcb1188c1",
     "pack10-sa-calibrated": "babfe5a7127cd7e9b1b59ff67a09a144b7060ad4b2c4bb68a15db5c984952fdb",
     "pack10-sa-fixed": "a24e7448318db9c5bbec205f9f00ad9a6c9f0d470da5c8efec28e94805ec3ff0",
-    "pack10-sa-fixed-record-current": "02d2782a0a51bef35a5951cc1e39e83aa266086e48b5929f857ea72156813db9",
     "pack10-sa-linear": "070a52d1ab61cb7819a188b1d5c0c4c6d146ba90cef0e480b61998e53df33dbc",
-    "pack10-sa-record-current": "8f358712ce5801c88b377b6b976fd241d45614428aae6d1665af76fde2b34b81",
     "pack10-sa-rescaled": "41199edfa69a5243462b4ccc56edf09067e99396e8c890d5ad8f70c0bc0dabed",
     "pack10-sa-rescaled-alpha": "fc255c9056918cfced7f99a57f4477541c8fccc20f51aafdf3309a92481d51df",
-    "pack10-sa-rescaled-record-current": "7244a58cff17ce2650a6868032138557300aa6c3431bc7d8e5822495940b96d2",
-    "pack10-sa-rescaled-target-centered": "a2f89f046ee5d664e63f73a7e501f93822e4f86d168543b04062cef93348b910",
     "pack10-sa-target": "ff94896ffbdd41a5f0154d805e7324f9eb5a138c289796b51c3696d546e90ca2",
     "tour50-first-accept": "d8a69aabd60fab0349a6bf65d6a606c06d7c951723039b99f4300bd9d4c9560b",
     "tour50-first-accept-random-walk": "dcf415b52bef463fb010ed5fe5519f770cb13b9c949c793be33cb2874ee576b1",
     "tour50-sa-calibrated": "02f54de7fcad5790093c7158c547dcd47ba52f8c5b33cf8cc31920c0f80b05ba",
     "tour50-sa-fixed": "1445838f9a21c4c4fbd2d64cccad29da577af1ac63546f40fad2e34a6692697e",
-    "tour50-sa-fixed-record-current": "458355349d3e63e7d0aead7f8b1694725192ee5a72b689520a24777b1d97cc22",
     "tour50-sa-linear": "c1454cddf95dc648c3592759e94fe49bad3e3e8b8407718b2bb34d626c4eca27",
-    "tour50-sa-record-current": "7a854473478671a495f7ee0989cf57b4759634418226ad67789490d14276452f",
     "tour50-sa-rescaled": "fa2ac6af02baf20e87818f02f6120ed193d5c4d9c083e803da4b96fdecf17f9a",
     "tour50-sa-rescaled-alpha": "57938ccf677bab42f953af30cbb61b907e56a8ce656796558f883ffa2f1a58cb",
-    "tour50-sa-rescaled-record-current": "26b395a5fd44ff812243d0e352f1b2f8ce1f74188f88bb23a63d4356503a5908",
-    "tour50-sa-rescaled-target-centered": "7e37a4a3b9f599e82380611fde3b8270c7a18dd47262653f38a0423d1b99c154",
     "grid16-first-accept": "8ca8c793c3b71dda42b92d9fd4956b6447c4404f23ea446a9725718284b4343d",
     "grid16-first-accept-random-walk": "c1f386ea79cd06a587c6d3929ee9227f25c88b0b4df4ac343ecbe9224fa4ecc3",
     "grid16-sa-calibrated": "722a7210cc48723f4b40ee730765e197554e171e1cd93ecf8db06aa3a7db06c4",
