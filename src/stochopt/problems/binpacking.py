@@ -1,13 +1,30 @@
-"""One-dimensional bin packing with capacity-normalized item sizes.
+"""One-dimensional bin packing, its loads kept exact where they can be.
 
-Sizes are stored relative to capacity, so every bin holds 1.0 exactly.
-A solution assigns each item a bin id in 0..n-1 (n bins always suffice).
-Overfull bins are legal during search; the cost adds a penalty per unit
-of overflow large enough that any overfull packing costs more than any
+`sizes` holds each item's size relative to the capacity, so every bin
+holds 1.0; first fit and the exact search read it.  A solution assigns
+each item a bin id in 0..n-1 (n bins always suffice).  Overfull bins
+are legal during search; the cost adds a penalty per capacity of
+overflow large enough that any overfull packing costs more than any
 feasible one, which keeps local moves on a connected landscape.
 
-Fit checks use a 1e-9 relative slack so decimal size literals that sum
-to the capacity exactly in base ten still count as fitting.
+The cost is `open_bins + penalty * (overflow / cap)`, where `overflow`
+sums `max(load - cap, 0)` over the bins.  When every size and the
+capacity are whole numbers and the sizes total at most 2**53, `whole`
+is set and loads are kept in capacity units, with `cap` the capacity:
+every load and overflow is then an integer a float holds exactly,
+whatever order its items are added in (Martello & Toth 1990 count loads
+so).  Otherwise loads are fractions of the capacity, summed in item
+order, and `cap` is 1.0.
+
+An overflow below `FIT_SLACK * n * cap` counts as none, so decimal size
+literals that sum to the capacity exactly in base ten still fit; first
+fit and the exact search allow the same 1e-9 relative slack per bin.
+
+On whole-number loads `neighbors` costs each relocation and swap from
+the current loads and the two loads the move changes, exactly as `cost`
+costs the neighbour, and builds a neighbour only in `row(k)`.  Fraction
+loads depend on the order they are summed in, so there each neighbour
+is built as a row of an (M, n) block and costed through `cost_rows`.
 
 A sampled move works on the bin ids as a Python list.  When the items
 are not all in one bin it swaps with probability 1/2, two items drawn
@@ -44,6 +61,8 @@ from ..core import (
 
 FIT_SLACK = 1e-9
 PACKING_LIMIT = 12  # the most items `brute_force_packing` takes
+ROW_CHUNK = 2**16  # block entries `cost_rows` sums per `bincount`
+EXACT_TOTAL = 2**53  # up to this total, every sum of whole sizes is exact in a float
 
 
 class BinPackingInstance(Problem):
@@ -63,6 +82,11 @@ class BinPackingInstance(Problem):
         if np.any(self.sizes > 1.0 + FIT_SLACK):
             raise ValidationError("an item larger than the capacity can never be packed")
         self.n = raw.size
+        whole = float(capacity).is_integer() and np.array_equal(raw, np.floor(raw))
+        self.whole = whole and sum(map(int, raw.tolist())) <= EXACT_TOTAL
+        self.cap = float(capacity) if self.whole else 1.0
+        self._load_sizes = raw if self.whole else self.sizes
+        self._slack = FIT_SLACK * self.n * self.cap
         penalty = conform(Positive | None, penalty, "'penalty'")
         self.penalty = 10.0 * self.n if penalty is None else float(penalty)
         self.name = name
@@ -82,31 +106,39 @@ class BinPackingInstance(Problem):
         return a.astype(np.intp)
 
     def cost(self, assignment) -> float:
-        """Open-bin count plus penalty times total overflow."""
-        loads = np.bincount(assignment, weights=self.sizes, minlength=self.n)
+        """Open-bin count plus penalty times total overflow, in capacities."""
+        loads = np.bincount(assignment, weights=self._load_sizes, minlength=self.n)
         open_bins = int(np.count_nonzero(loads > 0))
-        overflow = float(np.add.reduce(np.maximum(loads - 1.0, 0.0)))
-        if overflow < FIT_SLACK * self.n:
+        overflow = float(np.add.reduce(np.maximum(loads - self.cap, 0.0)))
+        if overflow < self._slack:
             overflow = 0.0
-        return open_bins + self.penalty * overflow
+        return open_bins + self.penalty * (overflow / self.cap)
 
     def cost_rows(self, rows) -> list[float]:
         """`cost` of each assignment of an (M, n) block.
 
-        Each row's loads are summed in item order, as `bincount` sums one
-        assignment's.
+        One `bincount` per chunk of rows, flattened row by row, sums each
+        row's loads in item order, as `bincount` sums one assignment's;
+        chunks of `ROW_CHUNK` entries keep the sums' own arrays small.
         """
         rows = np.asarray(rows)
         m, n = rows.shape[0], self.n
-        loads = np.zeros((m, n))
-        flat, offsets = loads.reshape(-1), np.arange(m) * n
-        for column, size in enumerate(self.sizes):
-            flat[offsets + rows[:, column]] += size
-        open_bins = np.count_nonzero(loads > 0, axis=1)
-        loads -= 1.0
-        overflow = np.maximum(loads, 0.0, out=loads).sum(axis=1)
-        overflow[overflow < FIT_SLACK * n] = 0.0
-        return (open_bins + self.penalty * overflow).tolist()
+        step = max(1, min(m, ROW_CHUNK // n))
+        offsets, weights = np.arange(0, step * n, n)[:, None], np.tile(self._load_sizes, step)
+        open_bins, overflow = np.empty(m, dtype=np.intp), np.empty(m)
+        for start in range(0, m, step):
+            chunk = rows[start : start + step]
+            k = chunk.shape[0]
+            bins = (chunk + offsets[:k]).ravel()
+            loads = np.bincount(bins, weights=weights[: k * n], minlength=k * n).reshape(k, n)
+            open_bins[start : start + k] = np.count_nonzero(loads > 0, axis=1)
+            overflow[start : start + k] = np.maximum(loads - self.cap, 0.0).sum(axis=1)
+        return self._costs(open_bins, overflow)
+
+    def _costs(self, open_bins, overflow) -> list[float]:
+        """`cost`'s last steps, on arrays of open-bin counts and overflows."""
+        overflow[overflow < self._slack] = 0.0
+        return (open_bins + self.penalty * (overflow / self.cap)).tolist()
 
     def loads(self, assignment) -> np.ndarray:
         a = self.validate(assignment)
@@ -124,7 +156,11 @@ class BinPackingInstance(Problem):
         return targets
 
     def neighbors(self, solution) -> Neighborhood:
-        """Relocations item by item over `_targets`, then swaps i < j; costed by `cost_rows`."""
+        """Relocations item by item over `_targets`, then swaps i < j.
+
+        Whole-number loads cost each move from the two loads it changes;
+        fraction loads cost a row block through `cost_rows`.
+        """
         a = np.asarray(solution)
         n = self.n
         targets = np.array(self._targets(a.tolist()))
@@ -134,11 +170,28 @@ class BinPackingInstance(Problem):
         swapped = a[self._i] != a[self._j]
         i, j = self._i[swapped], self._j[swapped]
         relocations, m = item.size, item.size + i.size
-        rows = np.tile(a, (m, 1))
-        rows[np.arange(relocations), item] = dst
-        swaps = np.arange(relocations, m)
-        rows[swaps, i] = a[j]
-        rows[swaps, j] = a[i]
+        if self.whole:
+            costs = self._two_load_costs(a, item, dst, i, j)
+
+            def row(k):
+                r = a.copy()
+                if k < relocations:
+                    r[item[k]] = dst[k]
+                else:
+                    s, t = i[k - relocations], j[k - relocations]
+                    r[s], r[t] = a[t], a[s]
+                return r
+        else:
+            rows = np.tile(a, (m, 1))
+            rows[np.arange(relocations), item] = dst
+            swaps = np.arange(relocations, m)
+            rows[swaps, i] = a[j]
+            rows[swaps, j] = a[i]
+            costs = self.cost_rows(rows)
+
+            def row(k):
+                return rows[k].copy()
+
         none = np.full(relocations, -1)
 
         def label(k):
@@ -147,7 +200,7 @@ class BinPackingInstance(Problem):
             return ("swap", int(i[k - relocations]), int(j[k - relocations]))
 
         return Neighborhood(
-            costs=self.cost_rows(rows),
+            costs=costs,
             broken=np.concatenate((
                 np.stack((item * n + a[item], none), axis=1),
                 np.stack((i * n + a[i], j * n + a[j]), axis=1),
@@ -157,8 +210,35 @@ class BinPackingInstance(Problem):
                 np.stack((i * n + a[j], j * n + a[i]), axis=1),
             )),
             label=label,
-            row=lambda k: rows[k].copy(),
+            row=row,
         )
+
+    def _two_load_costs(self, a, item, dst, i, j) -> list[float]:
+        """`cost` of each relocation (item to dst) and swap (i with j) of `a`.
+
+        A move takes its bins b, c from loads[b], loads[c] to two new
+        loads; the open-bin count and overflow change by those two bins
+        alone.  On whole-number loads every term is an integer a float
+        holds exactly, and the old overflows come off before the new ones
+        go on, so no partial sum passes the total size: each cost equals
+        `cost` of the moved row bit for bit.
+        """
+        sizes, cap = self._load_sizes, self.cap
+        loads = np.bincount(a, weights=sizes, minlength=self.n)
+        over = np.maximum(loads - cap, 0.0)
+        shift = np.concatenate((sizes[item], sizes[i] - sizes[j]))
+        b = np.concatenate((a[item], a[i]))
+        c = np.concatenate((dst, a[j]))
+        new_b, new_c = loads[b] - shift, loads[c] + shift
+        open_bins = (
+            np.count_nonzero(loads > 0) - (loads[b] > 0) - (loads[c] > 0)
+            + (new_b > 0) + (new_c > 0)
+        )
+        overflow = (
+            float(np.add.reduce(over)) - over[b] - over[c]
+            + np.maximum(new_b - cap, 0.0) + np.maximum(new_c - cap, 0.0)
+        )
+        return self._costs(open_bins, overflow)
 
     def sample_move(self, solution, rng):
         n = self.n

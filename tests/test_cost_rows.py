@@ -74,7 +74,9 @@ def test_tour_rows_cost_as_cost_does(n, m, seed, layout):
 def test_packing_rows_cost_as_cost_does(n, integer, m, seed, layout):
     rng = seeded_rng(seed)
     if integer:  # whole sizes against a whole capacity, as in pack10.txt
-        problem = BinPackingInstance(rng.integers(1, 11, size=n), capacity=10)
+        capacity = int(rng.integers(2, 1000))
+        problem = BinPackingInstance(rng.integers(1, capacity + 1, size=n), capacity=capacity)
+        assert problem.whole and problem.cap == capacity
     else:
         problem = BinPackingInstance(rng.uniform(0.05, 1.0, size=n))
     # few bins, so overfull and exactly full bins both turn up

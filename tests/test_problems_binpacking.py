@@ -3,6 +3,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochopt import (
     BinPackingInstance,
@@ -11,7 +13,7 @@ from stochopt import (
     brute_force_packing,
     seeded_rng,
 )
-from stochopt.problems.binpacking import first_fit_decreasing
+from stochopt.problems.binpacking import EXACT_TOTAL, first_fit_decreasing
 
 from conftest import FIXTURES
 
@@ -61,6 +63,33 @@ def test_a_penalty_that_is_not_finite_and_positive_is_refused(penalty):
 def test_capacity_normalizes_sizes():
     inst = BinPackingInstance([4.0, 7.0, 3.0], capacity=10.0)
     np.testing.assert_allclose(inst.sizes, [0.4, 0.7, 0.3])
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 12), capacity=st.integers(2, 1000), seed=st.integers(0, 2**32 - 1))
+def test_a_whole_number_packing_costs_the_same_in_any_item_order(n, capacity, seed):
+    """Whole-number loads are exact, so no reordering of the items moves the cost."""
+    rng = seeded_rng(seed)
+    sizes = rng.integers(1, capacity + 1, size=n)
+    a = rng.integers(0, max(1, n // 3), size=n)  # overfull bins as well as full ones
+    order = rng.permutation(n)
+    inst = BinPackingInstance(sizes, capacity=capacity)
+    permuted = BinPackingInstance(sizes[order], capacity=capacity)
+    assert permuted.cost(a[order]).hex() == inst.cost(a).hex()
+
+
+def test_whole_number_loads_stay_exact_up_to_a_total_of_2_53():
+    """Past a total of 2**53 a float load could round, so the loads become fractions."""
+    half = EXACT_TOTAL // 2
+    at_limit = BinPackingInstance([half, half], capacity=half)
+    assert at_limit.whole and at_limit.cap == half
+    assert at_limit.cost([0, 0]) == 1.0 + at_limit.penalty
+    past = BinPackingInstance([half, half, 1], capacity=half)
+    assert not past.whole and past.cap == 1.0
+    for inst, a in ((at_limit, np.array([0, 1])), (past, np.array([0, 1, 1]))):
+        hood = inst.neighbors(a)
+        assert hood.window == 0.0
+        assert hood.costs == [inst.cost(hood.row(k)) for k in range(len(hood))]
 
 
 def test_instance_validation():
