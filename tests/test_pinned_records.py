@@ -79,6 +79,15 @@ The Hopfield cases cap their steps at a count that is no multiple of the
 the other (the textbook coefficients) settles on fixed points that are
 not tours.
 
+Nine `pack10` cases were re-pinned when packings with whole-number
+sizes and capacity came to keep their loads in capacity units, as exact
+integers: `pack10-tabu-memory`, `pack10-tabu-mid-neighbourhood` and
+the seven annealing cases `pack10-sa-{calibrated,fixed,linear,rescaled,
+rescaled-alpha,start,target}`.  Their costs had carried the rounding of
+fractional loads summed in item order.  The other `pack10` cases came
+out the same, and the `pack12` cases, whose sizes are fractions, must
+reproduce their digests bit for bit.
+
 The random-search and Hopfield digests, and those of the first-accept,
 steepest and annealing runs from an explicit `start` (given as a list,
 so `validate` turns it into the problem's array), were taken before
@@ -389,8 +398,8 @@ DIGESTS = {
     "pack10-steepest-restarts": "197d5e66c55b0e82c88fc138958673d3b1fe39e0deae9e8e388af5ebe68b2ee6",
     "pack10-tabu": "06716d3a469610c8439da935dc538e0d68fe8c077a2c841559e47c1bc5805d22",
     "pack10-tabu-aspiration-off": "5e004d7a653d4a7c000024e375ad691309469db07c0fc7f70fc55d2c3eee1dae",
-    "pack10-tabu-memory": "1dff151edd96ea663df8430e1f50f0e42b3662c37cc5fa4efc08f9c3440c36d7",
-    "pack10-tabu-mid-neighbourhood": "fa20e541e58c89f4f57b5f000b21f53d314fa68719a04dc403adfcedfe698680",
+    "pack10-tabu-memory": "7f1779cbbb390b91ee509be25278e12d6bb938ecd12f33662c328dbfac84763a",
+    "pack10-tabu-mid-neighbourhood": "f8ba3d17545f36911ef7f6ab0db2844cf5155ad1e4e4f6f165eda1d2193aec1c",
     "pack10-tabu-tenure0": "2904bcf8e2d1630daa39fa7440585424ddf87d675706a0e5380ee5bdad3fbd5e",
     "pack12-steepest": "0b3d6a3e4bff196d81e4f794a3a84c7490f0878168fa061e1baad749a3b69612",
     "pack12-steepest-restarts": "20c6123de56f7f299e01b6e8fc4d2a92491c0077fbde27b5a3cb7c89cd083aaa",
@@ -446,12 +455,12 @@ TRAJECTORY_DIGESTS = {
     "eight-sa-target": "3a4283fc88f09da9d3bfc87628478b0b816c44371b8010f4eafd408e1f33752e",
     "pack10-first-accept": "acbb80c501756621ddd9f8b3640282e823e3fc60fe3f6288e438f3e5a294bb09",
     "pack10-first-accept-random-walk": "d8ff9a4aebb3771edca54f4c2a9fdd12d76813626537a674a760a10fcb1188c1",
-    "pack10-sa-calibrated": "babfe5a7127cd7e9b1b59ff67a09a144b7060ad4b2c4bb68a15db5c984952fdb",
-    "pack10-sa-fixed": "a24e7448318db9c5bbec205f9f00ad9a6c9f0d470da5c8efec28e94805ec3ff0",
-    "pack10-sa-linear": "070a52d1ab61cb7819a188b1d5c0c4c6d146ba90cef0e480b61998e53df33dbc",
-    "pack10-sa-rescaled": "41199edfa69a5243462b4ccc56edf09067e99396e8c890d5ad8f70c0bc0dabed",
-    "pack10-sa-rescaled-alpha": "fc255c9056918cfced7f99a57f4477541c8fccc20f51aafdf3309a92481d51df",
-    "pack10-sa-target": "ff94896ffbdd41a5f0154d805e7324f9eb5a138c289796b51c3696d546e90ca2",
+    "pack10-sa-calibrated": "7df46746122e380e8acc144ba8c9b632ea3821f8200bbd47a4c6f86907e2d144",
+    "pack10-sa-fixed": "a6fc0afd3b5a0f8da45dfca690e2f3d29cf7f8704a66c1bfc9e96f9347c683e6",
+    "pack10-sa-linear": "bca9def7f594dea5ba326eb240a6c66147fa164496d6ff0a042408fbfc3c22ed",
+    "pack10-sa-rescaled": "16e95d5ac44bc9cc15a56a2316c876bd8d91b08deb88ff75ee31ea4a67b2958d",
+    "pack10-sa-rescaled-alpha": "36962f8496e99d1104d30246ba391ea0834fdd40674ea86f0dc4e41b59d0c050",
+    "pack10-sa-target": "7b3810ad656dbfd4c73ac0a07bcca94e254267d68da47f71a855fc750d767ccd",
     "tour50-first-accept": "d8a69aabd60fab0349a6bf65d6a606c06d7c951723039b99f4300bd9d4c9560b",
     "tour50-first-accept-random-walk": "dcf415b52bef463fb010ed5fe5519f770cb13b9c949c793be33cb2874ee576b1",
     "tour50-sa-calibrated": "02f54de7fcad5790093c7158c547dcd47ba52f8c5b33cf8cc31920c0f80b05ba",
@@ -464,7 +473,7 @@ TRAJECTORY_DIGESTS = {
     "grid16-sa-calibrated": "722a7210cc48723f4b40ee730765e197554e171e1cd93ecf8db06aa3a7db06c4",
     "grid16-sa-rescaled": "f4e2a3b2917c16a67f0404d36d54b3909023d90b885da2ab0e81b5b811b77489",
     "eight-first-accept-start": "116accc96088edf416d59ae2b42713ebf5cfd75fea366a838ab0dc0d4d538f5b",
-    "pack10-sa-start": "162de8e6c6ab2a0c734acd397c0ce83f70aa437145754abdc583290bee9ec361",
+    "pack10-sa-start": "420bdfee1c627c21a819167b7fdaf03961fce94ecae2ca7ca6d2cc042b6d0595",
     "tour50-sa-fixed-start": "abe67c55af9ad609bda556b1858c5c8aecf90562a35ea85a9d8d3895b07faef5",
     "rastrigin3-sa-calibrated": "ed284f476f35af63915adce5b01453c66d384210da8b3eb5c602d90f32d10ac2",
     "rastrigin3-sa-fixed": "d331dd39f4930095db3f591c173aeb9fc0e7699aace02248b55ad2eebba83fe0",
