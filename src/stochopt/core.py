@@ -318,11 +318,14 @@ class Neighborhood:
     `costs[k]` is the Python float cost of neighbor k, within `window` of
     its full `cost(row(k))`: tours cost a reversal from the four edges it
     changes, which can differ from the full sum in the last bits (see
-    `MOVE_TOLERANCE`); packings and state graphs cost their rows through
-    `Problem.cost_rows`, bit for bit, and have a zero window.  `row(k)`
-    builds neighbor k as a new object (the tour with slice i..j reversed,
-    a copy of a block row, a state id), so only the neighbors a decision
-    reads are ever built, and `exact(k)` gives it with its full cost.
+    `MOVE_TOLERANCE`).  Packings of whole-number sizes cost a relocation
+    or swap from the two bin loads it changes, exact integers; fractional
+    packings and state graphs cost their rows through
+    `Problem.cost_rows`.  These are bit for bit, with a zero window.
+    `row(k)` builds neighbor k as a new object (the tour with slice i..j
+    reversed, the assignment with one item moved or two swapped, a copy
+    of a block row, a state id), so only the neighbors a decision reads
+    are ever built, and `exact(k)` gives it with its full cost.
     `broken[k]` and `made[k]` are the integer atom ids the move to
     neighbor k consumes and creates (the city adjacencies a reversal
     breaks and makes, an (item, bin) pair, a labeled step on a state
@@ -687,10 +690,12 @@ class Problem:
     set of array operations, reading each row as C-ordered: numpy sums
     along the rows of a C-ordered block pairwise, as it sums one
     solution, but straight down the columns of a Fortran-ordered one,
-    which rounds differently once a row has 8 terms or more.  Packing and
-    state-graph `neighbors` cost their rows through it, and
-    `Run.evaluate_rows` each block a searcher draws; a tour neighborhood
-    costs each reversal as `move_cost` does.
+    which rounds differently once a row has 8 terms or more.  Fractional
+    packing and state-graph `neighbors` cost their rows through it, and
+    `Run.evaluate_rows` each block a searcher draws.  A tour
+    neighborhood costs each reversal as `move_cost` does, and a packing
+    of whole-number sizes each move from the two exact loads it changes;
+    neither builds a row it does not hand out.
     `random_solutions(rng, k)` draws such a block: by default k
     `random_solution` calls, so a new kind needs only `random_solution`;
     tours draw theirs in one `permuted` call.
