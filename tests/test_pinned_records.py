@@ -88,6 +88,12 @@ fractional loads summed in item order.  The other `pack10` cases came
 out the same, and the `pack12` cases, whose sizes are fractions, must
 reproduce their digests bit for bit.
 
+The two `pack12` annealing and first-accept cases were taken while a
+sampled packing move was the neighbour itself, a copied array costed by
+a full `bincount`.  Fractional loads depend on the order they are
+summed in, so a move there is still costed by `cost` of the built
+neighbour; whatever shape a move takes, these records must not change.
+
 The random-search and Hopfield digests, and those of the first-accept,
 steepest and annealing runs from an explicit `start` (given as a list,
 so `validate` turns it into the problem's array), were taken before
@@ -269,7 +275,8 @@ for _name, _budget in SIZED.items():
 
 # Per instance: a starting temperature near 10x its mean step, for the
 # fixed-start and linear schedules.
-T0 = {"eight": 300.0, "tour50": 2.0, "pack10": 20.0, "grid16": 14.0, "rastrigin3": 150.0}
+T0 = {"eight": 300.0, "tour50": 2.0, "pack10": 20.0, "grid16": 14.0, "rastrigin3": 150.0,
+      "pack12": 130.0}
 
 
 def _sa(budget, seed, target=None, schedule="calibrated", **kw):
@@ -325,6 +332,9 @@ TRAJECTORY_CASES["pack10-sa-start"] = ("pack10", _sa(4000, 13, start=[0] * 10))
 TRAJECTORY_CASES["tour50-sa-fixed-start"] = (
     "tour50", _sa(4000, 14, schedule="fixed", start=list(range(50)))
 )
+# Fractional sizes: each sampled move is costed by `cost` of the built neighbour.
+TRAJECTORY_CASES["pack12-sa-calibrated"] = ("pack12", TRAJECTORY["sa-calibrated"])
+TRAJECTORY_CASES["pack12-first-accept"] = ("pack12", TRAJECTORY["first-accept"])
 
 
 
@@ -478,6 +488,8 @@ TRAJECTORY_DIGESTS = {
     "rastrigin3-sa-calibrated": "ed284f476f35af63915adce5b01453c66d384210da8b3eb5c602d90f32d10ac2",
     "rastrigin3-sa-fixed": "d331dd39f4930095db3f591c173aeb9fc0e7699aace02248b55ad2eebba83fe0",
     "rastrigin3-first-accept": "7b5c8d791733cdca18e673028676b1ecdfd3efecdab738cba839139cea836443",
+    "pack12-sa-calibrated": "a01c3477b0549136b22682eaa2e087378a3ebbc9a44f7fa1a6b5b3992e995619",
+    "pack12-first-accept": "092fdd325143c1e4a101b90789685abe8e168ea24b7f62fe8435fb6ed8550dec",
 }
 
 
