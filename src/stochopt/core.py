@@ -676,11 +676,15 @@ class Problem:
     that solution as a new object; `sample_neighbor` is `apply` of a
     drawn move.  By default a move is the sampled neighbor itself, which
     `move_cost` costs with `cost` and `apply` returns, so a kind that
-    draws whole neighbors writes only `sample_move`.  `TspInstance`
-    overrides all three: a move is a reversal (i, j), costed from the
-    four edges it changes and built only when a search keeps it.  Such
-    a cost may differ from `cost` by rounding, which `Run.evaluate_move`
-    allows for within `MOVE_TOLERANCE` of the largest cost carried.
+    draws whole neighbors writes only `sample_move`.  Two kinds override
+    all three.  A `TspInstance` move is a reversal (i, j), costed from
+    the four edges it changes and built only when a search keeps it;
+    such a cost may differ from `cost` by rounding, which
+    `Run.evaluate_move` allows for within `MOVE_TOLERANCE` of the
+    largest cost carried.  A `BinPackingInstance` move names the items
+    that change bins, the two bins and the size that shifts between
+    them; on whole-number loads it is costed from the two loads it
+    changes, exactly `cost` of the packing `apply` builds.
 
     `cost_rows(rows)` is the batched twin of `cost`: one Python float
     per solution in `rows`, with `cost_rows(rows)[k] == cost(rows[k])`

@@ -26,18 +26,34 @@ costs the neighbour, and builds a neighbour only in `row(k)`.  Fraction
 loads depend on the order they are summed in, so there each neighbour
 is built as a row of an (M, n) block and costed through `cost_rows`.
 
-A sampled move works on the bin ids as a Python list.  When the items
-are not all in one bin it swaps with probability 1/2, two items drawn
-by two scalar `rng.integers(n)` calls until they sit in different bins;
-otherwise it relocates one item to another of its targets, the used
-bins in order and then the first empty bin, the targets `neighbors`
-relocates over too.  numpy draws each bounded value from the bit
-generator's own buffered 32-bit stream, so the two scalar draws give
-the values and leave the state of one `integers(0, n, size=2)` draw,
-and cost less than it.  Annealing and first-accept hill climbing pass a
-`core.ScalarDraws` as `rng`, which decodes these draws from PCG64's raw
-words by numpy's definitions and buffers the 32-bit halves the same
-way, so the values and the state stay those of numpy's calls.
+A sampled move is a tuple (item, other, source, target, shift): `item`
+leaves bin `source` for `target`, `other` (None for a relocation) goes
+the other way, and `shift` is the load that passes from source to
+target.  When more than one bin is in use it swaps with probability
+1/2, two items drawn by two scalar `rng.integers(n)` calls until they
+sit in different bins; otherwise it relocates one item to another of
+its targets, the used bins in order and then the first empty bin, the
+targets `neighbors` relocates over too.  numpy draws each bounded value
+from the bit generator's own buffered 32-bit stream, so the two scalar
+draws give the values and leave the state of one `integers(0, n,
+size=2)` draw, and cost less than it.  Annealing and first-accept hill
+climbing pass a `core.ScalarDraws` as `rng`, which decodes these draws
+from PCG64's raw words by numpy's definitions and buffers the 32-bit
+halves the same way, so the values and the state stay those of numpy's
+calls.
+
+`apply` builds the packing a move leads to as one fresh read-only
+array.  On whole-number loads `move_cost` costs the move from the
+current loads and the two loads it changes, as `neighbors` does, bit
+for bit `cost` of that packing; on fraction loads it costs the built
+packing.  The loads, open-bin count and overflow of the packing `apply`
+built last are held in a one-entry memo, keyed by the array's identity,
+and `apply` carries them forward from the two loads the move changes,
+reusing the open-bin count and overflow `move_cost` just gave the same
+move.  The memo trusts only that read-only array; any other input (a
+list, a copy, a writeable array) is summed afresh, so no cost it gives
+is stale.  A search that builds a move twice, once to check it and once
+to keep it, sums the second build's source afresh.
 
 Atoms are (item, bin) pairs with id item * n + bin, so ids lie in
 0..n*n - 1.  A relocation breaks (item, source) and makes (item,
@@ -46,6 +62,8 @@ makes (i, bin_j) and (j, bin_i).
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -91,7 +109,14 @@ class BinPackingInstance(Problem):
         self.penalty = 10.0 * self.n if penalty is None else float(penalty)
         self.name = name
         self.atom_count = self.n * self.n
-        self._i, self._j = np.triu_indices(self.n, 1)  # swap pairs i < j in row order
+        self._sizes = self._load_sizes.tolist()  # the sizes a move shifts, as Python floats
+        self._held = None  # (array `apply` built, its loads as a list, open bins, overflow)
+        self._priced = None  # (the held entry, a move, open bins and overflow after it)
+
+    @cached_property
+    def _pairs(self):
+        """The swap pairs i < j in row order, built on the first `neighbors` call."""
+        return np.triu_indices(self.n, 1)
 
     def validate(self, solution) -> np.ndarray:
         a = np.asarray(solution)
@@ -107,9 +132,17 @@ class BinPackingInstance(Problem):
 
     def cost(self, assignment) -> float:
         """Open-bin count plus penalty times total overflow, in capacities."""
+        _, open_bins, overflow = self._summed(assignment)
+        return self._cost(open_bins, overflow)
+
+    def _summed(self, assignment):
+        """(loads, open-bin count, overflow) of an assignment, summed afresh."""
         loads = np.bincount(assignment, weights=self._load_sizes, minlength=self.n)
         open_bins = int(np.count_nonzero(loads > 0))
-        overflow = float(np.add.reduce(np.maximum(loads - self.cap, 0.0)))
+        return loads, open_bins, float(np.add.reduce(np.maximum(loads - self.cap, 0.0)))
+
+    def _cost(self, open_bins, overflow) -> float:
+        """`cost` from an open-bin count and an overflow in load units."""
         if overflow < self._slack:
             overflow = 0.0
         return open_bins + self.penalty * (overflow / self.cap)
@@ -147,12 +180,11 @@ class BinPackingInstance(Problem):
     def random_solution(self, rng) -> np.ndarray:
         return rng.integers(0, self.n, size=self.n)
 
-    def _targets(self, bins: list[int]) -> list[int]:
+    def _targets(self, loads: list[float]) -> list[int]:
         """The used bins in order, then the first empty one (one fresh bin is always enough)."""
-        used = set(bins)
-        targets = sorted(used)
+        targets = [b for b, load in enumerate(loads) if load]
         if len(targets) < self.n:
-            targets.append(next(b for b in range(self.n) if b not in used))
+            targets.append(loads.index(0.0))
         return targets
 
     def neighbors(self, solution) -> Neighborhood:
@@ -163,15 +195,17 @@ class BinPackingInstance(Problem):
         """
         a = np.asarray(solution)
         n = self.n
-        targets = np.array(self._targets(a.tolist()))
+        loads, open_bins, overflow = self._summed(a)
+        targets = np.array(self._targets(loads.tolist()))
         item, dst = np.repeat(np.arange(n), targets.size), np.tile(targets, n)
         moved = dst != a[item]
         item, dst = item[moved], dst[moved]
-        swapped = a[self._i] != a[self._j]
-        i, j = self._i[swapped], self._j[swapped]
+        pair_i, pair_j = self._pairs
+        swapped = a[pair_i] != a[pair_j]
+        i, j = pair_i[swapped], pair_j[swapped]
         relocations, m = item.size, item.size + i.size
         if self.whole:
-            costs = self._two_load_costs(a, item, dst, i, j)
+            costs = self._two_load_costs(a, loads, open_bins, overflow, item, dst, i, j)
 
             def row(k):
                 r = a.copy()
@@ -213,52 +247,122 @@ class BinPackingInstance(Problem):
             row=row,
         )
 
-    def _two_load_costs(self, a, item, dst, i, j) -> list[float]:
-        """`cost` of each relocation (item to dst) and swap (i with j) of `a`.
+    def _two_load_costs(self, a, loads, open_bins, overflow, item, dst, i, j) -> list[float]:
+        """`cost` of each relocation (item to dst) and swap (i with j) of `a`,
+        whose loads, open-bin count and overflow are given.
 
         A move takes its bins b, c from loads[b], loads[c] to two new
         loads; the open-bin count and overflow change by those two bins
         alone.  On whole-number loads every term is an integer a float
         holds exactly, and the old overflows come off before the new ones
         go on, so no partial sum passes the total size: each cost equals
-        `cost` of the moved row bit for bit.
+        `cost` of the moved row bit for bit.  `_moved` does the same sums
+        for one sampled move.
         """
         sizes, cap = self._load_sizes, self.cap
-        loads = np.bincount(a, weights=sizes, minlength=self.n)
-        over = np.maximum(loads - cap, 0.0)
         shift = np.concatenate((sizes[item], sizes[i] - sizes[j]))
         b = np.concatenate((a[item], a[i]))
         c = np.concatenate((dst, a[j]))
-        new_b, new_c = loads[b] - shift, loads[c] + shift
-        open_bins = (
-            np.count_nonzero(loads > 0) - (loads[b] > 0) - (loads[c] > 0)
-            + (new_b > 0) + (new_c > 0)
-        )
+        old_b, old_c = loads[b], loads[c]
+        new_b, new_c = old_b - shift, old_c + shift
+        open_bins = open_bins - (old_b > 0) - (old_c > 0) + (new_b > 0) + (new_c > 0)
         overflow = (
-            float(np.add.reduce(over)) - over[b] - over[c]
+            overflow - np.maximum(old_b - cap, 0.0) - np.maximum(old_c - cap, 0.0)
             + np.maximum(new_b - cap, 0.0) + np.maximum(new_c - cap, 0.0)
         )
         return self._costs(open_bins, overflow)
 
+    def _state(self, solution):
+        """(bin ids as an array, loads as a list, open-bin count, overflow) of `solution`.
+
+        The memo's entry if `solution` is the read-only array `apply` built
+        last; any other input, a list, a copy or a writeable array, is
+        summed afresh.
+        """
+        held = self._held
+        if held is not None and solution is held[0] and not solution.flags.writeable:
+            return held
+        a = np.asarray(solution)
+        loads, open_bins, overflow = self._summed(a)
+        return a, loads.tolist(), open_bins, overflow
+
+    def _moved(self, state, move) -> tuple[int, float]:
+        """Open-bin count and overflow after `move`, from the two loads it changes.
+
+        `_two_load_costs`' sums, term for term, for one move."""
+        _, loads, open_bins, overflow = state
+        b, c, shift, cap = move[2], move[3], move[4], self.cap
+        old_b, old_c = loads[b], loads[c]
+        new_b, new_c = old_b - shift, old_c + shift
+        open_bins = open_bins - (old_b > 0) - (old_c > 0) + (new_b > 0) + (new_c > 0)
+        overflow = (
+            overflow - (old_b - cap if old_b > cap else 0.0)
+            - (old_c - cap if old_c > cap else 0.0)
+            + (new_b - cap if new_b > cap else 0.0) + (new_c - cap if new_c > cap else 0.0)
+        )
+        return open_bins, overflow
+
     def sample_move(self, solution, rng):
+        """A swap of two items in different bins, or a relocation of one item.
+
+        The move is (item, other, source, target, shift): `item` leaves bin
+        `source` for `target`, `other` (None for a relocation) goes the
+        other way, and `shift` is the load that passes from source to
+        target.
+        """
         n = self.n
         if n == 1:
             raise NoNeighborError("a single item has no other bin to move to")
-        a = np.asarray(solution)
-        bins = a.tolist()
-        nxt = a.copy()
-        if bins.count(bins[0]) < n and rng.random() < 0.5:
+        a, loads, open_bins, _ = self._state(solution)
+        sizes = self._sizes
+        if open_bins > 1 and rng.random() < 0.5:
             while True:  # the values and state of `integers(0, n, size=2)`, drawn cheaper
                 i, j = int(rng.integers(n)), int(rng.integers(n))
-                if bins[i] != bins[j]:
-                    break
-            nxt[i], nxt[j] = bins[j], bins[i]
-            return nxt
+                b, c = a.item(i), a.item(j)
+                if b != c:
+                    return i, j, b, c, sizes[i] - sizes[j]
         item = int(rng.integers(n))
-        targets = self._targets(bins)
-        targets.remove(bins[item])
-        nxt[item] = targets[int(rng.integers(len(targets)))]
-        return nxt
+        b = a.item(item)
+        targets = self._targets(loads)
+        targets.remove(b)
+        return item, None, b, targets[int(rng.integers(len(targets)))], sizes[item]
+
+    def move_cost(self, solution, f: float, move) -> float:
+        """`cost(apply(solution, move))`: on whole-number loads from the
+        two loads the move changes, otherwise by building the packing."""
+        if not self.whole:
+            return self.cost(self.apply(solution, move))
+        state = self._state(solution)
+        open_bins, overflow = self._moved(state, move)
+        if state is self._held:
+            self._priced = (state, move, open_bins, overflow)
+        return self._cost(open_bins, overflow)
+
+    def apply(self, solution, move) -> np.ndarray:
+        """The packing `move` leads to, as one fresh read-only array.
+
+        On whole-number loads it becomes the memo's entry, its loads
+        carried from `solution`'s by the two the move changes, and its
+        open-bin count and overflow those `move_cost` gave the same move.
+        """
+        item, other, b, c, shift = move
+        out = np.array(solution)
+        out[item] = c
+        if other is not None:
+            out[other] = b
+        out.setflags(write=False)
+        if self.whole:
+            state = self._state(solution)
+            priced = self._priced
+            if priced is not None and priced[0] is state and priced[1] is move:
+                open_bins, overflow = priced[2], priced[3]
+            else:
+                open_bins, overflow = self._moved(state, move)
+            loads = state[1].copy()
+            loads[b] -= shift
+            loads[c] += shift
+            self._held = (out, loads, open_bins, overflow)
+        return out
 
     def solution_attributes(self, solution) -> np.ndarray:
         return np.arange(self.n) * self.n + np.asarray(solution)

@@ -1,11 +1,13 @@
 """Sampled moves against the array-based forms they replaced.
 
-Packings draw their moves on a Python list of bin ids, with the swap
-pair drawn as two scalar `integers(n)` calls, and a tour reversal is
-written into one copy straight from the source.  The references below
-are the earlier ndarray forms, kept here verbatim: each rewritten method
-must give the same neighbour, leave the generator in the same state and
-cost bit for bit the same, so every record stays byte-identical.
+Packings draw a small move (the items that change bins, the two bins and
+the size that shifts between them) from the loads they hold, with the
+swap pair drawn as two scalar `integers(n)` calls, and `apply` builds the
+neighbour; a tour reversal is written into one copy straight from the
+source.  The references below are the earlier ndarray forms, kept here
+verbatim: each rewritten method must give the same neighbour, leave the
+generator in the same state and cost bit for bit the same, so every
+record stays byte-identical.
 """
 
 import numpy as np
@@ -74,13 +76,19 @@ def _reference_tour_cost(self, tour):
 
 
 class _ReferenceTargets(BinPackingInstance):
-    _targets = _reference_targets
+    def _targets(self, loads):
+        """The reference, on an assignment that uses the bins `loads` marks as used."""
+        return _reference_targets(self, np.flatnonzero(loads))
 
 
-def _packing(n, seed, layout, decimal):
+def _packing(n, seed, layout, sizes):
     rng = seeded_rng(seed)
-    sizes = rng.integers(1, 10, size=n) / 10 if decimal else rng.uniform(0.05, 1.0, size=n)
-    problem = BinPackingInstance(sizes)
+    if sizes == "whole":
+        problem = BinPackingInstance(rng.integers(1, 10, size=n), capacity=10)
+    elif sizes == "decimal":
+        problem = BinPackingInstance(rng.integers(1, 10, size=n) / 10)
+    else:
+        problem = BinPackingInstance(rng.uniform(0.05, 1.0, size=n))
     if layout == "one_bin":
         a = np.full(n, int(rng.integers(n)))
     elif layout == "distinct":
@@ -111,17 +119,22 @@ def test_a_size_two_draw_equals_two_scalar_draws(n, seed, steps):
     assert pairs.bit_generator.state == scalars.bit_generator.state
 
 
+SIZES = st.sampled_from(["uniform", "decimal", "whole"])
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     n=st.integers(1, 12),
     seed=st.integers(0, 2**32 - 1),
     draws=st.integers(0, 2**32 - 1),
     layout=st.sampled_from(["random", "one_bin", "distinct"]),
-    decimal=st.booleans(),
+    sizes=SIZES,
     as_list=st.booleans(),
 )
-def test_packing_moves_match_the_reference(n, seed, draws, layout, decimal, as_list):
-    problem, a = _packing(n, seed, layout, decimal)
+def test_packing_moves_match_the_reference(n, seed, draws, layout, sizes, as_list):
+    """`apply` of a sampled move is the reference's neighbour, drawn with the
+    same values and state, and `move_cost` is `cost` of it bit for bit."""
+    problem, a = _packing(n, seed, layout, sizes)
     new, old = seeded_rng(draws), seeded_rng(draws)
     if n == 1:
         with pytest.raises(NoNeighborError):
@@ -131,14 +144,18 @@ def test_packing_moves_match_the_reference(n, seed, draws, layout, decimal, as_l
     for _ in range(20):  # a chain, so each step starts from a drawn neighbour
         solution = current.tolist() if as_list else current
         kept = np.array(current)
-        nxt = problem.sample_move(solution, new)
+        move = problem.sample_move(solution, new)
+        f_move = problem.move_cost(solution, problem.cost(np.asarray(solution)), move)
+        nxt = problem.apply(solution, move)
         expected = _reference_sample_move(problem, solution, old)
         assert type(nxt) is np.ndarray and nxt.dtype == expected.dtype
         assert nxt.tolist() == expected.tolist()
         assert new.bit_generator.state == old.bit_generator.state
         assert np.array_equal(np.asarray(solution), kept)  # the input is untouched
         assert not np.shares_memory(nxt, current)
-        assert problem.cost(nxt).hex() == _reference_packing_cost(problem, nxt).hex()
+        assert f_move.hex() == problem.cost(nxt).hex()
+        if not problem.whole:
+            assert problem.cost(nxt).hex() == _reference_packing_cost(problem, nxt).hex()
         current = nxt
 
 
@@ -150,8 +167,9 @@ def test_packing_moves_match_the_reference(n, seed, draws, layout, decimal, as_l
     decimal=st.booleans(),
 )
 def test_packing_targets_and_neighbors_match_the_reference(n, seed, layout, decimal):
-    problem, a = _packing(n, seed, layout, decimal)
-    assert problem._targets(a.tolist()) == _reference_targets(problem, a)
+    problem, a = _packing(n, seed, layout, "decimal" if decimal else "uniform")
+    loads = np.bincount(a, weights=problem.sizes, minlength=n)
+    assert problem._targets(loads.tolist()) == _reference_targets(problem, a)
     reference = _ReferenceTargets(problem.sizes)
     hood, expected = problem.neighbors(a), reference.neighbors(a)
     assert [hood.row(k).tolist() for k in range(len(hood))] == [
