@@ -263,11 +263,11 @@ class BinPackingInstance(Problem):
         shift = np.concatenate((sizes[item], sizes[i] - sizes[j]))
         b = np.concatenate((a[item], a[i]))
         c = np.concatenate((dst, a[j]))
-        old_b, old_c = loads[b], loads[c]
-        new_b, new_c = old_b - shift, old_c + shift
-        open_bins = open_bins - (old_b > 0) - (old_c > 0) + (new_b > 0) + (new_c > 0)
+        over = np.maximum(loads - cap, 0.0)
+        new_b, new_c = loads[b] - shift, loads[c] + shift
+        open_bins = open_bins - (loads[b] > 0) - (loads[c] > 0) + (new_b > 0) + (new_c > 0)
         overflow = (
-            overflow - np.maximum(old_b - cap, 0.0) - np.maximum(old_c - cap, 0.0)
+            overflow - over[b] - over[c]
             + np.maximum(new_b - cap, 0.0) + np.maximum(new_c - cap, 0.0)
         )
         return self._costs(open_bins, overflow)
