@@ -93,6 +93,12 @@ sampled packing move was the neighbour itself, a copied array costed by
 a full `bincount`.  Fractional loads depend on the order they are
 summed in, so a move there is still costed by `cost` of the built
 neighbour; whatever shape a move takes, these records must not change.
+`pack12-first-accept-random-walk`, which keeps every move and so sums a
+fractional packing afresh at each step, and the two `cube` annealing and
+random-walk cases, whose chain state is the solution itself, were taken
+while a packing held its current loads in a memo on the instance and the
+searchers walked bare solutions; a chain state the searcher carries must
+reproduce them bit for bit.
 
 The random-search and Hopfield digests, and those of the first-accept,
 steepest and annealing runs from an explicit `start` (given as a list,
@@ -281,15 +287,15 @@ T0 = {"eight": 300.0, "tour50": 2.0, "pack10": 20.0, "grid16": 14.0, "rastrigin3
 
 def _sa(budget, seed, target=None, schedule="calibrated", **kw):
     def run(problem, instance):
-        t0 = T0[instance]
-        cooling = {
-            "calibrated": None,
-            "fixed": CoolingSchedule(t0=t0, steps_per_temperature=50),
-            "linear": CoolingSchedule(
+        cooling = None
+        if schedule == "fixed":
+            cooling = CoolingSchedule(t0=T0[instance], steps_per_temperature=50)
+        elif schedule == "linear":
+            t0 = T0[instance]
+            cooling = CoolingSchedule(
                 kind="linear", t0=t0, decrement=t0 / 80, t_floor=t0 / 1000,
                 steps_per_temperature=50,
-            ),
-        }[schedule]
+            )
         return simulated_annealing(problem, Budget(budget, target), seed, cooling, **kw)
 
     return run
@@ -335,6 +341,13 @@ TRAJECTORY_CASES["tour50-sa-fixed-start"] = (
 # Fractional sizes: each sampled move is costed by `cost` of the built neighbour.
 TRAJECTORY_CASES["pack12-sa-calibrated"] = ("pack12", TRAJECTORY["sa-calibrated"])
 TRAJECTORY_CASES["pack12-first-accept"] = ("pack12", TRAJECTORY["first-accept"])
+# Every step of a random walk keeps its move, so a fractional chain is re-summed each step.
+TRAJECTORY_CASES["pack12-first-accept-random-walk"] = (
+    "pack12", TRAJECTORY["first-accept-random-walk"]
+)
+# A state graph draws whole neighbours: its chain state is the state id itself.
+for name in ("sa-calibrated", "first-accept-random-walk"):
+    TRAJECTORY_CASES[f"cube-{name}"] = ("cube", TRAJECTORY[name])
 
 
 
@@ -490,6 +503,9 @@ TRAJECTORY_DIGESTS = {
     "rastrigin3-first-accept": "7b5c8d791733cdca18e673028676b1ecdfd3efecdab738cba839139cea836443",
     "pack12-sa-calibrated": "a01c3477b0549136b22682eaa2e087378a3ebbc9a44f7fa1a6b5b3992e995619",
     "pack12-first-accept": "092fdd325143c1e4a101b90789685abe8e168ea24b7f62fe8435fb6ed8550dec",
+    "pack12-first-accept-random-walk": "cccdc890d599a08f0299d4a419331d74f8ba2f212d0f24b478a99112e2c95dea",
+    "cube-sa-calibrated": "f82601260ef1a2361279cefebe86fef4c0e0799435dc89e3e8052666cf50fbef",
+    "cube-first-accept-random-walk": "e93529b54417a3299a002404f7a87ad324fb833a24cd3f16f241b98f633df453",
 }
 
 
