@@ -124,6 +124,7 @@ def simulated_annealing(
         if schedule.t0 is None:
             t0, current, f_current = calibrate_t0(problem, run, current, f_current)
             schedule = replace(schedule, t0=t0)
+        state = problem.chain(current)
 
         step_index = 0
         uphill_proposed = 0
@@ -144,8 +145,8 @@ def simulated_annealing(
             for _ in range(schedule.steps_per_temperature):
                 if run.finished:
                     break
-                move = problem.sample_move(current, run.rng)
-                f_candidate = run.evaluate_move(current, f_current, move)
+                move = problem.sample_move(state, run.rng)
+                f_candidate, built = run.evaluate_move(state, f_current, move)
                 raw_delta = f_candidate - f_current
                 if rescaled:
                     e_t = alpha * temperature * temperature
@@ -159,7 +160,7 @@ def simulated_annealing(
                 if metropolis_accept(delta, temperature, run.rng):
                     if raw_delta > 0:
                         uphill_accepted += 1
-                    current, f_current = problem.apply(current, move), f_candidate
+                    state, f_current = problem.advance(state, move, built), f_candidate
             step_index += 1
 
     extras = {

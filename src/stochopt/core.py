@@ -549,8 +549,8 @@ class Run:
                 self.evaluations_to_success = self.evaluations
         return value
 
-    def evaluate_move(self, solution, f: float, move) -> float:
-        """Count one sampled move from `solution`, whose cost is `f`.
+    def evaluate_move(self, state, f: float, move) -> tuple[float, Any]:
+        """Count one sampled move from chain state `state`, whose cost is `f`.
 
         The move is costed by `Problem.move_cost`, which may reach the
         candidate's cost from `f` without building it.  A cost carried
@@ -563,19 +563,21 @@ class Run:
         so improvements are decided, checked and recorded on full costs
         as `evaluate` would; a `move_cost` farther than the window from
         that cost raises `ValidationError`.  Returns the value the
-        candidate was counted at.  The count goes through `evaluate`,
-        one call per candidate.
+        candidate was counted at and the candidate if it was built (else
+        None), which a searcher that keeps the move hands to
+        `Problem.advance`.  One `evaluate` call counts the candidate.
         """
         problem = self.problem
-        value = problem.move_cost(solution, f, move)
+        value = problem.move_cost(state, f, move)
         scale = self._cost_scale
         if abs(f) > scale or abs(value) > scale:
             scale = self._cost_scale = max(scale, abs(f), abs(value))
         tolerance = MOVE_TOLERANCE * scale
         if not value < self.best_fitness + tolerance:
-            return self.evaluate(None, value)  # cannot improve: the solution is not read
-        candidate = problem.apply(solution, move)
-        return self.evaluate(candidate, _checked(problem.cost(candidate), value, tolerance))
+            return self.evaluate(None, value), None  # cannot improve: the solution is not read
+        candidate = problem.apply(state, move)
+        value = self.evaluate(candidate, _checked(problem.cost(candidate), value, tolerance))
+        return value, candidate
 
     def evaluate_batch(self, costs, exact: Callable[[int], tuple], window: float = 0.0) -> int:
         """Count candidates 0, 1, ... at `costs`, in order, until the run finishes.
@@ -670,21 +672,24 @@ class Problem:
     space both use; tabu memories are arrays indexed by atom id.
     Continuous landscapes raise UnsupportedOperationError in `neighbors`.
 
-    Sampled search moves through three methods.  `sample_move` draws a
-    move, `move_cost(solution, f, move)` gives the cost of the solution
-    the move leads to, given `f = cost(solution)`, and `apply` builds
-    that solution as a new object; `sample_neighbor` is `apply` of a
-    drawn move.  By default a move is the sampled neighbor itself, which
-    `move_cost` costs with `cost` and `apply` returns, so a kind that
-    draws whole neighbors writes only `sample_move`.  Two kinds override
-    all three.  A `TspInstance` move is a reversal (i, j), costed from
-    the four edges it changes and built only when a search keeps it;
-    such a cost may differ from `cost` by rounding, which
-    `Run.evaluate_move` allows for within `MOVE_TOLERANCE` of the
-    largest cost carried.  A `BinPackingInstance` move names the items
-    that change bins, the two bins and the size that shifts between
-    them; on whole-number loads it is costed from the two loads it
-    changes, exactly `cost` of the packing `apply` builds.
+    Sampled search walks a chain whose state the searcher carries:
+    `chain(solution)` gives a solution's state, `sample_move` draws a
+    move from it, `move_cost(state, f, move)` costs the solution the
+    move leads to, given `f`, the cost of the state's solution, `apply`
+    builds that solution as a new object, and `advance(state, move,
+    built)` gives its state, taking `built` if a search built it already.
+    By default the state is the solution and a move is the sampled
+    neighbor itself, which `move_cost` costs with `cost` and `apply` and
+    `advance` return, so a kind that draws whole neighbors writes only
+    `sample_move`; `sample_neighbor` is `apply` of a drawn move.  A
+    `TspInstance` move is a reversal (i, j), costed from the four edges
+    it changes and built only when a search keeps it; such a cost may
+    differ from `cost` by rounding, which `Run.evaluate_move` allows for
+    within `MOVE_TOLERANCE` of the largest cost carried.  A
+    `BinPackingInstance` state holds the loads too, and a move names the
+    items that change bins, the two bins and the size that shifts; on
+    whole-number loads it is costed and carried from the two loads it
+    changes, exactly as a fresh sum.
 
     `cost_rows(rows)` is the batched twin of `cost`: one Python float
     per solution in `rows`, with `cost_rows(rows)[k] == cost(rows[k])`
@@ -760,15 +765,25 @@ class Problem:
 
     def sample_neighbor(self, solution, rng: np.random.Generator):
         """The neighbor a drawn move leads to, as a new object."""
-        return self.apply(solution, self.sample_move(solution, rng))
+        state = self.chain(solution)
+        return self.apply(state, self.sample_move(state, rng))
 
-    def move_cost(self, solution, f: float, move) -> float:
-        """Cost of `apply(solution, move)`, given `f = cost(solution)`."""
+    def chain(self, solution):
+        """The state a sampled search carries for `solution`: by default the solution."""
+        return solution
+
+    def move_cost(self, state, f: float, move) -> float:
+        """Cost of `apply(state, move)`, given `f`, the cost of the state's solution."""
         return self.cost(move)
 
-    def apply(self, solution, move):
-        """The solution a move leads to, as a new object; `solution` is untouched."""
+    def apply(self, state, move):
+        """The solution a move leads to, as a new object; `state` is untouched."""
         return move
+
+    def advance(self, state, move, built=None):
+        """The state after `move`, given `built`, the solution `apply(state, move)`
+        built already, or None; `state` is untouched."""
+        return self.apply(state, move) if built is None else built
 
     def neighbors(self, solution) -> Neighborhood:
         """The full neighborhood, costed, in a fixed order."""

@@ -51,12 +51,13 @@ def hill_climb_first_accept(
 ) -> RunRecord:
     run = Run(problem, budget, seed, "hill_climb")
     current, f_current = run.start(start)
+    state = problem.chain(current)
     with run.scalar_draws():
         while not run.finished:
-            move = problem.sample_move(current, run.rng)
-            f_candidate = run.evaluate_move(current, f_current, move)
+            move = problem.sample_move(state, run.rng)
+            f_candidate, built = run.evaluate_move(state, f_current, move)
             if random_walk or f_candidate <= f_current:
-                current, f_current = problem.apply(current, move), f_candidate
+                state, f_current = problem.advance(state, move, built), f_candidate
     return run.record(extras={"random_walk": random_walk})
 
 

@@ -42,18 +42,15 @@ from PCG64's raw words by numpy's definitions and buffers the 32-bit
 halves the same way, so the values and the state stay those of numpy's
 calls.
 
-`apply` builds the packing a move leads to as one fresh read-only
-array.  On whole-number loads `move_cost` costs the move from the
-current loads and the two loads it changes, as `neighbors` does, bit
-for bit `cost` of that packing; on fraction loads it costs the built
-packing.  The loads, open-bin count and overflow of the packing `apply`
-built last are held in a one-entry memo, keyed by the array's identity,
-and `apply` carries them forward from the two loads the move changes,
-reusing the open-bin count and overflow `move_cost` just gave the same
-move.  The memo trusts only that read-only array; any other input (a
-list, a copy, a writeable array) is summed afresh, so no cost it gives
-is stale.  A search that builds a move twice, once to check it and once
-to keep it, sums the second build's source afresh.
+A sampled search carries `chain`'s state: the packing as an array, its
+loads as a list, its open-bin count and its overflow, summed once.
+`sample_move`, `move_cost` and `apply` read that state, and `apply`
+builds the packing a move leads to as one fresh array.  On whole-number
+loads `move_cost` costs the move from the current loads and the two
+loads it changes, as `neighbors` does, bit for bit `cost` of that
+packing, and `advance` carries the loads, open-bin count and overflow
+forward by the same two loads; on fraction loads `move_cost` costs the
+built packing and `advance` sums it afresh.
 
 Atoms are (item, bin) pairs with id item * n + bin, so ids lie in
 0..n*n - 1.  A relocation breaks (item, source) and makes (item,
@@ -110,8 +107,6 @@ class BinPackingInstance(Problem):
         self.name = name
         self.atom_count = self.n * self.n
         self._sizes = self._load_sizes.tolist()  # the sizes a move shifts, as Python floats
-        self._held = None  # (array `apply` built, its loads as a list, open bins, overflow)
-        self._priced = None  # (the held entry, a move, open bins and overflow after it)
 
     @cached_property
     def _pairs(self):
@@ -272,16 +267,8 @@ class BinPackingInstance(Problem):
         )
         return self._costs(open_bins, overflow)
 
-    def _state(self, solution):
-        """(bin ids as an array, loads as a list, open-bin count, overflow) of `solution`.
-
-        The memo's entry if `solution` is the read-only array `apply` built
-        last; any other input, a list, a copy or a writeable array, is
-        summed afresh.
-        """
-        held = self._held
-        if held is not None and solution is held[0] and not solution.flags.writeable:
-            return held
+    def chain(self, solution):
+        """(bin ids as an array, loads as a list, open-bin count, overflow) of `solution`."""
         a = np.asarray(solution)
         loads, open_bins, overflow = self._summed(a)
         return a, loads.tolist(), open_bins, overflow
@@ -302,7 +289,7 @@ class BinPackingInstance(Problem):
         )
         return open_bins, overflow
 
-    def sample_move(self, solution, rng):
+    def sample_move(self, state, rng):
         """A swap of two items in different bins, or a relocation of one item.
 
         The move is (item, other, source, target, shift): `item` leaves bin
@@ -313,7 +300,7 @@ class BinPackingInstance(Problem):
         n = self.n
         if n == 1:
             raise NoNeighborError("a single item has no other bin to move to")
-        a, loads, open_bins, _ = self._state(solution)
+        a, loads, open_bins, _ = state
         sizes = self._sizes
         if open_bins > 1 and rng.random() < 0.5:
             while True:  # the values and state of `integers(0, n, size=2)`, drawn cheaper
@@ -327,42 +314,34 @@ class BinPackingInstance(Problem):
         targets.remove(b)
         return item, None, b, targets[int(rng.integers(len(targets)))], sizes[item]
 
-    def move_cost(self, solution, f: float, move) -> float:
-        """`cost(apply(solution, move))`: on whole-number loads from the
-        two loads the move changes, otherwise by building the packing."""
+    def move_cost(self, state, f: float, move) -> float:
+        """`cost(apply(state, move))`: on whole-number loads from the two
+        loads the move changes, otherwise by building the packing."""
         if not self.whole:
-            return self.cost(self.apply(solution, move))
-        state = self._state(solution)
-        open_bins, overflow = self._moved(state, move)
-        if state is self._held:
-            self._priced = (state, move, open_bins, overflow)
-        return self._cost(open_bins, overflow)
+            return self.cost(self.apply(state, move))
+        return self._cost(*self._moved(state, move))
 
-    def apply(self, solution, move) -> np.ndarray:
-        """The packing `move` leads to, as one fresh read-only array.
-
-        On whole-number loads it becomes the memo's entry, its loads
-        carried from `solution`'s by the two the move changes, and its
-        open-bin count and overflow those `move_cost` gave the same move.
-        """
-        item, other, b, c, shift = move
-        out = np.array(solution)
+    def apply(self, state, move) -> np.ndarray:
+        """The packing `move` leads to, as one fresh array."""
+        item, other, b, c, _ = move
+        out = state[0].copy()
         out[item] = c
         if other is not None:
             out[other] = b
-        out.setflags(write=False)
-        if self.whole:
-            state = self._state(solution)
-            priced = self._priced
-            if priced is not None and priced[0] is state and priced[1] is move:
-                open_bins, overflow = priced[2], priced[3]
-            else:
-                open_bins, overflow = self._moved(state, move)
-            loads = state[1].copy()
-            loads[b] -= shift
-            loads[c] += shift
-            self._held = (out, loads, open_bins, overflow)
         return out
+
+    def advance(self, state, move, built=None):
+        """`chain(apply(state, move))`, taking `built` as that packing if given; whole-number
+        loads are carried by the two the move changes, fraction loads summed afresh."""
+        if built is None:
+            built = self.apply(state, move)
+        if not self.whole:
+            return self.chain(built)
+        b, c, shift = move[2:]
+        loads = state[1].copy()
+        loads[b] -= shift
+        loads[c] += shift
+        return (built, loads, *self._moved(state, move))
 
     def solution_attributes(self, solution) -> np.ndarray:
         return np.arange(self.n) * self.n + np.asarray(solution)

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stochopt
-from conftest import CONFIGS, REPO
+from conftest import CONFIGS, FIXTURES, REPO
 from stochopt import (
     AcoConfig,
     BinPackingInstance,
@@ -35,6 +35,8 @@ from stochopt import (
     cube_fixture,
     hill_climb_first_accept,
     hill_climb_steepest,
+    parse_binpacking_file,
+    parse_tsp_file,
     pso_run,
     random_search,
     seeded_rng,
@@ -215,12 +217,51 @@ def test_run_refuses_an_improvement_whose_move_cost_disagrees_with_its_cost():
     assert run.best_curve == []
     # the same move, costed correctly, enters the record at its full cost
     exact = Run(TspInstance.from_coords(coords), Budget(5), seed=0, algorithm="probe")
-    value = exact.evaluate_move(tour, f, (2, 5))
-    assert value == exact.problem.cost(exact.problem.apply(tour, (2, 5)))
+    value, built = exact.evaluate_move(tour, f, (2, 5))
+    assert built.tolist() == exact.problem.apply(tour, (2, 5)).tolist()
+    assert value == exact.problem.cost(built)
     assert exact.best_curve == [(1, value)]
     # a search stops at its first improvement from a move
     with pytest.raises(ValidationError, match=r"move cost .* full cost"):
         simulated_annealing(_Undercosted.from_coords(coords), Budget(500), 0)
+
+
+@pytest.mark.parametrize("search", [
+    lambda problem, seed: simulated_annealing(problem, Budget(10_000), seed),
+    lambda problem, seed: hill_climb_first_accept(problem, Budget(3000), seed),
+], ids=["annealing", "first_accept"])
+def test_a_sampled_search_builds_each_kept_move_once(monkeypatch, search):
+    """A move `Run.evaluate_move` built is the one `advance` keeps: no (state,
+    move) pair reaches `apply` twice.  The pairs are held, so no id is reused."""
+    built = {}
+
+    def counted(self, state, move):
+        built.setdefault((id(state), id(move)), [state, move, 0])[2] += 1
+        return apply(self, state, move)
+
+    apply = BinPackingInstance.apply
+    monkeypatch.setattr(BinPackingInstance, "apply", counted)
+    problem = parse_binpacking_file(FIXTURES / "pack10.txt")
+    for seed in range(5):
+        search(problem, seed)
+    assert built
+    assert max(count for _, _, count in built.values()) == 1
+
+
+@pytest.mark.parametrize("name", ["pack10", "eight", "cube", "continuous"])
+def test_a_sampled_search_leaves_its_problem_as_it_found_it(name):
+    """Sampled searches keep their chain in the searcher: no attribute of the
+    problem is set, replaced or added along the way."""
+    problem = {
+        "pack10": lambda: parse_binpacking_file(FIXTURES / "pack10.txt"),
+        "eight": lambda: parse_tsp_file(FIXTURES / "eight.tsp"),
+        "cube": cube_fixture,
+        "continuous": lambda: ContinuousLandscape("multimodal_test", dim=3),
+    }[name]()
+    attributes = {k: id(v) for k, v in vars(problem).items()}
+    simulated_annealing(problem, Budget(3000), 0)
+    hill_climb_first_accept(problem, Budget(3000), 1)
+    assert {k: id(v) for k, v in vars(problem).items()} == attributes
 
 
 def test_a_neighborhood_cost_past_its_window_raises_where_it_is_read():
@@ -608,7 +649,7 @@ def test_a_sampled_move_builds_and_costs_the_sampled_neighbor(kind, n, seed, ste
     and for tours that neighbor is the one a reference draw of a
     non-trivial reversal gives; the move's cost matches the built
     neighbor's full cost within `MOVE_TOLERANCE` of the largest cost the
-    chain has carried (exactly on the base path, which only tours leave),
+    chain has carried (exactly for every kind but tours),
     also when the cost is carried along the chain; and `apply` leaves the
     solution it starts from untouched.
     """
@@ -616,11 +657,11 @@ def test_a_sampled_move_builds_and_costs_the_sampled_neighbor(kind, n, seed, ste
     chain = seeded_rng(seed + 1)
     rng, rng2, rng3 = seeded_rng(seed + 2), seeded_rng(seed + 2), seeded_rng(seed + 2)
     x = problem.random_solution(chain)
-    f = problem.cost(x)
+    state, f = problem.chain(x), problem.cost(x)
     scale = max(1.0, abs(f))
     for _ in range(steps):
         try:
-            move = problem.sample_move(x, rng)
+            move = problem.sample_move(state, rng)
         except NoNeighborError:
             with pytest.raises(NoNeighborError):
                 problem.sample_neighbor(x, rng2)
@@ -630,14 +671,88 @@ def test_a_sampled_move_builds_and_costs_the_sampled_neighbor(kind, n, seed, ste
         if kind == "tsp":
             assert np.array_equal(neighbor, _reference_tour_neighbor(x, rng3))
         before = copy.deepcopy(x)
-        y = problem.apply(x, move)
+        y = problem.apply(state, move)
         assert problem.freeze(y) == problem.freeze(neighbor)
         assert problem.freeze(x) == problem.freeze(before)
         full = problem.cost(y)
         scale = max(scale, abs(full))
         tolerance = MOVE_TOLERANCE * scale if kind == "tsp" else 0.0
-        assert abs(problem.move_cost(x, problem.cost(x), move) - full) <= tolerance
-        f_y = problem.move_cost(x, f, move)  # from a cost carried along the chain
+        assert abs(problem.move_cost(state, problem.cost(x), move) - full) <= tolerance
+        f_y = problem.move_cost(state, f, move)  # from a cost carried along the chain
         assert abs(f_y - full) <= tolerance
         if chain.random() < 0.8:  # move on, as a search mostly does
-            x, f = y, f_y
+            x, state, f = y, problem.advance(state, move, y), f_y
+
+
+def test_the_base_chain_state_is_the_solution():
+    """A kind that draws whole neighbours carries the solution itself."""
+    cube, rng = cube_fixture(), seeded_rng(0)
+    x = cube.random_solution(rng)
+    assert cube.chain(x) is x
+    move = cube.sample_move(x, rng)
+    assert cube.advance(x, move) == cube.apply(x, move) == move
+    built = cube.apply(x, move)
+    assert cube.advance(x, move, built) is built
+
+
+def _plain(state):
+    """A chain state as nested Python values, each float by its bits, for `==`."""
+    if isinstance(state, (tuple, list)):
+        return type(state)(_plain(part) for part in state)
+    if isinstance(state, np.ndarray):
+        return state.dtype.str, _plain(state.tolist())
+    return state.hex() if isinstance(state, float) else state
+
+
+def _chain_instance(kind, n, rng) -> Problem:
+    if kind == "whole":
+        capacity = int(rng.integers(2, 1000))
+        return BinPackingInstance(rng.integers(1, capacity + 1, size=n), capacity=capacity)
+    return _instance("binpacking" if kind == "fractional" else kind, n, rng)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(["tsp", "whole", "fractional", "cube", "continuous"]),
+    n=st.integers(1, 20),
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.integers(1, 40),
+)
+def test_a_carried_chain_state_is_that_of_its_solution(kind, n, seed, steps):
+    """Two chains interleaved on one instance, driven by `chain`,
+    `sample_move`, `move_cost` and `advance`, each carry the state a fresh
+    `chain` of their solution gives; every move costs what it builds (bit
+    for bit but on tours, where a carried cost may round within
+    `MOVE_TOLERANCE` of the largest cost seen); and no call changes the
+    state it is given.  `advance` gives the same state with the built
+    solution as without it.
+    """
+    rng = seeded_rng(seed)
+    problem = _chain_instance(kind, n, rng)
+    chains = []
+    for _ in range(2):
+        x = problem.random_solution(rng)
+        chains.append([problem.chain(x), problem.cost(x)])
+    scale = max(1.0, *(abs(f) for _, f in chains))
+    for _ in range(steps):
+        for link in chains:
+            state, f = link
+            before = _plain(state)
+            try:
+                move = problem.sample_move(state, rng)
+            except NoNeighborError:
+                return
+            value = problem.move_cost(state, f, move)
+            built = problem.apply(state, move)
+            full = problem.cost(built)
+            scale = max(scale, abs(value), abs(full))
+            if kind == "tsp":
+                assert abs(value - full) <= MOVE_TOLERANCE * scale
+            else:
+                assert value.hex() == full.hex()
+            keep = rng.random()
+            if keep < 0.7:  # move on, as a search mostly does
+                after = problem.advance(state, move, built if keep < 0.35 else None)
+                assert _plain(after) == _plain(problem.chain(built))
+                link[:] = after, value
+            assert _plain(state) == before

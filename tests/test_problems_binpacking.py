@@ -191,67 +191,37 @@ def test_sample_neighbor_is_seed_stable():
 def test_sampled_moves_along_a_chain_cost_what_they_build(n, capacity, crowd, seed):
     """On whole-number loads each sampled move costs `cost` of the packing
     `apply` builds, bit for bit, and the loads, open-bin count and overflow
-    carried along the chain are those a fresh sum gives."""
+    `advance` carries along the chain are those a fresh sum gives."""
     rng = seeded_rng(seed)
     problem = BinPackingInstance(rng.integers(1, capacity + 1, size=n), capacity=capacity)
     assert problem.whole
     x = rng.integers(0, max(1, n // crowd), size=n)  # crowded: many bins overflow
-    f = problem.cost(x)
+    state, f = problem.chain(x), problem.cost(x)
     for _ in range(60):
-        move = problem.sample_move(x, rng)
-        value = problem.move_cost(x, f, move)
-        y = problem.apply(x, move)
+        move = problem.sample_move(state, rng)
+        value = problem.move_cost(state, f, move)
+        y = problem.apply(state, move)
         assert value.hex() == problem.cost(y).hex()
         loads, open_bins, overflow = problem._summed(y)
-        assert problem._state(y)[1:] == (loads.tolist(), open_bins, overflow)
         step = rng.random()
-        if step < 0.2:  # built once to be checked, then again when the search keeps it
-            y = problem.apply(x, move)
         if step < 0.7:
-            x, f = y, value
+            state = problem.advance(state, move, y if step < 0.35 else None)
+            assert state[0].tolist() == y.tolist()
+            assert state[1:] == (loads.tolist(), open_bins, overflow)
+            f = value
 
 
-def _checked_step(problem, solution, rng):
-    """One sampled move from `solution`; its cost must be that of the packing it builds."""
-    move = problem.sample_move(solution, rng)
-    value = problem.move_cost(solution, problem.cost(np.asarray(solution)), move)
-    built = problem.apply(solution, move)
-    assert value.hex() == problem.cost(built).hex()
-    return built
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_the_memo_is_never_stale_for_lists_copies_or_two_chains(seed):
-    rng = seeded_rng(seed)
-    problem = BinPackingInstance(rng.integers(20, 80, size=12), capacity=100)
-    x, z = rng.integers(0, 4, size=12), rng.integers(0, 4, size=12)
-    for step in range(60):
-        x = _checked_step(problem, x, rng)  # two chains interleaved on one instance
-        z = _checked_step(problem, z, rng)
-        if step % 3 == 1:
-            x = x.tolist()
-        elif step % 3 == 2:
-            x = x.copy()
-            x[int(rng.integers(12))] = int(rng.integers(12))  # a copy, then changed
-
-
-def test_a_packing_apply_builds_is_read_only_and_a_writeable_one_is_summed_afresh():
-    """Moves are (item, other, source, target, shift); the memo trusts only
-    the read-only arrays `apply` builds, and a move's price only on the
-    packing it was priced on."""
+def test_a_packing_move_builds_a_fresh_writeable_array():
+    """`apply` copies the state's packing once and writes the move into it;
+    the state, its loads included, is left as it was."""
     problem = BinPackingInstance([60, 50, 40, 30], capacity=100)
-    x = problem.apply(np.array([0, 0, 1, 1]), (3, None, 1, 2, 30.0))
-    x = problem.apply(x, (3, None, 2, 1, 30.0))  # loads 110 and 70, held by the memo
-    with pytest.raises(ValueError):
-        x[0] = 3
-    relocate = (0, None, 0, 1, 60.0)
-    assert problem.move_cost(x, problem.cost(x), relocate) == 2.0 + problem.penalty * 0.3
-    alone = problem.apply(np.array([0, 1, 2, 3]), relocate)  # the priced move, elsewhere
-    back = (0, None, 1, 0, 60.0)
-    assert problem.move_cost(alone, problem.cost(alone), back) == 4.0
-    x = problem.apply(x, (3, None, 1, 2, 30.0))  # held again: loads 110, 40 and 30
-    x.flags.writeable = True
-    x[:] = [0, 1, 2, 3]  # every item alone: the held loads no longer describe x
-    value = problem.move_cost(x, problem.cost(x), relocate)
-    assert value == problem.cost(np.array([1, 1, 2, 3])) == 3.0 + problem.penalty * 0.1
-    assert problem.apply(x, relocate).tolist() == [1, 1, 2, 3]
+    state = problem.chain([0, 0, 1, 1])
+    assert state[1:] == ([110.0, 70.0, 0.0, 0.0], 2, 10.0)
+    swap = (0, 3, 0, 1, 30.0)
+    built = problem.apply(state, swap)
+    assert built.tolist() == [1, 0, 1, 0] and built.flags.writeable
+    assert not np.shares_memory(built, state[0])
+    assert problem.move_cost(state, problem.cost(state[0]), swap) == problem.cost(built) == 2.0
+    after = problem.advance(state, swap, built)
+    assert after[0] is built and after[1:] == ([80.0, 100.0, 0.0, 0.0], 2, 0.0)
+    assert state[0].tolist() == [0, 0, 1, 1] and state[1:] == ([110.0, 70.0, 0.0, 0.0], 2, 10.0)

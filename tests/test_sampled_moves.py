@@ -138,15 +138,16 @@ def test_packing_moves_match_the_reference(n, seed, draws, layout, sizes, as_lis
     new, old = seeded_rng(draws), seeded_rng(draws)
     if n == 1:
         with pytest.raises(NoNeighborError):
-            problem.sample_move(a, new)
+            problem.sample_move(problem.chain(a), new)
         return
     current = a
     for _ in range(20):  # a chain, so each step starts from a drawn neighbour
         solution = current.tolist() if as_list else current
         kept = np.array(current)
-        move = problem.sample_move(solution, new)
-        f_move = problem.move_cost(solution, problem.cost(np.asarray(solution)), move)
-        nxt = problem.apply(solution, move)
+        state = problem.chain(solution)
+        move = problem.sample_move(state, new)
+        f_move = problem.move_cost(state, problem.cost(np.asarray(solution)), move)
+        nxt = problem.apply(state, move)
         expected = _reference_sample_move(problem, solution, old)
         assert type(nxt) is np.ndarray and nxt.dtype == expected.dtype
         assert nxt.tolist() == expected.tolist()

@@ -114,11 +114,11 @@ class DeadEnd(BinPackingInstance):
         super().__init__(sizes)
         self.moves = moves
 
-    def sample_move(self, solution, rng):
+    def sample_move(self, state, rng):
         self.moves -= 1
         if self.moves < 0:
             raise NoNeighborError("no move left")
-        return super().sample_move(solution, rng)
+        return super().sample_move(state, rng)
 
 
 EIGHT = parse_tsp_file(FIXTURES / "eight.tsp")
