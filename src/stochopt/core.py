@@ -748,8 +748,8 @@ class Problem:
         `rng` left in the same state.  A kind overrides it only to draw faster."""
         return [self.random_solution(rng) for _ in range(k)]
 
-    def sample_move(self, solution, rng: np.random.Generator):
-        """Draw one move from `solution`; every problem kind writes its own.
+    def sample_move(self, state, rng: np.random.Generator):
+        """Draw one move from chain state `state`; every problem kind writes its own.
 
         Tours draw a reversal uniformly from those `neighbors` lists, and
         state graphs an edge uniformly from the state's edges.  Packings
