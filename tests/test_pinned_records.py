@@ -106,6 +106,14 @@ so `validate` turns it into the problem's array), were taken before
 every searcher drew its start through one `Run.start` and every problem
 kind sampled through one `sample_move`; both must reproduce them.
 
+The four annealing and first-accept cases on 140- and 300-city tours
+(`tour140-sa-calibrated`, `tour140-first-accept-random-walk`,
+`tour300-sa-calibrated`, `tour300-first-accept`) were taken while a
+sampled tour's chain state was the tour array itself, its four cities
+read with `ndarray.item` and each kept reversal copied through numpy.
+They are the only sampled cases whose reversals span more than 50
+cities; a tour state held any other way must reproduce them bit for bit.
+
 The two tour random-search cases (`eight-random-target`, stopped by its
 target at evaluation 93, and `tour50-random`, a budget of 150) were
 taken while random search drew and costed one tour at a time.  Neither
@@ -174,7 +182,7 @@ def _instances():
         ),
         **{
             f"tour{n}": TspInstance.from_coords(seeded_rng(n).random((n, 2)), name=f"tour{n}")
-            for n in (2, 3, 5, 9, 140)
+            for n in (2, 3, 5, 9, 140, 300)
         },
         "line": ContinuousLandscape("abs_linear"),
         "line3": ContinuousLandscape("abs_linear", dim=3),
@@ -348,6 +356,11 @@ TRAJECTORY_CASES["pack12-first-accept-random-walk"] = (
 # A state graph draws whole neighbours: its chain state is the state id itself.
 for name in ("sa-calibrated", "first-accept-random-walk"):
     TRAJECTORY_CASES[f"cube-{name}"] = ("cube", TRAJECTORY[name])
+# Tours past 50 cities: a sampled reversal here spans up to a few hundred cities.
+for name in ("sa-calibrated", "first-accept-random-walk"):
+    TRAJECTORY_CASES[f"tour140-{name}"] = ("tour140", TRAJECTORY[name])
+for name in ("sa-calibrated", "first-accept"):
+    TRAJECTORY_CASES[f"tour300-{name}"] = ("tour300", TRAJECTORY[name])
 
 
 
@@ -491,6 +504,10 @@ TRAJECTORY_DIGESTS = {
     "tour50-sa-linear": "c1454cddf95dc648c3592759e94fe49bad3e3e8b8407718b2bb34d626c4eca27",
     "tour50-sa-rescaled": "fa2ac6af02baf20e87818f02f6120ed193d5c4d9c083e803da4b96fdecf17f9a",
     "tour50-sa-rescaled-alpha": "57938ccf677bab42f953af30cbb61b907e56a8ce656796558f883ffa2f1a58cb",
+    "tour140-sa-calibrated": "75e090d7454a2e9366fea552278fdc04b572bf9539886825de4b726a7647fb68",
+    "tour140-first-accept-random-walk": "bc3aa2d1326a9cd5ee86b4adeb2ee8d76f0a4479c48619f998ad2b8dbff0a4b8",
+    "tour300-sa-calibrated": "163ddb8fdb1ec978c8e75065f07c4886d5a5d123d0c19b82214b90bb3c063f1a",
+    "tour300-first-accept": "32094b22a9171321f42c5effec0ea45ac064a6e89846364e5a15eb4ea9800268",
     "grid16-first-accept": "8ca8c793c3b71dda42b92d9fd4956b6447c4404f23ea446a9725718284b4343d",
     "grid16-first-accept-random-walk": "c1f386ea79cd06a587c6d3929ee9227f25c88b0b4df4ac343ecbe9224fa4ecc3",
     "grid16-sa-calibrated": "722a7210cc48723f4b40ee730765e197554e171e1cd93ecf8db06aa3a7db06c4",
