@@ -509,7 +509,7 @@ class Run:
         self.rng = seeded_rng(seed)
         self.evaluations = 0
         self.best_fitness = float("inf")
-        self.best_solution = None
+        self._best = None  # a copy of the best solution, frozen when read
         self.best_curve: list[tuple[int, float]] = []
         self.evaluations_to_success: int | None = None
         self._cost_scale = 1.0  # largest |cost| `evaluate_move` has seen, at least 1
@@ -542,7 +542,7 @@ class Run:
                     f"checked evaluation {checked!r}"
                 )
             self.best_fitness = value
-            self.best_solution = self.problem.freeze(solution)
+            self._best = np.array(solution)
             self.best_curve.append((self.evaluations, value))
             target = self.budget.target_fitness
             if self.evaluations_to_success is None and target is not None and value <= target:
@@ -637,6 +637,11 @@ class Run:
         problem = self.problem
         solution = problem.random_solution(self.rng) if start is None else problem.validate(start)
         return solution, self.evaluate(solution)
+
+    @property
+    def best_solution(self):
+        """The best solution counted so far, frozen (`Problem.freeze`); None before the first."""
+        return None if self._best is None else self.problem.freeze(self._best)
 
     @property
     def finished(self) -> bool:

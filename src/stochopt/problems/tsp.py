@@ -32,6 +32,7 @@ the two it creates; short-term memories match on these ids.
 
 from __future__ import annotations
 
+from array import array
 from functools import cached_property
 from itertools import permutations
 
@@ -47,6 +48,7 @@ from ..core import (
 )
 
 TOUR_LIMIT = 10  # the most cities `brute_force_tour` takes: 9! / 2 tours
+_INTP = np.dtype(np.intp).char  # the `array` type code whose items are numpy's intp
 
 
 class TspInstance(Problem):
@@ -67,6 +69,7 @@ class TspInstance(Problem):
         if np.any(d < 0):
             raise ValidationError("distances must be nonnegative")
         self.d = d
+        self._edges = memoryview(d)  # d[a, c] as a Python float, in half the time of d.item
         self.n = d.shape[0]
         self.name = name
         self.atom_count = self.n * self.n
@@ -176,21 +179,42 @@ class TspInstance(Problem):
         k = int(rng.integers(self._i.size))
         return self._i.item(k), self._j.item(k)
 
+    def sample_neighbor(self, solution, rng) -> np.ndarray:
+        """`apply` of a drawn reversal, read from the tour array with no chain state built."""
+        return self.apply(solution, self.sample_move(solution, rng))
+
+    def chain(self, tour) -> array:
+        """The tour as an `array` of `intp` city ids: one memcpy from the array and back."""
+        return array(_INTP, np.asarray(tour, dtype=np.intp).tobytes())
+
     def move_cost(self, tour, f: float, move) -> float:
         """`f` plus the two edges reversal i..j makes, minus the two it breaks."""
         if move is None:
             return f
         i, j = move
-        d = self.d
-        a, b, c, e = tour.item(i - 1), tour.item(i), tour.item(j), tour.item((j + 1) % self.n)
-        return f + ((d.item(a, c) + d.item(b, e)) - (d.item(a, b) + d.item(c, e)))
+        d = self._edges
+        a, b, c, e = tour[i - 1], tour[i], tour[j], tour[(j + 1) % self.n]
+        return f + ((d[a, c] + d[b, e]) - (d[a, b] + d[c, e]))
 
     def apply(self, tour, move) -> np.ndarray:
-        """A new tour with slice i..j reversed, read from `tour` into one copy."""
-        out = np.array(tour)
+        """A new tour array with slice i..j reversed, read from `tour` (a chain
+        state or an array) into one copy."""
+        tour = np.asarray(tour)
+        out = tour.copy()
         if move is not None:
             i, j = move
             out[i : j + 1] = tour[j : i - 1 if i else None : -1]
+        return out
+
+    def advance(self, state, move, built=None) -> array:
+        """The state after reversal `move`: `built` as a state, or a copy of
+        `state` with slice i..j reversed; `state` is untouched."""
+        if built is not None:
+            return self.chain(built)
+        out = state[:]
+        if move is not None:
+            i, j = move
+            out[i : j + 1] = state[j : i - 1 if i else None : -1]
         return out
 
     def solution_attributes(self, solution) -> np.ndarray:

@@ -9,6 +9,7 @@ import sys
 import types
 import typing
 import warnings
+from array import array
 from dataclasses import replace
 
 import numpy as np
@@ -315,10 +316,14 @@ def test_long_rescaled_annealing_on_irrational_lengths_keeps_its_energies_non_ne
 
 
 class _FullCostTsp(TspInstance):
-    """Tours on the base path: every sampled neighbor built and costed edge by edge."""
+    """Tours on the base path: every sampled neighbor built and costed edge by edge.
 
+    Its moves are whole tours, so its chain state is the tour itself."""
+
+    chain = Problem.chain
     move_cost = Problem.move_cost
     apply = Problem.apply
+    advance = Problem.advance
 
     def sample_move(self, tour, rng):
         return TspInstance.apply(self, tour, TspInstance.sample_move(self, tour, rng))
@@ -419,6 +424,28 @@ def test_best_curve_records_strict_improvements_only():
     assert run.best_curve == [(1, 9.0), (2, 7.0), (5, 5.0)]
     assert run.best_fitness == 5.0
     assert run.best_solution == 5
+
+
+def test_the_best_solution_is_a_copy_frozen_when_read():
+    """`Run` keeps a copy of each new best and freezes it where it is read, so
+    writing into a solution after it was counted leaves the record as it was."""
+    inst = TspInstance.from_coords(seeded_rng(0).random((5, 2)))
+    run = Run(inst, Budget(10), seed=0, algorithm="probe")
+    assert run.best_solution is None
+    x = np.array([0, 2, 1, 3, 4])
+    run.evaluate(x)
+    x[:] = [4, 3, 2, 1, 0]
+    assert run.best_solution == run.record().best_solution == (0, 2, 1, 3, 4)
+    with pytest.raises(AttributeError):
+        run.best_solution = (0, 1, 2, 3, 4)
+
+
+def test_a_run_freezes_its_best_solution_once_per_record(monkeypatch):
+    freeze, frozen = Problem.freeze, []
+    monkeypatch.setattr(Problem, "freeze", lambda self, s: frozen.append(s) or freeze(self, s))
+    rec = simulated_annealing(parse_tsp_file(FIXTURES / "eight.tsp"), Budget(3000), 0)
+    assert len(rec.best_curve) > 1
+    assert len(frozen) == 1
 
 
 def test_target_crossing_is_stamped_once():
@@ -696,11 +723,14 @@ def test_the_base_chain_state_is_the_solution():
 
 
 def _plain(state):
-    """A chain state as nested Python values, each float by its bits, for `==`."""
+    """A chain state as nested Python values, each float by its bits, for `==`:
+    a copy, so a state changed in place no longer equals it."""
     if isinstance(state, (tuple, list)):
         return type(state)(_plain(part) for part in state)
     if isinstance(state, np.ndarray):
         return state.dtype.str, _plain(state.tolist())
+    if isinstance(state, array):
+        return state.typecode, _plain(state.tolist())
     return state.hex() if isinstance(state, float) else state
 
 

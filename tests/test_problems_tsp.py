@@ -77,6 +77,25 @@ def test_apply_reverses_the_closed_slice():
     assert inst.apply(tour, (2, 2)).tolist() == tour.tolist() == [f, d, b, a, e, c]
 
 
+def test_a_tour_chain_state_is_an_intp_array():
+    """The state converts to and from the tour array as one memcpy: its items
+    are numpy's intp, whatever size C's long has (4 bytes on Windows).
+    `apply` reads it as it reads the array, and `advance` leaves it untouched."""
+    f, d, b, a, e, c = 5, 3, 1, 0, 4, 2
+    tour = np.array([f, d, b, a, e, c])
+    inst = TspInstance(np.zeros((6, 6)))
+    state = inst.chain(tour)
+    assert state.itemsize == np.dtype(np.intp).itemsize
+    assert np.asarray(state).dtype == np.intp
+    assert state.tolist() == tour.tolist()
+    built = inst.apply(state, (1, 4))
+    assert built.dtype == np.intp and built.tolist() == [f, e, a, b, d, c]
+    for move in [(0, 3), (1, 4), (2, 2), (3, 5), None]:
+        assert inst.advance(state, move).tolist() == inst.apply(tour, move).tolist()
+        assert inst.advance(state, move, built).tolist() == built.tolist()
+    assert state.tolist() == tour.tolist()
+
+
 def test_neighborhood_excludes_whole_cycle_reversals(eight):
     tour = np.arange(8)
     hood = eight.neighbors(tour)
