@@ -495,7 +495,10 @@ class Run:
     costed with `Problem.cost` (or arrive with their cost, see
     `evaluate`); a strict improvement is
     re-evaluated through the checked `Problem.evaluate` before it enters
-    the record, so every recorded best solution has been validated.
+    the record, so every recorded best solution has been validated.  The
+    run keeps a copy of it and freezes it (`Problem.freeze`) only where
+    it is read, through `best_solution` or `record`, not at every
+    improvement.
     `finished` turns true once the budget is spent or the target cost
     has been reached; searchers ask for no evaluation after that, and
     `evaluate` guards the budget by raising `BudgetExhaustedError`.
@@ -687,10 +690,11 @@ class Problem:
     neighbor itself, which `move_cost` costs with `cost` and `apply` and
     `advance` return, so a kind that draws whole neighbors writes only
     `sample_move`; `sample_neighbor` is `apply` of a drawn move.  A
-    `TspInstance` move is a reversal (i, j), costed from the four edges
-    it changes and built only when a search keeps it; such a cost may
-    differ from `cost` by rounding, which `Run.evaluate_move` allows for
-    within `MOVE_TOLERANCE` of the largest cost carried.  A
+    `TspInstance` state is the tour as an int `array`, and a move a
+    reversal (i, j), costed from the four edges it changes and kept by
+    reversing a copy of the state; such a cost may differ from `cost`
+    by rounding, which `Run.evaluate_move` allows for within
+    `MOVE_TOLERANCE` of the largest cost carried.  A
     `BinPackingInstance` state holds the loads too, and a move names the
     items that change bins, the two bins and the size that shifts; on
     whole-number loads it is costed and carried from the two loads it
@@ -801,6 +805,7 @@ class Problem:
         return np.empty(0, dtype=np.intp)
 
     def freeze(self, solution):
-        """Immutable, JSON-friendly copy of a solution (Python scalars only)."""
+        """Immutable, JSON-friendly copy of a solution (Python scalars only);
+        `Run` freezes its best solution where it is read."""
         plain = np.asarray(solution).tolist()
         return tuple(plain) if isinstance(plain, list) else plain

@@ -5,11 +5,17 @@ is 2-opt: reverse the closed slice i..j of the permutation.  Reversals
 spanning the whole tour or all but one city reproduce the same cyclic
 tour, so they are excluded from neighborhood enumeration and sampling.
 
-A sampled move is the pair (i, j) that `sample_move` draws; the base
-`Problem.sample_neighbor` applies it.  Its cost is the tour's cost plus
-the two edges the reversal makes minus the two it breaks, four reads of
-the distance matrix instead of n; the tour itself is copied and
-reversed only for a move a search keeps.  The edges are summed before
+A sampled search carries the tour as its chain state: an `array` of
+city ids whose items are numpy's `intp`, so `chain` and `np.asarray`
+convert between it and the tour array as one memcpy.  A sampled move is
+the pair (i, j) that `sample_move` draws.  Its cost is the tour's cost
+plus the two edges the reversal makes minus the two it breaks: four
+cities read from the state and four distances through a memoryview of
+the matrix, by plain indexing, instead of n reads.  `advance` reverses
+the slice of a copied state for a move a search keeps, and `apply`
+builds a tour array only where one is read.  `sample_neighbor` applies
+a drawn reversal to the tour array itself; the probe walk that
+calibrates annealing builds no state.  The edges are summed before
 `f` is added, so a reversal that trades two edges for two of the same
 lengths leaves `f` exactly as it was.  Otherwise the sum can differ from
 a full recompute in the last bits, which `Run.evaluate_move` allows for.

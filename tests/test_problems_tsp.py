@@ -91,7 +91,8 @@ def test_a_tour_chain_state_is_an_intp_array():
     built = inst.apply(state, (1, 4))
     assert built.dtype == np.intp and built.tolist() == [f, e, a, b, d, c]
     for move in [(0, 3), (1, 4), (2, 2), (3, 5), None]:
-        assert inst.advance(state, move).tolist() == inst.apply(tour, move).tolist()
+        built = inst.apply(tour, move)
+        assert inst.advance(state, move).tolist() == built.tolist()
         assert inst.advance(state, move, built).tolist() == built.tolist()
     assert state.tolist() == tour.tolist()
 
