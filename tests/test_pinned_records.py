@@ -114,6 +114,14 @@ read with `ndarray.item` and each kept reversal copied through numpy.
 They are the only sampled cases whose reversals span more than 50
 cities; a tour state held any other way must reproduce them bit for bit.
 
+The twelve annealing and first-accept cases on tours of 1, 2 and 3
+cities (`tour{1,2,3}-{sa-calibrated,sa-rescaled,first-accept,
+first-accept-random-walk}`) and `tour1-aco` were taken while a tour of
+fewer than four cities drew the move `None`, which each move method
+special-cased, and while the ants' last column was guarded for one
+city.  Every move there leaves the cyclic tour as it is and draws
+nothing; an empty reversal must reproduce them bit for bit.
+
 The two tour random-search cases (`eight-random-target`, stopped by its
 target at evaluation 93, and `tour50-random`, a budget of 150) were
 taken while random search drew and costed one tour at a time.  Neither
@@ -182,7 +190,7 @@ def _instances():
         ),
         **{
             f"tour{n}": TspInstance.from_coords(seeded_rng(n).random((n, 2)), name=f"tour{n}")
-            for n in (2, 3, 5, 9, 140, 300)
+            for n in (1, 2, 3, 5, 9, 140, 300)
         },
         "line": ContinuousLandscape("abs_linear"),
         "line3": ContinuousLandscape("abs_linear", dim=3),
@@ -361,6 +369,10 @@ for name in ("sa-calibrated", "first-accept-random-walk"):
     TRAJECTORY_CASES[f"tour140-{name}"] = ("tour140", TRAJECTORY[name])
 for name in ("sa-calibrated", "first-accept"):
     TRAJECTORY_CASES[f"tour300-{name}"] = ("tour300", TRAJECTORY[name])
+# Tours of 1-3 cities: every reversal is the same cyclic tour, so a move draws nothing.
+for n in (1, 2, 3):
+    for name in ("sa-calibrated", "sa-rescaled", "first-accept", "first-accept-random-walk"):
+        TRAJECTORY_CASES[f"tour{n}-{name}"] = (f"tour{n}", TRAJECTORY[name])
 
 
 
@@ -379,6 +391,7 @@ ACO_CASES = {
     # every (1 / d) ** 400 underflows to 0.0, so every choice is uniform
     "eight-aco-uniform": ("eight", _aco(64, 4, rule="product", w_eta=400.0)),
     "eight-aco-target": ("eight", _aco(5000, 5, target=242.4649175937606)),
+    "tour1-aco": ("tour1", _aco(10, 16)),
     "tour2-aco": ("tour2", _aco(10, 6)),
     "tour3-aco": ("tour3", _aco(12, 7)),
     "tour9-aco": ("tour9", _aco(200, 8)),
@@ -508,6 +521,18 @@ TRAJECTORY_DIGESTS = {
     "tour140-first-accept-random-walk": "bc3aa2d1326a9cd5ee86b4adeb2ee8d76f0a4479c48619f998ad2b8dbff0a4b8",
     "tour300-sa-calibrated": "163ddb8fdb1ec978c8e75065f07c4886d5a5d123d0c19b82214b90bb3c063f1a",
     "tour300-first-accept": "32094b22a9171321f42c5effec0ea45ac064a6e89846364e5a15eb4ea9800268",
+    "tour1-sa-calibrated": "0cffe9ab8ceca96c3f694092ae3eb95356b9d22ee52d53d0a989501d703b0ed6",
+    "tour1-sa-rescaled": "829d0c0b3c9f40ce2251f9b2adcfb33edd105214cd828355532a9bb064a14f79",
+    "tour1-first-accept": "4ecb18fecdf8506d325b4fd987e8c521ef584403ae6c850857bfebf83759f245",
+    "tour1-first-accept-random-walk": "fa53c3c7ee0087e3316337bfa581a506012d8b3f1a6fcd74f62ac7992d834278",
+    "tour2-sa-calibrated": "7d0ff3d12e89432fec22bb39c0671159ee67a45dc4753af44e1962c862e3e800",
+    "tour2-sa-rescaled": "a744e651b84b1f267bdf47f48e275b7c9073c94487d56b70a78fe6fb42b6d3df",
+    "tour2-first-accept": "4b7a0d89a4d5a6cfe7186e4367343e913ebc1675e650fdab9292ea6f6b74a48f",
+    "tour2-first-accept-random-walk": "e12af739145ea2d909408bc4eb24cc0c7a3dad446406406ca9ea56558045ed04",
+    "tour3-sa-calibrated": "0adbdb7e9abe2064accefcb612212fff6716910be5ced89af8a3c7205643b0ae",
+    "tour3-sa-rescaled": "f28ac2f8bae976a0593d9ea2a307e484f3db661ee62379eb2ae43c7c7703e77a",
+    "tour3-first-accept": "d66c9385d3b158137d71386f40cc3ea2387e3e9e43bba508864aa69cb7a3462a",
+    "tour3-first-accept-random-walk": "81b92dcc190e754311ad173593b487dc5cdfadcb6b3a593cbd2177f30483e008",
     "grid16-first-accept": "8ca8c793c3b71dda42b92d9fd4956b6447c4404f23ea446a9725718284b4343d",
     "grid16-first-accept-random-walk": "c1f386ea79cd06a587c6d3929ee9227f25c88b0b4df4ac343ecbe9224fa4ecc3",
     "grid16-sa-calibrated": "722a7210cc48723f4b40ee730765e197554e171e1cd93ecf8db06aa3a7db06c4",
@@ -536,6 +561,7 @@ ACO_DIGESTS = {
     "eight-aco-uniform": "352d4396eba6d9241b08b76757a259b09ab254e2b9cd5668baba2e970ed2170f",
     "tour140-aco": "161d201c3717f67ee1a1bc24b7c87fc6a2db2e28b6b5ce075f2f955a5c9d061d",
     "tour140-aco-product": "6b28538cc8ccbe53f4d340b52db29d3a7b5bb657fcbb4b9d7139664587764d01",
+    "tour1-aco": "c113c75e26f5c1f9055c6383c9bcf68d48369fca5b448fdb14bbdb28fd8dee14",
     "tour2-aco": "722f95d32526a89c0c3660c74b0399d203e0300fdfd2f1c361c4baa577baa2ba",
     "tour3-aco": "bbefb5d786a8de9a7855d9796da3da54e193a100e2bda9dc15fef4d0a4c80941",
     "tour50-aco": "8788fe49a0ca1834cacdc0557bcd8c9cccc084ccb4697edc99f14c337540eae5",
