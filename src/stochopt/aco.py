@@ -20,9 +20,10 @@ The ants of an iteration advance together, one `choose_next_city` call
 per step: each ant's row of scores is gathered, the cities it has
 visited are masked, and it takes the first city whose cumulative score
 exceeds u * total, u being its draw for the step.  The last city of a
-tour is the one left and takes no draw.  Each ant owns a child RNG
-stream and draws `integers(n)` for its start, then one `random(n - 2)`
-block, one value per step with a choice to make.
+tour is the one left and takes no draw; on a 1-city tour, whose row is
+all visited, `argmax` picks city 0, the start.  Each ant owns a child
+RNG stream and draws `integers(n)` for its start, then one
+`random(n - 2)` block, one value per step with a choice to make.
 
 An iteration builds min(ants, budget left) tours, and
 `Run.evaluate_rows` costs them with one `cost_rows` call and counts them
@@ -195,8 +196,7 @@ def _build_tours(scores, streams, fallbacks: list) -> np.ndarray:
         current = choose_next_city(scores, current, unvisited, draws[:, step - 1], fallbacks)
         entries[offsets + current] = False
         tours[:, step] = current
-    if n > 1:
-        tours[:, -1] = unvisited.argmax(axis=1)
+    tours[:, -1] = unvisited.argmax(axis=1)
     return tours
 
 

@@ -83,7 +83,7 @@ def rescaled_delta(e_i: float, e_j: float, e_t: float) -> float:
     return (math.sqrt(e_j) - math.sqrt(e_i)) ** 2 - (math.sqrt(e_i) - math.sqrt(e_t)) ** 2
 
 
-def calibrate_t0(problem, run: Run, start, f_start: float) -> tuple[float, object, float]:
+def calibrate_t0(run: Run, start, f_start: float) -> tuple[float, object, float]:
     """T0 = 10 x mean |step| along a random walk of `PROBES` steps from
     `start`, already counted at cost `f_start`.
 
@@ -94,7 +94,7 @@ def calibrate_t0(problem, run: Run, start, f_start: float) -> tuple[float, objec
     current, f_current = start, f_start
     total, steps = 0.0, 0  # summed left to right: `sum` compensates from Python 3.12 on
     while steps < PROBES and not run.finished:
-        candidate = problem.sample_neighbor(current, run.rng)
+        candidate = run.problem.sample_neighbor(current, run.rng)
         f_candidate = run.evaluate(candidate)
         total += abs(f_candidate - f_current)
         steps += 1
@@ -122,7 +122,7 @@ def simulated_annealing(
 
     with run.scalar_draws():
         if schedule.t0 is None:
-            t0, current, f_current = calibrate_t0(problem, run, current, f_current)
+            t0, current, f_current = calibrate_t0(run, current, f_current)
             schedule = replace(schedule, t0=t0)
         state = problem.chain(current)
 

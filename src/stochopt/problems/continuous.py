@@ -11,7 +11,9 @@ Two objectives ship with the toolkit:
 
 Points outside the box are clamped to it before evaluation and the clamp
 is logged, so objective values are always defined; a point with a NaN or
-infinite coordinate is refused by `validate`.  Neighborhood moves
+infinite coordinate is refused by `validate`.  Each objective is written
+once, over the last axis, so `cost` of one point and `cost_rows` of a
+block evaluate the same expression.  Neighborhood moves
 perturb every coordinate by a uniform draw within a radius that defaults
 to 5% of each dimension's width.
 """
@@ -82,14 +84,18 @@ class ContinuousLandscape(Problem):
         clipped = np.clip(x, self.lower, self.upper)
         return clipped, bool(np.any(clipped != x))
 
-    def cost(self, x) -> float:
+    def _objective(self, x: np.ndarray):
+        """The objective of a point, or of each row of a block: clamped, then evaluated."""
         x, clamped = self.clamp(x)
         if clamped:
             log.debug("point outside bounds clamped before evaluation")
         if self.objective == "abs_linear":
-            return float(abs(x[0] + 1.0))
+            return np.abs(x[..., 0] + 1.0)
         # multimodal_test
-        return float(10.0 * x.size + np.sum(x**2 - 10.0 * np.cos(2.0 * np.pi * x)))
+        return 10.0 * x.shape[-1] + np.sum(x**2 - 10.0 * np.cos(2.0 * np.pi * x), axis=-1)
+
+    def cost(self, x) -> float:
+        return float(self._objective(x))
 
     def cost_rows(self, rows) -> list[float]:
         """`cost` of each point of an (M, dim) block: the same clamp and expression, row by row.
@@ -97,12 +103,7 @@ class ContinuousLandscape(Problem):
         The block is copied C-ordered first if it is not, so each row
         sums pairwise, as `cost` sums one point.
         """
-        x, clamped = self.clamp(np.ascontiguousarray(rows, dtype=float))
-        if clamped:
-            log.debug("points outside bounds clamped before evaluation")
-        if self.objective == "abs_linear":
-            return np.abs(x[:, 0] + 1.0).tolist()
-        return (10.0 * x.shape[1] + np.sum(x**2 - 10.0 * np.cos(2.0 * np.pi * x), axis=1)).tolist()
+        return self._objective(np.ascontiguousarray(rows, dtype=float)).tolist()
 
     def random_solution(self, rng) -> np.ndarray:
         return self.lower + rng.random(self.dim) * (self.upper - self.lower)

@@ -120,25 +120,11 @@ def cube_fixture() -> TabletopInstance:
     costs = [0.0] * 8
     for (x, y, z), c in CUBE_COSTS.items():
         costs[cube_state(x, y, z)] = c
-    edges = []
-    for x in range(2):
-        for y in range(2):
-            for z in range(2):
-                here = (x, y, z)
-                for axis, name in enumerate("xyz"):
-                    if here[axis] == 0:
-                        there = list(here)
-                        there[axis] = 1
-                        edges.append(
-                            (
-                                cube_state(*here),
-                                cube_state(*there),
-                                f"{name}+",
-                                f"{name}-",
-                            )
-                        )
-    # list each state's moves in x, y, z order
-    inst = TabletopInstance(costs, edges, name="cube")
-    for s in range(8):
-        inst.adjacency[s].sort(key=lambda t: "xyz".index(str(t[1])[0]))
-    return inst
+    # each state meets its x, y and z edges in that order
+    edges = [
+        (s, s | bit, f"{name}+", f"{name}-")
+        for bit, name in ((1, "x"), (2, "y"), (4, "z"))
+        for s in range(8)
+        if not s & bit
+    ]
+    return TabletopInstance(costs, edges, name="cube")

@@ -8,17 +8,21 @@ tour, so they are excluded from neighborhood enumeration and sampling.
 A sampled search carries the tour as its chain state: an `array` of
 city ids whose items are numpy's `intp`, so `chain` and `np.asarray`
 convert between it and the tour array as one memcpy.  A sampled move is
-the pair (i, j) that `sample_move` draws.  Its cost is the tour's cost
-plus the two edges the reversal makes minus the two it breaks: four
-cities read from the state and four distances through a memoryview of
-the matrix, by plain indexing, instead of n reads.  `advance` reverses
-the slice of a copied state for a move a search keeps, and `apply`
-builds a tour array only where one is read.  `sample_neighbor` applies
-a drawn reversal to the tour array itself; the probe walk that
-calibrates annealing builds no state.  The edges are summed before
-`f` is added, so a reversal that trades two edges for two of the same
-lengths leaves `f` exactly as it was.  Otherwise the sum can differ from
-a full recompute in the last bits, which `Run.evaluate_move` allows for.
+the pair (i, j) that `sample_move` draws.  A tour of 1-3 cities, which
+no reversal changes, gets the empty reversal (0, 0) without a draw: the
+rules below cost it at exactly `f` and build the same tour from it.  A
+move's cost is the tour's cost plus the two edges the reversal makes
+minus the two it breaks: four cities read from the state and four
+distances through a memoryview of the matrix, by plain indexing, instead
+of n reads.  `advance` reverses the slice of a copied state for a move a
+search keeps, and `apply` builds a tour array only where one is read.
+`sample_neighbor` applies a drawn reversal to the tour array itself; the
+probe walk that calibrates annealing builds no state.  The edges are
+summed before `f` is added, so a reversal that trades two edges for two
+of the same lengths leaves `f` exactly as it was (the empty reversal
+subtracts its two edges from themselves).  Otherwise the sum can differ
+from a full recompute in the last bits, which `Run.evaluate_move` allows
+for.
 
 `neighbors` costs every reversal the same way, as arrays: it gathers the
 four edges of each reversal at tour positions fixed per instance and
@@ -178,10 +182,10 @@ class TspInstance(Problem):
         )
 
     def sample_move(self, solution, rng):
-        """A reversal (i, j), or None for 1-3 cities, where every reversal
-        is the same cyclic tour and nothing is drawn."""
+        """A reversal (i, j), or the empty reversal (0, 0) for 1-3 cities,
+        where every reversal is the same cyclic tour and nothing is drawn."""
         if not self._i.size:
-            return None
+            return 0, 0
         k = int(rng.integers(self._i.size))
         return self._i.item(k), self._j.item(k)
 
@@ -195,8 +199,6 @@ class TspInstance(Problem):
 
     def move_cost(self, tour, f: float, move) -> float:
         """`f` plus the two edges reversal i..j makes, minus the two it breaks."""
-        if move is None:
-            return f
         i, j = move
         d = self._edges
         a, b, c, e = tour[i - 1], tour[i], tour[j], tour[(j + 1) % self.n]
@@ -205,11 +207,10 @@ class TspInstance(Problem):
     def apply(self, tour, move) -> np.ndarray:
         """A new tour array with slice i..j reversed, read from `tour` (a chain
         state or an array) into one copy."""
+        i, j = move
         tour = np.asarray(tour)
         out = tour.copy()
-        if move is not None:
-            i, j = move
-            out[i : j + 1] = tour[j : i - 1 if i else None : -1]
+        out[i : j + 1] = tour[j : i - 1 if i else None : -1]
         return out
 
     def advance(self, state, move, built=None) -> array:
@@ -217,10 +218,9 @@ class TspInstance(Problem):
         `state` with slice i..j reversed; `state` is untouched."""
         if built is not None:
             return self.chain(built)
+        i, j = move
         out = state[:]
-        if move is not None:
-            i, j = move
-            out[i : j + 1] = state[j : i - 1 if i else None : -1]
+        out[i : j + 1] = state[j : i - 1 if i else None : -1]
         return out
 
     def solution_attributes(self, solution) -> np.ndarray:

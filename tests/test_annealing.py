@@ -79,7 +79,7 @@ def test_rescaled_delta_values():
 def test_calibration_replays_the_probe_walk(cube):
     run = Run(cube, Budget(200), seed=5, algorithm="probe")
     start, f_start = run.start(cube_state(1, 0, 0))
-    t0, last, f_last = calibrate_t0(cube, run, start, f_start)
+    t0, last, f_last = calibrate_t0(run, start, f_start)
     assert run.evaluations == 101  # start plus one hundred probes
 
     replay = seeded_rng(5)

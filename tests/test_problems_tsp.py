@@ -90,11 +90,34 @@ def test_a_tour_chain_state_is_an_intp_array():
     assert state.tolist() == tour.tolist()
     built = inst.apply(state, (1, 4))
     assert built.dtype == np.intp and built.tolist() == [f, e, a, b, d, c]
-    for move in [(0, 3), (1, 4), (2, 2), (3, 5), None]:
+    for move in [(0, 3), (1, 4), (2, 2), (3, 5), (0, 0)]:
         built = inst.apply(tour, move)
         assert inst.advance(state, move).tolist() == built.tolist()
         assert inst.advance(state, move, built).tolist() == built.tolist()
     assert state.tolist() == tour.tolist()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_tour_of_at_most_three_cities_draws_the_empty_reversal(n):
+    """Every reversal of 1-3 cities is the same cyclic tour, so the move is
+    (0, 0), drawn from nothing: it costs exactly `f` and builds a copy of the
+    tour it starts from."""
+    inst = TspInstance.from_coords(seeded_rng(n).random((n, 2)))
+    rng = seeded_rng(7)
+    tour = inst.random_solution(rng)
+    cities = tour.tolist()
+    state = inst.chain(tour)
+    before = rng.bit_generator.state
+    move = inst.sample_move(state, rng)
+    assert move == (0, 0)
+    assert rng.bit_generator.state == before
+    f = inst.cost(tour)
+    assert inst.move_cost(state, f, move).hex() == f.hex()
+    built = inst.apply(tour, move)
+    advanced = inst.advance(state, move)
+    assert built.tolist() == advanced.tolist() == cities
+    assert built is not tour and advanced is not state
+    assert tour.tolist() == state.tolist() == cities
 
 
 def test_neighborhood_excludes_whole_cycle_reversals(eight):

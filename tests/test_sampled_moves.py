@@ -192,7 +192,7 @@ def test_tour_reversals_match_the_reference(n, seed, as_list):
     problem = TspInstance.from_coords(rng.random((n, 2)) * 100)
     tour = problem.random_solution(rng)
     source = tour.tolist() if as_list else tour
-    moves = [None] + [(i, j) for i in range(n) for j in range(i, n)]  # i = 0 and j = n-1 too
+    moves = [(i, j) for i in range(n) for j in range(i, n)]  # i = 0 and j = n-1 too
     for move in moves:
         out = problem.apply(source, move)
         expected = _reference_apply(source, move)
