@@ -128,6 +128,13 @@ taken while random search drew and costed one tour at a time.  Neither
 stop falls on a multiple of 64, so a search that draws and costs its
 candidates in blocks of 64 must end part-way through its last block and
 reproduce them bit for bit.
+
+Three annealing cases end inside `calibrate_t0`'s probe walk of 100
+steps: `eight-sa-short` (a budget of 40), `rastrigin3-sa-short` (a
+budget of 60) and `cube-sa-target`, whose target is reached at
+evaluation 36.  They were taken while the walk drew, costed and counted
+one probe at a time; a walk drawn first and counted as one block must
+reproduce them bit for bit.
 """
 
 import hashlib
@@ -373,6 +380,10 @@ for name in ("sa-calibrated", "first-accept"):
 for n in (1, 2, 3):
     for name in ("sa-calibrated", "sa-rescaled", "first-accept", "first-accept-random-walk"):
         TRAJECTORY_CASES[f"tour{n}-{name}"] = (f"tour{n}", TRAJECTORY[name])
+# Runs that end inside the probe walk: two budgets, and a target reached at evaluation 36.
+TRAJECTORY_CASES["eight-sa-short"] = ("eight", _sa(40, 15))
+TRAJECTORY_CASES["rastrigin3-sa-short"] = ("rastrigin3", _sa(60, 16))
+TRAJECTORY_CASES["cube-sa-target"] = ("cube", _sa(1000, 17, target=5.0))
 
 
 
@@ -548,6 +559,9 @@ TRAJECTORY_DIGESTS = {
     "pack12-first-accept-random-walk": "cccdc890d599a08f0299d4a419331d74f8ba2f212d0f24b478a99112e2c95dea",
     "cube-sa-calibrated": "f82601260ef1a2361279cefebe86fef4c0e0799435dc89e3e8052666cf50fbef",
     "cube-first-accept-random-walk": "e93529b54417a3299a002404f7a87ad324fb833a24cd3f16f241b98f633df453",
+    "eight-sa-short": "7d083e4e39ae80156b81769b9b966f08289f02a4c1d89264354e2bcdce5d5c81",
+    "rastrigin3-sa-short": "192cce30dcd0d7f479aae8cdf8f50b5697d7097a49d62e2de7b374e8050d30cb",
+    "cube-sa-target": "cc50acc30a1ed34850fd4e583bc3526c8a5ace31c98378a7396d285a210359c6",
 }
 
 
@@ -640,6 +654,17 @@ def test_tour_random_cases_stop_part_way_through_a_block(instances):
 def test_trajectory_record_matches_its_pinned_digest(name, instances):
     instance, run = TRAJECTORY_CASES[name]
     assert _digest(run(instances[instance], instance)) == TRAJECTORY_DIGESTS[name]
+
+
+def test_probe_walk_cases_end_inside_the_walk(instances):
+    """Each stop falls before the start and its 100 probes are counted."""
+    for name, evaluations, status in (("eight-sa-short", 40, "budget_exhausted"),
+                                      ("rastrigin3-sa-short", 60, "budget_exhausted"),
+                                      ("cube-sa-target", 36, "target_reached")):
+        instance, run = TRAJECTORY_CASES[name]
+        rec = run(instances[instance], instance)
+        assert (rec.evaluations, rec.status) == (evaluations, status), name
+        assert rec.extras["temperature_steps"] == 0, name
 
 
 @pytest.mark.parametrize("name", sorted(ACO_CASES))
