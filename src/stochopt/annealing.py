@@ -84,21 +84,32 @@ def rescaled_delta(e_i: float, e_j: float, e_t: float) -> float:
 
 
 def calibrate_t0(run: Run, start, f_start: float) -> tuple[float, object, float]:
-    """T0 = 10 x mean |step| along a random walk of `PROBES` steps from
+    """T0 = 10 x mean |step| along a random walk of up to `PROBES` steps from
     `start`, already counted at cost `f_start`.
 
-    The walk's evaluations count against the run budget.  Returns (t0,
-    last solution, its fitness) so the caller can resume from where the
-    probe left the chain.
+    The walk reads no cost, so it is drawn first: `PROBES` steps, or as
+    many as the budget has left, none once the run is finished.  Then
+    `Run.evaluate_rows` costs it as one block and counts it in order,
+    stopping at the step that spends the budget or reaches the target.
+    Steps drawn past a target stop are built and costed but not counted;
+    they move only `run.rng`, which nothing reads once the run is
+    finished.  The mean is over the counted steps, summed left to right.
+    Returns (t0, last counted solution, its fitness) so the caller can
+    resume from where the probe left the chain.
     """
     current, f_current = start, f_start
     total, steps = 0.0, 0  # summed left to right: `sum` compensates from Python 3.12 on
-    while steps < PROBES and not run.finished:
-        candidate = run.problem.sample_neighbor(current, run.rng)
-        f_candidate = run.evaluate(candidate)
-        total += abs(f_candidate - f_current)
-        steps += 1
-        current, f_current = candidate, f_candidate
+    if not run.finished:
+        sample_neighbor, rng = run.problem.sample_neighbor, run.rng
+        walk = []
+        for _ in range(min(PROBES, run.budget.max_evaluations - run.evaluations)):
+            current = sample_neighbor(current, rng)
+            walk.append(current)
+        costs, steps = run.evaluate_rows(walk)
+        for f_step in costs[:steps]:
+            total += abs(f_step - f_current)
+            f_current = f_step
+        current = walk[steps - 1]
     mean = total / steps if steps else 0.0
     t0 = 10.0 * mean
     if t0 <= 0:
@@ -125,6 +136,8 @@ def simulated_annealing(
             t0, current, f_current = calibrate_t0(run, current, f_current)
             schedule = replace(schedule, t0=t0)
         state = problem.chain(current)
+        rng, sample_move = run.rng, problem.sample_move
+        evaluate_move, advance = run.evaluate_move, problem.advance
 
         step_index = 0
         uphill_proposed = 0
@@ -145,8 +158,8 @@ def simulated_annealing(
             for _ in range(schedule.steps_per_temperature):
                 if run.finished:
                     break
-                move = problem.sample_move(state, run.rng)
-                f_candidate, built = run.evaluate_move(state, f_current, move)
+                move = sample_move(state, rng)
+                f_candidate, built = evaluate_move(state, f_current, move)
                 raw_delta = f_candidate - f_current
                 if rescaled:
                     e_t = alpha * temperature * temperature
@@ -157,10 +170,10 @@ def simulated_annealing(
                     delta = raw_delta
                 if raw_delta > 0:
                     uphill_proposed += 1
-                if metropolis_accept(delta, temperature, run.rng):
+                if metropolis_accept(delta, temperature, rng):
                     if raw_delta > 0:
                         uphill_accepted += 1
-                    state, f_current = problem.advance(state, move, built), f_candidate
+                    state, f_current = advance(state, move, built), f_candidate
             step_index += 1
 
     extras = {

@@ -220,8 +220,9 @@ class ScalarDraws:
     value x, low half of a word first and the high half buffered in the
     bit generator's `has_uint32` / `uinteger`, becomes (x * m) >> 32, and
     x is drawn again while the low 32 bits of x * m are below
-    (2**32 - m) % m (Lemire's method); m = 1 draws nothing and m = 2**32
-    returns x.  `random()` is (w >> 11) * 2**-53 for the next whole word
+    (2**32 - m) % m (Lemire's method), a threshold computed only for low
+    bits below m; m = 1 draws nothing, and m = 2**32, whose threshold is
+    0, returns x.  `random()` is (w >> 11) * 2**-53 for the next whole word
     w, as numpy's `next_double`.  Words are read `_WORDS_PER_READ` at a
     time with `random_raw`.
 
@@ -245,31 +246,25 @@ class ScalarDraws:
         self._words = self._bits.random_raw(_WORDS_PER_READ).tolist()[::-1]
         return self._words.pop()
 
-    def _next32(self) -> int:
-        if self._has_half:
-            self._has_half = False
-            return self._half
-        try:
-            word = self._words.pop()
-        except IndexError:
-            word = self._read()
-        self._half, self._has_half = word >> 32, True
-        return word & _HALF
-
     def integers(self, high, *args, **kwargs):
         if args or kwargs or type(high) is not int or not 0 < high <= _HALF + 1:
             return self._numpy("integers")(high, *args, **kwargs)
         if high == 1:
             return 0
-        x = self._next32()
-        if high > _HALF:
-            return x
-        product = x * high
-        if product & _HALF < high:
-            threshold = (_HALF + 1 - high) % high
-            while product & _HALF < threshold:
-                product = self._next32() * high
-        return product >> 32
+        while True:  # x: the buffered half, else the low half of a fresh word
+            if self._has_half:
+                self._has_half = False
+                product = self._half * high
+            else:
+                try:
+                    word = self._words.pop()
+                except IndexError:
+                    word = self._read()
+                self._half, self._has_half = word >> 32, True
+                product = (word & _HALF) * high
+            low = product & _HALF
+            if low >= high or low >= (_HALF + 1 - high) % high:
+                return product >> 32
 
     def random(self, *args, **kwargs):
         if args or kwargs:

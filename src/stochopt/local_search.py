@@ -53,11 +53,13 @@ def hill_climb_first_accept(
     current, f_current = run.start(start)
     state = problem.chain(current)
     with run.scalar_draws():
+        rng, sample_move = run.rng, problem.sample_move
+        evaluate_move, advance = run.evaluate_move, problem.advance
         while not run.finished:
-            move = problem.sample_move(state, run.rng)
-            f_candidate, built = run.evaluate_move(state, f_current, move)
+            move = sample_move(state, rng)
+            f_candidate, built = evaluate_move(state, f_current, move)
             if random_walk or f_candidate <= f_current:
-                state, f_current = problem.advance(state, move, built), f_candidate
+                state, f_current = advance(state, move, built), f_candidate
     return run.record(extras={"random_walk": random_walk})
 
 

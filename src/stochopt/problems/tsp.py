@@ -181,13 +181,20 @@ class TspInstance(Problem):
             cost=self.cost,
         )
 
+    @cached_property
+    def _pairs(self):
+        """`_i` and `_j` as memoryviews, which read a pair's ends as Python ints.
+        Built on the first `sample_move` call."""
+        return memoryview(self._i), memoryview(self._j)
+
     def sample_move(self, solution, rng):
         """A reversal (i, j), or the empty reversal (0, 0) for 1-3 cities,
         where every reversal is the same cyclic tour and nothing is drawn."""
-        if not self._i.size:
+        i, j = self._pairs
+        if not i:
             return 0, 0
-        k = int(rng.integers(self._i.size))
-        return self._i.item(k), self._j.item(k)
+        k = rng.integers(len(i))
+        return i[k], j[k]
 
     def sample_neighbor(self, solution, rng) -> np.ndarray:
         """`apply` of a drawn reversal, read from the tour array with no chain state built."""

@@ -2,15 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import FIXTURES
 from stochopt import (
+    BinPackingInstance,
     Budget,
+    ContinuousLandscape,
     CoolingSchedule,
     Run,
+    TspInstance,
     ValidationError,
+    cube_fixture,
     cube_state,
     metropolis_accept,
     next_temperature,
+    parse_binpacking_file,
+    parse_tsp_file,
     seeded_rng,
     simulated_annealing,
 )
@@ -94,6 +103,67 @@ def test_calibration_replays_the_probe_walk(cube):
     assert t0 == pytest.approx(10.0 * np.mean(deltas), rel=1e-12)
     assert last == current
     assert f_last == f_current
+
+
+def _walk_step_by_step(run, start, f_start):
+    """`calibrate_t0` as it walked before its steps were counted as one block:
+    draw a step, cost and count it, then draw the next."""
+    current, f_current = start, f_start
+    total, steps = 0.0, 0
+    while steps < annealing.PROBES and not run.finished:
+        candidate = run.problem.sample_neighbor(current, run.rng)
+        f_candidate = run.evaluate(candidate)
+        total += abs(f_candidate - f_current)
+        steps += 1
+        current, f_current = candidate, f_candidate
+    t0 = 10.0 * (total / steps if steps else 0.0)
+    return (t0 if t0 > 0 else 1.0), current, f_current
+
+
+# tours, whole-number and fractional packings, a continuous box and a state graph
+WALKED = {
+    "eight": parse_tsp_file(FIXTURES / "eight.tsp"),
+    "tour50": TspInstance.from_coords(seeded_rng(50).random((50, 2))),
+    "pack10": parse_binpacking_file(FIXTURES / "pack10.txt"),
+    "pack12": BinPackingInstance(seeded_rng(21).uniform(0.05, 0.7, size=12)),
+    "rastrigin3": ContinuousLandscape("multimodal_test", dim=3),
+    "cube": cube_fixture(),
+}
+
+
+def _walk(calibrate, problem, budget, seed):
+    """What a walk from a random start leaves: its result and the run's count,
+    curve and success, then the generator's state."""
+    run = Run(problem, budget, seed, "probe")
+    start, f_start = run.start()
+    with run.scalar_draws():
+        t0, last, f_last = calibrate(run, start, f_start)
+    outcome = ((t0, problem.freeze(last), f_last), run.evaluations, run.best_curve,
+               run.evaluations_to_success)
+    return outcome, run.rng.bit_generator.state
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    name=st.sampled_from(sorted(WALKED)),
+    budget=st.integers(1, 150),
+    seed=st.integers(0, 2**32 - 1),
+    reach=st.one_of(st.none(), st.integers(1, 150)),
+)
+def test_the_probe_walk_counted_as_one_block_matches_it_step_by_step(name, budget, seed, reach):
+    """Same t0, last step, count, curve and success; the target, when set, is
+    the best the untargeted walk has found by evaluation `reach`, so it stops the
+    walk at or before it.  Only a target stop leaves the generator elsewhere."""
+    problem = WALKED[name]
+    target = None
+    if reach is not None:
+        (_, _, curve, _), _ = _walk(_walk_step_by_step, problem, Budget(budget), seed)
+        target = min(f for n, f in curve if n <= reach)
+    block, block_state = _walk(calibrate_t0, problem, Budget(budget, target), seed)
+    steps, steps_state = _walk(_walk_step_by_step, problem, Budget(budget, target), seed)
+    assert block == steps
+    if block[3] is None:
+        assert block_state == steps_state  # no probe drawn past the budget
 
 
 def _neumaier(values, start=0):

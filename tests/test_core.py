@@ -11,6 +11,7 @@ import typing
 import warnings
 from array import array
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -252,16 +253,22 @@ def test_a_sampled_search_builds_each_kept_move_once(monkeypatch, search):
 @pytest.mark.parametrize("name", ["pack10", "eight", "cube", "continuous"])
 def test_a_sampled_search_leaves_its_problem_as_it_found_it(name):
     """Sampled searches keep their chain in the searcher: no attribute of the
-    problem is set, replaced or added along the way."""
+    problem is set, replaced or added along the way, but for a `cached_property`
+    of the instance's fixed data, built once on first use and never replaced."""
     problem = {
         "pack10": lambda: parse_binpacking_file(FIXTURES / "pack10.txt"),
         "eight": lambda: parse_tsp_file(FIXTURES / "eight.tsp"),
         "cube": cube_fixture,
         "continuous": lambda: ContinuousLandscape("multimodal_test", dim=3),
     }[name]()
-    attributes = {k: id(v) for k, v in vars(problem).items()}
+    before = {k: id(v) for k, v in vars(problem).items()}
     simulated_annealing(problem, Budget(3000), 0)
+    attributes = {k: id(v) for k, v in vars(problem).items()}
+    added = attributes.keys() - before.keys()
+    assert all(isinstance(getattr(type(problem), k, None), cached_property) for k in added)
+    assert {k: attributes[k] for k in before} == before
     hill_climb_first_accept(problem, Budget(3000), 1)
+    simulated_annealing(problem, Budget(3000), 2)
     assert {k: id(v) for k, v in vars(problem).items()} == attributes
 
 

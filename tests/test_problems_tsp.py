@@ -13,6 +13,7 @@ from stochopt import (
     seeded_rng,
     two_route_instance,
 )
+from stochopt.core import ScalarDraws
 
 
 def _length_by_hand(d, tour):
@@ -118,6 +119,33 @@ def test_a_tour_of_at_most_three_cities_draws_the_empty_reversal(n):
     assert built.tolist() == advanced.tolist() == cities
     assert built is not tour and advanced is not state
     assert tour.tolist() == state.tolist() == cities
+
+
+@pytest.mark.parametrize("decoded", [False, True], ids=["generator", "scalar-draws"])
+def test_a_sampled_reversal_is_read_as_two_python_ints(decoded):
+    """Move k is (_i[k], _j[k]) for the k that `integers(len(_i))` draws, as plain ints."""
+    inst = TspInstance.from_coords(seeded_rng(50).random((50, 2)))
+    state = inst.chain(np.arange(50))
+    rng, reference = seeded_rng(3), seeded_rng(3)
+    if decoded:
+        rng = ScalarDraws(rng)
+    for _ in range(300):
+        move = inst.sample_move(state, rng)
+        k = reference.integers(len(inst._i))
+        assert [type(end) for end in move] == [int, int]
+        assert move == (inst._i[k], inst._j[k])
+    if decoded:
+        rng.close()
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
+def test_enumerating_a_tour_builds_no_pair_views():
+    """`sample_move`'s memoryviews are built on its first call, not for `neighbors`."""
+    inst = TspInstance.from_coords(seeded_rng(9).random((9, 2)))
+    inst.neighbors(np.arange(9))
+    assert "_pairs" not in vars(inst)
+    inst.sample_move(inst.chain(np.arange(9)), seeded_rng(0))
+    assert "_pairs" in vars(inst)
 
 
 def test_neighborhood_excludes_whole_cycle_reversals(eight):

@@ -12,7 +12,7 @@ from contextlib import nullcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES
@@ -64,8 +64,13 @@ def _assert_same_state(generator, reference):
     assert generator.permutation(20).tolist() == reference.permutation(20).tolist()
 
 
+# seed 0 primed buffers a half that 2**31 + 1 rejects (see the test below)
+PRIMED_REJECTION = dict(seed=0, primed=True, draws=[2**31 + 1, None, 2**31 + 1])
+
+
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**64 - 1), primed=st.booleans(), draws=DRAWS)
+@example(**PRIMED_REJECTION)
 def test_decoded_draws_match_numpy_and_hand_back_its_state(seed, primed, draws):
     reference, generator = _pair(seed, primed)
     decoder = ScalarDraws(generator)
@@ -76,6 +81,13 @@ def test_decoded_draws_match_numpy_and_hand_back_its_state(seed, primed, draws):
     for bound in (7, None, 2**32, 1):  # a closed decoder's draws come from numpy
         assert _draw(decoder, bound) == _draw(reference, bound)
     _assert_same_state(generator, reference)
+
+
+def test_the_primed_example_rejects_its_buffered_half():
+    """Its first draw redraws after the buffered half, whatever else hypothesis tries."""
+    generator, _ = _pair(PRIMED_REJECTION["seed"], PRIMED_REJECTION["primed"])
+    m = PRIMED_REJECTION["draws"][0]
+    assert (generator.bit_generator.state["uinteger"] * m) % 2**32 < (2**32 - m) % m
 
 
 @settings(max_examples=150, deadline=None)
