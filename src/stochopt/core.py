@@ -610,7 +610,8 @@ class Run:
         """Cost `rows` with one `Problem.cost_rows` call, then count them in order
         through `evaluate_batch`; returns (every row's cost, how many were counted).
 
-        Its callers: a random-search block, a swarm sweep and an ant iteration."""
+        Its callers: a random-search block, a swarm sweep, an ant iteration and
+        annealing's probe walk."""
         costs = self.problem.cost_rows(rows)
         return costs, self.evaluate_batch(costs, lambda k: (rows[k], costs[k]))
 

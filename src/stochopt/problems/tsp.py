@@ -5,21 +5,24 @@ is 2-opt: reverse the closed slice i..j of the permutation.  Reversals
 spanning the whole tour or all but one city reproduce the same cyclic
 tour, so they are excluded from neighborhood enumeration and sampling.
 
-A sampled search carries the tour as its chain state: an `array` of
-city ids whose items are numpy's `intp`, so `chain` and `np.asarray`
-convert between it and the tour array as one memcpy.  A sampled move is
-the pair (i, j) that `sample_move` draws.  A tour of 1-3 cities, which
-no reversal changes, gets the empty reversal (0, 0) without a draw: the
-rules below cost it at exactly `f` and build the same tour from it.  A
-move's cost is the tour's cost plus the two edges the reversal makes
-minus the two it breaks: four cities read from the state and four
-distances through a memoryview of the matrix, by plain indexing, instead
-of n reads.  `advance` reverses the slice of a copied state for a move a
-search keeps, and `apply` builds a tour array only where one is read.
-`sample_neighbor` applies a drawn reversal to the tour array itself; the
-probe walk that calibrates annealing builds no state.  The edges are
-summed before `f` is added, so a reversal that trades two edges for two
-of the same lengths leaves `f` exactly as it was (the empty reversal
+A sampled search carries the tour as its chain state: an `array` of city
+ids whose items are numpy's `intp`, so `chain` and `np.asarray` convert
+between it and the tour array as one memcpy.  A sampled move is the pair
+(i, j) that `sample_move` draws, read as two Python ints through
+memoryviews of the pair arrays; these are built on the first draw, so an
+instance that is only enumerated never builds them.  A tour of 1-3
+cities, which no reversal changes, gets the empty reversal (0, 0)
+without a draw: the rules below cost it at exactly `f` and build the
+same tour from it.  A move's cost is the tour's cost plus the two edges
+the reversal makes minus the two it breaks: four cities read from the
+state and four distances through a memoryview of the matrix, by plain
+indexing, instead of n reads.  `advance` reverses the slice of a copied
+state for a move a search keeps, and `apply` builds a tour array only
+where one is read.  `sample_neighbor` applies a drawn reversal to the
+tour array itself: the probe walk that calibrates annealing builds no
+state, and its tours are costed as one block by `cost_rows`.  The edges
+are summed before `f` is added, so a reversal that trades two edges for
+two of the same lengths leaves `f` exactly as it was (the empty reversal
 subtracts its two edges from themselves).  Otherwise the sum can differ
 from a full recompute in the last bits, which `Run.evaluate_move` allows
 for.
@@ -182,7 +185,7 @@ class TspInstance(Problem):
         )
 
     @cached_property
-    def _pairs(self):
+    def _pair_views(self):
         """`_i` and `_j` as memoryviews, which read a pair's ends as Python ints.
         Built on the first `sample_move` call."""
         return memoryview(self._i), memoryview(self._j)
@@ -190,7 +193,7 @@ class TspInstance(Problem):
     def sample_move(self, solution, rng):
         """A reversal (i, j), or the empty reversal (0, 0) for 1-3 cities,
         where every reversal is the same cyclic tour and nothing is drawn."""
-        i, j = self._pairs
+        i, j = self._pair_views
         if not i:
             return 0, 0
         k = rng.integers(len(i))

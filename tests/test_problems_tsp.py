@@ -143,9 +143,9 @@ def test_enumerating_a_tour_builds_no_pair_views():
     """`sample_move`'s memoryviews are built on its first call, not for `neighbors`."""
     inst = TspInstance.from_coords(seeded_rng(9).random((9, 2)))
     inst.neighbors(np.arange(9))
-    assert "_pairs" not in vars(inst)
+    assert "_pair_views" not in vars(inst)
     inst.sample_move(inst.chain(np.arange(9)), seeded_rng(0))
-    assert "_pairs" in vars(inst)
+    assert "_pair_views" in vars(inst)
 
 
 def test_neighborhood_excludes_whole_cycle_reversals(eight):
