@@ -119,9 +119,9 @@ class BinPackingInstance(Problem):
             raise EncodingMismatchError(
                 f"assignment must map {self.n} items to bins, got shape {a.shape}"
             )
-        if not np.issubdtype(a.dtype, np.integer):
+        if a.dtype.kind not in "iu":
             raise EncodingMismatchError("bin ids must be integers")
-        if np.any(a < 0) or np.any(a >= self.n):
+        if np.minimum.reduce(a) < 0 or np.maximum.reduce(a) >= self.n:
             raise ValidationError(f"bin ids must lie in 0..{self.n - 1}")
         return a.astype(np.intp)
 

@@ -9,13 +9,18 @@ Two objectives ship with the toolkit:
   f(x) = 10 d + sum(x_i^2 - 10 cos(2 pi x_i)), minimum 0 at the origin,
   with a regular grid of local minima; default box [-5.12, 5.12].
 
-Points outside the box are clamped to it before evaluation and the clamp
-is logged, so objective values are always defined; a point with a NaN or
-infinite coordinate is refused by `validate`.  Each objective is written
-once, over the last axis, so `cost` of one point and `cost_rows` of a
-block evaluate the same expression.  Neighborhood moves
-perturb every coordinate by a uniform draw within a radius that defaults
-to 5% of each dimension's width.
+Points outside the box are clamped to it before evaluation, so objective
+values are always defined; a point with a NaN or infinite coordinate is
+refused by `validate`.  Whether the clamp moved a point is worked out,
+and logged, only when this module's logger is enabled for DEBUG.  The
+clamp calls `clip`, the ufunc behind `np.clip`, without `np.clip`'s
+Python-level argument handling: the same kernel gives the same bits,
+signed zeros included, which an `np.maximum`/`np.minimum` pair does not
+(the two break a tie of 0.0 and -0.0 differently from `np.clip` on some
+shapes).  Each objective is written once, over the last axis, so `cost`
+of one point and `cost_rows` of a block evaluate the same expression.
+Neighborhood moves perturb every coordinate by a uniform draw within a
+radius that defaults to 5% of each dimension's width.
 """
 
 from __future__ import annotations
@@ -25,6 +30,11 @@ import logging
 import numpy as np
 
 from ..core import Count, EncodingMismatchError, Problem, ValidationError, conform
+
+try:
+    from numpy._core.umath import clip
+except ImportError:  # numpy < 2
+    from numpy.core.umath import clip
 
 log = logging.getLogger(__name__)
 
@@ -75,24 +85,28 @@ class ContinuousLandscape(Problem):
             raise EncodingMismatchError(
                 f"point must be a vector of length {self.dim}, got shape {x.shape}"
             )
-        if not np.isfinite(x).all():
+        if np.count_nonzero(np.isfinite(x)) < x.size:
             i = int(np.argmin(np.isfinite(x)))
             raise ValidationError(f"point coordinates must be finite; x[{i}] = {x[i]}")
         return x
 
-    def clamp(self, x: np.ndarray) -> tuple[np.ndarray, bool]:
-        clipped = np.clip(x, self.lower, self.upper)
-        return clipped, bool(np.any(clipped != x))
+    def clamp(self, x: np.ndarray) -> np.ndarray:
+        """`x`, a point or a block of them, clipped to the box."""
+        return clip(x, self.lower, self.upper)
 
     def _objective(self, x: np.ndarray):
-        """The objective of a point, or of each row of a block: clamped, then evaluated."""
-        x, clamped = self.clamp(x)
-        if clamped:
+        """The objective of a point, or of each row of a block: clamped, then evaluated.
+
+        Whether the clamp moved anything is computed only for the DEBUG log.
+        """
+        clamped = self.clamp(x)
+        if log.isEnabledFor(logging.DEBUG) and np.count_nonzero(clamped != x):
             log.debug("point outside bounds clamped before evaluation")
+        x = clamped
         if self.objective == "abs_linear":
             return np.abs(x[..., 0] + 1.0)
         # multimodal_test
-        return 10.0 * x.shape[-1] + np.sum(x**2 - 10.0 * np.cos(2.0 * np.pi * x), axis=-1)
+        return 10.0 * x.shape[-1] + np.add.reduce(x**2 - 10.0 * np.cos(2.0 * np.pi * x), axis=-1)
 
     def cost(self, x) -> float:
         return float(self._objective(x))
@@ -110,8 +124,7 @@ class ContinuousLandscape(Problem):
 
     def sample_move(self, solution, rng):
         step = rng.uniform(-self.neighbor_radius, self.neighbor_radius)
-        moved, _ = self.clamp(solution + step)
-        return moved
+        return self.clamp(solution + step)
 
 
 def _finite_vector(value, dim: int, what: str) -> np.ndarray:

@@ -113,12 +113,14 @@ class TspInstance(Problem):
             raise EncodingMismatchError(
                 f"tour must be a permutation of {self.n} cities, got shape {tour.shape}"
             )
-        if not np.issubdtype(tour.dtype, np.integer):
+        if tour.dtype.kind not in "iu":
             raise EncodingMismatchError("tour entries must be integers")
-        counts = np.bincount(tour.astype(np.intp), minlength=self.n)
-        if counts.size != self.n or np.any(counts != 1):
+        ids = tour.astype(np.intp)
+        # n ids in 0..n-1 visit every city once exactly when none is missed
+        if (np.minimum.reduce(tour) < 0 or np.maximum.reduce(tour) >= self.n
+                or np.count_nonzero(np.bincount(ids, minlength=self.n)) != self.n):
             raise ValidationError("tour must visit every city exactly once")
-        return tour.astype(np.intp)
+        return ids
 
     def cost(self, tour) -> float:
         return float(np.add.reduce(self.d[tour[:-1], tour[1:]]) + self.d[tour[-1], tour[0]])

@@ -23,6 +23,13 @@ stops at the particle that finishes the run, by budget or by target
 alike.  Only the counted particles update their personal bests and count
 toward `clamped_moves`, and a sweep cut short still ends as a full one
 does: it counts in `sweeps` and adds its swarm best to `gbest_curve`.
+
+A swarm is a few small arrays, on which numpy's Python-level wrappers
+(`np.clip`, `np.any`, `np.argmin`) cost more than the arithmetic, so a
+sweep calls ufuncs and `ndarray` methods only: velocities and moves are
+clipped by `clip`, the ufunc behind `np.clip` (problems/continuous.py),
+clamped particles are counted with a reduce, and personal bests update
+as one masked copy.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ from .core import (
     UnsupportedOperationError,
     check_fields,
 )
+from .problems.continuous import clip
 
 
 @dataclass(frozen=True)
@@ -56,16 +64,26 @@ class SwarmConfig:
 
 
 def update_velocity(pos, veloc, p_best_pos, g_pos, cfg: SwarmConfig, rng) -> np.ndarray:
-    """New (size, dim) velocities; row i draws its r1 and r2 in turn, as a loop would."""
+    """New (size, dim) velocities; row i draws its r1 and r2 in turn, as a loop would.
+
+    Each pull is scaled out of the draw block into an array of its own,
+    then finished and summed in place, in the rule's order of operations,
+    so the sum is the rule's bit for bit; with no inertia the velocity is
+    carried as it is (1.0 * v is v).
+    """
     r = rng.random((pos.shape[0], 2, pos.shape[1]))
-    keep = 1.0 if cfg.inertia is None else cfg.inertia
-    v = (
-        keep * veloc
-        + cfg.p_increment * r[:, 0] * (p_best_pos - pos)
-        + cfg.g_increment * r[:, 1] * (g_pos - pos)
-    )
+    p_pull = cfg.p_increment * r[:, 0]
+    p_pull *= p_best_pos - pos
+    g_pull = cfg.g_increment * r[:, 1]
+    g_pull *= g_pos - pos
+    if cfg.inertia is None:
+        v = veloc + p_pull
+    else:
+        v = cfg.inertia * veloc
+        v += p_pull
+    v += g_pull
     if cfg.vmax is not None:
-        v = np.clip(v, -cfg.vmax, cfg.vmax)
+        clip(v, -cfg.vmax, cfg.vmax, out=v)
     return v
 
 
@@ -73,10 +91,10 @@ def _evaluate_all(pos, p_best_pos, p_best_val, run: Run) -> int:
     """Cost every particle at once, then count them in index order until the run finishes;
     the counted ones keep strictly better personal bests.  Returns how many were counted."""
     costs, counted = run.evaluate_rows(pos)
-    for i, val in enumerate(costs[:counted]):
-        if val < p_best_val[i]:
-            p_best_val[i] = val
-            p_best_pos[i] = pos[i]
+    vals = np.array(costs[:counted])
+    better = vals < p_best_val[:counted]
+    np.copyto(p_best_val[:counted], vals, where=better)
+    np.copyto(p_best_pos[:counted], pos[:counted], where=better[:, None])
     return counted
 
 
@@ -91,16 +109,17 @@ def step_swarm(pos, veloc, p_best_pos, p_best_val, g_pos, g_val, cfg: SwarmConfi
     problem = run.problem
     veloc = update_velocity(pos, veloc, p_best_pos, g_pos, cfg, run.rng)
     moved = pos + veloc
-    pos = np.clip(moved, problem.lower, problem.upper)
+    pos = problem.clamp(moved)
     counted = _evaluate_all(pos, p_best_pos, p_best_val, run)
-    clamped = int(np.any(pos[:counted] != moved[:counted], axis=1).sum())
+    clipped = pos[:counted] != moved[:counted]
+    clamped = int(np.count_nonzero(np.logical_or.reduce(clipped, axis=1)))
     g_pos, g_val = _swarm_best(p_best_pos, p_best_val, g_pos, g_val)
     return pos, veloc, g_pos, g_val, clamped
 
 
 def _swarm_best(p_best_pos, p_best_val, g_pos, g_val):
     """The first lowest personal best, when it beats the swarm best."""
-    i = int(np.argmin(p_best_val))
+    i = p_best_val.argmin()
     if p_best_val[i] < g_val:
         return p_best_pos[i].copy(), float(p_best_val[i])
     return g_pos, g_val

@@ -741,6 +741,18 @@ def test_main_refuses_a_start_that_is_not_finite(tmp_path, capsys):
     assert not (tmp_path / "inf_start.csv").exists()
 
 
+def test_main_refuses_a_tour_start_with_a_negative_city(tmp_path, capsys):
+    _write(tmp_path, "eight.tsp", (FIXTURES / "eight.tsp").read_text())
+    cfg = _write(tmp_path, "neg_start.json", json.dumps(
+        {"instance": "eight.tsp", "algorithm": "hillclimb", "budget": 5,
+         "start": [-1, 0, 1, 2, 3, 4, 5, 6]}))
+    rc = main(["run", "--config", str(cfg), "--output-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == "error: tour must visit every city exactly once\n"
+    assert not (tmp_path / "neg_start.csv").exists()
+
+
 def test_main_runs_a_whole_float_ant_count_as_that_many_ants(tmp_path):
     _write(tmp_path, "eight.tsp", (FIXTURES / "eight.tsp").read_text())
     reports = []

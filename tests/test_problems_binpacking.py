@@ -1,4 +1,5 @@
 import json
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -15,7 +16,7 @@ from stochopt import (
 )
 from stochopt.problems.binpacking import EXACT_TOTAL, first_fit_decreasing
 
-from conftest import FIXTURES
+from conftest import FIXTURES, id_arrays, outcome
 
 
 def _bins_used(assignment):
@@ -115,6 +116,28 @@ def test_assignment_validation():
         inst.validate([0.5, 0.5])
     with pytest.raises(ValidationError):
         inst.validate([0, 2])
+
+
+def _old_assignment_rules(n, solution):
+    """`BinPackingInstance.validate` as it read before it dropped numpy's Python-level wrappers."""
+    a = np.asarray(solution)
+    if a.ndim != 1 or a.size != n:
+        raise EncodingMismatchError(
+            f"assignment must map {n} items to bins, got shape {a.shape}"
+        )
+    if not np.issubdtype(a.dtype, np.integer):
+        raise EncodingMismatchError("bin ids must be integers")
+    if np.any(a < 0) or np.any(a >= n):
+        raise ValidationError(f"bin ids must lie in 0..{n - 1}")
+    return a.astype(np.intp)
+
+
+@settings(max_examples=400, deadline=None)
+@given(n=st.integers(1, 9), data=st.data())
+def test_validate_keeps_the_old_rules(n, data):
+    assignment = data.draw(id_arrays(n))
+    want = outcome(partial(_old_assignment_rules, n), assignment)
+    assert outcome(BinPackingInstance([0.5] * n).validate, assignment) == want
 
 
 def test_brute_force_matches_exhaustive_enumeration():

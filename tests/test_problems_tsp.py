@@ -1,8 +1,9 @@
+from functools import partial
 from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stochopt import (
@@ -14,6 +15,8 @@ from stochopt import (
     two_route_instance,
 )
 from stochopt.core import ScalarDraws
+
+from conftest import id_arrays, outcome
 
 
 def _length_by_hand(d, tour):
@@ -194,6 +197,49 @@ def test_validation_rejects_malformed_tours(eight):
         eight.validate(np.linspace(0, 7, 8))
     with pytest.raises(ValidationError):
         eight.validate([0, 0, 1, 2, 3, 4, 5, 6])
+
+
+@pytest.mark.parametrize("tour", [
+    [-1, 0, 1, 2, 3, 4, 5, 6],
+    [0, 1, 2, 3, 4, 5, 6, -8],
+    np.array([0, 1, 2, 3, 4, 5, 6, 2**63], dtype=np.uint64),  # negative once cast to intp
+])
+def test_validation_refuses_an_id_outside_the_cities_by_name(eight, tour):
+    with pytest.raises(ValidationError, match="every city exactly once"):
+        eight.validate(tour)
+
+
+def _old_tour_rules(n, solution):
+    """`TspInstance.validate` as it read before it dropped numpy's Python-level wrappers.
+
+    One line is added: an id of 2**16 or more is refused before `bincount`,
+    which would allocate a count for every id up to it (32 GiB for the
+    largest uint32) only to refuse the tour with the same error.
+    """
+    tour = np.asarray(solution)
+    if tour.ndim != 1 or tour.size != n:
+        raise EncodingMismatchError(
+            f"tour must be a permutation of {n} cities, got shape {tour.shape}"
+        )
+    if not np.issubdtype(tour.dtype, np.integer):
+        raise EncodingMismatchError("tour entries must be integers")
+    if np.any(tour.astype(np.intp) >= 2**16):
+        raise ValidationError("tour must visit every city exactly once")
+    counts = np.bincount(tour.astype(np.intp), minlength=n)
+    if counts.size != n or np.any(counts != 1):
+        raise ValidationError("tour must visit every city exactly once")
+    return tour.astype(np.intp)
+
+
+@settings(max_examples=400, deadline=None)
+@given(n=st.integers(1, 9), data=st.data())
+def test_validate_keeps_the_old_rules_and_names_a_negative_id(n, data):
+    tour = data.draw(id_arrays(n))
+    want = outcome(partial(_old_tour_rules, n), tour)
+    if want[0] is ValueError:  # numpy's own, from bincount: an id negative as an intp
+        assert np.minimum.reduce(tour.astype(np.intp)) < 0
+        want = (ValidationError, "tour must visit every city exactly once")
+    assert outcome(TspInstance(np.zeros((n, n))).validate, tour) == want
 
 
 def test_instance_validation():

@@ -1,7 +1,10 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stochopt import (
     Budget,
@@ -14,6 +17,8 @@ from stochopt import (
     seeded_rng,
 )
 from stochopt.swarm import step_swarm, update_velocity
+
+from conftest import BOXES
 
 
 def _rows(*rows):
@@ -85,6 +90,56 @@ def test_ties_keep_the_standing_bests():
     assert g_val == 1.0
 
 
+@st.composite
+def sweep_cases(draw):
+    """A swarm state on a landscape whose bounds may be 0.0 or -0.0, and a rule
+    for it: coordinates and velocities at 0.0, -0.0, a bound, or anywhere
+    about the box, and increments of zero, some or many box widths."""
+    size, dim = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    lower, upper = zip(*draw(st.lists(st.sampled_from(BOXES), min_size=dim, max_size=dim)))
+    prob = ContinuousLandscape("abs_linear", dim=dim, bounds=(lower, upper))
+    value = st.one_of(st.sampled_from(lower + upper + (0.0, -0.0)), st.floats(-8.0, 8.0))
+    pos, veloc, p_best = (
+        np.array(draw(st.lists(value, min_size=size * dim, max_size=size * dim))).reshape(size, dim)
+        for _ in range(3)
+    )
+    g_pos = np.array(draw(st.lists(value, min_size=dim, max_size=dim)))
+    increment = st.sampled_from([0.0, 0.5, 2.0, 50.0])
+    cfg = SwarmConfig(size=size, p_increment=draw(increment), g_increment=draw(increment),
+                      vmax=draw(st.sampled_from([None, 0.25, 3.0])),
+                      inertia=draw(st.sampled_from([None, 0.5, -1.0])))
+    return prob, pos, veloc, p_best, g_pos, cfg, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=sweep_cases())
+@example(case=(  # zero increments pull by -0.0 toward lower bests: moved lands on -0.0 at a 0.0 bound
+    ContinuousLandscape(dim=1, bounds=(0.0, 2.5)), np.full((2, 1), -0.0), np.full((2, 1), -0.0),
+    np.full((2, 1), -1.0), np.array([-1.0]),
+    SwarmConfig(size=2, p_increment=0.0, g_increment=0.0), 0,
+))
+def test_the_sweep_clamps_equal_np_clip_bit_for_bit(case):
+    """`update_velocity`'s vmax clip and `step_swarm`'s clamp of the moved positions."""
+    prob, pos, veloc, p_best, g_pos, cfg, seed = case
+    free = update_velocity(pos, veloc, p_best, g_pos, replace(cfg, vmax=None), seeded_rng(seed))
+    v = update_velocity(pos, veloc, p_best, g_pos, cfg, seeded_rng(seed))
+    want = free if cfg.vmax is None else np.clip(free, -cfg.vmax, cfg.vmax)
+    np.testing.assert_array_equal(np.signbit(v), np.signbit(want))
+    assert v.tobytes() == want.tobytes()
+
+    run = Run(prob, Budget(100), seed, "pso")
+    p_best_val = np.full(len(pos), np.inf)
+    moved_pos, v, *_, clamped = step_swarm(
+        pos, veloc, p_best.copy(), p_best_val, g_pos, np.inf, cfg, run,
+    )
+    assert v.tobytes() == want.tobytes()
+    moved = pos + v
+    want = np.clip(moved, prob.lower, prob.upper)
+    np.testing.assert_array_equal(np.signbit(moved_pos), np.signbit(want))
+    assert moved_pos.tobytes() == want.tobytes()
+    assert clamped == np.count_nonzero(np.any(want != moved, axis=1))
+
+
 def _replay(prob, size, budget, seed, inertia=None, vmax=None):
     """The swarm by hand, one particle at a time: the reference draw order.
 
@@ -139,8 +194,9 @@ def _replay(prob, size, budget, seed, inertia=None, vmax=None):
         for i in range(size):
             if finished():
                 break  # the particles left are neither evaluated nor counted as clamped
-            pos[i], hit = prob.clamp(pos[i] + vel[i])
-            out["clamped"] += hit
+            moved = pos[i] + vel[i]
+            pos[i] = prob.clamp(moved)
+            out["clamped"] += bool(np.any(pos[i] != moved))
             val = evaluate(pos[i])
             if val < pb_val[i]:
                 pb_val[i], pb_pos[i] = val, pos[i].copy()
