@@ -16,9 +16,11 @@ and logged, only when this module's logger is enabled for DEBUG.  The
 clamp calls `clip`, the ufunc behind `np.clip`, without `np.clip`'s
 Python-level argument handling: the same kernel gives the same bits,
 signed zeros included, which an `np.maximum`/`np.minimum` pair does not
-(the two break a tie of 0.0 and -0.0 differently from `np.clip` on some
-shapes).  Each objective is written once, over the last axis, so `cost`
-of one point and `cost_rows` of a block evaluate the same expression.
+(on numpy 2.4 it breaks a tie of 0.0 and -0.0 differently from `np.clip`
+on some shapes, such as a (20, 1) block against (1,) bounds).
+
+Each objective is written once, over the last axis, so `cost` of one
+point and `cost_rows` of a block evaluate the same expression.
 Neighborhood moves perturb every coordinate by a uniform draw within a
 radius that defaults to 5% of each dimension's width.
 """

@@ -76,11 +76,7 @@ def update_velocity(pos, veloc, p_best_pos, g_pos, cfg: SwarmConfig, rng) -> np.
     p_pull *= p_best_pos - pos
     g_pull = cfg.g_increment * r[:, 1]
     g_pull *= g_pos - pos
-    if cfg.inertia is None:
-        v = veloc + p_pull
-    else:
-        v = cfg.inertia * veloc
-        v += p_pull
+    v = (veloc if cfg.inertia is None else cfg.inertia * veloc) + p_pull
     v += g_pull
     if cfg.vmax is not None:
         clip(v, -cfg.vmax, cfg.vmax, out=v)

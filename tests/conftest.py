@@ -104,6 +104,6 @@ def outcome(call, arg):
     """What `call(arg)` did: (dtype, bytes) of the array it returned, or (error class, message)."""
     try:
         got = call(arg)
-    except Exception as err:  # noqa: BLE001 - the class is part of what is compared
+    except Exception as err:  # any class: the class is part of what is compared
         return type(err), str(err)
     return got.dtype, got.tobytes()
