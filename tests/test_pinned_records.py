@@ -135,6 +135,17 @@ budget of 60) and `cube-sa-target`, whose target is reached at
 evaluation 36.  They were taken while the walk drew, costed and counted
 one probe at a time; a walk drawn first and counted as one block must
 reproduce them bit for bit.
+
+Six cases on `eight` and `pack10` pin the exits of the annealing and
+first-accept loops: `*-sa-step-boundary` (a fixed `t0`, 50 steps per
+temperature and a budget of 1 + 50 x 60, so the budget ends on the last
+proposal of a temperature step), `*-sa-frozen` (frozen by
+`max_temperature_steps` = 30 with budget left) and
+`*-first-accept-target` (stopped by its target).  Their
+`temperature_steps` and `uphill_*` extras are in the digest.  They were
+taken while both loops asked `Run.finished` before every proposal; a
+loop that checks the budget once per block must reproduce them bit for
+bit.
 """
 
 import hashlib
@@ -308,11 +319,12 @@ T0 = {"eight": 300.0, "tour50": 2.0, "pack10": 20.0, "grid16": 14.0, "rastrigin3
       "pack12": 130.0}
 
 
-def _sa(budget, seed, target=None, schedule="calibrated", **kw):
+def _sa(budget, seed, target=None, schedule="calibrated", max_temperature_steps=None, **kw):
     def run(problem, instance):
         cooling = None
         if schedule == "fixed":
-            cooling = CoolingSchedule(t0=T0[instance], steps_per_temperature=50)
+            cooling = CoolingSchedule(t0=T0[instance], steps_per_temperature=50,
+                                      max_temperature_steps=max_temperature_steps)
         elif schedule == "linear":
             t0 = T0[instance]
             cooling = CoolingSchedule(
@@ -324,10 +336,10 @@ def _sa(budget, seed, target=None, schedule="calibrated", **kw):
     return run
 
 
-def _first_accept(budget, seed, random_walk=False, start=None):
+def _first_accept(budget, seed, random_walk=False, start=None, target=None):
     def run(problem, instance):
         return hill_climb_first_accept(
-            problem, Budget(budget), seed, start=start, random_walk=random_walk
+            problem, Budget(budget, target), seed, start=start, random_walk=random_walk
         )
 
     return run
@@ -384,6 +396,17 @@ for n in (1, 2, 3):
 TRAJECTORY_CASES["eight-sa-short"] = ("eight", _sa(40, 15))
 TRAJECTORY_CASES["rastrigin3-sa-short"] = ("rastrigin3", _sa(60, 16))
 TRAJECTORY_CASES["cube-sa-target"] = ("cube", _sa(1000, 17, target=5.0))
+# Loop exits: a budget spent on the last step of a temperature (the start and
+# 60 steps of 50), a schedule frozen with budget left, a first-accept target.
+FIRST_ACCEPT_TARGET = {"eight": 242.46491759376055, "pack10": 4.0}
+for _name, _target in FIRST_ACCEPT_TARGET.items():
+    TRAJECTORY_CASES[f"{_name}-sa-step-boundary"] = (_name, _sa(1 + 50 * 60, 18, schedule="fixed"))
+    TRAJECTORY_CASES[f"{_name}-sa-frozen"] = (
+        _name, _sa(6000, 19, schedule="fixed", max_temperature_steps=30)
+    )
+    TRAJECTORY_CASES[f"{_name}-first-accept-target"] = (
+        _name, _first_accept(4000, 18, target=_target)
+    )
 
 
 
@@ -562,6 +585,12 @@ TRAJECTORY_DIGESTS = {
     "eight-sa-short": "7d083e4e39ae80156b81769b9b966f08289f02a4c1d89264354e2bcdce5d5c81",
     "rastrigin3-sa-short": "192cce30dcd0d7f479aae8cdf8f50b5697d7097a49d62e2de7b374e8050d30cb",
     "cube-sa-target": "cc50acc30a1ed34850fd4e583bc3526c8a5ace31c98378a7396d285a210359c6",
+    "eight-sa-step-boundary": "25f2844fbbf750c0c465559bbf78897b2a1e2fa09154a33c686a801a7c5f78b7",
+    "eight-sa-frozen": "b6e49ad3ca0875d325d83c90178bdf90cc303f1662f7d1776645db963493c28b",
+    "eight-first-accept-target": "7c5c477b28dc9a38bcfb165bb662b308b6a3dc346a947015842ddc767f89e322",
+    "pack10-sa-step-boundary": "96cdb898b0bdb80fc0f0bb1acd16e2ae881dd661a67c348f414aac769fcd45bd",
+    "pack10-sa-frozen": "25e8e5609ace84c22a412b596fb58d85f0c12aa23f435ad4e355bbf58216d796",
+    "pack10-first-accept-target": "b270cedc7003da40def1f5cf766a8112b488e40eec41d652fd4100bb5e9c700a",
 }
 
 
@@ -665,6 +694,24 @@ def test_probe_walk_cases_end_inside_the_walk(instances):
         rec = run(instances[instance], instance)
         assert (rec.evaluations, rec.status) == (evaluations, status), name
         assert rec.extras["temperature_steps"] == 0, name
+
+
+def test_loop_exit_cases_stop_where_they_are_named_for(instances):
+    """The budget ends on a temperature step's last proposal, the schedule
+    freezes with budget left, and first-accept stops at its target."""
+    for name in FIRST_ACCEPT_TARGET:
+        instance, run = TRAJECTORY_CASES[f"{name}-sa-step-boundary"]
+        rec = run(instances[instance], instance)
+        assert (rec.status, rec.evaluations) == ("budget_exhausted", 3001), name
+        assert rec.extras["temperature_steps"] == 60, name
+        instance, run = TRAJECTORY_CASES[f"{name}-sa-frozen"]
+        rec = run(instances[instance], instance)
+        assert (rec.status, rec.evaluations) == ("frozen", 1 + 30 * 50), name
+        assert rec.extras["temperature_steps"] == 30, name
+        instance, run = TRAJECTORY_CASES[f"{name}-first-accept-target"]
+        rec = run(instances[instance], instance)
+        assert rec.status == "target_reached" and rec.evaluations < 4000, name
+        assert rec.evaluations == rec.evaluations_to_success, name
 
 
 @pytest.mark.parametrize("name", sorted(ACO_CASES))
