@@ -155,8 +155,11 @@ def simulated_annealing(
             if temperature < T_UNDERFLOW:
                 status = "frozen"
                 break
-            for _ in range(schedule.steps_per_temperature):
-                if run.finished:
+            # Each proposal is one evaluation, so the budget is checked once per
+            # temperature step and only the target inside it.
+            left = budget.max_evaluations - run.evaluations
+            for _ in range(min(schedule.steps_per_temperature, left)):
+                if run.evaluations_to_success is not None:
                     break
                 move = sample_move(state, rng)
                 f_candidate, built = evaluate_move(state, f_current, move)
@@ -170,7 +173,7 @@ def simulated_annealing(
                     delta = raw_delta
                 if raw_delta > 0:
                     uphill_proposed += 1
-                if metropolis_accept(delta, temperature, rng):
+                if delta <= 0 or metropolis_accept(delta, temperature, rng):
                     if raw_delta > 0:
                         uphill_accepted += 1
                     state, f_current = advance(state, move, built), f_candidate

@@ -70,6 +70,7 @@ Fitness = float
 
 # Relative rounding a `move_cost` may carry against `cost`; see `Run.evaluate_move`.
 MOVE_TOLERANCE = 1e-9
+INTP = np.dtype(np.intp).char  # the `array` type code whose items are numpy's intp
 
 
 def _bool(value, what: str) -> bool:
@@ -686,15 +687,17 @@ class Problem:
     neighbor itself, which `move_cost` costs with `cost` and `apply` and
     `advance` return, so a kind that draws whole neighbors writes only
     `sample_move`; `sample_neighbor` is `apply` of a drawn move.  A
-    `TspInstance` state is the tour as an int `array`, and a move a
-    reversal (i, j), costed from the four edges it changes and kept by
-    reversing a copy of the state; such a cost may differ from `cost`
-    by rounding, which `Run.evaluate_move` allows for within
-    `MOVE_TOLERANCE` of the largest cost carried.  A
-    `BinPackingInstance` state holds the loads too, and a move names the
-    items that change bins, the two bins and the size that shifts; on
-    whole-number loads it is costed and carried from the two loads it
-    changes, exactly as a fresh sum.
+    `TspInstance` state is the tour as an `array` of `INTP`, and a move
+    a reversal (i, j), costed from the four edges it changes, read
+    through per-row views of the distances, and kept by reversing a
+    copy of the state; such a cost may differ from `cost` by rounding,
+    which `Run.evaluate_move` allows for within `MOVE_TOLERANCE` of the
+    largest cost carried.  A `BinPackingInstance` state holds its bin
+    ids as an `array` of `INTP` too, with the loads, and a move names
+    the items that change bins, the two bins and the size that shifts;
+    on whole-number loads it is costed and carried from the two loads
+    it changes, exactly as a fresh sum, by writing the move into a copy
+    of the ids.
 
     `cost_rows(rows)` is the batched twin of `cost`: one Python float
     per solution in `rows`, with `cost_rows(rows)[k] == cost(rows[k])`

@@ -55,7 +55,9 @@ def hill_climb_first_accept(
     with run.scalar_draws():
         rng, sample_move = run.rng, problem.sample_move
         evaluate_move, advance = run.evaluate_move, problem.advance
-        while not run.finished:
+        for _ in range(budget.max_evaluations - run.evaluations):  # one evaluation each
+            if run.evaluations_to_success is not None:
+                break
             move = sample_move(state, rng)
             f_candidate, built = evaluate_move(state, f_current, move)
             if random_walk or f_candidate <= f_current:

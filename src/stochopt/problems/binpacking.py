@@ -42,15 +42,18 @@ from PCG64's raw words by numpy's definitions and buffers the 32-bit
 halves the same way, so the values and the state stay those of numpy's
 calls.
 
-A sampled search carries `chain`'s state: the packing as an array, its
-loads as a list, its open-bin count and its overflow, summed once.
-`sample_move`, `move_cost` and `apply` read that state, and `apply`
-builds the packing a move leads to as one fresh array.  On whole-number
-loads `move_cost` costs the move from the current loads and the two
-loads it changes, as `neighbors` does, bit for bit `cost` of that
-packing, and `advance` carries the loads, open-bin count and overflow
-forward by the same two loads; on fraction loads `move_cost` costs the
-built packing and `advance` sums it afresh.
+A sampled search carries `chain`'s state: the bin ids as an `array`
+whose items are numpy's `intp` (as a tour's state), its loads as a list,
+its open-bin count and its overflow, summed once.  `sample_move`,
+`move_cost` and `apply` read that state, `sample_move` reading each bin
+id as a Python int, and `apply` builds the packing a move leads to as
+one fresh `intp` array.  On whole-number loads `move_cost` costs the
+move from the current loads and the two loads it changes, as
+`neighbors` does, bit for bit `cost` of that packing, and `advance`
+copies the ids, writes the move in and carries the loads, open-bin
+count and overflow forward by the same two loads, building no numpy
+array; on fraction loads `move_cost` costs the built packing and
+`advance` sums it afresh.
 
 Atoms are (item, bin) pairs with id item * n + bin, so ids lie in
 0..n*n - 1.  A relocation breaks (item, source) and makes (item,
@@ -60,11 +63,13 @@ makes (i, bin_j) and (j, bin_i).
 
 from __future__ import annotations
 
+from array import array
 from functools import cached_property
 
 import numpy as np
 
 from ..core import (
+    INTP,
     EncodingMismatchError,
     Neighborhood,
     NoNeighborError,
@@ -268,10 +273,11 @@ class BinPackingInstance(Problem):
         return self._costs(open_bins, overflow)
 
     def chain(self, solution):
-        """(bin ids as an array, loads as a list, open-bin count, overflow) of `solution`."""
-        a = np.asarray(solution)
+        """(bin ids as an `intp` `array`, loads as a list, open-bin count, overflow)
+        of `solution`."""
+        a = np.asarray(solution, dtype=np.intp)
         loads, open_bins, overflow = self._summed(a)
-        return a, loads.tolist(), open_bins, overflow
+        return array(INTP, a.tobytes()), loads.tolist(), open_bins, overflow
 
     def _moved(self, state, move) -> tuple[int, float]:
         """Open-bin count and overflow after `move`, from the two loads it changes.
@@ -305,11 +311,11 @@ class BinPackingInstance(Problem):
         if open_bins > 1 and rng.random() < 0.5:
             while True:  # the values and state of `integers(0, n, size=2)`, drawn cheaper
                 i, j = int(rng.integers(n)), int(rng.integers(n))
-                b, c = a.item(i), a.item(j)
+                b, c = a[i], a[j]
                 if b != c:
                     return i, j, b, c, sizes[i] - sizes[j]
         item = int(rng.integers(n))
-        b = a.item(item)
+        b = a[item]
         targets = self._targets(loads)
         targets.remove(b)
         return item, None, b, targets[int(rng.integers(len(targets)))], sizes[item]
@@ -322,26 +328,28 @@ class BinPackingInstance(Problem):
         return self._cost(*self._moved(state, move))
 
     def apply(self, state, move) -> np.ndarray:
-        """The packing `move` leads to, as one fresh array."""
+        """The packing `move` leads to, as one fresh `intp` array."""
         item, other, b, c, _ = move
-        out = state[0].copy()
+        out = np.array(state[0])
         out[item] = c
         if other is not None:
             out[other] = b
         return out
 
     def advance(self, state, move, built=None):
-        """`chain(apply(state, move))`, taking `built` as that packing if given; whole-number
-        loads are carried by the two the move changes, fraction loads summed afresh."""
-        if built is None:
-            built = self.apply(state, move)
+        """`chain(apply(state, move))`.  Whole-number loads copy the state's ids and
+        write the move in, and carry the loads by the two it changes; fraction loads
+        sum `built`, or the packing `apply` builds, afresh."""
         if not self.whole:
-            return self.chain(built)
-        b, c, shift = move[2:]
-        loads = state[1].copy()
+            return self.chain(self.apply(state, move) if built is None else built)
+        item, other, b, c, shift = move
+        ids, loads = state[0][:], state[1].copy()
+        ids[item] = c
+        if other is not None:
+            ids[other] = b
         loads[b] -= shift
         loads[c] += shift
-        return (built, loads, *self._moved(state, move))
+        return (ids, loads, *self._moved(state, move))
 
     def solution_attributes(self, solution) -> np.ndarray:
         return np.arange(self.n) * self.n + np.asarray(solution)

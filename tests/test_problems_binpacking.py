@@ -243,8 +243,10 @@ def test_a_packing_move_builds_a_fresh_writeable_array():
     swap = (0, 3, 0, 1, 30.0)
     built = problem.apply(state, swap)
     assert built.tolist() == [1, 0, 1, 0] and built.flags.writeable
+    assert built.dtype == np.intp
     assert not np.shares_memory(built, state[0])
     assert problem.move_cost(state, problem.cost(state[0]), swap) == problem.cost(built) == 2.0
     after = problem.advance(state, swap, built)
-    assert after[0] is built and after[1:] == ([80.0, 100.0, 0.0, 0.0], 2, 0.0)
+    assert after[0].tolist() == built.tolist() and after[1:] == ([80.0, 100.0, 0.0, 0.0], 2, 0.0)
+    assert state[0].typecode == after[0].typecode == np.dtype(np.intp).char
     assert state[0].tolist() == [0, 0, 1, 1] and state[1:] == ([110.0, 70.0, 0.0, 0.0], 2, 10.0)

@@ -101,6 +101,35 @@ def test_a_tour_chain_state_is_an_intp_array():
     assert state.tolist() == tour.tolist()
 
 
+def test_the_distance_rows_are_views_of_the_matrix():
+    """`move_cost` reads `d` through one memoryview per row, which copies nothing."""
+    inst = TspInstance.from_coords(seeded_rng(9).random((9, 2)))
+    assert len(inst._rows) == inst.n
+    for a, row in enumerate(inst._rows):
+        assert np.shares_memory(np.asarray(row), inst.d)
+        assert row.tolist() == inst.d[a].tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(1e-3, 1e6))
+def test_a_reversal_costs_its_four_distances_bit_for_bit(n, seed, scale):
+    """On a random symmetric matrix, `move_cost` of every reversal and of the
+    empty reversal (0, 0) is `f` plus the two made edges minus the two broken
+    ones, read with `d.item`, bit for bit."""
+    rng = seeded_rng(seed)
+    m = rng.random((n, n)) * scale
+    d = m + m.T
+    np.fill_diagonal(d, 0.0)
+    inst = TspInstance(d)
+    tour = rng.permutation(n)
+    state, f = inst.chain(tour), inst.cost(tour)
+    for i, j in [(0, 0), *zip(inst._i.tolist(), inst._j.tolist())]:
+        a, b, c, e = (int(tour[k]) for k in (i - 1, i, j, (j + 1) % n))
+        expected = f + ((d.item(a, c) + d.item(b, e)) - (d.item(a, b) + d.item(c, e)))
+        assert inst.move_cost(state, f, (i, j)).hex() == expected.hex()
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_a_tour_of_at_most_three_cities_draws_the_empty_reversal(n):
     """Every reversal of 1-3 cities is the same cyclic tour, so the move is
