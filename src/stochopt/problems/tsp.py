@@ -16,8 +16,8 @@ without a draw: the rules below cost it at exactly `f` and build the
 same tour from it.  A move's cost is the tour's cost plus the two edges
 the reversal makes minus the two it breaks: four cities read from the
 state and four distances through memoryviews of the matrix's rows,
-built once per instance and copying nothing, one int index per read,
-instead of n reads.  `advance` reverses the slice of a copied
+which copy nothing and are built on the first such cost, one int index
+per read, instead of n reads.  `advance` reverses the slice of a copied
 state for a move a search keeps, and `apply` builds a tour array only
 where one is read.  `sample_neighbor` applies a drawn reversal to the
 tour array itself: the probe walk that calibrates annealing builds no
@@ -83,9 +83,6 @@ class TspInstance(Problem):
         if np.any(d < 0):
             raise ValidationError("distances must be nonnegative")
         self.d = d
-        # Row a of d as a memoryview: rows[a][c] reads d[a, c] as a Python float with
-        # one int index, faster than a 2-D view's [a, c] or d.item.  Nothing is copied.
-        self._rows = [memoryview(row) for row in d]
         self.n = d.shape[0]
         self.name = name
         self.atom_count = self.n * self.n
@@ -188,6 +185,13 @@ class TspInstance(Problem):
             window=MOVE_TOLERANCE * max(1.0, f, costs.max(initial=0.0)),
             cost=self.cost,
         )
+
+    @cached_property
+    def _rows(self):
+        """Each row of `d` as a memoryview, copying nothing: `rows[a][c]` reads
+        d[a, c] as a Python float by one int index, faster than a 2-D view's
+        [a, c] or `d.item`.  Built on the first `move_cost` call."""
+        return [memoryview(row) for row in self.d]
 
     @cached_property
     def _pair_views(self):

@@ -102,8 +102,13 @@ def test_a_tour_chain_state_is_an_intp_array():
 
 
 def test_the_distance_rows_are_views_of_the_matrix():
-    """`move_cost` reads `d` through one memoryview per row, which copies nothing."""
+    """`move_cost` reads `d` through one memoryview per row, which copies nothing
+    and is built on its first call, not for `neighbors`."""
     inst = TspInstance.from_coords(seeded_rng(9).random((9, 2)))
+    tour = np.arange(9)
+    inst.neighbors(tour)
+    assert "_rows" not in vars(inst)
+    inst.move_cost(inst.chain(tour), inst.cost(tour), (2, 5))
     assert len(inst._rows) == inst.n
     for a, row in enumerate(inst._rows):
         assert np.shares_memory(np.asarray(row), inst.d)
