@@ -146,6 +146,16 @@ proposal of a temperature step), `*-sa-frozen` (frozen by
 taken while both loops asked `Run.finished` before every proposal; a
 loop that checks the budget once per block must reproduce them bit for
 bit.
+
+Two Hopfield cases were taken while every asynchronous step decided its
+neuron from the exact field, the distance dot product included.
+`tour40-hopfield-textbook` runs the textbook coefficients on 40 cities
+in a 1000-unit square, where most fields are far from 0.
+`ties6-hopfield` runs `TankParams(a=1, b=1, c=2, d=1)` on six cities
+with distances of 0 and 1, so every field is a small integer and many
+are exactly 0; a field of 0 fires.  A step that decides from bounds
+before it reads the distances must reproduce both, and the final state
+of every restart of every Hopfield case, bit for bit.
 """
 
 import hashlib
@@ -195,6 +205,11 @@ MEMORY = {
 }
 
 
+def _ties6():
+    upper = np.triu(seeded_rng(1).integers(0, 2, size=(6, 6)), 1)
+    return TspInstance(upper + upper.T, name="ties6")
+
+
 def _instances():
     return {
         "eight": parse_tsp_file(FIXTURES / "eight.tsp"),
@@ -210,6 +225,10 @@ def _instances():
             f"tour{n}": TspInstance.from_coords(seeded_rng(n).random((n, 2)), name=f"tour{n}")
             for n in (1, 2, 3, 5, 9, 140, 300)
         },
+        "tour40": TspInstance.from_coords(
+            seeded_rng(40).uniform(0.0, 1000.0, size=(40, 2)), name="tour40"
+        ),
+        "ties6": _ties6(),
         "line": ContinuousLandscape("abs_linear"),
         "line3": ContinuousLandscape("abs_linear", dim=3),
         **{
@@ -297,6 +316,8 @@ CASES = {
     # 613 = 4 * 144 + 37 steps: a restart the cap ends stops 37 steps into a sweep
     "tour12-hopfield": ("tour12", _hopfield(6, 1, p=TankParams(d=10.0), max_steps=613)),
     "tour12-hopfield-textbook": ("tour12", _hopfield(6, 0, max_steps=613)),
+    "tour40-hopfield-textbook": ("tour40", _hopfield(2, 0)),
+    "ties6-hopfield": ("ties6", _hopfield(10, 0, p=TankParams(a=1, b=1, c=2, d=1))),
 }
 
 # Tours at benchmark sizes, a few neighbourhoods each: irrational edges
@@ -510,6 +531,8 @@ DIGESTS = {
     "tour5-hopfield": "cfda22b912278f17586e8734b1efa2039b41866ad9fd01a8d38fb187afafa642",
     "tour12-hopfield": "79571d5c68c4e0b2fa45f6e3774fe86aaab32f66d0f4ebf2f40411c66c6b00cc",
     "tour12-hopfield-textbook": "4d74129250526055bc8ed91ba03fdf7ca33c5753500d5b18fa9afe7c023fd0f4",
+    "tour40-hopfield-textbook": "fe378f8747e702d4a92f054056cbc3417612b9bc5dadebad75c19c58012e63a4",
+    "ties6-hopfield": "0df91441045883ef7fb09122cba2380b4f4ddad4ed057fd910f32413dddf3fa7",
     "grid16-steepest-restarts": "eb2a59222a04b353135fa63e7a32da13bc353331b61b3c6ecf9542bfbf24d0d3",
     "grid16-tabu": "d910483869cb12c78998bca32f7c8ee0c20d3fc7c21e7542efbf19dd4df1f385",
     "grid16-tabu-aspiration-off": "3f03b654f2df87de163d29671b4d461e1eeb628dcca1e455002144c14703ffef",
@@ -667,6 +690,48 @@ def test_hopfield_cases_take_the_paths_they_pin(instances, monkeypatch):
         assert (False, False) in decoded  # a restart the cap ended
         assert (rec.extras["valid_tours"] > 0) == valid
         assert ((True, True) in decoded) == valid
+
+
+# sha256 over each restart's last state, as one byte per neuron, in restart order.
+HOPFIELD_STATE_DIGESTS = {
+    "eight-hopfield": "df0177815aba4ec11528f9da5a444a2c1227dc570d6cd297b7b6690079321473",
+    "ties6-hopfield": "02a1058c57ce3372886d3d9c9ef7578ada77fb0dd269fca0e873756cc9c0745c",
+    "tour12-hopfield": "06bca6b9dd256a24b2571d886a6a542987a0b9dae4485cc8d799c57e65f64db1",
+    "tour12-hopfield-textbook": "54413c26e21967d73369f4210766f83a41b96531a64b41980f08eb67c30fa497",
+    "tour40-hopfield-textbook": "2e637753dfc6b25b922b3dc4e9ba9f06542e8105de98b2bc8678b31621b2cf65",
+    "tour5-hopfield": "c6212103f9a692cecc8027351f71f983ece1dec0810f79d2763bd434c90bfcf2",
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOPFIELD_STATE_DIGESTS))
+def test_hopfield_final_states_match_their_pinned_digests(name, instances, monkeypatch):
+    """A record with few valid tours says little of the dynamics; each restart's last state does."""
+    finals = hashlib.sha256()
+    decode = hopfield.decode_tour
+    monkeypatch.setattr(hopfield, "decode_tour",
+                        lambda v: finals.update(np.asarray(v, dtype=np.uint8).tobytes())
+                        or decode(v))
+    instance, run = CASES[name]
+    run(instances[instance])
+    assert finals.hexdigest() == HOPFIELD_STATE_DIGESTS[name]
+
+
+def test_hopfield_tie_case_settles_on_fields_of_zero(instances, monkeypatch):
+    """`ties6-hopfield` settles on states where fields of exactly 0 hold neurons on."""
+    ties = []
+    fixed_point = hopfield.is_fixed_point
+
+    def counted(net):
+        settled = fixed_point(net)
+        if settled:
+            ties.append(int(np.count_nonzero((net.fields() == 0.0) & (net.state == 1.0))))
+        return settled
+
+    monkeypatch.setattr(hopfield, "is_fixed_point", counted)
+    instance, run = CASES["ties6-hopfield"]
+    rec = run(instances[instance])
+    assert rec.extras["valid_tours"] > 0
+    assert len(ties) == rec.extras["restarts"] and sum(ties) > 0
 
 
 def test_tour_random_cases_stop_part_way_through_a_block(instances):
