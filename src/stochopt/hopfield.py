@@ -56,12 +56,25 @@ i +- 1 never equal i (for n = 2 both name the other position, and it
 counts twice, as in the weights).  r, c and S are exact small integers,
 so `TankNet` keeps them as counts, updated as neurons switch, and
 `field` and `fields` both read them: each field is the float a sum over
-the state would give.  That is O(n^2) memory, and per asynchronous step
-an n-entry dot product and three count reads, plus three count updates
-when the neuron switches.  All fields at once cost one O(n^3) product,
+the state would give.  That is O(n^2) memory, and three count updates
+when a neuron switches.  All fields at once cost one O(n^3) product,
 d @ (roll(V, -1, 1) + roll(V, 1, 1)), and the energy follows from them,
 since W s = h + theta.  `TankNet.dense()` builds the (n^2)^2 matrix
 itself, as a reference for small n.
+
+An asynchronous step needs only the sign of one field, and
+`TankNet.fires` reads it from three counts before it reads any
+distance.  Call the count terms P = -A (r[x] - v) - B (c[i] - v)
+- C (S - v).  When no distance is negative, the distance term is a
+float sum of non-negative products, so it is at least each product;
+rounding is monotone, so subtracting a larger term never gives a larger
+float.  Hence the field is no greater than P - theta, and, when another
+row holds an on-neuron in column i + 1 or i - 1, no greater than
+P - D nearest[x] - theta, with nearest[x] the smallest distance from x
+to another city.  Both bounds are computed in the field's own order, and
+either one below 0 switches the neuron off.  Only a step neither bound
+settles computes the n-entry dot product, and it then decides from the
+exact field, ties firing.  `field` itself always returns the exact value.
 """
 
 from __future__ import annotations
@@ -117,6 +130,10 @@ class _Neurons:
         """Switch neuron k on (1.0) or off (0.0)."""
         self._state[k] = 1.0 if on else 0.0
 
+    def fires(self, k: int) -> bool:
+        """Whether neuron k's input reaches its threshold: `field(k) >= 0`."""
+        return self.field(k) >= 0
+
 
 class HopfieldNet(_Neurons):
     """A Hopfield network given by dense symmetric weights and thresholds."""
@@ -151,13 +168,13 @@ class TankNet(_Neurons):
     """The Tank network of a tour instance, held as its distances and coefficients.
 
     It has `HopfieldNet`'s `size`, `state`, `thresholds`, `field`,
-    `fields` and `set_neuron`, computed from the structured field in the
-    module docstring; `n`, `size` and `theta` are set once, from `d` and
-    `p`.  The net keeps the row, column and total counts of `state`:
-    assigning `state` recounts them and `set_neuron` updates the three it
-    changes, and `field` and `fields` both read them where they would sum
-    the state.  They are exact small integers, so each field is the same
-    float as one summed from the state.
+    `fields`, `fires` and `set_neuron`, computed from the structured
+    field in the module docstring; `n`, `size` and `theta` are set once,
+    from `d` and `p`.  The net keeps the row, column and total counts of
+    `state`: assigning `state` recounts them and `set_neuron` updates the
+    three it changes, and `field`, `fields` and `fires` all read them
+    where they would sum the state.  They are exact small integers, so
+    each field is the same float as one summed from the state.
     """
 
     def __init__(self, d: np.ndarray, p: TankParams, state=None):
@@ -171,6 +188,9 @@ class TankNet(_Neurons):
         self.n = n = d.shape[0]
         self.size = n * n
         self.theta = -p.c * (2 * n - 1) / 2.0
+        # `fires` may decide from bounds only when every distance term is >= 0
+        self._bounded = bool(np.all(d >= 0))
+        self._nearest = np.where(np.eye(n, dtype=bool), np.inf, d).min(axis=1).tolist()
         self.state = np.zeros(self.size) if state is None else state
 
     @property
@@ -197,29 +217,37 @@ class TankNet(_Neurons):
         n = self.n
         x, i = divmod(k, n)
         v = self._v
-        own = v.item(x, i)
+        counts = _penalty(self.p, self._rows[x], self._cols[i], self._total, v.item(x, i))
         near = float(self.d[x] @ (v[:, (i + 1) % n] + v[:, i - 1]))
-        p = self.p
-        return (
-            -p.a * (self._rows[x] - own)
-            - p.b * (self._cols[i] - own)
-            - p.c * (self._total - own)
-            - p.d * near
-            - self.theta
-        )
+        return counts - self.p.d * near - self.theta
+
+    def fires(self, k: int) -> bool:
+        """`field(k) >= 0`, settled from the counts where one of the module docstring's bounds holds.
+
+        Each bound is computed in `field`'s float order and, with no
+        distance negative, is no less than the field, so a bound below 0
+        means off; otherwise `field` itself decides.
+        """
+        if self._bounded:
+            n = self.n
+            x, i = divmod(k, n)
+            v = self._v
+            counts = _penalty(self.p, self._rows[x], self._cols[i], self._total, v.item(x, i))
+            if counts - self.theta < 0:
+                return False
+            after = (i + 1) % n
+            cols = self._cols
+            if (cols[after] + cols[i - 1] > v.item(x, after) + v.item(x, i - 1)
+                    and counts - self.p.d * self._nearest[x] - self.theta < 0):
+                return False
+        return self.field(k) >= 0
 
     def fields(self) -> np.ndarray:
         v = self._v
         near = self.d @ (np.roll(v, -1, axis=1) + np.roll(v, 1, axis=1))
-        p = self.p
-        h = (
-            -p.a * (np.array(self._rows)[:, None] - v)
-            - p.b * (np.array(self._cols) - v)
-            - p.c * (self._total - v)
-            - p.d * near
-            - self.theta
-        )
-        return h.ravel()
+        counts = _penalty(self.p, np.array(self._rows)[:, None], np.array(self._cols),
+                          self._total, v)
+        return (counts - self.p.d * near - self.theta).ravel()
 
     def dense(self) -> HopfieldNet:
         """The same network as dense (n^2, n^2) weights; refused above MAX_WEIGHT_BYTES.
@@ -248,6 +276,11 @@ class TankNet(_Neurons):
         )
         np.fill_diagonal(w, 0.0)
         return HopfieldNet(weights=w, thresholds=self.theta, state=self.state.copy())
+
+
+def _penalty(p: TankParams, row, col, total, own):
+    """-A (r[x] - v) - B (c[i] - v) - C (S - v): the count terms of a field, in its float order."""
+    return -p.a * (row - own) - p.b * (col - own) - p.c * (total - own)
 
 
 def _validate_state(state, m: int) -> np.ndarray:
@@ -310,7 +343,7 @@ def network_energy(net) -> float:
 def async_step(net, rng):
     """Update one uniformly drawn neuron: on when its field reaches 0, else off."""
     i = int(rng.integers(net.size))
-    net.set_neuron(i, net.field(i) >= 0)
+    net.set_neuron(i, net.fires(i))
     return net
 
 

@@ -276,6 +276,122 @@ def test_kept_counts_give_the_fields_a_summed_state_gives(n, p, seed, script):
         assert np.array_equal(net.fields(), _summed_fields(net))
 
 
+_small_coefficient = st.integers(0, 4).map(float)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(2, 12),
+    p=st.one_of(
+        st.builds(TankParams, _small_coefficient, _small_coefficient, _small_coefficient,
+                  _small_coefficient),
+        st.builds(TankParams, _coefficient, _coefficient, _coefficient, _coefficient),
+    ),
+    integer=st.booleans(),
+    low=st.sampled_from([0, -3]),
+    diagonal=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=2, p=TankParams(a=1, b=1, c=2, d=1), integer=True, low=0, diagonal=False, seed=0)
+def test_fires_is_the_sign_of_the_field(n, p, integer, low, diagonal, seed):
+    """Bounds or not, `fires(k)` is `field(k) >= 0`, on the Tank net and on its dense weights.
+
+    Integer distances and coefficients make fields of exactly 0, `low` < 0
+    gives negative distances and `diagonal` a non-zero diagonal; at n = 2
+    positions i + 1 and i - 1 are one column.
+    """
+    rng = seeded_rng(seed)
+    if integer:
+        d = rng.integers(low, 4, size=(n, n)).astype(float)
+    else:
+        d = rng.uniform(low, 100.0, size=(n, n))
+    d = np.triu(d) + np.triu(d, 1).T
+    if not diagonal:
+        np.fill_diagonal(d, 0.0)
+    net = TankNet(d, p)
+    dense = net.dense()
+    for _ in range(6):
+        net.state = rng.random(n * n) < rng.random()  # from all off to all on
+        dense.state = net.state
+        for each in (net, dense):
+            assert [each.fires(k) for k in range(n * n)] == [
+                each.field(k) >= 0 for k in range(n * n)
+            ]
+
+
+def _net_with(n, on, d, p):
+    """A `TankNet` on distances d whose on-neurons are the (city, position) pairs `on`."""
+    v = np.zeros((n, n))
+    for x, i in on:
+        v[x, i] = 1.0
+    return TankNet(np.asarray(d, dtype=float), p, state=v.ravel())
+
+
+def test_a_negative_distance_fires_a_neuron_whose_counts_are_negative():
+    """With a negative distance the counts bound does not hold: the distance term raises a field."""
+    d = np.zeros((3, 3))
+    d[0, 1] = d[1, 0] = -1.0
+    net = _net_with(3, [(1, 1), (2, 1), (2, 2)], d, TankParams(a=1, b=1, c=1, d=1))
+    assert hopfield._penalty(net.p, 0, 0, 3, 0.0) - net.theta == -0.5
+    assert net.field(0) == 0.5
+    assert net.fires(0)
+
+
+def test_an_on_neighbour_in_its_own_row_leaves_the_nearest_bound_out():
+    """Neuron (0, 0)'s only on-neighbour in columns 1 and 3 is (0, 1), so its field is its counts'.
+
+    Counting (0, 1) would apply the nearest-city bound, 4 - 10 < 0.
+    """
+    net = _net_with(4, [(0, 1)], 10.0 * (np.ones((4, 4)) - np.eye(4)),
+                    TankParams(a=1, b=1, c=2, d=1))
+    assert hopfield._penalty(net.p, 1, 0, 1, 0.0) - net.theta == 4.0
+    assert net.field(0) == 4.0
+    assert net.fires(0)
+
+
+@pytest.mark.parametrize("on, bound", [
+    ([(1, 0), (2, 2), (3, 2)], "counts"),  # no on-neuron in columns 1 and 3
+    ([(1, 1), (2, 2), (3, 2)], "nearest"),  # (1, 1), at distance 1 = nearest[0]
+])
+def test_a_field_of_exactly_zero_fires(on, bound):
+    """The bound that reads neuron (0, 0) is exactly 0 here, and so is its field; a tie fires."""
+    net = _net_with(4, on, np.ones((4, 4)) - np.eye(4), TankParams(a=1, b=1, c=2, d=1))
+    v = net.state.reshape(4, 4)
+    counts = hopfield._penalty(net.p, v[0].sum(), v[:, 0].sum(), v.sum(), 0.0)
+    assert counts - net.p.d * (bound == "nearest") - net.theta == 0.0
+    assert net.field(0) == 0.0
+    assert net.fires(0)
+
+
+class _CountedMatmul(np.ndarray):
+    calls = 0
+
+    def __matmul__(self, other):
+        _CountedMatmul.calls += 1
+        return np.ndarray.__matmul__(self, other)
+
+
+def test_bounds_spare_almost_every_step_its_dot_product(monkeypatch):
+    """On a 40-city textbook run, fewer than 5% of steps read the distances."""
+    inst = TspInstance.from_coords(seeded_rng(40).uniform(0.0, 1000.0, size=(40, 2)))
+    plain = hopfield_solve(inst, Budget(2), 0)
+    build, step = hopfield.build_weights, hopfield.async_step
+    steps = []
+
+    def counted_build(inst, p):
+        net = build(inst, p)
+        net.d = net.d.view(_CountedMatmul)
+        return net
+
+    monkeypatch.setattr(hopfield, "build_weights", counted_build)
+    monkeypatch.setattr(hopfield, "async_step", lambda net, rng: steps.append(1) or step(net, rng))
+    monkeypatch.setattr(_CountedMatmul, "calls", 0)
+    counted = hopfield_solve(inst, Budget(2), 0)
+    assert counted == plain
+    assert len(steps) > 10_000
+    assert 0 < _CountedMatmul.calls < 0.05 * len(steps)
+
+
 @pytest.mark.parametrize("kind", ["tank", "dense"])
 def test_assigning_a_bad_state_fails_loudly(kind):
     net = build_weights(TspInstance(np.ones((4, 4)) - np.eye(4)), TankParams())
