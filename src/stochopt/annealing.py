@@ -162,7 +162,7 @@ def simulated_annealing(
                 if run.evaluations_to_success is not None:
                     break
                 move = sample_move(state, rng)
-                f_candidate, built = evaluate_move(state, f_current, move)
+                f_candidate = evaluate_move(state, f_current, move)
                 raw_delta = f_candidate - f_current
                 if rescaled:
                     e_t = alpha * temperature * temperature
@@ -176,7 +176,7 @@ def simulated_annealing(
                 if delta <= 0 or metropolis_accept(delta, temperature, rng):
                     if raw_delta > 0:
                         uphill_accepted += 1
-                    state, f_current = advance(state, move, built), f_candidate
+                    state, f_current = advance(state, move), f_candidate
             step_index += 1
 
     extras = {

@@ -548,7 +548,7 @@ class Run:
                 self.evaluations_to_success = self.evaluations
         return value
 
-    def evaluate_move(self, state, f: float, move) -> tuple[float, Any]:
+    def evaluate_move(self, state, f: float, move) -> float:
         """Count one sampled move from chain state `state`, whose cost is `f`.
 
         The move is costed by `Problem.move_cost`, which may reach the
@@ -562,9 +562,7 @@ class Run:
         so improvements are decided, checked and recorded on full costs
         as `evaluate` would; a `move_cost` farther than the window from
         that cost raises `ValidationError`.  Returns the value the
-        candidate was counted at and the candidate if it was built (else
-        None), which a searcher that keeps the move hands to
-        `Problem.advance`.  One `evaluate` call counts the candidate.
+        candidate was counted at.  One `evaluate` call counts the candidate.
         """
         problem = self.problem
         value = problem.move_cost(state, f, move)
@@ -573,10 +571,9 @@ class Run:
             scale = self._cost_scale = max(scale, abs(f), abs(value))
         tolerance = MOVE_TOLERANCE * scale
         if not value < self.best_fitness + tolerance:
-            return self.evaluate(None, value), None  # cannot improve: the solution is not read
+            return self.evaluate(None, value)  # cannot improve: the solution is not read
         candidate = problem.apply(state, move)
-        value = self.evaluate(candidate, _checked(problem.cost(candidate), value, tolerance))
-        return value, candidate
+        return self.evaluate(candidate, _checked(problem.cost(candidate), value, tolerance))
 
     def evaluate_batch(self, costs, exact: Callable[[int], tuple], window: float = 0.0) -> int:
         """Count candidates 0, 1, ... at `costs`, in order, until the run finishes.
@@ -681,8 +678,8 @@ class Problem:
     `chain(solution)` gives a solution's state, `sample_move` draws a
     move from it, `move_cost(state, f, move)` costs the solution the
     move leads to, given `f`, the cost of the state's solution, `apply`
-    builds that solution as a new object, and `advance(state, move,
-    built)` gives its state, taking `built` if a search built it already.
+    builds that solution as a new object, and `advance(state, move)`
+    gives its state.
     By default the state is the solution and a move is the sampled
     neighbor itself, which `move_cost` costs with `cost` and `apply` and
     `advance` return, so a kind that draws whole neighbors writes only
@@ -788,10 +785,9 @@ class Problem:
         """The solution a move leads to, as a new object; `state` is untouched."""
         return move
 
-    def advance(self, state, move, built=None):
-        """The state after `move`, given `built`, the solution `apply(state, move)`
-        built already, or None; `state` is untouched."""
-        return self.apply(state, move) if built is None else built
+    def advance(self, state, move):
+        """The state after `move`; `state` is untouched."""
+        return self.apply(state, move)
 
     def neighbors(self, solution) -> Neighborhood:
         """The full neighborhood, costed, in a fixed order."""

@@ -59,9 +59,9 @@ def hill_climb_first_accept(
             if run.evaluations_to_success is not None:
                 break
             move = sample_move(state, rng)
-            f_candidate, built = evaluate_move(state, f_current, move)
+            f_candidate = evaluate_move(state, f_current, move)
             if random_walk or f_candidate <= f_current:
-                state, f_current = advance(state, move, built), f_candidate
+                state, f_current = advance(state, move), f_candidate
     return run.record(extras={"random_walk": random_walk})
 
 

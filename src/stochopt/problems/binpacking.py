@@ -52,8 +52,8 @@ move from the current loads and the two loads it changes, as
 `neighbors` does, bit for bit `cost` of that packing, and `advance`
 copies the ids, writes the move in and carries the loads, open-bin
 count and overflow forward by the same two loads, building no numpy
-array; on fraction loads `move_cost` costs the built packing and
-`advance` sums it afresh.
+array; on fraction loads `move_cost` costs the packing `apply` builds,
+and `advance` builds it again and sums it afresh.
 
 Atoms are (item, bin) pairs with id item * n + bin, so ids lie in
 0..n*n - 1.  A relocation breaks (item, source) and makes (item,
@@ -336,12 +336,12 @@ class BinPackingInstance(Problem):
             out[other] = b
         return out
 
-    def advance(self, state, move, built=None):
+    def advance(self, state, move):
         """`chain(apply(state, move))`.  Whole-number loads copy the state's ids and
         write the move in, and carry the loads by the two it changes; fraction loads
-        sum `built`, or the packing `apply` builds, afresh."""
+        sum the packing `apply` builds afresh."""
         if not self.whole:
-            return self.chain(self.apply(state, move) if built is None else built)
+            return self.chain(self.apply(state, move))
         item, other, b, c, shift = move
         ids, loads = state[0][:], state[1].copy()
         ids[item] = c

@@ -9,24 +9,22 @@ A sampled search carries the tour as its chain state: an `array` of city
 ids whose items are numpy's `intp`, so `chain` and `np.asarray` convert
 between it and the tour array as one memcpy.  A sampled move is the pair
 (i, j) that `sample_move` draws, read as two Python ints through
-memoryviews of the pair arrays; these are built on the first draw, so an
-instance that is only enumerated never builds them.  A tour of 1-3
-cities, which no reversal changes, gets the empty reversal (0, 0)
-without a draw: the rules below cost it at exactly `f` and build the
-same tour from it.  A move's cost is the tour's cost plus the two edges
-the reversal makes minus the two it breaks: four cities read from the
-state and four distances through memoryviews of the matrix's rows,
-which copy nothing and are built on the first such cost, one int index
-per read, instead of n reads.  `advance` reverses the slice of a copied
-state for a move a search keeps, and `apply` builds a tour array only
-where one is read.  `sample_neighbor` applies a drawn reversal to the
-tour array itself: the probe walk that calibrates annealing builds no
-state, and its tours are costed as one block by `cost_rows`.  The edges
-are summed before `f` is added, so a reversal that trades two edges for
-two of the same lengths leaves `f` exactly as it was (the empty reversal
-subtracts its two edges from themselves).  Otherwise the sum can differ
-from a full recompute in the last bits, which `Run.evaluate_move` allows
-for.
+memoryviews of the pair arrays.  A tour of 1-3 cities, which no reversal
+changes, gets the empty reversal (0, 0) without a draw: the rules below
+cost it at exactly `f` and build the same tour from it.  A move's cost
+is the tour's cost plus the two edges the reversal makes minus the two
+it breaks: four cities read from the state and four distances through
+memoryviews of the matrix's rows, which copy nothing, one int index per
+read, instead of n reads.  `advance` reverses the slice of a copied
+state for every move a search keeps, and `apply` builds a tour array
+only where one is read.  `sample_neighbor` applies a drawn reversal to
+the tour array itself: the probe walk that calibrates annealing builds
+no state, and its tours are costed as one block by `cost_rows`.  The
+edges are summed before `f` is added, so a reversal that trades two
+edges for two of the same lengths leaves `f` exactly as it was (the
+empty reversal subtracts its two edges from themselves).  Otherwise the
+sum can differ from a full recompute in the last bits, which
+`Run.evaluate_move` allows for.
 
 `neighbors` costs every reversal the same way, as arrays: it gathers the
 four edges of each reversal at tour positions fixed per instance and
@@ -92,6 +90,11 @@ class TspInstance(Problem):
         i, j = np.triu_indices(self.n, 1)
         trivial = ((i == 0) & (j >= self.n - 2)) | ((i == 1) & (j == self.n - 1))
         self._i, self._j = i[~trivial], j[~trivial]
+        # Memoryviews, copying nothing: `_rows[a][c]` reads d[a, c] as a Python
+        # float by one int index, faster than a 2-D view's [a, c] or `d.item`,
+        # and `_pair_views` read a pair's ends as Python ints.
+        self._rows = [memoryview(row) for row in d]
+        self._pair_views = memoryview(self._i), memoryview(self._j)
 
     @classmethod
     def from_coords(cls, coords, name: str = "tsp") -> "TspInstance":
@@ -186,19 +189,6 @@ class TspInstance(Problem):
             cost=self.cost,
         )
 
-    @cached_property
-    def _rows(self):
-        """Each row of `d` as a memoryview, copying nothing: `rows[a][c]` reads
-        d[a, c] as a Python float by one int index, faster than a 2-D view's
-        [a, c] or `d.item`.  Built on the first `move_cost` call."""
-        return [memoryview(row) for row in self.d]
-
-    @cached_property
-    def _pair_views(self):
-        """`_i` and `_j` as memoryviews, which read a pair's ends as Python ints.
-        Built on the first `sample_move` call."""
-        return memoryview(self._i), memoryview(self._j)
-
     def sample_move(self, solution, rng):
         """A reversal (i, j), or the empty reversal (0, 0) for 1-3 cities,
         where every reversal is the same cyclic tour and nothing is drawn."""
@@ -232,11 +222,9 @@ class TspInstance(Problem):
         out[i : j + 1] = tour[j : i - 1 if i else None : -1]
         return out
 
-    def advance(self, state, move, built=None) -> array:
-        """The state after reversal `move`: `built` as a state, or a copy of
-        `state` with slice i..j reversed; `state` is untouched."""
-        if built is not None:
-            return self.chain(built)
+    def advance(self, state, move) -> array:
+        """The state after reversal `move`: a copy of `state` with slice i..j
+        reversed; `state` is untouched."""
         i, j = move
         out = state[:]
         out[i : j + 1] = state[j : i - 1 if i else None : -1]

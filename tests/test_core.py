@@ -31,6 +31,7 @@ from stochopt import (
     NoNeighborError,
     Problem,
     Run,
+    TabletopInstance,
     TspInstance,
     UnsupportedOperationError,
     ValidationError,
@@ -219,8 +220,9 @@ def test_run_refuses_an_improvement_whose_move_cost_disagrees_with_its_cost():
     assert run.best_curve == []
     # the same move, costed correctly, enters the record at its full cost
     exact = Run(TspInstance.from_coords(coords), Budget(5), seed=0, algorithm="probe")
-    value, built = exact.evaluate_move(tour, f, (2, 5))
-    assert built.tolist() == exact.problem.apply(tour, (2, 5)).tolist()
+    value = exact.evaluate_move(tour, f, (2, 5))
+    built = exact.problem.apply(tour, (2, 5))
+    assert exact.best_solution == exact.problem.freeze(built)
     assert value == exact.problem.cost(built)
     assert exact.best_curve == [(1, value)]
     # a search stops at its first improvement from a move
@@ -233,8 +235,9 @@ def test_run_refuses_an_improvement_whose_move_cost_disagrees_with_its_cost():
     lambda problem, seed: hill_climb_first_accept(problem, Budget(3000), seed),
 ], ids=["annealing", "first_accept"])
 def test_a_sampled_search_builds_each_kept_move_once(monkeypatch, search):
-    """A move `Run.evaluate_move` built is the one `advance` keeps: no (state,
-    move) pair reaches `apply` twice.  The pairs are held, so no id is reused."""
+    """Whole-number packings carry a kept move in `advance` without `apply`, so
+    only `Run.evaluate_move` builds one: no (state, move) pair reaches `apply`
+    twice.  The pairs are held, so no id is reused."""
     built = {}
 
     def counted(self, state, move):
@@ -715,7 +718,7 @@ def test_a_sampled_move_builds_and_costs_the_sampled_neighbor(kind, n, seed, ste
         f_y = problem.move_cost(state, f, move)  # from a cost carried along the chain
         assert abs(f_y - full) <= tolerance
         if chain.random() < 0.8:  # move on, as a search mostly does
-            x, state, f = y, problem.advance(state, move, y), f_y
+            x, state, f = y, problem.advance(state, move), f_y
 
 
 def test_the_base_chain_state_is_the_solution():
@@ -725,8 +728,18 @@ def test_the_base_chain_state_is_the_solution():
     assert cube.chain(x) is x
     move = cube.sample_move(x, rng)
     assert cube.advance(x, move) == cube.apply(x, move) == move
-    built = cube.apply(x, move)
-    assert cube.advance(x, move, built) is built
+
+
+@pytest.mark.parametrize("kind", [TspInstance, BinPackingInstance, TabletopInstance,
+                                  ContinuousLandscape], ids=lambda kind: kind.__name__)
+@pytest.mark.parametrize("method", ["chain", "sample_move", "move_cost", "apply", "advance",
+                                    "sample_neighbor"])
+def test_a_kind_takes_the_move_parameters_of_problem_and_no_more(kind, method):
+    """The searchers pass a move method `Problem`'s parameters alone, so a kind's
+    extra parameter, or a default on one of them, would never be passed."""
+    params = inspect.signature(getattr(kind, method)).parameters.values()
+    assert len(params) == len(inspect.signature(getattr(Problem, method)).parameters)
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD and p.default is p.empty for p in params)
 
 
 def _plain(state):
@@ -755,14 +768,15 @@ def _chain_instance(kind, n, rng) -> Problem:
     seed=st.integers(0, 2**32 - 1),
     steps=st.integers(1, 40),
 )
+@example(kind="tsp", n=140, seed=0, steps=40)
+@example(kind="tsp", n=300, seed=1, steps=40)
 def test_a_carried_chain_state_is_that_of_its_solution(kind, n, seed, steps):
     """Two chains interleaved on one instance, driven by `chain`,
     `sample_move`, `move_cost` and `advance`, each carry the state a fresh
     `chain` of their solution gives; every move costs what it builds (bit
     for bit but on tours, where a carried cost may round within
     `MOVE_TOLERANCE` of the largest cost seen); and no call changes the
-    state it is given.  `advance` gives the same state with the built
-    solution as without it.
+    state it is given.
     """
     rng = seeded_rng(seed)
     problem = _chain_instance(kind, n, rng)
@@ -789,7 +803,7 @@ def test_a_carried_chain_state_is_that_of_its_solution(kind, n, seed, steps):
                 assert value.hex() == full.hex()
             keep = rng.random()
             if keep < 0.7:  # move on, as a search mostly does
-                after = problem.advance(state, move, built if keep < 0.35 else None)
+                after = problem.advance(state, move)
                 assert _plain(after) == _plain(problem.chain(built))
                 link[:] = after, value
             assert _plain(state) == before

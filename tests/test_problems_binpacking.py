@@ -228,7 +228,7 @@ def test_sampled_moves_along_a_chain_cost_what_they_build(n, capacity, crowd, se
         loads, open_bins, overflow = problem._summed(y)
         step = rng.random()
         if step < 0.7:
-            state = problem.advance(state, move, y if step < 0.35 else None)
+            state = problem.advance(state, move)
             assert state[0].tolist() == y.tolist()
             assert state[1:] == (loads.tolist(), open_bins, overflow)
             f = value
@@ -246,7 +246,7 @@ def test_a_packing_move_builds_a_fresh_writeable_array():
     assert built.dtype == np.intp
     assert not np.shares_memory(built, state[0])
     assert problem.move_cost(state, problem.cost(state[0]), swap) == problem.cost(built) == 2.0
-    after = problem.advance(state, swap, built)
+    after = problem.advance(state, swap)
     assert after[0].tolist() == built.tolist() and after[1:] == ([80.0, 100.0, 0.0, 0.0], 2, 0.0)
     assert state[0].typecode == after[0].typecode == np.dtype(np.intp).char
     assert state[0].tolist() == [0, 0, 1, 1] and state[1:] == ([110.0, 70.0, 0.0, 0.0], 2, 10.0)

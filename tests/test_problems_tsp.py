@@ -97,18 +97,12 @@ def test_a_tour_chain_state_is_an_intp_array():
     for move in [(0, 3), (1, 4), (2, 2), (3, 5), (0, 0)]:
         built = inst.apply(tour, move)
         assert inst.advance(state, move).tolist() == built.tolist()
-        assert inst.advance(state, move, built).tolist() == built.tolist()
     assert state.tolist() == tour.tolist()
 
 
 def test_the_distance_rows_are_views_of_the_matrix():
-    """`move_cost` reads `d` through one memoryview per row, which copies nothing
-    and is built on its first call, not for `neighbors`."""
+    """`move_cost` reads `d` through one memoryview per row, which copies nothing."""
     inst = TspInstance.from_coords(seeded_rng(9).random((9, 2)))
-    tour = np.arange(9)
-    inst.neighbors(tour)
-    assert "_rows" not in vars(inst)
-    inst.move_cost(inst.chain(tour), inst.cost(tour), (2, 5))
     assert len(inst._rows) == inst.n
     for a, row in enumerate(inst._rows):
         assert np.shares_memory(np.asarray(row), inst.d)
@@ -174,15 +168,6 @@ def test_a_sampled_reversal_is_read_as_two_python_ints(decoded):
     if decoded:
         rng.close()
     assert rng.bit_generator.state == reference.bit_generator.state
-
-
-def test_enumerating_a_tour_builds_no_pair_views():
-    """`sample_move`'s memoryviews are built on its first call, not for `neighbors`."""
-    inst = TspInstance.from_coords(seeded_rng(9).random((9, 2)))
-    inst.neighbors(np.arange(9))
-    assert "_pair_views" not in vars(inst)
-    inst.sample_move(inst.chain(np.arange(9)), seeded_rng(0))
-    assert "_pair_views" in vars(inst)
 
 
 def test_neighborhood_excludes_whole_cycle_reversals(eight):
