@@ -36,6 +36,8 @@ import typing
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
+import numpy as np
+
 from .aco import aco_run
 from .annealing import simulated_annealing
 from .core import (
@@ -264,9 +266,15 @@ class ExperimentConfig:
         return cfg
 
     def echo(self) -> dict:
-        """Every field but the output paths, the budget as a dict: a report's `config`."""
+        """Every field but the output paths, the budget as a dict: a report's `config`.
+
+        An array `start` is echoed as a list, so the report can be written and
+        its echo reruns to the same records.
+        """
         config = asdict(self)
         del config["output_csv"], config["output_json"]
+        if isinstance(self.start, np.ndarray):
+            config["start"] = self.start.tolist()
         return config
 
 
@@ -457,6 +465,18 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> ResultTable:
 
 
 def _write_outputs(table: ResultTable, cfg: ExperimentConfig, output_dir=None):
+    """Write the CSV and the report, one line of strict JSON.
+
+    The report is encoded first, so a value JSON cannot hold raises before
+    either file is opened.  `json.dumps` without `indent` runs CPython's C
+    encoder; `json.dump` to a file, or any `indent`, runs the pure-Python one.
+    """
+    report = table.to_json_dict()
+    try:
+        text = json.dumps(report, sort_keys=True, allow_nan=False)
+    except ValueError:  # strict JSON has no Infinity: a replica with no solution reads null
+        strict = json.loads(json.dumps(report), parse_constant=lambda _: None)
+        text = json.dumps(strict, sort_keys=True)
     out_dir = Path(output_dir or os.environ.get(OUTPUT_DIR_ENV, "."))
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = Path(cfg.output_csv) if cfg.output_csv else out_dir / f"{cfg.label}.csv"
@@ -467,14 +487,7 @@ def _write_outputs(table: ResultTable, cfg: ExperimentConfig, output_dir=None):
         writer.writeheader()
         for row in table.rows:
             writer.writerow(row)
-    with open(json_path, "w") as fh:
-        try:
-            json.dump(table.to_json_dict(), fh, indent=2, sort_keys=True, allow_nan=False)
-        except ValueError:  # strict JSON has no Infinity: a replica with no solution reads null
-            fh.truncate(fh.seek(0))
-            strict = json.loads(json.dumps(table.to_json_dict()), parse_constant=lambda _: None)
-            json.dump(strict, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    json_path.write_text(text + "\n")
     table.csv_path = str(csv_path)
     table.json_path = str(json_path)
 

@@ -1,9 +1,11 @@
 import math
+import struct
 import sys
 import time
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stochopt import (
@@ -251,6 +253,33 @@ def test_comparison_report_structure():
     assert r["best_mean"] == pytest.approx(6.0)
 
     report.to_dict()  # serializable without error
+
+
+def _same(a, b) -> bool:
+    """Equal bit for bit, or two zeros: the sort keeps a signed-zero tie in input order."""
+    return struct.pack("<d", a) == struct.pack("<d", b) or a == b == 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(bests=st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                st.sampled_from([math.inf, 1e308])), min_size=1, max_size=60))
+@example(bests=[math.inf, math.inf])
+@example(bests=[1.0, math.inf])
+@example(bests=[1e308, 1e308])
+@example(bests=[6.0, -1.5, 2.0, 0.25])
+def test_best_summary_matches_numpy(bests):
+    e = EnsembleStats(records=tuple(_record(best=b) for b in bests), budget=10)
+    best = np.array(bests)
+    # two middle costs of 1e308 sum past the largest double, and a sum of
+    # such costs of both signs can read inf - inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = e.best_summary()
+        want = {"best_median": np.median(best), "best_mean": best.mean(),
+                "best_min": best.min(), "best_max": best.max()}
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        assert type(got[key]) is float
+        assert _same(got[key], float(value)), (key, got[key], value)
 
 
 def test_comparison_refuses_mixed_budgets():
