@@ -268,14 +268,26 @@ class ExperimentConfig:
     def echo(self) -> dict:
         """Every field but the output paths, the budget as a dict: a report's `config`.
 
-        An array `start` is echoed as a list, so the report can be written and
-        its echo reruns to the same records.
+        numpy arrays and scalars anywhere in it (a `start` of `np.arange(8)`
+        or of numpy ints) are echoed as the Python lists and numbers they
+        hold, so the report can be written and its echo reruns to the same
+        records.
         """
         config = asdict(self)
         del config["output_csv"], config["output_json"]
-        if isinstance(self.start, np.ndarray):
-            config["start"] = self.start.tolist()
-        return config
+        return _plain(config)
+
+
+def _plain(value):
+    """`value` with each numpy array or scalar in it, through dicts, lists and
+    tuples, as the Python list or number it holds; a tuple becomes a list."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    return value
 
 
 def success_threshold(success: dict | None) -> float | None:
@@ -401,7 +413,15 @@ def _check_pairs(curve, what: str) -> None:
 
 
 def run_experiment(cfg: ExperimentConfig, output_dir=None) -> ResultTable:
-    """Execute all replicas, assemble the table, write CSV and JSON."""
+    """Execute all replicas, assemble the table, write CSV and JSON.
+
+    A config whose echo the report cannot hold is refused before anything runs.
+    """
+    config = cfg.echo()
+    try:
+        json.dumps(config)
+    except TypeError as exc:
+        raise ValidationError(f"a report cannot hold this config: {exc}") from None
     problem = load_instance(cfg.instance)
     threshold = success_threshold(cfg.success)
     rows = []
@@ -454,7 +474,7 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> ResultTable:
             summary["effort"] = None
             summary["effort_curve"] = []
     table = ResultTable(
-        config=cfg.echo(),
+        config=config,
         rows=rows,
         summary=summary,
         curves=curves,

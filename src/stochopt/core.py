@@ -230,9 +230,21 @@ class ScalarDraws:
     `close` hands the generator back in the state its own calls would have
     left: it steps the bit generator back over the words read but not used
     and restores the buffered half, which `advance` clears; a `with` block
-    closes on every exit.  Any other call (`permutation`, `uniform`,
-    `integers` with more arguments) closes first and goes to the
-    generator, as does every call after it.
+    closes on every exit.  After it, `integers` and `random` send every
+    call to the generator, as they send any call they do not decode
+    (`integers` with more arguments, `random(size)`).  Every other public
+    name of `np.random.Generator` (`permutation`, `uniform`, the
+    `bit_generator` property, ...) is a delegate set once on this class
+    that closes first and then goes to the generator's own.
+
+    The class has no `__getattr__`, and nothing writes a method into an
+    instance: either one keeps CPython 3.10 and 3.11 from specializing
+    the attribute loads of the decoder and of its callers (PEP 659).
+    With `__getattr__` on the class, `integers(25)` took 0.456-0.474 µs
+    against 0.318-0.338 µs without, and `random()` 0.278-0.289 against
+    0.188-0.195 µs (timeit, five interleaved rounds, Python 3.11.7,
+    numpy 2.4.6, 2 vCPU; numpy's own calls took 1.13 and 0.40 µs).
+    Python 3.12 and later specialize either way.
     """
 
     def __init__(self, generator: np.random.Generator):
@@ -241,14 +253,15 @@ class ScalarDraws:
         state = self._bits.state
         self._has_half = bool(state["has_uint32"])
         self._half = state["uinteger"]
-        self._words: list[int] | None = []  # unused words, the next one last
+        self._words: list[int] | None = []  # unused words, the next one last; None once closed
 
-    def _read(self) -> int:
-        self._words = self._bits.random_raw(_WORDS_PER_READ).tolist()[::-1]
-        return self._words.pop()
+    def _read(self) -> list[int]:
+        self._words = words = self._bits.random_raw(_WORDS_PER_READ).tolist()[::-1]
+        return words
 
     def integers(self, high, *args, **kwargs):
-        if args or kwargs or type(high) is not int or not 0 < high <= _HALF + 1:
+        words = self._words
+        if words is None or args or kwargs or type(high) is not int or not 0 < high <= _HALF + 1:
             return self._numpy("integers")(high, *args, **kwargs)
         if high == 1:
             return 0
@@ -258,9 +271,10 @@ class ScalarDraws:
                 product = self._half * high
             else:
                 try:
-                    word = self._words.pop()
+                    word = words.pop()
                 except IndexError:
-                    word = self._read()
+                    words = self._read()
+                    word = words.pop()
                 self._half, self._has_half = word >> 32, True
                 product = (word & _HALF) * high
             low = product & _HALF
@@ -268,12 +282,13 @@ class ScalarDraws:
                 return product >> 32
 
     def random(self, *args, **kwargs):
-        if args or kwargs:
+        words = self._words
+        if words is None or args or kwargs:
             return self._numpy("random")(*args, **kwargs)
         try:
-            word = self._words.pop()
+            word = words.pop()
         except IndexError:
-            word = self._read()
+            word = self._read().pop()
         return (word >> 11) * 2.0**-53
 
     def close(self) -> None:
@@ -286,8 +301,6 @@ class ScalarDraws:
         state["has_uint32"], state["uinteger"] = int(self._has_half), self._half
         bits.state = state
         self._words = None
-        self.integers = self._generator.integers
-        self.random = self._generator.random
 
     def __enter__(self) -> ScalarDraws:
         return self
@@ -296,15 +309,31 @@ class ScalarDraws:
         self.close()
 
     def _numpy(self, name: str):
+        """The generator's own `name`, after handing the generator back."""
         self.close()
-        method = getattr(self._generator, name)
-        setattr(self, name, method)  # later look-ups find it here, not in __getattr__
-        return method
+        return getattr(self._generator, name)
 
-    def __getattr__(self, name: str):
-        if name.startswith("_"):
-            raise AttributeError(name)
-        return self._numpy(name)
+
+def _handing_back(name: str):
+    """`ScalarDraws.<name>` for a `Generator` name it does not decode: close, then the generator's.
+
+    A method stays a method and a property (`bit_generator`) a property."""
+    if not callable(getattr(np.random.Generator, name)):
+        return property(lambda self: self._numpy(name), doc=f"The generator's `{name}`, handed back.")
+
+    def delegate(self, *args, **kwargs):
+        return self._numpy(name)(*args, **kwargs)
+
+    delegate.__name__ = name
+    delegate.__qualname__ = f"ScalarDraws.{name}"
+    delegate.__doc__ = f"The generator's `{name}`, called after handing it back."
+    return delegate
+
+
+for _name in dir(np.random.Generator):
+    if not _name.startswith("_") and _name not in vars(ScalarDraws):
+        setattr(ScalarDraws, _name, _handing_back(_name))
+del _name
 
 
 @dataclass(frozen=True)

@@ -65,6 +65,7 @@ from __future__ import annotations
 
 from array import array
 from functools import cached_property
+from itertools import compress
 
 import numpy as np
 
@@ -182,7 +183,7 @@ class BinPackingInstance(Problem):
 
     def _targets(self, loads: list[float]) -> list[int]:
         """The used bins in order, then the first empty one (one fresh bin is always enough)."""
-        targets = [b for b, load in enumerate(loads) if load]
+        targets = list(compress(range(self.n), loads))  # a C-level scan of the loads
         if len(targets) < self.n:
             targets.append(loads.index(0.0))
         return targets

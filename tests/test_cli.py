@@ -10,6 +10,7 @@ import subprocess
 import sys
 import types
 from dataclasses import fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -737,11 +738,37 @@ def test_an_array_start_is_echoed_as_a_list_that_reruns(tmp_path):
     assert again.records == table.records
 
 
-def test_a_report_that_cannot_be_encoded_writes_no_file(tmp_path):
+@pytest.mark.parametrize("raw, start", [
+    ({"instance": str(FIXTURES / "eight.tsp"), "algorithm": "sa"}, list(np.arange(8))),
+    ({"instance": {"kind": "cube"}, "algorithm": "tabu", "params": {"tabu": {"tenure": np.int64(2)}}},
+     np.int64(5)),
+], ids=["tour-of-numpy-ints", "cube-numpy-state"])
+def test_numpy_values_in_a_config_are_echoed_as_python_values_that_rerun(tmp_path, raw, start):
+    cfg = ExperimentConfig(**raw, replicas=2, budget=Budget(200), start=start, label="np")
+    table = run_experiment(cfg, output_dir=tmp_path / "a")
+    echo = json.loads((tmp_path / "a" / "np.json").read_text())["config"]
+    assert echo["start"] == np.asarray(start).tolist()
+    again = run_experiment(ExperimentConfig.from_dict(echo), output_dir=tmp_path / "b")
+    assert again.records == table.records
+
+
+def test_a_config_a_report_cannot_hold_is_refused_before_anything_runs(tmp_path, monkeypatch):
+    cfg = ExperimentConfig(instance=str(FIXTURES / "eight.tsp"), algorithm="sa",
+                           success={"threshold": Fraction(300)})
+    monkeypatch.setattr(cli, "load_instance", lambda desc: pytest.fail("the instance was loaded"))
+    with pytest.raises(ValidationError, match="Fraction"):
+        run_experiment(cfg, output_dir=tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_report_that_cannot_be_encoded_writes_no_file(tmp_path, monkeypatch):
     """The report is encoded before either file is opened."""
+    to_json_dict = ResultTable.to_json_dict
+    monkeypatch.setattr(ResultTable, "to_json_dict",
+                        lambda table: {**to_json_dict(table), "odd": Fraction(1, 3)})
     cfg = ExperimentConfig(instance=str(FIXTURES / "eight.tsp"), algorithm="sa", replicas=2,
-                           start=list(np.arange(8)), label="nd")  # numpy ints: not JSON
-    with pytest.raises(TypeError, match="int64"):
+                           label="nd")
+    with pytest.raises(TypeError, match="Fraction"):
         run_experiment(cfg, output_dir=tmp_path)
     assert list(tmp_path.iterdir()) == []
 
