@@ -342,11 +342,11 @@ class Neighborhood:
 
     `costs[k]` is the Python float cost of neighbor k, within `window` of
     its full `cost(row(k))`: tours cost a reversal from the four edges it
+    changes and packings a relocation or swap from the two bin loads it
     changes, which can differ from the full sum in the last bits (see
-    `MOVE_TOLERANCE`).  Packings of whole-number sizes cost a relocation
-    or swap from the two bin loads it changes, exact integers; fractional
-    packings and state graphs cost their rows through
-    `Problem.cost_rows`.  These are bit for bit, with a zero window.
+    `MOVE_TOLERANCE`).  Whole-number packing loads are exact integers and
+    state graphs cost their few rows through `Problem.cost_rows`; these
+    are bit for bit, with a zero window.
     `row(k)` builds neighbor k as a new object (the tour with slice i..j
     reversed, the assignment with one item moved or two swapped, a copy
     of a block row, a state id), so only the neighbors a decision reads
@@ -719,11 +719,11 @@ class Problem:
     copy of the state; such a cost may differ from `cost` by rounding,
     which `Run.evaluate_move` allows for within `MOVE_TOLERANCE` of the
     largest cost carried.  A `BinPackingInstance` state holds its bin
-    ids as an `array` of `INTP` too, with the loads, and a move names
-    the items that change bins, the two bins and the size that shifts;
-    on whole-number loads it is costed and carried from the two loads
-    it changes, exactly as a fresh sum, by writing the move into a copy
-    of the ids.
+    ids as an `array` of `INTP` too, with the loads and item counts, and
+    a move names the items that change bins, the two bins and the size
+    that shifts; it is costed and carried from the two loads it changes,
+    exactly as a fresh sum on whole-number loads, by writing the move
+    into a copy of the ids.
 
     `cost_rows(rows)` is the batched twin of `cost`: one Python float
     per solution in `rows`, with `cost_rows(rows)[k] == cost(rows[k])`
@@ -733,12 +733,11 @@ class Problem:
     set of array operations, reading each row as C-ordered: numpy sums
     along the rows of a C-ordered block pairwise, as it sums one
     solution, but straight down the columns of a Fortran-ordered one,
-    which rounds differently once a row has 8 terms or more.  Fractional
-    packing and state-graph `neighbors` cost their rows through it, and
-    `Run.evaluate_rows` each block a searcher draws.  A tour
-    neighborhood costs each reversal as `move_cost` does, and a packing
-    of whole-number sizes each move from the two exact loads it changes;
-    neither builds a row it does not hand out.
+    which rounds differently once a row has 8 terms or more.  State-graph
+    `neighbors` cost their rows through it, and `Run.evaluate_rows` each
+    block a searcher draws.  A tour neighborhood costs each reversal as
+    `move_cost` does, and a packing each move from the two loads it
+    changes; neither builds a row it does not hand out.
     `random_solutions(rng, k)` draws such a block: by default k
     `random_solution` calls, so a new kind needs only `random_solution`;
     tours draw theirs in one `permuted` call.

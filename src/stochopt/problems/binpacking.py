@@ -20,11 +20,17 @@ An overflow below `FIT_SLACK * n * cap` counts as none, so decimal size
 literals that sum to the capacity exactly in base ten still fit; first
 fit and the exact search allow the same 1e-9 relative slack per bin.
 
-On whole-number loads `neighbors` costs each relocation and swap from
-the current loads and the two loads the move changes, exactly as `cost`
-costs the neighbour, and builds a neighbour only in `row(k)`.  Fraction
-loads depend on the order they are summed in, so there each neighbour
-is built as a row of an (M, n) block and costed through `cost_rows`.
+`neighbors` costs each relocation and swap, and `move_cost` each
+sampled move, from the loads and the two loads the move changes,
+building a neighbour only in `row(k)` and `apply`.  Whole-number loads
+are exact integers, so such a cost is `cost` bit for bit, with a zero
+window.  Fraction loads round with their summing order, so there a move
+cost lies within a window of `cost`, `MOVE_TOLERANCE` times the largest
+cost as for tours, and decisions read full costs within it.  An
+overflow near the slack may read below it carried and above it afresh,
+a cost jump of `penalty * slack / cap`: a fractional neighbourhood's
+window adds it, and `move_cost` sums afresh an overflow within half the
+slack of the slack.
 
 A sampled move is a tuple (item, other, source, target, shift): `item`
 leaves bin `source` for `target`, `other` (None for a relocation) goes
@@ -42,18 +48,14 @@ from PCG64's raw words by numpy's definitions and buffers the 32-bit
 halves the same way, so the values and the state stay those of numpy's
 calls.
 
-A sampled search carries `chain`'s state: the bin ids as an `array`
-whose items are numpy's `intp` (as a tour's state), its loads as a list,
-its open-bin count and its overflow, summed once.  `sample_move`,
-`move_cost` and `apply` read that state, `sample_move` reading each bin
-id as a Python int, and `apply` builds the packing a move leads to as
-one fresh `intp` array.  On whole-number loads `move_cost` costs the
-move from the current loads and the two loads it changes, as
-`neighbors` does, bit for bit `cost` of that packing, and `advance`
-copies the ids, writes the move in and carries the loads, open-bin
-count and overflow forward by the same two loads, building no numpy
-array; on fraction loads `move_cost` costs the packing `apply` builds,
-and `advance` builds it again and sums it afresh.
+A sampled search carries `chain`'s state: the bin ids as an `array` of
+numpy's `intp` (as a tour's state), the loads and per-bin item counts
+as lists, the open-bin count and the overflow.  The exact counts decide
+which bins are open, and an emptied bin's load is set to 0.0 where a
+carried fraction could read 1e-17.  `sample_move` reads each bin id as a
+Python int; `apply` builds the packing a move leads to as one fresh
+`intp` array; `advance` copies the ids, writes the move in and carries
+the rest by the two bins it changes, building no numpy array.
 
 Atoms are (item, bin) pairs with id item * n + bin, so ids lie in
 0..n*n - 1.  A relocation breaks (item, source) and makes (item,
@@ -71,6 +73,7 @@ import numpy as np
 
 from ..core import (
     INTP,
+    MOVE_TOLERANCE,
     EncodingMismatchError,
     Neighborhood,
     NoNeighborError,
@@ -110,6 +113,10 @@ class BinPackingInstance(Problem):
         self._slack = FIT_SLACK * self.n * self.cap
         penalty = conform(Positive | None, penalty, "'penalty'")
         self.penalty = 10.0 * self.n if penalty is None else float(penalty)
+        # fraction loads round (see the module docstring); whole ones are exact
+        self._tolerance = 0.0 if self.whole else MOVE_TOLERANCE
+        self._straddle = 0.0 if self.whole else self.penalty * self._slack  # cap is 1.0
+        self._near = 0.0 if self.whole else self._slack / 2
         self.name = name
         self.atom_count = self.n * self.n
         self._sizes = self._load_sizes.tolist()  # the sizes a move shifts, as Python floats
@@ -181,51 +188,40 @@ class BinPackingInstance(Problem):
     def random_solution(self, rng) -> np.ndarray:
         return rng.integers(0, self.n, size=self.n)
 
-    def _targets(self, loads: list[float]) -> list[int]:
+    def _targets(self, counts: list[int]) -> list[int]:
         """The used bins in order, then the first empty one (one fresh bin is always enough)."""
-        targets = list(compress(range(self.n), loads))  # a C-level scan of the loads
+        targets = list(compress(range(self.n), counts))  # a C-level scan of the counts
         if len(targets) < self.n:
-            targets.append(loads.index(0.0))
+            targets.append(counts.index(0))
         return targets
 
     def neighbors(self, solution) -> Neighborhood:
-        """Relocations item by item over `_targets`, then swaps i < j.
-
-        Whole-number loads cost each move from the two loads it changes;
-        fraction loads cost a row block through `cost_rows`.
-        """
+        """Relocations item by item over `_targets`, then swaps i < j, each
+        costed from the two loads it changes."""
         a = np.asarray(solution)
         n = self.n
         loads, open_bins, overflow = self._summed(a)
-        targets = np.array(self._targets(loads.tolist()))
+        counts = np.bincount(a, minlength=n)
+        targets = np.array(self._targets(counts.tolist()))
         item, dst = np.repeat(np.arange(n), targets.size), np.tile(targets, n)
         moved = dst != a[item]
         item, dst = item[moved], dst[moved]
         pair_i, pair_j = self._pairs
         swapped = a[pair_i] != a[pair_j]
         i, j = pair_i[swapped], pair_j[swapped]
-        relocations, m = item.size, item.size + i.size
-        if self.whole:
-            costs = self._two_load_costs(a, loads, open_bins, overflow, item, dst, i, j)
+        relocations = item.size
+        costs = self._two_load_costs(a, loads, counts, open_bins, overflow, item, dst, i, j)
+        window = self._tolerance and (
+            self._tolerance * max(1.0, self._cost(open_bins, overflow), *costs) + self._straddle)
 
-            def row(k):
-                r = a.copy()
-                if k < relocations:
-                    r[item[k]] = dst[k]
-                else:
-                    s, t = i[k - relocations], j[k - relocations]
-                    r[s], r[t] = a[t], a[s]
-                return r
-        else:
-            rows = np.tile(a, (m, 1))
-            rows[np.arange(relocations), item] = dst
-            swaps = np.arange(relocations, m)
-            rows[swaps, i] = a[j]
-            rows[swaps, j] = a[i]
-            costs = self.cost_rows(rows)
-
-            def row(k):
-                return rows[k].copy()
+        def row(k):
+            r = a.copy()
+            if k < relocations:
+                r[item[k]] = dst[k]
+            else:
+                s, t = i[k - relocations], j[k - relocations]
+                r[s], r[t] = a[t], a[s]
+            return r
 
         none = np.full(relocations, -1)
 
@@ -246,19 +242,20 @@ class BinPackingInstance(Problem):
             )),
             label=label,
             row=row,
+            window=window,
+            cost=self.cost,
         )
 
-    def _two_load_costs(self, a, loads, open_bins, overflow, item, dst, i, j) -> list[float]:
+    def _two_load_costs(self, a, loads, counts, open_bins, overflow, item, dst, i, j):
         """`cost` of each relocation (item to dst) and swap (i with j) of `a`,
-        whose loads, open-bin count and overflow are given.
+        whose loads, per-bin item counts, open-bin count and overflow are given.
 
-        A move takes its bins b, c from loads[b], loads[c] to two new
-        loads; the open-bin count and overflow change by those two bins
-        alone.  On whole-number loads every term is an integer a float
-        holds exactly, and the old overflows come off before the new ones
-        go on, so no partial sum passes the total size: each cost equals
-        `cost` of the moved row bit for bit.  `_moved` does the same sums
-        for one sampled move.
+        The overflow changes by the move's two bins alone, and the open-bin
+        count by a relocation's emptied source and opened target.  On
+        whole-number loads every term is an exact integer, and the old
+        overflows come off before the new ones go on, so no partial sum
+        passes the total size: each cost is `cost` of the row bit for bit.
+        `_moved` does the same sums for one sampled move.
         """
         sizes, cap = self._load_sizes, self.cap
         shift = np.concatenate((sizes[item], sizes[i] - sizes[j]))
@@ -266,7 +263,10 @@ class BinPackingInstance(Problem):
         c = np.concatenate((dst, a[j]))
         over = np.maximum(loads - cap, 0.0)
         new_b, new_c = loads[b] - shift, loads[c] + shift
-        open_bins = open_bins - (loads[b] > 0) - (loads[c] > 0) + (new_b > 0) + (new_c > 0)
+        open_bins = np.concatenate((
+            open_bins + (counts[dst] == 0) - (counts[a[item]] == 1),
+            np.full(i.size, open_bins),
+        ))
         overflow = (
             overflow - over[b] - over[c]
             + np.maximum(new_b - cap, 0.0) + np.maximum(new_c - cap, 0.0)
@@ -274,21 +274,22 @@ class BinPackingInstance(Problem):
         return self._costs(open_bins, overflow)
 
     def chain(self, solution):
-        """(bin ids as an `intp` `array`, loads as a list, open-bin count, overflow)
-        of `solution`."""
+        """(bin ids as an `intp` `array`, loads and per-bin item counts as lists,
+        open-bin count, overflow) of `solution`."""
         a = np.asarray(solution, dtype=np.intp)
-        loads, open_bins, overflow = self._summed(a)
-        return array(INTP, a.tobytes()), loads.tolist(), open_bins, overflow
+        loads, _, overflow = self._summed(a)
+        counts = np.bincount(a, minlength=self.n).tolist()
+        return array(INTP, a.tobytes()), loads.tolist(), counts, self.n - counts.count(0), overflow
 
     def _moved(self, state, move) -> tuple[int, float]:
-        """Open-bin count and overflow after `move`, from the two loads it changes.
-
-        `_two_load_costs`' sums, term for term, for one move."""
-        _, loads, open_bins, overflow = state
-        b, c, shift, cap = move[2], move[3], move[4], self.cap
+        """Open-bin count and overflow after `move`: `_two_load_costs`' sums for one move."""
+        _, loads, counts, open_bins, overflow = state
+        _, other, b, c, shift = move
+        cap = self.cap
         old_b, old_c = loads[b], loads[c]
         new_b, new_c = old_b - shift, old_c + shift
-        open_bins = open_bins - (old_b > 0) - (old_c > 0) + (new_b > 0) + (new_c > 0)
+        if other is None:
+            open_bins += (counts[c] == 0) - (counts[b] == 1)
         overflow = (
             overflow - (old_b - cap if old_b > cap else 0.0)
             - (old_c - cap if old_c > cap else 0.0)
@@ -297,17 +298,12 @@ class BinPackingInstance(Problem):
         return open_bins, overflow
 
     def sample_move(self, state, rng):
-        """A swap of two items in different bins, or a relocation of one item.
-
-        The move is (item, other, source, target, shift): `item` leaves bin
-        `source` for `target`, `other` (None for a relocation) goes the
-        other way, and `shift` is the load that passes from source to
-        target.
-        """
+        """A swap of two items in different bins, or a relocation of one item:
+        (item, other, source, target, shift), as the module docstring reads it."""
         n = self.n
         if n == 1:
             raise NoNeighborError("a single item has no other bin to move to")
-        a, loads, open_bins, _ = state
+        a, _, counts, open_bins, _ = state
         sizes = self._sizes
         if open_bins > 1 and rng.random() < 0.5:
             while True:  # the values and state of `integers(0, n, size=2)`, drawn cheaper
@@ -317,16 +313,17 @@ class BinPackingInstance(Problem):
                     return i, j, b, c, sizes[i] - sizes[j]
         item = int(rng.integers(n))
         b = a[item]
-        targets = self._targets(loads)
+        targets = self._targets(counts)
         targets.remove(b)
         return item, None, b, targets[int(rng.integers(len(targets)))], sizes[item]
 
     def move_cost(self, state, f: float, move) -> float:
-        """`cost(apply(state, move))`: on whole-number loads from the two
-        loads the move changes, otherwise by building the packing."""
-        if not self.whole:
+        """`cost(apply(state, move))` from the two loads the move changes; an
+        overflow carried within `_near` of the slack is summed afresh."""
+        open_bins, overflow = self._moved(state, move)
+        if -self._near < overflow - self._slack < self._near:
             return self.cost(self.apply(state, move))
-        return self._cost(*self._moved(state, move))
+        return self._cost(open_bins, overflow)
 
     def apply(self, state, move) -> np.ndarray:
         """The packing `move` leads to, as one fresh `intp` array."""
@@ -338,19 +335,20 @@ class BinPackingInstance(Problem):
         return out
 
     def advance(self, state, move):
-        """`chain(apply(state, move))`.  Whole-number loads copy the state's ids and
-        write the move in, and carry the loads by the two it changes; fraction loads
-        sum the packing `apply` builds afresh."""
-        if not self.whole:
-            return self.chain(self.apply(state, move))
+        """`chain(apply(state, move))`, up to a fraction load's rounding, carried
+        by the two bins the move changes."""
         item, other, b, c, shift = move
-        ids, loads = state[0][:], state[1].copy()
+        ids, loads, counts = state[0][:], state[1].copy(), state[2]
         ids[item] = c
-        if other is not None:
+        if other is None:
+            counts = counts.copy()
+            counts[b] -= 1
+            counts[c] += 1
+        else:
             ids[other] = b
-        loads[b] -= shift
+        loads[b] = loads[b] - shift if counts[b] else 0.0
         loads[c] += shift
-        return (ids, loads, *self._moved(state, move))
+        return (ids, loads, counts, *self._moved(state, move))
 
     def solution_attributes(self, solution) -> np.ndarray:
         return np.arange(self.n) * self.n + np.asarray(solution)

@@ -686,7 +686,8 @@ def test_a_sampled_move_builds_and_costs_the_sampled_neighbor(kind, n, seed, ste
     and for tours that neighbor is the one a reference draw of a
     non-trivial reversal gives; the move's cost matches the built
     neighbor's full cost within `MOVE_TOLERANCE` of the largest cost the
-    chain has carried (exactly for every kind but tours),
+    chain has carried (exactly for every kind but tours and fractional
+    packings),
     also when the cost is carried along the chain; and `apply` leaves the
     solution it starts from untouched.
     """
@@ -713,7 +714,7 @@ def test_a_sampled_move_builds_and_costs_the_sampled_neighbor(kind, n, seed, ste
         assert problem.freeze(x) == problem.freeze(before)
         full = problem.cost(y)
         scale = max(scale, abs(full))
-        tolerance = MOVE_TOLERANCE * scale if kind == "tsp" else 0.0
+        tolerance = MOVE_TOLERANCE * scale if kind in ("tsp", "binpacking") else 0.0
         assert abs(problem.move_cost(state, problem.cost(x), move) - full) <= tolerance
         f_y = problem.move_cost(state, f, move)  # from a cost carried along the chain
         assert abs(f_y - full) <= tolerance
@@ -774,9 +775,10 @@ def test_a_carried_chain_state_is_that_of_its_solution(kind, n, seed, steps):
     """Two chains interleaved on one instance, driven by `chain`,
     `sample_move`, `move_cost` and `advance`, each carry the state a fresh
     `chain` of their solution gives; every move costs what it builds (bit
-    for bit but on tours, where a carried cost may round within
-    `MOVE_TOLERANCE` of the largest cost seen); and no call changes the
-    state it is given.
+    for bit but on tours and fractional packings, where a carried cost may
+    round within `MOVE_TOLERANCE` of the largest cost seen, as may a
+    fractional packing's carried loads and overflow); and no call changes
+    the state it is given.
     """
     rng = seeded_rng(seed)
     problem = _chain_instance(kind, n, rng)
@@ -797,13 +799,19 @@ def test_a_carried_chain_state_is_that_of_its_solution(kind, n, seed, steps):
             built = problem.apply(state, move)
             full = problem.cost(built)
             scale = max(scale, abs(value), abs(full))
-            if kind == "tsp":
-                assert abs(value - full) <= MOVE_TOLERANCE * scale
+            window = MOVE_TOLERANCE * scale
+            if kind in ("tsp", "fractional"):
+                assert abs(value - full) <= window
             else:
                 assert value.hex() == full.hex()
             keep = rng.random()
             if keep < 0.7:  # move on, as a search mostly does
-                after = problem.advance(state, move)
-                assert _plain(after) == _plain(problem.chain(built))
+                after, fresh = problem.advance(state, move), problem.chain(built)
+                if kind == "fractional":  # ids, counts and open bins exact
+                    assert _plain(after[:1] + after[2:4]) == _plain(fresh[:1] + fresh[2:4])
+                    assert np.allclose(after[1], fresh[1], rtol=0.0, atol=window)
+                    assert abs(after[4] - fresh[4]) <= window
+                else:
+                    assert _plain(after) == _plain(fresh)
                 link[:] = after, value
             assert _plain(state) == before

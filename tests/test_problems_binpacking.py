@@ -14,7 +14,8 @@ from stochopt import (
     brute_force_packing,
     seeded_rng,
 )
-from stochopt.problems.binpacking import EXACT_TOTAL, first_fit_decreasing
+from stochopt.core import MOVE_TOLERANCE
+from stochopt.problems.binpacking import EXACT_TOTAL, FIT_SLACK, first_fit_decreasing
 
 from conftest import FIXTURES, id_arrays, outcome
 
@@ -80,17 +81,21 @@ def test_a_whole_number_packing_costs_the_same_in_any_item_order(n, capacity, se
 
 
 def test_whole_number_loads_stay_exact_up_to_a_total_of_2_53():
-    """Past a total of 2**53 a float load could round, so the loads become fractions."""
+    """Past a total of 2**53 a float load could round, so the loads become
+    fractions, whose neighbourhood costs lie within a window of `cost`."""
     half = EXACT_TOTAL // 2
     at_limit = BinPackingInstance([half, half], capacity=half)
     assert at_limit.whole and at_limit.cap == half
     assert at_limit.cost([0, 0]) == 1.0 + at_limit.penalty
+    hood = at_limit.neighbors(np.array([0, 1]))
+    assert hood.window == 0.0
+    assert hood.costs == [at_limit.cost(hood.row(k)) for k in range(len(hood))]
     past = BinPackingInstance([half, half, 1], capacity=half)
     assert not past.whole and past.cap == 1.0
-    for inst, a in ((at_limit, np.array([0, 1])), (past, np.array([0, 1, 1]))):
-        hood = inst.neighbors(a)
-        assert hood.window == 0.0
-        assert hood.costs == [inst.cost(hood.row(k)) for k in range(len(hood))]
+    hood = past.neighbors(np.array([0, 1, 1]))
+    assert hood.window > 0.0
+    for k in range(len(hood)):
+        assert abs(hood.costs[k] - past.cost(hood.row(k))) <= hood.window
 
 
 def test_instance_validation():
@@ -213,8 +218,8 @@ def test_sample_neighbor_is_seed_stable():
 )
 def test_sampled_moves_along_a_chain_cost_what_they_build(n, capacity, crowd, seed):
     """On whole-number loads each sampled move costs `cost` of the packing
-    `apply` builds, bit for bit, and the loads, open-bin count and overflow
-    `advance` carries along the chain are those a fresh sum gives."""
+    `apply` builds, bit for bit, and the loads, counts, open-bin count and
+    overflow `advance` carries along the chain are those a fresh sum gives."""
     rng = seeded_rng(seed)
     problem = BinPackingInstance(rng.integers(1, capacity + 1, size=n), capacity=capacity)
     assert problem.whole
@@ -230,7 +235,8 @@ def test_sampled_moves_along_a_chain_cost_what_they_build(n, capacity, crowd, se
         if step < 0.7:
             state = problem.advance(state, move)
             assert state[0].tolist() == y.tolist()
-            assert state[1:] == (loads.tolist(), open_bins, overflow)
+            counts = np.bincount(y, minlength=n).tolist()
+            assert state[1:] == (loads.tolist(), counts, open_bins, overflow)
             f = value
 
 
@@ -239,7 +245,7 @@ def test_a_packing_move_builds_a_fresh_writeable_array():
     the state, its loads included, is left as it was."""
     problem = BinPackingInstance([60, 50, 40, 30], capacity=100)
     state = problem.chain([0, 0, 1, 1])
-    assert state[1:] == ([110.0, 70.0, 0.0, 0.0], 2, 10.0)
+    assert state[1:] == ([110.0, 70.0, 0.0, 0.0], [2, 2, 0, 0], 2, 10.0)
     swap = (0, 3, 0, 1, 30.0)
     built = problem.apply(state, swap)
     assert built.tolist() == [1, 0, 1, 0] and built.flags.writeable
@@ -247,6 +253,94 @@ def test_a_packing_move_builds_a_fresh_writeable_array():
     assert not np.shares_memory(built, state[0])
     assert problem.move_cost(state, problem.cost(state[0]), swap) == problem.cost(built) == 2.0
     after = problem.advance(state, swap)
-    assert after[0].tolist() == built.tolist() and after[1:] == ([80.0, 100.0, 0.0, 0.0], 2, 0.0)
+    assert after[0].tolist() == built.tolist()
+    assert after[1:] == ([80.0, 100.0, 0.0, 0.0], [2, 2, 0, 0], 2, 0.0)
     assert state[0].typecode == after[0].typecode == np.dtype(np.intp).char
-    assert state[0].tolist() == [0, 0, 1, 1] and state[1:] == ([110.0, 70.0, 0.0, 0.0], 2, 10.0)
+    assert state[0].tolist() == [0, 0, 1, 1]
+    assert state[1:] == ([110.0, 70.0, 0.0, 0.0], [2, 2, 0, 0], 2, 10.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(2, 30),
+    seed=st.integers(0, 2**32 - 1),
+    decimal=st.booleans(),
+    crowd=st.integers(1, 6),
+    steps=st.integers(1, 200),
+)
+def test_a_carried_fractional_state_keeps_exact_counts(n, seed, decimal, crowd, steps):
+    """After kept moves the counts are `bincount` of the ids, the open-bin count
+    is that of the nonzero counts, each emptied bin's load is exactly 0.0, and
+    the loads and overflow lie within `MOVE_TOLERANCE` of the largest cost seen
+    of a fresh sum, as each move's cost does of `cost`."""
+    rng = seeded_rng(seed)
+    sizes = rng.integers(1, 10, size=n) / 10 if decimal else rng.uniform(0.05, 1.0, size=n)
+    problem = BinPackingInstance(sizes)
+    x = rng.integers(0, max(1, n // crowd), size=n)  # crowded: many bins overflow
+    state, f = problem.chain(x), problem.cost(x)
+    scale = max(1.0, f)
+    for _ in range(steps):
+        move = problem.sample_move(state, rng)
+        value = problem.move_cost(state, f, move)
+        full = problem.cost(problem.apply(state, move))
+        scale = max(scale, value, full)
+        window = MOVE_TOLERANCE * scale
+        assert abs(value - full) <= window
+        if rng.random() < 0.7:
+            state, f = problem.advance(state, move), value
+            ids, loads, counts, open_bins, overflow = state
+            fresh, _, fresh_overflow = problem._summed(np.asarray(ids))
+            assert counts == np.bincount(ids, minlength=n).tolist()
+            assert open_bins == np.count_nonzero(counts)
+            assert all(load == 0.0 for load, count in zip(loads, counts) if not count)
+            assert np.allclose(loads, fresh, rtol=0.0, atol=window)
+            assert abs(overflow - fresh_overflow) <= window
+
+
+def _straddling(n, seed, ulps):
+    """Items 0 and 1 sum to 1 + FIT_SLACK * n, the slack, moved by `ulps` ulps;
+    item 2 shares their bin, so moving it out leaves an overflow on the slack
+    that the carried load can round to one side and a fresh sum to the other."""
+    rng = seeded_rng(seed)
+    first = rng.uniform(0.3, 0.7)
+    second = 1.0 + FIT_SLACK * n - first
+    for _ in range(abs(ulps)):
+        second = np.nextafter(second, np.inf if ulps > 0 else -np.inf)
+    sizes = [first, second, rng.uniform(0.05, 0.9), *rng.uniform(0.05, 0.5, size=n - 3)]
+    return BinPackingInstance(sizes), np.array([0, 0, 0, *range(1, n - 2)])
+
+
+STRADDLING = [(seed, ulps) for seed in range(40) for ulps in range(-4, 5)]
+
+
+def test_a_neighborhood_window_covers_an_overflow_that_straddles_the_slack():
+    """A two-load cost whose overflow reads below the slack where a fresh sum
+    reads above it (or the other way) is `penalty * slack / cap` off, and the
+    window of a fractional neighborhood takes that in."""
+    straddles = 0
+    for seed, ulps in STRADDLING:
+        problem, a = _straddling(6, seed, ulps)
+        hood = problem.neighbors(a)
+        costs = [problem.cost(hood.row(k)) for k in range(len(hood))]
+        rounding = MOVE_TOLERANCE * max(1.0, *costs, *hood.costs)
+        for value, full in zip(hood.costs, costs):
+            straddles += abs(value - full) > rounding
+            assert abs(value - full) <= hood.window
+    assert straddles  # the instances do straddle the slack
+
+
+def test_a_sampled_move_sums_an_overflow_near_the_slack_afresh():
+    """Moving item 2 out of the straddling bin: `move_cost` stays within the
+    window `Run.evaluate_move` allows, where the cost carried from the two
+    loads alone would be `penalty * slack / cap` off."""
+    straddles = 0
+    for seed, ulps in STRADDLING:
+        problem, a = _straddling(6, seed, ulps)
+        state, f = problem.chain(a), problem.cost(a)
+        for target in range(1, 6):
+            move = (2, None, 0, target, problem._sizes[2])
+            full = problem.cost(problem.apply(state, move))
+            window = MOVE_TOLERANCE * max(1.0, f, full)
+            straddles += abs(problem._cost(*problem._moved(state, move)) - full) > window
+            assert abs(problem.move_cost(state, f, move) - full) <= window
+    assert straddles
