@@ -88,11 +88,15 @@ fractional loads summed in item order.  The other `pack10` cases came
 out the same, and the `pack12` cases, whose sizes are fractions, must
 reproduce their digests bit for bit.
 
-The two `pack12` annealing and first-accept cases were taken while a
-sampled packing move was the neighbour itself, a copied array costed by
-a full `bincount`.  Fractional loads depend on the order they are
-summed in, so a move there is still costed by `cost` of the built
-neighbour; whatever shape a move takes, these records must not change.
+The two `pack12` first-accept cases were taken while a sampled packing
+move was the neighbour itself, a copied array costed by a full
+`bincount`.  `pack12-sa-calibrated` was re-pinned (a01c3477... became
+c7cbf578...) when fractional packings came to carry their loads by the
+two bins a move changes, as whole-number packings do: a carried cost
+rounds apart from a full sum in the last bits, an ulp-uphill move then
+draws an acceptance number where a level one drew none, and the draws
+shift.  The first-accept, tabu and steepest `pack12` cases came out the
+same; tabu and steepest must, as every choice they make reads full costs.
 `pack12-first-accept-random-walk`, which keeps every move and so sums a
 fractional packing afresh at each step, and the two `cube` annealing and
 random-walk cases, whose chain state is the solution itself, were taken
@@ -600,7 +604,7 @@ TRAJECTORY_DIGESTS = {
     "rastrigin3-sa-calibrated": "ed284f476f35af63915adce5b01453c66d384210da8b3eb5c602d90f32d10ac2",
     "rastrigin3-sa-fixed": "d331dd39f4930095db3f591c173aeb9fc0e7699aace02248b55ad2eebba83fe0",
     "rastrigin3-first-accept": "7b5c8d791733cdca18e673028676b1ecdfd3efecdab738cba839139cea836443",
-    "pack12-sa-calibrated": "a01c3477b0549136b22682eaa2e087378a3ebbc9a44f7fa1a6b5b3992e995619",
+    "pack12-sa-calibrated": "c7cbf578ac6bc5cc633d08baf11904c3ae4583fe2efbef408d80b60db2c7f353",
     "pack12-first-accept": "092fdd325143c1e4a101b90789685abe8e168ea24b7f62fe8435fb6ed8550dec",
     "pack12-first-accept-random-walk": "cccdc890d599a08f0299d4a419331d74f8ba2f212d0f24b478a99112e2c95dea",
     "cube-sa-calibrated": "f82601260ef1a2361279cefebe86fef4c0e0799435dc89e3e8052666cf50fbef",
