@@ -257,13 +257,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        cfg = cls.from_dict(_read_json(path))
-        if cfg.label == "experiment":
-            cfg = replace(cfg, label=Path(path).stem)
-        instance = _anchor_instance(cfg.instance, Path(path).parent)
-        if instance is not cfg.instance:
-            cfg = replace(cfg, instance=instance)
-        return cfg
+        """`from_dict` of the file, labelled by its stem by default, its instance anchored."""
+        raw = _read_json(path)
+        if isinstance(raw, dict) and "instance" in raw:  # else `from_dict` refuses it
+            label = raw.get("label", "experiment")
+            raw = {**raw, "label": Path(path).stem if label == "experiment" else label,
+                   "instance": _anchor_instance(raw["instance"], Path(path).parent)}
+        return cls.from_dict(raw)
 
     def echo(self) -> dict:
         """Every field but the output paths, the budget as a dict: a report's `config`.

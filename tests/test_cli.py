@@ -444,6 +444,28 @@ def test_config_from_file_labels_and_anchoring(tmp_path, monkeypatch):
         json.dumps({"instance": {"kind": "cube"}, "algorithm": "random", "label": "pet"})
     )
     assert ExperimentConfig.from_file(labeled).label == "pet"
+    default = nested / "spelled_out.json"  # the default label, spelled out, is the stem too
+    default.write_text(
+        json.dumps({"instance": {"kind": "cube"}, "algorithm": "random", "label": "experiment"})
+    )
+    assert ExperimentConfig.from_file(default).label == "spelled_out"
+
+
+def test_config_from_file_builds_each_shipped_config_once(monkeypatch):
+    """The label and the anchored instance go in before the one construction,
+    so `__post_init__` checks each shipped config once."""
+    checked, post_init = [], ExperimentConfig.__post_init__
+
+    def counted(self):
+        checked.append(self.label)
+        post_init(self)
+
+    monkeypatch.setattr(ExperimentConfig, "__post_init__", counted)
+    paths = sorted(EXPERIMENTS.glob("*.json"))
+    assert len(paths) == 7
+    for path in paths:
+        checked.clear()
+        assert [ExperimentConfig.from_file(path).label] == checked == [path.stem]
 
 
 def test_run_experiment_writes_table_and_files(tmp_path):
