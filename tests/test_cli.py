@@ -9,7 +9,7 @@ import re
 import subprocess
 import sys
 import types
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -466,6 +466,35 @@ def test_config_from_file_builds_each_shipped_config_once(monkeypatch):
     for path in paths:
         checked.clear()
         assert [ExperimentConfig.from_file(path).label] == checked == [path.stem]
+
+
+SHIPPED = sorted(path.stem for path in EXPERIMENTS.glob("*.json"))
+
+
+@pytest.mark.parametrize("name", [*SHIPPED, "pack12_sa", "pack12_tabu"])
+def test_replicas_give_the_same_records_in_any_order_on_a_shared_instance(name, tmp_path):
+    """`run_experiment` runs every replica on one instance, whose cached
+    structures the first replica builds: its records are those the replicas
+    give run in reverse on one instance, or each on an instance of its own
+    (twelve replicas at each config's own budget)."""
+    if name.startswith("pack12"):  # fractional sizes, as the pinned pack12
+        path = tmp_path / "pack12.txt"
+        sizes = seeded_rng(21).uniform(0.05, 0.7, 12).tolist()
+        path.write_text(f"12 1\n{' '.join(map(repr, sizes))}\n")
+        cfg = ExperimentConfig.from_dict(
+            {"instance": str(path), "algorithm": name[7:], "budget": 4000}
+        )
+    else:
+        cfg = ExperimentConfig.from_file(EXPERIMENTS / f"{name}.json")
+    cfg, budget = replace(cfg, replicas=12), cfg.budget
+    entry, kwargs = cli._entry_call(cfg)
+    seeds = [cfg.seed + i for i in range(cfg.replicas)]
+    shared = load_instance(cfg.instance)
+    backward = [entry(shared, budget, seed, **kwargs) for seed in reversed(seeds)][::-1]
+    fresh = [entry(load_instance(cfg.instance), budget, seed, **kwargs) for seed in seeds]
+    forward = run_experiment(cfg, output_dir=tmp_path).records
+    assert [r.to_dict() for r in forward] == [r.to_dict() for r in backward]
+    assert [r.to_dict() for r in forward] == [r.to_dict() for r in fresh]
 
 
 def test_run_experiment_writes_table_and_files(tmp_path):
