@@ -1,3 +1,4 @@
+import ast
 import json
 from functools import partial
 from itertools import product
@@ -17,7 +18,7 @@ from stochopt import (
 from stochopt.core import MOVE_TOLERANCE
 from stochopt.problems.binpacking import EXACT_TOTAL, FIT_SLACK, first_fit_decreasing
 
-from conftest import FIXTURES, id_arrays, outcome
+from conftest import FIXTURES, REPO, id_arrays, outcome
 
 
 def _bins_used(assignment):
@@ -344,3 +345,22 @@ def test_a_sampled_move_sums_an_overflow_near_the_slack_afresh():
             straddles += abs(problem._cost(*problem._moved(state, move)) - full) > window
             assert abs(problem.move_cost(state, f, move) - full) <= window
     assert straddles
+
+
+def test_only_the_constructor_reads_whole():
+    """One packing path: `BinPackingInstance` reads `self.whole` in `__init__`,
+    which sets the window and the other allowances for rounding from it, and
+    in no other method, so no second path can branch off it again."""
+    source = REPO / "src" / "stochopt" / "problems" / "binpacking.py"
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    (cls,) = [node for node in tree.body
+              if isinstance(node, ast.ClassDef) and node.name == "BinPackingInstance"]
+    readers = {
+        method.name
+        for method in cls.body if isinstance(method, ast.FunctionDef)
+        for node in ast.walk(method)
+        if isinstance(node, ast.Attribute) and node.attr == "whole"
+        and isinstance(node.ctx, ast.Load)
+        and isinstance(node.value, ast.Name) and node.value.id == "self"
+    }
+    assert readers == {"__init__"}
