@@ -140,14 +140,13 @@ class BinPackingInstance(Problem):
 
     def cost(self, assignment) -> float:
         """Open-bin count plus penalty times total overflow, in capacities."""
-        _, open_bins, overflow = self._summed(assignment)
-        return self._cost(open_bins, overflow)
+        loads, overflow = self._summed(assignment)
+        return self._cost(int(np.count_nonzero(loads)), overflow)  # no load is below 0
 
     def _summed(self, assignment):
-        """(loads, open-bin count, overflow) of an assignment, summed afresh."""
+        """(loads, overflow) of an assignment, summed afresh."""
         loads = np.bincount(assignment, weights=self._load_sizes, minlength=self.n)
-        open_bins = int(np.count_nonzero(loads > 0))
-        return loads, open_bins, float(np.add.reduce(np.maximum(loads - self.cap, 0.0)))
+        return loads, float(np.add.reduce(np.maximum(loads - self.cap, 0.0)))
 
     def _cost(self, open_bins, overflow) -> float:
         """`cost` from an open-bin count and an overflow in load units."""
@@ -200,8 +199,9 @@ class BinPackingInstance(Problem):
         costed from the two loads it changes."""
         a = np.asarray(solution)
         n = self.n
-        loads, open_bins, overflow = self._summed(a)
+        loads, overflow = self._summed(a)
         counts = np.bincount(a, minlength=n)
+        open_bins = int(np.count_nonzero(counts))
         targets = np.array(self._targets(counts.tolist()))
         item, dst = np.repeat(np.arange(n), targets.size), np.tile(targets, n)
         moved = dst != a[item]
@@ -277,7 +277,7 @@ class BinPackingInstance(Problem):
         """(bin ids as an `intp` `array`, loads and per-bin item counts as lists,
         open-bin count, overflow) of `solution`."""
         a = np.asarray(solution, dtype=np.intp)
-        loads, _, overflow = self._summed(a)
+        loads, overflow = self._summed(a)
         counts = np.bincount(a, minlength=self.n).tolist()
         return array(INTP, a.tobytes()), loads.tolist(), counts, self.n - counts.count(0), overflow
 
