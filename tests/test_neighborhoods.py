@@ -369,6 +369,43 @@ def test_fractional_packing_searches_match_the_row_block_path(
     )
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(2, 30),
+    seed=st.integers(0, 2**32 - 1),
+    decimal=st.booleans(),
+    crowd=st.integers(1, 6),
+    steps=st.integers(1, 200),
+)
+def test_a_carried_fractional_state_keeps_exact_counts(n, seed, decimal, crowd, steps):
+    """After kept moves the counts are `bincount` of the ids, the open-bin count
+    is that of the nonzero counts, each emptied bin's load is exactly 0.0, and
+    the loads and overflow lie within `MOVE_TOLERANCE` of the largest cost seen
+    of a fresh sum, as each move's cost does of the reference's."""
+    rng = seeded_rng(seed)
+    sizes = rng.integers(1, 10, size=n) / 10 if decimal else rng.uniform(0.05, 1.0, size=n)
+    problem, reference = BinPackingInstance(sizes), _PackingRowBlocks(sizes)
+    x = rng.integers(0, max(1, n // crowd), size=n)  # crowded: many bins overflow
+    state, f = problem.chain(x), problem.cost(x)
+    scale = max(1.0, f)
+    for _ in range(steps):
+        move = problem.sample_move(state, rng)
+        value = problem.move_cost(state, f, move)
+        full = reference.move_cost(state, f, move)
+        scale = max(scale, value, full)
+        window = MOVE_TOLERANCE * scale
+        assert abs(value - full) <= window
+        if rng.random() < 0.7:
+            state, f = problem.advance(state, move), value
+            ids, loads, counts, open_bins, overflow = state
+            fresh, fresh_overflow = problem._summed(np.asarray(ids))
+            assert counts == np.bincount(ids, minlength=n).tolist()
+            assert open_bins == np.count_nonzero(counts)
+            assert all(load == 0.0 for load, count in zip(loads, counts) if not count)
+            assert np.allclose(loads, fresh, rtol=0.0, atol=window)
+            assert abs(overflow - fresh_overflow) <= window
+
+
 def test_cube_neighborhoods_match_the_graph():
     cube = cube_fixture()
     names = {}
@@ -438,8 +475,8 @@ def test_a_200_item_whole_number_packing_neighborhood_builds_no_rows():
 
 
 def test_a_200_item_fractional_packing_neighborhood_builds_no_rows():
-    """The same moves costed from two loads within a window: 4.9 MiB; the
-    (M, n) row block it built before took 74 MiB."""
+    """Each move costed from the two loads it changes: 5.0 MiB; building its
+    (M, n) row block took 74.8 MiB."""
     rng = seeded_rng(200)
     inst = BinPackingInstance(rng.uniform(0.05, 0.7, size=200))
     assert not inst.whole

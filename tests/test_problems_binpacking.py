@@ -262,47 +262,11 @@ def test_a_packing_move_builds_a_fresh_writeable_array():
     assert state[1:] == ([110.0, 70.0, 0.0, 0.0], [2, 2, 0, 0], 2, 10.0)
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    n=st.integers(2, 30),
-    seed=st.integers(0, 2**32 - 1),
-    decimal=st.booleans(),
-    crowd=st.integers(1, 6),
-    steps=st.integers(1, 200),
-)
-def test_a_carried_fractional_state_keeps_exact_counts(n, seed, decimal, crowd, steps):
-    """After kept moves the counts are `bincount` of the ids, the open-bin count
-    is that of the nonzero counts, each emptied bin's load is exactly 0.0, and
-    the loads and overflow lie within `MOVE_TOLERANCE` of the largest cost seen
-    of a fresh sum, as each move's cost does of `cost`."""
-    rng = seeded_rng(seed)
-    sizes = rng.integers(1, 10, size=n) / 10 if decimal else rng.uniform(0.05, 1.0, size=n)
-    problem = BinPackingInstance(sizes)
-    x = rng.integers(0, max(1, n // crowd), size=n)  # crowded: many bins overflow
-    state, f = problem.chain(x), problem.cost(x)
-    scale = max(1.0, f)
-    for _ in range(steps):
-        move = problem.sample_move(state, rng)
-        value = problem.move_cost(state, f, move)
-        full = problem.cost(problem.apply(state, move))
-        scale = max(scale, value, full)
-        window = MOVE_TOLERANCE * scale
-        assert abs(value - full) <= window
-        if rng.random() < 0.7:
-            state, f = problem.advance(state, move), value
-            ids, loads, counts, open_bins, overflow = state
-            fresh, fresh_overflow = problem._summed(np.asarray(ids))
-            assert counts == np.bincount(ids, minlength=n).tolist()
-            assert open_bins == np.count_nonzero(counts)
-            assert all(load == 0.0 for load, count in zip(loads, counts) if not count)
-            assert np.allclose(loads, fresh, rtol=0.0, atol=window)
-            assert abs(overflow - fresh_overflow) <= window
-
-
 def _straddling(n, seed, ulps):
-    """Items 0 and 1 sum to 1 + FIT_SLACK * n, the slack, moved by `ulps` ulps;
-    item 2 shares their bin, so moving it out leaves an overflow on the slack
-    that the carried load can round to one side and a fresh sum to the other."""
+    """Items 0 and 1 sum to the capacity plus the slack, 1 + FIT_SLACK * n,
+    moved by `ulps` ulps; item 2 shares their bin, so moving it out leaves an
+    overflow on the slack that the carried load can round to one side of and
+    a fresh sum to the other."""
     rng = seeded_rng(seed)
     first = rng.uniform(0.3, 0.7)
     second = 1.0 + FIT_SLACK * n - first
